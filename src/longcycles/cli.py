@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,18 +41,6 @@ _DOMAIN_ERRORS = (
     ExactnessError,
     ValueError,
 )
-
-
-@dataclass
-class RunConfig:
-    """Parsed options shared by the subcommands."""
-
-    command: str
-    n_values: list[int] = field(default_factory=list)
-    fmt: str = "text"
-    workers: int = 1
-    cache_dir: Path | None = None
-    force: bool = False
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import logging
 import math
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +56,8 @@ PAIR_SWEEP_FREE_LIMIT = 8  # beyond this, sweep_pairs requires force=True
 HARD_LIMIT = 9  # never enumerated past this, force or not
 
 _ENV_CACHE_DIR = "LONGCYCLES_CACHE_DIR"
+
+_log = logging.getLogger("longcycles")
 
 
 def default_cache_dir() -> Path:
@@ -93,21 +97,9 @@ def _require_diag_scale(n: int, force: bool) -> None:
 
 
 @cache
-def _radix(n: int) -> np.ndarray:
-    return np.array([n ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-
-
-@cache
 def _all_perm_rows(n: int) -> np.ndarray:
     """All n! permutations of range(n) as rows, in lexicographic order."""
     return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-
-
-@cache
-def _all_codes(n: int) -> np.ndarray:
-    """Mixed-radix codes of the rows above; ascending because lex order is
-    monotone under the positional encoding."""
-    return _all_perm_rows(n) @ _radix(n)
 
 
 @cache
@@ -117,10 +109,49 @@ def _cycle_rows(n: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+def _code(n: int, digits):
+    """Base-n code of a digit sequence; the digits may be ints or equal-shape
+    integer arrays (one digit position per array)."""
+    code = 0
+    for d in digits:
+        code = code * n + d
+    return code
+
+
+@cache
+def _rank_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lookup tables for the lex rank of a permutation of range(n), split
+    after its first h = n // 2 images.
+
+    ``prefix[code of the first h images]`` is the lex index of that
+    h-arrangement times (n - h)!, and ``suffix[code of the last n - h
+    images]`` is the lex rank of their relative order; the lex rank is the
+    sum.  The tables have n^h and n^(n-h) entries (under 1 MB up to n = 9).
+    """
+    h = n // 2
+    tail = math.factorial(n - h)
+    prefix = np.zeros(n**h, dtype=np.int64)
+    for i, head in enumerate(itertools.permutations(range(n), h)):
+        prefix[_code(n, head)] = i * tail
+    suffix = np.zeros(n ** (n - h), dtype=np.int64)
+    for values in itertools.combinations(range(n), n - h):
+        for j, order in enumerate(itertools.permutations(values)):
+            suffix[_code(n, order)] = j
+    return prefix, suffix
+
+
+def _lex_rank(n: int, columns):
+    """Lex rank among all n! permutations of range(n).  ``columns[j]`` holds
+    the image of j: an int, or an integer array ranking many permutations
+    at once."""
+    prefix, suffix = _rank_tables(n)
+    h = n // 2
+    return prefix[_code(n, columns[:h])] + suffix[_code(n, columns[h:])]
+
+
 def _rank_of_image(n: int, image: tuple[int, ...]) -> int:
     """Lex rank of a 1-based one-line image among all n! permutations."""
-    code = int(np.array([x - 1 for x in image], dtype=np.int64) @ _radix(n))
-    return int(np.searchsorted(_all_codes(n), code))
+    return int(_lex_rank(n, [x - 1 for x in image]))
 
 
 @dataclass(frozen=True)
@@ -200,13 +231,13 @@ def _perm_stats(n: int) -> tuple[_PermStats, ...]:
 
 def _fact_chunk(n: int, lo: int, hi: int) -> np.ndarray:
     cyc = _cycle_rows(n)
-    codes = _all_codes(n)
-    radix = _radix(n)
-    out = np.zeros(codes.shape[0], dtype=np.int64)
-    for r in range(lo, hi):
-        products = cyc[:, cyc[r]]  # all c1∘c2 with c2 = cycle r
-        ranks = np.searchsorted(codes, products @ radix)
-        out += np.bincount(ranks, minlength=codes.shape[0])
+    cyc_t = cyc.T.copy()  # row x: the images of x under every long cycle
+    n_fact = math.factorial(n)
+    out = np.zeros(n_fact, dtype=np.int64)
+    for c2 in cyc[lo:hi].tolist():
+        # column j of all products c1∘c2 is c1(c2(j)): row c2(j) of cyc_t
+        ranks = _lex_rank(n, [cyc_t[x] for x in c2])
+        out += np.bincount(ranks, minlength=n_fact)
     return out
 
 
@@ -229,8 +260,9 @@ _pair_counts_cache: dict[int, np.ndarray] = {}
 
 
 def product_pair_counts(n: int, workers: int = 1, force: bool = False) -> np.ndarray:
-    _require_pairs_scale(n, force)
+    # the guard limits work, so counts already computed under force are served
     if n not in _pair_counts_cache:
+        _require_pairs_scale(n, force)
         _pair_counts_cache[n] = _compute_pair_counts(n, workers)
     return _pair_counts_cache[n]
 
@@ -247,6 +279,15 @@ def _pairs_by_type(n: int) -> dict[tuple[int, ...], int]:
     for rank in np.nonzero(fact)[0]:
         table[stats[rank].cycle_type] += int(fact[rank])
     return table
+
+
+def _alpha_cuts(alpha_parts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(mask, cuts) of a composition: bit b-1 of the mask is set for each
+    proper cut b, as in ``_PermStats.bounds_mask``; the cuts are the
+    cumulative block ends, final n included."""
+    cuts = tuple(itertools.accumulate(alpha_parts))
+    mask = sum(1 << (c - 1) for c in cuts[:-1])
+    return mask, cuts
 
 
 def _merge_atomic(
@@ -274,17 +315,7 @@ def _pairs_alpha_tables(
     """(d-vector table, block-type table, separated total) over all pairs."""
     fact = product_pair_counts(n)
     stats = _perm_stats(n)
-    mask = 0
-    acc = 0
-    for p in alpha_parts[:-1]:
-        acc += p
-        mask |= 1 << (acc - 1)
-    cuts = []
-    acc = 0
-    for p in alpha_parts:
-        acc += p
-        cuts.append(acc)
-    cuts_t = tuple(cuts)
+    mask, cuts = _alpha_cuts(alpha_parts)
     d_table: dict[tuple[int, ...], int] = {}
     lam_table: dict[tuple[tuple[int, ...], ...], int] = {}
     total = 0
@@ -292,7 +323,7 @@ def _pairs_alpha_tables(
         st = stats[rank]
         if mask & ~st.bounds_mask:
             continue
-        key = _merge_atomic(st.atomic, cuts_t)
+        key = _merge_atomic(st.atomic, cuts)
         d = tuple(len(c) for c in key)
         cnt = int(fact[rank])
         d_table[d] = d_table.get(d, 0) + cnt
@@ -378,18 +409,7 @@ def _diag_tallies(n: int, d_image: tuple[int, ...], alpha_parts: tuple[int, ...]
     by_ne: dict[int, int] = {}
     by_alpha: dict[tuple[tuple[int, ...], ...], int] = {}
     by_alpha_a: dict[tuple[tuple[tuple[int, ...], ...], int], int] = {}
-    mask = 0
-    cuts = []
-    if alpha_parts is not None:
-        acc = 0
-        for p in alpha_parts[:-1]:
-            acc += p
-            mask |= 1 << (acc - 1)
-        acc = 0
-        for p in alpha_parts:
-            acc += p
-            cuts.append(acc)
-    cuts_t = tuple(cuts)
+    mask, cuts = _alpha_cuts(alpha_parts) if alpha_parts is not None else (0, ())
     for _word, rank, a in _diag_rows(n, d_image):
         st = stats[rank]
         by_type[st.cycle_type] = by_type.get(st.cycle_type, 0) + 1
@@ -397,7 +417,7 @@ def _diag_tallies(n: int, d_image: tuple[int, ...], alpha_parts: tuple[int, ...]
         ne = n - st.cycle_count - a
         by_ne[ne] = by_ne.get(ne, 0) + 1
         if alpha_parts is not None and not (mask & ~st.bounds_mask):
-            key = _merge_atomic(st.atomic, cuts_t)
+            key = _merge_atomic(st.atomic, cuts)
             by_alpha[key] = by_alpha.get(key, 0) + 1
             by_alpha_a[(key, a)] = by_alpha_a.get((key, a), 0) + 1
     return by_type, by_type_a, by_ne, by_alpha, by_alpha_a
@@ -413,16 +433,6 @@ def _diag_tallies(n: int, d_image: tuple[int, ...], alpha_parts: tuple[int, ...]
 
 
 @cache
-def _perm_inv_rows(n: int) -> np.ndarray:
-    rows = _all_perm_rows(n)
-    inv = np.empty_like(rows)
-    idx = np.arange(n, dtype=np.int64)
-    for r in range(rows.shape[0]):
-        inv[r, rows[r]] = idx
-    return inv
-
-
-@cache
 def _type_index(n: int) -> np.ndarray:
     """Lex rank -> index of the permutation's cycle type in _partition_list(n)."""
     order = {parts: i for i, parts in enumerate(_partition_list(n))}
@@ -435,7 +445,7 @@ PLANE_SWEEP_LIMIT = 7  # (n-1)! * n! plane permutations; 3.6M at n=7
 
 @cache
 def _plane_codes(n: int) -> np.ndarray:
-    """Counts over all plane permutations (s, pi), coded by
+    """Counts over all plane permutations (s, pi), indexed by
     (diagonal type index, vertical lex rank, exceedance count)."""
     if n > PLANE_SWEEP_LIMIT:
         raise ResourceLimitError(
@@ -443,13 +453,10 @@ def _plane_codes(n: int) -> np.ndarray:
             f"{math.factorial(n - 1) * math.factorial(n)} arrays; the limit is n={PLANE_SWEEP_LIMIT}"
         )
     perms = _all_perm_rows(n)
-    pinv = _perm_inv_rows(n)
-    codes = _all_codes(n)
-    radix = _radix(n)
+    pinv_t = np.argsort(perms, axis=1).T  # row j: perm⁻¹(j) for every perm
     type_idx = _type_index(n)
     n_fact = perms.shape[0]
-    span = n + 1
-    acc = np.zeros(len(_partition_list(n)) * n_fact * span, dtype=np.int64)
+    acc = np.zeros((len(_partition_list(n)), n_fact, n + 1), dtype=np.int64)
     ranks = np.arange(n_fact, dtype=np.int64)
     idx = np.arange(n, dtype=np.int64)
     for word in itertools.permutations(range(1, n), n - 1):
@@ -458,88 +465,53 @@ def _plane_codes(n: int) -> np.ndarray:
         s_img[w] = np.roll(w, -1)
         pos = np.empty(n, dtype=np.int64)
         pos[w] = idx
-        diag = s_img[pinv]  # row r = s∘(perm r)⁻¹
-        d_ranks = np.searchsorted(codes, diag @ radix)
-        a = (pos[perms] > pos[idx][None, :]).sum(axis=1)
-        code = (type_idx[d_ranks] * n_fact + ranks) * span + a
-        acc += np.bincount(code, minlength=acc.shape[0])
+        d_ranks = _lex_rank(n, s_img[pinv_t])  # diagonal s∘(perm r)⁻¹, column by column
+        a = (pos[perms] > pos[None, :]).sum(axis=1)
+        # every vertical rank appears once, so no index repeats and += is exact
+        acc[type_idx[d_ranks], ranks, a] += 1
     return acc
 
 
-@cache
-def _plane_type_tallies(
-    n: int,
-) -> tuple[dict[tuple, dict[tuple, int]], dict[tuple, dict[tuple, int]]]:
-    """by_eta[eta][lam] and by_eta_a[eta][(lam, a)]: plane permutations with
-    diagonal cycle type eta and vertical cycle type lam (and a exceedances)."""
+_PlaneTallies = tuple[dict[tuple, dict[tuple, int]], dict[tuple, dict[tuple, int]]]
+
+
+def _plane_tallies(n: int, keys: Sequence) -> _PlaneTallies:
+    """by_eta[eta][key] and by_eta_a[eta][(key, a)] over all plane
+    permutations, with key = keys[lex rank of the vertical]; verticals keyed
+    None are skipped."""
     acc = _plane_codes(n)
-    stats = _perm_stats(n)
     etas = _partition_list(n)
-    n_fact = math.factorial(n)
-    span = n + 1
     by_eta: dict[tuple, dict[tuple, int]] = {eta: {} for eta in etas}
     by_eta_a: dict[tuple, dict[tuple, int]] = {eta: {} for eta in etas}
-    for code in np.nonzero(acc)[0]:
-        cnt = int(acc[code])
-        a = int(code % span)
-        rank = int((code // span) % n_fact)
-        eta = etas[int(code // (span * n_fact))]
-        lam = stats[rank].cycle_type
-        by_eta[eta][lam] = by_eta[eta].get(lam, 0) + cnt
-        by_eta_a[eta][(lam, a)] = by_eta_a[eta].get((lam, a), 0) + cnt
-    return by_eta, by_eta_a
-
-
-@cache
-def _seq_key_of_rank(n: int, alpha_parts: tuple[int, ...]) -> tuple:
-    """Per lex rank: the block-type key of the permutation, or None if it is
-    not alpha-separated."""
-    stats = _perm_stats(n)
-    mask = 0
-    acc = 0
-    for p in alpha_parts[:-1]:
-        acc += p
-        mask |= 1 << (acc - 1)
-    cuts = []
-    acc = 0
-    for p in alpha_parts:
-        acc += p
-        cuts.append(acc)
-    cuts_t = tuple(cuts)
-    out = []
-    for st in stats:
-        if mask & ~st.bounds_mask:
-            out.append(None)
-        else:
-            out.append(_merge_atomic(st.atomic, cuts_t))
-    return tuple(out)
-
-
-@cache
-def _plane_seq_tallies(
-    n: int, alpha_parts: tuple[int, ...]
-) -> tuple[dict[tuple, dict[tuple, int]], dict[tuple, dict[tuple, int]]]:
-    """by_eta[eta][seq_key] and by_eta_a[eta][(seq_key, a)]: plane
-    permutations with diagonal cycle type eta whose vertical is
-    alpha-separated with the given block types."""
-    acc = _plane_codes(n)
-    keys = _seq_key_of_rank(n, alpha_parts)
-    etas = _partition_list(n)
-    n_fact = math.factorial(n)
-    span = n + 1
-    by_eta: dict[tuple, dict[tuple, int]] = {eta: {} for eta in etas}
-    by_eta_a: dict[tuple, dict[tuple, int]] = {eta: {} for eta in etas}
-    for code in np.nonzero(acc)[0]:
-        rank = int((code // span) % n_fact)
+    cells = np.nonzero(acc)
+    for t, rank, a, cnt in zip(*(ix.tolist() for ix in cells), acc[cells].tolist()):
         key = keys[rank]
         if key is None:
             continue
-        cnt = int(acc[code])
-        a = int(code % span)
-        eta = etas[int(code // (span * n_fact))]
+        eta = etas[t]
         by_eta[eta][key] = by_eta[eta].get(key, 0) + cnt
         by_eta_a[eta][(key, a)] = by_eta_a[eta].get((key, a), 0) + cnt
     return by_eta, by_eta_a
+
+
+@cache
+def _plane_type_tallies(n: int) -> _PlaneTallies:
+    """by_eta[eta][lam] and by_eta_a[eta][(lam, a)]: plane permutations with
+    diagonal cycle type eta and vertical cycle type lam (and a exceedances)."""
+    return _plane_tallies(n, [st.cycle_type for st in _perm_stats(n)])
+
+
+@cache
+def _plane_seq_tallies(n: int, alpha_parts: tuple[int, ...]) -> _PlaneTallies:
+    """by_eta[eta][seq_key] and by_eta_a[eta][(seq_key, a)]: plane
+    permutations with diagonal cycle type eta whose vertical is
+    alpha-separated with the given block types."""
+    mask, cuts = _alpha_cuts(alpha_parts)
+    keys = [
+        None if mask & ~st.bounds_mask else _merge_atomic(st.atomic, cuts)
+        for st in _perm_stats(n)
+    ]
+    return _plane_tallies(n, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -640,24 +612,47 @@ def _cache_path(cache_dir: Path, query: dict) -> Path:
     return Path(cache_dir) / f"{query['kind']}-n{query['n']}-{digest}.json"
 
 
-def _load_cached(cache_dir: Path | None, query: dict) -> OracleResult | None:
+def _load_cached(cache_dir: Path | None, query: dict, total: int) -> OracleResult | None:
+    """The cached result of the query, or None.  A file that cannot be read
+    or parsed, or whose query, version or totals disagree, is a miss; it is
+    logged and will be overwritten."""
     if cache_dir is None:
         return None
     path = _cache_path(cache_dir, query)
-    if not path.exists():
+    try:
+        result = OracleResult.from_json(path.read_text())
+    except FileNotFoundError:
         return None
-    result = OracleResult.from_json(path.read_text())
-    if result.query != query or result.version != __version__:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        _log.warning("cache miss: cannot read %s (%s: %s)", path, type(exc).__name__, exc)
+        return None
+    if (
+        result.query != query
+        or result.version != __version__
+        or result.total != total
+        or "cycle_type" not in result.tables
+        or result.tables["cycle_type"].total() != total
+    ):
+        _log.warning("cache miss: %s does not match its query, version or total", path)
         return None
     return result
 
 
 def _store_cached(cache_dir: Path | None, result: OracleResult) -> None:
+    """Write through a temporary file and ``os.replace``, so that a reader
+    sees either the old file or the whole new one."""
     if cache_dir is None:
         return
     path = _cache_path(cache_dir, result.query)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(result.to_json())
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(result.to_json())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +693,8 @@ def sweep_pairs(
     if alpha is not None and alpha.n != n:
         raise ValueError(f"composition {alpha} is not a composition of {n}")
     query = {"kind": "pairs", "n": n, "alpha": str(alpha) if alpha else None}
-    cached = _load_cached(cache_dir, query)
+    total = math.factorial(n - 1) ** 2
+    cached = _load_cached(cache_dir, query, total)
     if cached is not None:
         return cached
     product_pair_counts(n, workers, force)
@@ -709,7 +705,7 @@ def sweep_pairs(
         d_table, lam_table, _ = _pairs_alpha_tables(n, alpha.parts)
         tables["d_vector"] = CountTable({format_d_key(d): c for d, c in d_table.items()})
         tables["alpha_type"] = CountTable({format_seq_key(k): c for k, c in lam_table.items()})
-    result = OracleResult(n=n, query=query, tables=tables, total=math.factorial(n - 1) ** 2)
+    result = OracleResult(n=n, query=query, tables=tables, total=total)
     _store_cached(cache_dir, result)
     return result
 
@@ -738,7 +734,8 @@ def sweep_fixed_diagonal(
         "diagonal": D.one_line(),
         "alpha": str(alpha) if alpha else None,
     }
-    cached = _load_cached(cache_dir, query)
+    total = math.factorial(n - 1)
+    cached = _load_cached(cache_dir, query, total)
     if cached is not None:
         return cached
     by_type, by_type_a, by_ne, by_alpha, by_alpha_a = _diag_tallies(
@@ -756,6 +753,6 @@ def sweep_fixed_diagonal(
         tables["alpha_type_a"] = CountTable(
             {f"{format_seq_key(k)} a={a}": c for (k, a), c in by_alpha_a.items()}
         )
-    result = OracleResult(n=n, query=query, tables=tables, total=math.factorial(n - 1))
+    result = OracleResult(n=n, query=query, tables=tables, total=total)
     _store_cached(cache_dir, result)
     return result

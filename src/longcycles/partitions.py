@@ -9,10 +9,11 @@ counts are Python integers, ratios are ``fractions.Fraction``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import NoSuchPartError
 
@@ -55,6 +56,16 @@ def _merge_sorted(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 def _remove_part(parts: tuple[int, ...], value: int) -> tuple[int, ...]:
     idx = parts.index(value)
     return parts[:idx] + parts[idx + 1 :]
+
+
+def _int_parts(parts: Iterable[int]) -> tuple[int, ...]:
+    """The parts as ints: anything ``operator.index`` accepts except bool."""
+    parts = tuple(parts)
+    if not {int}.issuperset(map(type, parts)):  # checks the exact type, so bool fails
+        if any(isinstance(p, bool) or not hasattr(p, "__index__") for p in parts):
+            raise TypeError(f"parts must be integers: {parts!r}")
+        parts = tuple(map(operator.index, parts))
+    return parts
 
 
 @cache
@@ -123,7 +134,7 @@ class IntegerPartition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(sorted(self.parts, reverse=True))
+        parts = tuple(sorted(_int_parts(self.parts), reverse=True))
         if parts and parts[-1] <= 0:
             raise ValueError(f"parts must be positive: {self.parts!r}")
         object.__setattr__(self, "parts", parts)
@@ -187,7 +198,7 @@ class Composition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parts = tuple(self.parts)
+        parts = _int_parts(self.parts)
         if not parts or any(p <= 0 for p in parts):
             raise ValueError(f"composition parts must be positive: {self.parts!r}")
         object.__setattr__(self, "parts", parts)

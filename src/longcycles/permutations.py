@@ -136,6 +136,8 @@ class Permutation:
         seen: set[int] = set()
         for cyc in cycles:
             for x in cyc:
+                if not 1 <= x <= n:
+                    raise ValueError(f"element {x} is outside 1..{n}")
                 if x in seen:
                     raise ValueError(f"element {x} appears in two cycles")
                 seen.add(x)

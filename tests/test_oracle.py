@@ -1,7 +1,10 @@
+import hashlib
 import itertools
+import logging
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from longcycles import (
@@ -19,13 +22,19 @@ from longcycles import (
     sweep_pairs,
     z_of,
 )
+from longcycles import oracle
 from longcycles.oracle import (
     CountTable,
     OracleResult,
+    _all_perm_rows,
+    _fact_chunk,
+    _lex_rank,
     _pair_counts_cache,
     _pairs_alpha_tables,
     _pairs_by_type,
+    _plane_codes,
     _plane_type_tallies,
+    _rank_of_image,
     product_pair_counts,
 )
 
@@ -81,6 +90,14 @@ class TestSweepPairs:
         with pytest.raises(ResourceLimitError):
             sweep_pairs(12, force=True)  # hard limit, force cannot unlock
 
+    def test_forced_sweep_passes_the_guard(self, monkeypatch):
+        monkeypatch.setattr(oracle, "PAIR_SWEEP_FREE_LIMIT", 4)
+        monkeypatch.delitem(_pair_counts_cache, 5, raising=False)
+        _pairs_by_type.cache_clear()
+        with pytest.raises(ResourceLimitError):
+            sweep_pairs(5)
+        assert sweep_pairs(5, force=True).total == 24**2
+
     def test_alpha_must_match_n(self):
         with pytest.raises(ValueError):
             sweep_pairs(4, C((2, 3)))
@@ -97,6 +114,29 @@ class TestSweepPairs:
         table = sweep_pairs(n).tables["cycle_type"]
         for key in table:
             assert table[key] == direct.get(key, 0)
+
+
+class TestLexRank:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ranks_every_permutation_in_lex_order(self, n):
+        ranks = _lex_rank(n, _all_perm_rows(n).T)
+        assert np.array_equal(ranks, np.arange(math.factorial(n)))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_rank_of_image_matches_itertools(self, n):
+        for i, image in enumerate(itertools.permutations(range(1, n + 1))):
+            assert _rank_of_image(n, image) == i
+
+    def test_fact_chunks_sum_to_whole_range(self):
+        whole = _fact_chunk(6, 0, 120)
+        parts = _fact_chunk(6, 0, 7) + _fact_chunk(6, 7, 64) + _fact_chunk(6, 64, 120)
+        assert np.array_equal(parts, whole)
+        assert whole.sum() == 120**2
+
+    def test_plane_codes_digest(self):
+        # pinned from the earlier binary-search rank, which the tables must reproduce
+        digest = hashlib.sha256(_plane_codes(6).tobytes()).hexdigest()
+        assert digest == "dca96d4fa9cd2e031e710e5336d2fa12dc856bde0c5f2fdb4f5024dfd6c2bf1f"
 
 
 class TestCountFactorizations:
@@ -284,3 +324,19 @@ class TestSerializationAndCache:
         res = sweep_pairs(4, C((1, 3)), cache_dir=tmp_path)
         assert res.query["alpha"] == "(1,3)"
         assert len(list(tmp_path.glob("*.json"))) == 2
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda text: text[: len(text) // 2], lambda text: text.replace('"total":"36"', '"total":"37"')],
+        ids=["truncated", "wrong-total"],
+    )
+    def test_damaged_cache_file_is_recomputed(self, tmp_path, caplog, damage):
+        good = sweep_pairs(4, C((2, 2)), cache_dir=tmp_path)
+        (path,) = tmp_path.glob("*.json")
+        path.write_text(damage(path.read_text()))
+        with caplog.at_level(logging.WARNING, logger="longcycles"):
+            again = sweep_pairs(4, C((2, 2)), cache_dir=tmp_path)
+        assert again.to_json() == good.to_json()
+        assert "cache miss" in caplog.text
+        assert path.read_text() == good.to_json()
+        assert list(tmp_path.iterdir()) == [path]

@@ -333,3 +333,17 @@ class TestParsing:
             IntegerPartition((3, 0))
         with pytest.raises(ValueError):
             Composition((2, 0, 1))
+
+    @pytest.mark.parametrize("cls", [IntegerPartition, Composition])
+    @pytest.mark.parametrize("parts", [(2.5,), (2.0, 1), (True, 1), ("2",)])
+    def test_rejects_non_integral_parts(self, cls, parts):
+        with pytest.raises(TypeError):
+            cls(parts)
+
+    @pytest.mark.parametrize("cls", [IntegerPartition, Composition])
+    def test_accepts_index_integers(self, cls):
+        import numpy as np
+
+        value = cls((np.int64(2), 1))
+        assert value == cls((2, 1))
+        assert all(type(p) is int for p in value.parts)

@@ -204,6 +204,12 @@ class TestParsing:
         with pytest.raises(ValueError):
             Permutation.from_cycles([[1, 2], [2, 3]])
 
+    def test_rejects_elements_outside_ground_set(self):
+        with pytest.raises(ValueError):
+            Permutation.parse("(1 5)", n=3)
+        with pytest.raises(ValueError):
+            Permutation.from_cycles([[0, 1]])
+
     def test_inverse(self):
         p = Permutation.from_one_line("3 1 2")
         assert compose(p, p.inverse()) == Permutation.identity(3)
