@@ -26,15 +26,13 @@ from .errors import (
     ExactnessError,
     NoSuchPartError,
     NotSeparatedError,
-    ParityError,
     ResourceLimitError,
 )
-from .partitions import Composition, IntegerPartition
+from .partitions import Composition, IntegerPartition, compositions
 from .permutations import canonical_of_type
 
 _DOMAIN_ERRORS = (
     DomainError,
-    ParityError,
     NotSeparatedError,
     NoSuchPartError,
     DimensionMismatchError,
@@ -184,7 +182,9 @@ def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 # verify subcommand
 
 
-def _run_verify(args: argparse.Namespace) -> int:
+def _run_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.max_n < 2:
+        parser.error("--max-n must be >= 2")
     suites = tuple(args.suite) if args.suite else verify.SUITES
     run = verify.run_suites(
         suites,
@@ -212,14 +212,12 @@ _TABLES = ("zagier-stanley", "hultman", "boccara", "separating-total", "sep-prob
 
 def _table_rows(name: str, n_values: list[int], parts: int | None) -> tuple[list[str], list[list[str]]]:
     if name == "separating-total":
-        n = n_values[0]
         header = ["alpha", "value"]
         rows = []
-        for alpha_parts in verify._compositions(n):
-            if parts is not None and len(alpha_parts) != parts:
-                continue
-            alpha = Composition(alpha_parts)
-            rows.append([str(alpha), _value_str(formulas.separating_total(alpha))])
+        for n in n_values:
+            for alpha in compositions(n):
+                if parts is None or alpha.length == parts:
+                    rows.append([str(alpha), _value_str(formulas.separating_total(alpha))])
         return header, rows
     max_n = max(n_values)
     if name == "sep-prob":
@@ -314,6 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # values are exact, so print every digit
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -322,10 +322,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle":
             return _run_oracle(args, parser)
         if args.command == "verify":
-            return _run_verify(args)
+            return _run_verify(args, parser)
         if args.command == "table":
             return _run_table(args)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, RecursionError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 4
     except _DOMAIN_ERRORS as exc:

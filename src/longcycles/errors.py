@@ -17,10 +17,6 @@ class DimensionMismatchError(ValueError):
     """Paired arguments have incompatible lengths."""
 
 
-class ParityError(ValueError):
-    """A parity hypothesis required by an identity is violated."""
-
-
 class ResourceLimitError(RuntimeError):
     """An enumeration request exceeds the configured size guard."""
 

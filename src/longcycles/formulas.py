@@ -98,7 +98,8 @@ def even_factorization_count(lam: IntegerPartition) -> int:
     With parts lam = (l1 >= l2 >= ... >= lk), the count is
     2 (n-1)! * sum over j_2..j_k (0 <= j_t < l_t, sum = L) of
     (-1)^L L! / (l1+L+1)_(L+1) * prod binom(l_t, j_t),
-    the falling factorial in the denominator.
+    the falling factorial in the denominator.  The js enter only through L
+    and the binomials: coefficients of prod_t ((1+x)^(l_t) - x^(l_t)).
     """
     parts = lam.parts
     n = lam.n
@@ -107,25 +108,20 @@ def even_factorization_count(lam: IntegerPartition) -> int:
     if (n - lam.length) % 2:
         raise DomainError(f"a permutation of type {lam} on [{n}] is odd")
     head = parts[0]
-    acc = Fraction(0)
-    ranges = [range(p) for p in parts[1:]]
-    for js in _product(ranges):
-        total = sum(js)
-        term = Fraction((-1) ** total * math.factorial(total), falling_factorial(head + total + 1, total + 1))
-        for p, j in zip(parts[1:], js):
-            term *= binomial(p, j)
-        acc += term
+    poly = [1]
+    for p in parts[1:]:
+        factor = [binomial(p, j) for j in range(p)]
+        out = [0] * (len(poly) + p - 1)
+        for i, c in enumerate(poly):
+            for j, b in enumerate(factor):
+                out[i + j] += c * b
+        poly = out
+    acc = sum(
+        Fraction((-1) ** total * math.factorial(total) * c, falling_factorial(head + total + 1, total + 1))
+        for total, c in enumerate(poly)
+    )
     value = 2 * math.factorial(n - 1) * acc
     return _exact_int(value, f"even_factorization_count({lam})")
-
-
-def _product(ranges: list[range]):
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for rest in _product(ranges[1:]):
-            yield (head,) + rest
 
 
 def pairs_by_type(lam: IntegerPartition) -> int:
@@ -152,25 +148,26 @@ def separating_total(alpha: Composition) -> int:
 
 
 @cache
-def _sep_by_d(gamma: tuple[int, ...], d: tuple[int, ...]) -> Fraction:
+def _sep_by_d(g0: int, d0: int, rest: tuple[tuple[int, int], ...]) -> Fraction:
     """Block-count refined separation count, expanded by repeatedly moving
     one element from a later block onto the first block.
 
     Satisfies binom(g1+1,2) G(gamma) + sum_j binom(g_j,2) G(gamma^(j)) = Y,
     where gamma^(j) moves one element from block j to block 1 and
     Y = (n-1)! C(g1+1, d1) prod_{t>1} C(g_t, d_t).  Terms vanish once a block
-    empties because both the Stirling factor and binom(1,2) are zero.
+    empties because both the Stirling factor and binom(1,2) are zero.  It is
+    symmetric in the later (g_j, d_j) pairs, so ``rest`` holds them sorted.
     """
-    n = sum(gamma)
-    y = math.factorial(n - 1) * stirling_first(gamma[0] + 1, d[0])
-    for g, di in zip(gamma[1:], d[1:]):
+    n = g0 + sum(g for g, _ in rest)
+    y = math.factorial(n - 1) * stirling_first(g0 + 1, d0)
+    for g, di in rest:
         y *= stirling_first(g, di)
     acc = Fraction(y)
-    for j in range(1, len(gamma)):
-        if gamma[j] >= 2:
-            moved = (gamma[0] + 1,) + gamma[1:j] + (gamma[j] - 1,) + gamma[j + 1 :]
-            acc -= math.comb(gamma[j], 2) * _sep_by_d(moved, d)
-    return acc / math.comb(gamma[0] + 1, 2)
+    for j, (g, di) in enumerate(rest):
+        if g >= 2:
+            moved = tuple(sorted(rest[:j] + ((g - 1, di),) + rest[j + 1 :]))
+            acc -= math.comb(g, 2) * _sep_by_d(g0 + 1, d0, moved)
+    return acc / math.comb(g0 + 1, 2)
 
 
 def _check_d(alpha: Composition, d: Sequence[int]) -> tuple[int, ...]:
@@ -183,7 +180,8 @@ def _check_d(alpha: Composition, d: Sequence[int]) -> tuple[int, ...]:
 
 
 def separating_by_d_raw(alpha: Composition, d: Sequence[int]) -> Fraction:
-    return _sep_by_d(alpha.parts, _check_d(alpha, d))
+    d = _check_d(alpha, d)
+    return _sep_by_d(alpha.parts[0], d[0], tuple(sorted(zip(alpha.parts[1:], d[1:]))))
 
 
 def separating_by_d(alpha: Composition, d: Sequence[int]) -> int:
@@ -197,7 +195,7 @@ def separating_by_d(alpha: Composition, d: Sequence[int]) -> int:
     d = _check_d(alpha, d)
     if (sum(d) - alpha.n) % 2:
         return 0
-    return _exact_int(_sep_by_d(alpha.parts, d), f"separating_by_d({alpha},{d})")
+    return _exact_int(separating_by_d_raw(alpha, d), f"separating_by_d({alpha},{d})")
 
 
 def separated_pairs_by_count_raw(n: int, m: int, k: int) -> Fraction:

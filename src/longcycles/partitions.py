@@ -8,6 +8,7 @@ counts are Python integers, ratios are ``fractions.Fraction``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ __all__ = [
     "Composition",
     "PartitionSequence",
     "partitions",
+    "compositions",
     "partition_sequences",
     "z_of",
     "z_of_seq",
@@ -112,6 +114,15 @@ def _partitions_into(n: int, k: int) -> tuple[tuple[int, ...], ...]:
             prefix.pop()
 
     rec(n, k, n)
+    return tuple(out)
+
+
+def _compositions(n: int) -> tuple[tuple[int, ...], ...]:
+    """Compositions of n, ordered by their cut patterns read as binary numbers."""
+    out = []
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        bounds = [0, *(i for i, cut in enumerate(cuts, 1) if cut), n]
+        out.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
     return tuple(out)
 
 
@@ -309,6 +320,14 @@ def partitions(n: int) -> Iterator[IntegerPartition]:
         yield IntegerPartition(parts)
 
 
+def compositions(n: int) -> Iterator[Composition]:
+    """All compositions of n, from (n) to (1,...,1), cut patterns in binary order."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    for parts in _compositions(n):
+        yield Composition(parts)
+
+
 def partition_sequences(alpha: Composition) -> Iterator[PartitionSequence]:
     """All partition sequences over alpha, component orders reverse-lex."""
     lists = [_partition_list(p) for p in alpha.parts]
@@ -467,20 +486,42 @@ def lambda_coeff(seq: PartitionSequence, i: int, j: int) -> Fraction:
 # Stirling-type numbers and factorial helpers
 
 
-@cache
+# Rows of C(i+1, k) = C(i, k-1) + i C(i, k) from [0]*m + [1] at i = m, by m and
+# then i (m = 0: Stirling numbers).  The last _KEPT_ROWS requested rows per m are
+# kept; a new row steps from the nearest of them and row m, up by the recurrence
+# or down by its inverse C(i, k-1) = C(i+1, k) - i C(i, k), so a sweep over n
+# costs O(n^2) in either direction.
+_INSERTION_ROWS: dict[int, dict[int, tuple[int, ...]]] = {}
+_KEPT_ROWS = 32
+
+
+def _insertion_row(n: int, m: int) -> tuple[int, ...]:
+    rows = _INSERTION_ROWS.setdefault(m, {})
+    row = rows.get(n)
+    if row is None:
+        start = min((m, *rows), key=lambda i: abs(i - n))
+        row = list(rows.get(start, (0,) * m + (1,)))
+        for i in range(start, n):
+            row = [a + i * b for a, b in zip([0] + row, row + [0])]
+        for i in range(start - 1, n - 1, -1):
+            down = [0] * (i + 2)  # down[i + 1] = C(i, i+1) = 0
+            for k in range(i + 1, 0, -1):
+                down[k - 1] = row[k] - i * down[k]
+            row = down[:-1]
+        if len(rows) >= _KEPT_ROWS:
+            del rows[next(iter(rows))]
+        rows[n] = row = tuple(row)
+    return row
+
+
 def stirling_first(n: int, k: int) -> int:
     """Signless Stirling number of the first kind: permutations of [n] with
     k cycles.  C(n,k) = C(n-1,k-1) + (n-1) C(n-1,k), C(0,0) = 1."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be >= 0")
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    return stirling_first(n - 1, k - 1) + (n - 1) * stirling_first(n - 1, k)
+    return _insertion_row(n, 0)[k] if k <= n else 0
 
 
-@cache
 def separated_stirling(n: int, m: int, k: int) -> int:
     """Permutations of [n] with k cycles and 1..m in pairwise distinct cycles.
 
@@ -489,11 +530,7 @@ def separated_stirling(n: int, m: int, k: int) -> int:
     """
     if not 0 <= m <= n:
         raise ValueError("need n >= m >= 0")
-    if k < 0 or k > n:
-        return 0
-    if n == m:
-        return 1 if k == m else 0
-    return separated_stirling(n - 1, m, k - 1) + (n - 1) * separated_stirling(n - 1, m, k)
+    return _insertion_row(n, m)[k] if 0 <= k <= n else 0
 
 
 def falling_factorial(x: int, m: int) -> int:

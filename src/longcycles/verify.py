@@ -40,6 +40,7 @@ from . import formulas, oracle
 from .partitions import (
     Composition,
     IntegerPartition,
+    _compositions,
     _odd_refinements,
     _odd_refinements_seq,
     _partition_list,
@@ -189,22 +190,6 @@ def _seq_m(key: SeqKey, i: int) -> int:
 def _down(parts: tuple[int, ...], size: int) -> tuple[int, ...]:
     idx = parts.index(size)
     return tuple(sorted(parts[:idx] + parts[idx + 1 :] + (size - 1,), reverse=True))
-
-
-def _compositions(n: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for cuts in itertools.product([False, True], repeat=n - 1):
-        parts = []
-        size = 1
-        for cut in cuts:
-            if cut:
-                parts.append(size)
-                size = 1
-            else:
-                size += 1
-        parts.append(size)
-        out.append(tuple(parts))
-    return tuple(out)
 
 
 def _seq_keys(alpha_parts: tuple[int, ...]) -> Iterator[SeqKey]:

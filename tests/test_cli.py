@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from longcycles import cli, verify
+from longcycles import Composition, cli, separating_total, verify
 from longcycles.oracle import _pair_counts_cache
 
 
@@ -56,6 +56,20 @@ class TestFormula:
         with pytest.raises(SystemExit) as exc:
             cli.main(["formula", "nope", "--n", "4"])
         assert exc.value.code == 2
+
+    def test_values_beyond_the_int_str_digit_limit(self, capsys):
+        code, out = run(capsys, "formula", "separating-total", "--alpha", "1200")
+        expected = str(separating_total(Composition((1200,))))
+        assert code == 0
+        assert len(expected) > 4300
+        assert out.strip() == expected
+
+    def test_deep_recursion_is_a_resource_limit(self, capsys):
+        code = cli.main(["formula", "separating-by-d", "--alpha", "1,1200", "--d", "1,2"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("resource limit: ")
+        assert "Traceback" not in err
 
     def test_domain_error_exit_code(self, capsys):
         code = cli.main(["formula", "boccara", "--n", "5", "--k", "2"])
@@ -151,6 +165,13 @@ class TestVerify:
         assert doc["ok"] is True
         assert all(r["pass"] for r in doc["reports"])
 
+    @pytest.mark.parametrize("max_n", ["0", "1"])
+    def test_max_n_below_two_is_usage_error(self, capsys, max_n):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--max-n", max_n])
+        assert exc.value.code == 2
+        assert "PASS" not in capsys.readouterr().out
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         from longcycles.verify import IdentityReport, VerifyRun
 
@@ -184,6 +205,14 @@ class TestTable:
         lines = out.strip().splitlines()
         assert lines[0] == "alpha,value"
         assert set(lines[1:]) == {'"(1,3)",12', '"(2,2)",8', '"(3,1)",12'}
+
+    def test_separating_total_over_a_range_of_n(self, capsys):
+        code, out = run(capsys, "table", "separating-total", "--n", "3..5", "--format", "csv")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 1 + 4 + 8 + 16
+        assert lines[1] == "(3),4" and lines[5] == "(4),36" and lines[13] == "(5),576"
+        assert lines[-1] == '"(1,1,1,1,1)",24'
 
     def test_json_round_trip(self, capsys):
         code, out = run(capsys, "table", "sep-prob", "--n", "4..5", "--format", "json")

@@ -1,8 +1,12 @@
+import importlib
 import itertools
 import math
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from longcycles import (
     Composition,
@@ -19,9 +23,12 @@ from longcycles import (
     hultman_expected,
     long_cycle_iter,
     pairs_by_type,
+    partitions,
+    separated_stirling,
     separating_by_d,
     separating_total,
     separation_probability,
+    stirling_first,
     zagier_stanley,
 )
 from longcycles.formulas import separated_pairs_by_count_raw, separating_by_d_raw, zagier_stanley_raw
@@ -309,3 +316,106 @@ class TestCountQuery:
             "kind": "separated_by_alpha_d",
             "params": {"alpha": "(2,2)", "d": [1, 1]},
         }
+
+
+# ---------------------------------------------------------------------------
+# the closed forms as first written, kept as references for the faster forms
+
+
+def _old_even_factorization_count(lam):
+    parts = lam.parts
+    head = parts[0]
+    acc = Fraction(0)
+    for js in itertools.product(*(range(p) for p in parts[1:])):
+        total = sum(js)
+        term = Fraction((-1) ** total * math.factorial(total), math.perm(head + total + 1, total + 1))
+        for p, j in zip(parts[1:], js):
+            term *= math.comb(p, j)
+        acc += term
+    value = 2 * math.factorial(lam.n - 1) * acc
+    assert value.denominator == 1
+    return value.numerator
+
+
+@cache
+def _old_sep_by_d(gamma, d):
+    n = sum(gamma)
+    y = math.factorial(n - 1) * _old_stirling(gamma[0] + 1, d[0])
+    for g, di in zip(gamma[1:], d[1:]):
+        y *= _old_stirling(g, di)
+    acc = Fraction(y)
+    for j in range(1, len(gamma)):
+        if gamma[j] >= 2:
+            moved = (gamma[0] + 1,) + gamma[1:j] + (gamma[j] - 1,) + gamma[j + 1 :]
+            acc -= math.comb(gamma[j], 2) * _old_sep_by_d(moved, d)
+    return acc / math.comb(gamma[0] + 1, 2)
+
+
+@cache
+def _old_stirling(n, k):
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k == 0 or k > n:
+        return 0
+    return _old_stirling(n - 1, k - 1) + (n - 1) * _old_stirling(n - 1, k)
+
+
+@cache
+def _old_separated_stirling(n, m, k):
+    if k < 0 or k > n:
+        return 0
+    if n == m:
+        return 1 if k == m else 0
+    return _old_separated_stirling(n - 1, m, k - 1) + (n - 1) * _old_separated_stirling(n - 1, m, k)
+
+
+class TestAgainstFirstForms:
+    def test_even_factorization_count(self):
+        for n in range(1, 13):
+            for lam in partitions(n):
+                if (n - lam.length) % 2 == 0:
+                    assert even_factorization_count(lam) == _old_even_factorization_count(lam), lam
+        lam = P((3,) * 6)
+        assert even_factorization_count(lam) == _old_even_factorization_count(lam)
+
+    def test_separating_by_d_raw_on_every_d(self):
+        for n in range(1, 9):
+            for alpha_parts in _compositions_of(n):
+                for d in itertools.product(*(range(1, p + 1) for p in alpha_parts)):
+                    got = separating_by_d_raw(C(alpha_parts), d)
+                    assert got == _old_sep_by_d(alpha_parts, d), (alpha_parts, d)
+
+    @pytest.mark.parametrize("order", ["descending", "ascending"])
+    def test_stirling_rows(self, order, monkeypatch):
+        # a fresh row cache, so each order builds its rows from nothing
+        monkeypatch.setattr(importlib.import_module("longcycles.partitions"), "_INSERTION_ROWS", {})
+        ns = range(60, -1, -1) if order == "descending" else range(61)
+        for n in ns:
+            assert [stirling_first(n, k) for k in range(n + 2)] == [_old_stirling(n, k) for k in range(n + 2)]
+            for m in range(min(n, 6) + 1):
+                got = [separated_stirling(n, m, k) for k in range(n + 2)]
+                assert got == [_old_separated_stirling(n, m, k) for k in range(n + 2)], (n, m)
+
+    def test_zagier_stanley_past_the_recursion_limit(self):
+        # C(n+1, 2) = n! H_n, so the count is 2 n! H_n / (n (n+1))
+        n = 1500
+        harmonic = sum(Fraction(1, i) for i in range(1, n + 1))
+        assert zagier_stanley(n, 2) == 2 * math.factorial(n) * harmonic / (n * (n + 1))
+
+
+@st.composite
+def _blocks_and_permuted_tail(draw):
+    alpha = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=5))
+    d = [draw(st.integers(min_value=1, max_value=a)) for a in alpha]
+    tail = draw(st.permutations(list(zip(alpha[1:], d[1:]))))
+    return tuple(alpha), tuple(d), (alpha[0], *(a for a, _ in tail)), (d[0], *(di for _, di in tail))
+
+
+class TestSeparationSymmetry:
+    @given(_blocks_and_permuted_tail())
+    def test_later_blocks_permute_freely(self, case):
+        alpha, d, alpha_perm, d_perm = case
+        value = separating_by_d_raw(C(alpha), d)
+        assert separating_by_d_raw(C(alpha_perm), d_perm) == value
+        # the recursion as first written, without the sorted key, agrees too
+        assert _old_sep_by_d(alpha_perm, d_perm) == value

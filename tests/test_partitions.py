@@ -12,6 +12,7 @@ from longcycles import (
     PartitionSequence,
     Permutation,
     binomial,
+    compositions,
     falling_factorial,
     kappa,
     lambda_coeff,
@@ -45,6 +46,15 @@ class TestEnumeration:
 
     def test_partition_of_zero(self):
         assert [p.parts for p in partitions(0)] == [()]
+
+    def test_compositions_in_cut_pattern_order(self):
+        got = [c.parts for c in compositions(3)]
+        assert got == [(3,), (2, 1), (1, 2), (1, 1, 1)]
+        for n in range(1, 9):
+            parts = [c.parts for c in compositions(n)]
+            assert len(set(parts)) == len(parts) == 2 ** (n - 1)
+        with pytest.raises(ValueError):
+            list(compositions(0))
 
     def test_partition_sequences_count(self):
         assert len(list(partition_sequences(Composition((2, 2))))) == 4
