@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError, DomainError, ExactnessError
 from .partitions import (
@@ -147,7 +146,19 @@ def separating_total(alpha: Composition) -> int:
     return _exact_int(value, f"separating_total({alpha})")
 
 
-@cache
+def _moves(rest: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    """(binom(g_j, 2), sorted later pairs after moving one element out of
+    block j) for every later block j that can give one up."""
+    for j, (g, di) in enumerate(rest):
+        if g >= 2:
+            yield math.comb(g, 2), tuple(sorted(rest[:j] + ((g - 1, di),) + rest[j + 1 :]))
+
+
+# _sep_by_d values by state (g1, d1, sorted later pairs), kept for the life of
+# the process: different d vectors reach many of the same states.
+_SEP_VALUES: dict[tuple[int, int, tuple[tuple[int, int], ...]], Fraction] = {}
+
+
 def _sep_by_d(g0: int, d0: int, rest: tuple[tuple[int, int], ...]) -> Fraction:
     """Block-count refined separation count, expanded by repeatedly moving
     one element from a later block onto the first block.
@@ -157,17 +168,32 @@ def _sep_by_d(g0: int, d0: int, rest: tuple[tuple[int, int], ...]) -> Fraction:
     Y = (n-1)! C(g1+1, d1) prod_{t>1} C(g_t, d_t).  Terms vanish once a block
     empties because both the Stirling factor and binom(1,2) are zero.  It is
     symmetric in the later (g_j, d_j) pairs, so ``rest`` holds them sorted.
+
+    No recursion: the states not yet known that moves reach are collected
+    breadth first, which orders them by the size of the first block, and
+    evaluated in the reverse order, so every state finds the states it moves
+    to already evaluated.
     """
     n = g0 + sum(g for g, _ in rest)
-    y = math.factorial(n - 1) * stirling_first(g0 + 1, d0)
-    for g, di in rest:
-        y *= stirling_first(g, di)
-    acc = Fraction(y)
-    for j, (g, di) in enumerate(rest):
-        if g >= 2:
-            moved = tuple(sorted(rest[:j] + ((g - 1, di),) + rest[j + 1 :]))
-            acc -= math.comb(g, 2) * _sep_by_d(g0 + 1, d0, moved)
-    return acc / math.comb(g0 + 1, 2)
+    todo = [] if (g0, d0, rest) in _SEP_VALUES else [(g0, rest)]
+    seen = {rest}
+    expanded = []
+    for g1, state in todo:
+        moves = list(_moves(state))
+        expanded.append((g1, state, moves))
+        for _, moved in moves:
+            if moved not in seen and (g1 + 1, d0, moved) not in _SEP_VALUES:
+                seen.add(moved)
+                todo.append((g1 + 1, moved))
+    for g1, state, moves in reversed(expanded):
+        y = math.factorial(n - 1) * stirling_first(g1 + 1, d0)
+        for g, di in state:
+            y *= stirling_first(g, di)
+        acc = Fraction(y)
+        for coeff, moved in moves:
+            acc -= coeff * _SEP_VALUES[(g1 + 1, d0, moved)]
+        _SEP_VALUES[(g1, d0, state)] = acc / math.comb(g1 + 1, 2)
+    return _SEP_VALUES[(g0, d0, rest)]
 
 
 def _check_d(alpha: Composition, d: Sequence[int]) -> tuple[int, ...]:

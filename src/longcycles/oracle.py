@@ -640,19 +640,23 @@ def _load_cached(cache_dir: Path | None, query: dict, total: int) -> OracleResul
 
 def _store_cached(cache_dir: Path | None, result: OracleResult) -> None:
     """Write through a temporary file and ``os.replace``, so that a reader
-    sees either the old file or the whole new one."""
+    sees either the old file or the whole new one.  A cache that cannot be
+    written is logged and skipped; the result stands without it."""
     if cache_dir is None:
         return
     path = _cache_path(cache_dir, result.query)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(result.to_json())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(result.to_json())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        _log.warning("cache not written: cannot store %s (%s: %s)", path, type(exc).__name__, exc)
 
 
 # ---------------------------------------------------------------------------

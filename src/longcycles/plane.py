@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .permutations import Permutation, compose
 
 __all__ = ["PlanePermutation", "ExceedanceStats", "count_exceedances"]
@@ -85,6 +87,77 @@ def _transpose(word: tuple[int, ...], pi_image: tuple[int, ...], i: int, j: int,
     a, b, c = word[i - 1], word[j], word[k]
     img[a - 1], img[b - 1], img[c - 1] = pi_image[b - 1], pi_image[c - 1], pi_image[a - 1]
     return new_word, tuple(img)
+
+
+# ---------------------------------------------------------------------------
+# batched kernels: the helpers above over many arrays at once.  Everything is
+# 0-based, and a batch of permutations is stored with the element first:
+# perms[x] holds the image of x in every array of the batch (any trailing
+# shape), so that each step works on long contiguous rows.  A cycle word is
+# an integer array starting at 0.
+
+
+def _cycle_minima(perms: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """``out[x, ...]`` = the least ``key[y]`` over y on the cycle of x: a
+    running minimum over windows of 2, 4, 8, ... consecutive cycle elements."""
+    n = len(perms)
+    cols = perms.reshape(n, -1)
+    low = key[cols]
+    np.minimum(low, key[:, None], out=low)
+    # flat index of (pi(x), same array); step.ravel()[step] squares pi
+    step = cols * cols.shape[1]
+    step += np.arange(cols.shape[1])
+    span = 2
+    while span < n:
+        step = step.ravel()[step]
+        np.minimum(low, low.ravel()[step], out=low)
+        span *= 2
+    return low.reshape(perms.shape)
+
+
+def _cycle_counts(perms: np.ndarray) -> np.ndarray:
+    """Number of cycles of every permutation: each cycle has one least element."""
+    n = len(perms)
+    ids = np.arange(n)
+    low = _cycle_minima(perms.reshape(n, -1), ids)
+    return (low == ids[:, None]).sum(axis=0).reshape(perms.shape[1:])
+
+
+def _diagonals_from_pairs(words: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Batched _diagonal_from_pairs: the bottom pi(word[i]) of each column
+    maps to the top word[i+1] of the next.  ``words`` has the shape of
+    ``perms`` without its last axis, one word for every r in perms[..., r].
+    An entry that no column writes, which happens only when a vertical is not
+    a permutation, stays -1."""
+    bottoms = np.take_along_axis(perms, words[..., None], axis=0)
+    out = np.full_like(perms, -1)
+    np.put_along_axis(out, bottoms, np.roll(words, -1, axis=0)[..., None], axis=0)
+    return out
+
+
+def _exceedance_counts(word: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exceedance and non-trivial anti-exceedance counts of (word, pi) for
+    every column pi of the (n, m) array ``perms``.  As in _classify, each
+    cycle's trivial anti-exceedance is the preimage of its word-order minimum."""
+    pos = np.empty_like(word)
+    pos[word] = np.arange(len(word))
+    img_pos = pos[perms]
+    exc = img_pos > pos[:, None]
+    trivial = img_pos == _cycle_minima(perms, pos)
+    return exc.sum(axis=0), (~exc & ~trivial).sum(axis=0)
+
+
+def _transposed(word: np.ndarray, perms: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched _transpose over the rows (i, j, k) of ``hs``: the new words,
+    shape (n, H), and the new verticals, shape (n, H) + perms.shape[1:]."""
+    i, j, k = (hs[:, col, None] for col in range(3))
+    t = np.arange(len(word))
+    # position t of the new word reads word[t], shifted inside the two blocks
+    src = np.where((t < i) | (t > k), t, np.where(t < i + k - j, t + j + 1 - i, t + j - k))
+    moved = word[hs - (1, 0, 0)].T  # s_{i-1}, s_j, s_k, whose images rotate
+    new = np.repeat(perms[:, None], len(hs), axis=1)
+    new[moved, np.arange(len(hs))] = perms[moved[[1, 2, 0]]]
+    return word[src].T, new
 
 
 # ---------------------------------------------------------------------------

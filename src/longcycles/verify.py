@@ -36,7 +36,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator, Sequence
 
-from . import formulas, oracle
+import numpy as np
+
+from . import formulas, oracle, plane
 from .partitions import (
     Composition,
     IntegerPartition,
@@ -48,7 +50,6 @@ from .partitions import (
     stirling_first,
 )
 from .permutations import Permutation, canonical_of_type, compose, long_cycle_iter
-from .plane import _classify, _diagonal_from_pairs, _transpose
 
 __all__ = [
     "IdentityReport",
@@ -607,43 +608,40 @@ def parity_audit(max_n: int = 6) -> list[ParityAuditRecord]:
 # structural sweeps over two-row arrays
 
 
-def _words(n: int) -> list[tuple[int, ...]]:
-    return [(1,) + tail for tail in itertools.permutations(range(2, n + 1))]
+def _words(n: int) -> np.ndarray:
+    """0-based words of all long cycles, in the order of oracle._cycle_rows."""
+    return np.array([(0,) + tail for tail in itertools.permutations(range(1, n))], dtype=np.int64)
 
 
-def _cycle_count_img(img: tuple[int, ...]) -> int:
-    n = len(img)
-    seen = [False] * (n + 1)
-    count = 0
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        count += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = img[x - 1]
-    return count
-
-
-def _inverse_img(img: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(img)
-    for i, v in enumerate(img):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
-def _word_to_img(word: tuple[int, ...]) -> tuple[int, ...]:
+def _array_bad_counts(
+    word: np.ndarray, s_img: np.ndarray, perms: np.ndarray, perms_inv: np.ndarray, c_pi: np.ndarray
+) -> tuple[int, int, int]:
+    """Failures of the three per-array checks over the arrays (word, pi) for
+    every pi in ``perms`` (stored element first, see plane.py); ``s_img`` is
+    the word's one-line image and ``c_pi`` the verticals' cycle counts."""
     n = len(word)
-    img = [0] * n
-    for i, x in enumerate(word):
-        img[x - 1] = word[(i + 1) % n]
-    return tuple(img)
+    diag = s_img[perms_inv]  # s∘pi⁻¹ by composition
+    diag_bad = np.any(diag != plane._diagonals_from_pairs(word, perms), axis=0).sum()
+    a, ne = plane._exceedance_counts(word, perms)
+    ne_bad = (ne != n - c_pi - a).sum()
+    # the reflected array (s⁻¹, D⁻¹), with D⁻¹ = pi∘s⁻¹
+    refl_word = np.concatenate((word[:1], word[:0:-1]))
+    _, ne_refl = plane._exceedance_counts(refl_word, perms[np.argsort(s_img)])
+    refl_bad = (ne + ne_refl != n + 1 - c_pi - plane._cycle_counts(diag)).sum()
+    return int(diag_bad), int(ne_bad), int(refl_bad)
 
 
-def _ne_direct(word: tuple[int, ...], pi_img: tuple[int, ...]) -> int:
-    exc, anti, trivial = _classify(word, pi_img)
-    return len(anti - trivial)
+def _transposition_bad_count(
+    word: np.ndarray, verticals: np.ndarray, diags: np.ndarray, hs: np.ndarray
+) -> int:
+    """Failures over every block transposition h in ``hs`` of every array
+    (word, verticals[:, r]) whose diagonal is diags[:, r]: the transposed
+    array must keep that diagonal, and its vertical's cycle count moves by
+    -2, 0 or 2."""
+    new_words, new_verticals = plane._transposed(word, verticals, hs)
+    moved = np.any(plane._diagonals_from_pairs(new_words, new_verticals) != diags[:, None], axis=0)
+    delta = plane._cycle_counts(new_verticals) - plane._cycle_counts(verticals)
+    return int((moved | ~np.isin(delta, (-2, 0, 2))).sum())
 
 
 def plane_structure_reports(max_n: int = 6) -> list[IdentityReport]:
@@ -654,65 +652,35 @@ def plane_structure_reports(max_n: int = 6) -> list[IdentityReport]:
     count equals n − C(pi) − (exceedances); the reflected pair satisfies
     Ne(p) + Ne(p') = n + 1 − C(pi) − C(diagonal).  Over every pair of long
     cycles (s, D) and every legal block transposition: the diagonal is
-    preserved, the vertical's parity is preserved, and its cycle count moves
-    by −2, 0, or +2.
+    preserved, and the vertical's cycle count moves by −2, 0, or +2 (so its
+    parity is preserved).  Each word is checked against all verticals, and
+    against all diagonals times all transpositions, as one array.
     """
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
         words = _words(n)
-        diag_bad = ne_bad = refl_bad = 0
-        checked = 0
-        for word in words:
-            word_img = _word_to_img(word)
-            refl_word = (word[0],) + tuple(reversed(word[1:]))
-            for pi_img in itertools.permutations(range(1, n + 1)):
-                checked += 1
-                pi_inv = _inverse_img(pi_img)
-                diag = tuple(word_img[pi_inv[i] - 1] for i in range(n))
-                if diag != _diagonal_from_pairs(word, pi_img):
-                    diag_bad += 1
-                exc, anti, trivial = _classify(word, pi_img)
-                a = len(exc)
-                c_pi = _cycle_count_img(pi_img)
-                ne = len(anti - trivial)
-                if ne != n - c_pi - a:
-                    ne_bad += 1
-                refl_pi = _inverse_img(diag)
-                ne_refl = _ne_direct(refl_word, refl_pi)
-                if ne + ne_refl != n + 1 - c_pi - _cycle_count_img(diag):
-                    refl_bad += 1
-        inst = f"n={n} over {checked} arrays"
-        reports.append(IdentityReport("plane:diagonal_agreement", inst, diag_bad, 0))
-        reports.append(IdentityReport("plane:ntae_count_formula", inst, ne_bad, 0))
-        reports.append(IdentityReport("plane:reflection_identity", inst, refl_bad, 0))
-        # block transpositions over pairs of long cycles
+        cycles = oracle._cycle_rows(n)
+        rows = oracle._all_perm_rows(n)
+        perms, perms_inv = rows.T.copy(), np.argsort(rows, axis=1).T.copy()
+        c_pi = plane._cycle_counts(perms)
+        bad = np.zeros(3, dtype=np.int64)
+        for word, s_img in zip(words, cycles):
+            bad += _array_bad_counts(word, s_img, perms, perms_inv, c_pi)
+        inst = f"n={n} over {len(words) * len(rows)} arrays"
+        for name, count in zip(("diagonal_agreement", "ntae_count_formula", "reflection_identity"), bad):
+            reports.append(IdentityReport(f"plane:{name}", inst, int(count), 0))
+        # block transpositions over pairs of long cycles (s, D), vertical D⁻¹∘s
         if n < 3:
             continue
-        hs = [
-            (i, j, k)
-            for i in range(1, n - 1)
-            for j in range(i, n - 1)
-            for k in range(j + 1, n)
-        ]
-        trans_bad = 0
-        checked = 0
-        for word in words:
-            word_img = _word_to_img(word)
-            for d_word in words:
-                d_img = _word_to_img(d_word)
-                d_inv = _inverse_img(d_img)
-                pi_img = tuple(d_inv[word_img[i] - 1] for i in range(n))  # D⁻¹∘s
-                c_pi = _cycle_count_img(pi_img)
-                for h in hs:
-                    checked += 1
-                    w2, pi2 = _transpose(word, pi_img, *h)
-                    if _diagonal_from_pairs(w2, pi2) != d_img:
-                        trans_bad += 1
-                        continue
-                    delta = _cycle_count_img(pi2) - c_pi
-                    if delta not in (-2, 0, 2):
-                        trans_bad += 1
-        inst = f"n={n} over {checked} transpositions"
+        hs = np.array(
+            [(i, j, k) for i in range(1, n - 1) for j in range(i, n - 1) for k in range(j + 1, n)]
+        )
+        diags, diags_inv = cycles.T.copy(), np.argsort(cycles, axis=1).T.copy()
+        trans_bad = sum(
+            _transposition_bad_count(word, diags_inv[s_img], diags, hs)
+            for word, s_img in zip(words, cycles)
+        )
+        inst = f"n={n} over {len(words) * len(cycles) * len(hs)} transpositions"
         reports.append(IdentityReport("plane:transposition_action", inst, trans_bad, 0))
     return reports
 

@@ -1,8 +1,9 @@
 import json
+import logging
 
 import pytest
 
-from longcycles import Composition, cli, separating_total, verify
+from longcycles import Composition, cli, formulas, separating_by_d, separating_total, verify
 from longcycles.oracle import _pair_counts_cache
 
 
@@ -64,12 +65,23 @@ class TestFormula:
         assert len(expected) > 4300
         assert out.strip() == expected
 
-    def test_deep_recursion_is_a_resource_limit(self, capsys):
-        code = cli.main(["formula", "separating-by-d", "--alpha", "1,1200", "--d", "1,2"])
+    def test_deep_recursion_is_a_resource_limit(self, capsys, monkeypatch):
+        # no closed form recurses deeply, so the evaluation itself raises
+        def too_deep(query):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(formulas, "evaluate", too_deep)
+        code = cli.main(["formula", "separating-by-d", "--alpha", "1,2", "--d", "1,2"])
         err = capsys.readouterr().err
         assert code == 4
         assert err.startswith("resource limit: ")
         assert "Traceback" not in err
+
+    def test_separating_by_d_past_the_old_recursion_depth(self, capsys):
+        # one element moves per expansion step: 899 steps here
+        code, out = run(capsys, "formula", "separating-by-d", "--alpha", "1,900", "--d", "1,2")
+        assert code == 0
+        assert int(out) == separating_by_d(Composition((1, 900)), (1, 2)) > 0
 
     def test_domain_error_exit_code(self, capsys):
         code = cli.main(["formula", "boccara", "--n", "5", "--k", "2"])
@@ -118,6 +130,20 @@ class TestOracle:
             capsys, "oracle", "pairs", "--n", "4", "--cache-dir", str(tmp_path)
         )
         assert second == first
+
+    def test_unwritable_cache_dir_warns_and_still_answers(self, capsys, caplog, tmp_path):
+        # a path under a regular file: mkdir fails even for root, unlike chmod
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with caplog.at_level(logging.WARNING, logger="longcycles"):
+            code, out = run(
+                capsys, "oracle", "pairs", "--n", "4", "--cache-dir", str(blocker / "sub")
+            )
+        assert code == 0
+        _, expected = run(capsys, "oracle", "pairs", "--n", "4", "--no-cache")
+        assert out == expected
+        assert "cache not written" in caplog.text
+        assert list(tmp_path.iterdir()) == [blocker]
 
     def test_no_cache_writes_nothing(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("LONGCYCLES_CACHE_DIR", str(tmp_path))

@@ -1,8 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from longcycles import Permutation, PlanePermutation, compose
+from longcycles import Permutation, PlanePermutation, compose, plane, verify
 
 
 def all_perms(n):
@@ -188,3 +189,97 @@ class TestSerialization:
     def test_json_round_trip(self):
         p = worked_example()
         assert PlanePermutation.from_json(p.to_json()) == p
+
+
+def verticals(n):
+    """All n! permutations of range(n), element first: column r is one vertical."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n).T.copy()
+
+
+def legal_hs(n):
+    """Every h = (i, j, k) with 1 <= i <= j < k <= n - 1, as rows."""
+    return np.array([(i, j, k) for i in range(1, n - 1) for j in range(i, n - 1) for k in range(j + 1, n)])
+
+
+def to_plane(word, pi_column):
+    return PlanePermutation(tuple(int(x) + 1 for x in word), Permutation(tuple(int(y) + 1 for y in pi_column)))
+
+
+class TestBatchedKernels:
+    """The array kernels behind the plane suite against the scalar methods,
+    on every (word, vertical) and every legal h up to n = 5."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_diagonals_cycle_counts_and_exceedances(self, n):
+        perms = verticals(n)
+        assert plane._cycle_counts(perms).tolist() == [to_plane(range(n), col).pi.cycle_count for col in perms.T]
+        for word in all_words(n):
+            w = np.array(word) - 1
+            diags = plane._diagonals_from_pairs(w, perms)
+            exc, ntae = plane._exceedance_counts(w, perms)
+            for r, col in enumerate(perms.T):
+                p = to_plane(w, col)
+                st = p.exceedance_stats()
+                assert tuple(diags[:, r] + 1) == p.diagonal().image == p.diagonal_from_pairs().image
+                assert exc[r] == len(st.exceedances) == p.exceedance_count()
+                assert ntae[r] == len(st.ntaes) == p.ntae_count()
+
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_transposed(self, n):
+        perms = verticals(n)
+        hs = legal_hs(n)
+        for word in all_words(n):
+            w = np.array(word) - 1
+            new_words, new_perms = plane._transposed(w, perms, hs)
+            assert new_perms.shape == (n, len(hs), perms.shape[1])
+            for r, col in enumerate(perms.T):
+                p = to_plane(w, col)
+                for t, h in enumerate(hs.tolist()):
+                    assert to_plane(new_words[:, t], new_perms[:, t, r]) == p.transpose_blocks(tuple(h))
+
+    def test_cycle_minima_takes_the_least_key_on_each_cycle(self):
+        # the vertical (1 3)(2 4 5), 0-based, keyed by the word order of 1 5 4 2 3
+        perm = np.array([[2], [3], [0], [4], [1]])
+        word = np.array([0, 4, 3, 1, 2])
+        pos = np.argsort(word)
+        assert plane._cycle_minima(perm, pos).ravel().tolist() == [0, 1, 0, 1, 1]
+
+
+class TestPlaneSuiteSeesFaults:
+    """The suite's checks compare independent routes, so a fault in one input
+    shows as a nonzero bad count; with sound inputs every count is zero."""
+
+    n = 5
+
+    def sound_inputs(self):
+        n = self.n
+        word = verify._words(n)[7]
+        s_img = np.array(Permutation.from_cycle_word(tuple((word + 1).tolist())).image) - 1
+        perms = verticals(n)
+        return word, s_img, perms, np.argsort(perms, axis=0), plane._cycle_counts(perms)
+
+    def test_sound_inputs_pass(self):
+        assert verify._array_bad_counts(*self.sound_inputs()) == (0, 0, 0)
+
+    def test_corrupted_vertical(self):
+        word, s_img, perms, perms_inv, c_pi = self.sound_inputs()
+        perms[[0, 1], 17] = perms[[1, 0], 17]  # one vertical changed after its inverse and C(pi)
+        diag_bad, ne_bad, _ = verify._array_bad_counts(word, s_img, perms, perms_inv, c_pi)
+        assert (diag_bad, ne_bad) == (1, 1)
+
+    def test_corrupted_cycle_counts(self):
+        word, s_img, perms, perms_inv, c_pi = self.sound_inputs()
+        _, ne_bad, refl_bad = verify._array_bad_counts(word, s_img, perms, perms_inv, c_pi + 1)
+        assert ne_bad == refl_bad == perms.shape[1]
+
+    def test_corrupted_diagonal(self):
+        n = self.n
+        words = verify._words(n)
+        diags = np.array([Permutation.from_cycle_word(tuple((w + 1).tolist())).image for w in words]).T - 1
+        hs = legal_hs(n)
+        word = words[3]
+        s_img = diags[:, 3]
+        pi = np.argsort(diags, axis=0)[s_img]  # D⁻¹∘s for every D
+        assert verify._transposition_bad_count(word, pi, diags, hs) == 0
+        diags[[0, 1], 5] = diags[[1, 0], 5]
+        assert verify._transposition_bad_count(word, pi, diags, hs) == len(hs)

@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from longcycles import verify
+from longcycles import cli, verify
 from longcycles.verify import IdentityReport, ParityAuditRecord, VerifyRun
 
 
@@ -50,6 +52,22 @@ class TestSuites:
         reports = verify.plane_structure_reports(4)
         assert reports
         assert_all_pass(reports)
+
+    def test_plane_json_pinned(self, capsys):
+        # sha256 of the output before the suite ran on arrays, newline included
+        assert cli.main(["verify", "--format", "json", "--max-n", "6", "--suite", "plane"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "5cbc2dc50929cc6680af878b233053dab8785040a10084827ac70f7e71dcac47"
+
+    def test_plane_at_n7(self):
+        reports = [r for r in verify.plane_structure_reports(7) if r.instance.startswith("n=7 ")]
+        assert [(r.identity, r.instance) for r in reports] == [
+            ("plane:diagonal_agreement", "n=7 over 3628800 arrays"),
+            ("plane:ntae_count_formula", "n=7 over 3628800 arrays"),
+            ("plane:reflection_identity", "n=7 over 3628800 arrays"),
+            ("plane:transposition_action", "n=7 over 18144000 transpositions"),
+        ]
+        assert all((r.lhs, r.rhs) == (0, 0) for r in reports)
 
     def test_block_deletion_one_above_ci_scale(self):
         # the block-deletion identities at n=7, over all compositions of 8
