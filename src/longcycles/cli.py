@@ -18,27 +18,15 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import formulas, oracle, verify
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    ExactnessError,
-    NoSuchPartError,
-    NotSeparatedError,
-    ResourceLimitError,
-)
+from .errors import ExactnessError, ResourceLimitError
+from .formulas import _value_str
 from .partitions import Composition, IntegerPartition, compositions
 from .permutations import canonical_of_type
 
-_DOMAIN_ERRORS = (
-    DomainError,
-    NotSeparatedError,
-    NoSuchPartError,
-    DimensionMismatchError,
-    ExactnessError,
-    ValueError,
-)
+_DOMAIN_ERRORS = (ValueError, ExactnessError)
 
 
 # ---------------------------------------------------------------------------
@@ -68,59 +56,65 @@ def _range_arg(text: str) -> list[int]:
     return [int(text)]
 
 
-def _value_str(value: int | Fraction) -> str:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        value = value.numerator
-    return str(value)
-
-
 def _csv_field(text: str) -> str:
     return f'"{text}"' if "," in text else text
 
 
 # ---------------------------------------------------------------------------
-# formula subcommand
+# formula registry: the formula and table names
 
+
+class _Formula(NamedTuple):
+    kind: str  # the formulas.CountQuery kind it asks for
+    table: bool = False  # also a `table` name
+    first: int = 1  # the first column of its table grid
+
+
+# A name reads one flag per argument of its kind (lam is --lambda) and takes n
+# from --lambda or --alpha when the kind has one of those; a --n given as well
+# must agree.  boccara reads --n and --k instead: Boccara's closed form for the
+# two-cycle type (k, n-k).
 _FORMULAS = {
-    "zagier-stanley": ("by_cycle_count", ("n", "k")),
-    "hultman": ("expected_k_cycles", ("n", "k")),
-    "boccara": ("factorization_of_type", ("n", "k")),
-    "even-factorizations": ("factorization_of_type", ("lam",)),
-    "pairs-by-type": ("by_cycle_type", ("lam",)),
-    "separating-total": ("separated_total", ("alpha",)),
-    "separating-by-d": ("separated_by_alpha_d", ("alpha", "d")),
-    "separated-count": ("separated_by_m_and_count", ("n", "m", "k")),
-    "sep-prob": ("separation_probability_m", ("n", "m")),
+    "zagier-stanley": _Formula("by_cycle_count", table=True),
+    "hultman": _Formula("expected_k_cycles", table=True),
+    "boccara": _Formula("factorization_of_type", table=True),
+    "even-factorizations": _Formula("factorization_of_type"),
+    "pairs-by-type": _Formula("by_cycle_type"),
+    "separating-total": _Formula("separated_total", table=True),
+    "separating-by-d": _Formula("separated_by_alpha_d"),
+    "separated-count": _Formula("separated_by_m_and_count"),
+    "sep-prob": _Formula("separation_probability_m", table=True, first=2),
 }
 
 
-def _require(args: argparse.Namespace, names: tuple[str, ...], parser: argparse.ArgumentParser) -> None:
-    for name in names:
-        attr = "lam" if name == "lam" else name
-        if getattr(args, attr, None) is None:
-            flag = {"lam": "--lambda"}.get(name, f"--{name}")
-            parser.error(f"formula {args.name!r} requires {flag}")
+def _closed_form(name: str) -> tuple[Callable[..., int | Fraction], tuple[str, ...]]:
+    """The closed form a formula name evaluates, and its argument names."""
+    if name == "boccara":
+        return formulas.boccara, ("n", "k")
+    return formulas._KINDS[_FORMULAS[name].kind]
+
+
+# ---------------------------------------------------------------------------
+# formula subcommand
 
 
 def _run_formula(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    kind, needed = _FORMULAS[args.name]
-    _require(args, needed, parser)
+    params = {}
+    for arg in _closed_form(args.name)[1]:
+        params[arg] = getattr(args, arg)
+        if params[arg] is None:
+            parser.error(f"formula {args.name!r} requires {'--lambda' if arg == 'lam' else '--' + arg}")
+    n = params.pop("n", None)
+    for val in params.values():
+        if isinstance(val, (IntegerPartition, Composition)):
+            if args.n not in (None, val.n):
+                parser.error(f"--n {args.n} conflicts with {val}, which has n = {val.n}")
+            n = val.n
+    kind = _FORMULAS[args.name].kind
     if args.name == "boccara":
-        value = formulas.boccara(args.n, args.k)
-        query = formulas.CountQuery(args.n, kind, {"lam": IntegerPartition((max(args.k, args.n - args.k), min(args.k, args.n - args.k)))})
+        value = formulas.boccara(n, args.k)
+        query = formulas.CountQuery(n, kind, {"lam": IntegerPartition((args.k, n - args.k))})
     else:
-        params: dict[str, object] = {}
-        n = args.n
-        for name in needed:
-            if name == "n":
-                continue
-            params[name] = getattr(args, name)
-        if "lam" in params:
-            n = params["lam"].n
-        if "alpha" in params:
-            n = params["alpha"].n
-        if n is None:
-            parser.error(f"formula {args.name!r} requires --n")
         query = formulas.CountQuery(n, kind, params)
         value = formulas.evaluate(query)
     text = _value_str(value)
@@ -207,44 +201,29 @@ def _run_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 # ---------------------------------------------------------------------------
 # table subcommand
 
-_TABLES = ("zagier-stanley", "hultman", "boccara", "separating-total", "sep-prob")
+
+def _cell(function: Callable[..., int | Fraction], *args: object) -> str:
+    """A closed form's value as text, blank outside its domain."""
+    try:
+        value = function(*args)
+    except ValueError:
+        return ""
+    return _value_str(value)
 
 
 def _table_rows(name: str, n_values: list[int], parts: int | None) -> tuple[list[str], list[list[str]]]:
-    if name == "separating-total":
-        header = ["alpha", "value"]
-        rows = []
-        for n in n_values:
-            for alpha in compositions(n):
-                if parts is None or alpha.length == parts:
-                    rows.append([str(alpha), _value_str(formulas.separating_total(alpha))])
-        return header, rows
-    max_n = max(n_values)
-    if name == "sep-prob":
-        header = ["n"] + [f"m={m}" for m in range(2, max_n + 1)]
-        rows = []
-        for n in n_values:
-            row = [str(n)]
-            for m in range(2, max_n + 1):
-                row.append(_value_str(formulas.separation_probability(n, m)) if m <= n else "")
-            rows.append(row)
-        return header, rows
-    header = ["n"] + [f"k={k}" for k in range(1, max_n + 1)]
-    rows = []
-    for n in n_values:
-        row = [str(n)]
-        for k in range(1, max_n + 1):
-            if k > n:
-                row.append("")
-            elif name == "zagier-stanley":
-                row.append(_value_str(formulas.zagier_stanley(n, k)))
-            elif name == "hultman":
-                row.append(_value_str(formulas.hultman_expected(n, k)) if k < n else "")
-            else:  # boccara
-                valid = n % 2 == 0 and k < n
-                row.append(_value_str(formulas.boccara(n, k)) if valid else "")
-        rows.append(row)
-    return header, rows
+    function, (*_, column) = _closed_form(name)
+    if column == "alpha":  # one row per composition of each n
+        rows = [
+            [str(alpha), _cell(function, alpha)]
+            for n in n_values
+            for alpha in compositions(n)
+            if parts is None or alpha.length == parts
+        ]
+        return ["alpha", "value"], rows
+    columns = range(_FORMULAS[name].first, max(n_values) + 1)
+    header = ["n"] + [f"{column}={c}" for c in columns]
+    return header, [[str(n)] + [_cell(function, n, c) for c in columns] for n in n_values]
 
 
 def _run_table(args: argparse.Namespace) -> int:
@@ -303,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_table = sub.add_parser("table", help="render grids of formula values")
-    p_table.add_argument("name", choices=_TABLES)
+    p_table.add_argument("name", choices=[name for name, entry in _FORMULAS.items() if entry.table])
     p_table.add_argument("--n", type=_range_arg, required=True, help="single n or a range like 3..7")
     p_table.add_argument("--parts", type=int, help="restrict separating-total to k-part compositions")
     p_table.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")

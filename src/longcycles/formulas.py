@@ -257,15 +257,17 @@ def separation_probability(n: int, m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # query objects (the JSON surface of the CLI)
 
+# query kind -> (closed form, its argument names); the argument "n" is the
+# query's own n, every other one is a parameter the query must carry
 _KINDS = {
-    "by_cycle_count": ("k",),
-    "by_cycle_type": ("lam",),
-    "separated_by_alpha_d": ("alpha", "d"),
-    "separated_total": ("alpha",),
-    "factorization_of_type": ("lam",),
-    "expected_k_cycles": ("k",),
-    "separation_probability_m": ("m",),
-    "separated_by_m_and_count": ("m", "k"),
+    "by_cycle_count": (zagier_stanley, ("n", "k")),
+    "by_cycle_type": (pairs_by_type, ("lam",)),
+    "separated_by_alpha_d": (separating_by_d, ("alpha", "d")),
+    "separated_total": (separating_total, ("alpha",)),
+    "factorization_of_type": (even_factorization_count, ("lam",)),
+    "expected_k_cycles": (hultman_expected, ("n", "k")),
+    "separation_probability_m": (separation_probability, ("n", "m")),
+    "separated_by_m_and_count": (separated_pairs_by_count, ("n", "m", "k")),
 }
 
 
@@ -280,7 +282,7 @@ class CountQuery:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown query kind {self.kind!r}")
-        missing = [name for name in _KINDS[self.kind] if name not in self.params]
+        missing = [name for name in _KINDS[self.kind][1] if name != "n" and name not in self.params]
         if missing:
             raise ValueError(f"{self.kind} query needs parameters {missing}")
 
@@ -297,21 +299,12 @@ class CountQuery:
 
 
 def evaluate(query: CountQuery) -> int | Fraction:
-    n, p = query.n, query.params
-    if query.kind == "by_cycle_count":
-        return zagier_stanley(n, p["k"])
-    if query.kind == "by_cycle_type":
-        return pairs_by_type(p["lam"])
-    if query.kind == "separated_by_alpha_d":
-        return separating_by_d(p["alpha"], p["d"])
-    if query.kind == "separated_total":
-        return separating_total(p["alpha"])
-    if query.kind == "factorization_of_type":
-        return even_factorization_count(p["lam"])
-    if query.kind == "expected_k_cycles":
-        return hultman_expected(n, p["k"])
-    if query.kind == "separation_probability_m":
-        return separation_probability(n, p["m"])
-    if query.kind == "separated_by_m_and_count":
-        return separated_pairs_by_count(n, p["m"], p["k"])
-    raise AssertionError(query.kind)
+    function, names = _KINDS[query.kind]
+    return function(*(query.n if name == "n" else query.params[name] for name in names))
+
+
+def _value_str(value: int | Fraction) -> str:
+    """An exact value as text: an integer, or p/q."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        value = value.numerator
+    return str(value)

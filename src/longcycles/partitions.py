@@ -60,6 +60,11 @@ def _remove_part(parts: tuple[int, ...], value: int) -> tuple[int, ...]:
     return parts[:idx] + parts[idx + 1 :]
 
 
+def _down_arrow(parts: tuple[int, ...], part_size: int) -> tuple[int, ...]:
+    """The partition with one part of the given size shrunk by one."""
+    return _merge_sorted(_remove_part(parts, part_size), (part_size - 1,))
+
+
 def _int_parts(parts: Iterable[int]) -> tuple[int, ...]:
     """The parts as ints: anything ``operator.index`` accepts except bool."""
     parts = tuple(parts)
@@ -171,7 +176,7 @@ class IntegerPartition:
             raise ValueError("only parts of size >= 2 can shrink")
         if part_size not in self.parts:
             raise NoSuchPartError(f"no part of size {part_size} in {self}")
-        return IntegerPartition(_merge_sorted(_remove_part(self.parts, part_size), (part_size - 1,)))
+        return IntegerPartition(_down_arrow(self.parts, part_size))
 
     @classmethod
     def from_multiplicities(cls, m: dict[int, int]) -> "IntegerPartition":
@@ -328,21 +333,16 @@ def compositions(n: int) -> Iterator[Composition]:
         yield Composition(parts)
 
 
+def _partition_sequence_keys(alpha_parts: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The keys of all partition sequences over alpha, the last block's
+    partition changing fastest."""
+    return itertools.product(*(_partition_list(p) for p in alpha_parts))
+
+
 def partition_sequences(alpha: Composition) -> Iterator[PartitionSequence]:
     """All partition sequences over alpha, component orders reverse-lex."""
-    lists = [_partition_list(p) for p in alpha.parts]
-    idx = [0] * len(lists)
-    while True:
-        yield PartitionSequence(alpha, tuple(IntegerPartition(lists[i][idx[i]]) for i in range(len(lists))))
-        j = len(lists) - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < len(lists[j]):
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
+    for key in _partition_sequence_keys(alpha.parts):
+        yield PartitionSequence(alpha, tuple(IntegerPartition(parts) for parts in key))
 
 
 # ---------------------------------------------------------------------------

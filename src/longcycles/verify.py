@@ -39,13 +39,17 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import formulas, oracle, plane
+from .formulas import _value_str
+from .oracle import format_d_key, format_seq_key, format_type_key
 from .partitions import (
     Composition,
     IntegerPartition,
     _compositions,
+    _down_arrow,
     _odd_refinements,
     _odd_refinements_seq,
     _partition_list,
+    _partition_sequence_keys,
     _z,
     stirling_first,
 )
@@ -66,12 +70,6 @@ __all__ = [
 ]
 
 
-def _display(value: int | Fraction) -> str:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        value = value.numerator
-    return str(value)
-
-
 @dataclass
 class IdentityReport:
     identity: str
@@ -87,14 +85,14 @@ class IdentityReport:
         return {
             "identity": self.identity,
             "instance": self.instance,
-            "lhs": _display(self.lhs),
-            "rhs": _display(self.rhs),
+            "lhs": _value_str(self.lhs),
+            "rhs": _value_str(self.rhs),
             "pass": self.passed,
         }
 
     def __str__(self) -> str:
         mark = "ok" if self.passed else "FAIL"
-        return f"[{mark}] {self.identity} @ {self.instance}: {_display(self.lhs)} vs {_display(self.rhs)}"
+        return f"[{mark}] {self.identity} @ {self.instance}: {_value_str(self.lhs)} vs {_value_str(self.rhs)}"
 
 
 @dataclass
@@ -115,7 +113,7 @@ class ParityAuditRecord:
         return {
             "identity": self.identity,
             "instance": self.instance,
-            "formula_value": _display(self.formula_value),
+            "formula_value": _value_str(self.formula_value),
             "true_count": str(self.true_count),
             "ok": self.ok,
         }
@@ -124,7 +122,7 @@ class ParityAuditRecord:
         mark = "ok" if self.ok else "FAIL"
         return (
             f"[{mark}] parity violation {self.identity} @ {self.instance}: "
-            f"expression gives {_display(self.formula_value)}, true count {self.true_count}"
+            f"expression gives {_value_str(self.formula_value)}, true count {self.true_count}"
         )
 
 
@@ -146,6 +144,11 @@ def _p_seq(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int:
     """Ordered pairs whose product is alpha-separated with the given block types."""
     oracle.product_pair_counts(n)
     return oracle._pairs_alpha_tables(n, alpha_parts)[1].get(key, 0)
+
+
+def _p_refined(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int:
+    """sum of kappa * _p_seq over the odd refinements of the block types key."""
+    return sum(kap * _p_seq(n, alpha_parts, k2) for _i, k2, kap in _odd_refinements_seq(key))
 
 
 def _p_d(n: int, alpha_parts: tuple[int, ...], d: tuple[int, ...]) -> int:
@@ -188,45 +191,41 @@ def _seq_m(key: SeqKey, i: int) -> int:
     return sum(c.count(i) for c in key)
 
 
-def _down(parts: tuple[int, ...], size: int) -> tuple[int, ...]:
-    idx = parts.index(size)
-    return tuple(sorted(parts[:idx] + parts[idx + 1 :] + (size - 1,), reverse=True))
-
-
-def _seq_keys(alpha_parts: tuple[int, ...]) -> Iterator[SeqKey]:
-    for combo in itertools.product(*(_partition_list(p) for p in alpha_parts)):
-        yield combo
-
-
 def _weight_sum(key: SeqKey) -> int:
     """sum over i >= 1 of (i+1) * m_{i+1}: the total size of parts >= 2."""
     return sum(p for c in key for p in c if p >= 2)
 
 
-def _T(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> Fraction:
-    """The part-shrinking weighted sum over pair counts one level down."""
-    total = Fraction(0)
+def _shrink_steps(
+    alpha_parts: tuple[int, ...], key: SeqKey
+) -> Iterator[tuple[int, int, Fraction, tuple[int, ...], SeqKey]]:
+    """The down-arrow steps of block types ``key`` over ``alpha_parts``: for
+    each block i0 and each distinct part size >= 2 in it, largest first,
+    (i0, part, coeff, a2, key2) with coeff = (alpha_i0 / 2) (part-1) times the
+    number of (part-1)-parts after one part shrinks, and a2, key2 the
+    composition and block types one element smaller."""
     for i0, comp in enumerate(key):
+        a2 = alpha_parts[:i0] + (alpha_parts[i0] - 1,) + alpha_parts[i0 + 1 :]
         for part in sorted(set(comp), reverse=True):
             if part < 2:
                 continue
-            shrunk = _down(comp, part)
+            shrunk = _down_arrow(comp, part)
             coeff = Fraction(alpha_parts[i0], 2) * (part - 1) * shrunk.count(part - 1)
-            a2 = alpha_parts[:i0] + (alpha_parts[i0] - 1,) + alpha_parts[i0 + 1 :]
-            total += coeff * _p_seq(n, a2, key[:i0] + (shrunk,) + key[i0 + 1 :])
-    return total
+            yield i0, part, coeff, a2, key[:i0] + (shrunk,) + key[i0 + 1 :]
 
 
-def _fmt_seq(key: SeqKey) -> str:
-    return oracle.format_seq_key(key)
+def _block_shrinks(beta: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(binom(b, 2), beta with block b one element smaller) for each block
+    b >= 2 of beta."""
+    for i0, b in enumerate(beta):
+        if b >= 2:
+            yield math.comb(b, 2), beta[:i0] + (b - 1,) + beta[i0 + 1 :]
 
 
-def _fmt_type(parts: tuple[int, ...]) -> str:
-    return oracle.format_type_key(parts)
-
-
-def _fmt_comp(parts: tuple[int, ...]) -> str:
-    return "(" + ",".join(str(p) for p in parts) + ")"
+def _T(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> Fraction:
+    """The part-shrinking weighted sum over pair counts one level down."""
+    steps = _shrink_steps(alpha_parts, key)
+    return sum((coeff * _p_seq(n, a2, key2) for _i, _p, coeff, a2, key2 in steps), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +239,7 @@ def classic_reports(max_n: int = 6, p_source: str = "oracle") -> list[IdentityRe
         p_eta, p_eta_a = _plane_type(n)
         for eta in etas:
             for lam in etas:
-                inst = f"n={n} eta={_fmt_type(eta)} lam={_fmt_type(lam)}"
+                inst = f"n={n} eta={format_type_key(eta)} lam={format_type_key(lam)}"
                 refs = _odd_refinements(lam)
                 # exceedance-weighted split recurrence
                 lhs = sum(
@@ -260,8 +259,7 @@ def classic_reports(max_n: int = 6, p_source: str = "oracle") -> list[IdentityRe
                 reports.append(IdentityReport("split_exceedance_dual", inst, lhs_dual, rhs_dual))
                 # joint form: both sides with the exceedance parameter cleared
                 lhs_joint = (n + 1 - len(lam) - len(eta)) * p_eta[eta].get(lam, 0)
-                rhs_joint = sum(kap * p_eta[eta].get(mu, 0) for mu, kap in refs)
-                rhs_joint += sum(
+                rhs_joint = rhs + sum(
                     kap * p_eta[mu].get(lam, 0) for mu, kap in _odd_refinements(eta)
                 )
                 reports.append(IdentityReport("split_joint", inst, lhs_joint, rhs_joint))
@@ -269,7 +267,7 @@ def classic_reports(max_n: int = 6, p_source: str = "oracle") -> list[IdentityRe
         for lam in etas:
             if (len(lam) - n) % 2:
                 continue
-            inst = f"n={n} lam={_fmt_type(lam)}"
+            inst = f"n={n} lam={format_type_key(lam)}"
             lhs = (n + 1 - len(lam)) * _p_type(n, lam, p_source)
             rhs = sum(kap * _p_type(n, mu, p_source) for mu, kap in _odd_refinements(lam))
             rhs += math.factorial(n - 1) * _z(lam)
@@ -283,7 +281,7 @@ def classic_reports(max_n: int = 6, p_source: str = "oracle") -> list[IdentityRe
 
 def _alpha_instances(n: int) -> Iterator[tuple[tuple[int, ...], SeqKey]]:
     for alpha_parts in _compositions(n):
-        for key in _seq_keys(alpha_parts):
+        for key in _partition_sequence_keys(alpha_parts):
             yield alpha_parts, key
 
 
@@ -294,13 +292,13 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
         fact_n1 = math.factorial(n - 1)
         # identities over block types of products on [n]
         for alpha_parts, key in _alpha_instances(n):
-            base = f"n={n} alpha={_fmt_comp(alpha_parts)} Lam={_fmt_seq(key)}"
+            base = f"n={n} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
             refs = _odd_refinements_seq(key)
             z_key = _seq_z(key)
             p_eta_seq, p_eta_seq_a = _plane_seq(n, alpha_parts)
             # block-refined split with exceedance weights, per diagonal type
             for eta in etas:
-                inst = f"{base} eta={_fmt_type(eta)}"
+                inst = f"{base} eta={format_type_key(eta)}"
                 lhs = sum(
                     (n - _seq_len(key) - a) * cnt
                     for (k2, a), cnt in p_eta_seq_a[eta].items()
@@ -309,16 +307,14 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
                 rhs = sum(kap * p_eta_seq[eta].get(k2, 0) for _i, k2, kap in refs)
                 reports.append(IdentityReport("split_exceedance_sep", inst, lhs, rhs))
                 lhs_joint = (n + 1 - _seq_len(key) - len(eta)) * p_eta_seq[eta].get(key, 0)
-                rhs_joint = sum(kap * p_eta_seq[eta].get(k2, 0) for _i, k2, kap in refs)
-                rhs_joint += sum(
+                rhs_joint = rhs + sum(
                     kap * p_eta_seq[mu].get(key, 0) for mu, kap in _odd_refinements(eta)
                 )
                 reports.append(IdentityReport("split_joint_sep", inst, lhs_joint, rhs_joint))
             # long-cycle diagonal specialization (parity hypothesis)
             if (_seq_len(key) - n) % 2 == 0:
                 lhs = (n + 1 - _seq_len(key)) * _p_seq(n, alpha_parts, key)
-                rhs = sum(kap * _p_seq(n, alpha_parts, k2) for _i, k2, kap in refs)
-                rhs += fact_n1 * z_key
+                rhs = _p_refined(n, alpha_parts, key) + fact_n1 * z_key
                 reports.append(IdentityReport("split_long_sep", base, lhs, rhs))
             # total exceedances over all diagonals, two evaluations
             total_exc = sum(
@@ -334,51 +330,26 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
             reports.append(IdentityReport("total_exceedance_count", base, Fraction(total_exc), direct))
         # weighted part-shrinking identities: block types one element up
         for alpha_parts, key in _alpha_instances(n + 1):
-            base = f"n={n} alpha={_fmt_comp(alpha_parts)} Lam={_fmt_seq(key)}"
+            base = f"n={n} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
             refs = _odd_refinements_seq(key)
             z_key = _seq_z(key)
-            right_parity = (_seq_len(key) - n) % 2 == 0
-            if right_parity:
-                for i0, comp in enumerate(key):
-                    for part in sorted(set(comp), reverse=True):
-                        if part < 2:
-                            continue
-                        shrunk = _down(comp, part)
-                        coeff = Fraction(alpha_parts[i0], 2) * (part - 1) * shrunk.count(part - 1)
-                        a2 = alpha_parts[:i0] + (alpha_parts[i0] - 1,) + alpha_parts[i0 + 1 :]
-                        key2 = key[:i0] + (shrunk,) + key[i0 + 1 :]
-                        inst = f"{base} i={i0 + 1} j={part - 1}"
-                        lhs = (n + 1 - _seq_len(key)) * coeff * _p_seq(n, a2, key2)
-                        rhs = coeff * sum(
-                            kap * _p_seq(n, a2, k3)
-                            for _t, k3, kap in _odd_refinements_seq(key2)
-                        )
-                        rhs += Fraction(part * comp.count(part), 2) * fact_n1 * z_key
-                        reports.append(IdentityReport("downarrow_step", inst, lhs, rhs))
-                lhs_rec = (n + 1 - _seq_len(key)) * _T(n, alpha_parts, key)
-                rhs_rec = sum(kap * _T(n, alpha_parts, k2) for _i, k2, kap in refs)
-                rhs_rec += Fraction(fact_n1 * z_key, 2) * _weight_sum(key)
+            t_refined = sum(kap * _T(n, alpha_parts, k2) for _i, k2, kap in refs)
+            if (_seq_len(key) - n) % 2 == 0:
+                for i0, part, coeff, a2, key2 in _shrink_steps(alpha_parts, key):
+                    inst = f"{base} i={i0 + 1} j={part - 1}"
+                    lhs = (n + 1 - _seq_len(key)) * coeff * _p_seq(n, a2, key2)
+                    rhs = coeff * _p_refined(n, a2, key2)
+                    rhs += Fraction(part * key[i0].count(part), 2) * fact_n1 * z_key
+                    reports.append(IdentityReport("downarrow_step", inst, lhs, rhs))
+                t_key = _T(n, alpha_parts, key)
+                lhs_rec = (n + 1 - _seq_len(key)) * t_key
+                rhs_rec = t_refined + Fraction(fact_n1 * z_key, 2) * _weight_sum(key)
                 reports.append(IdentityReport("weighted_sum_recurrence", base, lhs_rec, rhs_rec))
-                reports.append(
-                    IdentityReport(
-                        "weighted_sum_value", base, _T(n, alpha_parts, key), Fraction(fact_n1 * z_key)
-                    )
-                )
+                reports.append(IdentityReport("weighted_sum_value", base, t_key, Fraction(fact_n1 * z_key)))
             # the exchange identity holds without the parity hypothesis
-            lhs_ex = Fraction(0)
-            for i0, comp in enumerate(key):
-                for part in sorted(set(comp), reverse=True):
-                    if part < 2:
-                        continue
-                    shrunk = _down(comp, part)
-                    coeff = Fraction(alpha_parts[i0], 2) * (part - 1) * shrunk.count(part - 1)
-                    a2 = alpha_parts[:i0] + (alpha_parts[i0] - 1,) + alpha_parts[i0 + 1 :]
-                    key2 = key[:i0] + (shrunk,) + key[i0 + 1 :]
-                    lhs_ex += coeff * sum(
-                        kap * _p_seq(n, a2, k3) for _t, k3, kap in _odd_refinements_seq(key2)
-                    )
-            rhs_ex = sum(kap * _T(n, alpha_parts, k2) for _i, k2, kap in refs)
-            reports.append(IdentityReport("downarrow_exchange", base, lhs_ex, Fraction(rhs_ex)))
+            steps = _shrink_steps(alpha_parts, key)
+            lhs_ex = sum((coeff * _p_refined(n, a2, key2) for _i, _p, coeff, a2, key2 in steps), Fraction(0))
+            reports.append(IdentityReport("downarrow_exchange", base, lhs_ex, Fraction(t_refined)))
         reports += block_deletion_reports(n)
     return reports
 
@@ -394,14 +365,10 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
     reports: list[IdentityReport] = []
     fact_n1 = math.factorial(n - 1)
     for beta in _compositions(n + 1):
-        inst_total = f"n={n} beta={_fmt_comp(beta)}"
+        inst_total = f"n={n} beta={format_d_key(beta)}"
+        shrinks = list(_block_shrinks(beta))
         if max(beta) >= 2:
-            lhs_tot = 0
-            for i0, b in enumerate(beta):
-                if b < 2:
-                    continue
-                b2 = beta[:i0] + (b - 1,) + beta[i0 + 1 :]
-                lhs_tot += math.comb(b, 2) * _p_sep_total(n, b2)
+            lhs_tot = sum(coeff * _p_sep_total(n, b2) for coeff, b2 in shrinks)
             rhs_tot = Fraction(fact_n1, 2)
             for b in beta:
                 rhs_tot *= math.factorial(b)
@@ -411,21 +378,14 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
         for d in itertools.product(*(range(1, b + 1) for b in beta)):
             if (sum(d) - n) % 2:
                 continue
-            inst = f"{inst_total} d={_fmt_comp(d)}"
+            inst = f"{inst_total} d={format_d_key(d)}"
             rhs = fact_n1
             for b, di in zip(beta, d):
                 rhs *= stirling_first(b, di)
-            for source in ("oracle", "formula"):
-                lhs = 0
-                for i0, b in enumerate(beta):
-                    if b < 2:
-                        continue
-                    b2 = beta[:i0] + (b - 1,) + beta[i0 + 1 :]
-                    if source == "oracle":
-                        lhs += math.comb(b, 2) * _p_d(n, b2, d)
-                    else:
-                        lhs += math.comb(b, 2) * formulas.separating_by_d(Composition(b2), d)
-                reports.append(IdentityReport(f"block_deletion_d[{source}]", inst, lhs, rhs))
+            lhs = sum(coeff * _p_d(n, b2, d) for coeff, b2 in shrinks)
+            reports.append(IdentityReport("block_deletion_d[oracle]", inst, lhs, rhs))
+            lhs = sum(coeff * formulas.separating_by_d(Composition(b2), d) for coeff, b2 in shrinks)
+            reports.append(IdentityReport("block_deletion_d[formula]", inst, lhs, rhs))
     return reports
 
 
@@ -443,7 +403,7 @@ def baserecur_reports(max_n: int = 12) -> list[IdentityReport]:
             lhs = (total - _seq_len(key)) * z_key
             rhs = sum(kap * _seq_z(k2) for _i, k2, kap in _odd_refinements_seq(key))
             rhs += Fraction(z_key, 2) * _weight_sum(key)
-            inst = f"N={total} alpha={_fmt_comp(alpha_parts)} Lam={_fmt_seq(key)}"
+            inst = f"N={total} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
             reports.append(IdentityReport("length_weight_base", inst, Fraction(lhs), rhs))
     return reports
 
@@ -505,7 +465,7 @@ def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[Identity
             reports.append(
                 IdentityReport(
                     "formula:factorization_of_type",
-                    f"n={n} lam={_fmt_type(lam_parts)}",
+                    f"n={n} lam={format_type_key(lam_parts)}",
                     efc,
                     oracle.count_factorizations(canonical_of_type(lam)),
                 )
@@ -513,7 +473,7 @@ def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[Identity
             reports.append(
                 IdentityReport(
                     "formula:by_cycle_type",
-                    f"n={n} lam={_fmt_type(lam_parts)}",
+                    f"n={n} lam={format_type_key(lam_parts)}",
                     formulas.pairs_by_type(lam),
                     _p_type(n, lam_parts),
                 )
@@ -523,7 +483,7 @@ def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[Identity
             reports.append(
                 IdentityReport(
                     "formula:separated_total",
-                    f"n={n} alpha={_fmt_comp(alpha_parts)}",
+                    f"n={n} alpha={format_d_key(alpha_parts)}",
                     formulas.separating_total(alpha),
                     _p_sep_total(n, alpha_parts),
                 )
@@ -532,7 +492,7 @@ def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[Identity
                 reports.append(
                     IdentityReport(
                         "formula:separated_by_alpha_d",
-                        f"n={n} alpha={_fmt_comp(alpha_parts)} d={_fmt_comp(d)}",
+                        f"n={n} alpha={format_d_key(alpha_parts)} d={format_d_key(d)}",
                         formulas.separating_by_d(alpha, d),
                         _p_d(n, alpha_parts, d),
                     )
@@ -596,7 +556,7 @@ def parity_audit(max_n: int = 6) -> list[ParityAuditRecord]:
                 records.append(
                     ParityAuditRecord(
                         "separated_by_alpha_d",
-                        f"n={n} alpha={_fmt_comp(alpha_parts)} d={_fmt_comp(d)}",
+                        f"n={n} alpha={format_d_key(alpha_parts)} d={format_d_key(d)}",
                         formulas.separating_by_d_raw(alpha, d),
                         _p_d(n, alpha_parts, d),
                     )

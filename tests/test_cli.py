@@ -88,6 +88,28 @@ class TestFormula:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    def test_dimension_mismatch_exit_code(self, capsys):
+        code = cli.main(["formula", "separating-by-d", "--alpha", "2,2", "--d", "1"])
+        assert code == 3
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pairs-by-type", "--n", "5", "--lambda", "2+2"],
+            ["separating-total", "--n", "9", "--alpha", "2,2"],
+            ["separating-by-d", "--n", "3", "--alpha", "2,2", "--d", "1,1"],
+        ],
+    )
+    def test_n_conflicting_with_the_partition_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["formula", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_n_agreeing_with_the_partition_is_accepted(self, capsys):
+        assert run(capsys, "formula", "pairs-by-type", "--n", "4", "--lambda", "2+2") == (0, "6\n")
+
 
 class TestOracle:
     def test_pairs_json(self, capsys):

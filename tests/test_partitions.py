@@ -60,6 +60,14 @@ class TestEnumeration:
         assert len(list(partition_sequences(Composition((2, 2))))) == 4
         assert len(list(partition_sequences(Composition((3, 2))))) == 6
 
+    @pytest.mark.parametrize("alpha", [(3, 2, 4), (1,), (2, 2, 2)])
+    def test_partition_sequences_last_block_fastest(self, alpha):
+        nested = [()]
+        for size in alpha:
+            nested = [key + (p.parts,) for key in nested for p in partitions(size)]
+        got = [seq.key() for seq in partition_sequences(Composition(alpha))]
+        assert got == nested
+
     def test_sequence_validation(self):
         with pytest.raises(ValueError):
             PartitionSequence(Composition((2, 2)), (P((2,)), P((3,))))
