@@ -98,12 +98,22 @@ def _closed_form(name: str) -> tuple[Callable[..., int | Fraction], tuple[str, .
 # formula subcommand
 
 
+def _flag(arg: str) -> str:
+    return "--lambda" if arg == "lam" else "--" + arg
+
+
 def _run_formula(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    arg_names = _closed_form(args.name)[1]
+    reads = {*arg_names, "n"} if {"lam", "alpha"} & set(arg_names) else set(arg_names)
+    every_arg = {arg for name in _FORMULAS for arg in _closed_form(name)[1]}
+    for arg in sorted(every_arg - reads):
+        if getattr(args, arg) is not None:
+            parser.error(f"formula {args.name!r} does not read {_flag(arg)}")
     params = {}
-    for arg in _closed_form(args.name)[1]:
+    for arg in arg_names:
         params[arg] = getattr(args, arg)
         if params[arg] is None:
-            parser.error(f"formula {args.name!r} requires {'--lambda' if arg == 'lam' else '--' + arg}")
+            parser.error(f"formula {args.name!r} requires {_flag(arg)}")
     n = params.pop("n", None)
     for val in params.values():
         if isinstance(val, (IntegerPartition, Composition)):
@@ -140,6 +150,8 @@ def _run_formula(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     cache_dir = None if args.no_cache else (args.cache_dir or oracle.default_cache_dir())
     if args.what == "pairs":
+        if args.eta is not None:
+            parser.error("oracle pairs does not read --eta")
         result = oracle.sweep_pairs(
             args.n,
             args.alpha,
@@ -226,7 +238,9 @@ def _table_rows(name: str, n_values: list[int], parts: int | None) -> tuple[list
     return header, [[str(n)] + [_cell(function, n, c) for c in columns] for n in n_values]
 
 
-def _run_table(args: argparse.Namespace) -> int:
+def _run_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.parts is not None and _closed_form(args.name)[1][-1] != "alpha":
+        parser.error(f"table {args.name!r} does not read --parts")
     header, rows = _table_rows(args.name, args.n, args.parts)
     if args.format == "csv":
         print(",".join(header))
@@ -303,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _run_verify(args, parser)
         if args.command == "table":
-            return _run_table(args)
+            return _run_table(args, parser)
     except (ResourceLimitError, RecursionError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 4

@@ -5,6 +5,8 @@ The pair sweep enumerates every ordered pair of long cycles on [n] (there are
 multiply to t.  Every reported table is an exact integer aggregation of those
 per-product counts — no symmetry shortcut is applied to any tally, and in
 particular block-separation tallies are sums over honestly enumerated pairs.
+Every tally groups products by one exact statistic, the row of
+_min_lengths, from which each of its keys is read.
 
 The fixed-diagonal sweep enumerates, for a fixed permutation D, all plane
 permutations with diagonal D (one per long cycle s, with vertical D⁻¹∘s) and
@@ -36,8 +38,8 @@ import numpy as np
 from ._version import __version__
 from .errors import ResourceLimitError
 from .partitions import Composition, _partition_list
-from .permutations import Permutation, compose, long_cycle_iter
-from .plane import count_exceedances
+from .permutations import Permutation
+from .plane import _cycle_minima
 
 __all__ = [
     "CountTable",
@@ -103,10 +105,19 @@ def _all_perm_rows(n: int) -> np.ndarray:
 
 
 @cache
+def _cycle_words(n: int) -> np.ndarray:
+    """0-based words of all long cycles, each starting at 0, in lex order."""
+    return np.array([(0,) + tail for tail in itertools.permutations(range(1, n))], dtype=np.int64)
+
+
+@cache
 def _cycle_rows(n: int) -> np.ndarray:
-    """0-based one-line images of all long cycles, in cycle-word lex order."""
-    rows = [[x - 1 for x in p.image] for p in long_cycle_iter(n)]
-    return np.array(rows, dtype=np.int64)
+    """0-based one-line images of all long cycles, in cycle-word lex order:
+    each word maps every entry to the next one, cyclically."""
+    words = _cycle_words(n)
+    rows = np.empty_like(words)
+    np.put_along_axis(rows, words, np.roll(words, -1, axis=1), axis=1)
+    return rows
 
 
 def _code(n: int, digits):
@@ -149,80 +160,49 @@ def _lex_rank(n: int, columns):
     return prefix[_code(n, columns[:h])] + suffix[_code(n, columns[h:])]
 
 
-def _rank_of_image(n: int, image: tuple[int, ...]) -> int:
-    """Lex rank of a 1-based one-line image among all n! permutations."""
-    return int(_lex_rank(n, [x - 1 for x in image]))
+def _min_lengths(perms: np.ndarray) -> np.ndarray:
+    """``lens[x, ...]`` = the length of the cycle of x when x is the least
+    element of that cycle, else 0, for a batch stored element first as in
+    plane.py.  The nonzero entries are the cycle type, 1..m lie in distinct
+    cycles iff the first m entries are nonzero, and 1..b is a union of cycles
+    iff the first b entries sum to b."""
+    n = len(perms)
+    low = _cycle_minima(perms, np.arange(n))
+    return np.stack([(low == x).sum(axis=0) for x in range(n)])
 
 
-@dataclass(frozen=True)
-class _PermStats:
-    cycle_type: tuple[int, ...]
-    cycle_count: int
-    bounds_mask: int  # bit b-1 set iff positions 1..b close under the cycles
-    atomic: tuple[tuple[int, tuple[int, ...]], ...]  # (block end, desc lengths)
-    sep_prefix: int  # largest m with 1..m in pairwise distinct cycles
+def _cycle_type(lens: Sequence[int]) -> tuple[int, ...]:
+    """The cycle type of a row of _min_lengths: its nonzero entries, largest first."""
+    return tuple(sorted(filter(None, lens), reverse=True))
 
 
-def _stats_of_row(row: Sequence[int]) -> _PermStats:
-    n = len(row)
-    cyc_id = [0] * n
-    cyc_max = [0] * n
-    lengths: list[int] = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        members = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            members.append(x)
-            x = row[x]
-        cid = len(lengths)
-        lengths.append(len(members))
-        top = max(members)
-        for y in members:
-            cyc_id[y] = cid
-            cyc_max[y] = top
-    # finest interval decomposition compatible with the cycles
-    bounds_mask = 0
-    atomic: list[tuple[int, tuple[int, ...]]] = []
-    far = 0
-    block_cycles: list[int] = []
-    cyc_seen = [False] * len(lengths)
-    for x in range(n):
-        far = max(far, cyc_max[x])
-        if not cyc_seen[cyc_id[x]]:
-            cyc_seen[cyc_id[x]] = True
-            block_cycles.append(lengths[cyc_id[x]])
-        if far == x:
-            end = x + 1  # 1-based block end
-            if end < n:
-                bounds_mask |= 1 << (end - 1)
-            atomic.append((end, tuple(sorted(block_cycles, reverse=True))))
-            block_cycles = []
-    # longest prefix of 1..n hitting pairwise distinct cycles
-    hit: set[int] = set()
-    sep_prefix = 0
-    for x in range(n):
-        cid = cyc_id[x]
-        if cid in hit:
-            break
-        hit.add(cid)
-        sep_prefix = x + 1
-    return _PermStats(
-        cycle_type=tuple(sorted(lengths, reverse=True)),
-        cycle_count=len(lengths),
-        bounds_mask=bounds_mask,
-        atomic=tuple(atomic),
-        sep_prefix=sep_prefix,
-    )
+def _block_types(lens: Sequence[int], alpha_parts: Sequence[int]) -> tuple[tuple[int, ...], ...] | None:
+    """The cycle types inside the consecutive blocks of the given sizes, or
+    None when a cycle crosses from one block into another."""
+    types = []
+    lo = 0
+    for part in alpha_parts:
+        block = lens[lo : lo + part]
+        if sum(block) != part:
+            return None
+        types.append(_cycle_type(block))
+        lo += part
+    return tuple(types)
+
+
+def _sep_prefix(lens: Sequence[int]) -> int:
+    """The largest m with 1..m in pairwise distinct cycles: the number of
+    nonzero entries of a row of _min_lengths before its first 0."""
+    return next((x for x, length in enumerate(lens) if not length), len(lens))
 
 
 @cache
-def _perm_stats(n: int) -> tuple[_PermStats, ...]:
-    rows = _all_perm_rows(n)
-    return tuple(_stats_of_row(rows[r].tolist()) for r in range(rows.shape[0]))
+def _signatures(n: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """(sig, rows): ``rows`` lists the distinct rows of _min_lengths over all
+    n! permutations, and ``sig[r]`` indexes the row of lex rank r."""
+    lens = _min_lengths(_all_perm_rows(n).T)
+    _, first, sig = np.unique(_code(n + 1, lens), return_index=True, return_inverse=True)
+    return sig, [tuple(row) for row in lens[:, first].T.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -272,40 +252,21 @@ def product_pair_counts(n: int, workers: int = 1, force: bool = False) -> np.nda
 
 
 @cache
+def _pair_signatures(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """(row of _min_lengths, pairs whose product has it) for every row with
+    a nonzero count: the pair counts summed over each signature exactly."""
+    sig, rows = _signatures(n)
+    weight = np.zeros(len(rows), dtype=np.int64)
+    np.add.at(weight, sig, product_pair_counts(n))
+    return [(rows[i], int(weight[i])) for i in np.nonzero(weight)[0]]
+
+
+@cache
 def _pairs_by_type(n: int) -> dict[tuple[int, ...], int]:
-    fact = product_pair_counts(n)
-    stats = _perm_stats(n)
     table: dict[tuple[int, ...], int] = {parts: 0 for parts in _partition_list(n)}
-    for rank in np.nonzero(fact)[0]:
-        table[stats[rank].cycle_type] += int(fact[rank])
+    for lens, cnt in _pair_signatures(n):
+        table[_cycle_type(lens)] += cnt
     return table
-
-
-def _alpha_cuts(alpha_parts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(mask, cuts) of a composition: bit b-1 of the mask is set for each
-    proper cut b, as in ``_PermStats.bounds_mask``; the cuts are the
-    cumulative block ends, final n included."""
-    cuts = tuple(itertools.accumulate(alpha_parts))
-    mask = sum(1 << (c - 1) for c in cuts[:-1])
-    return mask, cuts
-
-
-def _merge_atomic(
-    atomic: tuple[tuple[int, tuple[int, ...]], ...], cuts: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Group atomic blocks into the coarser blocks ending at the given cuts
-    (cumulative block ends, final n included)."""
-    out = []
-    acc: list[int] = []
-    it = iter(cuts)
-    target = next(it)
-    for end, lengths in atomic:
-        acc.extend(lengths)
-        if end == target:
-            out.append(tuple(sorted(acc, reverse=True)))
-            acc = []
-            target = next(it, None)
-    return tuple(out)
 
 
 @cache
@@ -313,19 +274,14 @@ def _pairs_alpha_tables(
     n: int, alpha_parts: tuple[int, ...]
 ) -> tuple[dict[tuple[int, ...], int], dict[tuple[tuple[int, ...], ...], int], int]:
     """(d-vector table, block-type table, separated total) over all pairs."""
-    fact = product_pair_counts(n)
-    stats = _perm_stats(n)
-    mask, cuts = _alpha_cuts(alpha_parts)
     d_table: dict[tuple[int, ...], int] = {}
     lam_table: dict[tuple[tuple[int, ...], ...], int] = {}
     total = 0
-    for rank in np.nonzero(fact)[0]:
-        st = stats[rank]
-        if mask & ~st.bounds_mask:
+    for lens, cnt in _pair_signatures(n):
+        key = _block_types(lens, alpha_parts)
+        if key is None:
             continue
-        key = _merge_atomic(st.atomic, cuts)
         d = tuple(len(c) for c in key)
-        cnt = int(fact[rank])
         d_table[d] = d_table.get(d, 0) + cnt
         lam_table[key] = lam_table.get(key, 0) + cnt
         total += cnt
@@ -335,17 +291,11 @@ def _pairs_alpha_tables(
 @cache
 def _pairs_sep_prefix(n: int) -> dict[tuple[int, int], int]:
     """table[(m, k)] = pairs whose product has k cycles and 1..m separated."""
-    fact = product_pair_counts(n)
-    stats = _perm_stats(n)
-    by_exact: dict[tuple[int, int], int] = {}
-    for rank in np.nonzero(fact)[0]:
-        st = stats[rank]
-        key = (st.sep_prefix, st.cycle_count)
-        by_exact[key] = by_exact.get(key, 0) + int(fact[rank])
-    table: dict[tuple[int, int], int] = {}
-    for m in range(1, n + 1):
-        for k in range(1, n + 1):
-            table[(m, k)] = sum(v for (mm, kk), v in by_exact.items() if mm >= m and kk == k)
+    table = {(m, k): 0 for m in range(1, n + 1) for k in range(1, n + 1)}
+    for lens, cnt in _pair_signatures(n):
+        k = len(_cycle_type(lens))
+        for m in range(1, _sep_prefix(lens) + 1):
+            table[(m, k)] += cnt
     return table
 
 
@@ -371,28 +321,13 @@ def count_factorizations(target: Permutation, *, force: bool = False) -> int:
     target, by enumerating c1 and testing c2 = c1⁻¹∘target."""
     n = target.n
     _require_diag_scale(n, force)
-    count = 0
-    for c1 in long_cycle_iter(n):
-        if compose(c1.inverse(), target).is_long_cycle():
-            count += 1
-    return count
+    c1_inv = np.argsort(_cycle_rows(n), axis=1)
+    lens = _min_lengths(c1_inv[:, [x - 1 for x in target.image]].T)
+    return int((lens[0] == n).sum())
 
 
 # ---------------------------------------------------------------------------
 # fixed-diagonal sweep
-
-
-@cache
-def _diag_rows(n: int, d_image: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """Per long cycle s: (word of s, rank of the vertical D⁻¹∘s, exceedances)."""
-    d_perm = Permutation(d_image)
-    d_inv = d_perm.inverse()
-    rows = []
-    for s in long_cycle_iter(n):
-        pi = compose(d_inv, s)
-        word = s.cycle_word()
-        rows.append((word, _rank_of_image(n, pi.image), count_exceedances(word, pi.image)))
-    return tuple(rows)
 
 
 @cache
@@ -403,23 +338,27 @@ def _diag_tallies(n: int, d_image: tuple[int, ...], alpha_parts: tuple[int, ...]
     alpha is given — block type and (block type, a); unseparated verticals are
     skipped by the block tallies.
     """
-    stats = _perm_stats(n)
+    d_inv = np.argsort([x - 1 for x in d_image])
+    verticals = d_inv[_cycle_rows(n)]  # row i: D⁻¹∘s for the i-th long cycle s
+    pos = np.argsort(_cycle_words(n), axis=1)  # pos[i, x]: index of x in the word of s
+    exceedances = (np.take_along_axis(pos, verticals, axis=1) > pos).sum(axis=1)
+    lens = _min_lengths(verticals.T)
+    rows, counts = np.unique(np.vstack([lens, exceedances]).T, axis=0, return_counts=True)
     by_type: dict[tuple[int, ...], int] = {}
     by_type_a: dict[tuple[tuple[int, ...], int], int] = {}
     by_ne: dict[int, int] = {}
     by_alpha: dict[tuple[tuple[int, ...], ...], int] = {}
     by_alpha_a: dict[tuple[tuple[tuple[int, ...], ...], int], int] = {}
-    mask, cuts = _alpha_cuts(alpha_parts) if alpha_parts is not None else (0, ())
-    for _word, rank, a in _diag_rows(n, d_image):
-        st = stats[rank]
-        by_type[st.cycle_type] = by_type.get(st.cycle_type, 0) + 1
-        by_type_a[(st.cycle_type, a)] = by_type_a.get((st.cycle_type, a), 0) + 1
-        ne = n - st.cycle_count - a
-        by_ne[ne] = by_ne.get(ne, 0) + 1
-        if alpha_parts is not None and not (mask & ~st.bounds_mask):
-            key = _merge_atomic(st.atomic, cuts)
-            by_alpha[key] = by_alpha.get(key, 0) + 1
-            by_alpha_a[(key, a)] = by_alpha_a.get((key, a), 0) + 1
+    for (*row, a), cnt in zip(rows.tolist(), counts.tolist()):
+        lam = _cycle_type(row)
+        by_type[lam] = by_type.get(lam, 0) + cnt
+        by_type_a[(lam, a)] = by_type_a.get((lam, a), 0) + cnt
+        ne = n - len(lam) - a
+        by_ne[ne] = by_ne.get(ne, 0) + cnt
+        key = None if alpha_parts is None else _block_types(row, alpha_parts)
+        if key is not None:
+            by_alpha[key] = by_alpha.get(key, 0) + cnt
+            by_alpha_a[(key, a)] = by_alpha_a.get((key, a), 0) + cnt
     return by_type, by_type_a, by_ne, by_alpha, by_alpha_a
 
 
@@ -436,8 +375,8 @@ def _diag_tallies(n: int, d_image: tuple[int, ...], alpha_parts: tuple[int, ...]
 def _type_index(n: int) -> np.ndarray:
     """Lex rank -> index of the permutation's cycle type in _partition_list(n)."""
     order = {parts: i for i, parts in enumerate(_partition_list(n))}
-    stats = _perm_stats(n)
-    return np.array([order[st.cycle_type] for st in stats], dtype=np.int64)
+    sig, rows = _signatures(n)
+    return np.array([order[_cycle_type(lens)] for lens in rows], dtype=np.int64)[sig]
 
 
 PLANE_SWEEP_LIMIT = 7  # (n-1)! * n! plane permutations; 3.6M at n=7
@@ -458,13 +397,8 @@ def _plane_codes(n: int) -> np.ndarray:
     n_fact = perms.shape[0]
     acc = np.zeros((len(_partition_list(n)), n_fact, n + 1), dtype=np.int64)
     ranks = np.arange(n_fact, dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    for word in itertools.permutations(range(1, n), n - 1):
-        w = np.array((0,) + word, dtype=np.int64)  # 0-based cycle word
-        s_img = np.empty(n, dtype=np.int64)
-        s_img[w] = np.roll(w, -1)
-        pos = np.empty(n, dtype=np.int64)
-        pos[w] = idx
+    for word, s_img in zip(_cycle_words(n), _cycle_rows(n)):
+        pos = np.argsort(word)  # pos[x]: index of x in the word
         d_ranks = _lex_rank(n, s_img[pinv_t])  # diagonal s∘(perm r)⁻¹, column by column
         a = (pos[perms] > pos[None, :]).sum(axis=1)
         # every vertical rank appears once, so no index repeats and += is exact
@@ -472,20 +406,31 @@ def _plane_codes(n: int) -> np.ndarray:
     return acc
 
 
+@cache
+def _plane_signature_codes(n: int) -> np.ndarray:
+    """_plane_codes(n) summed over the verticals of each signature: counts
+    indexed by (diagonal type index, signature id, exceedance count)."""
+    sig, rows = _signatures(n)
+    acc = _plane_codes(n)
+    out = np.zeros((acc.shape[0], len(rows), n + 1), dtype=np.int64)
+    np.add.at(out, (slice(None), sig), acc)
+    return out
+
+
 _PlaneTallies = tuple[dict[tuple, dict[tuple, int]], dict[tuple, dict[tuple, int]]]
 
 
 def _plane_tallies(n: int, keys: Sequence) -> _PlaneTallies:
     """by_eta[eta][key] and by_eta_a[eta][(key, a)] over all plane
-    permutations, with key = keys[lex rank of the vertical]; verticals keyed
-    None are skipped."""
-    acc = _plane_codes(n)
+    permutations, with key = keys[signature id of the vertical]; verticals
+    keyed None are skipped."""
+    acc = _plane_signature_codes(n)
     etas = _partition_list(n)
     by_eta: dict[tuple, dict[tuple, int]] = {eta: {} for eta in etas}
     by_eta_a: dict[tuple, dict[tuple, int]] = {eta: {} for eta in etas}
     cells = np.nonzero(acc)
-    for t, rank, a, cnt in zip(*(ix.tolist() for ix in cells), acc[cells].tolist()):
-        key = keys[rank]
+    for t, sig, a, cnt in zip(*(ix.tolist() for ix in cells), acc[cells].tolist()):
+        key = keys[sig]
         if key is None:
             continue
         eta = etas[t]
@@ -498,7 +443,7 @@ def _plane_tallies(n: int, keys: Sequence) -> _PlaneTallies:
 def _plane_type_tallies(n: int) -> _PlaneTallies:
     """by_eta[eta][lam] and by_eta_a[eta][(lam, a)]: plane permutations with
     diagonal cycle type eta and vertical cycle type lam (and a exceedances)."""
-    return _plane_tallies(n, [st.cycle_type for st in _perm_stats(n)])
+    return _plane_tallies(n, [_cycle_type(lens) for lens in _signatures(n)[1]])
 
 
 @cache
@@ -506,12 +451,7 @@ def _plane_seq_tallies(n: int, alpha_parts: tuple[int, ...]) -> _PlaneTallies:
     """by_eta[eta][seq_key] and by_eta_a[eta][(seq_key, a)]: plane
     permutations with diagonal cycle type eta whose vertical is
     alpha-separated with the given block types."""
-    mask, cuts = _alpha_cuts(alpha_parts)
-    keys = [
-        None if mask & ~st.bounds_mask else _merge_atomic(st.atomic, cuts)
-        for st in _perm_stats(n)
-    ]
-    return _plane_tallies(n, keys)
+    return _plane_tallies(n, [_block_types(lens, alpha_parts) for lens in _signatures(n)[1]])
 
 
 # ---------------------------------------------------------------------------

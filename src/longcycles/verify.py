@@ -53,7 +53,7 @@ from .partitions import (
     _z,
     stirling_first,
 )
-from .permutations import Permutation, canonical_of_type, compose, long_cycle_iter
+from .permutations import canonical_of_type
 
 __all__ = [
     "IdentityReport",
@@ -415,12 +415,8 @@ def baserecur_reports(max_n: int = 12) -> list[IdentityReport]:
 @cache
 def _zagier_oracle(n: int) -> dict[int, int]:
     """#{long cycles s : (1 2 ... n) ∘ s has k cycles}, by direct enumeration."""
-    c = Permutation.from_cycle_word(tuple(range(1, n + 1)))
-    table: dict[int, int] = {}
-    for s in long_cycle_iter(n):
-        k = compose(c, s).cycle_count
-        table[k] = table.get(k, 0) + 1
-    return table
+    products = (oracle._cycle_rows(n) + 1) % n  # x -> s(x) + 1, taken mod n
+    return dict(enumerate(np.bincount(plane._cycle_counts(products.T)).tolist()))
 
 
 def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[IdentityReport]:
@@ -568,11 +564,6 @@ def parity_audit(max_n: int = 6) -> list[ParityAuditRecord]:
 # structural sweeps over two-row arrays
 
 
-def _words(n: int) -> np.ndarray:
-    """0-based words of all long cycles, in the order of oracle._cycle_rows."""
-    return np.array([(0,) + tail for tail in itertools.permutations(range(1, n))], dtype=np.int64)
-
-
 def _array_bad_counts(
     word: np.ndarray, s_img: np.ndarray, perms: np.ndarray, perms_inv: np.ndarray, c_pi: np.ndarray
 ) -> tuple[int, int, int]:
@@ -618,7 +609,7 @@ def plane_structure_reports(max_n: int = 6) -> list[IdentityReport]:
     """
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
-        words = _words(n)
+        words = oracle._cycle_words(n)
         cycles = oracle._cycle_rows(n)
         rows = oracle._all_perm_rows(n)
         perms, perms_inv = rows.T.copy(), np.argsort(rows, axis=1).T.copy()

@@ -41,7 +41,14 @@ from longcycles import (
     sweep_pairs,
     verify,
 )
-from longcycles.oracle import _pair_counts_cache, _pairs_alpha_tables, product_pair_counts
+from longcycles.oracle import (
+    _pair_counts_cache,
+    _pair_signatures,
+    _pairs_alpha_tables,
+    _pairs_by_type,
+    _pairs_sep_prefix,
+    product_pair_counts,
+)
 
 
 def _announce(criterion, detail):
@@ -141,7 +148,8 @@ def test_criterion_6_worker_determinism():
     texts = {}
     for workers in (1, 3):
         _pair_counts_cache.clear()
-        _pairs_alpha_tables.cache_clear()
+        for derived in (_pair_signatures, _pairs_by_type, _pairs_alpha_tables, _pairs_sep_prefix):
+            derived.cache_clear()
         outputs = []
         for n in range(2, 7):
             outputs.append(sweep_pairs(n, Composition((1, n - 1)), workers=workers).to_json())

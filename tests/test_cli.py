@@ -110,6 +110,22 @@ class TestFormula:
     def test_n_agreeing_with_the_partition_is_accepted(self, capsys):
         assert run(capsys, "formula", "pairs-by-type", "--n", "4", "--lambda", "2+2") == (0, "6\n")
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["zagier-stanley", "--n", "7", "--k", "3", "--m", "2"], "--m"),
+            (["separating-by-d", "--alpha", "2,3", "--d", "1,2", "--k", "1"], "--k"),
+            (["boccara", "--n", "4", "--k", "2", "--lambda", "2+2"], "--lambda"),
+        ],
+    )
+    def test_a_flag_the_name_does_not_read_is_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["formula", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"does not read {flag}" in captured.err
+
 
 class TestOracle:
     def test_pairs_json(self, capsys):
@@ -124,6 +140,12 @@ class TestOracle:
         code, out = run(capsys, "oracle", "pairs", "--n", "4", "--alpha", "2,2", "--no-cache")
         doc = json.loads(out)
         assert dict(doc["tables"]["d_vector"]) == {"(1,1)": "2", "(2,2)": "6"}
+
+    def test_eta_on_a_pair_sweep_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "pairs", "--n", "4", "--eta", "2+2", "--no-cache"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_resource_limit_exit_code(self, capsys):
         code = cli.main(["oracle", "pairs", "--n", "12"])
@@ -253,6 +275,12 @@ class TestTable:
         lines = out.strip().splitlines()
         assert lines[0] == "alpha,value"
         assert set(lines[1:]) == {'"(1,3)",12', '"(2,2)",8', '"(3,1)",12'}
+
+    def test_parts_on_a_grid_table_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "zagier-stanley", "--n", "3..4", "--parts", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_separating_total_over_a_range_of_n(self, capsys):
         code, out = run(capsys, "table", "separating-total", "--n", "3..5", "--format", "csv")

@@ -12,8 +12,12 @@ from longcycles import (
     IntegerPartition,
     Permutation,
     ResourceLimitError,
+    alpha_type,
     canonical_of_type,
+    compositions,
     count_factorizations,
+    cycle_type,
+    is_alpha_separated,
     expected_k_cycles,
     long_cycle_iter,
     pairs_separating_prefix,
@@ -27,14 +31,21 @@ from longcycles.oracle import (
     CountTable,
     OracleResult,
     _all_perm_rows,
+    _block_types,
+    _cycle_rows,
+    _cycle_type,
     _fact_chunk,
     _lex_rank,
+    _min_lengths,
     _pair_counts_cache,
+    _pair_signatures,
     _pairs_alpha_tables,
     _pairs_by_type,
+    _pairs_sep_prefix,
     _plane_codes,
     _plane_type_tallies,
-    _rank_of_image,
+    _sep_prefix,
+    _signatures,
     product_pair_counts,
 )
 
@@ -43,9 +54,10 @@ C = Composition
 
 
 def fresh_pair_counts(n, workers):
+    """The pair counts computed anew, with every cache derived from them cleared."""
     _pair_counts_cache.clear()
-    _pairs_by_type.cache_clear()
-    _pairs_alpha_tables.cache_clear()
+    for derived in (_pair_signatures, _pairs_by_type, _pairs_alpha_tables, _pairs_sep_prefix):
+        derived.cache_clear()
     return product_pair_counts(n, workers)
 
 
@@ -123,9 +135,9 @@ class TestLexRank:
         assert np.array_equal(ranks, np.arange(math.factorial(n)))
 
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_rank_of_image_matches_itertools(self, n):
-        for i, image in enumerate(itertools.permutations(range(1, n + 1))):
-            assert _rank_of_image(n, image) == i
+    def test_scalar_columns_rank_like_itertools(self, n):
+        for i, image in enumerate(itertools.permutations(range(n))):
+            assert _lex_rank(n, list(image)) == i
 
     def test_fact_chunks_sum_to_whole_range(self):
         whole = _fact_chunk(6, 0, 120)
@@ -137,6 +149,46 @@ class TestLexRank:
         # pinned from the earlier binary-search rank, which the tables must reproduce
         digest = hashlib.sha256(_plane_codes(6).tobytes()).hexdigest()
         assert digest == "dca96d4fa9cd2e031e710e5336d2fa12dc856bde0c5f2fdb4f5024dfd6c2bf1f"
+
+
+class TestMinLengths:
+    """The one cycle statistic every tally reads, against the scalar routines
+    on Permutation: every permutation with n <= 6, every composition of n."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rows_against_the_scalar_reference(self, n):
+        rows = _all_perm_rows(n)
+        alphas = list(compositions(n))
+        for image, lens in zip(rows.tolist(), _min_lengths(rows.T).T.tolist()):
+            p = Permutation(tuple(x + 1 for x in image))
+            cycles = p.cycles()  # each starts at its least element
+            expected = [0] * n
+            for cyc in cycles:
+                expected[cyc[0] - 1] = len(cyc)
+            assert lens == expected
+            assert _cycle_type(lens) == cycle_type(p).parts
+            for alpha in alphas:
+                if is_alpha_separated(p, alpha):
+                    assert _block_types(lens, alpha.parts) == alpha_type(p, alpha).key()
+                else:
+                    assert _block_types(lens, alpha.parts) is None
+            cycle_of = {x: i for i, cyc in enumerate(cycles) for x in cyc}
+            m = 0
+            while m < n and cycle_of[m + 1] not in {cycle_of[y] for y in range(1, m + 1)}:
+                m += 1
+            assert _sep_prefix(lens) == m
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_signatures_index_every_rank(self, n):
+        sig, rows = _signatures(n)
+        lens = _min_lengths(_all_perm_rows(n).T).T.tolist()
+        assert [rows[i] for i in sig.tolist()] == [tuple(row) for row in lens]
+        assert len(set(rows)) == len(rows)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cycle_rows_are_the_long_cycles_in_order(self, n):
+        expected = [[x - 1 for x in c.image] for c in long_cycle_iter(n)]
+        assert _cycle_rows(n).tolist() == expected
 
 
 class TestCountFactorizations:
@@ -213,19 +265,28 @@ class TestFixedDiagonal:
             total = sum(by_eta[eta.parts].values())
             assert total == math.factorial(n - 1) * z_of(eta)
 
-    def test_alpha_tallies_by_direct_enumeration(self):
-        from longcycles import alpha_type, compose, is_alpha_separated
+    @pytest.mark.parametrize(
+        "cycles, parts",
+        [([[1, 2, 3, 4]], (2, 2)), ([[1, 3, 2], [4, 5]], (2, 3)), ([[1, 4], [2, 5, 3]], (1, 3, 1))],
+    )
+    def test_alpha_tallies_by_direct_enumeration(self, cycles, parts):
+        from longcycles import PlanePermutation, alpha_type, compose, is_alpha_separated
 
-        D = canonical_of_type(P((4,)))
-        alpha = C((2, 2))
+        alpha = C(parts)
+        D = Permutation.from_cycles(cycles, n=alpha.n)
         res = sweep_fixed_diagonal(D, alpha)
-        direct = {}
-        for s in long_cycle_iter(4):
+        direct = {"alpha_type": {}, "alpha_type_a": {}, "cycle_type_a": {}}
+        for s in long_cycle_iter(alpha.n):
             pi = compose(D.inverse(), s)
+            a = PlanePermutation(s.cycle_word(), pi).exceedance_count()
+            keys = {"cycle_type_a": f"{pi.cycle_type()} a={a}"}
             if is_alpha_separated(pi, alpha):
-                key = str(alpha_type(pi, alpha))
-                direct[key] = direct.get(key, 0) + 1
-        assert dict(res.tables["alpha_type"].items()) == direct
+                keys["alpha_type"] = str(alpha_type(pi, alpha))
+                keys["alpha_type_a"] = f"{alpha_type(pi, alpha)} a={a}"
+            for name, key in keys.items():
+                direct[name][key] = direct[name].get(key, 0) + 1
+        for name, table in direct.items():
+            assert dict(res.tables[name].items()) == table
 
     def test_separated_totals_sum_over_all_diagonals(self):
         # block tallies are not conjugation-invariant: summing the separated

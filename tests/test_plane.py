@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from longcycles import Permutation, PlanePermutation, compose, plane, verify
+from longcycles import Permutation, PlanePermutation, compose, oracle, plane, verify
 
 
 def all_perms(n):
@@ -253,7 +253,7 @@ class TestPlaneSuiteSeesFaults:
 
     def sound_inputs(self):
         n = self.n
-        word = verify._words(n)[7]
+        word = oracle._cycle_words(n)[7]
         s_img = np.array(Permutation.from_cycle_word(tuple((word + 1).tolist())).image) - 1
         perms = verticals(n)
         return word, s_img, perms, np.argsort(perms, axis=0), plane._cycle_counts(perms)
@@ -274,7 +274,7 @@ class TestPlaneSuiteSeesFaults:
 
     def test_corrupted_diagonal(self):
         n = self.n
-        words = verify._words(n)
+        words = oracle._cycle_words(n)
         diags = np.array([Permutation.from_cycle_word(tuple((w + 1).tolist())).image for w in words]).T - 1
         hs = legal_hs(n)
         word = words[3]
