@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, DomainError, ExactnessError
 from .partitions import (
@@ -47,6 +47,19 @@ def _exact_int(value: Fraction, context: str) -> int:
     if value.denominator != 1:
         raise ExactnessError(f"{context} evaluated to non-integer {value}")
     return value.numerator
+
+
+def _poly_product(factors: Iterable[Sequence[int]]) -> list[int]:
+    """Coefficients of the product of polynomials given by their coefficient
+    lists, lowest degree first."""
+    poly = [1]
+    for factor in factors:
+        out = [0] * (len(poly) + len(factor) - 1)
+        for i, c in enumerate(poly):
+            for j, b in enumerate(factor):
+                out[i + j] += c * b
+        poly = out
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +120,7 @@ def even_factorization_count(lam: IntegerPartition) -> int:
     if (n - lam.length) % 2:
         raise DomainError(f"a permutation of type {lam} on [{n}] is odd")
     head = parts[0]
-    poly = [1]
-    for p in parts[1:]:
-        factor = [binomial(p, j) for j in range(p)]
-        out = [0] * (len(poly) + p - 1)
-        for i, c in enumerate(poly):
-            for j, b in enumerate(factor):
-                out[i + j] += c * b
-        poly = out
+    poly = _poly_product([binomial(p, j) for j in range(p)] for p in parts[1:])
     acc = sum(
         Fraction((-1) ** total * math.factorial(total) * c, falling_factorial(head + total + 1, total + 1))
         for total, c in enumerate(poly)
@@ -146,56 +152,6 @@ def separating_total(alpha: Composition) -> int:
     return _exact_int(value, f"separating_total({alpha})")
 
 
-def _moves(rest: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-    """(binom(g_j, 2), sorted later pairs after moving one element out of
-    block j) for every later block j that can give one up."""
-    for j, (g, di) in enumerate(rest):
-        if g >= 2:
-            yield math.comb(g, 2), tuple(sorted(rest[:j] + ((g - 1, di),) + rest[j + 1 :]))
-
-
-# _sep_by_d values by state (g1, d1, sorted later pairs), kept for the life of
-# the process: different d vectors reach many of the same states.
-_SEP_VALUES: dict[tuple[int, int, tuple[tuple[int, int], ...]], Fraction] = {}
-
-
-def _sep_by_d(g0: int, d0: int, rest: tuple[tuple[int, int], ...]) -> Fraction:
-    """Block-count refined separation count, expanded by repeatedly moving
-    one element from a later block onto the first block.
-
-    Satisfies binom(g1+1,2) G(gamma) + sum_j binom(g_j,2) G(gamma^(j)) = Y,
-    where gamma^(j) moves one element from block j to block 1 and
-    Y = (n-1)! C(g1+1, d1) prod_{t>1} C(g_t, d_t).  Terms vanish once a block
-    empties because both the Stirling factor and binom(1,2) are zero.  It is
-    symmetric in the later (g_j, d_j) pairs, so ``rest`` holds them sorted.
-
-    No recursion: the states not yet known that moves reach are collected
-    breadth first, which orders them by the size of the first block, and
-    evaluated in the reverse order, so every state finds the states it moves
-    to already evaluated.
-    """
-    n = g0 + sum(g for g, _ in rest)
-    todo = [] if (g0, d0, rest) in _SEP_VALUES else [(g0, rest)]
-    seen = {rest}
-    expanded = []
-    for g1, state in todo:
-        moves = list(_moves(state))
-        expanded.append((g1, state, moves))
-        for _, moved in moves:
-            if moved not in seen and (g1 + 1, d0, moved) not in _SEP_VALUES:
-                seen.add(moved)
-                todo.append((g1 + 1, moved))
-    for g1, state, moves in reversed(expanded):
-        y = math.factorial(n - 1) * stirling_first(g1 + 1, d0)
-        for g, di in state:
-            y *= stirling_first(g, di)
-        acc = Fraction(y)
-        for coeff, moved in moves:
-            acc -= coeff * _SEP_VALUES[(g1 + 1, d0, moved)]
-        _SEP_VALUES[(g1, d0, state)] = acc / math.comb(g1 + 1, 2)
-    return _SEP_VALUES[(g0, d0, rest)]
-
-
 def _check_d(alpha: Composition, d: Sequence[int]) -> tuple[int, ...]:
     d = tuple(d)
     if len(d) != alpha.length:
@@ -207,15 +163,45 @@ def _check_d(alpha: Composition, d: Sequence[int]) -> tuple[int, ...]:
 
 def separating_by_d_raw(alpha: Composition, d: Sequence[int]) -> Fraction:
     d = _check_d(alpha, d)
-    return _sep_by_d(alpha.parts[0], d[0], tuple(sorted(zip(alpha.parts[1:], d[1:]))))
+    g, n = alpha.parts[0], alpha.n
+    # C(m, k) for m <= n+1 and every k in d, from Stirling rows cut at column
+    # max(d): stirling_first would step and keep whole rows, ~30 MB at n = 1200
+    row, stirling = [1] + [0] * max(d), []
+    for m in range(n + 2):
+        stirling.append({k: row[k] for k in set(d)})
+        row = [0] + [row[k - 1] + m * row[k] for k in range(1, len(row))]
+    poly = _poly_product(
+        [
+            (-1) ** r * math.factorial(r) * binomial(a, r) * binomial(a - 1, r) * stirling[a - r][dj]
+            for r in range(a)
+        ]
+        for a, dj in zip(alpha.parts[1:], d[1:])
+    )
+    # Horner's rule over the common denominator (g+R+1)! (g+R)! of the last term
+    num = 0
+    for total, c in enumerate(poly):
+        num = num * (g + total + 1) * (g + total) + math.factorial(total) * c * stirling[g + total + 1][d[0]]
+    top = g + len(poly)
+    factor = 2 * math.factorial(n - 1) * math.factorial(g) * math.factorial(g - 1)
+    return Fraction(factor * num, math.factorial(top) * math.factorial(top - 1))
 
 
 def separating_by_d(alpha: Composition, d: Sequence[int]) -> int:
     """Ordered pairs of long cycles whose product keeps every block of alpha
     together and splits block i into exactly d_i cycles.
 
-    Returns 0 immediately when sum(d) and n differ in parity: the expansion
-    is only valid under that hypothesis and would otherwise produce a
+    With g = alpha_1 and C the signless Stirling numbers of the first kind,
+    the count is
+    2 (n-1)! g! (g-1)! * sum over R of R! c_R C(g+R+1, d_1) / ((g+R+1)! (g+R)!),
+    where c_R is the coefficient of x^R in
+    prod_{j>1} sum_{r<alpha_j} (-1)^r r! binom(alpha_j, r) binom(alpha_j-1, r) C(alpha_j-r, d_j) x^r.
+    It unrolls binom(g+1,2) G(gamma) + sum_j binom(g_j,2) G(gamma^(j)) = Y,
+    where gamma^(j) moves one element from later block j to block 1 and
+    Y = (n-1)! C(g+1, d_1) prod_{j>1} C(g_j, d_j): a path that moves r_j
+    elements out of each block j has the same weight in every move order.
+
+    Returns 0 immediately when sum(d) and n differ in parity: the sum is
+    only valid under that hypothesis and would otherwise produce a
     nonzero value for a count that is genuinely zero.
     """
     d = _check_d(alpha, d)

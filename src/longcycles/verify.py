@@ -136,13 +136,11 @@ def _p_type(n: int, lam: tuple[int, ...], source: str = "oracle") -> int:
     """Ordered pairs of long cycles whose product has cycle type lam."""
     if source == "formula":
         return formulas.pairs_by_type(IntegerPartition(lam))
-    oracle.product_pair_counts(n)
     return oracle._pairs_by_type(n).get(lam, 0)
 
 
 def _p_seq(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int:
     """Ordered pairs whose product is alpha-separated with the given block types."""
-    oracle.product_pair_counts(n)
     return oracle._pairs_alpha_tables(n, alpha_parts)[1].get(key, 0)
 
 
@@ -152,18 +150,15 @@ def _p_refined(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int:
 
 
 def _p_d(n: int, alpha_parts: tuple[int, ...], d: tuple[int, ...]) -> int:
-    oracle.product_pair_counts(n)
     return oracle._pairs_alpha_tables(n, alpha_parts)[0].get(d, 0)
 
 
 def _p_sep_total(n: int, alpha_parts: tuple[int, ...]) -> int:
-    oracle.product_pair_counts(n)
     return oracle._pairs_alpha_tables(n, alpha_parts)[2]
 
 
 def _plane_type(n: int):
     """p^eta_lam and p^eta_(lam,a) tables over all diagonals of each type."""
-    oracle.product_pair_counts(n)
     return oracle._plane_type_tallies(n)
 
 
@@ -686,7 +681,6 @@ def run_suites(
     max_n: int = 6,
     *,
     baserecur_max_n: int = 12,
-    formulas_max_n: int | None = None,
     plane_max_n: int | None = None,
     workers: int = 1,
     p_source: str = "oracle",
@@ -703,7 +697,7 @@ def run_suites(
     if "baserecur" in suites:
         reports += baserecur_reports(baserecur_max_n)
     if "formulas" in suites:
-        reports += formula_vs_oracle_reports(formulas_max_n or max_n, workers)
+        reports += formula_vs_oracle_reports(max_n, workers)
     if "plane" in suites:
         reports += plane_structure_reports(plane_max_n or max_n)
     if "parity" in suites:

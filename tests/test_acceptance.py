@@ -41,14 +41,7 @@ from longcycles import (
     sweep_pairs,
     verify,
 )
-from longcycles.oracle import (
-    _pair_counts_cache,
-    _pair_signatures,
-    _pairs_alpha_tables,
-    _pairs_by_type,
-    _pairs_sep_prefix,
-    product_pair_counts,
-)
+from longcycles.oracle import product_pair_counts
 
 
 def _announce(criterion, detail):
@@ -144,12 +137,10 @@ def test_criterion_5_parity_audit():
     _announce(5, f"{len(audit)} wrong-parity instances, all true counts zero, flagged case listed")
 
 
-def test_criterion_6_worker_determinism():
+def test_criterion_6_worker_determinism(clear_pair_caches):
     texts = {}
     for workers in (1, 3):
-        _pair_counts_cache.clear()
-        for derived in (_pair_signatures, _pairs_by_type, _pairs_alpha_tables, _pairs_sep_prefix):
-            derived.cache_clear()
+        clear_pair_caches()
         outputs = []
         for n in range(2, 7):
             outputs.append(sweep_pairs(n, Composition((1, n - 1)), workers=workers).to_json())

@@ -4,7 +4,6 @@ import logging
 import pytest
 
 from longcycles import Composition, cli, formulas, separating_by_d, separating_total, verify
-from longcycles.oracle import _pair_counts_cache
 
 
 def run(capsys, *argv):
@@ -152,10 +151,10 @@ class TestOracle:
         assert code == 4
         assert "resource limit" in capsys.readouterr().err
 
-    def test_threads_do_not_change_output(self, capsys):
+    def test_threads_do_not_change_output(self, capsys, clear_pair_caches):
         outputs = []
         for threads in ("1", "2"):
-            _pair_counts_cache.clear()
+            clear_pair_caches()
             code, out = run(
                 capsys, "oracle", "pairs", "--n", "5", "--alpha", "2,3",
                 "--no-cache", "--threads", threads,

@@ -200,6 +200,16 @@ class TestSeparatingByD:
     def test_oversized_d_vanishes(self):
         assert separating_by_d(C((1, 3)), (2, 2)) == 0
 
+    def test_single_block_at_large_n(self):
+        for n, k in ((50, 2), (101, 7), (200, 2), (257, 255), (299, 1), (300, 10)):
+            assert separating_by_d(C((n,)), (k,)) == math.factorial(n - 1) * zagier_stanley(n, k), (n, k)
+
+    @pytest.mark.parametrize("parts", [(7, 9, 11), (1, 40), (13, 1, 13)])
+    def test_sums_to_total_at_large_blocks(self, parts):
+        alpha = C(parts)
+        ds = itertools.product(*(range(1, p + 1) for p in parts))
+        assert sum(separating_by_d(alpha, d) for d in ds) == separating_total(alpha)
+
 
 def _compositions_of(n):
     out = []

@@ -38,10 +38,7 @@ from longcycles.oracle import (
     _lex_rank,
     _min_lengths,
     _pair_counts_cache,
-    _pair_signatures,
-    _pairs_alpha_tables,
     _pairs_by_type,
-    _pairs_sep_prefix,
     _plane_codes,
     _plane_type_tallies,
     _sep_prefix,
@@ -53,12 +50,15 @@ P = IntegerPartition
 C = Composition
 
 
-def fresh_pair_counts(n, workers):
+@pytest.fixture
+def fresh_pair_counts(clear_pair_caches):
     """The pair counts computed anew, with every cache derived from them cleared."""
-    _pair_counts_cache.clear()
-    for derived in (_pair_signatures, _pairs_by_type, _pairs_alpha_tables, _pairs_sep_prefix):
-        derived.cache_clear()
-    return product_pair_counts(n, workers)
+
+    def fresh(n, workers):
+        clear_pair_caches()
+        return product_pair_counts(n, workers)
+
+    return fresh
 
 
 class TestSweepPairs:
@@ -328,12 +328,12 @@ class TestSeparatingPrefix:
 
 class TestDeterminism:
     @pytest.mark.parametrize("n", range(2, 6))
-    def test_worker_counts_agree(self, n):
+    def test_worker_counts_agree(self, n, fresh_pair_counts):
         single = fresh_pair_counts(n, 1).tolist()
         double = fresh_pair_counts(n, 2).tolist()
         assert single == double
 
-    def test_json_identical_across_workers(self):
+    def test_json_identical_across_workers(self, fresh_pair_counts):
         texts = []
         for w in (1, 3):
             fresh_pair_counts(5, w)
