@@ -37,7 +37,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ResourceLimitError
-from .partitions import Composition, _partition_list
+from .partitions import Composition, _partition_list, format_d_key, format_seq_key, format_type_key
 from .permutations import Permutation
 from .plane import _cycle_minima
 
@@ -597,22 +597,6 @@ def _store_cached(cache_dir: Path | None, result: OracleResult) -> None:
             raise
     except OSError as exc:
         _log.warning("cache not written: cannot store %s (%s: %s)", path, type(exc).__name__, exc)
-
-
-# ---------------------------------------------------------------------------
-# key formatting (string keys used in serialized tables)
-
-
-def format_type_key(parts: tuple[int, ...]) -> str:
-    return "+".join(str(p) for p in parts) if parts else "0"
-
-
-def format_seq_key(key: tuple[tuple[int, ...], ...]) -> str:
-    return " | ".join(format_type_key(c) for c in key)
-
-
-def format_d_key(d: tuple[int, ...]) -> str:
-    return "(" + ",".join(str(x) for x in d) + ")"
 
 
 # ---------------------------------------------------------------------------

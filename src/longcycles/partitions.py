@@ -76,8 +76,9 @@ def _int_parts(parts: Iterable[int]) -> tuple[int, ...]:
 
 
 @cache
-def _partition_list(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n as non-increasing tuples, reverse-lexicographic."""
+def _partition_list(n: int, maxpart: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n with no part above maxpart (default n), as
+    non-increasing tuples, reverse-lexicographic."""
     if n == 0:
         return ((),)
     out: list[tuple[int, ...]] = []
@@ -92,33 +93,7 @@ def _partition_list(n: int) -> tuple[tuple[int, ...], ...]:
             rec(remaining - p, p)
             prefix.pop()
 
-    rec(n, n)
-    return tuple(out)
-
-
-@cache
-def _partitions_into(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions of n into exactly k positive parts, reverse-lexicographic."""
-    if k == 0:
-        return ((),) if n == 0 else ()
-    if k > n:
-        return ()
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def rec(remaining: int, slots: int, maxpart: int) -> None:
-        if slots == 1:
-            if remaining <= maxpart:
-                out.append(tuple(prefix) + (remaining,))
-            return
-        hi = min(maxpart, remaining - (slots - 1))
-        lo = -(-remaining // slots)  # smallest feasible non-increasing head
-        for p in range(hi, lo - 1, -1):
-            prefix.append(p)
-            rec(remaining - p, slots - 1, p)
-            prefix.pop()
-
-    rec(n, k, n)
+    rec(n, n if maxpart is None else maxpart)
     return tuple(out)
 
 
@@ -137,6 +112,26 @@ def _z(parts: tuple[int, ...]) -> int:
     for i, m in _mults(parts).items():
         denom *= i**m * math.factorial(m)
     return math.factorial(sum(parts)) // denom
+
+
+def _z_seq(key: tuple[tuple[int, ...], ...]) -> int:
+    """Number of block-separated permutations with these per-block cycle types."""
+    return math.prod(map(_z, key))
+
+
+def format_type_key(parts: tuple[int, ...]) -> str:
+    """The key of a partition: "3+2+1", or "0" when it is empty."""
+    return "+".join(map(str, parts)) if parts else "0"
+
+
+def format_seq_key(key: tuple[tuple[int, ...], ...]) -> str:
+    """The key of a partition sequence's block types: "2+1 | 3"."""
+    return " | ".join(map(format_type_key, key))
+
+
+def format_d_key(d: tuple[int, ...]) -> str:
+    """The key of a composition or a d-vector: "(2,1,3)"."""
+    return "(" + ",".join(map(str, d)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +199,7 @@ class IntegerPartition:
         return " ".join(f"{i}^{m[i]}" for i in sorted(m)) if m else "0"
 
     def __str__(self) -> str:
-        return "+".join(str(p) for p in self.parts) if self.parts else "0"
+        return format_type_key(self.parts)
 
 
 @dataclass(frozen=True)
@@ -259,7 +254,7 @@ class Composition:
         return cls(tuple(int(tok) for tok in text.split(",")))
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+        return format_d_key(self.parts)
 
 
 @dataclass(frozen=True)
@@ -310,7 +305,7 @@ class PartitionSequence:
         return cls(Composition(tuple(c.n for c in comps)), comps)
 
     def __str__(self) -> str:
-        return " | ".join(str(c) for c in self.components)
+        return format_seq_key(self.key())
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +351,7 @@ def z_of(lam: IntegerPartition) -> int:
 
 def z_of_seq(seq: PartitionSequence) -> int:
     """Number of block-separated permutations with these per-block cycle types."""
-    out = 1
-    for c in seq.components:
-        out *= _z(c.parts)
-    return out
+    return _z_seq(seq.key())
 
 
 # ---------------------------------------------------------------------------
@@ -375,26 +367,7 @@ def kappa(mu: IntegerPartition, lam: IntegerPartition, k: int) -> int:
         raise ValueError("partitions must have the same size")
     if k < 2:
         raise ValueError("merging needs k >= 2")
-    return _kappa(mu.parts, lam.parts, k)
-
-
-@cache
-def _kappa(mu_parts: tuple[int, ...], lam_parts: tuple[int, ...], k: int) -> int:
-    if len(mu_parts) != len(lam_parts) + k - 1:
-        return 0
-    mu_m = _mults(mu_parts)
-    total = 0
-    for v in sorted(set(lam_parts), reverse=True):
-        if v < k:
-            continue
-        base = _remove_part(lam_parts, v)
-        for sigma in _partitions_into(v, k):
-            if _merge_sorted(base, sigma) == mu_parts:
-                ways = 1
-                for i, cnt in _mults(sigma).items():
-                    ways *= math.comb(mu_m.get(i, 0), cnt)
-                total += ways
-    return total
+    return dict(_refinements(lam.parts, k)).get(mu.parts, 0)
 
 
 @cache
@@ -405,7 +378,9 @@ def _refinements(lam_parts: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, .
         if v < k:
             continue
         base = _remove_part(lam_parts, v)
-        for sigma in _partitions_into(v, k):
+        for rest in _partition_list(v - k, k):
+            # the conjugate of (k, *rest): a partition of v into k parts
+            sigma = tuple(1 + sum(p > i for p in rest) for i in range(k))
             mu = _merge_sorted(base, sigma)
             mu_m = _mults(mu)
             ways = 1
@@ -486,31 +461,22 @@ def lambda_coeff(seq: PartitionSequence, i: int, j: int) -> Fraction:
 # Stirling-type numbers and factorial helpers
 
 
-# Rows of C(i+1, k) = C(i, k-1) + i C(i, k) from [0]*m + [1] at i = m, by m and
-# then i (m = 0: Stirling numbers).  The last _KEPT_ROWS requested rows per m are
-# kept; a new row steps from the nearest of them and row m, up by the recurrence
-# or down by its inverse C(i, k-1) = C(i+1, k) - i C(i, k), so a sweep over n
-# costs O(n^2) in either direction.
-_INSERTION_ROWS: dict[int, dict[int, tuple[int, ...]]] = {}
-_KEPT_ROWS = 32
+# The last requested row of C(i+1, k) = C(i, k-1) + i C(i, k), from
+# [0]*m + [1] at i = m, as (i, row) by m (m = 0: Stirling numbers).  A higher
+# row steps up from it and a lower one from row m, so a sweep over rising n
+# costs O(n^2).
+_INSERTION_ROWS: dict[int, tuple[int, tuple[int, ...]]] = {}
 
 
 def _insertion_row(n: int, m: int) -> tuple[int, ...]:
-    rows = _INSERTION_ROWS.setdefault(m, {})
-    row = rows.get(n)
-    if row is None:
-        start = min((m, *rows), key=lambda i: abs(i - n))
-        row = list(rows.get(start, (0,) * m + (1,)))
+    start, row = _INSERTION_ROWS.get(m, (m, (0,) * m + (1,)))
+    if start > n:
+        start, row = m, (0,) * m + (1,)
+    if start < n:
+        row = list(row)
         for i in range(start, n):
             row = [a + i * b for a, b in zip([0] + row, row + [0])]
-        for i in range(start - 1, n - 1, -1):
-            down = [0] * (i + 2)  # down[i + 1] = C(i, i+1) = 0
-            for k in range(i + 1, 0, -1):
-                down[k - 1] = row[k] - i * down[k]
-            row = down[:-1]
-        if len(rows) >= _KEPT_ROWS:
-            del rows[next(iter(rows))]
-        rows[n] = row = tuple(row)
+        _INSERTION_ROWS[m] = (n, row := tuple(row))
     return row
 
 

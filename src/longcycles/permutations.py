@@ -84,17 +84,7 @@ class Permutation:
 
     @property
     def cycle_count(self) -> int:
-        seen = [False] * (self.n + 1)
-        count = 0
-        for start in range(1, self.n + 1):
-            if seen[start]:
-                continue
-            count += 1
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = self.image[x - 1]
-        return count
+        return len(self.cycles())
 
     def is_even(self) -> bool:
         return (self.n - self.cycle_count) % 2 == 0

@@ -39,8 +39,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import formulas, oracle, plane
+from .errors import ResourceLimitError
 from .formulas import _value_str
-from .oracle import format_d_key, format_seq_key, format_type_key
 from .partitions import (
     Composition,
     IntegerPartition,
@@ -51,6 +51,10 @@ from .partitions import (
     _partition_list,
     _partition_sequence_keys,
     _z,
+    _z_seq,
+    format_d_key,
+    format_seq_key,
+    format_type_key,
     stirling_first,
 )
 from .permutations import canonical_of_type
@@ -157,29 +161,12 @@ def _p_sep_total(n: int, alpha_parts: tuple[int, ...]) -> int:
     return oracle._pairs_alpha_tables(n, alpha_parts)[2]
 
 
-def _plane_type(n: int):
-    """p^eta_lam and p^eta_(lam,a) tables over all diagonals of each type."""
-    return oracle._plane_type_tallies(n)
-
-
-def _plane_seq(n: int, alpha_parts: tuple[int, ...]):
-    """p^eta_Lam and p^eta_(Lam,a) tables over all diagonals of each type."""
-    return oracle._plane_seq_tallies(n, alpha_parts)
-
-
 # ---------------------------------------------------------------------------
 # small algebra helpers on tuple keys
 
 
 def _seq_len(key: SeqKey) -> int:
     return sum(len(c) for c in key)
-
-
-def _seq_z(key: SeqKey) -> int:
-    out = 1
-    for c in key:
-        out *= _z(c)
-    return out
 
 
 def _seq_m(key: SeqKey, i: int) -> int:
@@ -231,7 +218,7 @@ def classic_reports(max_n: int = 6, p_source: str = "oracle") -> list[IdentityRe
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
         etas = _partition_list(n)
-        p_eta, p_eta_a = _plane_type(n)
+        p_eta, p_eta_a = oracle._plane_type_tallies(n)
         for eta in etas:
             for lam in etas:
                 inst = f"n={n} eta={format_type_key(eta)} lam={format_type_key(lam)}"
@@ -289,8 +276,8 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
         for alpha_parts, key in _alpha_instances(n):
             base = f"n={n} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
             refs = _odd_refinements_seq(key)
-            z_key = _seq_z(key)
-            p_eta_seq, p_eta_seq_a = _plane_seq(n, alpha_parts)
+            z_key = _z_seq(key)
+            p_eta_seq, p_eta_seq_a = oracle._plane_seq_tallies(n, alpha_parts)
             # block-refined split with exceedance weights, per diagonal type
             for eta in etas:
                 inst = f"{base} eta={format_type_key(eta)}"
@@ -319,7 +306,7 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
                 if k2 == key
             )
             balance = (n - _seq_len(key)) * fact_n1 * z_key
-            balance -= fact_n1 * sum(kap * _seq_z(k2) for _i, k2, kap in refs)
+            balance -= fact_n1 * sum(kap * _z_seq(k2) for _i, k2, kap in refs)
             reports.append(IdentityReport("total_exceedance_balance", base, total_exc, balance))
             direct = Fraction(n - _seq_m(key, 1), 2) * fact_n1 * z_key
             reports.append(IdentityReport("total_exceedance_count", base, Fraction(total_exc), direct))
@@ -327,7 +314,7 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
         for alpha_parts, key in _alpha_instances(n + 1):
             base = f"n={n} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
             refs = _odd_refinements_seq(key)
-            z_key = _seq_z(key)
+            z_key = _z_seq(key)
             t_refined = sum(kap * _T(n, alpha_parts, k2) for _i, k2, kap in refs)
             if (_seq_len(key) - n) % 2 == 0:
                 for i0, part, coeff, a2, key2 in _shrink_steps(alpha_parts, key):
@@ -394,9 +381,9 @@ def baserecur_reports(max_n: int = 12) -> list[IdentityReport]:
     reports: list[IdentityReport] = []
     for total in range(1, max_n + 1):
         for alpha_parts, key in _alpha_instances(total):
-            z_key = _seq_z(key)
+            z_key = _z_seq(key)
             lhs = (total - _seq_len(key)) * z_key
-            rhs = sum(kap * _seq_z(k2) for _i, k2, kap in _odd_refinements_seq(key))
+            rhs = sum(kap * _z_seq(k2) for _i, k2, kap in _odd_refinements_seq(key))
             rhs += Fraction(z_key, 2) * _weight_sum(key)
             inst = f"N={total} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
             reports.append(IdentityReport("length_weight_base", inst, Fraction(lhs), rhs))
@@ -637,6 +624,16 @@ def plane_structure_reports(max_n: int = 6) -> list[IdentityReport]:
 
 SUITES = ("classic", "section3", "baserecur", "formulas", "plane", "parity")
 
+# the largest max_n at which each of these suites can finish: the plane
+# tallies stop at PLANE_SWEEP_LIMIT, the unforced pair sweep at
+# PAIR_SWEEP_FREE_LIMIT
+_SUITE_LIMITS = {
+    "classic": oracle.PLANE_SWEEP_LIMIT,
+    "section3": oracle.PLANE_SWEEP_LIMIT,
+    "formulas": oracle.PAIR_SWEEP_FREE_LIMIT,
+    "parity": oracle.PAIR_SWEEP_FREE_LIMIT,
+}
+
 
 @dataclass
 class VerifyRun:
@@ -688,6 +685,12 @@ def run_suites(
     unknown = set(suites) - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
+    for suite in suites:
+        limit = _SUITE_LIMITS.get(suite, max_n)
+        if max_n > limit:
+            raise ResourceLimitError(
+                f"the {suite} suite cannot run at max_n={max_n}: its sweeps stop at n={limit}"
+            )
     reports: list[IdentityReport] = []
     audit: list[ParityAuditRecord] = []
     if "classic" in suites:

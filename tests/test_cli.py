@@ -241,6 +241,14 @@ class TestVerify:
         assert exc.value.code == 2
         assert "PASS" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("suites", [(), ("--suite", "section3")])
+    def test_above_the_sweep_limit_exits_4_before_any_suite(self, capsys, forbid_suites, suites):
+        code = cli.main(["verify", "--max-n", "8", *suites])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit: ")
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         from longcycles.verify import IdentityReport, VerifyRun
 

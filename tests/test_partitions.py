@@ -132,9 +132,11 @@ class TestKappa:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_against_labeled_brute_force(self, n):
+        # every split size, so the refinement counts behind kappa are checked
+        # independently, up to the k = 7 splits of the odd refinements
         for lam in partitions(n):
             for mu in partitions(n):
-                for k in range(2, 6):
+                for k in range(2, n + 1):
                     assert kappa(mu, lam, k) == kappa_brute(mu, lam, k)
 
     @pytest.mark.parametrize("n", range(2, 6))
@@ -165,6 +167,13 @@ class TestRefinements:
     def test_five_into_three(self):
         got = dict(refinement_targets(P((5,)), 3))
         assert got == {P((3, 1, 1)): 1, P((2, 2, 1)): 1}
+
+    def test_large_part_into_three(self):
+        # the partitions of n into 3 parts number round(n^2 / 12), and each
+        # is one split of the part n; the other partitions of n are not built
+        got = list(refinement_targets(P((60,)), 3))
+        assert len(got) == 300
+        assert all(kap == 1 and mu.length == 3 for mu, kap in got)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_kappa(self, n):

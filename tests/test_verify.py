@@ -2,8 +2,17 @@ import hashlib
 
 import pytest
 
-from longcycles import cli, verify
+from longcycles import cli, oracle, verify
+from longcycles.errors import ResourceLimitError
 from longcycles.verify import IdentityReport, ParityAuditRecord, VerifyRun
+
+# suite -> (its function, the largest max_n it can finish at)
+SWEEP_LIMITS = {
+    "classic": ("classic_reports", oracle.PLANE_SWEEP_LIMIT),
+    "section3": ("section3_reports", oracle.PLANE_SWEEP_LIMIT),
+    "formulas": ("formula_vs_oracle_reports", oracle.PAIR_SWEEP_FREE_LIMIT),
+    "parity": ("parity_audit", oracle.PAIR_SWEEP_FREE_LIMIT),
+}
 
 
 def assert_all_pass(reports):
@@ -120,6 +129,26 @@ class TestRunner:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             verify.run_suites(("nope",), 4)
+
+    @pytest.mark.parametrize("suite", sorted(SWEEP_LIMITS))
+    def test_above_the_sweep_limit_fails_before_any_suite(self, forbid_suites, suite):
+        _function, limit = SWEEP_LIMITS[suite]
+        with pytest.raises(ResourceLimitError, match=suite):
+            verify.run_suites(("baserecur", suite), limit + 1)
+
+    @pytest.mark.parametrize("suite", sorted(SWEEP_LIMITS))
+    def test_at_the_sweep_limit_the_suite_runs(self, monkeypatch, suite):
+        function, limit = SWEEP_LIMITS[suite]
+        calls = []
+        monkeypatch.setattr(verify, function, lambda *args: calls.append(args[0]) or [])
+        verify.run_suites((suite,), limit)
+        assert calls == [limit]
+
+    def test_unlimited_suites_take_any_max_n(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify, "plane_structure_reports", lambda max_n: calls.append(max_n) or [])
+        verify.run_suites(("plane",), 9)
+        assert calls == [9]
 
     def test_failure_detection(self):
         run = VerifyRun(
