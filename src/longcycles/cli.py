@@ -197,7 +197,6 @@ def _run_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         args.max_n,
         baserecur_max_n=args.baserecur_max_n,
         workers=args.threads,
-        p_source=args.p_source,
     )
     if args.format == "json":
         print(json.dumps(run.to_dict(), sort_keys=True))
@@ -292,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", action="append", choices=verify.SUITES)
     p_verify.add_argument("--baserecur-max-n", type=int, default=12)
     p_verify.add_argument("--threads", type=int, default=1)
-    p_verify.add_argument("--p-source", choices=("oracle", "formula"), default="oracle")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_table = sub.add_parser("table", help="render grids of formula values")

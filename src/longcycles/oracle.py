@@ -385,7 +385,7 @@ PLANE_SWEEP_LIMIT = 7  # (n-1)! * n! plane permutations; 3.6M at n=7
 @cache
 def _plane_codes(n: int) -> np.ndarray:
     """Counts over all plane permutations (s, pi), indexed by
-    (diagonal type index, vertical lex rank, exceedance count)."""
+    (diagonal type index, signature id of the vertical, exceedance count)."""
     if n > PLANE_SWEEP_LIMIT:
         raise ResourceLimitError(
             f"full plane-permutation sweep at n={n} would enumerate "
@@ -394,64 +394,33 @@ def _plane_codes(n: int) -> np.ndarray:
     perms = _all_perm_rows(n)
     pinv_t = np.argsort(perms, axis=1).T  # row j: perm⁻¹(j) for every perm
     type_idx = _type_index(n)
-    n_fact = perms.shape[0]
-    acc = np.zeros((len(_partition_list(n)), n_fact, n + 1), dtype=np.int64)
-    ranks = np.arange(n_fact, dtype=np.int64)
+    sig, rows = _signatures(n)
+    acc = np.zeros((len(_partition_list(n)), len(rows), n + 1), dtype=np.int64)
     for word, s_img in zip(_cycle_words(n), _cycle_rows(n)):
         pos = np.argsort(word)  # pos[x]: index of x in the word
         d_ranks = _lex_rank(n, s_img[pinv_t])  # diagonal s∘(perm r)⁻¹, column by column
         a = (pos[perms] > pos[None, :]).sum(axis=1)
-        # every vertical rank appears once, so no index repeats and += is exact
-        acc[type_idx[d_ranks], ranks, a] += 1
+        # many verticals share a signature, so an index repeats: += would drop counts
+        np.add.at(acc, (type_idx[d_ranks], sig, a), 1)
     return acc
 
 
 @cache
-def _plane_signature_codes(n: int) -> np.ndarray:
-    """_plane_codes(n) summed over the verticals of each signature: counts
-    indexed by (diagonal type index, signature id, exceedance count)."""
-    sig, rows = _signatures(n)
+def _plane_tallies(
+    n: int, alpha_parts: tuple[int, ...]
+) -> dict[tuple[int, ...], dict[tuple[tuple[int, ...], ...], list[int]]]:
+    """by_eta[eta][key][a]: plane permutations with diagonal cycle type eta
+    whose vertical is alpha-separated with block types key and has a
+    exceedances, for a = 0..n.  Keys that no vertical has are left out; with
+    alpha = (n) the keys are the vertical's cycle type, (lam,)."""
     acc = _plane_codes(n)
-    out = np.zeros((acc.shape[0], len(rows), n + 1), dtype=np.int64)
-    np.add.at(out, (slice(None), sig), acc)
-    return out
-
-
-_PlaneTallies = tuple[dict[tuple, dict[tuple, int]], dict[tuple, dict[tuple, int]]]
-
-
-def _plane_tallies(n: int, keys: Sequence) -> _PlaneTallies:
-    """by_eta[eta][key] and by_eta_a[eta][(key, a)] over all plane
-    permutations, with key = keys[signature id of the vertical]; verticals
-    keyed None are skipped."""
-    acc = _plane_signature_codes(n)
-    etas = _partition_list(n)
-    by_eta: dict[tuple, dict[tuple, int]] = {eta: {} for eta in etas}
-    by_eta_a: dict[tuple, dict[tuple, int]] = {eta: {} for eta in etas}
-    cells = np.nonzero(acc)
-    for t, sig, a, cnt in zip(*(ix.tolist() for ix in cells), acc[cells].tolist()):
-        key = keys[sig]
-        if key is None:
-            continue
-        eta = etas[t]
-        by_eta[eta][key] = by_eta[eta].get(key, 0) + cnt
-        by_eta_a[eta][(key, a)] = by_eta_a[eta].get((key, a), 0) + cnt
-    return by_eta, by_eta_a
-
-
-@cache
-def _plane_type_tallies(n: int) -> _PlaneTallies:
-    """by_eta[eta][lam] and by_eta_a[eta][(lam, a)]: plane permutations with
-    diagonal cycle type eta and vertical cycle type lam (and a exceedances)."""
-    return _plane_tallies(n, [_cycle_type(lens) for lens in _signatures(n)[1]])
-
-
-@cache
-def _plane_seq_tallies(n: int, alpha_parts: tuple[int, ...]) -> _PlaneTallies:
-    """by_eta[eta][seq_key] and by_eta_a[eta][(seq_key, a)]: plane
-    permutations with diagonal cycle type eta whose vertical is
-    alpha-separated with the given block types."""
-    return _plane_tallies(n, [_block_types(lens, alpha_parts) for lens in _signatures(n)[1]])
+    ids: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+    for i, lens in enumerate(_signatures(n)[1]):
+        key = _block_types(lens, alpha_parts)
+        if key is not None:
+            ids.setdefault(key, []).append(i)
+    sums = {key: acc[:, rows].sum(axis=1).tolist() for key, rows in ids.items()}
+    return {eta: {key: by_t[t] for key, by_t in sums.items()} for t, eta in enumerate(_partition_list(n))}
 
 
 # ---------------------------------------------------------------------------

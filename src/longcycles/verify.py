@@ -3,9 +3,9 @@
 Each identity is checked over exhaustively enumerated instances at desk
 scale, with both sides evaluated in exact arithmetic; a report passes only on
 exact equality.  Counts of plane permutations come from the brute-force
-sweeps in :mod:`longcycles.oracle` (optionally from the closed forms, where a
-closed form exists), so the identity suites double as end-to-end certificates
-for the oracle, the partition algebra, and the formulas at once.
+sweeps in :mod:`longcycles.oracle`, so the identity suites double as
+end-to-end certificates for the oracle, the partition algebra, and the
+formulas at once.
 
 Identity names used in reports:
 
@@ -13,7 +13,8 @@ Identity names used in reports:
   cycle-splitting recurrences for a fixed diagonal cycle type;
 - ``split_joint`` / ``split_long``: the recurrences with the exceedance
   parameter cleared, the latter specialized to a long-cycle diagonal;
-- ``*_sep`` variants: the same recurrences refined by block types;
+- ``*_sep`` variants: the same recurrences refined by the block types of a
+  composition alpha; the unrefined ones are their one-block case alpha = (n);
 - ``total_exceedance_balance`` / ``total_exceedance_count``: the total number
   of exceedances over all diagonals, computed two ways;
 - ``length_weight_base``: the pure partition-algebra recurrence that the
@@ -50,7 +51,6 @@ from .partitions import (
     _odd_refinements_seq,
     _partition_list,
     _partition_sequence_keys,
-    _z,
     _z_seq,
     format_d_key,
     format_seq_key,
@@ -136,13 +136,6 @@ class ParityAuditRecord:
 SeqKey = tuple[tuple[int, ...], ...]
 
 
-def _p_type(n: int, lam: tuple[int, ...], source: str = "oracle") -> int:
-    """Ordered pairs of long cycles whose product has cycle type lam."""
-    if source == "formula":
-        return formulas.pairs_by_type(IntegerPartition(lam))
-    return oracle._pairs_by_type(n).get(lam, 0)
-
-
 def _p_seq(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int:
     """Ordered pairs whose product is alpha-separated with the given block types."""
     return oracle._pairs_alpha_tables(n, alpha_parts)[1].get(key, 0)
@@ -204,56 +197,75 @@ def _block_shrinks(beta: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]
             yield math.comb(b, 2), beta[:i0] + (b - 1,) + beta[i0 + 1 :]
 
 
-def _T(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> Fraction:
+def _T(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int | Fraction:
     """The part-shrinking weighted sum over pair counts one level down."""
     steps = _shrink_steps(alpha_parts, key)
-    return sum((coeff * _p_seq(n, a2, key2) for _i, _p, coeff, a2, key2 in steps), Fraction(0))
+    return sum(coeff * _p_seq(n, a2, key2) for _i, _p, coeff, a2, key2 in steps)
 
 
 # ---------------------------------------------------------------------------
-# classic suite: identities for a fixed diagonal cycle type
+# the split recurrences: both sides for any composition alpha and block types
+# key, with plane-permutation counts read from the oracle
 
 
-def classic_reports(max_n: int = 6, p_source: str = "oracle") -> list[IdentityReport]:
+def _plane_count(by_key: dict[SeqKey, list[int]], key: SeqKey) -> int:
+    """All plane permutations counted at key, over every exceedance count."""
+    return sum(by_key.get(key, ()))
+
+
+def _split_exceedance(
+    n: int, alpha_parts: tuple[int, ...], eta: tuple[int, ...], key: SeqKey
+) -> tuple[int, int]:
+    """The exceedance-weighted split recurrence for diagonal cycle type eta."""
+    by_key = oracle._plane_tallies(n, alpha_parts)[eta]
+    lhs = sum((n - _seq_len(key) - a) * cnt for a, cnt in enumerate(by_key.get(key, ())))
+    rhs = sum(kap * _plane_count(by_key, k2) for _i, k2, kap in _odd_refinements_seq(key))
+    return lhs, rhs
+
+
+def _split_joint(
+    n: int, alpha_parts: tuple[int, ...], eta: tuple[int, ...], key: SeqKey, split_rhs: int
+) -> tuple[int, int]:
+    """The split recurrence with the exceedances cleared, splitting the
+    diagonal type as well; ``split_rhs`` is _split_exceedance's right side."""
+    by_eta = oracle._plane_tallies(n, alpha_parts)
+    lhs = (n + 1 - _seq_len(key) - len(eta)) * _plane_count(by_eta[eta], key)
+    rhs = split_rhs + sum(kap * _plane_count(by_eta[mu], key) for mu, kap in _odd_refinements(eta))
+    return lhs, rhs
+
+
+def _split_long(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> tuple[int, int]:
+    """The split recurrence for a long-cycle diagonal, over pair counts; it
+    needs n - len(key) even."""
+    lhs = (n + 1 - _seq_len(key)) * _p_seq(n, alpha_parts, key)
+    rhs = _p_refined(n, alpha_parts, key) + math.factorial(n - 1) * _z_seq(key)
+    return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# classic suite: the split recurrences in the one-block case alpha = (n),
+# where the block types of the vertical are its cycle type
+
+
+def classic_reports(max_n: int = 6) -> list[IdentityReport]:
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
+        one = (n,)
         etas = _partition_list(n)
-        p_eta, p_eta_a = oracle._plane_type_tallies(n)
+        splits = {(eta, lam): _split_exceedance(n, one, eta, (lam,)) for eta in etas for lam in etas}
         for eta in etas:
             for lam in etas:
                 inst = f"n={n} eta={format_type_key(eta)} lam={format_type_key(lam)}"
-                refs = _odd_refinements(lam)
-                # exceedance-weighted split recurrence
-                lhs = sum(
-                    (n - len(lam) - a) * cnt
-                    for (t, a), cnt in p_eta_a[eta].items()
-                    if t == lam
-                )
-                rhs = sum(kap * p_eta[eta].get(mu, 0) for mu, kap in refs)
-                reports.append(IdentityReport("split_exceedance", inst, lhs, rhs))
+                reports.append(IdentityReport("split_exceedance", inst, *splits[eta, lam]))
                 # the same recurrence with the roles of the two types swapped
-                lhs_dual = sum(
-                    (n - len(eta) - a) * cnt
-                    for (t, a), cnt in p_eta_a[lam].items()
-                    if t == eta
-                )
-                rhs_dual = sum(kap * p_eta[lam].get(mu, 0) for mu, kap in _odd_refinements(eta))
-                reports.append(IdentityReport("split_exceedance_dual", inst, lhs_dual, rhs_dual))
-                # joint form: both sides with the exceedance parameter cleared
-                lhs_joint = (n + 1 - len(lam) - len(eta)) * p_eta[eta].get(lam, 0)
-                rhs_joint = rhs + sum(
-                    kap * p_eta[mu].get(lam, 0) for mu, kap in _odd_refinements(eta)
-                )
-                reports.append(IdentityReport("split_joint", inst, lhs_joint, rhs_joint))
+                reports.append(IdentityReport("split_exceedance_dual", inst, *splits[lam, eta]))
+                joint = _split_joint(n, one, eta, (lam,), splits[eta, lam][1])
+                reports.append(IdentityReport("split_joint", inst, *joint))
         # long-cycle diagonal specialization, under its parity hypothesis
         for lam in etas:
-            if (len(lam) - n) % 2:
-                continue
-            inst = f"n={n} lam={format_type_key(lam)}"
-            lhs = (n + 1 - len(lam)) * _p_type(n, lam, p_source)
-            rhs = sum(kap * _p_type(n, mu, p_source) for mu, kap in _odd_refinements(lam))
-            rhs += math.factorial(n - 1) * _z(lam)
-            reports.append(IdentityReport("split_long", inst, lhs, rhs))
+            if (len(lam) - n) % 2 == 0:
+                inst = f"n={n} lam={format_type_key(lam)}"
+                reports.append(IdentityReport("split_long", inst, *_split_long(n, one, (lam,))))
     return reports
 
 
@@ -275,41 +287,25 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
         # identities over block types of products on [n]
         for alpha_parts, key in _alpha_instances(n):
             base = f"n={n} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
-            refs = _odd_refinements_seq(key)
             z_key = _z_seq(key)
-            p_eta_seq, p_eta_seq_a = oracle._plane_seq_tallies(n, alpha_parts)
+            by_eta = oracle._plane_tallies(n, alpha_parts)
             # block-refined split with exceedance weights, per diagonal type
             for eta in etas:
                 inst = f"{base} eta={format_type_key(eta)}"
-                lhs = sum(
-                    (n - _seq_len(key) - a) * cnt
-                    for (k2, a), cnt in p_eta_seq_a[eta].items()
-                    if k2 == key
-                )
-                rhs = sum(kap * p_eta_seq[eta].get(k2, 0) for _i, k2, kap in refs)
-                reports.append(IdentityReport("split_exceedance_sep", inst, lhs, rhs))
-                lhs_joint = (n + 1 - _seq_len(key) - len(eta)) * p_eta_seq[eta].get(key, 0)
-                rhs_joint = rhs + sum(
-                    kap * p_eta_seq[mu].get(key, 0) for mu, kap in _odd_refinements(eta)
-                )
-                reports.append(IdentityReport("split_joint_sep", inst, lhs_joint, rhs_joint))
+                split = _split_exceedance(n, alpha_parts, eta, key)
+                reports.append(IdentityReport("split_exceedance_sep", inst, *split))
+                joint = _split_joint(n, alpha_parts, eta, key, split[1])
+                reports.append(IdentityReport("split_joint_sep", inst, *joint))
             # long-cycle diagonal specialization (parity hypothesis)
             if (_seq_len(key) - n) % 2 == 0:
-                lhs = (n + 1 - _seq_len(key)) * _p_seq(n, alpha_parts, key)
-                rhs = _p_refined(n, alpha_parts, key) + fact_n1 * z_key
-                reports.append(IdentityReport("split_long_sep", base, lhs, rhs))
+                reports.append(IdentityReport("split_long_sep", base, *_split_long(n, alpha_parts, key)))
             # total exceedances over all diagonals, two evaluations
-            total_exc = sum(
-                a * cnt
-                for eta in etas
-                for (k2, a), cnt in p_eta_seq_a[eta].items()
-                if k2 == key
-            )
+            total_exc = sum(a * cnt for eta in etas for a, cnt in enumerate(by_eta[eta].get(key, ())))
             balance = (n - _seq_len(key)) * fact_n1 * z_key
-            balance -= fact_n1 * sum(kap * _z_seq(k2) for _i, k2, kap in refs)
+            balance -= fact_n1 * sum(kap * _z_seq(k2) for _i, k2, kap in _odd_refinements_seq(key))
             reports.append(IdentityReport("total_exceedance_balance", base, total_exc, balance))
             direct = Fraction(n - _seq_m(key, 1), 2) * fact_n1 * z_key
-            reports.append(IdentityReport("total_exceedance_count", base, Fraction(total_exc), direct))
+            reports.append(IdentityReport("total_exceedance_count", base, total_exc, direct))
         # weighted part-shrinking identities: block types one element up
         for alpha_parts, key in _alpha_instances(n + 1):
             base = f"n={n} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
@@ -327,11 +323,11 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
                 lhs_rec = (n + 1 - _seq_len(key)) * t_key
                 rhs_rec = t_refined + Fraction(fact_n1 * z_key, 2) * _weight_sum(key)
                 reports.append(IdentityReport("weighted_sum_recurrence", base, lhs_rec, rhs_rec))
-                reports.append(IdentityReport("weighted_sum_value", base, t_key, Fraction(fact_n1 * z_key)))
+                reports.append(IdentityReport("weighted_sum_value", base, t_key, fact_n1 * z_key))
             # the exchange identity holds without the parity hypothesis
             steps = _shrink_steps(alpha_parts, key)
-            lhs_ex = sum((coeff * _p_refined(n, a2, key2) for _i, _p, coeff, a2, key2 in steps), Fraction(0))
-            reports.append(IdentityReport("downarrow_exchange", base, lhs_ex, Fraction(t_refined)))
+            lhs_ex = sum(coeff * _p_refined(n, a2, key2) for _i, _p, coeff, a2, key2 in steps)
+            reports.append(IdentityReport("downarrow_exchange", base, lhs_ex, t_refined))
         reports += block_deletion_reports(n)
     return reports
 
@@ -354,9 +350,7 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
             rhs_tot = Fraction(fact_n1, 2)
             for b in beta:
                 rhs_tot *= math.factorial(b)
-            reports.append(
-                IdentityReport("block_deletion_total", inst_total, Fraction(lhs_tot), rhs_tot)
-            )
+            reports.append(IdentityReport("block_deletion_total", inst_total, lhs_tot, rhs_tot))
         for d in itertools.product(*(range(1, b + 1) for b in beta)):
             if (sum(d) - n) % 2:
                 continue
@@ -386,7 +380,7 @@ def baserecur_reports(max_n: int = 12) -> list[IdentityReport]:
             rhs = sum(kap * _z_seq(k2) for _i, k2, kap in _odd_refinements_seq(key))
             rhs += Fraction(z_key, 2) * _weight_sum(key)
             inst = f"N={total} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
-            reports.append(IdentityReport("length_weight_base", inst, Fraction(lhs), rhs))
+            reports.append(IdentityReport("length_weight_base", inst, lhs, rhs))
     return reports
 
 
@@ -453,7 +447,7 @@ def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[Identity
                     "formula:by_cycle_type",
                     f"n={n} lam={format_type_key(lam_parts)}",
                     formulas.pairs_by_type(lam),
-                    _p_type(n, lam_parts),
+                    oracle._pairs_by_type(n)[lam_parts],
                 )
             )
         for alpha_parts in _compositions(n):
@@ -505,7 +499,6 @@ def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[Identity
 def parity_audit(max_n: int = 6) -> list[ParityAuditRecord]:
     records: list[ParityAuditRecord] = []
     for n in range(2, max_n + 1):
-        oracle.product_pair_counts(n)
         for k in range(1, n + 1):
             if (n - k) % 2 == 0:
                 continue
@@ -680,7 +673,6 @@ def run_suites(
     baserecur_max_n: int = 12,
     plane_max_n: int | None = None,
     workers: int = 1,
-    p_source: str = "oracle",
 ) -> VerifyRun:
     unknown = set(suites) - set(SUITES)
     if unknown:
@@ -694,7 +686,7 @@ def run_suites(
     reports: list[IdentityReport] = []
     audit: list[ParityAuditRecord] = []
     if "classic" in suites:
-        reports += classic_reports(max_n, p_source)
+        reports += classic_reports(max_n)
     if "section3" in suites:
         reports += section3_reports(max_n)
     if "baserecur" in suites:

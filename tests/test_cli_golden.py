@@ -3,8 +3,9 @@
 ``cli_golden.json`` maps a command line to its exact standard output, for
 every ``formula`` name in every format and every ``table`` name in every
 format (an ``n`` range, ``--parts``, and grids that reach ``n <= 0`` where
-every cell is blank).  The full ``verify --format json --max-n 6`` document
-is pinned by its sha256.
+every cell is blank).  The full ``verify --format json --max-n 6`` document,
+and the classic and section3 suites' document at ``--max-n 7``, are pinned by
+their sha256.
 """
 
 import argparse
@@ -19,6 +20,8 @@ from longcycles import cli
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 VERIFY_N6_SHA256 = "e4bcd2e7da374b5dd6ec2f898c05f006474121d5a32eb72d3b1603521c917e4a"
+# verify --format json --max-n 7 --suite classic --suite section3
+VERIFY_N7_PLANE_TALLY_SHA256 = "a8b2353cd9d47df5961dd15fc897e5946c35b02cd664cce0f7769d754178be56"
 
 
 def command_choices(command: str) -> list[str]:
@@ -48,3 +51,10 @@ def test_verify_json_max_n_6_digest(capsys):
     code = cli.main(["verify", "--format", "json", "--max-n", "6"])
     assert code == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_N6_SHA256
+
+
+def test_verify_json_plane_tally_suites_at_n_7_digest(capsys):
+    # the two suites that read the plane tallies, at the largest n they reach
+    argv = ["verify", "--format", "json", "--max-n", "7", "--suite", "classic", "--suite", "section3"]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_N7_PLANE_TALLY_SHA256

@@ -22,6 +22,7 @@ from longcycles import (
     even_factorization_count,
     hultman_expected,
     long_cycle_iter,
+    odd_refinements,
     pairs_by_type,
     partitions,
     separated_stirling,
@@ -29,6 +30,7 @@ from longcycles import (
     separating_total,
     separation_probability,
     stirling_first,
+    z_of,
     zagier_stanley,
 )
 from longcycles.formulas import separated_pairs_by_count_raw, separating_by_d_raw, zagier_stanley_raw
@@ -300,6 +302,17 @@ class TestPairsByType:
             for k in range(1, n):
                 total = sum(lam.multiplicity(k) * pairs_by_type(lam) for lam in partitions(n))
                 assert hultman_expected(n, k) == Fraction(total, math.factorial(n - 1) ** 2)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_split_long_recurrence(self, n):
+        # (n + 1 - l(lam)) P(lam) = sum of kappa P(mu) over the odd splits mu
+        # of lam, plus (n-1)! z_lam, for every type lam of an even product
+        for lam in partitions(n):
+            if (n - lam.length) % 2:
+                continue
+            lhs = (n + 1 - lam.length) * pairs_by_type(lam)
+            rhs = sum(kap * pairs_by_type(mu) for mu, kap in odd_refinements(lam))
+            assert lhs == rhs + math.factorial(n - 1) * z_of(lam), lam
 
 
 class TestCountQuery:

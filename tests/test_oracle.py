@@ -40,7 +40,7 @@ from longcycles.oracle import (
     _pair_counts_cache,
     _pairs_by_type,
     _plane_codes,
-    _plane_type_tallies,
+    _plane_tallies,
     _sep_prefix,
     _signatures,
     product_pair_counts,
@@ -146,9 +146,19 @@ class TestLexRank:
         assert whole.sum() == 120**2
 
     def test_plane_codes_digest(self):
-        # pinned from the earlier binary-search rank, which the tables must reproduce
+        # pinned from the per-rank counts of the earlier sweep, summed over
+        # the verticals of each signature
         digest = hashlib.sha256(_plane_codes(6).tobytes()).hexdigest()
-        assert digest == "dca96d4fa9cd2e031e710e5336d2fa12dc856bde0c5f2fdb4f5024dfd6c2bf1f"
+        assert digest == "2cb0994da9ffc68b38a9f7e1ef0c0bb1475d39e82548a3b35133b8a2b664aca0"
+
+    def test_plane_sweep_limit_comes_before_the_signatures(self, monkeypatch):
+        def never(n):
+            raise AssertionError("signatures computed above the plane sweep limit")
+
+        monkeypatch.setattr(oracle, "_signatures", never)
+        n = oracle.PLANE_SWEEP_LIMIT + 1
+        with pytest.raises(ResourceLimitError, match="plane"):
+            _plane_tallies(n, (n,))
 
 
 class TestMinLengths:
@@ -260,9 +270,9 @@ class TestFixedDiagonal:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_total_over_verticals_counts_diagonal_class(self, n):
         # plane permutations with diagonal of type eta: (n-1)! z_eta in all
-        by_eta, _ = _plane_type_tallies(n)
+        by_eta = _plane_tallies(n, (n,))
         for eta in partitions(n):
-            total = sum(by_eta[eta.parts].values())
+            total = sum(map(sum, by_eta[eta.parts].values()))
             assert total == math.factorial(n - 1) * z_of(eta)
 
     @pytest.mark.parametrize(

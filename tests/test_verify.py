@@ -26,9 +26,6 @@ class TestSuites:
         assert reports
         assert_all_pass(reports)
 
-    def test_classic_with_formula_source(self):
-        assert_all_pass(verify.classic_reports(5, p_source="formula"))
-
     def test_section3(self):
         reports = verify.section3_reports(4)
         assert reports
