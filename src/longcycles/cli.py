@@ -191,6 +191,8 @@ def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def _run_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.max_n < 2:
         parser.error("--max-n must be >= 2")
+    if args.baserecur_max_n < 1:
+        parser.error("--baserecur-max-n must be >= 1")
     suites = tuple(args.suite) if args.suite else verify.SUITES
     run = verify.run_suites(
         suites,

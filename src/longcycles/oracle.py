@@ -1,12 +1,11 @@
 """Exhaustive ground truth by brute-force enumeration.
 
 The pair sweep enumerates every ordered pair of long cycles on [n] (there are
-((n-1)!)^2 of them) and counts, for each permutation t, how many pairs
-multiply to t.  Every reported table is an exact integer aggregation of those
-per-product counts — no symmetry shortcut is applied to any tally, and in
-particular block-separation tallies are sums over honestly enumerated pairs.
-Every tally groups products by one exact statistic, the row of
-_min_lengths, from which each of its keys is read.
+((n-1)!)^2 of them) and counts the products by one exact statistic, their
+row of _min_lengths.  Every table is an exact integer sum of those counts,
+its keys read from the rows — no symmetry shortcut is applied to any tally,
+and block-separation tallies are sums over honestly enumerated pairs.  The
+cycle type is the block type for the one block alpha = (n).
 
 The fixed-diagonal sweep enumerates, for a fixed permutation D, all plane
 permutations with diagonal D (one per long cycle s, with vertical D⁻¹∘s) and
@@ -205,31 +204,45 @@ def _signatures(n: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     return sig, [tuple(row) for row in lens[:, first].T.tolist()]
 
 
+@cache
+def _key_rows(n: int, alpha_parts: tuple[int, ...]) -> dict[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Block types -> ids of the alpha-separated rows of _signatures(n) that
+    have them.  With alpha = (n) the keys are the cycle types, (lam,)."""
+    ids: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+    for i, lens in enumerate(_signatures(n)[1]):
+        key = _block_types(lens, alpha_parts)
+        if key is not None:
+            ids.setdefault(key, []).append(i)
+    return {key: np.array(rows) for key, rows in ids.items()}
+
+
 # ---------------------------------------------------------------------------
-# the pair sweep: per-product pair counts
+# the pair sweep: pair counts by product signature
 
 
 def _fact_chunk(n: int, lo: int, hi: int) -> np.ndarray:
     cyc = _cycle_rows(n)
     cyc_t = cyc.T.copy()  # row x: the images of x under every long cycle
-    n_fact = math.factorial(n)
-    out = np.zeros(n_fact, dtype=np.int64)
+    sig, rows = _signatures(n)
+    out = np.zeros(len(rows), dtype=np.int64)
     for c2 in cyc[lo:hi].tolist():
         # column j of all products c1∘c2 is c1(c2(j)): row c2(j) of cyc_t
         ranks = _lex_rank(n, [cyc_t[x] for x in c2])
-        out += np.bincount(ranks, minlength=n_fact)
+        out += np.bincount(sig[ranks], minlength=len(rows))
     return out
 
 
 def _compute_pair_counts(n: int, workers: int = 1) -> np.ndarray:
-    """Per-permutation counts of ordered long-cycle pairs multiplying to it."""
+    """Entry i counts the ordered pairs of long cycles whose product has row
+    i of _signatures(n); each worker counts one chunk of the first factors."""
     m = math.factorial(n - 1)
     workers = max(1, min(workers, m))
     if workers == 1:
         return _fact_chunk(n, 0, m)
     step = -(-m // workers)
     chunks = [(n, lo, min(lo + step, m)) for lo in range(0, m, step)]
-    total = np.zeros(math.factorial(n), dtype=np.int64)
+    # computed before the pool starts, so forked workers inherit the signatures
+    total = np.zeros(len(_signatures(n)[1]), dtype=np.int64)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_fact_chunk, *zip(*chunks)):
             total += part
@@ -252,47 +265,27 @@ def product_pair_counts(n: int, workers: int = 1, force: bool = False) -> np.nda
 
 
 @cache
-def _pair_signatures(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """(row of _min_lengths, pairs whose product has it) for every row with
-    a nonzero count: the pair counts summed over each signature exactly."""
-    sig, rows = _signatures(n)
-    weight = np.zeros(len(rows), dtype=np.int64)
-    np.add.at(weight, sig, product_pair_counts(n))
-    return [(rows[i], int(weight[i])) for i in np.nonzero(weight)[0]]
-
-
-@cache
-def _pairs_by_type(n: int) -> dict[tuple[int, ...], int]:
-    table: dict[tuple[int, ...], int] = {parts: 0 for parts in _partition_list(n)}
-    for lens, cnt in _pair_signatures(n):
-        table[_cycle_type(lens)] += cnt
-    return table
-
-
-@cache
 def _pairs_alpha_tables(
     n: int, alpha_parts: tuple[int, ...]
 ) -> tuple[dict[tuple[int, ...], int], dict[tuple[tuple[int, ...], ...], int], int]:
-    """(d-vector table, block-type table, separated total) over all pairs."""
+    """(d-vector table, block-type table, separated total) over all pairs, without zero keys."""
+    counts = product_pair_counts(n)
     d_table: dict[tuple[int, ...], int] = {}
     lam_table: dict[tuple[tuple[int, ...], ...], int] = {}
-    total = 0
-    for lens, cnt in _pair_signatures(n):
-        key = _block_types(lens, alpha_parts)
-        if key is None:
-            continue
-        d = tuple(len(c) for c in key)
-        d_table[d] = d_table.get(d, 0) + cnt
-        lam_table[key] = lam_table.get(key, 0) + cnt
-        total += cnt
-    return d_table, lam_table, total
+    for key, ids in _key_rows(n, alpha_parts).items():
+        cnt = int(counts[ids].sum())
+        if cnt:
+            d = tuple(len(c) for c in key)
+            d_table[d] = d_table.get(d, 0) + cnt
+            lam_table[key] = cnt
+    return d_table, lam_table, sum(lam_table.values())
 
 
 @cache
 def _pairs_sep_prefix(n: int) -> dict[tuple[int, int], int]:
     """table[(m, k)] = pairs whose product has k cycles and 1..m separated."""
     table = {(m, k): 0 for m in range(1, n + 1) for k in range(1, n + 1)}
-    for lens, cnt in _pair_signatures(n):
+    for lens, cnt in zip(_signatures(n)[1], product_pair_counts(n).tolist()):
         k = len(_cycle_type(lens))
         for m in range(1, _sep_prefix(lens) + 1):
             table[(m, k)] += cnt
@@ -311,8 +304,8 @@ def pairs_separating_prefix(n: int, m: int, k: int, *, workers: int = 1, force: 
 def expected_k_cycles(n: int, k: int, *, workers: int = 1, force: bool = False) -> Fraction:
     """Average number of k-cycles in the product over all ordered pairs."""
     product_pair_counts(n, workers, force)
-    table = _pairs_by_type(n)
-    hits = sum(cnt * parts.count(k) for parts, cnt in table.items())
+    by_type = _pairs_alpha_tables(n, (n,))[1]
+    hits = sum(cnt * lam.count(k) for (lam,), cnt in by_type.items())
     return Fraction(hits, math.factorial(n - 1) ** 2)
 
 
@@ -414,12 +407,7 @@ def _plane_tallies(
     exceedances, for a = 0..n.  Keys that no vertical has are left out; with
     alpha = (n) the keys are the vertical's cycle type, (lam,)."""
     acc = _plane_codes(n)
-    ids: dict[tuple[tuple[int, ...], ...], list[int]] = {}
-    for i, lens in enumerate(_signatures(n)[1]):
-        key = _block_types(lens, alpha_parts)
-        if key is not None:
-            ids.setdefault(key, []).append(i)
-    sums = {key: acc[:, rows].sum(axis=1).tolist() for key, rows in ids.items()}
+    sums = {key: acc[:, ids].sum(axis=1).tolist() for key, ids in _key_rows(n, alpha_parts).items()}
     return {eta: {key: by_t[t] for key, by_t in sums.items()} for t, eta in enumerate(_partition_list(n))}
 
 
@@ -595,9 +583,8 @@ def sweep_pairs(
     if cached is not None:
         return cached
     product_pair_counts(n, workers, force)
-    tables = {
-        "cycle_type": CountTable({format_type_key(t): c for t, c in _pairs_by_type(n).items()})
-    }
+    types = _pairs_alpha_tables(n, (n,))[1]
+    tables = {"cycle_type": CountTable({format_type_key(t): types.get((t,), 0) for t in _partition_list(n)})}
     if alpha is not None:
         d_table, lam_table, _ = _pairs_alpha_tables(n, alpha.parts)
         tables["d_vector"] = CountTable({format_d_key(d): c for d, c in d_table.items()})

@@ -19,7 +19,7 @@ __all__ = ["PlanePermutation", "ExceedanceStats", "count_exceedances"]
 
 
 # ---------------------------------------------------------------------------
-# tuple-level helpers, shared by the class and the exhaustive sweeps
+# tuple-level helpers behind the class; the sweeps use the batched kernels below
 
 
 def _positions(word: tuple[int, ...]) -> list[int]:

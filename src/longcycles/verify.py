@@ -447,7 +447,7 @@ def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[Identity
                     "formula:by_cycle_type",
                     f"n={n} lam={format_type_key(lam_parts)}",
                     formulas.pairs_by_type(lam),
-                    oracle._pairs_by_type(n)[lam_parts],
+                    _p_seq(n, (n,), (lam_parts,)),
                 )
             )
         for alpha_parts in _compositions(n):

@@ -241,6 +241,15 @@ class TestVerify:
         assert exc.value.code == 2
         assert "PASS" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("baserecur_max_n", ["0", "-1"])
+    def test_baserecur_max_n_below_one_is_usage_error(self, capsys, baserecur_max_n):
+        # no baserecur instance would run, so the suite would pass vacuously
+        argv = ["verify", "--suite", "baserecur", "--baserecur-max-n", baserecur_max_n]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "PASS" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("suites", [(), ("--suite", "section3")])
     def test_above_the_sweep_limit_exits_4_before_any_suite(self, capsys, forbid_suites, suites):
         code = cli.main(["verify", "--max-n", "8", *suites])

@@ -1,9 +1,11 @@
 """Byte-for-byte pins on what the command line prints.
 
 ``cli_golden.json`` maps a command line to its exact standard output, for
-every ``formula`` name in every format and every ``table`` name in every
-format (an ``n`` range, ``--parts``, and grids that reach ``n <= 0`` where
-every cell is blank).  The full ``verify --format json --max-n 6`` document,
+every ``formula`` name in every format, every ``table`` name in every format
+(an ``n`` range, ``--parts``, and grids that reach ``n <= 0`` where every cell
+is blank), and every ``oracle`` sweep in every format (``pairs`` with and
+without ``--alpha``, ``diagonal`` with ``--eta`` and ``--alpha``; all with
+``--no-cache``).  The full ``verify --format json --max-n 6`` document,
 and the classic and section3 suites' document at ``--max-n 7``, are pinned by
 their sha256.
 """
@@ -25,9 +27,10 @@ VERIFY_N7_PLANE_TALLY_SHA256 = "a8b2353cd9d47df5961dd15fc897e5946c35b02cd664cce0
 
 
 def command_choices(command: str) -> list[str]:
-    """The ``name`` choices of one subcommand of the CLI parser."""
+    """The choices of the positional argument of one subcommand of the CLI
+    parser: a ``formula`` or ``table`` name, or what ``oracle`` sweeps."""
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return list(next(a for a in sub.choices[command]._actions if a.dest == "name").choices)
+    return list(next(a for a in sub.choices[command]._actions if not a.option_strings).choices)
 
 
 @pytest.mark.parametrize("line", sorted(GOLDEN))
@@ -39,7 +42,11 @@ def test_output_is_byte_identical(capsys, line):
 
 @pytest.mark.parametrize(
     "command, formats",
-    [("formula", ("text", "json", "csv", "markdown")), ("table", ("markdown", "csv", "json"))],
+    [
+        ("formula", ("text", "json", "csv", "markdown")),
+        ("table", ("markdown", "csv", "json")),
+        ("oracle", ("json", "csv", "markdown")),
+    ],
 )
 def test_every_name_and_format_is_pinned(command, formats):
     argvs = [line.split(" ") for line in GOLDEN]

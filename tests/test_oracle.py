@@ -37,8 +37,6 @@ from longcycles.oracle import (
     _fact_chunk,
     _lex_rank,
     _min_lengths,
-    _pair_counts_cache,
-    _pairs_by_type,
     _plane_codes,
     _plane_tallies,
     _sep_prefix,
@@ -102,10 +100,9 @@ class TestSweepPairs:
         with pytest.raises(ResourceLimitError):
             sweep_pairs(12, force=True)  # hard limit, force cannot unlock
 
-    def test_forced_sweep_passes_the_guard(self, monkeypatch):
+    def test_forced_sweep_passes_the_guard(self, monkeypatch, clear_pair_caches):
         monkeypatch.setattr(oracle, "PAIR_SWEEP_FREE_LIMIT", 4)
-        monkeypatch.delitem(_pair_counts_cache, 5, raising=False)
-        _pairs_by_type.cache_clear()
+        clear_pair_caches()
         with pytest.raises(ResourceLimitError):
             sweep_pairs(5)
         assert sweep_pairs(5, force=True).total == 24**2
@@ -144,6 +141,12 @@ class TestLexRank:
         parts = _fact_chunk(6, 0, 7) + _fact_chunk(6, 7, 64) + _fact_chunk(6, 64, 120)
         assert np.array_equal(parts, whole)
         assert whole.sum() == 120**2
+
+    def test_pair_counts_digest(self):
+        # pinned from the per-rank counts of the earlier sweep, summed over
+        # the products of each signature (429 rows at n = 7)
+        digest = hashlib.sha256(product_pair_counts(7).tobytes()).hexdigest()
+        assert digest == "2cf1cbbe429cfc2444e054c2afd4b77b5f2e8a34cf755af65f49a3ae6cde6352"
 
     def test_plane_codes_digest(self):
         # pinned from the per-rank counts of the earlier sweep, summed over
