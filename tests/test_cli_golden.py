@@ -3,8 +3,8 @@
 ``cli_golden.json`` maps a command line to its exact standard output, for
 every ``formula`` name in every format, every ``table`` name in every format
 (an ``n`` range, ``--parts``, and grids that reach ``n <= 0`` where every cell
-is blank), and every ``oracle`` sweep in every format (``pairs`` with and
-without ``--alpha``, ``diagonal`` with ``--eta`` and ``--alpha``; all with
+is blank), and every ``oracle`` sweep in every format (``pairs`` and
+``diagonal --eta``, each with and without ``--alpha``; all with
 ``--no-cache``).  The full ``verify --format json --max-n 6`` document,
 and the classic and section3 suites' document at ``--max-n 7``, are pinned by
 their sha256.

@@ -301,6 +301,17 @@ class TestFixedDiagonal:
         for name, table in direct.items():
             assert dict(res.tables[name].items()) == table
 
+    def test_fixed_diagonal_digest(self):
+        # every table of the sweep, with and without alpha, for every
+        # diagonal type up to n = 6
+        digest = hashlib.sha256()
+        for n in range(1, 7):
+            for eta in partitions(n):
+                D = canonical_of_type(eta)
+                for alpha in (None, *compositions(n)):
+                    digest.update(sweep_fixed_diagonal(D, alpha).to_json().encode())
+        assert digest.hexdigest() == "eb2fb58dba0f78bf361840f05abab1a63a12d01e4493398b7d0eec836fb49311"
+
     def test_separated_totals_sum_over_all_diagonals(self):
         # block tallies are not conjugation-invariant: summing the separated
         # count over every diagonal of the type recovers the pair total

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -238,6 +239,10 @@ class TestLambdaCoeff:
     def test_worked_values(self):
         assert lambda_coeff(PartitionSequence.parse("2+1"), 1, 1) == 3
         assert lambda_coeff(PartitionSequence.parse("2+2"), 1, 1) == 2
+        # two shrinkable part sizes, and a later component
+        assert lambda_coeff(PartitionSequence.parse("3+2"), 1, 2) == 10
+        assert lambda_coeff(PartitionSequence.parse("3+2"), 1, 1) == Fraction(5, 2)
+        assert lambda_coeff(PartitionSequence.parse("2+1 | 3+3"), 2, 2) == 6
 
     def test_guarded_when_part_missing(self):
         with pytest.raises(NoSuchPartError):
