@@ -9,7 +9,8 @@ cycle type is the block type for the one block alpha = (n).
 
 The fixed-diagonal sweep enumerates, for a fixed permutation D, all plane
 permutations with diagonal D (one per long cycle s, with vertical D⁻¹∘s) and
-tallies cycle types, block types, and exceedance counts.
+tallies the verticals by (block types, exceedance count), the cycle type
+again being the one-block case.
 
 Sweeps are partitioned into contiguous chunks of the first factor's index
 range; chunk tallies are merged by addition, so results are identical for any
@@ -25,6 +26,7 @@ import logging
 import math
 import os
 import tempfile
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -324,35 +326,32 @@ def count_factorizations(target: Permutation, *, force: bool = False) -> int:
 
 
 @cache
-def _diag_tallies(n: int, d_image: tuple[int, ...], alpha_parts: tuple[int, ...] | None):
-    """Tallies over the (n-1)! plane permutations with fixed diagonal.
-
-    Returns dicts keyed by cycle type, (cycle type, a), ntae count, and — when
-    alpha is given — block type and (block type, a); unseparated verticals are
-    skipped by the block tallies.
-    """
+def _diag_rows(n: int, d_image: tuple[int, ...]) -> list[tuple[tuple[int, ...], int, int]]:
+    """The distinct (row of _min_lengths, exceedance count a, count) over the
+    (n-1)! plane permutations with fixed diagonal: one per long cycle s, with
+    vertical D⁻¹∘s."""
     d_inv = np.argsort([x - 1 for x in d_image])
     verticals = d_inv[_cycle_rows(n)]  # row i: D⁻¹∘s for the i-th long cycle s
     pos = np.argsort(_cycle_words(n), axis=1)  # pos[i, x]: index of x in the word of s
     exceedances = (np.take_along_axis(pos, verticals, axis=1) > pos).sum(axis=1)
     lens = _min_lengths(verticals.T)
     rows, counts = np.unique(np.vstack([lens, exceedances]).T, axis=0, return_counts=True)
-    by_type: dict[tuple[int, ...], int] = {}
-    by_type_a: dict[tuple[tuple[int, ...], int], int] = {}
-    by_ne: dict[int, int] = {}
-    by_alpha: dict[tuple[tuple[int, ...], ...], int] = {}
-    by_alpha_a: dict[tuple[tuple[tuple[int, ...], ...], int], int] = {}
-    for (*row, a), cnt in zip(rows.tolist(), counts.tolist()):
-        lam = _cycle_type(row)
-        by_type[lam] = by_type.get(lam, 0) + cnt
-        by_type_a[(lam, a)] = by_type_a.get((lam, a), 0) + cnt
-        ne = n - len(lam) - a
-        by_ne[ne] = by_ne.get(ne, 0) + cnt
-        key = None if alpha_parts is None else _block_types(row, alpha_parts)
+    return [(tuple(row), a, cnt) for (*row, a), cnt in zip(rows.tolist(), counts.tolist())]
+
+
+@cache
+def _diag_tallies(
+    n: int, d_image: tuple[int, ...], alpha_parts: tuple[int, ...]
+) -> dict[tuple[tuple[tuple[int, ...], ...], int], int]:
+    """(block types, a) -> plane permutations with fixed diagonal whose
+    vertical is alpha-separated with those block types and has a
+    exceedances.  With alpha = (n) the keys are the cycle type, (lam,)."""
+    tally: dict[tuple[tuple[tuple[int, ...], ...], int], int] = {}
+    for lens, a, cnt in _diag_rows(n, d_image):
+        key = _block_types(lens, alpha_parts)
         if key is not None:
-            by_alpha[key] = by_alpha.get(key, 0) + cnt
-            by_alpha_a[(key, a)] = by_alpha_a.get((key, a), 0) + cnt
-    return by_type, by_type_a, by_ne, by_alpha, by_alpha_a
+            tally[key, a] = tally.get((key, a), 0) + cnt
+    return tally
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +361,6 @@ def _diag_tallies(n: int, d_image: tuple[int, ...], alpha_parts: tuple[int, ...]
 # conjugating the diagonal (conjugation scrambles the interval blocks), so
 # counts refined by block type must enumerate every diagonal of a type, not
 # one representative.  These sweeps walk all (n-1)! * n! pairs (s, pi).
-
-
-@cache
-def _type_index(n: int) -> np.ndarray:
-    """Lex rank -> index of the permutation's cycle type in _partition_list(n)."""
-    order = {parts: i for i, parts in enumerate(_partition_list(n))}
-    sig, rows = _signatures(n)
-    return np.array([order[_cycle_type(lens)] for lens in rows], dtype=np.int64)[sig]
 
 
 PLANE_SWEEP_LIMIT = 7  # (n-1)! * n! plane permutations; 3.6M at n=7
@@ -386,15 +377,17 @@ def _plane_codes(n: int) -> np.ndarray:
         )
     perms = _all_perm_rows(n)
     pinv_t = np.argsort(perms, axis=1).T  # row j: perm⁻¹(j) for every perm
-    type_idx = _type_index(n)
     sig, rows = _signatures(n)
+    type_of = np.empty(len(rows), dtype=np.int64)  # signature id -> cycle type index
+    for t, eta in enumerate(_partition_list(n)):
+        type_of[_key_rows(n, (n,))[(eta,)]] = t
     acc = np.zeros((len(_partition_list(n)), len(rows), n + 1), dtype=np.int64)
     for word, s_img in zip(_cycle_words(n), _cycle_rows(n)):
         pos = np.argsort(word)  # pos[x]: index of x in the word
         d_ranks = _lex_rank(n, s_img[pinv_t])  # diagonal s∘(perm r)⁻¹, column by column
         a = (pos[perms] > pos[None, :]).sum(axis=1)
         # many verticals share a signature, so an index repeats: += would drop counts
-        np.add.at(acc, (type_idx[d_ranks], sig, a), 1)
+        np.add.at(acc, (type_of[sig[d_ranks]], sig, a), 1)
     return acc
 
 
@@ -622,21 +615,18 @@ def sweep_fixed_diagonal(
     cached = _load_cached(cache_dir, query, total)
     if cached is not None:
         return cached
-    by_type, by_type_a, by_ne, by_alpha, by_alpha_a = _diag_tallies(
-        n, D.image, alpha.parts if alpha else None
-    )
-    tables = {
-        "cycle_type": CountTable({format_type_key(t): c for t, c in by_type.items()}),
-        "cycle_type_a": CountTable(
-            {f"{format_type_key(t)} a={a}": c for (t, a), c in by_type_a.items()}
-        ),
-        "ne": CountTable({f"ne={ne}": c for ne, c in by_ne.items()}),
-    }
+    tallies = {"cycle_type": _diag_tallies(n, D.image, (n,))}
     if alpha is not None:
-        tables["alpha_type"] = CountTable({format_seq_key(k): c for k, c in by_alpha.items()})
-        tables["alpha_type_a"] = CountTable(
-            {f"{format_seq_key(k)} a={a}": c for (k, a), c in by_alpha_a.items()}
-        )
+        tallies["alpha_type"] = _diag_tallies(n, D.image, alpha.parts)
+    counts: dict[str, Counter[str]] = {"ne": Counter()}
+    for ((lam,), a), cnt in tallies["cycle_type"].items():
+        counts["ne"][f"ne={n - len(lam) - a}"] += cnt
+    for name, tally in tallies.items():
+        counts[name], counts[f"{name}_a"] = Counter(), Counter()
+        for (key, a), cnt in tally.items():
+            counts[name][format_seq_key(key)] += cnt
+            counts[f"{name}_a"][f"{format_seq_key(key)} a={a}"] = cnt
+    tables = {name: CountTable(table) for name, table in counts.items()}
     result = OracleResult(n=n, query=query, tables=tables, total=total)
     _store_cached(cache_dir, result)
     return result

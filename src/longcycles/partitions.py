@@ -31,7 +31,6 @@ __all__ = [
     "refinement_targets",
     "refinement_targets_seq",
     "odd_refinements",
-    "odd_refinements_seq",
     "lambda_coeff",
     "stirling_first",
     "separated_stirling",
@@ -172,13 +171,6 @@ class IntegerPartition:
         if part_size not in self.parts:
             raise NoSuchPartError(f"no part of size {part_size} in {self}")
         return IntegerPartition(_down_arrow(self.parts, part_size))
-
-    @classmethod
-    def from_multiplicities(cls, m: dict[int, int]) -> "IntegerPartition":
-        parts: list[int] = []
-        for i, cnt in m.items():
-            parts.extend([i] * cnt)
-        return cls(tuple(parts))
 
     @classmethod
     def parse(cls, text: str) -> "IntegerPartition":
@@ -420,16 +412,16 @@ def odd_refinements(lam: IntegerPartition) -> Iterator[tuple[IntegerPartition, i
 @cache
 def _odd_refinements_seq(
     seq_key: tuple[tuple[int, ...], ...],
-) -> tuple[tuple[int, tuple[tuple[int, ...], ...], int], ...]:
+) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
     """Component-wise odd splits of a partition sequence.
 
-    Yields (component index 0-based, new sequence key, kappa); the merging
-    count of a sequence pair equals that of the one component they differ in.
+    Yields (new sequence key, kappa); the merging count of a sequence pair
+    equals that of the one component they differ in.
     """
     out = []
     for i, comp in enumerate(seq_key):
         for mu, kap in _odd_refinements(comp):
-            out.append((i, seq_key[:i] + (mu,) + seq_key[i + 1 :], kap))
+            out.append((seq_key[:i] + (mu,) + seq_key[i + 1 :], kap))
     return tuple(out)
 
 
@@ -444,17 +436,34 @@ def refinement_targets_seq(seq: PartitionSequence, k: int) -> Iterator[tuple[Par
             yield PartitionSequence(seq.alpha, comps), kap
 
 
-def odd_refinements_seq(seq: PartitionSequence) -> Iterator[tuple[PartitionSequence, int]]:
-    for i, key, kap in _odd_refinements_seq(seq.key()):
-        comps = tuple(IntegerPartition(parts) for parts in key)
-        yield PartitionSequence(seq.alpha, comps), kap
+# ---------------------------------------------------------------------------
+# the down-arrow step
+
+
+def _shrink_steps(
+    alpha_parts: tuple[int, ...], key: tuple[tuple[int, ...], ...]
+) -> Iterator[tuple[int, int, Fraction, tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """The down-arrow steps of block types ``key`` over ``alpha_parts``: for
+    each block i0 and each distinct part size >= 2 in it, largest first,
+    (i0, part, coeff, a2, key2) with coeff = (alpha_i0 / 2) (part-1) times the
+    number of (part-1)-parts after one part shrinks, and a2, key2 the
+    composition and block types one element smaller."""
+    for i0, comp in enumerate(key):
+        a2 = alpha_parts[:i0] + (alpha_parts[i0] - 1,) + alpha_parts[i0 + 1 :]
+        for part in sorted(set(comp), reverse=True):
+            if part < 2:
+                continue
+            shrunk = _down_arrow(comp, part)
+            coeff = Fraction(alpha_parts[i0], 2) * (part - 1) * shrunk.count(part - 1)
+            yield i0, part, coeff, a2, key[:i0] + (shrunk,) + key[i0 + 1 :]
 
 
 def lambda_coeff(seq: PartitionSequence, i: int, j: int) -> Fraction:
     """Weight attached to shrinking a (j+1)-part of component i (1-based):
     (alpha_i / 2) * j * m_j of the shrunk component."""
-    shrunk = seq.components[i - 1].down_arrow(j + 1)
-    return Fraction(seq.alpha.parts[i - 1], 2) * j * shrunk.multiplicity(j)
+    seq.down_arrow(i, j + 1)  # raises as down_arrow does for a bad i or j
+    steps = _shrink_steps(seq.alpha.parts, seq.key())
+    return next(coeff for i0, part, coeff, _a2, _key2 in steps if (i0, part) == (i - 1, j + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -15,35 +15,22 @@ import numpy as np
 
 from .permutations import Permutation, compose
 
-__all__ = ["PlanePermutation", "ExceedanceStats", "count_exceedances"]
+__all__ = ["PlanePermutation", "ExceedanceStats"]
 
 
 # ---------------------------------------------------------------------------
 # tuple-level helpers behind the class; the sweeps use the batched kernels below
 
 
-def _positions(word: tuple[int, ...]) -> list[int]:
-    """pos[x] = index of x in the word (pos[0] unused)."""
-    pos = [0] * (len(word) + 1)
-    for idx, x in enumerate(word):
-        pos[x] = idx
-    return pos
-
-
-def count_exceedances(word: tuple[int, ...], pi_image: tuple[int, ...]) -> int:
-    """Number of elements x with x strictly before pi(x) in the word order."""
-    pos = _positions(word)
-    return sum(1 for x in range(1, len(word) + 1) if pos[pi_image[x - 1]] > pos[x])
-
-
 def _classify(word: tuple[int, ...], pi_image: tuple[int, ...]):
     """(exceedances, anti-exceedances, trivial anti-exceedances) as sets.
 
-    Each cycle of pi contributes one trivial anti-exceedance: the preimage of
-    its word-order minimum.
+    An exceedance is an x strictly before pi(x) in the word order.  Each cycle
+    of pi contributes one trivial anti-exceedance: the preimage of its
+    word-order minimum.
     """
     n = len(word)
-    pos = _positions(word)
+    pos = {x: idx for idx, x in enumerate(word)}  # index of x in the word
     exc, anti = set(), set()
     for x in range(1, n + 1):
         if pos[pi_image[x - 1]] > pos[x]:
@@ -215,7 +202,7 @@ class PlanePermutation:
         )
 
     def exceedance_count(self) -> int:
-        return count_exceedances(self.s, self.pi.image)
+        return len(_classify(self.s, self.pi.image)[0])
 
     def ntae_count(self) -> int:
         """Always equals n - (number of cycles of pi) - exceedance_count()."""

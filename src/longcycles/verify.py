@@ -46,11 +46,11 @@ from .partitions import (
     Composition,
     IntegerPartition,
     _compositions,
-    _down_arrow,
     _odd_refinements,
     _odd_refinements_seq,
     _partition_list,
     _partition_sequence_keys,
+    _shrink_steps,
     _z_seq,
     format_d_key,
     format_seq_key,
@@ -143,15 +143,7 @@ def _p_seq(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int:
 
 def _p_refined(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int:
     """sum of kappa * _p_seq over the odd refinements of the block types key."""
-    return sum(kap * _p_seq(n, alpha_parts, k2) for _i, k2, kap in _odd_refinements_seq(key))
-
-
-def _p_d(n: int, alpha_parts: tuple[int, ...], d: tuple[int, ...]) -> int:
-    return oracle._pairs_alpha_tables(n, alpha_parts)[0].get(d, 0)
-
-
-def _p_sep_total(n: int, alpha_parts: tuple[int, ...]) -> int:
-    return oracle._pairs_alpha_tables(n, alpha_parts)[2]
+    return sum(kap * _p_seq(n, alpha_parts, k2) for k2, kap in _odd_refinements_seq(key))
 
 
 # ---------------------------------------------------------------------------
@@ -162,31 +154,9 @@ def _seq_len(key: SeqKey) -> int:
     return sum(len(c) for c in key)
 
 
-def _seq_m(key: SeqKey, i: int) -> int:
-    return sum(c.count(i) for c in key)
-
-
 def _weight_sum(key: SeqKey) -> int:
     """sum over i >= 1 of (i+1) * m_{i+1}: the total size of parts >= 2."""
     return sum(p for c in key for p in c if p >= 2)
-
-
-def _shrink_steps(
-    alpha_parts: tuple[int, ...], key: SeqKey
-) -> Iterator[tuple[int, int, Fraction, tuple[int, ...], SeqKey]]:
-    """The down-arrow steps of block types ``key`` over ``alpha_parts``: for
-    each block i0 and each distinct part size >= 2 in it, largest first,
-    (i0, part, coeff, a2, key2) with coeff = (alpha_i0 / 2) (part-1) times the
-    number of (part-1)-parts after one part shrinks, and a2, key2 the
-    composition and block types one element smaller."""
-    for i0, comp in enumerate(key):
-        a2 = alpha_parts[:i0] + (alpha_parts[i0] - 1,) + alpha_parts[i0 + 1 :]
-        for part in sorted(set(comp), reverse=True):
-            if part < 2:
-                continue
-            shrunk = _down_arrow(comp, part)
-            coeff = Fraction(alpha_parts[i0], 2) * (part - 1) * shrunk.count(part - 1)
-            yield i0, part, coeff, a2, key[:i0] + (shrunk,) + key[i0 + 1 :]
 
 
 def _block_shrinks(beta: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -219,7 +189,7 @@ def _split_exceedance(
     """The exceedance-weighted split recurrence for diagonal cycle type eta."""
     by_key = oracle._plane_tallies(n, alpha_parts)[eta]
     lhs = sum((n - _seq_len(key) - a) * cnt for a, cnt in enumerate(by_key.get(key, ())))
-    rhs = sum(kap * _plane_count(by_key, k2) for _i, k2, kap in _odd_refinements_seq(key))
+    rhs = sum(kap * _plane_count(by_key, k2) for k2, kap in _odd_refinements_seq(key))
     return lhs, rhs
 
 
@@ -302,16 +272,16 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
             # total exceedances over all diagonals, two evaluations
             total_exc = sum(a * cnt for eta in etas for a, cnt in enumerate(by_eta[eta].get(key, ())))
             balance = (n - _seq_len(key)) * fact_n1 * z_key
-            balance -= fact_n1 * sum(kap * _z_seq(k2) for _i, k2, kap in _odd_refinements_seq(key))
+            balance -= fact_n1 * sum(kap * _z_seq(k2) for k2, kap in _odd_refinements_seq(key))
             reports.append(IdentityReport("total_exceedance_balance", base, total_exc, balance))
-            direct = Fraction(n - _seq_m(key, 1), 2) * fact_n1 * z_key
+            direct = Fraction(n - sum(c.count(1) for c in key), 2) * fact_n1 * z_key
             reports.append(IdentityReport("total_exceedance_count", base, total_exc, direct))
         # weighted part-shrinking identities: block types one element up
         for alpha_parts, key in _alpha_instances(n + 1):
             base = f"n={n} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
             refs = _odd_refinements_seq(key)
             z_key = _z_seq(key)
-            t_refined = sum(kap * _T(n, alpha_parts, k2) for _i, k2, kap in refs)
+            t_refined = sum(kap * _T(n, alpha_parts, k2) for k2, kap in refs)
             if (_seq_len(key) - n) % 2 == 0:
                 for i0, part, coeff, a2, key2 in _shrink_steps(alpha_parts, key):
                     inst = f"{base} i={i0 + 1} j={part - 1}"
@@ -346,7 +316,7 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
         inst_total = f"n={n} beta={format_d_key(beta)}"
         shrinks = list(_block_shrinks(beta))
         if max(beta) >= 2:
-            lhs_tot = sum(coeff * _p_sep_total(n, b2) for coeff, b2 in shrinks)
+            lhs_tot = sum(coeff * oracle._pairs_alpha_tables(n, b2)[2] for coeff, b2 in shrinks)
             rhs_tot = Fraction(fact_n1, 2)
             for b in beta:
                 rhs_tot *= math.factorial(b)
@@ -358,7 +328,7 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
             rhs = fact_n1
             for b, di in zip(beta, d):
                 rhs *= stirling_first(b, di)
-            lhs = sum(coeff * _p_d(n, b2, d) for coeff, b2 in shrinks)
+            lhs = sum(coeff * oracle._pairs_alpha_tables(n, b2)[0].get(d, 0) for coeff, b2 in shrinks)
             reports.append(IdentityReport("block_deletion_d[oracle]", inst, lhs, rhs))
             lhs = sum(coeff * formulas.separating_by_d(Composition(b2), d) for coeff, b2 in shrinks)
             reports.append(IdentityReport("block_deletion_d[formula]", inst, lhs, rhs))
@@ -377,7 +347,7 @@ def baserecur_reports(max_n: int = 12) -> list[IdentityReport]:
         for alpha_parts, key in _alpha_instances(total):
             z_key = _z_seq(key)
             lhs = (total - _seq_len(key)) * z_key
-            rhs = sum(kap * _z_seq(k2) for _i, k2, kap in _odd_refinements_seq(key))
+            rhs = sum(kap * _z_seq(k2) for k2, kap in _odd_refinements_seq(key))
             rhs += Fraction(z_key, 2) * _weight_sum(key)
             inst = f"N={total} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
             reports.append(IdentityReport("length_weight_base", inst, lhs, rhs))
@@ -457,7 +427,7 @@ def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[Identity
                     "formula:separated_total",
                     f"n={n} alpha={format_d_key(alpha_parts)}",
                     formulas.separating_total(alpha),
-                    _p_sep_total(n, alpha_parts),
+                    oracle._pairs_alpha_tables(n, alpha_parts)[2],
                 )
             )
             for d in itertools.product(*(range(1, p + 1) for p in alpha_parts)):
@@ -466,7 +436,7 @@ def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[Identity
                         "formula:separated_by_alpha_d",
                         f"n={n} alpha={format_d_key(alpha_parts)} d={format_d_key(d)}",
                         formulas.separating_by_d(alpha, d),
-                        _p_d(n, alpha_parts, d),
+                        oracle._pairs_alpha_tables(n, alpha_parts)[0].get(d, 0),
                     )
                 )
         for m in range(1, n + 1):
@@ -529,7 +499,7 @@ def parity_audit(max_n: int = 6) -> list[ParityAuditRecord]:
                         "separated_by_alpha_d",
                         f"n={n} alpha={format_d_key(alpha_parts)} d={format_d_key(d)}",
                         formulas.separating_by_d_raw(alpha, d),
-                        _p_d(n, alpha_parts, d),
+                        oracle._pairs_alpha_tables(n, alpha_parts)[0].get(d, 0),
                     )
                 )
     return records

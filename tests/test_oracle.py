@@ -312,6 +312,11 @@ class TestFixedDiagonal:
                     digest.update(sweep_fixed_diagonal(D, alpha).to_json().encode())
         assert digest.hexdigest() == "eb2fb58dba0f78bf361840f05abab1a63a12d01e4493398b7d0eec836fb49311"
 
+    def test_guard_above_the_hard_limit(self):
+        D = canonical_of_type(P((oracle.HARD_LIMIT + 1,)))
+        with pytest.raises(ResourceLimitError, match="fixed-diagonal"):
+            sweep_fixed_diagonal(D)
+
     def test_separated_totals_sum_over_all_diagonals(self):
         # block tallies are not conjugation-invariant: summing the separated
         # count over every diagonal of the type recovers the pair total

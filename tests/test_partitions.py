@@ -248,6 +248,12 @@ class TestLambdaCoeff:
         with pytest.raises(NoSuchPartError):
             lambda_coeff(PartitionSequence.parse("3"), 1, 1)
 
+    @pytest.mark.parametrize("i, j", [(0, 1), (-1, 2), (3, 1)])
+    def test_component_index_out_of_range(self, i, j):
+        # 0 and -1 must not wrap around to the last components
+        with pytest.raises(IndexError):
+            lambda_coeff(PartitionSequence.parse("3 | 2"), i, j)
+
 
 class TestStirling:
     def test_diagonal(self):

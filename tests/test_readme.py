@@ -1,5 +1,7 @@
-"""README's CLI section must match what the command line does."""
+"""README's quick tour must run as written, and its CLI section must match
+what the command line does."""
 
+import doctest
 import re
 import shlex
 from pathlib import Path
@@ -14,6 +16,16 @@ CLI_BLOCK = README.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```",
 EXAMPLES = [
     tuple(part.strip() for part in line.split("# ->")) for line in CLI_BLOCK.splitlines() if "# ->" in line
 ]
+
+TOUR = README.split("\n## Library quick tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_the_quick_tour_runs_as_a_doctest():
+    test = doctest.DocTestParser().get_doctest(TOUR, {}, "quick tour", "README.md", 0)
+    report = []
+    failed, attempted = doctest.DocTestRunner().run(test, out=report.append)
+    assert attempted >= 5
+    assert failed == 0, "".join(report)
 
 
 def test_formula_names_match_the_cli():
