@@ -176,7 +176,8 @@ def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             print(f"### {name}\n")
             print("| key | value |\n| --- | --- |")
             for key, value in table.items():
-                print(f"| {key} | {value} |")
+                cell = key.replace("|", "\\|")  # block-type keys read "2+1 | 3"
+                print(f"| {cell} | {value} |")
             print()
         print(f"total: {result.total}")
     else:

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import pytest
 
@@ -207,6 +208,22 @@ class TestOracle:
         assert code == 0
         doc = json.loads(out)
         assert doc["total"] == "6"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pairs", "--n", "4", "--alpha", "2,1,1"],
+            ["diagonal", "--n", "6", "--eta", "3+2+1", "--alpha", "2,4"],
+        ],
+    )
+    def test_markdown_rows_have_two_cells(self, capsys, argv):
+        code, out = run(capsys, "oracle", *argv, "--no-cache", "--format", "markdown")
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("|")]
+        assert any(r"\|" in row for row in rows)
+        for row in rows:
+            # the cells between the outer bars, split on bars that are not escaped
+            assert len(re.split(r"(?<!\\)\|", row[1:-1])) == 2, row
 
 
 class TestVerify:
