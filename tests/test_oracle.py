@@ -14,6 +14,7 @@ from longcycles import (
     ResourceLimitError,
     alpha_type,
     canonical_of_type,
+    compose,
     compositions,
     count_factorizations,
     cycle_type,
@@ -212,6 +213,14 @@ class TestCountFactorizations:
     def test_identity_target(self):
         for n in range(1, 7):
             assert count_factorizations(Permutation.identity(n)) == math.factorial(n - 1)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_target_against_the_scalar_reference(self, n):
+        cycles = list(long_cycle_iter(n))
+        for image in itertools.permutations(range(1, n + 1)):
+            p = Permutation(image)
+            expected = sum(compose(c1.inverse(), p).is_long_cycle() for c1 in cycles)
+            assert count_factorizations(p) == expected
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_conjugation_invariance(self, n):

@@ -1,8 +1,9 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
-from longcycles import cli, oracle, verify
+from longcycles import Permutation, cli, compose, long_cycle_iter, oracle, verify
 from longcycles.errors import ResourceLimitError
 from longcycles.verify import IdentityReport, ParityAuditRecord, VerifyRun
 
@@ -90,6 +91,15 @@ class TestSuites:
         ]
         assert len(reports) == 1
         assert reports[0].lhs == reports[0].rhs == 3
+
+
+class TestZagierOracle:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_against_the_scalar_reference(self, n):
+        rotation = Permutation.from_cycle_word(range(1, n + 1))
+        expected = Counter(compose(rotation, s).cycle_count for s in long_cycle_iter(n))
+        for k in range(n + 2):
+            assert verify._zagier_oracle(n).get(k, 0) == expected[k]
 
 
 class TestParityAudit:
