@@ -148,6 +148,8 @@ def _run_formula(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.threads < 1:
+        parser.error("--threads must be >= 1")
     cache_dir = None if args.no_cache else (args.cache_dir or oracle.default_cache_dir())
     if args.what == "pairs":
         if args.eta is not None:
@@ -194,6 +196,8 @@ def _run_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error("--max-n must be >= 2")
     if args.baserecur_max_n < 1:
         parser.error("--baserecur-max-n must be >= 1")
+    if args.threads < 1:
+        parser.error("--threads must be >= 1")
     suites = tuple(args.suite) if args.suite else verify.SUITES
     run = verify.run_suites(
         suites,

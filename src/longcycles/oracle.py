@@ -10,7 +10,8 @@ cycle type is the block type for the one block alpha = (n).
 The fixed-diagonal sweep enumerates, for a fixed permutation D, all plane
 permutations with diagonal D (one per long cycle s, with vertical D⁻¹∘s) and
 tallies the verticals by (block types, exceedance count), the cycle type
-again being the one-block case.
+again being the one-block case.  The factorizations c1∘c2 = D into long
+cycles are its arrays with s = c1 whose vertical, c2⁻¹, is a long cycle.
 
 Sweeps are partitioned into contiguous chunks of the first factor's index
 range; chunk tallies are merged by addition, so results are identical for any
@@ -56,7 +57,9 @@ __all__ = [
 ]
 
 PAIR_SWEEP_FREE_LIMIT = 8  # beyond this, sweep_pairs requires force=True
-HARD_LIMIT = 9  # never enumerated past this, force or not
+HARD_LIMIT = 9  # the pair sweep never runs past this; the fixed-diagonal sweep needs force past it
+DIAG_SWEEP_HARD_LIMIT = 10  # the fixed-diagonal sweep never runs past this: ~300 MB at n=10, x n per step
+PLANE_SWEEP_LIMIT = 7  # (n-1)! * n! plane permutations; 3.6M at n=7
 
 _ENV_CACHE_DIR = "LONGCYCLES_CACHE_DIR"
 
@@ -70,28 +73,16 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "longcycles"
 
 
-def _require_pairs_scale(n: int, force: bool) -> None:
+def _require_scale(what: str, n: int, free: int, hard: int, force: bool) -> None:
+    """The size guard of every sweep: the sweep named ``what`` runs freely up
+    to n = free, needs force up to n = hard, and never runs past it."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > HARD_LIMIT:
+    if n > hard:
+        raise ResourceLimitError(f"{what} at n={n} is past its hard limit, n={hard}")
+    if n > free and not force:
         raise ResourceLimitError(
-            f"pair sweep at n={n} would enumerate {math.factorial(n - 1) ** 2} pairs; "
-            f"the hard limit is n={HARD_LIMIT}"
-        )
-    if n > PAIR_SWEEP_FREE_LIMIT and not force:
-        raise ResourceLimitError(
-            f"pair sweep at n={n} exceeds the guard (n={PAIR_SWEEP_FREE_LIMIT}); "
-            "pass force=True / --force to run it anyway"
-        )
-
-
-def _require_diag_scale(n: int, force: bool) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > HARD_LIMIT and not force:
-        raise ResourceLimitError(
-            f"fixed-diagonal sweep at n={n} exceeds the guard (n={HARD_LIMIT}); "
-            "pass force=True / --force to run it anyway"
+            f"{what} at n={n} exceeds the guard (n={free}); pass force=True / --force to run it anyway"
         )
 
 
@@ -257,7 +248,7 @@ _pair_counts_cache: dict[int, np.ndarray] = {}
 def product_pair_counts(n: int, workers: int = 1, force: bool = False) -> np.ndarray:
     # the guard limits work, so counts already computed under force are served
     if n not in _pair_counts_cache:
-        _require_pairs_scale(n, force)
+        _require_scale("pair sweep", n, PAIR_SWEEP_FREE_LIMIT, HARD_LIMIT, force)
         _pair_counts_cache[n] = _compute_pair_counts(n, workers)
     return _pair_counts_cache[n]
 
@@ -311,16 +302,6 @@ def expected_k_cycles(n: int, k: int, *, workers: int = 1, force: bool = False) 
     return Fraction(hits, math.factorial(n - 1) ** 2)
 
 
-def count_factorizations(target: Permutation, *, force: bool = False) -> int:
-    """Ordered pairs (c1, c2) of long cycles with c1∘c2 equal to the fixed
-    target, by enumerating c1 and testing c2 = c1⁻¹∘target."""
-    n = target.n
-    _require_diag_scale(n, force)
-    c1_inv = np.argsort(_cycle_rows(n), axis=1)
-    lens = _min_lengths(c1_inv[:, [x - 1 for x in target.image]].T)
-    return int((lens[0] == n).sum())
-
-
 # ---------------------------------------------------------------------------
 # fixed-diagonal sweep
 
@@ -354,6 +335,15 @@ def _diag_tallies(
     return tally
 
 
+def count_factorizations(target: Permutation, *, force: bool = False) -> int:
+    """Ordered pairs (c1, c2) of long cycles with c1∘c2 equal to the fixed
+    target: the plane permutations with diagonal target whose vertical,
+    target⁻¹∘c1 = c2⁻¹, is a long cycle — one per pair, none by conjugacy."""
+    n = target.n
+    _require_scale("fixed-diagonal sweep", n, HARD_LIMIT, DIAG_SWEEP_HARD_LIMIT, force)
+    return sum(cnt for (key, _a), cnt in _diag_tallies(n, target.image, (n,)).items() if key == ((n,),))
+
+
 # ---------------------------------------------------------------------------
 # full plane-permutation tallies, keyed by the diagonal's cycle type
 #
@@ -363,18 +353,11 @@ def _diag_tallies(
 # one representative.  These sweeps walk all (n-1)! * n! pairs (s, pi).
 
 
-PLANE_SWEEP_LIMIT = 7  # (n-1)! * n! plane permutations; 3.6M at n=7
-
-
 @cache
 def _plane_codes(n: int) -> np.ndarray:
     """Counts over all plane permutations (s, pi), indexed by
     (diagonal type index, signature id of the vertical, exceedance count)."""
-    if n > PLANE_SWEEP_LIMIT:
-        raise ResourceLimitError(
-            f"full plane-permutation sweep at n={n} would enumerate "
-            f"{math.factorial(n - 1) * math.factorial(n)} arrays; the limit is n={PLANE_SWEEP_LIMIT}"
-        )
+    _require_scale("full plane-permutation sweep", n, PLANE_SWEEP_LIMIT, PLANE_SWEEP_LIMIT, False)
     perms = _all_perm_rows(n)
     pinv_t = np.argsort(perms, axis=1).T  # row j: perm⁻¹(j) for every perm
     sig, rows = _signatures(n)
@@ -567,7 +550,7 @@ def sweep_pairs(
     block-separated products by their d-vector and by their per-block cycle
     types.  The grand total is ((n-1)!)^2.
     """
-    _require_pairs_scale(n, force)
+    _require_scale("pair sweep", n, PAIR_SWEEP_FREE_LIMIT, HARD_LIMIT, force)
     if alpha is not None and alpha.n != n:
         raise ValueError(f"composition {alpha} is not a composition of {n}")
     query = {"kind": "pairs", "n": n, "alpha": str(alpha) if alpha else None}
@@ -602,7 +585,7 @@ def sweep_fixed_diagonal(
     (block type, exceedance count).  The grand total is (n-1)!.
     """
     n = D.n
-    _require_diag_scale(n, force)
+    _require_scale("fixed-diagonal sweep", n, HARD_LIMIT, DIAG_SWEEP_HARD_LIMIT, force)
     if alpha is not None and alpha.n != n:
         raise ValueError(f"composition {alpha} is not a composition of {n}")
     query = {

@@ -360,9 +360,12 @@ def baserecur_reports(max_n: int = 12) -> list[IdentityReport]:
 
 @cache
 def _zagier_oracle(n: int) -> dict[int, int]:
-    """#{long cycles s : (1 2 ... n) ∘ s has k cycles}, by direct enumeration."""
-    products = (oracle._cycle_rows(n) + 1) % n  # x -> s(x) + 1, taken mod n
-    return dict(enumerate(np.bincount(plane._cycle_counts(products.T)).tolist()))
+    """#{long cycles s : (1 2 ... n) ∘ s has k cycles}: the fixed-diagonal
+    tally at D = (1 2 ... n)⁻¹, whose verticals D⁻¹∘s are these products."""
+    counts: dict[int, int] = {}
+    for ((lam,), _a), cnt in oracle._diag_tallies(n, (n, *range(1, n)), (n,)).items():
+        counts[len(lam)] = counts.get(len(lam), 0) + cnt
+    return counts
 
 
 def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[IdentityReport]:

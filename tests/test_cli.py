@@ -152,6 +152,23 @@ class TestOracle:
         assert code == 4
         assert "resource limit" in capsys.readouterr().err
 
+    def test_diagonal_past_its_hard_limit_exits_4(self, capsys):
+        code = cli.main(["oracle", "diagonal", "--n", "11", "--force", "--no-cache"])
+        assert code == 4
+        assert "fixed-diagonal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["oracle", "pairs", "--n", "4", "--no-cache"], ["verify", "--max-n", "3", "--suite", "formulas"]],
+    )
+    def test_threads_below_one_is_usage_error(self, capsys, argv, threads):
+        # the pair sweep would clamp them to one worker and run
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--threads", threads])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_threads_do_not_change_output(self, capsys, clear_pair_caches):
         outputs = []
         for threads in ("1", "2"):

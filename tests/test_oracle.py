@@ -114,8 +114,6 @@ class TestSweepPairs:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_counts_match_direct_enumeration(self, n):
-        from longcycles import compose
-
         direct = {}
         for a in long_cycle_iter(n):
             for b in long_cycle_iter(n):
@@ -325,6 +323,16 @@ class TestFixedDiagonal:
         D = canonical_of_type(P((oracle.HARD_LIMIT + 1,)))
         with pytest.raises(ResourceLimitError, match="fixed-diagonal"):
             sweep_fixed_diagonal(D)
+
+    @pytest.mark.parametrize("sweep", [sweep_fixed_diagonal, count_factorizations])
+    def test_force_stops_at_the_diagonal_hard_limit(self, monkeypatch, sweep):
+        def never(n):
+            raise AssertionError("long cycles listed above the fixed-diagonal hard limit")
+
+        monkeypatch.setattr(oracle, "_cycle_rows", never)
+        D = canonical_of_type(P((oracle.DIAG_SWEEP_HARD_LIMIT + 1,)))
+        with pytest.raises(ResourceLimitError, match="fixed-diagonal"):
+            sweep(D, force=True)
 
     def test_separated_totals_sum_over_all_diagonals(self):
         # block tallies are not conjugation-invariant: summing the separated
