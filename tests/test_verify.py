@@ -1,10 +1,12 @@
 import hashlib
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from longcycles import Permutation, cli, compose, long_cycle_iter, oracle, verify
 from longcycles.errors import ResourceLimitError
+from longcycles.partitions import _odd_refinements_seq, _z_seq, format_d_key, format_seq_key
 from longcycles.verify import IdentityReport, ParityAuditRecord, VerifyRun
 
 # suite -> (its function, the largest max_n it can finish at)
@@ -91,6 +93,21 @@ class TestSuites:
         ]
         assert len(reports) == 1
         assert reports[0].lhs == reports[0].rhs == 3
+
+
+class TestBaserecurSecondRoute:
+    def test_both_sides_the_whole_key_way(self):
+        # every instance recomputed from its whole block-type key: the odd
+        # splits of the sequence, its z and its weight
+        instances = [(total, *inst) for total in range(1, 10) for inst in verify._alpha_instances(total)]
+        reports = verify.baserecur_reports(9)
+        assert len(reports) == len(instances)
+        for report, (total, alpha, key) in zip(reports, instances):
+            assert report.instance == f"N={total} alpha={format_d_key(alpha)} Lam={format_seq_key(key)}"
+            assert report.lhs == (total - verify._seq_len(key)) * _z_seq(key)
+            rhs = sum(kap * _z_seq(k2) for k2, kap in _odd_refinements_seq(key))
+            rhs += Fraction(_z_seq(key), 2) * verify._weight_sum(key)
+            assert report.rhs == rhs
 
 
 class TestZagierOracle:
