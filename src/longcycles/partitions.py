@@ -402,6 +402,23 @@ def _odd_refinements(lam_parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...],
     return tuple(sorted(acc.items(), reverse=True))
 
 
+@cache
+def _block_pieces(p: int) -> dict[tuple[int, ...], tuple[str, int, int, int, int]]:
+    """Per partition c of p, in _partition_list order: (its key text, z(c), S(c) =
+    sum of kappa * z(mu) over its odd splits mu, the size of its parts >= 2, len(c))."""
+    return {
+        c: (format_type_key(c), _z(c), sum(k * _z(mu) for mu, k in _odd_refinements(c)),
+            sum(c) - c.count(1), len(c))
+        for c in _partition_list(p)
+    }
+
+
+def _odd_split_z(blocks: Iterable[tuple[str, int, int, int, int]], z_key: int) -> int:
+    """sum of kappa * z over the odd splits of one block of block types with
+    these pieces and this z: sum_i S(c_i) z / z(c_i)."""
+    return sum(s * (z_key // z) for _text, z, s, _w, _len in blocks)
+
+
 def odd_refinements(lam: IntegerPartition) -> Iterator[tuple[IntegerPartition, int]]:
     """All (mu, kappa) with mu a split of one part of lam into an odd number
     (at least 3) of parts."""

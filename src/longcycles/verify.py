@@ -45,9 +45,11 @@ from .formulas import _value_str
 from .partitions import (
     Composition,
     IntegerPartition,
+    _block_pieces,
     _compositions,
     _odd_refinements,
     _odd_refinements_seq,
+    _odd_split_z,
     _partition_list,
     _partition_sequence_keys,
     _shrink_steps,
@@ -152,11 +154,6 @@ def _p_refined(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int:
 
 def _seq_len(key: SeqKey) -> int:
     return sum(len(c) for c in key)
-
-
-def _weight_sum(key: SeqKey) -> int:
-    """sum over i >= 1 of (i+1) * m_{i+1}: the total size of parts >= 2."""
-    return sum(p for c in key for p in c if p >= 2)
 
 
 def _block_shrinks(beta: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -272,7 +269,8 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
             # total exceedances over all diagonals, two evaluations
             total_exc = sum(a * cnt for eta in etas for a, cnt in enumerate(by_eta[eta].get(key, ())))
             balance = (n - _seq_len(key)) * fact_n1 * z_key
-            balance -= fact_n1 * sum(kap * _z_seq(k2) for k2, kap in _odd_refinements_seq(key))
+            blocks = [_block_pieces(p)[c] for p, c in zip(alpha_parts, key)]
+            balance -= fact_n1 * _odd_split_z(blocks, z_key)
             reports.append(IdentityReport("total_exceedance_balance", base, total_exc, balance))
             direct = Fraction(n - sum(c.count(1) for c in key), 2) * fact_n1 * z_key
             reports.append(IdentityReport("total_exceedance_count", base, total_exc, direct))
@@ -291,7 +289,8 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
                     reports.append(IdentityReport("downarrow_step", inst, lhs, rhs))
                 t_key = _T(n, alpha_parts, key)
                 lhs_rec = (n + 1 - _seq_len(key)) * t_key
-                rhs_rec = t_refined + Fraction(fact_n1 * z_key, 2) * _weight_sum(key)
+                weight = sum(_block_pieces(p)[c][3] for p, c in zip(alpha_parts, key))
+                rhs_rec = t_refined + Fraction(fact_n1 * z_key, 2) * weight
                 reports.append(IdentityReport("weighted_sum_recurrence", base, lhs_rec, rhs_rec))
                 reports.append(IdentityReport("weighted_sum_value", base, t_key, fact_n1 * z_key))
             # the exchange identity holds without the parity hypothesis
@@ -344,13 +343,15 @@ def baserecur_reports(max_n: int = 12) -> list[IdentityReport]:
     oracle-free: both sides are partition algebra."""
     reports: list[IdentityReport] = []
     for total in range(1, max_n + 1):
-        for alpha_parts, key in _alpha_instances(total):
-            z_key = _z_seq(key)
-            lhs = (total - _seq_len(key)) * z_key
-            rhs = sum(kap * _z_seq(k2) for k2, kap in _odd_refinements_seq(key))
-            rhs += Fraction(z_key, 2) * _weight_sum(key)
-            inst = f"N={total} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
-            reports.append(IdentityReport("length_weight_base", inst, lhs, rhs))
+        for alpha_parts in _compositions(total):
+            prefix = f"N={total} alpha={format_d_key(alpha_parts)} Lam="
+            for blocks in itertools.product(*(_block_pieces(p).values() for p in alpha_parts)):
+                texts, zs, _s, ws, lens = zip(*blocks)
+                z_key = math.prod(zs)
+                lhs = (total - sum(lens)) * z_key
+                twice = 2 * _odd_split_z(blocks, z_key) + z_key * sum(ws)
+                rhs = twice // 2 if twice % 2 == 0 else Fraction(twice, 2)
+                reports.append(IdentityReport("length_weight_base", prefix + " | ".join(texts), lhs, rhs))
     return reports
 
 

@@ -4,9 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from longcycles import Permutation, cli, compose, long_cycle_iter, oracle, verify
+from longcycles import (
+    IntegerPartition,
+    Permutation,
+    cli,
+    compose,
+    long_cycle_iter,
+    odd_refinements,
+    oracle,
+    partitions,
+    verify,
+    z_of,
+)
 from longcycles.errors import ResourceLimitError
-from longcycles.partitions import _odd_refinements_seq, _z_seq, format_d_key, format_seq_key
+from longcycles.partitions import _block_pieces, _odd_refinements_seq, _z_seq, format_d_key, format_seq_key
 from longcycles.verify import IdentityReport, ParityAuditRecord, VerifyRun
 
 # suite -> (its function, the largest max_n it can finish at)
@@ -106,8 +117,31 @@ class TestBaserecurSecondRoute:
             assert report.instance == f"N={total} alpha={format_d_key(alpha)} Lam={format_seq_key(key)}"
             assert report.lhs == (total - verify._seq_len(key)) * _z_seq(key)
             rhs = sum(kap * _z_seq(k2) for k2, kap in _odd_refinements_seq(key))
-            rhs += Fraction(_z_seq(key), 2) * verify._weight_sum(key)
+            rhs += Fraction(_z_seq(key), 2) * sum(p for c in key for p in c if p >= 2)
             assert report.rhs == rhs
+
+    @pytest.mark.parametrize("p", range(13))
+    def test_block_pieces_from_the_public_api(self, p):
+        pieces = _block_pieces(p)
+        assert list(pieces) == [lam.parts for lam in partitions(p)]
+        for parts, (text, z, s, weight, length) in pieces.items():
+            lam = IntegerPartition(parts)
+            assert text == str(lam)
+            assert z == z_of(lam)
+            assert s == sum(kap * z_of(mu) for mu, kap in odd_refinements(lam))
+            assert weight == sum(i * lam.multiplicity(i) for i in range(2, p + 1))
+            assert length == lam.length
+
+    def test_a_broken_identity_reports_its_exact_right_side(self, monkeypatch):
+        # one more unit of weight on the single block of N = 1: the right
+        # side becomes z * 1 / 2 = 1/2, against a left side of 0
+        def heavier(p):
+            return {c: (text, z, s, w + 1, n) for c, (text, z, s, w, n) in _block_pieces(p).items()}
+
+        monkeypatch.setattr(verify, "_block_pieces", heavier)
+        (report,) = verify.baserecur_reports(1)
+        assert (report.lhs, report.rhs, report.passed) == (0, Fraction(1, 2), False)
+        assert str(report) == "[FAIL] length_weight_base @ N=1 alpha=(1) Lam=1: 0 vs 1/2"
 
 
 class TestZagierOracle:
