@@ -8,13 +8,14 @@ Subcommands:
 - ``table``: render grids of formula values over a range of n.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 domain error,
-4 resource limit.
+4 resource limit, 141 output pipe closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -148,7 +149,8 @@ def _run_formula(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.threads < 1:
+    threads = 1 if args.threads is None else args.threads
+    if threads < 1:
         parser.error("--threads must be >= 1")
     cache_dir = None if args.no_cache else (args.cache_dir or oracle.default_cache_dir())
     if args.what == "pairs":
@@ -157,11 +159,13 @@ def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         result = oracle.sweep_pairs(
             args.n,
             args.alpha,
-            workers=args.threads,
+            workers=threads,
             force=args.force,
             cache_dir=cache_dir,
         )
     else:
+        if args.threads is not None:
+            parser.error("oracle diagonal does not read --threads")
         eta = args.eta or IntegerPartition((args.n,))
         if eta.n != args.n:
             parser.error(f"--eta {eta} is not a partition of {args.n}")
@@ -287,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--n", type=int, required=True)
     p_oracle.add_argument("--alpha", type=_alpha_arg)
     p_oracle.add_argument("--eta", type=_lambda_arg, help="diagonal cycle type (diagonal sweeps)")
-    p_oracle.add_argument("--threads", type=int, default=1)
+    p_oracle.add_argument("--threads", type=int, help="worker processes (pair sweeps; default 1)")
     p_oracle.add_argument("--cache-dir", type=Path, default=None)
     p_oracle.add_argument("--no-cache", action="store_true")
     p_oracle.add_argument("--force", action="store_true")
@@ -314,22 +318,20 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
+    run = {"formula": _run_formula, "oracle": _run_oracle, "verify": _run_verify, "table": _run_table}
     try:
-        if args.command == "formula":
-            return _run_formula(args, parser)
-        if args.command == "oracle":
-            return _run_oracle(args, parser)
-        if args.command == "verify":
-            return _run_verify(args, parser)
-        if args.command == "table":
-            return _run_table(args, parser)
+        code = run[args.command](args, parser)
+        sys.stdout.flush()  # so a reader that closed early shows here, not at exit
+        return code
+    except BrokenPipeError:  # e.g. `| head`: quiet, and never 1, which means a failed check
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        return 141
     except (ResourceLimitError, RecursionError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 4
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError(args.command)
 
 
 if __name__ == "__main__":

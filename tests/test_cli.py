@@ -1,6 +1,9 @@
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -169,6 +172,13 @@ class TestOracle:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    def test_threads_on_a_diagonal_sweep_is_usage_error(self, capsys):
+        # the fixed-diagonal sweep runs in one process and would ignore it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "diagonal", "--n", "4", "--threads", "3", "--no-cache"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_threads_do_not_change_output(self, capsys, clear_pair_caches):
         outputs = []
         for threads in ("1", "2"):
@@ -302,6 +312,28 @@ class TestVerify:
         code, out = run(capsys, "verify", "--max-n", "2")
         assert code == 1
         assert "FAIL" in out
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # more than a pipe holds, so print itself meets the closed pipe
+            ["verify", "--max-n", "2", "--suite", "baserecur", "--baserecur-max-n", "8", "--format", "json"],
+            # small enough to wait in the stdout buffer until the final flush
+            ["oracle", "diagonal", "--n", "4", "--no-cache"],
+        ],
+    )
+    def test_a_reader_that_closed_early_gets_141_and_no_traceback(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "longcycles.cli", *argv], stdout=write_end, stderr=subprocess.PIPE
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 class TestTable:
