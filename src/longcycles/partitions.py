@@ -407,15 +407,15 @@ def _block_pieces(p: int) -> dict[tuple[int, ...], tuple[str, int, int, int, int
     """Per partition c of p, in _partition_list order: (its key text, z(c), S(c) =
     sum of kappa * z(mu) over its odd splits mu, the size of its parts >= 2, len(c))."""
     return {
-        c: (format_type_key(c), _z(c), sum(k * _z(mu) for mu, k in _odd_refinements(c)),
+        c: (format_type_key(c), _z(c), sum(kap * _z(mu) for mu, kap in _odd_refinements(c)),
             sum(c) - c.count(1), len(c))
         for c in _partition_list(p)
     }
 
 
 def _odd_split_z(blocks: Iterable[tuple[str, int, int, int, int]], z_key: int) -> int:
-    """sum of kappa * z over the odd splits of one block of block types with
-    these pieces and this z: sum_i S(c_i) z / z(c_i)."""
+    """sum of kappa * z(Lam') over the odd splits Lam' of one block of Lam,
+    from Lam's block pieces and z(Lam): sum_i S(c_i) z(Lam) / z(c_i)."""
     return sum(s * (z_key // z) for _text, z, s, _w, _len in blocks)
 
 

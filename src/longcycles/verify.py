@@ -340,7 +340,7 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
 
 def baserecur_reports(max_n: int = 12) -> list[IdentityReport]:
     """The length-weight recurrence over all block types of all compositions,
-    oracle-free: both sides are partition algebra."""
+    oracle-free: each side is a product or a sum of per-block pieces."""
     reports: list[IdentityReport] = []
     for total in range(1, max_n + 1):
         for alpha_parts in _compositions(total):

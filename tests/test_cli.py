@@ -327,9 +327,10 @@ class TestClosedPipe:
     def test_a_reader_that_closed_early_gets_141_and_no_traceback(self, argv):
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the first write
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # buffer stdout, the default
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "longcycles.cli", *argv], stdout=write_end, stderr=subprocess.PIPE
+                [sys.executable, "-m", "longcycles.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env
             )
         finally:
             os.close(write_end)
