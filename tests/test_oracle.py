@@ -147,6 +147,13 @@ class TestLexRank:
         digest = hashlib.sha256(product_pair_counts(7).tobytes()).hexdigest()
         assert digest == "2cf1cbbe429cfc2444e054c2afd4b77b5f2e8a34cf755af65f49a3ae6cde6352"
 
+    def test_pair_alpha_tables_digest_n8(self):
+        # every table of the n = 8 sweep, with and without alpha
+        digest = hashlib.sha256()
+        for alpha in (None, *compositions(8)):
+            digest.update(sweep_pairs(8, alpha).to_json().encode())
+        assert digest.hexdigest() == "e83f3ea07ead3d8a1613c4d5dfdee35645495fcb936582e8323eba2d6bbd12b6"
+
     def test_plane_codes_digest(self):
         # pinned from the per-rank counts of the earlier sweep, summed over
         # the verticals of each signature
@@ -318,6 +325,25 @@ class TestFixedDiagonal:
                 for alpha in (None, *compositions(n)):
                     digest.update(sweep_fixed_diagonal(D, alpha).to_json().encode())
         assert digest.hexdigest() == "eb2fb58dba0f78bf361840f05abab1a63a12d01e4493398b7d0eec836fb49311"
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (7, "b266a058a6496b7b99a5f9aec6474dc467cb24c5ea0126ca513de5eb582cd290"),
+            pytest.param(
+                8, "e4a6ef4462808ee9f6be0bc4017b55ba3132baab7a89c3edb9af31ddb0350f63", marks=pytest.mark.extended
+            ),
+        ],
+    )
+    def test_fixed_diagonal_digest_at_n(self, n, expected):
+        # every table of the sweep, with and without alpha, for every
+        # diagonal type at one n
+        digest = hashlib.sha256()
+        for eta in partitions(n):
+            D = canonical_of_type(eta)
+            for alpha in (None, *compositions(n)):
+                digest.update(sweep_fixed_diagonal(D, alpha).to_json().encode())
+        assert digest.hexdigest() == expected
 
     def test_guard_above_the_hard_limit(self):
         D = canonical_of_type(P((oracle.HARD_LIMIT + 1,)))
