@@ -63,6 +63,8 @@ PLANE_SWEEP_LIMIT = 7  # (n-1)! * n! plane permutations; 3.6M at n=7
 
 _ENV_CACHE_DIR = "LONGCYCLES_CACHE_DIR"
 
+_SeqKey = tuple[tuple[int, ...], ...]  # block types: one cycle type per block of alpha
+
 _log = logging.getLogger("longcycles")
 
 
@@ -168,7 +170,7 @@ def _cycle_type(lens: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(filter(None, lens), reverse=True))
 
 
-def _block_types(lens: Sequence[int], alpha_parts: Sequence[int]) -> tuple[tuple[int, ...], ...] | None:
+def _block_types(lens: Sequence[int], alpha_parts: Sequence[int]) -> _SeqKey | None:
     """The cycle types inside the consecutive blocks of the given sizes, or
     None when a cycle crosses from one block into another."""
     types = []
@@ -189,24 +191,23 @@ def _sep_prefix(lens: Sequence[int]) -> int:
 
 
 @cache
-def _signatures(n: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """(sig, rows): ``rows`` lists the distinct rows of _min_lengths over all
-    n! permutations, and ``sig[r]`` indexes the row of lex rank r."""
+def _signatures(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sig, rows): ``rows`` holds the distinct rows of _min_lengths over all
+    n! permutations, one per line, and ``sig[r]`` indexes the row of lex rank r."""
     lens = _min_lengths(_all_perm_rows(n).T)
     _, first, sig = np.unique(_code(n + 1, lens), return_index=True, return_inverse=True)
-    return sig, [tuple(row) for row in lens[:, first].T.tolist()]
+    return sig, lens[:, first].T
 
 
-@cache
-def _key_rows(n: int, alpha_parts: tuple[int, ...]) -> dict[tuple[tuple[int, ...], ...], np.ndarray]:
-    """Block types -> ids of the alpha-separated rows of _signatures(n) that
-    have them.  With alpha = (n) the keys are the cycle types, (lam,)."""
-    ids: dict[tuple[tuple[int, ...], ...], list[int]] = {}
-    for i, lens in enumerate(_signatures(n)[1]):
-        key = _block_types(lens, alpha_parts)
-        if key is not None:
-            ids.setdefault(key, []).append(i)
-    return {key: np.array(rows) for key, rows in ids.items()}
+def _tally(rows: np.ndarray, counts: np.ndarray, alpha_parts: Sequence[int]) -> dict[_SeqKey, np.ndarray]:
+    """Block types -> the sum of ``counts[i]`` over the alpha-separated rows i
+    that have them.  With alpha = (n) the keys are the cycle types, (lam,)."""
+    cuts = np.cumsum(alpha_parts)
+    ids = np.flatnonzero((np.cumsum(rows, axis=1)[:, cuts - 1] == cuts).all(axis=1))
+    groups: dict[_SeqKey, list[int]] = {}
+    for i, lens in zip(ids.tolist(), rows[ids].tolist()):
+        groups.setdefault(_block_types(lens, alpha_parts), []).append(i)
+    return {key: counts[group].sum(axis=0) for key, group in groups.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +261,13 @@ def product_pair_counts(n: int, workers: int = 1, force: bool = False) -> np.nda
 @cache
 def _pairs_alpha_tables(
     n: int, alpha_parts: tuple[int, ...]
-) -> tuple[dict[tuple[int, ...], int], dict[tuple[tuple[int, ...], ...], int], int]:
+) -> tuple[dict[tuple[int, ...], int], dict[_SeqKey, int], int]:
     """(d-vector table, block-type table, separated total) over all pairs, without zero keys."""
     counts = product_pair_counts(n)
     d_table: dict[tuple[int, ...], int] = {}
-    lam_table: dict[tuple[tuple[int, ...], ...], int] = {}
-    for key, ids in _key_rows(n, alpha_parts).items():
-        cnt = int(counts[ids].sum())
+    lam_table: dict[_SeqKey, int] = {}
+    for key, cnt in _tally(_signatures(n)[1], counts, alpha_parts).items():
+        cnt = int(cnt)
         if cnt:
             d = tuple(len(c) for c in key)
             d_table[d] = d_table.get(d, 0) + cnt
@@ -278,7 +279,7 @@ def _pairs_alpha_tables(
 def _pairs_sep_prefix(n: int) -> dict[tuple[int, int], int]:
     """table[(m, k)] = pairs whose product has k cycles and 1..m separated."""
     table = {(m, k): 0 for m in range(1, n + 1) for k in range(1, n + 1)}
-    for lens, cnt in zip(_signatures(n)[1], product_pair_counts(n).tolist()):
+    for lens, cnt in zip(_signatures(n)[1].tolist(), product_pair_counts(n).tolist()):
         k = len(_cycle_type(lens))
         for m in range(1, _sep_prefix(lens) + 1):
             table[(m, k)] += cnt
@@ -307,32 +308,28 @@ def expected_k_cycles(n: int, k: int, *, workers: int = 1, force: bool = False) 
 
 
 @cache
-def _diag_rows(n: int, d_image: tuple[int, ...]) -> list[tuple[tuple[int, ...], int, int]]:
-    """The distinct (row of _min_lengths, exceedance count a, count) over the
-    (n-1)! plane permutations with fixed diagonal: one per long cycle s, with
-    vertical D⁻¹∘s."""
+def _diag_rows(n: int, d_image: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, counts) over the (n-1)! plane permutations with fixed diagonal,
+    one per long cycle s, with vertical D⁻¹∘s: ``rows`` holds the distinct
+    rows of _min_lengths of the verticals, and ``counts[i, a]`` counts those
+    with row i and a exceedances."""
     d_inv = np.argsort([x - 1 for x in d_image])
     verticals = d_inv[_cycle_rows(n)]  # row i: D⁻¹∘s for the i-th long cycle s
     pos = np.argsort(_cycle_words(n), axis=1)  # pos[i, x]: index of x in the word of s
     exceedances = (np.take_along_axis(pos, verticals, axis=1) > pos).sum(axis=1)
     lens = _min_lengths(verticals.T)
-    rows, counts = np.unique(np.vstack([lens, exceedances]).T, axis=0, return_counts=True)
-    return [(tuple(row), a, cnt) for (*row, a), cnt in zip(rows.tolist(), counts.tolist())]
+    _, first, ids = np.unique(_code(n + 1, lens), return_index=True, return_inverse=True)
+    rows = lens[:, first].T
+    counts = np.bincount(ids * (n + 1) + exceedances, minlength=len(rows) * (n + 1))
+    return rows, counts.reshape(len(rows), n + 1)
 
 
 @cache
-def _diag_tallies(
-    n: int, d_image: tuple[int, ...], alpha_parts: tuple[int, ...]
-) -> dict[tuple[tuple[tuple[int, ...], ...], int], int]:
-    """(block types, a) -> plane permutations with fixed diagonal whose
-    vertical is alpha-separated with those block types and has a
-    exceedances.  With alpha = (n) the keys are the cycle type, (lam,)."""
-    tally: dict[tuple[tuple[tuple[int, ...], ...], int], int] = {}
-    for lens, a, cnt in _diag_rows(n, d_image):
-        key = _block_types(lens, alpha_parts)
-        if key is not None:
-            tally[key, a] = tally.get((key, a), 0) + cnt
-    return tally
+def _diag_tallies(n: int, d_image: tuple[int, ...], alpha_parts: tuple[int, ...]) -> dict[_SeqKey, list[int]]:
+    """Block types -> [count for a = 0..n]: plane permutations with fixed
+    diagonal whose vertical is alpha-separated with those block types and has
+    a exceedances.  With alpha = (n) the keys are the cycle type, (lam,)."""
+    return {key: by_a.tolist() for key, by_a in _tally(*_diag_rows(n, d_image), alpha_parts).items()}
 
 
 def count_factorizations(target: Permutation, *, force: bool = False) -> int:
@@ -341,7 +338,7 @@ def count_factorizations(target: Permutation, *, force: bool = False) -> int:
     target⁻¹∘c1 = c2⁻¹, is a long cycle — one per pair, none by conjugacy."""
     n = target.n
     _require_scale("fixed-diagonal sweep", n, HARD_LIMIT, DIAG_SWEEP_HARD_LIMIT, force)
-    return sum(cnt for (key, _a), cnt in _diag_tallies(n, target.image, (n,)).items() if key == ((n,),))
+    return sum(_diag_tallies(n, target.image, (n,)).get(((n,),), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -358,32 +355,28 @@ def _plane_codes(n: int) -> np.ndarray:
     """Counts over all plane permutations (s, pi), indexed by
     (diagonal type index, signature id of the vertical, exceedance count)."""
     _require_scale("full plane-permutation sweep", n, PLANE_SWEEP_LIMIT, PLANE_SWEEP_LIMIT, False)
-    perms = _all_perm_rows(n)
-    pinv_t = np.argsort(perms, axis=1).T  # row j: perm⁻¹(j) for every perm
+    perms = _all_perm_rows(n).T.copy()  # element first: row x holds the image of x under every perm
+    pinv_t = np.argsort(perms, axis=0)  # row j: perm⁻¹(j) for every perm
     sig, rows = _signatures(n)
-    type_of = np.empty(len(rows), dtype=np.int64)  # signature id -> cycle type index
-    for t, eta in enumerate(_partition_list(n)):
-        type_of[_key_rows(n, (n,))[(eta,)]] = t
-    acc = np.zeros((len(_partition_list(n)), len(rows), n + 1), dtype=np.int64)
+    types = _partition_list(n)
+    type_of = np.array([types.index(_cycle_type(row)) for row in rows.tolist()])  # signature id -> type index
+    acc = np.zeros(len(types) * len(rows) * (n + 1), dtype=np.int64)
     for word, s_img in zip(_cycle_words(n), _cycle_rows(n)):
         pos = np.argsort(word)  # pos[x]: index of x in the word
         d_ranks = _lex_rank(n, s_img[pinv_t])  # diagonal s∘(perm r)⁻¹, column by column
-        a = (pos[perms] > pos[None, :]).sum(axis=1)
-        # many verticals share a signature, so an index repeats: += would drop counts
-        np.add.at(acc, (type_of[sig[d_ranks]], sig, a), 1)
-    return acc
+        a = (pos[perms] > pos[:, None]).sum(axis=0)
+        acc += np.bincount((type_of[sig[d_ranks]] * len(rows) + sig) * (n + 1) + a, minlength=acc.size)
+    return acc.reshape(len(types), len(rows), n + 1)
 
 
 @cache
-def _plane_tallies(
-    n: int, alpha_parts: tuple[int, ...]
-) -> dict[tuple[int, ...], dict[tuple[tuple[int, ...], ...], list[int]]]:
+def _plane_tallies(n: int, alpha_parts: tuple[int, ...]) -> dict[tuple[int, ...], dict[_SeqKey, list[int]]]:
     """by_eta[eta][key][a]: plane permutations with diagonal cycle type eta
     whose vertical is alpha-separated with block types key and has a
     exceedances, for a = 0..n.  Keys that no vertical has are left out; with
     alpha = (n) the keys are the vertical's cycle type, (lam,)."""
-    acc = _plane_codes(n)
-    sums = {key: acc[:, ids].sum(axis=1).tolist() for key, ids in _key_rows(n, alpha_parts).items()}
+    acc = _plane_codes(n).swapaxes(0, 1)  # indexed by (signature id, type index, a)
+    sums = {key: by_t.tolist() for key, by_t in _tally(_signatures(n)[1], acc, alpha_parts).items()}
     return {eta: {key: by_t[t] for key, by_t in sums.items()} for t, eta in enumerate(_partition_list(n))}
 
 
@@ -602,14 +595,16 @@ def sweep_fixed_diagonal(
     if alpha is not None:
         tallies["alpha_type"] = _diag_tallies(n, D.image, alpha.parts)
     counts: dict[str, Counter[str]] = {"ne": Counter()}
-    for ((lam,), a), cnt in tallies["cycle_type"].items():
-        counts["ne"][f"ne={n - len(lam) - a}"] += cnt
+    for (lam,), by_a in tallies["cycle_type"].items():
+        for a, cnt in enumerate(by_a):
+            counts["ne"][f"ne={n - len(lam) - a}"] += cnt
     for name, tally in tallies.items():
         counts[name], counts[f"{name}_a"] = Counter(), Counter()
-        for (key, a), cnt in tally.items():
-            counts[name][format_seq_key(key)] += cnt
-            counts[f"{name}_a"][f"{format_seq_key(key)} a={a}"] = cnt
-    tables = {name: CountTable(table) for name, table in counts.items()}
+        for key, by_a in tally.items():
+            for a, cnt in enumerate(by_a):
+                counts[name][format_seq_key(key)] += cnt
+                counts[f"{name}_a"][f"{format_seq_key(key)} a={a}"] = cnt
+    tables = {name: CountTable(+table) for name, table in counts.items()}  # +: leaves out the zero cells
     result = OracleResult(n=n, query=query, tables=tables, total=total)
     _store_cached(cache_dir, result)
     return result

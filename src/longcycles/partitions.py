@@ -182,6 +182,8 @@ class IntegerPartition:
             parts: list[int] = []
             for token in text.split():
                 base, _, exp = token.partition("^")
+                if int(exp) < 0:
+                    raise ValueError(f"negative exponent in {token!r}")
                 parts.extend([int(base)] * int(exp))
             return cls(tuple(parts))
         return cls(tuple(int(tok) for tok in text.split("+")))

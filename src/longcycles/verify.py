@@ -364,8 +364,8 @@ def _zagier_oracle(n: int) -> dict[int, int]:
     """#{long cycles s : (1 2 ... n) ∘ s has k cycles}: the fixed-diagonal
     tally at D = (1 2 ... n)⁻¹, whose verticals D⁻¹∘s are these products."""
     counts: dict[int, int] = {}
-    for ((lam,), _a), cnt in oracle._diag_tallies(n, (n, *range(1, n)), (n,)).items():
-        counts[len(lam)] = counts.get(len(lam), 0) + cnt
+    for (lam,), by_a in oracle._diag_tallies(n, (n, *range(1, n)), (n,)).items():
+        counts[len(lam)] = counts.get(len(lam), 0) + sum(by_a)
     return counts
 
 
@@ -591,13 +591,16 @@ def plane_structure_reports(max_n: int = 6) -> list[IdentityReport]:
 
 SUITES = ("classic", "section3", "baserecur", "formulas", "plane", "parity")
 
-# the largest max_n at which each of these suites can finish: the plane
-# tallies stop at PLANE_SWEEP_LIMIT, the unforced pair sweep at
-# PAIR_SWEEP_FREE_LIMIT
+# the largest n at which each suite can run: the plane tallies and the plane
+# suite's n! permutation rows stop at PLANE_SWEEP_LIMIT, the unforced pair
+# sweep at PAIR_SWEEP_FREE_LIMIT; baserecur's instances grow about 2.7x per N
+# (264,499 at N = 13, 5.2M at N = 16)
 _SUITE_LIMITS = {
     "classic": oracle.PLANE_SWEEP_LIMIT,
     "section3": oracle.PLANE_SWEEP_LIMIT,
+    "baserecur": 14,
     "formulas": oracle.PAIR_SWEEP_FREE_LIMIT,
+    "plane": oracle.PLANE_SWEEP_LIMIT,
     "parity": oracle.PAIR_SWEEP_FREE_LIMIT,
 }
 
@@ -651,12 +654,11 @@ def run_suites(
     unknown = set(suites) - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
+    sizes = {"baserecur": baserecur_max_n, "plane": plane_max_n or max_n}  # the n each suite runs at
     for suite in suites:
-        limit = _SUITE_LIMITS.get(suite, max_n)
-        if max_n > limit:
-            raise ResourceLimitError(
-                f"the {suite} suite cannot run at max_n={max_n}: its sweeps stop at n={limit}"
-            )
+        n, limit = sizes.get(suite, max_n), _SUITE_LIMITS[suite]
+        if n > limit:
+            raise ResourceLimitError(f"the {suite} suite cannot run at n={n}: it stops at n={limit}")
     reports: list[IdentityReport] = []
     audit: list[ParityAuditRecord] = []
     if "classic" in suites:

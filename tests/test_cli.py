@@ -172,6 +172,19 @@ class TestOracle:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "diagonal", "--n", "4", "--eta", "2^2 1^-2", "--no-cache"],
+            ["formula", "pairs-by-type", "--lambda", "1^-2"],
+        ],
+    )
+    def test_negative_exponent_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_threads_on_a_diagonal_sweep_is_usage_error(self, capsys):
         # the fixed-diagonal sweep runs in one process and would ignore it
         with pytest.raises(SystemExit) as exc:
@@ -294,7 +307,10 @@ class TestVerify:
         assert exc.value.code == 2
         assert "PASS" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("suites", [(), ("--suite", "section3")])
+    @pytest.mark.parametrize(
+        "suites",
+        [(), ("--suite", "section3"), ("--suite", "plane"), ("--suite", "baserecur", "--baserecur-max-n", "15")],
+    )
     def test_above_the_sweep_limit_exits_4_before_any_suite(self, capsys, forbid_suites, suites):
         code = cli.main(["verify", "--max-n", "8", *suites])
         captured = capsys.readouterr()

@@ -201,8 +201,8 @@ class TestMinLengths:
     def test_signatures_index_every_rank(self, n):
         sig, rows = _signatures(n)
         lens = _min_lengths(_all_perm_rows(n).T).T.tolist()
-        assert [rows[i] for i in sig.tolist()] == [tuple(row) for row in lens]
-        assert len(set(rows)) == len(rows)
+        assert rows[sig].tolist() == lens
+        assert len(set(map(tuple, rows.tolist()))) == len(rows)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cycle_rows_are_the_long_cycles_in_order(self, n):

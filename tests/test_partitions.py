@@ -351,6 +351,12 @@ class TestParsing:
         assert IntegerPartition.parse(str(lam)) == lam
         assert IntegerPartition.parse(lam.exponent_form()) == lam
 
+    @pytest.mark.parametrize("text", ["1^-2", "2^2 1^-2"])
+    def test_negative_exponent_rejected(self, text):
+        # "2^2 1^-2" would otherwise read as 2+2
+        with pytest.raises(ValueError, match="negative exponent"):
+            IntegerPartition.parse(text)
+
     def test_composition_format(self):
         alpha = Composition.parse("(2,3,1)")
         assert alpha.parts == (2, 3, 1)

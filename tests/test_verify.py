@@ -26,6 +26,7 @@ SWEEP_LIMITS = {
     "section3": ("section3_reports", oracle.PLANE_SWEEP_LIMIT),
     "formulas": ("formula_vs_oracle_reports", oracle.PAIR_SWEEP_FREE_LIMIT),
     "parity": ("parity_audit", oracle.PAIR_SWEEP_FREE_LIMIT),
+    "plane": ("plane_structure_reports", oracle.PLANE_SWEEP_LIMIT),
 }
 
 
@@ -202,11 +203,24 @@ class TestRunner:
         verify.run_suites((suite,), limit)
         assert calls == [limit]
 
-    def test_unlimited_suites_take_any_max_n(self, monkeypatch):
+    def test_plane_and_baserecur_are_limited_at_their_own_n(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(verify, "plane_structure_reports", lambda max_n: calls.append(max_n) or [])
-        verify.run_suites(("plane",), 9)
-        assert calls == [9]
+        for function in ("plane_structure_reports", "baserecur_reports"):
+            monkeypatch.setattr(verify, function, lambda n: calls.append(n) or [])
+        limit = verify._SUITE_LIMITS["baserecur"]
+        verify.run_suites(("baserecur", "plane"), 9, baserecur_max_n=limit, plane_max_n=oracle.PLANE_SWEEP_LIMIT)
+        assert calls == [limit, oracle.PLANE_SWEEP_LIMIT]
+
+    @pytest.mark.parametrize(
+        "suite, kwargs",
+        [
+            ("plane", {"plane_max_n": oracle.PLANE_SWEEP_LIMIT + 1}),
+            ("baserecur", {"baserecur_max_n": verify._SUITE_LIMITS["baserecur"] + 1}),
+        ],
+    )
+    def test_own_n_above_its_limit_fails_before_any_suite(self, forbid_suites, suite, kwargs):
+        with pytest.raises(ResourceLimitError, match=suite):
+            verify.run_suites(("formulas", "baserecur", "plane"), 4, **kwargs)
 
     def test_failure_detection(self):
         run = VerifyRun(
