@@ -102,6 +102,10 @@ class TestLongCycleIter:
         assert words == sorted(words)
         assert words[0] == (1, 2, 3, 4)
 
+    def test_cycle_word_rejects_several_cycles(self):
+        with pytest.raises(ValueError):
+            Permutation.from_cycles([[1, 2], [3, 4]]).cycle_word()
+
 
 class TestSeparation:
     def test_identity_always_separated(self):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -80,6 +82,17 @@ class TestExceedances:
                 assert st.trivial_anti_exceedances <= st.anti_exceedances
                 assert len(st.trivial_anti_exceedances) == pi.cycle_count
                 assert len(st.ntaes) == n - pi.cycle_count - len(st.exceedances)
+
+    def test_stats_digest_up_to_n5(self):
+        # every array at n <= 5: pins the three sets, not only their sizes
+        h = hashlib.sha256()
+        for n in range(1, 6):
+            for tail in itertools.permutations(range(2, n + 1)):
+                for img in itertools.permutations(range(1, n + 1)):
+                    st = PlanePermutation((1, *tail), Permutation(img)).exceedance_stats()
+                    sets = (st.exceedances, st.anti_exceedances, st.trivial_anti_exceedances)
+                    h.update(json.dumps([sorted(x) for x in sets]).encode())
+        assert h.hexdigest() == "8d4d570fb348b840c2503f5a323267485233d22efe9a03c33361448d512e2228"
 
     def test_minimum_of_long_cycle_is_exceedance(self):
         # in any vertical cycle of length > 1, the word-order minimum exceeds
