@@ -94,14 +94,10 @@ class Permutation:
 
     def cycle_word(self) -> tuple[int, ...]:
         """The word (1, w2, ..., wn) of a long cycle; error otherwise."""
-        word = [1]
-        x = self.image[0]
-        while x != 1:
-            word.append(x)
-            x = self.image[x - 1]
-        if len(word) != self.n:
+        cycles = self.cycles()
+        if len(cycles) != 1:
             raise ValueError(f"{self} is not a long cycle")
-        return tuple(word)
+        return cycles[0]
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -111,11 +107,7 @@ class Permutation:
     def from_cycle_word(cls, word: Sequence[int]) -> "Permutation":
         """The n-cycle (w0 w1 ... w_{n-1}) on [n]; the word must use each of
         1..n exactly once."""
-        n = len(word)
-        img = [0] * n
-        for i, x in enumerate(word):
-            img[x - 1] = word[(i + 1) % n]
-        return cls(tuple(img))
+        return cls.from_cycles([tuple(word)], n=len(word))
 
     @classmethod
     def from_cycles(cls, cycles: Sequence[Sequence[int]], n: int | None = None) -> "Permutation":

@@ -22,38 +22,21 @@ __all__ = ["PlanePermutation", "ExceedanceStats"]
 # tuple-level helpers behind the class; the sweeps use the batched kernels below
 
 
-def _classify(word: tuple[int, ...], pi_image: tuple[int, ...]):
+def _classify(word: tuple[int, ...], pi: Permutation):
     """(exceedances, anti-exceedances, trivial anti-exceedances) as sets.
 
     An exceedance is an x strictly before pi(x) in the word order.  Each cycle
     of pi contributes one trivial anti-exceedance: the preimage of its
-    word-order minimum.
+    word-order minimum, which is the entry before it in the cycle.
     """
-    n = len(word)
     pos = {x: idx for idx, x in enumerate(word)}  # index of x in the word
     exc, anti = set(), set()
-    for x in range(1, n + 1):
-        if pos[pi_image[x - 1]] > pos[x]:
-            exc.add(x)
-        else:
-            anti.add(x)
+    for x, y in enumerate(pi.image, 1):
+        (exc if pos[y] > pos[x] else anti).add(x)
     trivial = set()
-    seen = [False] * (n + 1)
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        best = start
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            if pos[x] < pos[best]:
-                best = x
-            x = pi_image[x - 1]
-        # predecessor of the minimum inside its own cycle
-        y = best
-        while pi_image[y - 1] != best:
-            y = pi_image[y - 1]
-        trivial.add(y)
+    for cyc in pi.cycles():
+        low = min(cyc, key=pos.__getitem__)
+        trivial.add(cyc[cyc.index(low) - 1])
     return exc, anti, trivial
 
 
@@ -193,7 +176,7 @@ class PlanePermutation:
         return Permutation(_diagonal_from_pairs(self.s, self.pi.image))
 
     def exceedance_stats(self) -> ExceedanceStats:
-        exc, anti, trivial = _classify(self.s, self.pi.image)
+        exc, anti, trivial = _classify(self.s, self.pi)
         return ExceedanceStats(
             exceedances=frozenset(exc),
             anti_exceedances=frozenset(anti),
@@ -202,7 +185,7 @@ class PlanePermutation:
         )
 
     def exceedance_count(self) -> int:
-        return len(_classify(self.s, self.pi.image)[0])
+        return len(_classify(self.s, self.pi)[0])
 
     def ntae_count(self) -> int:
         """Always equals n - (number of cycles of pi) - exceedance_count()."""

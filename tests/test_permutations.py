@@ -106,6 +106,11 @@ class TestLongCycleIter:
         with pytest.raises(ValueError):
             Permutation.from_cycles([[1, 2], [3, 4]]).cycle_word()
 
+    @pytest.mark.parametrize("word", [(1, 2, 4), (1, 1, 2), (0, 1)])
+    def test_from_cycle_word_rejects_non_words(self, word):
+        with pytest.raises(ValueError):
+            Permutation.from_cycle_word(word)
+
 
 class TestSeparation:
     def test_identity_always_separated(self):
