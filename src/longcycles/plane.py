@@ -27,16 +27,13 @@ def _classify(word: tuple[int, ...], pi: Permutation):
 
     An exceedance is an x strictly before pi(x) in the word order.  Each cycle
     of pi contributes one trivial anti-exceedance: the preimage of its
-    word-order minimum, which is the entry before it in the cycle.
+    word-order minimum, the entry before it in ``pi.cycles()``.
     """
     pos = {x: idx for idx, x in enumerate(word)}  # index of x in the word
-    exc, anti = set(), set()
-    for x, y in enumerate(pi.image, 1):
-        (exc if pos[y] > pos[x] else anti).add(x)
-    trivial = set()
-    for cyc in pi.cycles():
-        low = min(cyc, key=pos.__getitem__)
-        trivial.add(cyc[cyc.index(low) - 1])
+    exc = {x for x, y in enumerate(pi.image, 1) if pos[y] > pos[x]}
+    anti = set(word) - exc
+    lows = ((cyc, min(cyc, key=pos.__getitem__)) for cyc in pi.cycles())
+    trivial = {cyc[cyc.index(low) - 1] for cyc, low in lows}
     return exc, anti, trivial
 
 
