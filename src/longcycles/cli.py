@@ -235,10 +235,11 @@ def _cell(function: Callable[..., int | Fraction], *args: object) -> str:
 
 def _table_rows(name: str, n_values: list[int], parts: int | None) -> tuple[list[str], list[list[str]]]:
     function, (*_, column) = _closed_form(name)
-    if column == "alpha":  # one row per composition of each n
+    if column == "alpha":  # one row per composition of each n; none below 1
         rows = [
             [str(alpha), _cell(function, alpha)]
             for n in n_values
+            if n >= 1
             for alpha in compositions(n)
             if parts is None or alpha.length == parts
         ]
@@ -326,8 +327,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # e.g. `| head`: quiet, and never 1, which means a failed check
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
         return 141
-    except (ResourceLimitError, RecursionError) as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, RecursionError, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

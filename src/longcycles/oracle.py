@@ -478,28 +478,34 @@ def _cache_path(cache_dir: Path, query: dict) -> Path:
     return Path(cache_dir) / f"{query['kind']}-n{query['n']}-{digest}.json"
 
 
+def _sha256(result: OracleResult) -> str:
+    return hashlib.sha256(result.to_json().encode()).hexdigest()
+
+
 def _load_cached(cache_dir: Path | None, query: dict, total: int) -> OracleResult | None:
     """The cached result of the query, or None.  A file that cannot be read
-    or parsed, or whose query, version or totals disagree, is a miss; it is
-    logged and will be overwritten."""
+    or parsed, or whose sha256, query, version or totals disagree, is a miss;
+    it is logged and will be overwritten."""
     if cache_dir is None:
         return None
     path = _cache_path(cache_dir, query)
     try:
-        result = OracleResult.from_json(path.read_text())
+        entry = json.loads(path.read_text())
+        result, sha = OracleResult.from_dict(entry["result"]), entry["sha256"]
     except FileNotFoundError:
         return None
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         _log.warning("cache miss: cannot read %s (%s: %s)", path, type(exc).__name__, exc)
         return None
     if (
-        result.query != query
+        sha != _sha256(result)
+        or result.query != query
         or result.version != __version__
         or result.total != total
         or "cycle_type" not in result.tables
         or result.tables["cycle_type"].total() != total
     ):
-        _log.warning("cache miss: %s does not match its query, version or total", path)
+        _log.warning("cache miss: %s does not match its sha256, query, version or total", path)
         return None
     return result
 
@@ -516,7 +522,8 @@ def _store_cached(cache_dir: Path | None, result: OracleResult) -> None:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(result.to_json())
+                entry = {"result": result.to_dict(), "sha256": _sha256(result)}
+                fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from longcycles import Composition, cli, formulas, separating_by_d, separating_total, verify
+from longcycles import Composition, cli, formulas, oracle, separating_by_d, separating_total, verify
 
 
 def run(capsys, *argv):
@@ -159,6 +159,25 @@ class TestOracle:
         code = cli.main(["oracle", "diagonal", "--n", "11", "--force", "--no-cache"])
         assert code == 4
         assert "fixed-diagonal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "module, target, argv",
+        [
+            (oracle, "sweep_fixed_diagonal", ["oracle", "diagonal", "--n", "4", "--no-cache"]),
+            (verify, "parity_audit", ["verify", "--max-n", "3", "--suite", "parity"]),
+        ],
+        ids=["oracle-diagonal", "verify-parity"],
+    )
+    def test_out_of_memory_is_a_resource_limit(self, capsys, monkeypatch, module, target, argv):
+        # exit 1 would claim that a check failed
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(module, target, exhausted)
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err == "resource limit: out of memory\n"
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize(
@@ -388,6 +407,14 @@ class TestTable:
         assert len(lines) == 1 + 4 + 8 + 16
         assert lines[1] == "(3),4" and lines[5] == "(4),36" and lines[13] == "(5),576"
         assert lines[-1] == '"(1,1,1,1,1)",24'
+
+    def test_separating_total_lists_nothing_below_n_1(self, capsys):
+        # like the grid tables, which print blank cells there
+        def csv(n_range):
+            return run(capsys, "table", "separating-total", f"--n={n_range}", "--format", "csv")
+
+        assert csv("-1..3") == csv("1..3")
+        assert csv("-2..0") == (0, "alpha,value\n")
 
     def test_json_round_trip(self, capsys):
         code, out = run(capsys, "table", "sep-prob", "--n", "4..5", "--format", "json")

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import logging
 import math
 from fractions import Fraction
@@ -413,6 +414,17 @@ class TestDeterminism:
         assert texts[0] == texts[1]
 
 
+def _edit_tables(edit):
+    """A cache-file damage that applies ``edit`` to the stored tables."""
+
+    def damage(text):
+        entry = json.loads(text)
+        edit(entry["result"]["tables"])
+        return json.dumps(entry)
+
+    return damage
+
+
 class TestSerializationAndCache:
     def test_count_table_round_trip(self):
         table = CountTable({"b": 2, "a": 30})
@@ -428,8 +440,6 @@ class TestSerializationAndCache:
         assert back.tables == res.tables
 
     def test_counts_serialized_as_strings(self):
-        import json
-
         doc = json.loads(sweep_pairs(4).to_json())
         assert doc["total"] == "36"
         for _key, value in doc["tables"]["cycle_type"]:
@@ -460,16 +470,23 @@ class TestSerializationAndCache:
 
     @pytest.mark.parametrize(
         "damage",
-        [lambda text: text[: len(text) // 2], lambda text: text.replace('"total":"36"', '"total":"37"')],
-        ids=["truncated", "wrong-total"],
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: text.replace('"total":"36"', '"total":"37"'),
+            _edit_tables(lambda tables: tables.pop("alpha_type")),
+            _edit_tables(lambda tables: tables["d_vector"][0].__setitem__(1, "999")),
+        ],
+        ids=["truncated", "wrong-total", "dropped-table", "changed-count"],
     )
     def test_damaged_cache_file_is_recomputed(self, tmp_path, caplog, damage):
         good = sweep_pairs(4, C((2, 2)), cache_dir=tmp_path)
         (path,) = tmp_path.glob("*.json")
-        path.write_text(damage(path.read_text()))
+        text = path.read_text()
+        assert damage(text) != text
+        path.write_text(damage(text))
         with caplog.at_level(logging.WARNING, logger="longcycles"):
             again = sweep_pairs(4, C((2, 2)), cache_dir=tmp_path)
         assert again.to_json() == good.to_json()
         assert "cache miss" in caplog.text
-        assert path.read_text() == good.to_json()
+        assert json.loads(path.read_text())["result"] == good.to_dict()
         assert list(tmp_path.iterdir()) == [path]
