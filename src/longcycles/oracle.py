@@ -41,7 +41,7 @@ from ._version import __version__
 from .errors import ResourceLimitError
 from .partitions import Composition, _partition_list, format_d_key, format_seq_key, format_type_key
 from .permutations import Permutation
-from .plane import _cycle_minima
+from .plane import _cycle_minima, _exceedances
 
 __all__ = [
     "CountTable",
@@ -165,6 +165,15 @@ def _min_lengths(perms: np.ndarray) -> np.ndarray:
     return np.stack([(low == x).sum(axis=0) for x in range(n)])
 
 
+def _distinct_rows(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, rows) for an (n, m) batch stored element first: ``rows`` holds
+    the distinct rows of _min_lengths, one per line, and ``ids[r]`` indexes
+    the row of the column perms[:, r]."""
+    lens = _min_lengths(perms)
+    _, first, ids = np.unique(_code(len(perms) + 1, lens), return_index=True, return_inverse=True)
+    return ids, lens[:, first].T
+
+
 def _cycle_type(lens: Sequence[int]) -> tuple[int, ...]:
     """The cycle type of a row of _min_lengths: its nonzero entries, largest first."""
     return tuple(sorted(filter(None, lens), reverse=True))
@@ -194,9 +203,7 @@ def _sep_prefix(lens: Sequence[int]) -> int:
 def _signatures(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(sig, rows): ``rows`` holds the distinct rows of _min_lengths over all
     n! permutations, one per line, and ``sig[r]`` indexes the row of lex rank r."""
-    lens = _min_lengths(_all_perm_rows(n).T)
-    _, first, sig = np.unique(_code(n + 1, lens), return_index=True, return_inverse=True)
-    return sig, lens[:, first].T
+    return _distinct_rows(_all_perm_rows(n).T)
 
 
 def _tally(rows: np.ndarray, counts: np.ndarray, alpha_parts: Sequence[int]) -> dict[_SeqKey, np.ndarray]:
@@ -316,10 +323,9 @@ def _diag_rows(n: int, d_image: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray
     d_inv = np.argsort([x - 1 for x in d_image])
     verticals = d_inv[_cycle_rows(n)]  # row i: D⁻¹∘s for the i-th long cycle s
     pos = np.argsort(_cycle_words(n), axis=1)  # pos[i, x]: index of x in the word of s
+    # each vertical has its own word; plane._exceedances takes one word, and a flat gather for it is slower
     exceedances = (np.take_along_axis(pos, verticals, axis=1) > pos).sum(axis=1)
-    lens = _min_lengths(verticals.T)
-    _, first, ids = np.unique(_code(n + 1, lens), return_index=True, return_inverse=True)
-    rows = lens[:, first].T
+    ids, rows = _distinct_rows(verticals.T)
     counts = np.bincount(ids * (n + 1) + exceedances, minlength=len(rows) * (n + 1))
     return rows, counts.reshape(len(rows), n + 1)
 
@@ -364,7 +370,7 @@ def _plane_codes(n: int) -> np.ndarray:
     for word, s_img in zip(_cycle_words(n), _cycle_rows(n)):
         pos = np.argsort(word)  # pos[x]: index of x in the word
         d_ranks = _lex_rank(n, s_img[pinv_t])  # diagonal s∘(perm r)⁻¹, column by column
-        a = (pos[perms] > pos[:, None]).sum(axis=0)
+        a = _exceedances(pos, perms).sum(axis=0)
         acc += np.bincount((type_of[sig[d_ranks]] * len(rows) + sig) * (n + 1) + a, minlength=acc.size)
     return acc.reshape(len(types), len(rows), n + 1)
 

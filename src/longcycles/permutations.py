@@ -115,14 +115,15 @@ class Permutation:
         if n is None:
             n = max((x for cyc in cycles for x in cyc), default=0)
         img = list(range(1, n + 1))
-        seen: set[int] = set()
-        for cyc in cycles:
+        owner: dict[int, int] = {}  # element -> index of the cycle that lists it
+        for k, cyc in enumerate(cycles):
             for x in cyc:
                 if not 1 <= x <= n:
                     raise ValueError(f"element {x} is outside 1..{n}")
-                if x in seen:
-                    raise ValueError(f"element {x} appears in two cycles")
-                seen.add(x)
+                if x in owner:
+                    where = "repeats within one cycle" if owner[x] == k else "appears in two cycles"
+                    raise ValueError(f"element {x} {where}")
+                owner[x] = k
             for i, x in enumerate(cyc):
                 img[x - 1] = cyc[(i + 1) % len(cyc)]
         return cls(tuple(img))

@@ -19,7 +19,7 @@ __all__ = ["PlanePermutation", "ExceedanceStats"]
 
 
 # ---------------------------------------------------------------------------
-# tuple-level helpers behind the class; the sweeps use the batched kernels below
+# the scalar routine behind the class; the sweeps use the batched kernels below
 
 
 def _classify(word: tuple[int, ...], pi: Permutation):
@@ -37,27 +37,8 @@ def _classify(word: tuple[int, ...], pi: Permutation):
     return exc, anti, trivial
 
 
-def _diagonal_from_pairs(word: tuple[int, ...], pi_image: tuple[int, ...]) -> tuple[int, ...]:
-    """Image of the diagonal read column-by-column: bottom of one column maps
-    to the top of the next, cyclically."""
-    n = len(word)
-    img = [0] * n
-    for idx in range(n):
-        img[pi_image[word[idx] - 1] - 1] = word[(idx + 1) % n]
-    return tuple(img)
-
-
-def _transpose(word: tuple[int, ...], pi_image: tuple[int, ...], i: int, j: int, k: int):
-    """Swap the diagonal blocks under segments word[i..j] and word[j+1..k]."""
-    new_word = word[:i] + word[j + 1 : k + 1] + word[i : j + 1] + word[k + 1 :]
-    img = list(pi_image)
-    a, b, c = word[i - 1], word[j], word[k]
-    img[a - 1], img[b - 1], img[c - 1] = pi_image[b - 1], pi_image[c - 1], pi_image[a - 1]
-    return new_word, tuple(img)
-
-
 # ---------------------------------------------------------------------------
-# batched kernels: the helpers above over many arrays at once.  Everything is
+# batched kernels: the class's routines over many arrays at once.  Everything is
 # 0-based, and a batch of permutations is stored with the element first:
 # perms[x] holds the image of x in every array of the batch (any trailing
 # shape), so that each step works on long contiguous rows.  A cycle word is
@@ -82,41 +63,37 @@ def _cycle_minima(perms: np.ndarray, key: np.ndarray) -> np.ndarray:
     return low.reshape(perms.shape)
 
 
-def _cycle_counts(perms: np.ndarray) -> np.ndarray:
-    """Number of cycles of every permutation: each cycle has one least element."""
-    n = len(perms)
-    ids = np.arange(n)
-    low = _cycle_minima(perms.reshape(n, -1), ids)
-    return (low == ids[:, None]).sum(axis=0).reshape(perms.shape[1:])
-
-
 def _diagonals_from_pairs(words: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Batched _diagonal_from_pairs: the bottom pi(word[i]) of each column
-    maps to the top word[i+1] of the next.  ``words`` has the shape of
-    ``perms`` without its last axis, one word for every r in perms[..., r].
-    An entry that no column writes, which happens only when a vertical is not
-    a permutation, stays -1."""
+    """Batched PlanePermutation.diagonal_from_pairs: the bottom pi(word[i]) of
+    each column maps to the top word[i+1] of the next.  ``words`` has the
+    shape of ``perms`` without its last axis, one word for every r in
+    perms[..., r].  An entry that no column writes, which happens only when a
+    vertical is not a permutation, stays -1."""
     bottoms = np.take_along_axis(perms, words[..., None], axis=0)
     out = np.full_like(perms, -1)
     np.put_along_axis(out, bottoms, np.roll(words, -1, axis=0)[..., None], axis=0)
     return out
 
 
+def _exceedances(pos: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """``exc[x, r]``: x is an exceedance of (word, perms[:, r]), pi(x) after x
+    in the word, for a 2-D ``perms``; ``pos[x]`` is the index of x in the word."""
+    return pos[perms] > pos[:, None]
+
+
 def _exceedance_counts(word: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exceedance and non-trivial anti-exceedance counts of (word, pi) for
     every column pi of the (n, m) array ``perms``.  As in _classify, each
     cycle's trivial anti-exceedance is the preimage of its word-order minimum."""
-    pos = np.empty_like(word)
-    pos[word] = np.arange(len(word))
-    img_pos = pos[perms]
-    exc = img_pos > pos[:, None]
-    trivial = img_pos == _cycle_minima(perms, pos)
+    pos = np.argsort(word)
+    exc = _exceedances(pos, perms)
+    trivial = pos[perms] == _cycle_minima(perms, pos)
     return exc.sum(axis=0), (~exc & ~trivial).sum(axis=0)
 
 
 def _transposed(word: np.ndarray, perms: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched _transpose over the rows (i, j, k) of ``hs``: the new words,
-    shape (n, H), and the new verticals, shape (n, H) + perms.shape[1:]."""
+    """Batched PlanePermutation.transpose_blocks over the rows (i, j, k) of
+    ``hs``: the new words (n, H) and the new verticals (n, H) + perms.shape[1:]."""
     i, j, k = (hs[:, col, None] for col in range(3))
     t = np.arange(len(word))
     # position t of the new word reads word[t], shifted inside the two blocks
@@ -168,9 +145,13 @@ class PlanePermutation:
         return compose(self.s_perm(), self.pi.inverse())
 
     def diagonal_from_pairs(self) -> Permutation:
-        """The diagonal read directly off the two-row array; must coincide
-        with diagonal()."""
-        return Permutation(_diagonal_from_pairs(self.s, self.pi.image))
+        """The diagonal read directly off the two-row array, column by column:
+        the bottom of one column maps to the top of the next, cyclically.
+        Must coincide with diagonal()."""
+        img = [0] * self.n
+        for top, next_top in zip(self.s, self.s[1:] + self.s[:1]):
+            img[self.pi(top) - 1] = next_top
+        return Permutation(tuple(img))
 
     def exceedance_stats(self) -> ExceedanceStats:
         exc, anti, trivial = _classify(self.s, self.pi)
@@ -198,8 +179,11 @@ class PlanePermutation:
         i, j, k = h
         if not (1 <= i <= j < k <= self.n - 1):
             raise IndexError(f"positions {h} out of range for n={self.n}")
-        word, img = _transpose(self.s, self.pi.image, i, j, k)
-        return PlanePermutation(word, Permutation(img))
+        s, img = self.s, list(self.pi.image)
+        a, b, c = s[i - 1], s[j], s[k]
+        img[a - 1], img[b - 1], img[c - 1] = self.pi(b), self.pi(c), self.pi(a)
+        word = s[:i] + s[j + 1 : k + 1] + s[i : j + 1] + s[k + 1 :]
+        return PlanePermutation(word, Permutation(tuple(img)))
 
     def reflect(self) -> "PlanePermutation":
         """The pair (s⁻¹, D⁻¹): word reversed (re-anchored at 1) with the
@@ -233,10 +217,8 @@ class PlanePermutation:
         bottom = [int(tok) for tok in lines[1].split()]
         if len(top) != len(bottom):
             raise ValueError("rows have different lengths")
-        img = [0] * len(top)
-        for x, y in zip(top, bottom):
-            img[x - 1] = y
-        return cls(tuple(top), Permutation(tuple(img)))
+        column = Permutation(tuple(top)).inverse().image  # column[x - 1]: the column of x, from 1
+        return cls(tuple(top), Permutation(tuple(bottom[c - 1] for c in column)))
 
     def __str__(self) -> str:
         return self.to_text()

@@ -513,12 +513,21 @@ def parity_audit(max_n: int = 6) -> list[ParityAuditRecord]:
 # structural sweeps over two-row arrays
 
 
+def _cycle_counts_by_rank(n: int) -> np.ndarray:
+    """``cc[r]``: the number of cycles of the permutation of lex rank r,
+    read off its row of _min_lengths (one nonzero entry per cycle)."""
+    sig, rows = oracle._signatures(n)
+    return (rows > 0).sum(axis=1)[sig]
+
+
 def _array_bad_counts(
-    word: np.ndarray, s_img: np.ndarray, perms: np.ndarray, perms_inv: np.ndarray, c_pi: np.ndarray
+    word: np.ndarray, s_img: np.ndarray, perms: np.ndarray, perms_inv: np.ndarray,
+    c_pi: np.ndarray, cc: np.ndarray,
 ) -> tuple[int, int, int]:
     """Failures of the three per-array checks over the arrays (word, pi) for
     every pi in ``perms`` (stored element first, see plane.py); ``s_img`` is
-    the word's one-line image and ``c_pi`` the verticals' cycle counts."""
+    the word's one-line image, ``c_pi`` the verticals' cycle counts and
+    ``cc`` the table of _cycle_counts_by_rank."""
     n = len(word)
     diag = s_img[perms_inv]  # s∘pi⁻¹ by composition
     diag_bad = np.any(diag != plane._diagonals_from_pairs(word, perms), axis=0).sum()
@@ -527,20 +536,21 @@ def _array_bad_counts(
     # the reflected array (s⁻¹, D⁻¹), with D⁻¹ = pi∘s⁻¹
     refl_word = np.concatenate((word[:1], word[:0:-1]))
     _, ne_refl = plane._exceedance_counts(refl_word, perms[np.argsort(s_img)])
-    refl_bad = (ne + ne_refl != n + 1 - c_pi - plane._cycle_counts(diag)).sum()
+    refl_bad = (ne + ne_refl != n + 1 - c_pi - cc[oracle._lex_rank(n, diag)]).sum()
     return int(diag_bad), int(ne_bad), int(refl_bad)
 
 
 def _transposition_bad_count(
-    word: np.ndarray, verticals: np.ndarray, diags: np.ndarray, hs: np.ndarray
+    word: np.ndarray, verticals: np.ndarray, diags: np.ndarray, hs: np.ndarray, cc: np.ndarray
 ) -> int:
     """Failures over every block transposition h in ``hs`` of every array
     (word, verticals[:, r]) whose diagonal is diags[:, r]: the transposed
-    array must keep that diagonal, and its vertical's cycle count moves by
-    -2, 0 or 2."""
+    array must keep that diagonal, and its vertical's cycle count, read from
+    the table ``cc`` of _cycle_counts_by_rank, moves by -2, 0 or 2."""
+    n = len(word)
     new_words, new_verticals = plane._transposed(word, verticals, hs)
     moved = np.any(plane._diagonals_from_pairs(new_words, new_verticals) != diags[:, None], axis=0)
-    delta = plane._cycle_counts(new_verticals) - plane._cycle_counts(verticals)
+    delta = cc[oracle._lex_rank(n, new_verticals)] - cc[oracle._lex_rank(n, verticals)]
     return int((moved | ~np.isin(delta, (-2, 0, 2))).sum())
 
 
@@ -562,10 +572,10 @@ def plane_structure_reports(max_n: int = 6) -> list[IdentityReport]:
         cycles = oracle._cycle_rows(n)
         rows = oracle._all_perm_rows(n)
         perms, perms_inv = rows.T.copy(), np.argsort(rows, axis=1).T.copy()
-        c_pi = plane._cycle_counts(perms)
+        cc = _cycle_counts_by_rank(n)  # the verticals are in lex order, so cc holds their counts
         bad = np.zeros(3, dtype=np.int64)
         for word, s_img in zip(words, cycles):
-            bad += _array_bad_counts(word, s_img, perms, perms_inv, c_pi)
+            bad += _array_bad_counts(word, s_img, perms, perms_inv, cc, cc)
         inst = f"n={n} over {len(words) * len(rows)} arrays"
         for name, count in zip(("diagonal_agreement", "ntae_count_formula", "reflection_identity"), bad):
             reports.append(IdentityReport(f"plane:{name}", inst, int(count), 0))
@@ -577,7 +587,7 @@ def plane_structure_reports(max_n: int = 6) -> list[IdentityReport]:
         )
         diags, diags_inv = cycles.T.copy(), np.argsort(cycles, axis=1).T.copy()
         trans_bad = sum(
-            _transposition_bad_count(word, diags_inv[s_img], diags, hs)
+            _transposition_bad_count(word, diags_inv[s_img], diags, hs, cc)
             for word, s_img in zip(words, cycles)
         )
         inst = f"n={n} over {len(words) * len(cycles) * len(hs)} transpositions"

@@ -213,6 +213,24 @@ class TestParsing:
         with pytest.raises(ValueError):
             Permutation.from_cycles([[1, 2], [2, 3]])
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Permutation.from_cycle_word((1, 1, 2)), lambda: Permutation.parse("(1 1 2)")],
+        ids=["from_cycle_word", "parse"],
+    )
+    def test_repeat_within_one_cycle_is_named_as_such(self, build):
+        with pytest.raises(ValueError, match="element 1 repeats within one cycle"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Permutation.from_cycles([[1, 2], [2, 3]]), lambda: Permutation.parse("(1 2)(2 3)")],
+        ids=["from_cycles", "parse"],
+    )
+    def test_element_in_two_cycles_is_named_as_such(self, build):
+        with pytest.raises(ValueError, match="element 2 appears in two cycles"):
+            build()
+
     def test_rejects_elements_outside_ground_set(self):
         with pytest.raises(ValueError):
             Permutation.parse("(1 5)", n=3)

@@ -199,6 +199,11 @@ class TestSerialization:
         assert PlanePermutation.from_text(p.to_text()) == p
         assert p.to_text().splitlines()[0].split() == ["1", "5", "4", "6", "2", "3"]
 
+    def test_from_text_rejects_a_top_row_that_is_not_a_permutation(self):
+        for text in ("1 2 5\n2 1 3", "1 1 2\n2 1 3", "0 1 2\n2 1 3"):
+            with pytest.raises(ValueError):
+                PlanePermutation.from_text(text)
+
     def test_json_round_trip(self):
         p = worked_example()
         assert PlanePermutation.from_json(p.to_json()) == p
@@ -225,7 +230,8 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_diagonals_cycle_counts_and_exceedances(self, n):
         perms = verticals(n)
-        assert plane._cycle_counts(perms).tolist() == [to_plane(range(n), col).pi.cycle_count for col in perms.T]
+        by_rank = verify._cycle_counts_by_rank(n)[oracle._lex_rank(n, perms)]
+        assert by_rank.tolist() == [to_plane(range(n), col).pi.cycle_count for col in perms.T]
         for word in all_words(n):
             w = np.array(word) - 1
             diags = plane._diagonals_from_pairs(w, perms)
@@ -269,30 +275,39 @@ class TestPlaneSuiteSeesFaults:
         word = oracle._cycle_words(n)[7]
         s_img = np.array(Permutation.from_cycle_word(tuple((word + 1).tolist())).image) - 1
         perms = verticals(n)
-        return word, s_img, perms, np.argsort(perms, axis=0), plane._cycle_counts(perms)
+        cc = verify._cycle_counts_by_rank(n)
+        return word, s_img, perms, np.argsort(perms, axis=0), cc[oracle._lex_rank(n, perms)], cc
 
     def test_sound_inputs_pass(self):
         assert verify._array_bad_counts(*self.sound_inputs()) == (0, 0, 0)
 
     def test_corrupted_vertical(self):
-        word, s_img, perms, perms_inv, c_pi = self.sound_inputs()
+        word, s_img, perms, perms_inv, c_pi, cc = self.sound_inputs()
         perms[[0, 1], 17] = perms[[1, 0], 17]  # one vertical changed after its inverse and C(pi)
-        diag_bad, ne_bad, _ = verify._array_bad_counts(word, s_img, perms, perms_inv, c_pi)
+        diag_bad, ne_bad, _ = verify._array_bad_counts(word, s_img, perms, perms_inv, c_pi, cc)
         assert (diag_bad, ne_bad) == (1, 1)
 
     def test_corrupted_cycle_counts(self):
-        word, s_img, perms, perms_inv, c_pi = self.sound_inputs()
-        _, ne_bad, refl_bad = verify._array_bad_counts(word, s_img, perms, perms_inv, c_pi + 1)
+        word, s_img, perms, perms_inv, c_pi, cc = self.sound_inputs()
+        _, ne_bad, refl_bad = verify._array_bad_counts(word, s_img, perms, perms_inv, c_pi + 1, cc)
         assert ne_bad == refl_bad == perms.shape[1]
 
-    def test_corrupted_diagonal(self):
+    def transposition_inputs(self):
         n = self.n
         words = oracle._cycle_words(n)
         diags = np.array([Permutation.from_cycle_word(tuple((w + 1).tolist())).image for w in words]).T - 1
-        hs = legal_hs(n)
-        word = words[3]
         s_img = diags[:, 3]
         pi = np.argsort(diags, axis=0)[s_img]  # D⁻¹∘s for every D
-        assert verify._transposition_bad_count(word, pi, diags, hs) == 0
+        return words[3], pi, diags, legal_hs(n), verify._cycle_counts_by_rank(n)
+
+    def test_corrupted_diagonal(self):
+        word, pi, diags, hs, cc = self.transposition_inputs()
+        assert verify._transposition_bad_count(word, pi, diags, hs, cc) == 0
         diags[[0, 1], 5] = diags[[1, 0], 5]
-        assert verify._transposition_bad_count(word, pi, diags, hs) == len(hs)
+        assert verify._transposition_bad_count(word, pi, diags, hs, cc) == len(hs)
+
+    def test_corrupted_cycle_count_table(self):
+        word, pi, diags, hs, cc = self.transposition_inputs()
+        cc[oracle._lex_rank(self.n, pi[:, 5])] += 1  # cc is a fresh array, not the cached table
+        # every transposition of that array now moves the count by an odd number
+        assert verify._transposition_bad_count(word, pi, diags, hs, cc) >= len(hs)
