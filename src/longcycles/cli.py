@@ -57,10 +57,6 @@ def _range_arg(text: str) -> list[int]:
     return [int(text)]
 
 
-def _csv_field(text: str) -> str:
-    return f'"{text}"' if "," in text else text
-
-
 # ---------------------------------------------------------------------------
 # formula registry: the formula and table names
 
@@ -96,6 +92,22 @@ def _closed_form(name: str) -> tuple[Callable[..., int | Fraction], tuple[str, .
 
 
 # ---------------------------------------------------------------------------
+# the one table writer
+
+
+def _print_grid(fmt: str, header: list[str], rows: list[list[str]]) -> None:
+    """A table as csv, as markdown or as the {"columns", "rows"} JSON form."""
+    if fmt == "json":
+        print(json.dumps({"columns": header, "rows": rows}, sort_keys=True))
+    elif fmt == "csv":  # a cell with a comma, such as "(1,3)", is quoted
+        for row in (header, *rows):
+            print(",".join(f'"{cell}"' if "," in cell else cell for cell in row))
+    else:  # block-type keys read "2+1 | 3", so | is escaped
+        for row in (header, ["---"] * len(header), *rows):
+            print("| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |")
+
+
+# ---------------------------------------------------------------------------
 # formula subcommand
 
 
@@ -128,17 +140,14 @@ def _run_formula(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     else:
         query = formulas.CountQuery(n, kind, params)
         value = formulas.evaluate(query)
-    text = _value_str(value)
+    text, shown = _value_str(value), query.to_dict()["params"]
     if args.format == "json":
         print(json.dumps({"query": query.to_dict(), "value": text}, sort_keys=True))
     elif args.format == "csv":
-        keys = sorted(query.to_dict()["params"])
-        header = ["n"] + keys + ["value"]
-        row = [str(query.n)] + [_csv_field(str(query.to_dict()["params"][k])) for k in keys] + [text]
-        print(",".join(header))
-        print(",".join(row))
+        keys = sorted(shown)
+        _print_grid("csv", ["n", *keys, "value"], [[str(query.n), *(str(shown[k]) for k in keys), text]])
     elif args.format == "markdown":
-        print(f"| query | value |\n| --- | --- |\n| {query.kind} {query.to_dict()['params']} | {text} |")
+        _print_grid("markdown", ["query", "value"], [[f"{query.kind} {shown}", text]])
     else:
         print(text)
     return 0
@@ -180,10 +189,7 @@ def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     elif args.format == "markdown":
         for name, table in sorted(result.tables.items()):
             print(f"### {name}\n")
-            print("| key | value |\n| --- | --- |")
-            for key, value in table.items():
-                cell = key.replace("|", "\\|")  # block-type keys read "2+1 | 3"
-                print(f"| {cell} | {value} |")
+            _print_grid("markdown", ["key", "value"], [[key, str(value)] for key, value in table.items()])
             print()
         print(f"total: {result.total}")
     else:
@@ -252,18 +258,7 @@ def _table_rows(name: str, n_values: list[int], parts: int | None) -> tuple[list
 def _run_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.parts is not None and _closed_form(args.name)[1][-1] != "alpha":
         parser.error(f"table {args.name!r} does not read --parts")
-    header, rows = _table_rows(args.name, args.n, args.parts)
-    if args.format == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_csv_field(cell) for cell in row))
-    elif args.format == "json":
-        print(json.dumps({"columns": header, "rows": rows}, sort_keys=True))
-    else:
-        print("| " + " | ".join(header) + " |")
-        print("|" + "|".join([" --- "] * len(header)) + "|")
-        for row in rows:
-            print("| " + " | ".join(row) + " |")
+    _print_grid(args.format, *_table_rows(args.name, args.n, args.parts))
     return 0
 
 
@@ -278,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_formula = sub.add_parser("formula", help="evaluate one closed-form count")
+    p_formula.set_defaults(run=_run_formula, parser=p_formula)
     p_formula.add_argument("name", choices=sorted(_FORMULAS))
     p_formula.add_argument("--n", type=int)
     p_formula.add_argument("--k", type=int)
@@ -288,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_formula.add_argument("--format", choices=("text", "json", "csv", "markdown"), default="text")
 
     p_oracle = sub.add_parser("oracle", help="run a brute-force sweep")
+    p_oracle.set_defaults(run=_run_oracle, parser=p_oracle)
     p_oracle.add_argument("what", choices=("pairs", "diagonal"))
     p_oracle.add_argument("--n", type=int, required=True)
     p_oracle.add_argument("--alpha", type=_alpha_arg)
@@ -299,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
 
     p_verify = sub.add_parser("verify", help="run the identity suites")
+    p_verify.set_defaults(run=_run_verify, parser=p_verify)
     p_verify.add_argument("--max-n", type=int, default=6)
     p_verify.add_argument("--suite", action="append", choices=verify.SUITES)
     p_verify.add_argument("--baserecur-max-n", type=int, default=12)
@@ -306,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_table = sub.add_parser("table", help="render grids of formula values")
+    p_table.set_defaults(run=_run_table, parser=p_table)
     p_table.add_argument("name", choices=[name for name, entry in _FORMULAS.items() if entry.table])
     p_table.add_argument("--n", type=_range_arg, required=True, help="single n or a range like 3..7")
     p_table.add_argument("--parts", type=int, help="restrict separating-total to k-part compositions")
@@ -317,11 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # values are exact, so print every digit
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    run = {"formula": _run_formula, "oracle": _run_oracle, "verify": _run_verify, "table": _run_table}
+    args = build_parser().parse_args(argv)
     try:
-        code = run[args.command](args, parser)
+        code = args.run(args, args.parser)  # a usage error shows the subcommand's usage
         sys.stdout.flush()  # so a reader that closed early shows here, not at exit
         return code
     except BrokenPipeError:  # e.g. `| head`: quiet, and never 1, which means a failed check

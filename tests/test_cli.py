@@ -349,6 +349,24 @@ class TestVerify:
         assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["formula", "boccara", "--n", "4"],
+        ["oracle", "diagonal", "--n", "3", "--eta", "0"],
+        ["verify", "--max-n", "1"],
+        ["table", "zagier-stanley", "--n", "3..4", "--parts", "2"],
+    ],
+)
+def test_a_usage_error_a_subcommand_finds_shows_its_own_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith(f"usage: longcycles {argv[0]} ")
+    assert f"\nlongcycles {argv[0]}: error: " in err
+
+
 class TestClosedPipe:
     @pytest.mark.parametrize(
         "argv",
