@@ -99,7 +99,7 @@ def _print_grid(fmt: str, header: list[str], rows: list[list[str]]) -> None:
     """A table as csv, as markdown or as the {"columns", "rows"} JSON form."""
     if fmt == "json":
         print(json.dumps({"columns": header, "rows": rows}, sort_keys=True))
-    elif fmt == "csv":  # a cell with a comma, such as "(1,3)", is quoted
+    elif fmt == "csv":
         for row in (header, *rows):
             print(",".join(f'"{cell}"' if "," in cell else cell for cell in row))
     else:  # block-type keys read "2+1 | 3", so | is escaped
@@ -216,7 +216,7 @@ def _run_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         workers=args.threads,
     )
     if args.format == "json":
-        print(json.dumps(run.to_dict(), sort_keys=True))
+        run.write_json(sys.stdout)
     else:
         for line in run.summary_lines():
             print(line)
@@ -321,9 +321,12 @@ def main(argv: list[str] | None = None) -> int:
         code = args.run(args, args.parser)  # a usage error shows the subcommand's usage
         sys.stdout.flush()  # so a reader that closed early shows here, not at exit
         return code
-    except BrokenPipeError:  # e.g. `| head`: quiet, and never 1, which means a failed check
+    except OSError as exc:  # a write failed: never 1, which means a failed check
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
-        return 141
+        if isinstance(exc, BrokenPipeError):  # e.g. `| head`: quiet
+            return 141
+        print(f"resource limit: {exc}", file=sys.stderr)  # e.g. a full disk
+        return 4
     except (ResourceLimitError, RecursionError, MemoryError) as exc:
         print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4

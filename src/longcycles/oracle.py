@@ -233,9 +233,17 @@ def _fact_chunk(n: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _compute_pair_counts(n: int, workers: int = 1) -> np.ndarray:
     """Entry i counts the ordered pairs of long cycles whose product has row
-    i of _signatures(n); each worker counts one chunk of the first factors."""
+    i of _signatures(n); the first factors are cut into one chunk per worker,
+    counted by at most one process per CPU."""
     m = math.factorial(n - 1)
     workers = max(1, min(workers, m))
     if workers == 1:
@@ -244,7 +252,8 @@ def _compute_pair_counts(n: int, workers: int = 1) -> np.ndarray:
     chunks = [(n, lo, min(lo + step, m)) for lo in range(0, m, step)]
     # computed before the pool starts, so forked workers inherit the signatures
     total = np.zeros(len(_signatures(n)[1]), dtype=np.int64)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a fork-started pool starts all its processes at once, so never more than the CPUs
+    with ProcessPoolExecutor(max_workers=min(workers, _cpus())) as pool:
         for part in pool.map(_fact_chunk, *zip(*chunks)):
             total += part
     return total

@@ -199,7 +199,10 @@ class PlanePermutation:
     @classmethod
     def from_json(cls, text: str) -> "PlanePermutation":
         doc = json.loads(text)
-        return cls(tuple(doc["s"]), Permutation(tuple(doc["pi"])))
+        try:
+            return cls(tuple(doc["s"]), Permutation(tuple(doc["pi"])))
+        except (KeyError, TypeError) as exc:  # not an object whose "s" and "pi" are lists of ints
+            raise ValueError(f"not a plane permutation: {text!r}") from exc
 
     def to_text(self) -> str:
         bottom = [self.pi.image[x - 1] for x in self.s]

@@ -31,11 +31,12 @@ Identity names used in reports:
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -651,6 +652,17 @@ class VerifyRun:
             "audit": [a.to_dict() for a in self.audit],
             "ok": self.ok,
         }
+
+    def write_json(self, out: TextIO) -> None:
+        """Write ``json.dumps(self.to_dict(), sort_keys=True)`` and a newline,
+        holding the dicts of 1024 reports at a time, not all of them."""
+        encode, chunk = json.JSONEncoder(sort_keys=True).encode, 1024
+        audit = encode([a.to_dict() for a in self.audit])
+        out.write(f'{{"audit": {audit}, "ok": {encode(self.ok)}, "reports": [')
+        for lo in range(0, len(self.reports), chunk):
+            dicts = [r.to_dict() for r in self.reports[lo : lo + chunk]]
+            out.write((", " if lo else "") + encode(dicts)[1:-1])  # the items, without [ and ]
+        out.write("]}\n")
 
 
 def run_suites(

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -349,6 +350,20 @@ class TestVerify:
         assert "FAIL" in out
 
 
+    @pytest.mark.parametrize("n_reports", [0, 1, 1024, 2500])
+    def test_json_is_the_document_of_to_dict_however_many_reports(self, capsys, monkeypatch, n_reports):
+        # a failed run with a parity audit; 2500 reports span three chunks of the streamed output
+        from longcycles.verify import IdentityReport, ParityAuditRecord, VerifyRun
+
+        reports = [IdentityReport("fake", f"n={i}", i, i if i % 3 else Fraction(i, 2)) for i in range(n_reports)]
+        audit = [ParityAuditRecord("fake_parity", "n=3", 2, 0), ParityAuditRecord("fake_parity", "n=4", Fraction(1, 2), 1)]
+        failed = VerifyRun(reports=reports, audit=audit)
+        monkeypatch.setattr(verify, "run_suites", lambda *args, **kwargs: failed)
+        code, out = run(capsys, "verify", "--max-n", "2", "--format", "json")
+        assert code == 1
+        assert out == json.dumps(failed.to_dict(), sort_keys=True) + "\n"
+        assert json.loads(out)["ok"] is False
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -367,27 +382,41 @@ def test_a_usage_error_a_subcommand_finds_shows_its_own_usage(capsys, argv):
     assert f"\nlongcycles {argv[0]}: error: " in err
 
 
-class TestClosedPipe:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            # more than a pipe holds, so print itself meets the closed pipe
-            ["verify", "--max-n", "2", "--suite", "baserecur", "--baserecur-max-n", "8", "--format", "json"],
-            # small enough to wait in the stdout buffer until the final flush
-            ["oracle", "diagonal", "--n", "4", "--no-cache"],
-        ],
+_LARGE_AND_SMALL_OUTPUT = [
+    # more than the stdout buffer and a pipe hold, so print itself meets the failed write
+    ["verify", "--max-n", "2", "--suite", "baserecur", "--baserecur-max-n", "8", "--format", "json"],
+    # small enough to wait in the stdout buffer until the final flush
+    ["oracle", "diagonal", "--n", "4", "--no-cache"],
+]
+
+
+def _run_cli_into(stdout, argv):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # buffer stdout, the default
+    return subprocess.run(
+        [sys.executable, "-m", "longcycles.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
     )
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("argv", _LARGE_AND_SMALL_OUTPUT)
     def test_a_reader_that_closed_early_gets_141_and_no_traceback(self, argv):
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the first write
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # buffer stdout, the default
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "longcycles.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env
-            )
+            proc = _run_cli_into(write_end, argv)
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFullDevice:
+    @pytest.mark.parametrize("argv", _LARGE_AND_SMALL_OUTPUT)
+    def test_a_failed_write_exits_4_with_one_line_and_no_traceback(self, argv):
+        with open("/dev/full", "wb") as full:  # every write fails with ENOSPC
+            proc = _run_cli_into(full, argv)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith(b"resource limit: ") and proc.stderr.count(b"\n") == 1
 
 
 class TestTable:

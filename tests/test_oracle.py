@@ -414,6 +414,41 @@ class TestDeterminism:
         assert texts[0] == texts[1]
 
 
+class TestPoolSize:
+    @pytest.mark.parametrize(
+        "cpus, workers, processes",
+        [(2, 5000, 2), (2, 3, 2), (4, 3, 3), (1, 2, 1)],
+    )
+    def test_at_most_one_process_per_cpu_and_one_chunk_per_worker(self, monkeypatch, cpus, workers, processes):
+        started, chunks = [], []
+
+        class InProcessPool:  # records what a process pool would start; starts none
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                chunks.extend(zip(*args))
+                return map(fn, *args)
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        counts = oracle._compute_pair_counts(5, workers)
+        assert started == [processes]
+        assert len(chunks) == min(workers, math.factorial(4))
+        assert counts.tolist() == _fact_chunk(5, 0, math.factorial(4)).tolist()
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+        assert oracle._cpus() == 3
+
+
 def _edit_tables(edit):
     """A cache-file damage that applies ``edit`` to the stored tables."""
 

@@ -208,6 +208,13 @@ class TestSerialization:
         p = worked_example()
         assert PlanePermutation.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize(
+        "text", ['{"s": [1, 2]}', "[1, 2]", '{"s": 5, "pi": [1]}', '{"s": [1, "a"], "pi": [1, 2]}', "5", "{"]
+    )
+    def test_from_json_rejects_what_is_not_a_plane_permutation(self, text):
+        with pytest.raises(ValueError):
+            PlanePermutation.from_json(text)
+
 
 def verticals(n):
     """All n! permutations of range(n), element first: column r is one vertical."""
