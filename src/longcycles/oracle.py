@@ -94,14 +94,22 @@ def _require_scale(what: str, n: int, free: int, hard: int, force: bool) -> None
 
 @cache
 def _all_perm_rows(n: int) -> np.ndarray:
-    """All n! permutations of range(n) as rows, in lexicographic order."""
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    """All n! permutations of range(n) as rows, in lexicographic order: the
+    rows at size k are, for each first entry f in turn, f followed by the
+    rows at size k - 1 with every entry >= f raised by one."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, n + 1):
+        firsts = np.arange(k)[:, None, None]
+        rows = np.concatenate(
+            [np.broadcast_to(firsts, (k, len(rows), 1)), rows + (rows >= firsts)], axis=2
+        ).reshape(-1, k)
+    return rows
 
 
 @cache
 def _cycle_words(n: int) -> np.ndarray:
     """0-based words of all long cycles, each starting at 0, in lex order."""
-    return np.array([(0,) + tail for tail in itertools.permutations(range(1, n))], dtype=np.int64)
+    return np.pad(_all_perm_rows(n - 1) + 1, ((0, 0), (1, 0)))
 
 
 @cache
@@ -114,12 +122,14 @@ def _cycle_rows(n: int) -> np.ndarray:
     return rows
 
 
-def _code(n: int, digits):
-    """Base-n code of a digit sequence; the digits may be ints or equal-shape
-    integer arrays (one digit position per array)."""
-    code = 0
+def _code(base: int, digits):
+    """Base-``base`` code of a digit sequence, most significant digit first;
+    the digits may be ints or equal-shape integer arrays (one digit position
+    per array).  The empty sequence has code 0."""
+    digits = iter(digits)
+    code = next(digits, 0)
     for d in digits:
-        code = code * n + d
+        code = code * base + d
     return code
 
 
@@ -221,15 +231,51 @@ def _tally(rows: np.ndarray, counts: np.ndarray, alpha_parts: Sequence[int]) -> 
 # the pair sweep: pair counts by product signature
 
 
+# rows of the rank buffer of _fact_chunk per unit of n: one row per second
+# factor, so each bincount reads 2n * (n-1)! = 2 * n! ranks into n! bins
+_RANK_ROWS_PER_N = 2
+
+
+@cache
+def _pair_codes(n: int) -> np.ndarray:
+    """Row x*n + y holds c1(x)*n + c1(y) for every long cycle c1, in
+    _cycle_rows order: two base-n digits of the code of every product at once."""
+    cyc_t = _cycle_rows(n).T.copy()  # row x: the images of x under every long cycle
+    return (cyc_t[:, None, :] * n + cyc_t[None, :, :]).reshape(n * n, -1)
+
+
 def _fact_chunk(n: int, lo: int, hi: int) -> np.ndarray:
-    cyc = _cycle_rows(n)
-    cyc_t = cyc.T.copy()  # row x: the images of x under every long cycle
-    sig, rows = _signatures(n)
+    """Entry i counts the pairs (c1, c2) whose product c1∘c2 has row i of
+    _signatures(n), c1 any long cycle and c2 one of rows lo..hi-1 of
+    _cycle_rows(n).  Every product is composed and ranked; each full rank
+    buffer is counted by lex rank with one bincount, and the counts by rank
+    are added onto the signature rows once, at the end."""
+    sig, rows = _signatures(n)  # first: building it is the peak of the sweep, so hold nothing else yet
+    cyc_t = _cycle_rows(n).T.copy()  # row x: the images of x under every long cycle
+    pairs = _pair_codes(n)
+    prefix, suffix = _rank_tables(n)
+    h = n // 2
+
+    def code(images):
+        # column j of all products c1∘c2 is c1(c2(j)): row c2(j) of cyc_t, and
+        # columns j, j+1 together are row c2(j)*n + c2(j+1) of the pair codes
+        odd = len(images) % 2
+        digits = [cyc_t[x] for x in images[:odd]]
+        digits += [pairs[x * n + y] for x, y in zip(images[odd::2], images[odd + 1 :: 2])]
+        return _code(n * n, digits)
+
+    ranks = np.empty((_RANK_ROWS_PER_N * n, cyc_t.shape[1]), dtype=np.int64)
+    by_rank = np.zeros(len(sig), dtype=np.int64)
+    k = 0
+    for c2 in _cycle_rows(n)[lo:hi].tolist():
+        np.add(prefix[code(c2[:h])], suffix[code(c2[h:])], out=ranks[k])
+        k += 1
+        if k == len(ranks):
+            by_rank += np.bincount(ranks.ravel(), minlength=len(sig))
+            k = 0
+    by_rank += np.bincount(ranks[:k].ravel(), minlength=len(sig))
     out = np.zeros(len(rows), dtype=np.int64)
-    for c2 in cyc[lo:hi].tolist():
-        # column j of all products c1∘c2 is c1(c2(j)): row c2(j) of cyc_t
-        ranks = _lex_rank(n, [cyc_t[x] for x in c2])
-        out += np.bincount(sig[ranks], minlength=len(rows))
+    np.add.at(out, sig, by_rank)
     return out
 
 
@@ -250,8 +296,11 @@ def _compute_pair_counts(n: int, workers: int = 1) -> np.ndarray:
         return _fact_chunk(n, 0, m)
     step = -(-m // workers)
     chunks = [(n, lo, min(lo + step, m)) for lo in range(0, m, step)]
-    # computed before the pool starts, so forked workers inherit the signatures
+    # built before the pool starts, so forked workers inherit the tables instead
+    # of each building its own; the signatures first, as in _fact_chunk
     total = np.zeros(len(_signatures(n)[1]), dtype=np.int64)
+    _rank_tables(n)
+    _pair_codes(n)
     # a fork-started pool starts all its processes at once, so never more than the CPUs
     with ProcessPoolExecutor(max_workers=min(workers, _cpus())) as pool:
         for part in pool.map(_fact_chunk, *zip(*chunks)):

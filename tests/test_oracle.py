@@ -36,6 +36,7 @@ from longcycles.oracle import (
     _block_types,
     _cycle_rows,
     _cycle_type,
+    _cycle_words,
     _fact_chunk,
     _lex_rank,
     _min_lengths,
@@ -169,6 +170,48 @@ class TestLexRank:
         n = oracle.PLANE_SWEEP_LIMIT + 1
         with pytest.raises(ResourceLimitError, match="plane"):
             _plane_tallies(n, (n,))
+
+
+def _pair_windows():
+    """(n, lo, hi) windows of second factors: the whole range up to n = 6, an
+    empty window, windows of 4n + 3 second factors (cut short at n <= 4),
+    which fill the 2n-row rank buffer twice and end inside it, and three
+    second factors at n = 9."""
+    for n in range(1, 10):
+        m = math.factorial(n - 1)
+        if n <= 6:
+            yield n, 0, m
+        yield n, m // 2, m // 2
+        if 3 <= n <= 8:
+            yield n, 1, min(m, 1 + 4 * n + 3)
+    yield 9, 100, 103
+
+
+class TestPairKernel:
+    @pytest.mark.parametrize("n, lo, hi", list(_pair_windows()))
+    def test_fact_chunk_against_composed_products(self, n, lo, hi):
+        cyc = _cycle_rows(n)
+        # row c1 of cyc[:, c2] is the product c1∘c2; _min_lengths reads element first
+        products = np.concatenate([cyc[:, c2] for c2 in cyc[lo:hi].tolist()] or [np.empty((0, n), np.int64)])
+        sig_rows = {row: i for i, row in enumerate(map(tuple, _signatures(n)[1].tolist()))}
+        expected = np.zeros(len(sig_rows), dtype=np.int64)
+        for lens in _min_lengths(products.T).T.tolist():
+            expected[sig_rows[tuple(lens)]] += 1
+        got = _fact_chunk(n, lo, hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected.tolist()
+        assert got.sum() == (hi - lo) * math.factorial(n - 1)
+
+
+class TestEnumerators:
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_perm_rows_and_cycle_words_match_itertools(self, n):
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        words = np.array([(0, *tail) for tail in itertools.permutations(range(1, n))], dtype=np.int64)
+        for got, expected in ((_all_perm_rows(n), perms), (_cycle_words(n), words)):
+            assert got.dtype == expected.dtype
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
 
 
 class TestMinLengths:
@@ -420,11 +463,13 @@ class TestPoolSize:
         [(2, 5000, 2), (2, 3, 2), (4, 3, 3), (1, 2, 1)],
     )
     def test_at_most_one_process_per_cpu_and_one_chunk_per_worker(self, monkeypatch, cpus, workers, processes):
-        started, chunks = [], []
+        started, chunks, prebuilt = [], [], []
+        tables = (oracle._rank_tables, oracle._pair_codes)
 
         class InProcessPool:  # records what a process pool would start; starts none
             def __init__(self, max_workers):
                 started.append(max_workers)
+                prebuilt.append([table.cache_info().currsize for table in tables])
 
             def __enter__(self):
                 return self
@@ -438,8 +483,11 @@ class TestPoolSize:
 
         monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        for table in tables:
+            table.cache_clear()
         counts = oracle._compute_pair_counts(5, workers)
         assert started == [processes]
+        assert prebuilt == [[1, 1]]  # forked workers inherit the tables for n = 5
         assert len(chunks) == min(workers, math.factorial(4))
         assert counts.tolist() == _fact_chunk(5, 0, math.factorial(4)).tolist()
 
