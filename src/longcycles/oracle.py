@@ -164,15 +164,25 @@ def _lex_rank(n: int, columns):
     return prefix[_code(n, columns[:h])] + suffix[_code(n, columns[h:])]
 
 
+# columns of _min_lengths per pass: n <= 8 is one pass, and at n = 9 the
+# pointer-doubling temporaries stay at 2.9 MB each instead of 26 MB
+_MIN_LENGTHS_CHUNK = math.factorial(8)
+
+
 def _min_lengths(perms: np.ndarray) -> np.ndarray:
-    """``lens[x, ...]`` = the length of the cycle of x when x is the least
-    element of that cycle, else 0, for a batch stored element first as in
-    plane.py.  The nonzero entries are the cycle type, 1..m lie in distinct
-    cycles iff the first m entries are nonzero, and 1..b is a union of cycles
-    iff the first b entries sum to b."""
-    n = len(perms)
-    low = _cycle_minima(perms, np.arange(n))
-    return np.stack([(low == x).sum(axis=0) for x in range(n)])
+    """``lens[x, r]`` = the length of the cycle of x under perms[:, r] when x
+    is the least element of that cycle, else 0, for an (n, m) batch stored
+    element first as in plane.py.  The nonzero entries are the cycle type,
+    1..m lie in distinct cycles iff the first m entries are nonzero, and 1..b
+    is a union of cycles iff the first b entries sum to b."""
+    n, m = perms.shape
+    lens = np.empty((n, m), dtype=np.int64)
+    for lo in range(0, m, _MIN_LENGTHS_CHUNK):
+        hi = min(lo + _MIN_LENGTHS_CHUNK, m)
+        low = _cycle_minima(perms[:, lo:hi], np.arange(n))
+        for x in range(n):
+            np.sum(low == x, axis=0, out=lens[x, lo:hi])
+    return lens
 
 
 def _distinct_rows(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,7 +260,7 @@ def _fact_chunk(n: int, lo: int, hi: int) -> np.ndarray:
     _cycle_rows(n).  Every product is composed and ranked; each full rank
     buffer is counted by lex rank with one bincount, and the counts by rank
     are added onto the signature rows once, at the end."""
-    sig, rows = _signatures(n)  # first: building it is the peak of the sweep, so hold nothing else yet
+    sig, rows = _signatures(n)  # first: its build has the sweep's largest transients, so hold nothing else
     cyc_t = _cycle_rows(n).T.copy()  # row x: the images of x under every long cycle
     pairs = _pair_codes(n)
     prefix, suffix = _rank_tables(n)
@@ -434,14 +444,19 @@ def _plane_codes(n: int) -> np.ndarray:
 
 
 @cache
-def _plane_tallies(n: int, alpha_parts: tuple[int, ...]) -> dict[tuple[int, ...], dict[_SeqKey, list[int]]]:
-    """by_eta[eta][key][a]: plane permutations with diagonal cycle type eta
-    whose vertical is alpha-separated with block types key and has a
-    exceedances, for a = 0..n.  Keys that no vertical has are left out; with
-    alpha = (n) the keys are the vertical's cycle type, (lam,)."""
+def _plane_tallies(
+    n: int, alpha_parts: tuple[int, ...]
+) -> dict[tuple[int, ...], dict[_SeqKey, tuple[int, int]]]:
+    """by_eta[eta][key] = (count, exceedances): the plane permutations with
+    diagonal cycle type eta whose vertical is alpha-separated with block
+    types key, and the sum of their exceedance counts.  Keys that no
+    vertical has are left out; with alpha = (n) the keys are the vertical's
+    cycle type, (lam,)."""
     acc = _plane_codes(n).swapaxes(0, 1)  # indexed by (signature id, type index, a)
-    sums = {key: by_t.tolist() for key, by_t in _tally(_signatures(n)[1], acc, alpha_parts).items()}
-    return {eta: {key: by_t[t] for key, by_t in sums.items()} for t, eta in enumerate(_partition_list(n))}
+    totals = np.stack((acc.sum(axis=2), acc @ np.arange(n + 1)), axis=2)  # (signature id, type index, 2)
+    sums = {key: by_t.tolist() for key, by_t in _tally(_signatures(n)[1], totals, alpha_parts).items()}
+    etas = _partition_list(n)
+    return {eta: {key: tuple(by_t[t]) for key, by_t in sums.items()} for t, eta in enumerate(etas)}
 
 
 # ---------------------------------------------------------------------------

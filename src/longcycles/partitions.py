@@ -461,20 +461,21 @@ def refinement_targets_seq(seq: PartitionSequence, k: int) -> Iterator[tuple[Par
 
 def _shrink_steps(
     alpha_parts: tuple[int, ...], key: tuple[tuple[int, ...], ...]
-) -> Iterator[tuple[int, int, Fraction, tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+) -> Iterator[tuple[int, int, int, tuple[int, ...], tuple[tuple[int, ...], ...]]]:
     """The down-arrow steps of block types ``key`` over ``alpha_parts``: for
     each block i0 and each distinct part size >= 2 in it, largest first,
-    (i0, part, coeff, a2, key2) with coeff = (alpha_i0 / 2) (part-1) times the
-    number of (part-1)-parts after one part shrinks, and a2, key2 the
-    composition and block types one element smaller."""
+    (i0, part, twice, a2, key2) with twice = alpha_i0 (part-1) times the
+    number of (part-1)-parts after one part shrinks, which is twice the
+    step's coefficient, and a2, key2 the composition and block types one
+    element smaller."""
     for i0, comp in enumerate(key):
         a2 = alpha_parts[:i0] + (alpha_parts[i0] - 1,) + alpha_parts[i0 + 1 :]
         for part in sorted(set(comp), reverse=True):
             if part < 2:
                 continue
             shrunk = _down_arrow(comp, part)
-            coeff = Fraction(alpha_parts[i0], 2) * (part - 1) * shrunk.count(part - 1)
-            yield i0, part, coeff, a2, key[:i0] + (shrunk,) + key[i0 + 1 :]
+            twice = alpha_parts[i0] * (part - 1) * shrunk.count(part - 1)
+            yield i0, part, twice, a2, key[:i0] + (shrunk,) + key[i0 + 1 :]
 
 
 def lambda_coeff(seq: PartitionSequence, i: int, j: int) -> Fraction:
@@ -482,7 +483,7 @@ def lambda_coeff(seq: PartitionSequence, i: int, j: int) -> Fraction:
     (alpha_i / 2) * j * m_j of the shrunk component."""
     seq.down_arrow(i, j + 1)  # raises as down_arrow does for a bad i or j
     steps = _shrink_steps(seq.alpha.parts, seq.key())
-    return next(coeff for i0, part, coeff, _a2, _key2 in steps if (i0, part) == (i - 1, j + 1))
+    return next(Fraction(twice, 2) for i0, part, twice, _a2, _key2 in steps if (i0, part) == (i - 1, j + 1))
 
 
 # ---------------------------------------------------------------------------

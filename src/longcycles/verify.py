@@ -165,10 +165,15 @@ def _block_shrinks(beta: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]
             yield math.comb(b, 2), beta[:i0] + (b - 1,) + beta[i0 + 1 :]
 
 
-def _T(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int | Fraction:
-    """The part-shrinking weighted sum over pair counts one level down."""
+def _T(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int:
+    """Twice the part-shrinking weighted sum over pair counts one level down."""
     steps = _shrink_steps(alpha_parts, key)
-    return sum(coeff * _p_seq(n, a2, key2) for _i, _p, coeff, a2, key2 in steps)
+    return sum(twice * _p_seq(n, a2, key2) for _i, _p, twice, a2, key2 in steps)
+
+
+def _half(x: int) -> int | Fraction:
+    """x / 2 exactly: an int when x is even, so doubled sides print as before."""
+    return x // 2 if x % 2 == 0 else Fraction(x, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +181,20 @@ def _T(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int | Fraction:
 # key, with plane-permutation counts read from the oracle
 
 
-def _plane_count(by_key: dict[SeqKey, list[int]], key: SeqKey) -> int:
-    """All plane permutations counted at key, over every exceedance count."""
-    return sum(by_key.get(key, ()))
+_NO_PLANES = (0, 0)  # the (count, exceedances) of a key that no vertical has
 
 
 def _split_exceedance(
     n: int, alpha_parts: tuple[int, ...], eta: tuple[int, ...], key: SeqKey
 ) -> tuple[int, int]:
-    """The exceedance-weighted split recurrence for diagonal cycle type eta."""
+    """The exceedance-weighted split recurrence for diagonal cycle type eta:
+    the sum of n - len(key) - a over its plane permutations, a the
+    exceedance count, is (n - len(key)) times their count less their
+    exceedances."""
     by_key = oracle._plane_tallies(n, alpha_parts)[eta]
-    lhs = sum((n - _seq_len(key) - a) * cnt for a, cnt in enumerate(by_key.get(key, ())))
-    rhs = sum(kap * _plane_count(by_key, k2) for k2, kap in _odd_refinements_seq(key))
+    count, exceedances = by_key.get(key, _NO_PLANES)
+    lhs = (n - _seq_len(key)) * count - exceedances
+    rhs = sum(kap * by_key.get(k2, _NO_PLANES)[0] for k2, kap in _odd_refinements_seq(key))
     return lhs, rhs
 
 
@@ -197,8 +204,8 @@ def _split_joint(
     """The split recurrence with the exceedances cleared, splitting the
     diagonal type as well; ``split_rhs`` is _split_exceedance's right side."""
     by_eta = oracle._plane_tallies(n, alpha_parts)
-    lhs = (n + 1 - _seq_len(key) - len(eta)) * _plane_count(by_eta[eta], key)
-    rhs = split_rhs + sum(kap * _plane_count(by_eta[mu], key) for mu, kap in _odd_refinements(eta))
+    lhs = (n + 1 - _seq_len(key) - len(eta)) * by_eta[eta].get(key, _NO_PLANES)[0]
+    rhs = split_rhs + sum(kap * by_eta[mu].get(key, _NO_PLANES)[0] for mu, kap in _odd_refinements(eta))
     return lhs, rhs
 
 
@@ -256,6 +263,7 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
         for alpha_parts, key in _alpha_instances(n):
             base = f"n={n} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
             z_key = _z_seq(key)
+            length = _seq_len(key)
             by_eta = oracle._plane_tallies(n, alpha_parts)
             # block-refined split with exceedance weights, per diagonal type
             for eta in etas:
@@ -265,39 +273,42 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
                 joint = _split_joint(n, alpha_parts, eta, key, split[1])
                 reports.append(IdentityReport("split_joint_sep", inst, *joint))
             # long-cycle diagonal specialization (parity hypothesis)
-            if (_seq_len(key) - n) % 2 == 0:
+            if (length - n) % 2 == 0:
                 reports.append(IdentityReport("split_long_sep", base, *_split_long(n, alpha_parts, key)))
             # total exceedances over all diagonals, two evaluations
-            total_exc = sum(a * cnt for eta in etas for a, cnt in enumerate(by_eta[eta].get(key, ())))
-            balance = (n - _seq_len(key)) * fact_n1 * z_key
+            total_exc = sum(by_eta[eta].get(key, _NO_PLANES)[1] for eta in etas)
+            balance = (n - length) * fact_n1 * z_key
             blocks = [_block_pieces(p)[c] for p, c in zip(alpha_parts, key)]
             balance -= fact_n1 * _odd_split_z(blocks, z_key)
             reports.append(IdentityReport("total_exceedance_balance", base, total_exc, balance))
-            direct = Fraction(n - sum(c.count(1) for c in key), 2) * fact_n1 * z_key
-            reports.append(IdentityReport("total_exceedance_count", base, total_exc, direct))
-        # weighted part-shrinking identities: block types one element up
+            direct = (n - sum(c.count(1) for c in key)) * fact_n1 * z_key
+            reports.append(IdentityReport("total_exceedance_count", base, total_exc, _half(direct)))
+        # weighted part-shrinking identities: block types one element up; every
+        # side below is doubled, so that it is an integer, and halved in the report
         for alpha_parts, key in _alpha_instances(n + 1):
             base = f"n={n} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
             refs = _odd_refinements_seq(key)
             z_key = _z_seq(key)
+            length = _seq_len(key)
             t_refined = sum(kap * _T(n, alpha_parts, k2) for k2, kap in refs)
-            if (_seq_len(key) - n) % 2 == 0:
-                for i0, part, coeff, a2, key2 in _shrink_steps(alpha_parts, key):
+            if (length - n) % 2 == 0:
+                for i0, part, twice, a2, key2 in _shrink_steps(alpha_parts, key):
                     inst = f"{base} i={i0 + 1} j={part - 1}"
-                    lhs = (n + 1 - _seq_len(key)) * coeff * _p_seq(n, a2, key2)
-                    rhs = coeff * _p_refined(n, a2, key2)
-                    rhs += Fraction(part * key[i0].count(part), 2) * fact_n1 * z_key
-                    reports.append(IdentityReport("downarrow_step", inst, lhs, rhs))
+                    lhs = (n + 1 - length) * twice * _p_seq(n, a2, key2)
+                    rhs = twice * _p_refined(n, a2, key2) + part * key[i0].count(part) * fact_n1 * z_key
+                    reports.append(IdentityReport("downarrow_step", inst, _half(lhs), _half(rhs)))
                 t_key = _T(n, alpha_parts, key)
-                lhs_rec = (n + 1 - _seq_len(key)) * t_key
+                lhs_rec = (n + 1 - length) * t_key
                 weight = sum(_block_pieces(p)[c][3] for p, c in zip(alpha_parts, key))
-                rhs_rec = t_refined + Fraction(fact_n1 * z_key, 2) * weight
-                reports.append(IdentityReport("weighted_sum_recurrence", base, lhs_rec, rhs_rec))
-                reports.append(IdentityReport("weighted_sum_value", base, t_key, fact_n1 * z_key))
+                rhs_rec = t_refined + fact_n1 * z_key * weight
+                reports.append(
+                    IdentityReport("weighted_sum_recurrence", base, _half(lhs_rec), _half(rhs_rec))
+                )
+                reports.append(IdentityReport("weighted_sum_value", base, _half(t_key), fact_n1 * z_key))
             # the exchange identity holds without the parity hypothesis
             steps = _shrink_steps(alpha_parts, key)
-            lhs_ex = sum(coeff * _p_refined(n, a2, key2) for _i, _p, coeff, a2, key2 in steps)
-            reports.append(IdentityReport("downarrow_exchange", base, lhs_ex, t_refined))
+            lhs_ex = sum(twice * _p_refined(n, a2, key2) for _i, _p, twice, a2, key2 in steps)
+            reports.append(IdentityReport("downarrow_exchange", base, _half(lhs_ex), _half(t_refined)))
         reports += block_deletion_reports(n)
     return reports
 
@@ -345,14 +356,22 @@ def baserecur_reports(max_n: int = 12) -> list[IdentityReport]:
     reports: list[IdentityReport] = []
     for total in range(1, max_n + 1):
         for alpha_parts in _compositions(total):
-            prefix = f"N={total} alpha={format_d_key(alpha_parts)} Lam="
-            for blocks in itertools.product(*(_block_pieces(p).values() for p in alpha_parts)):
-                texts, zs, _s, ws, lens = zip(*blocks)
-                z_key = math.prod(zs)
-                lhs = (total - sum(lens)) * z_key
-                twice = 2 * _odd_split_z(blocks, z_key) + z_key * sum(ws)
-                rhs = twice // 2 if twice % 2 == 0 else Fraction(twice, 2)
-                reports.append(IdentityReport("length_weight_base", prefix + " | ".join(texts), lhs, rhs))
+            # the leading blocks folded, in itertools.product order, into
+            # (instance text, z, sum_i S_i z / z_i, weight, length)
+            folded = [(f"N={total} alpha={format_d_key(alpha_parts)} Lam=", 1, 0, 0, 0)]
+            for p in alpha_parts[:-1]:
+                folded = [
+                    (text + piece + " | ", z * zp, s * zp + sp * z, w + wp, length + lp)
+                    for text, z, s, w, length in folded
+                    for piece, zp, sp, wp, lp in _block_pieces(p).values()
+                ]
+            last = _block_pieces(alpha_parts[-1]).values()
+            for text, z, s, w, length in folded:
+                for piece, zp, sp, wp, lp in last:
+                    z_key = z * zp
+                    lhs = (total - length - lp) * z_key
+                    rhs = _half(2 * (s * zp + sp * z) + z_key * (w + wp))
+                    reports.append(IdentityReport("length_weight_base", text + piece, lhs, rhs))
     return reports
 
 

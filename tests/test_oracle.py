@@ -12,6 +12,7 @@ from longcycles import (
     Composition,
     IntegerPartition,
     Permutation,
+    PlanePermutation,
     ResourceLimitError,
     alpha_type,
     canonical_of_type,
@@ -172,6 +173,34 @@ class TestLexRank:
             _plane_tallies(n, (n,))
 
 
+class TestPlaneTallies:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_against_scalar_plane_permutations(self, n):
+        # every plane permutation (s, pi) through the scalar API, tallied for
+        # every composition: (count, summed exceedances) by diagonal type and
+        # block types of the vertical
+        alphas = list(compositions(n))
+        direct = {alpha.parts: {} for alpha in alphas}
+        for s in long_cycle_iter(n):
+            for image in itertools.permutations(range(1, n + 1)):
+                pi = Permutation(image)
+                plane_perm = PlanePermutation(s.cycle_word(), pi)
+                eta = plane_perm.diagonal().cycle_type().parts
+                a = plane_perm.exceedance_count()
+                for alpha in alphas:
+                    if is_alpha_separated(pi, alpha):
+                        by_key = direct[alpha.parts].setdefault(eta, {})
+                        count, exceedances = by_key.get(alpha_type(pi, alpha).key(), (0, 0))
+                        by_key[alpha_type(pi, alpha).key()] = (count + 1, exceedances + a)
+        for alpha in alphas:
+            by_eta = _plane_tallies(n, alpha.parts)
+            assert list(by_eta) == [eta.parts for eta in partitions(n)]
+            for eta, by_key in by_eta.items():
+                assert all(type(v) is int for pair in by_key.values() for v in pair)
+                nonzero = {key: pair for key, pair in by_key.items() if pair != (0, 0)}
+                assert nonzero == direct[alpha.parts].get(eta, {})
+
+
 def _pair_windows():
     """(n, lo, hi) windows of second factors: the whole range up to n = 6, an
     empty window, windows of 4n + 3 second factors (cut short at n <= 4),
@@ -240,6 +269,16 @@ class TestMinLengths:
             while m < n and cycle_of[m + 1] not in {cycle_of[y] for y in range(1, m + 1)}:
                 m += 1
             assert _sep_prefix(lens) == m
+
+    def test_chunked_equals_one_pass(self, monkeypatch):
+        # 120 columns in chunks of 7: sixteen full chunks and one of one column
+        perms = _all_perm_rows(5).T
+        whole = _min_lengths(perms)
+        monkeypatch.setattr(oracle, "_MIN_LENGTHS_CHUNK", 7)
+        chunked = _min_lengths(perms)
+        assert chunked.dtype == whole.dtype == np.int64
+        assert np.array_equal(chunked, whole)
+        assert _min_lengths(perms[:, :0]).shape == (5, 0)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_signatures_index_every_rank(self, n):
@@ -333,7 +372,7 @@ class TestFixedDiagonal:
         # plane permutations with diagonal of type eta: (n-1)! z_eta in all
         by_eta = _plane_tallies(n, (n,))
         for eta in partitions(n):
-            total = sum(map(sum, by_eta[eta.parts].values()))
+            total = sum(count for count, _exceedances in by_eta[eta.parts].values())
             assert total == math.factorial(n - 1) * z_of(eta)
 
     @pytest.mark.parametrize(

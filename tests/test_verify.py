@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,15 @@ from longcycles import (
     z_of,
 )
 from longcycles.errors import ResourceLimitError
-from longcycles.partitions import _block_pieces, _odd_refinements_seq, _z_seq, format_d_key, format_seq_key
+from longcycles.partitions import (
+    _block_pieces,
+    _odd_refinements_seq,
+    _partition_list,
+    _shrink_steps,
+    _z_seq,
+    format_d_key,
+    format_seq_key,
+)
 from longcycles.verify import IdentityReport, ParityAuditRecord, VerifyRun
 
 # suite -> (its function, the largest max_n it can finish at)
@@ -105,6 +114,92 @@ class TestSuites:
         ]
         assert len(reports) == 1
         assert reports[0].lhs == reports[0].rhs == 3
+
+
+# the section3 identities whose sides are compared doubled, as integers
+DOUBLED = {
+    "total_exceedance_count",
+    "downarrow_step",
+    "weighted_sum_recurrence",
+    "weighted_sum_value",
+    "downarrow_exchange",
+}
+
+
+def _fraction_reports(n):
+    """The DOUBLED reports at size n in section3's order, each side evaluated
+    with the halved coefficients as Fractions."""
+    fact_n1 = math.factorial(n - 1)
+
+    def steps(alpha, key):
+        # coefficient (alpha_i / 2) (part-1) times the (part-1)-parts after the shrink
+        for i0, part, _twice, a2, key2 in _shrink_steps(alpha, key):
+            yield i0, part, Fraction(alpha[i0], 2) * (part - 1) * key2[i0].count(part - 1), a2, key2
+
+    def weighted_sum(alpha, key):
+        return sum(coeff * verify._p_seq(n, a2, key2) for _i, _p, coeff, a2, key2 in steps(alpha, key))
+
+    reports = []
+    for alpha, key in verify._alpha_instances(n):
+        base = f"n={n} alpha={format_d_key(alpha)} Lam={format_seq_key(key)}"
+        by_eta = oracle._plane_tallies(n, alpha)
+        total_exc = sum(by_eta[eta].get(key, (0, 0))[1] for eta in _partition_list(n))
+        direct = Fraction(n - sum(c.count(1) for c in key), 2) * fact_n1 * _z_seq(key)
+        reports.append(IdentityReport("total_exceedance_count", base, total_exc, direct))
+    for alpha, key in verify._alpha_instances(n + 1):
+        base = f"n={n} alpha={format_d_key(alpha)} Lam={format_seq_key(key)}"
+        z_key, length = _z_seq(key), verify._seq_len(key)
+        t_refined = sum(kap * weighted_sum(alpha, k2) for k2, kap in _odd_refinements_seq(key))
+        if (length - n) % 2 == 0:
+            for i0, part, coeff, a2, key2 in steps(alpha, key):
+                lhs = (n + 1 - length) * coeff * verify._p_seq(n, a2, key2)
+                rhs = coeff * verify._p_refined(n, a2, key2)
+                rhs += Fraction(part * key[i0].count(part), 2) * fact_n1 * z_key
+                reports.append(IdentityReport("downarrow_step", f"{base} i={i0 + 1} j={part - 1}", lhs, rhs))
+            t_key = weighted_sum(alpha, key)
+            weight = sum(p for c in key for p in c if p >= 2)
+            rhs_rec = t_refined + Fraction(fact_n1 * z_key, 2) * weight
+            reports.append(IdentityReport("weighted_sum_recurrence", base, (n + 1 - length) * t_key, rhs_rec))
+            reports.append(IdentityReport("weighted_sum_value", base, t_key, fact_n1 * z_key))
+        lhs_ex = sum(coeff * verify._p_refined(n, a2, key2) for _i, _p, coeff, a2, key2 in steps(alpha, key))
+        reports.append(IdentityReport("downarrow_exchange", base, lhs_ex, t_refined))
+    return reports
+
+
+class TestSection3DoubledSides:
+    def test_same_reports_as_the_fraction_arithmetic(self):
+        new = [r.to_dict() for r in verify.section3_reports(5) if r.identity in DOUBLED]
+        old = [r.to_dict() for n in range(2, 6) for r in _fraction_reports(n)]
+        assert {r["identity"] for r in old} == DOUBLED
+        assert new == old
+
+    def test_broken_identities_report_the_same_exact_halves(self, monkeypatch):
+        # one pair too many at every key: the failed sides have odd doubles,
+        # so the reports must print halves exactly as the Fractions did
+        true_p_seq = verify._p_seq
+        monkeypatch.setattr(verify, "_p_seq", lambda n, alpha, key: true_p_seq(n, alpha, key) + 1)
+        new = [r.to_dict() for r in verify.section3_reports(4) if r.identity in DOUBLED]
+        old = [r.to_dict() for n in range(2, 5) for r in _fraction_reports(n)]
+        assert new == old
+        assert any("/" in r["lhs"] + r["rhs"] for r in new)
+        assert not all(r["pass"] for r in new)
+
+    def test_shifted_exceedance_totals_fail_the_exceedance_identities(self, monkeypatch):
+        # one exceedance too many at every key of every tally
+        true_tallies = oracle._plane_tallies
+
+        def shifted(n, alpha_parts):
+            return {
+                eta: {key: (count, exc + 1) for key, (count, exc) in by_key.items()}
+                for eta, by_key in true_tallies(n, alpha_parts).items()
+            }
+
+        monkeypatch.setattr(oracle, "_plane_tallies", shifted)
+        reports = verify.section3_reports(3)
+        hit = {"split_exceedance_sep", "total_exceedance_balance", "total_exceedance_count"}
+        assert hit <= {r.identity for r in reports}
+        for r in reports:
+            assert r.passed == (r.identity not in hit), str(r)
 
 
 class TestBaserecurSecondRoute:
