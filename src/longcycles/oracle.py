@@ -41,7 +41,7 @@ from ._version import __version__
 from .errors import ResourceLimitError
 from .partitions import Composition, _partition_list, format_d_key, format_seq_key, format_type_key
 from .permutations import Permutation
-from .plane import _cycle_minima, _exceedances
+from .plane import _cycle_minima
 
 __all__ = [
     "CountTable",
@@ -254,35 +254,55 @@ def _pair_codes(n: int) -> np.ndarray:
     return (cyc_t[:, None, :] * n + cyc_t[None, :, :]).reshape(n * n, -1)
 
 
+@cache
+def _high_codes(n: int) -> np.ndarray:
+    """_pair_codes(n) times n^2: the upper two digits of a four-digit code,
+    so that the code of images a, b, c, d is one add, high[ab] + pairs[cd]."""
+    return _pair_codes(n) * (n * n)
+
+
 def _fact_chunk(n: int, lo: int, hi: int) -> np.ndarray:
     """Entry i counts the pairs (c1, c2) whose product c1∘c2 has row i of
     _signatures(n), c1 any long cycle and c2 one of rows lo..hi-1 of
-    _cycle_rows(n).  Every product is composed and ranked; each full rank
-    buffer is counted by lex rank with one bincount, and the counts by rank
-    are added onto the signature rows once, at the end."""
+    _cycle_rows(n).  Every product is composed and ranked.  The second
+    factors are visited in one-line order, so that those sharing their first
+    h = n // 2 images come together and the prefix rank of that head is
+    looked up once for all of them; each c2 adds only its tail's suffix
+    rank.  Each full rank buffer is counted by lex rank with one bincount,
+    and the counts by rank are added onto the signature rows once, at the end."""
     sig, rows = _signatures(n)  # first: its build has the sweep's largest transients, so hold nothing else
     cyc_t = _cycle_rows(n).T.copy()  # row x: the images of x under every long cycle
-    pairs = _pair_codes(n)
+    pairs, high = _pair_codes(n), _high_codes(n)
     prefix, suffix = _rank_tables(n)
     h = n // 2
 
     def code(images):
         # column j of all products c1∘c2 is c1(c2(j)): row c2(j) of cyc_t, and
-        # columns j, j+1 together are row c2(j)*n + c2(j+1) of the pair codes
+        # columns j, j+1 together are row c2(j)*n + c2(j+1) of the pair codes;
+        # the last four images are one add, and a lone first image one row
+        if len(images) >= 4:
+            a, b, c, d = images[-4:]
+            low = high[a * n + b] + pairs[c * n + d]
+            return low if len(images) == 4 else code(images[:-4]) * n**4 + low
         odd = len(images) % 2
         digits = [cyc_t[x] for x in images[:odd]]
         digits += [pairs[x * n + y] for x, y in zip(images[odd::2], images[odd + 1 :: 2])]
         return _code(n * n, digits)
 
+    second = _cycle_rows(n)[lo:hi]
+    second = second[np.lexsort(second.T[::-1])].tolist()  # one-line order: heads come together
     ranks = np.empty((_RANK_ROWS_PER_N * n, cyc_t.shape[1]), dtype=np.int64)
+    head_rank = np.empty(cyc_t.shape[1], dtype=np.int64)
     by_rank = np.zeros(len(sig), dtype=np.int64)
     k = 0
-    for c2 in _cycle_rows(n)[lo:hi].tolist():
-        np.add(prefix[code(c2[:h])], suffix[code(c2[h:])], out=ranks[k])
-        k += 1
-        if k == len(ranks):
-            by_rank += np.bincount(ranks.ravel(), minlength=len(sig))
-            k = 0
+    for head, group in itertools.groupby(second, key=lambda c2: c2[:h]):
+        head_rank[:] = prefix[code(head)]  # a scalar at n = 1, whose head is empty
+        for c2 in group:
+            np.add(head_rank, suffix[code(c2[h:])], out=ranks[k])
+            k += 1
+            if k == len(ranks):
+                by_rank += np.bincount(ranks.ravel(), minlength=len(sig))
+                k = 0
     by_rank += np.bincount(ranks[:k].ravel(), minlength=len(sig))
     out = np.zeros(len(rows), dtype=np.int64)
     np.add.at(out, sig, by_rank)
@@ -311,6 +331,7 @@ def _compute_pair_counts(n: int, workers: int = 1) -> np.ndarray:
     total = np.zeros(len(_signatures(n)[1]), dtype=np.int64)
     _rank_tables(n)
     _pair_codes(n)
+    _high_codes(n)
     # a fork-started pool starts all its processes at once, so never more than the CPUs
     with ProcessPoolExecutor(max_workers=min(workers, _cpus())) as pool:
         for part in pool.map(_fact_chunk, *zip(*chunks)):
@@ -424,22 +445,54 @@ def count_factorizations(target: Permutation, *, force: bool = False) -> int:
 # one representative.  These sweeps walk all (n-1)! * n! pairs (s, pi).
 
 
+# words whose bincount indices share one buffer in _plane_codes
+_PLANE_WORDS = 16
+
+
 @cache
 def _plane_codes(n: int) -> np.ndarray:
     """Counts over all plane permutations (s, pi), indexed by
-    (diagonal type index, signature id of the vertical, exceedance count)."""
+    (diagonal type index, signature id of the vertical, exceedance count).
+
+    The lex rank of the diagonal s∘pi⁻¹ is prefix + suffix rank of the images
+    of pi⁻¹ with s applied, and the exceedance count of (s, pi) is a sum over
+    the images of pi.  Split after the first h = n // 2 images, each half is
+    read from a table built once per word over every digit tuple of that
+    half, keyed by the half's code; the codes of pi and pi⁻¹ are the same for
+    every word."""
     _require_scale("full plane-permutation sweep", n, PLANE_SWEEP_LIMIT, PLANE_SWEEP_LIMIT, False)
-    perms = _all_perm_rows(n).T.copy()  # element first: row x holds the image of x under every perm
+    perms = _all_perm_rows(n).T  # element first: row x holds the image of x under every perm
     pinv_t = np.argsort(perms, axis=0)  # row j: perm⁻¹(j) for every perm
     sig, rows = _signatures(n)
     types = _partition_list(n)
     type_of = np.array([types.index(_cycle_type(row)) for row in rows.tolist()])  # signature id -> type index
-    acc = np.zeros(len(types) * len(rows) * (n + 1), dtype=np.int64)
+    stride = len(rows) * (n + 1)
+    type_base = type_of[sig] * stride  # lex rank of a diagonal -> the first index of its type
+    sig_base = sig * (n + 1)  # lex rank of a vertical -> the first index of its signature within a type
+    prefix, suffix = _rank_tables(n)
+    h = n // 2
+    inv_head, inv_tail = _code(n, pinv_t[:h]), _code(n, pinv_t[h:])
+    img_head, img_tail = _code(n, perms[:h]), _code(n, perms[h:])
+    acc = np.zeros(len(types) * stride, dtype=np.int64)
+    buf = np.empty((_PLANE_WORDS, perms.shape[1]), dtype=np.int64)
+    k = 0
     for word, s_img in zip(_cycle_words(n), _cycle_rows(n)):
         pos = np.argsort(word)  # pos[x]: index of x in the word
-        d_ranks = _lex_rank(n, s_img[pinv_t])  # diagonal s∘(perm r)⁻¹, column by column
-        a = _exceedances(pos, perms).sum(axis=0)
-        acc += np.bincount((type_of[sig[d_ranks]] * len(rows) + sig) * (n + 1) + a, minlength=acc.size)
+        later = (pos[None, :] > pos[:, None]).astype(np.int64)  # later[x, y]: y after x in the word
+        # outer sums over every digit tuple t of a half: the rank of s(t), and
+        # the exceedances of x = 0..h-1 (or h..n-1) with images t
+        rank_head = prefix[np.ravel(_code(n, np.ix_(*[s_img] * h)))]
+        rank_tail = suffix[np.ravel(_code(n, np.ix_(*[s_img] * (n - h))))]
+        exc_head = np.ravel(sum(np.ix_(*later[:h])))
+        exc_tail = np.ravel(sum(np.ix_(*later[h:])))
+        d = rank_head[inv_head] + rank_tail[inv_tail]
+        a = exc_head[img_head] + exc_tail[img_tail]
+        np.add(type_base[d], sig_base + a, out=buf[k])
+        k += 1
+        if k == len(buf):
+            acc += np.bincount(buf.ravel(), minlength=acc.size)
+            k = 0
+    acc += np.bincount(buf[:k].ravel(), minlength=acc.size)
     return acc.reshape(len(types), len(rows), n + 1)
 
 

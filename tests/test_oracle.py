@@ -29,7 +29,7 @@ from longcycles import (
     sweep_pairs,
     z_of,
 )
-from longcycles import oracle
+from longcycles import oracle, verify
 from longcycles.oracle import (
     CountTable,
     OracleResult,
@@ -38,6 +38,7 @@ from longcycles.oracle import (
     _cycle_rows,
     _cycle_type,
     _cycle_words,
+    _diag_rows,
     _fact_chunk,
     _lex_rank,
     _min_lengths,
@@ -201,11 +202,74 @@ class TestPlaneTallies:
                 assert nonzero == direct[alpha.parts].get(eta, {})
 
 
+def _plane_codes_by_diagonals(n):
+    """_plane_codes(n) by a second route: for every diagonal D, the
+    fixed-diagonal sweep's counts (uncached), added into the slot of D's
+    cycle type.  It fixes D and walks s, where _plane_codes fixes s and walks
+    the vertical, and it reads no rank table."""
+    sig_ids = {row: i for i, row in enumerate(map(tuple, _signatures(n)[1].tolist()))}
+    etas = [eta.parts for eta in partitions(n)]
+    acc = np.zeros((len(etas), len(sig_ids), n + 1), dtype=np.int64)
+    for d in _all_perm_rows(n).tolist():
+        image = tuple(x + 1 for x in d)
+        rows, counts = _diag_rows.__wrapped__(n, image)
+        ids = [sig_ids[row] for row in map(tuple, rows.tolist())]
+        acc[etas.index(Permutation(image).cycle_type().parts), ids] += counts
+    return acc
+
+
+class TestPlaneCodesByDiagonals:
+    @pytest.mark.parametrize("n", [*range(1, 7), pytest.param(7, marks=pytest.mark.extended)])
+    def test_sum_over_diagonals_equals_plane_codes(self, n):
+        assert np.array_equal(_plane_codes_by_diagonals(n), _plane_codes(n))
+
+    def test_swapped_suffix_ranks_are_caught(self, monkeypatch, clear_pair_caches):
+        # two tail arrangements of one value set trade lex ranks: a diagonal
+        # of type 5 and one of type 3+2 at n = 5 swap places in the plane codes
+        n = 5
+        real = oracle._rank_tables
+
+        def swapped(k):
+            prefix, suffix = real.__wrapped__(k)  # fresh arrays: the cached tables stay whole
+            if k == n:  # classic_reports(n) also reads n = 2..4, which stay whole
+                i, j = oracle._code(n, (0, 1, 2)), oracle._code(n, (0, 2, 1))
+                suffix[[i, j]] = suffix[[j, i]]
+            return prefix, suffix
+
+        caches = (real, _plane_codes, _plane_tallies)
+
+        def clear():
+            for table in caches:
+                table.cache_clear()
+            clear_pair_caches()
+
+        clear()
+        product_pair_counts(n)  # the pair counts come from the whole tables
+        monkeypatch.setattr(oracle, "_rank_tables", swapped)
+        try:
+            assert not np.array_equal(_plane_codes(n), _plane_codes_by_diagonals(n))
+            failed = {r.identity for r in verify.classic_reports(n) if not r.passed}
+        finally:
+            monkeypatch.undo()
+            clear()
+        assert failed and failed <= {"split_exceedance", "split_exceedance_dual", "split_joint"}
+
+
+def _head_cuts(n):
+    """Indices i of _cycle_rows(n) whose row shares its first n // 2 images,
+    its head, with row i - 1: a window starting or ending at i splits that
+    head group."""
+    rows = _cycle_rows(n)
+    h = n // 2
+    return np.flatnonzero((rows[1:, :h] == rows[:-1, :h]).all(axis=1)) + 1
+
+
 def _pair_windows():
     """(n, lo, hi) windows of second factors: the whole range up to n = 6, an
     empty window, windows of 4n + 3 second factors (cut short at n <= 4),
-    which fill the 2n-row rank buffer twice and end inside it, and three
-    second factors at n = 9."""
+    which fill the 2n-row rank buffer twice and end inside it, windows at
+    n = 5..8 that start and end inside a head group and span more than one
+    rank buffer, and three second factors at n = 9."""
     for n in range(1, 10):
         m = math.factorial(n - 1)
         if n <= 6:
@@ -213,6 +277,10 @@ def _pair_windows():
         yield n, m // 2, m // 2
         if 3 <= n <= 8:
             yield n, 1, min(m, 1 + 4 * n + 3)
+        if 5 <= n <= 8:
+            cuts = _head_cuts(n)
+            lo = cuts[len(cuts) // 2]
+            yield n, int(lo), int(cuts[cuts > lo + 2 * n][0])
     yield 9, 100, 103
 
 
@@ -230,6 +298,12 @@ class TestPairKernel:
         assert got.dtype == np.int64
         assert got.tolist() == expected.tolist()
         assert got.sum() == (hi - lo) * math.factorial(n - 1)
+
+    def test_chunks_cut_inside_head_groups_sum_to_whole_range(self):
+        whole = _fact_chunk(7, 0, 720)
+        cuts = _head_cuts(7)
+        for cut in cuts[:: len(cuts) // 4].tolist():
+            assert np.array_equal(_fact_chunk(7, 0, cut) + _fact_chunk(7, cut, 720), whole)
 
 
 class TestEnumerators:
@@ -503,7 +577,7 @@ class TestPoolSize:
     )
     def test_at_most_one_process_per_cpu_and_one_chunk_per_worker(self, monkeypatch, cpus, workers, processes):
         started, chunks, prebuilt = [], [], []
-        tables = (oracle._rank_tables, oracle._pair_codes)
+        tables = (oracle._rank_tables, oracle._pair_codes, oracle._high_codes)
 
         class InProcessPool:  # records what a process pool would start; starts none
             def __init__(self, max_workers):
@@ -526,7 +600,7 @@ class TestPoolSize:
             table.cache_clear()
         counts = oracle._compute_pair_counts(5, workers)
         assert started == [processes]
-        assert prebuilt == [[1, 1]]  # forked workers inherit the tables for n = 5
+        assert prebuilt == [[1, 1, 1]]  # forked workers inherit the tables for n = 5
         assert len(chunks) == min(workers, math.factorial(4))
         assert counts.tolist() == _fact_chunk(5, 0, math.factorial(4)).tolist()
 
