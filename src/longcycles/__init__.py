@@ -1,6 +1,12 @@
 """Exact enumeration for products of long cycles in symmetric groups:
 closed-form counts, an exhaustive brute-force oracle, and identity
-verification suites, all in exact integer/rational arithmetic."""
+verification suites, all in exact integer/rational arithmetic.
+
+The closed forms and the partition and permutation algebra load with the
+package.  The oracle and plane names load numpy, so their modules are
+imported on first use of one of their names."""
+
+import importlib
 
 from ._version import __version__
 from .errors import (
@@ -23,15 +29,6 @@ from .formulas import (
     separating_total,
     separation_probability,
     zagier_stanley,
-)
-from .oracle import (
-    CountTable,
-    OracleResult,
-    count_factorizations,
-    expected_k_cycles,
-    pairs_separating_prefix,
-    sweep_fixed_diagonal,
-    sweep_pairs,
 )
 from .partitions import (
     Composition,
@@ -63,7 +60,19 @@ from .permutations import (
     is_alpha_separated,
     long_cycle_iter,
 )
-from .plane import ExceedanceStats, PlanePermutation
+
+# name -> the submodule that defines it, imported by __getattr__ on first use
+_LAZY = {
+    "CountTable": "oracle",
+    "OracleResult": "oracle",
+    "count_factorizations": "oracle",
+    "expected_k_cycles": "oracle",
+    "pairs_separating_prefix": "oracle",
+    "sweep_fixed_diagonal": "oracle",
+    "sweep_pairs": "oracle",
+    "ExceedanceStats": "plane",
+    "PlanePermutation": "plane",
+}
 
 __all__ = [
     "__version__",
@@ -120,3 +129,15 @@ __all__ = [
     "z_of_seq",
     "zagier_stanley",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later lookups do not come here
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

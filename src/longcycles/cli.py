@@ -21,7 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import formulas, oracle, verify
+from . import formulas
+from ._suites import SUITES
 from .errors import ExactnessError, ResourceLimitError
 from .formulas import _value_str
 from .partitions import Composition, IntegerPartition, compositions
@@ -158,6 +159,8 @@ def _run_formula(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import oracle  # loads numpy, which formula and table never need
+
     threads = 1 if args.threads is None else args.threads
     if threads < 1:
         parser.error("--threads must be >= 1")
@@ -202,13 +205,15 @@ def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def _run_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import verify  # loads numpy, as oracle does
+
     if args.max_n < 2:
         parser.error("--max-n must be >= 2")
     if args.baserecur_max_n < 1:
         parser.error("--baserecur-max-n must be >= 1")
     if args.threads < 1:
         parser.error("--threads must be >= 1")
-    suites = tuple(args.suite) if args.suite else verify.SUITES
+    suites = tuple(args.suite) if args.suite else SUITES
     run = verify.run_suites(
         suites,
         args.max_n,
@@ -298,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the identity suites")
     p_verify.set_defaults(run=_run_verify, parser=p_verify)
     p_verify.add_argument("--max-n", type=int, default=6)
-    p_verify.add_argument("--suite", action="append", choices=verify.SUITES)
+    p_verify.add_argument("--suite", action="append", choices=SUITES)
     p_verify.add_argument("--baserecur-max-n", type=int, default=12)
     p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")

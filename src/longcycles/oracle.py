@@ -28,7 +28,6 @@ import math
 import os
 import tempfile
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -303,6 +302,7 @@ def _fact_chunk(n: int, lo: int, hi: int) -> np.ndarray:
             if k == len(ranks):
                 by_rank += np.bincount(ranks.ravel(), minlength=len(sig))
                 k = 0
+    del code  # it calls itself, a cycle: unlinked, the tables it holds are freed now, not by a later collection
     by_rank += np.bincount(ranks[:k].ravel(), minlength=len(sig))
     out = np.zeros(len(rows), dtype=np.int64)
     np.add.at(out, sig, by_rank)
@@ -332,6 +332,8 @@ def _compute_pair_counts(n: int, workers: int = 1) -> np.ndarray:
     _rank_tables(n)
     _pair_codes(n)
     _high_codes(n)
+    from concurrent.futures import ProcessPoolExecutor  # here, so one worker never loads multiprocessing
+
     # a fork-started pool starts all its processes at once, so never more than the CPUs
     with ProcessPoolExecutor(max_workers=min(workers, _cpus())) as pool:
         for part in pool.map(_fact_chunk, *zip(*chunks)):
@@ -347,6 +349,8 @@ def product_pair_counts(n: int, workers: int = 1, force: bool = False) -> np.nda
     if n not in _pair_counts_cache:
         _require_scale("pair sweep", n, PAIR_SWEEP_FREE_LIMIT, HARD_LIMIT, force)
         _pair_counts_cache[n] = _compute_pair_counts(n, workers)
+        _pair_codes.cache_clear()  # 26 MB each at n = 9, and no other sweep reads them
+        _high_codes.cache_clear()
     return _pair_counts_cache[n]
 
 

@@ -41,6 +41,7 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from . import formulas, oracle, plane
+from ._suites import SUITES
 from .errors import ResourceLimitError
 from .formulas import _value_str
 from .partitions import (
@@ -618,8 +619,6 @@ def plane_structure_reports(max_n: int = 6) -> list[IdentityReport]:
 # ---------------------------------------------------------------------------
 # runner
 
-
-SUITES = ("classic", "section3", "baserecur", "formulas", "plane", "parity")
 
 # the largest n at which each suite can run: the plane tallies and the plane
 # suite's n! permutation rows stop at PLANE_SWEEP_LIMIT, the unforced pair

@@ -1,8 +1,13 @@
+import concurrent.futures
+import gc
 import hashlib
 import itertools
 import json
 import logging
 import math
+import subprocess
+import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -570,6 +575,19 @@ class TestDeterminism:
         assert texts[0] == texts[1]
 
 
+class TestCodeTables:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_freed_once_the_counts_are_stored(self, clear_pair_caches, workers):
+        clear_pair_caches()
+        tables = [weakref.ref(oracle._pair_codes(5)), weakref.ref(oracle._high_codes(5))]
+        gc.disable()  # freed by their reference counts, not by a later collection
+        try:
+            product_pair_counts(5, workers)
+        finally:
+            gc.enable()
+        assert [table() for table in tables] == [None, None]
+
+
 class TestPoolSize:
     @pytest.mark.parametrize(
         "cpus, workers, processes",
@@ -594,7 +612,8 @@ class TestPoolSize:
                 chunks.extend(zip(*args))
                 return map(fn, *args)
 
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+        # _compute_pair_counts imports the pool class from here in its pool branch
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         for table in tables:
             table.cache_clear()
@@ -603,6 +622,16 @@ class TestPoolSize:
         assert prebuilt == [[1, 1, 1]]  # forked workers inherit the tables for n = 5
         assert len(chunks) == min(workers, math.factorial(4))
         assert counts.tolist() == _fact_chunk(5, 0, math.factorial(4)).tolist()
+
+    def test_one_worker_loads_no_process_pool(self):
+        script = (
+            "import sys, longcycles; longcycles.sweep_pairs(5, cache_dir=None); "
+            "print(sorted(m for m in sys.modules if m.startswith(('concurrent.futures.', 'multiprocessing'))))"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "concurrent.futures.process" not in proc.stdout
+        assert "multiprocessing" not in proc.stdout
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
