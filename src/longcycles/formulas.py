@@ -166,9 +166,9 @@ def separating_by_d_raw(alpha: Composition, d: Sequence[int]) -> Fraction:
     g, n = alpha.parts[0], alpha.n
     # C(m, k) for m <= n+1 and every k in d, from Stirling rows cut at column
     # max(d): stirling_first would step and keep whole rows, ~30 MB at n = 1200
-    row, stirling = [1] + [0] * max(d), []
+    row, stirling, columns = [1] + [0] * max(d), [], set(d)
     for m in range(n + 2):
-        stirling.append({k: row[k] for k in set(d)})
+        stirling.append({k: row[k] for k in columns})
         row = [0] + [row[k - 1] + m * row[k] for k in range(1, len(row))]
     poly = _poly_product(
         [

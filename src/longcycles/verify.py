@@ -35,7 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
@@ -78,7 +78,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class IdentityReport:
     identity: str
     instance: str
@@ -103,7 +103,7 @@ class IdentityReport:
         return f"[{mark}] {self.identity} @ {self.instance}: {_value_str(self.lhs)} vs {_value_str(self.rhs)}"
 
 
-@dataclass
+@dataclass(slots=True)
 class ParityAuditRecord:
     """A wrong-parity instance: the bare expression's value next to the true
     count, which must be zero."""
@@ -158,14 +158,6 @@ def _seq_len(key: SeqKey) -> int:
     return sum(len(c) for c in key)
 
 
-def _block_shrinks(beta: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(binom(b, 2), beta with block b one element smaller) for each block
-    b >= 2 of beta."""
-    for i0, b in enumerate(beta):
-        if b >= 2:
-            yield math.comb(b, 2), beta[:i0] + (b - 1,) + beta[i0 + 1 :]
-
-
 def _T(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int:
     """Twice the part-shrinking weighted sum over pair counts one level down."""
     steps = _shrink_steps(alpha_parts, key)
@@ -185,29 +177,28 @@ def _half(x: int) -> int | Fraction:
 _NO_PLANES = (0, 0)  # the (count, exceedances) of a key that no vertical has
 
 
-def _split_exceedance(
-    n: int, alpha_parts: tuple[int, ...], eta: tuple[int, ...], key: SeqKey
-) -> tuple[int, int]:
-    """The exceedance-weighted split recurrence for diagonal cycle type eta:
-    the sum of n - len(key) - a over its plane permutations, a the
-    exceedance count, is (n - len(key)) times their count less their
-    exceedances."""
-    by_key = oracle._plane_tallies(n, alpha_parts)[eta]
-    count, exceedances = by_key.get(key, _NO_PLANES)
-    lhs = (n - _seq_len(key)) * count - exceedances
-    rhs = sum(kap * by_key.get(k2, _NO_PLANES)[0] for k2, kap in _odd_refinements_seq(key))
-    return lhs, rhs
+def _eta_rows(n: int) -> list[tuple[str, tuple[tuple[int, int], ...], int]]:
+    """Per diagonal type eta of size n, in _partition_list order: its text, its
+    odd splits as (index of the split, kappa), and n + 1 - len(eta)."""
+    index = {eta: i for i, eta in enumerate(_partition_list(n))}
+    refs = {eta: tuple((index[mu], kap) for mu, kap in _odd_refinements(eta)) for eta in index}
+    return [(format_type_key(eta), refs[eta], n + 1 - len(eta)) for eta in index]
 
 
-def _split_joint(
-    n: int, alpha_parts: tuple[int, ...], eta: tuple[int, ...], key: SeqKey, split_rhs: int
-) -> tuple[int, int]:
-    """The split recurrence with the exceedances cleared, splitting the
-    diagonal type as well; ``split_rhs`` is _split_exceedance's right side."""
-    by_eta = oracle._plane_tallies(n, alpha_parts)
-    lhs = (n + 1 - _seq_len(key) - len(eta)) * by_eta[eta].get(key, _NO_PLANES)[0]
-    rhs = split_rhs + sum(kap * by_eta[mu].get(key, _NO_PLANES)[0] for mu, kap in _odd_refinements(eta))
-    return lhs, rhs
+def _split_rows(n: int, tallies: list[dict], key: SeqKey, length: int, eta_rows: list) -> tuple[list, int]:
+    """((split lhs, split rhs), (joint lhs, joint rhs)) at block types key of
+    ``length`` parts, per eta of ``eta_rows``, and key's exceedances over all
+    eta; ``tallies`` are one composition's plane tallies in that order.  The
+    joint split clears the exceedances and splits the diagonal type too."""
+    refs = _odd_refinements_seq(key)
+    cells = [by_key.get(key, _NO_PLANES) for by_key in tallies]
+    rows, total_exc = [], 0
+    for (_text, eta_refs, free), by_key, (count, exc) in zip(eta_rows, tallies, cells):
+        split_rhs = sum(kap * by_key.get(k2, _NO_PLANES)[0] for k2, kap in refs)
+        joint_rhs = split_rhs + sum(kap * cells[i][0] for i, kap in eta_refs)
+        rows.append((((n - length) * count - exc, split_rhs), ((free - length) * count, joint_rhs)))
+        total_exc += exc
+    return rows, total_exc
 
 
 def _split_long(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> tuple[int, int]:
@@ -226,22 +217,24 @@ def _split_long(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> tuple[int,
 def classic_reports(max_n: int = 6) -> list[IdentityReport]:
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
-        one = (n,)
         etas = _partition_list(n)
-        splits = {(eta, lam): _split_exceedance(n, one, eta, (lam,)) for eta in etas for lam in etas}
-        for eta in etas:
-            for lam in etas:
-                inst = f"n={n} eta={format_type_key(eta)} lam={format_type_key(lam)}"
-                reports.append(IdentityReport("split_exceedance", inst, *splits[eta, lam]))
+        eta_rows = _eta_rows(n)
+        by_eta = oracle._plane_tallies(n, (n,))
+        tallies = [by_eta[eta] for eta in etas]
+        rows = [_split_rows(n, tallies, (lam,), len(lam), eta_rows)[0] for lam in etas]
+        for i, (eta_text, _refs, _free) in enumerate(eta_rows):
+            for j, (lam_text, _refs, _free) in enumerate(eta_rows):
+                inst = f"n={n} eta={eta_text} lam={lam_text}"
+                split, joint = rows[j][i]  # rows[j][i]: vertical type etas[j], diagonal type etas[i]
+                reports.append(IdentityReport("split_exceedance", inst, *split))
                 # the same recurrence with the roles of the two types swapped
-                reports.append(IdentityReport("split_exceedance_dual", inst, *splits[lam, eta]))
-                joint = _split_joint(n, one, eta, (lam,), splits[eta, lam][1])
+                reports.append(IdentityReport("split_exceedance_dual", inst, *rows[i][j][0]))
                 reports.append(IdentityReport("split_joint", inst, *joint))
         # long-cycle diagonal specialization, under its parity hypothesis
         for lam in etas:
             if (len(lam) - n) % 2 == 0:
                 inst = f"n={n} lam={format_type_key(lam)}"
-                reports.append(IdentityReport("split_long", inst, *_split_long(n, one, (lam,))))
+                reports.append(IdentityReport("split_long", inst, *_split_long(n, (n,), (lam,))))
     return reports
 
 
@@ -249,67 +242,65 @@ def classic_reports(max_n: int = 6) -> list[IdentityReport]:
 # block-refined suite
 
 
-def _alpha_instances(n: int) -> Iterator[tuple[tuple[int, ...], SeqKey]]:
-    for alpha_parts in _compositions(n):
-        for key in _partition_sequence_keys(alpha_parts):
-            yield alpha_parts, key
-
-
 def section3_reports(max_n: int = 6) -> list[IdentityReport]:
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
-        etas = _partition_list(n)
+        eta_rows = _eta_rows(n)
         fact_n1 = math.factorial(n - 1)
         # identities over block types of products on [n]
-        for alpha_parts, key in _alpha_instances(n):
-            base = f"n={n} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
-            z_key = _z_seq(key)
-            length = _seq_len(key)
+        for alpha_parts in _compositions(n):
+            head = f"n={n} alpha={format_d_key(alpha_parts)} Lam="
             by_eta = oracle._plane_tallies(n, alpha_parts)
-            # block-refined split with exceedance weights, per diagonal type
-            for eta in etas:
-                inst = f"{base} eta={format_type_key(eta)}"
-                split = _split_exceedance(n, alpha_parts, eta, key)
-                reports.append(IdentityReport("split_exceedance_sep", inst, *split))
-                joint = _split_joint(n, alpha_parts, eta, key, split[1])
-                reports.append(IdentityReport("split_joint_sep", inst, *joint))
-            # long-cycle diagonal specialization (parity hypothesis)
-            if (length - n) % 2 == 0:
-                reports.append(IdentityReport("split_long_sep", base, *_split_long(n, alpha_parts, key)))
-            # total exceedances over all diagonals, two evaluations
-            total_exc = sum(by_eta[eta].get(key, _NO_PLANES)[1] for eta in etas)
-            balance = (n - length) * fact_n1 * z_key
-            blocks = [_block_pieces(p)[c] for p, c in zip(alpha_parts, key)]
-            balance -= fact_n1 * _odd_split_z(blocks, z_key)
-            reports.append(IdentityReport("total_exceedance_balance", base, total_exc, balance))
-            direct = (n - sum(c.count(1) for c in key)) * fact_n1 * z_key
-            reports.append(IdentityReport("total_exceedance_count", base, total_exc, _half(direct)))
+            tallies = [by_eta[eta] for eta in _partition_list(n)]
+            pieces = [_block_pieces(p) for p in alpha_parts]
+            for key in _partition_sequence_keys(alpha_parts):
+                base = head + format_seq_key(key)
+                z_key, length = _z_seq(key), _seq_len(key)
+                rows, total_exc = _split_rows(n, tallies, key, length, eta_rows)
+                # block-refined split with exceedance weights, per diagonal type
+                for (eta_text, _refs, _free), (split, joint) in zip(eta_rows, rows):
+                    inst = f"{base} eta={eta_text}"
+                    reports.append(IdentityReport("split_exceedance_sep", inst, *split))
+                    reports.append(IdentityReport("split_joint_sep", inst, *joint))
+                # long-cycle diagonal specialization (parity hypothesis)
+                if (length - n) % 2 == 0:
+                    reports.append(IdentityReport("split_long_sep", base, *_split_long(n, alpha_parts, key)))
+                # total exceedances over all diagonals, two evaluations
+                blocks = [by_c[c] for by_c, c in zip(pieces, key)]
+                balance = fact_n1 * ((n - length) * z_key - _odd_split_z(blocks, z_key))
+                reports.append(IdentityReport("total_exceedance_balance", base, total_exc, balance))
+                direct = (n - sum(c.count(1) for c in key)) * fact_n1 * z_key
+                reports.append(IdentityReport("total_exceedance_count", base, total_exc, _half(direct)))
         # weighted part-shrinking identities: block types one element up; every
-        # side below is doubled, so that it is an integer, and halved in the report
-        for alpha_parts, key in _alpha_instances(n + 1):
-            base = f"n={n} alpha={format_d_key(alpha_parts)} Lam={format_seq_key(key)}"
-            refs = _odd_refinements_seq(key)
-            z_key = _z_seq(key)
-            length = _seq_len(key)
-            t_refined = sum(kap * _T(n, alpha_parts, k2) for k2, kap in refs)
-            if (length - n) % 2 == 0:
-                for i0, part, twice, a2, key2 in _shrink_steps(alpha_parts, key):
-                    inst = f"{base} i={i0 + 1} j={part - 1}"
-                    lhs = (n + 1 - length) * twice * _p_seq(n, a2, key2)
-                    rhs = twice * _p_refined(n, a2, key2) + part * key[i0].count(part) * fact_n1 * z_key
-                    reports.append(IdentityReport("downarrow_step", inst, _half(lhs), _half(rhs)))
-                t_key = _T(n, alpha_parts, key)
-                lhs_rec = (n + 1 - length) * t_key
-                weight = sum(_block_pieces(p)[c][3] for p, c in zip(alpha_parts, key))
-                rhs_rec = t_refined + fact_n1 * z_key * weight
-                reports.append(
-                    IdentityReport("weighted_sum_recurrence", base, _half(lhs_rec), _half(rhs_rec))
-                )
-                reports.append(IdentityReport("weighted_sum_value", base, _half(t_key), fact_n1 * z_key))
-            # the exchange identity holds without the parity hypothesis
-            steps = _shrink_steps(alpha_parts, key)
-            lhs_ex = sum(twice * _p_refined(n, a2, key2) for _i, _p, twice, a2, key2 in steps)
-            reports.append(IdentityReport("downarrow_exchange", base, _half(lhs_ex), _half(t_refined)))
+        # side below is doubled, so that it is an integer, and halved in the report.
+        # Memos live for one call, as _p_seq may be replaced between calls.
+        p_refined = cache(partial(_p_refined, n))
+        for alpha_parts in _compositions(n + 1):
+            head = f"n={n} alpha={format_d_key(alpha_parts)} Lam="
+            pieces = [_block_pieces(p) for p in alpha_parts]
+            twice_sum = cache(partial(_T, n, alpha_parts))
+            for key in _partition_sequence_keys(alpha_parts):
+                base = head + format_seq_key(key)
+                fz_key, length = fact_n1 * _z_seq(key), _seq_len(key)
+                steps = tuple(_shrink_steps(alpha_parts, key))
+                refined = [twice * p_refined(a2, key2) for _i, _p, twice, a2, key2 in steps]
+                t_refined = sum(kap * twice_sum(k2) for k2, kap in _odd_refinements_seq(key))
+                if (length - n) % 2 == 0:
+                    t_key = 0
+                    for (i0, part, twice, a2, key2), twice_refined in zip(steps, refined):
+                        twice_p = twice * _p_seq(n, a2, key2)
+                        t_key += twice_p
+                        lhs = (n + 1 - length) * twice_p
+                        rhs = twice_refined + part * key[i0].count(part) * fz_key
+                        inst = f"{base} i={i0 + 1} j={part - 1}"
+                        reports.append(IdentityReport("downarrow_step", inst, _half(lhs), _half(rhs)))
+                    weight = sum(by_c[c][3] for by_c, c in zip(pieces, key))
+                    lhs_rec, rhs_rec = _half((n + 1 - length) * t_key), _half(t_refined + fz_key * weight)
+                    reports.append(IdentityReport("weighted_sum_recurrence", base, lhs_rec, rhs_rec))
+                    reports.append(IdentityReport("weighted_sum_value", base, _half(t_key), fz_key))
+                # the exchange identity holds without the parity hypothesis
+                lhs_ex = sum(refined)
+                reports.append(IdentityReport("downarrow_exchange", base, _half(lhs_ex), _half(t_refined)))
         reports += block_deletion_reports(n)
     return reports
 
@@ -324,25 +315,25 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
     """
     reports: list[IdentityReport] = []
     fact_n1 = math.factorial(n - 1)
+    closed = cache(lambda b2, d: formulas.separating_by_d(Composition(b2), d))  # for this call only
     for beta in _compositions(n + 1):
         inst_total = f"n={n} beta={format_d_key(beta)}"
-        shrinks = list(_block_shrinks(beta))
-        if max(beta) >= 2:
+        # (binom(b, 2), beta with block b one element smaller) per block b >= 2
+        shrinks = [
+            (math.comb(b, 2), beta[:i] + (b - 1,) + beta[i + 1 :]) for i, b in enumerate(beta) if b >= 2
+        ]
+        if shrinks:
             lhs_tot = sum(coeff * oracle._pairs_alpha_tables(n, b2)[2] for coeff, b2 in shrinks)
-            rhs_tot = Fraction(fact_n1, 2)
-            for b in beta:
-                rhs_tot *= math.factorial(b)
+            rhs_tot = Fraction(fact_n1 * math.prod(map(math.factorial, beta)), 2)
             reports.append(IdentityReport("block_deletion_total", inst_total, lhs_tot, rhs_tot))
         for d in itertools.product(*(range(1, b + 1) for b in beta)):
             if (sum(d) - n) % 2:
                 continue
             inst = f"{inst_total} d={format_d_key(d)}"
-            rhs = fact_n1
-            for b, di in zip(beta, d):
-                rhs *= stirling_first(b, di)
+            rhs = fact_n1 * math.prod(map(stirling_first, beta, d))
             lhs = sum(coeff * oracle._pairs_alpha_tables(n, b2)[0].get(d, 0) for coeff, b2 in shrinks)
             reports.append(IdentityReport("block_deletion_d[oracle]", inst, lhs, rhs))
-            lhs = sum(coeff * formulas.separating_by_d(Composition(b2), d) for coeff, b2 in shrinks)
+            lhs = sum(coeff * closed(b2, d) for coeff, b2 in shrinks)
             reports.append(IdentityReport("block_deletion_d[formula]", inst, lhs, rhs))
     return reports
 
@@ -351,28 +342,37 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
 # pure partition algebra
 
 
+def _leading_folds(rest: int, parts: tuple[int, ...], folded: list) -> Iterator[tuple[tuple[int, ...], list]]:
+    """Each composition of sum(parts) + rest that begins with parts, in
+    _compositions order, with its leading blocks folded, in itertools.product
+    order, into (key text, z, sum_i S_i z / z_i, weight, length), from the
+    fold of parts.  Only the folds on the current path of the walk are alive."""
+    yield parts + (rest,), folded
+    for b in range(rest - 1, 0, -1):
+        yield from _leading_folds(rest - b, parts + (b,), [
+            (text + piece + " | ", z * zp, s * zp + sp * z, w + wp, length + lp)
+            for text, z, s, w, length in folded
+            for piece, zp, sp, wp, lp in _block_pieces(b).values()
+        ])
+
+
 def baserecur_reports(max_n: int = 12) -> list[IdentityReport]:
     """The length-weight recurrence over all block types of all compositions,
     oracle-free: each side is a product or a sum of per-block pieces."""
     reports: list[IdentityReport] = []
+    append = reports.append
     for total in range(1, max_n + 1):
-        for alpha_parts in _compositions(total):
-            # the leading blocks folded, in itertools.product order, into
-            # (instance text, z, sum_i S_i z / z_i, weight, length)
-            folded = [(f"N={total} alpha={format_d_key(alpha_parts)} Lam=", 1, 0, 0, 0)]
-            for p in alpha_parts[:-1]:
-                folded = [
-                    (text + piece + " | ", z * zp, s * zp + sp * z, w + wp, length + lp)
-                    for text, z, s, w, length in folded
-                    for piece, zp, sp, wp, lp in _block_pieces(p).values()
-                ]
-            last = _block_pieces(alpha_parts[-1]).values()
+        for alpha_parts, folded in _leading_folds(total, (), [("", 1, 0, 0, 0)]):
+            head = f"N={total} alpha={format_d_key(alpha_parts)} Lam="
+            last = tuple(_block_pieces(alpha_parts[-1]).values())
             for text, z, s, w, length in folded:
+                text = head + text
                 for piece, zp, sp, wp, lp in last:
                     z_key = z * zp
+                    twice = 2 * (s * zp + sp * z) + z_key * (w + wp)  # the right side, doubled
+                    rhs = twice >> 1 if twice & 1 == 0 else Fraction(twice, 2)  # _half, inline
                     lhs = (total - length - lp) * z_key
-                    rhs = _half(2 * (s * zp + sp * z) + z_key * (w + wp))
-                    reports.append(IdentityReport("length_weight_base", text + piece, lhs, rhs))
+                    append(IdentityReport("length_weight_base", text + piece, lhs, rhs))
     return reports
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,7 @@ from longcycles import (
     Permutation,
     cli,
     compose,
+    formulas,
     long_cycle_iter,
     odd_refinements,
     oracle,
@@ -20,8 +22,10 @@ from longcycles import (
 from longcycles.errors import ResourceLimitError
 from longcycles.partitions import (
     _block_pieces,
+    _compositions,
     _odd_refinements_seq,
     _partition_list,
+    _partition_sequence_keys,
     _shrink_steps,
     _z_seq,
     format_d_key,
@@ -42,6 +46,13 @@ SWEEP_LIMITS = {
 def assert_all_pass(reports):
     bad = [r for r in reports if not r.passed]
     assert not bad, "\n".join(str(r) for r in bad[:20])
+
+
+def alpha_instances(n):
+    """Every (composition of n, block types over it), in the suites' order."""
+    for alpha in _compositions(n):
+        for key in _partition_sequence_keys(alpha):
+            yield alpha, key
 
 
 class TestSuites:
@@ -140,13 +151,13 @@ def _fraction_reports(n):
         return sum(coeff * verify._p_seq(n, a2, key2) for _i, _p, coeff, a2, key2 in steps(alpha, key))
 
     reports = []
-    for alpha, key in verify._alpha_instances(n):
+    for alpha, key in alpha_instances(n):
         base = f"n={n} alpha={format_d_key(alpha)} Lam={format_seq_key(key)}"
         by_eta = oracle._plane_tallies(n, alpha)
         total_exc = sum(by_eta[eta].get(key, (0, 0))[1] for eta in _partition_list(n))
         direct = Fraction(n - sum(c.count(1) for c in key), 2) * fact_n1 * _z_seq(key)
         reports.append(IdentityReport("total_exceedance_count", base, total_exc, direct))
-    for alpha, key in verify._alpha_instances(n + 1):
+    for alpha, key in alpha_instances(n + 1):
         base = f"n={n} alpha={format_d_key(alpha)} Lam={format_seq_key(key)}"
         z_key, length = _z_seq(key), verify._seq_len(key)
         t_refined = sum(kap * weighted_sum(alpha, k2) for k2, kap in _odd_refinements_seq(key))
@@ -202,11 +213,99 @@ class TestSection3DoubledSides:
             assert r.passed == (r.identity not in hit), str(r)
 
 
+class TestSharedSplitRows:
+    def test_classic_splits_are_the_one_block_section3_splits(self):
+        # classic's split_exceedance and split_joint at (eta, lam) are
+        # section3's *_sep reports at alpha = (n), key = (lam,)
+        names = {"split_exceedance": "split_exceedance_sep", "split_joint": "split_joint_sep"}
+        sep = {(r.identity, r.instance): (r.lhs, r.rhs) for r in verify.section3_reports(6)}
+        checked = 0
+        for r in verify.classic_reports(6):
+            if r.identity in names:
+                n, eta, lam = (field.split("=")[1] for field in r.instance.split(" "))
+                assert (r.lhs, r.rhs) == sep[names[r.identity], f"n={n} alpha=({n}) Lam={lam} eta={eta}"], str(r)
+                checked += 1
+        assert checked == 2 * sum(len(_partition_list(n)) ** 2 for n in range(2, 7))
+
+    def test_no_memo_outlives_its_call(self, monkeypatch):
+        # fill whatever the suites keep, then break every source they read: a
+        # memo kept across calls would still serve the true values
+        verify.section3_reports(4)
+        verify.block_deletion_reports(4)
+        true_p_seq, true_tallies, true_closed = verify._p_seq, oracle._plane_tallies, formulas.separating_by_d
+
+        def shifted(n, alpha_parts):
+            return {
+                eta: {key: (count, exc + 1) for key, (count, exc) in by_key.items()}
+                for eta, by_key in true_tallies(n, alpha_parts).items()
+            }
+
+        monkeypatch.setattr(verify, "_p_seq", lambda n, alpha, key: true_p_seq(n, alpha, key) + 1)
+        monkeypatch.setattr(oracle, "_plane_tallies", shifted)
+        monkeypatch.setattr(formulas, "separating_by_d", lambda alpha, d: true_closed(alpha, d) + 1)
+        failed = {r.identity for r in verify.section3_reports(4) if not r.passed}
+        assert failed == {
+            "split_long_sep",  # pair counts
+            "downarrow_step",
+            "weighted_sum_recurrence",
+            "weighted_sum_value",
+            "split_exceedance_sep",  # exceedance totals
+            "total_exceedance_balance",
+            "total_exceedance_count",
+            "block_deletion_d[formula]",  # the closed form
+        }
+        failed = {r.identity for r in verify.block_deletion_reports(4) if not r.passed}
+        assert failed == {"block_deletion_d[formula]"}
+
+
+class TestSlottedRecords:
+    REPORTS = [
+        IdentityReport("a", "n=1", 3, 3),
+        IdentityReport("b", "n=2", Fraction(1, 2), Fraction(1, 2)),
+        IdentityReport("c", "n=3", 1, Fraction(3, 2)),
+    ]
+    AUDIT = [ParityAuditRecord("d", "n=4", Fraction(11, 6), 0), ParityAuditRecord("e", "n=5", 4, 2)]
+
+    @pytest.mark.parametrize("record", REPORTS[:1] + AUDIT[:1])
+    def test_no_instance_dict(self, record):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.note = "unknown"
+
+    def test_text_and_dicts_for_int_and_fraction_sides(self):
+        assert [(str(r), r.passed) for r in self.REPORTS] == [
+            ("[ok] a @ n=1: 3 vs 3", True),
+            ("[ok] b @ n=2: 1/2 vs 1/2", True),
+            ("[FAIL] c @ n=3: 1 vs 3/2", False),
+        ]
+        assert self.REPORTS[2].to_dict() == {
+            "identity": "c", "instance": "n=3", "lhs": "1", "rhs": "3/2", "pass": False,
+        }
+        assert [(str(a), a.ok) for a in self.AUDIT] == [
+            ("[ok] parity violation d @ n=4: expression gives 11/6, true count 0", True),
+            ("[FAIL] parity violation e @ n=5: expression gives 4, true count 2", False),
+        ]
+        assert self.AUDIT[0].to_dict() == {
+            "identity": "d", "instance": "n=4", "formula_value": "11/6", "true_count": "0", "ok": True,
+        }
+
+    def test_write_json(self):
+        out = io.StringIO()
+        VerifyRun(reports=self.REPORTS, audit=self.AUDIT).write_json(out)
+        assert out.getvalue() == (
+            '{"audit": [{"formula_value": "11/6", "identity": "d", "instance": "n=4", "ok": true, '
+            '"true_count": "0"}, {"formula_value": "4", "identity": "e", "instance": "n=5", "ok": false, '
+            '"true_count": "2"}], "ok": false, "reports": [{"identity": "a", "instance": "n=1", "lhs": "3", '
+            '"pass": true, "rhs": "3"}, {"identity": "b", "instance": "n=2", "lhs": "1/2", "pass": true, '
+            '"rhs": "1/2"}, {"identity": "c", "instance": "n=3", "lhs": "1", "pass": false, "rhs": "3/2"}]}\n'
+        )
+
+
 class TestBaserecurSecondRoute:
     def test_both_sides_the_whole_key_way(self):
         # every instance recomputed from its whole block-type key: the odd
         # splits of the sequence, its z and its weight
-        instances = [(total, *inst) for total in range(1, 10) for inst in verify._alpha_instances(total)]
+        instances = [(total, *inst) for total in range(1, 10) for inst in alpha_instances(total)]
         reports = verify.baserecur_reports(9)
         assert len(reports) == len(instances)
         for report, (total, alpha, key) in zip(reports, instances):
