@@ -161,15 +161,41 @@ def _check_d(alpha: Composition, d: Sequence[int]) -> tuple[int, ...]:
     return d
 
 
+# The last table of _stirling_cut small enough to keep.  One call builds it
+# anyway, so the memo never holds more than that call did.
+_CUT_KEEP_ENTRIES = 1024
+_kept_cut: tuple[tuple[int, ...], ...] = ((1,),)
+
+
+def _stirling_cut(n: int, d: tuple[int, ...]) -> Sequence[Sequence[int] | Mapping[int, int]]:
+    """C(m, k) as ``table[m][k]`` for m <= n + 1 and every k in d, from the
+    Stirling rows cut at column max(d).
+
+    A table of at most _CUT_KEEP_ENTRIES entries is kept whole, and every
+    later call whose rows and columns it covers reads it: the verify suites
+    make about 1,500 calls at n <= 7.  A larger table keeps only the columns
+    in d, for its own call: whole cut rows would hold ~340 MB at n = 1200
+    and d = (600,), and stirling_first's whole rows ~30 MB.
+    """
+    global _kept_cut
+    width = max(d) + 1
+    kept = _kept_cut
+    if len(kept) >= n + 2 and len(kept[0]) >= width:
+        return kept
+    keep = (n + 2) * width <= _CUT_KEEP_ENTRIES
+    row, table, columns = (1,) + (0,) * (width - 1), [], set(d)
+    for m in range(n + 2):
+        table.append(row if keep else {k: row[k] for k in columns})
+        row = (0, *[row[k - 1] + m * row[k] for k in range(1, width)])
+    if keep:
+        _kept_cut = tuple(table)
+    return table
+
+
 def separating_by_d_raw(alpha: Composition, d: Sequence[int]) -> Fraction:
     d = _check_d(alpha, d)
     g, n = alpha.parts[0], alpha.n
-    # C(m, k) for m <= n+1 and every k in d, from Stirling rows cut at column
-    # max(d): stirling_first would step and keep whole rows, ~30 MB at n = 1200
-    row, stirling, columns = [1] + [0] * max(d), [], set(d)
-    for m in range(n + 2):
-        stirling.append({k: row[k] for k in columns})
-        row = [0] + [row[k - 1] + m * row[k] for k in range(1, len(row))]
+    stirling = _stirling_cut(n, d)
     poly = _poly_product(
         [
             (-1) ** r * math.factorial(r) * binomial(a, r) * binomial(a - 1, r) * stirling[a - r][dj]

@@ -449,8 +449,20 @@ def count_factorizations(target: Permutation, *, force: bool = False) -> int:
 # one representative.  These sweeps walk all (n-1)! * n! pairs (s, pi).
 
 
-# words whose bincount indices share one buffer in _plane_codes
+# cycle words whose tables _plane_codes builds as one array each, and whose
+# bincount indices share one buffer
 _PLANE_WORDS = 16
+
+
+def _outer_codes(words: int, rows: Sequence[np.ndarray], base: int) -> np.ndarray:
+    """``codes[w]``, for w < words: over every tuple t of column indices, in
+    lex order, the base-``base`` code of (rows[0][w, t_0], rows[1][w, t_1],
+    ...), most significant digit first; with base 1, their sum.  Outer sums,
+    one position at a time, as ``np.ix_`` gives for one word."""
+    codes = np.zeros((words, 1), dtype=np.int64)
+    for row in rows:
+        codes = (codes[:, :, None] * base + row[:, None, :]).reshape(words, -1)
+    return codes
 
 
 @cache
@@ -461,9 +473,9 @@ def _plane_codes(n: int) -> np.ndarray:
     The lex rank of the diagonal s∘pi⁻¹ is prefix + suffix rank of the images
     of pi⁻¹ with s applied, and the exceedance count of (s, pi) is a sum over
     the images of pi.  Split after the first h = n // 2 images, each half is
-    read from a table built once per word over every digit tuple of that
-    half, keyed by the half's code; the codes of pi and pi⁻¹ are the same for
-    every word."""
+    read from a table built per word over every digit tuple of that half,
+    keyed by the half's code; the codes of pi and pi⁻¹ are the same for
+    every word.  The tables of _PLANE_WORDS words are built at once."""
     _require_scale("full plane-permutation sweep", n, PLANE_SWEEP_LIMIT, PLANE_SWEEP_LIMIT, False)
     perms = _all_perm_rows(n).T  # element first: row x holds the image of x under every perm
     pinv_t = np.argsort(perms, axis=0)  # row j: perm⁻¹(j) for every perm
@@ -479,24 +491,23 @@ def _plane_codes(n: int) -> np.ndarray:
     img_head, img_tail = _code(n, perms[:h]), _code(n, perms[h:])
     acc = np.zeros(len(types) * stride, dtype=np.int64)
     buf = np.empty((_PLANE_WORDS, perms.shape[1]), dtype=np.int64)
-    k = 0
-    for word, s_img in zip(_cycle_words(n), _cycle_rows(n)):
-        pos = np.argsort(word)  # pos[x]: index of x in the word
-        later = (pos[None, :] > pos[:, None]).astype(np.int64)  # later[x, y]: y after x in the word
-        # outer sums over every digit tuple t of a half: the rank of s(t), and
+    words, cycles = _cycle_words(n), _cycle_rows(n)
+    for lo in range(0, len(words), _PLANE_WORDS):
+        s_img = cycles[lo : lo + _PLANE_WORDS]  # one word per line
+        pos = np.argsort(words[lo : lo + _PLANE_WORDS], axis=1)  # pos[w, x]: index of x in word w
+        later = (pos[:, None, :] > pos[:, :, None]).astype(np.int64)  # later[w, x, y]: y after x in word w
+        # per word, over every digit tuple t of a half: the rank of s(t), and
         # the exceedances of x = 0..h-1 (or h..n-1) with images t
-        rank_head = prefix[np.ravel(_code(n, np.ix_(*[s_img] * h)))]
-        rank_tail = suffix[np.ravel(_code(n, np.ix_(*[s_img] * (n - h))))]
-        exc_head = np.ravel(sum(np.ix_(*later[:h])))
-        exc_tail = np.ravel(sum(np.ix_(*later[h:])))
-        d = rank_head[inv_head] + rank_tail[inv_tail]
-        a = exc_head[img_head] + exc_tail[img_tail]
-        np.add(type_base[d], sig_base + a, out=buf[k])
-        k += 1
-        if k == len(buf):
-            acc += np.bincount(buf.ravel(), minlength=acc.size)
-            k = 0
-    acc += np.bincount(buf[:k].ravel(), minlength=acc.size)
+        m = len(s_img)
+        rank_head = prefix[_outer_codes(m, [s_img] * h, n)]
+        rank_tail = suffix[_outer_codes(m, [s_img] * (n - h), n)]
+        exc_head = _outer_codes(m, [later[:, x] for x in range(h)], 1)
+        exc_tail = _outer_codes(m, [later[:, x] for x in range(h, n)], 1)
+        for w in range(m):
+            d = rank_head[w][inv_head] + rank_tail[w][inv_tail]
+            a = exc_head[w][img_head] + exc_tail[w][img_tail]
+            np.add(type_base[d], sig_base + a, out=buf[w])
+        acc += np.bincount(buf[:m].ravel(), minlength=acc.size)
     return acc.reshape(len(types), len(rows), n + 1)
 
 

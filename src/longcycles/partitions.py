@@ -93,6 +93,7 @@ def _partition_list(n: int, maxpart: int | None = None) -> tuple[tuple[int, ...]
             prefix.pop()
 
     rec(n, n if maxpart is None else maxpart)
+    del rec  # it calls itself, a cycle: unlinked, it is freed now, not by a later collection
     return tuple(out)
 
 

@@ -30,9 +30,11 @@ Identity names used in reports:
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -78,16 +80,51 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
 class IdentityReport:
-    identity: str
-    instance: str
-    lhs: int | Fraction
-    rhs: int | Fraction
+    """One instance of one identity: its two sides, which pass only on exact
+    equality, and the instance's text.
+
+    ``IdentityReport(identity, instance, lhs, rhs)`` takes the whole text.
+    The suites pass it in parts, ``instance`` and up to two more after
+    ``rhs``, whose concatenation is the text: a key's text, a diagonal type's
+    ``" eta=..."``, a block piece.  Many reports share each part, so building
+    a report builds no string; the text is joined only when read, through
+    ``instance``, ``to_dict`` and ``str``.  Equality and repr go by the
+    joined text.
+    """
+
+    __slots__ = ("identity", "_head", "lhs", "rhs", "_mid", "_tail")
+    __match_args__ = ("identity", "instance", "lhs", "rhs")
+    __hash__ = None  # mutable, and equal by value
+
+    def __init__(
+        self, identity: str, instance: str, lhs: int | Fraction, rhs: int | Fraction, mid: str = "", tail: str = ""
+    ) -> None:
+        self.identity = identity
+        self._head = instance
+        self.lhs = lhs
+        self.rhs = rhs
+        self._mid = mid
+        self._tail = tail
+
+    @property
+    def instance(self) -> str:
+        return self._head + self._mid + self._tail
 
     @property
     def passed(self) -> bool:
         return self.lhs == self.rhs
+
+    def _fields(self) -> tuple:
+        return self.identity, self.instance, self.lhs, self.rhs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "IdentityReport(identity={!r}, instance={!r}, lhs={!r}, rhs={!r})".format(*self._fields())
 
     def to_dict(self) -> dict:
         return {
@@ -132,6 +169,24 @@ class ParityAuditRecord:
             f"[{mark}] parity violation {self.identity} @ {self.instance}: "
             f"expression gives {_value_str(self.formula_value)}, true count {self.true_count}"
         )
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, and restore the state it was in
+    (on or off) on the way out, also when the body raises.
+
+    The suites build up to hundreds of thousands of reports, numbers and
+    tuples that form no reference cycles; with the collector on, every 700
+    of them start a generation scan that frees nothing.  Used as a
+    decorator, a nested pause finds the collector off and leaves it off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +269,7 @@ def _split_long(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> tuple[int,
 # where the block types of the vertical are its cycle type
 
 
+@_collector_paused()
 def classic_reports(max_n: int = 6) -> list[IdentityReport]:
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
@@ -222,14 +278,15 @@ def classic_reports(max_n: int = 6) -> list[IdentityReport]:
         by_eta = oracle._plane_tallies(n, (n,))
         tallies = [by_eta[eta] for eta in etas]
         rows = [_split_rows(n, tallies, (lam,), len(lam), eta_rows)[0] for lam in etas]
+        lam_parts = [f" lam={lam_text}" for lam_text, _refs, _free in eta_rows]
         for i, (eta_text, _refs, _free) in enumerate(eta_rows):
-            for j, (lam_text, _refs, _free) in enumerate(eta_rows):
-                inst = f"n={n} eta={eta_text} lam={lam_text}"
+            head = f"n={n} eta={eta_text}"
+            for j, lam_part in enumerate(lam_parts):
                 split, joint = rows[j][i]  # rows[j][i]: vertical type etas[j], diagonal type etas[i]
-                reports.append(IdentityReport("split_exceedance", inst, *split))
+                reports.append(IdentityReport("split_exceedance", head, *split, lam_part))
                 # the same recurrence with the roles of the two types swapped
-                reports.append(IdentityReport("split_exceedance_dual", inst, *rows[i][j][0]))
-                reports.append(IdentityReport("split_joint", inst, *joint))
+                reports.append(IdentityReport("split_exceedance_dual", head, *rows[i][j][0], lam_part))
+                reports.append(IdentityReport("split_joint", head, *joint, lam_part))
         # long-cycle diagonal specialization, under its parity hypothesis
         for lam in etas:
             if (len(lam) - n) % 2 == 0:
@@ -242,10 +299,12 @@ def classic_reports(max_n: int = 6) -> list[IdentityReport]:
 # block-refined suite
 
 
+@_collector_paused()
 def section3_reports(max_n: int = 6) -> list[IdentityReport]:
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
         eta_rows = _eta_rows(n)
+        eta_parts = [f" eta={eta_text}" for eta_text, _refs, _free in eta_rows]
         fact_n1 = math.factorial(n - 1)
         # identities over block types of products on [n]
         for alpha_parts in _compositions(n):
@@ -258,10 +317,9 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
                 z_key, length = _z_seq(key), _seq_len(key)
                 rows, total_exc = _split_rows(n, tallies, key, length, eta_rows)
                 # block-refined split with exceedance weights, per diagonal type
-                for (eta_text, _refs, _free), (split, joint) in zip(eta_rows, rows):
-                    inst = f"{base} eta={eta_text}"
-                    reports.append(IdentityReport("split_exceedance_sep", inst, *split))
-                    reports.append(IdentityReport("split_joint_sep", inst, *joint))
+                for eta_part, (split, joint) in zip(eta_parts, rows):
+                    reports.append(IdentityReport("split_exceedance_sep", base, *split, eta_part))
+                    reports.append(IdentityReport("split_joint_sep", base, *joint, eta_part))
                 # long-cycle diagonal specialization (parity hypothesis)
                 if (length - n) % 2 == 0:
                     reports.append(IdentityReport("split_long_sep", base, *_split_long(n, alpha_parts, key)))
@@ -275,6 +333,8 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
         # side below is doubled, so that it is an integer, and halved in the report.
         # Memos live for one call, as _p_seq may be replaced between calls.
         p_refined = cache(partial(_p_refined, n))
+        # " i=... j=..." of block i0 + 1 and part size j + 1, shared by every key
+        ij_parts = [[f" i={i0 + 1} j={j}" for j in range(n + 1)] for i0 in range(n + 1)]
         for alpha_parts in _compositions(n + 1):
             head = f"n={n} alpha={format_d_key(alpha_parts)} Lam="
             pieces = [_block_pieces(p) for p in alpha_parts]
@@ -292,8 +352,8 @@ def section3_reports(max_n: int = 6) -> list[IdentityReport]:
                         t_key += twice_p
                         lhs = (n + 1 - length) * twice_p
                         rhs = twice_refined + part * key[i0].count(part) * fz_key
-                        inst = f"{base} i={i0 + 1} j={part - 1}"
-                        reports.append(IdentityReport("downarrow_step", inst, _half(lhs), _half(rhs)))
+                        ij = ij_parts[i0][part - 1]
+                        reports.append(IdentityReport("downarrow_step", base, _half(lhs), _half(rhs), ij))
                     weight = sum(by_c[c][3] for by_c, c in zip(pieces, key))
                     lhs_rec, rhs_rec = _half((n + 1 - length) * t_key), _half(t_refined + fz_key * weight)
                     reports.append(IdentityReport("weighted_sum_recurrence", base, lhs_rec, rhs_rec))
@@ -356,6 +416,7 @@ def _leading_folds(rest: int, parts: tuple[int, ...], folded: list) -> Iterator[
         ])
 
 
+@_collector_paused()
 def baserecur_reports(max_n: int = 12) -> list[IdentityReport]:
     """The length-weight recurrence over all block types of all compositions,
     oracle-free: each side is a product or a sum of per-block pieces."""
@@ -366,13 +427,12 @@ def baserecur_reports(max_n: int = 12) -> list[IdentityReport]:
             head = f"N={total} alpha={format_d_key(alpha_parts)} Lam="
             last = tuple(_block_pieces(alpha_parts[-1]).values())
             for text, z, s, w, length in folded:
-                text = head + text
                 for piece, zp, sp, wp, lp in last:
                     z_key = z * zp
                     twice = 2 * (s * zp + sp * z) + z_key * (w + wp)  # the right side, doubled
                     rhs = twice >> 1 if twice & 1 == 0 else Fraction(twice, 2)  # _half, inline
                     lhs = (total - length - lp) * z_key
-                    append(IdentityReport("length_weight_base", text + piece, lhs, rhs))
+                    append(IdentityReport("length_weight_base", head, lhs, rhs, text, piece))
     return reports
 
 
@@ -390,6 +450,7 @@ def _zagier_oracle(n: int) -> dict[int, int]:
     return counts
 
 
+@_collector_paused()
 def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[IdentityReport]:
     reports: list[IdentityReport] = []
     for n in range(1, max_n + 1):
@@ -491,6 +552,7 @@ def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[Identity
 # parity audit: what the bare expressions produce on infeasible input
 
 
+@_collector_paused()
 def parity_audit(max_n: int = 6) -> list[ParityAuditRecord]:
     records: list[ParityAuditRecord] = []
     for n in range(2, max_n + 1):
@@ -575,6 +637,7 @@ def _transposition_bad_count(
     return int((moved | ~np.isin(delta, (-2, 0, 2))).sum())
 
 
+@_collector_paused()
 def plane_structure_reports(max_n: int = 6) -> list[IdentityReport]:
     """Exhaustive structural checks on two-row arrays.
 
@@ -683,6 +746,7 @@ class VerifyRun:
         out.write("]}\n")
 
 
+@_collector_paused()
 def run_suites(
     suites: Sequence[str] = SUITES,
     max_n: int = 6,

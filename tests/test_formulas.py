@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -408,6 +409,42 @@ class TestAgainstFirstForms:
                 for d in itertools.product(*(range(1, p + 1) for p in alpha_parts)):
                     got = separating_by_d_raw(C(alpha_parts), d)
                     assert got == _old_sep_by_d(alpha_parts, d), (alpha_parts, d)
+
+    @pytest.mark.parametrize("order", ["descending", "ascending", "shuffled"])
+    def test_separating_by_d_raw_in_any_call_order(self, order, monkeypatch):
+        # the kept Stirling table serves every later call it covers: in any
+        # order of sizes and widths, each value is the first form's
+        monkeypatch.setattr(importlib.import_module("longcycles.formulas"), "_kept_cut", ((1,),))
+        cases = [
+            (alpha_parts, d)
+            for n in range(1, 7)
+            for alpha_parts in _compositions_of(n)
+            for d in itertools.product(*(range(1, p + 1) for p in alpha_parts))
+        ]
+        if order == "descending":
+            cases.reverse()
+        elif order == "shuffled":
+            random.Random(7).shuffle(cases)
+        for alpha_parts, d in cases:
+            assert separating_by_d_raw(C(alpha_parts), d) == _old_sep_by_d(alpha_parts, d), (alpha_parts, d)
+
+    def test_kept_stirling_table(self, monkeypatch):
+        formulas = importlib.import_module("longcycles.formulas")
+        monkeypatch.setattr(formulas, "_kept_cut", ((1,),))
+        separating_by_d_raw(C((3, 4)), (2, 3))
+        kept = formulas._kept_cut
+        assert (len(kept), len(kept[0])) == (9, 4)  # rows 0..n+1, columns 0..max(d)
+        assert all(row[k] == stirling_first(m, k) for m, row in enumerate(kept) for k in range(4))
+        # a call that the kept table covers reads it
+        separating_by_d_raw(C((2, 3)), (1, 3))
+        assert formulas._kept_cut is kept
+        # a table above _CUT_KEEP_ENTRIES entries lives only for its call
+        assert (60 + 2) * 31 > formulas._CUT_KEEP_ENTRIES
+        assert separating_by_d(C((60,)), (30,)) == math.factorial(59) * zagier_stanley(60, 30)
+        assert formulas._kept_cut is kept
+        # a wider call replaces the kept table with its own
+        separating_by_d_raw(C((3, 4)), (3, 4))
+        assert (len(formulas._kept_cut), len(formulas._kept_cut[0])) == (9, 5)
 
     @pytest.mark.parametrize("order", ["descending", "ascending"])
     def test_stirling_rows(self, order, monkeypatch):

@@ -1,6 +1,10 @@
+import gc
 import hashlib
 import io
+import json
 import math
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -299,6 +303,151 @@ class TestSlottedRecords:
             '"pass": true, "rhs": "3"}, {"identity": "b", "instance": "n=2", "lhs": "1/2", "pass": true, '
             '"rhs": "1/2"}, {"identity": "c", "instance": "n=3", "lhs": "1", "pass": false, "rhs": "3/2"}]}\n'
         )
+
+
+class TestInstanceTextParts:
+    # per suite at max_n = 6 (baserecur at N = 10): the record count and the
+    # sha256 of every record's instance, to_dict() and str(), one line each,
+    # pinned from the reports that formatted their text when they were made
+    EAGER_TEXT = {
+        "classic": (640, "5e330c93a6db5e1c8c953eaa2059097d29955dfc84718cbb65925347e5e3b8d1"),
+        "section3": (7687, "cc52b73f2f01aafea2807e3d7cd7347b74694b968fbb00e83e35007ea39f0dc7"),
+        "baserecur": (13462, "8516a9bcc478c3c4cc6c622ecf273d34dc20f234819a70fcf637247e51a3051f"),
+        "formulas": (480, "4ac83eb35df2103e329343524c1f0c17d2b8176db65becf4ff069039efb05d60"),
+        "plane": (19, "dbe4938a97a74aeafcb36356670de96d26a7f10a8dcfc0bad794de01220dee36"),
+        "parity": (156, "76ac6f83a17087858e182d27ccd961a52d80588291bdd9ebcdd61a0cd51c92e0"),
+    }
+
+    @pytest.mark.parametrize("suite", sorted(EAGER_TEXT))
+    def test_joined_text_is_the_eager_text(self, suite):
+        run = verify.run_suites((suite,), 6, baserecur_max_n=10)
+        records = run.reports + run.audit
+        digest = hashlib.sha256()
+        for r in records:
+            doc = r.to_dict()
+            assert doc["instance"] == r.instance
+            digest.update(f"{r.instance}\t{json.dumps(doc, sort_keys=True)}\t{r}\n".encode())
+        assert (len(records), digest.hexdigest()) == self.EAGER_TEXT[suite]
+
+    def test_positional_and_equal_by_joined_text(self):
+        whole = IdentityReport("x", "n=2 eta=1+1", 3, Fraction(1, 2))
+        parts = IdentityReport("x", "n=2", 3, Fraction(1, 2), " eta=", "1+1")
+        assert (whole.identity, whole.instance, whole.lhs, whole.rhs) == ("x", "n=2 eta=1+1", 3, Fraction(1, 2))
+        assert parts.instance == whole.instance
+        assert parts == whole and not parts != whole
+        assert repr(parts) == repr(whole) == "IdentityReport(identity='x', instance='n=2 eta=1+1', lhs=3, rhs=Fraction(1, 2))"
+        assert (str(parts), parts.to_dict()) == (str(whole), whole.to_dict())
+        assert parts != IdentityReport("x", "n=2", 3, Fraction(1, 2), " eta=", "2")
+        assert parts != IdentityReport("y", "n=2 eta=1+1", 3, Fraction(1, 2))
+        assert whole != ("x", "n=2 eta=1+1", 3, Fraction(1, 2))
+        match parts:
+            case IdentityReport("x", instance, lhs, rhs):
+                assert (instance, lhs, rhs) == ("n=2 eta=1+1", 3, Fraction(1, 2))
+            case _:
+                pytest.fail("no match by position")
+        with pytest.raises(TypeError):
+            hash(whole)
+
+    @staticmethod
+    def _texts(reports):
+        """The distinct string objects that the reports point to."""
+        return {id(o) for r in reports for o in gc.get_referents(r) if type(o) is str}
+
+    @pytest.mark.parametrize("suite", ["section3_reports", "classic_reports"])
+    def test_reports_share_their_text_parts(self, suite):
+        # a string made per diagonal type, or per (i, j) of a step, would
+        # make one for every two or three reports
+        reports = getattr(verify, suite)(6)
+        assert len(self._texts(reports)) < len(reports) // 3
+
+    def test_baserecur_makes_no_string_per_report(self):
+        # a report's text is its composition's head, the text of its leading
+        # blocks, which every partition of the last block shares, and that
+        # partition's cached piece: a string per report would exceed the count
+        reports = verify.baserecur_reports(8)
+        alphas = [alpha for total in range(1, 9) for alpha in _compositions(total)]
+        leading = sum(math.prod(len(_partition_list(b)) for b in alpha[:-1]) for alpha in alphas)
+        pieces = {id(piece) for b in range(1, 9) for piece, *_ in _block_pieces(b).values()}
+        assert len(reports) > 1 + len(alphas) + leading
+        assert len(self._texts(reports) - pieces) <= 1 + len(alphas) + leading  # 1: the identity's name
+
+
+class TestCollectorPause:
+    BUILDERS = [
+        ("classic_reports", (3,)),
+        ("section3_reports", (3,)),
+        ("baserecur_reports", (4,)),
+        ("formula_vs_oracle_reports", (3,)),
+        ("plane_structure_reports", (3,)),
+        ("parity_audit", (3,)),
+    ]
+    HELPERS = [(verify, "_partition_list"), (verify, "_compositions"), (verify, "_block_pieces"), (oracle, "_cycle_words")]
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("name, args", BUILDERS)
+    def test_paused_inside_and_restored_after(self, monkeypatch, enabled, name, args):
+        (gc.enable if enabled else gc.disable)()
+        seen = []  # the collector's state at each call of a helper that the suites use
+        for module, helper in self.HELPERS:
+            monkeypatch.setattr(module, helper, self._watched(getattr(module, helper), seen))
+        getattr(verify, name)(*args)
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+
+    @staticmethod
+    def _watched(function, seen):
+        def watched(*args):
+            seen.append(gc.isenabled())
+            return function(*args)
+
+        return watched
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restored_when_a_suite_raises(self, monkeypatch, enabled):
+        (gc.enable if enabled else gc.disable)()
+
+        def broken(*args):
+            assert not gc.isenabled()
+            raise ZeroDivisionError("a broken tally")
+
+        monkeypatch.setattr(oracle, "_plane_tallies", broken)
+        with pytest.raises(ZeroDivisionError):
+            verify.classic_reports(3)
+        assert gc.isenabled() is enabled
+        # nested under run_suites: the suite's pause and the runner's both unwind
+        with pytest.raises(ZeroDivisionError):
+            verify.run_suites(("baserecur", "section3"), 3, baserecur_max_n=4)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_nested_pauses(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        with verify._collector_paused():
+            with verify._collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()  # the inner pause found it off
+        assert gc.isenabled() is enabled
+        run = verify.run_suites(("classic", "baserecur", "parity"), 3, baserecur_max_n=4)
+        assert run.ok and gc.isenabled() is enabled
+
+
+def test_a_cold_run_leaves_no_cyclic_garbage():
+    # in a fresh process every cache is empty, so each helper builds what it
+    # builds once; with the collector off, a reference cycle made on the way
+    # would wait for this collect() and be counted by it
+    script = (
+        "import gc; from longcycles import verify; gc.collect(); gc.disable(); "
+        "verify.run_suites(verify.SUITES, 4, baserecur_max_n=6); print(gc.isenabled(), gc.collect())"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0"]
 
 
 class TestBaserecurSecondRoute:
