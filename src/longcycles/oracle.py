@@ -13,9 +13,9 @@ tallies the verticals by (block types, exceedance count), the cycle type
 again being the one-block case.  The factorizations c1∘c2 = D into long
 cycles are its arrays with s = c1 whose vertical, c2⁻¹, is a long cycle.
 
-Sweeps are partitioned into contiguous chunks of the first factor's index
-range; chunk tallies are merged by addition, so results are identical for any
-worker count.
+The pair sweep is partitioned into contiguous chunks of the second factor's
+index range; chunk tallies are merged by addition, so results are identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -132,17 +132,15 @@ def _code(base: int, digits):
     return code
 
 
-@cache
-def _rank_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _lex_tables(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Lookup tables for the lex rank of a permutation of range(n), split
-    after its first h = n // 2 images.
+    after its first h images.
 
     ``prefix[code of the first h images]`` is the lex index of that
     h-arrangement times (n - h)!, and ``suffix[code of the last n - h
     images]`` is the lex rank of their relative order; the lex rank is the
-    sum.  The tables have n^h and n^(n-h) entries (under 1 MB up to n = 9).
+    sum.  The tables have n^h and n^(n-h) entries.
     """
-    h = n // 2
     tail = math.factorial(n - h)
     prefix = np.zeros(n**h, dtype=np.int64)
     for i, head in enumerate(itertools.permutations(range(n), h)):
@@ -152,6 +150,12 @@ def _rank_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
         for j, order in enumerate(itertools.permutations(values)):
             suffix[_code(n, order)] = j
     return prefix, suffix
+
+
+@cache
+def _rank_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_lex_tables split after h = n // 2 images: under 1 MB up to n = 9."""
+    return _lex_tables(n, n // 2)
 
 
 def _lex_rank(n: int, columns):
@@ -227,22 +231,29 @@ def _signatures(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _tally(rows: np.ndarray, counts: np.ndarray, alpha_parts: Sequence[int]) -> dict[_SeqKey, np.ndarray]:
     """Block types -> the sum of ``counts[i]`` over the alpha-separated rows i
-    that have them.  With alpha = (n) the keys are the cycle types, (lam,)."""
+    that have them, keyed in the order of their first row.  With alpha = (n)
+    the keys are the cycle types, (lam,)."""
     cuts = np.cumsum(alpha_parts)
     ids = np.flatnonzero((np.cumsum(rows, axis=1)[:, cuts - 1] == cuts).all(axis=1))
-    groups: dict[_SeqKey, list[int]] = {}
-    for i, lens in zip(ids.tolist(), rows[ids].tolist()):
-        groups.setdefault(_block_types(lens, alpha_parts), []).append(i)
-    return {key: counts[group].sum(axis=0) for key, group in groups.items()}
+    separated = rows[ids]
+    # each block's entries in order, so that rows with equal block types have
+    # equal codes: the block offsets keep every entry inside its block
+    offsets = np.repeat(np.arange(len(cuts)) * (rows.shape[1] + 1), alpha_parts)
+    blocks = np.sort(separated + offsets, axis=1) - offsets
+    _, first, key_of = np.unique(_code(rows.shape[1] + 1, blocks.T), return_index=True, return_inverse=True)
+    sums = np.zeros((len(first), *counts.shape[1:]), dtype=counts.dtype)
+    np.add.at(sums, key_of, counts[ids])
+    return {_block_types(separated[first[j]].tolist(), alpha_parts): sums[j] for j in np.argsort(first).tolist()}
 
 
 # ---------------------------------------------------------------------------
 # the pair sweep: pair counts by product signature
 
 
-# rows of the rank buffer of _fact_chunk per unit of n: one row per second
-# factor, so each bincount reads 2n * (n-1)! = 2 * n! ranks into n! bins
-_RANK_ROWS_PER_N = 2
+# a second factor's last k = min(_TAIL, n) images are its tail, read as a
+# pattern of S_k.  With k = 4 each head group of a whole sweep holds six of
+# the 24 patterns, and from n = 7 on the groups fall into 24 classes by them
+_TAIL = 4
 
 
 @cache
@@ -260,24 +271,66 @@ def _high_codes(n: int) -> np.ndarray:
     return _pair_codes(n) * (n * n)
 
 
+@cache
+def _pattern_major_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(head, pattern) for k = min(_TAIL, n): ``head[code of the first n - k
+    images]`` is the lex index of that arrangement, and ``pattern[code of the
+    last k images]`` is the lex rank of their pattern times n!/k!, the number
+    of heads.  Their sum is the pattern-major index of the permutation,
+    pattern * n!/k! + head; its lex rank is head * k! + pattern."""
+    k = min(_TAIL, n)
+    head, pattern = _lex_tables(n, n - k)
+    # in place: new arrays, with the old ones freed, left the main process of
+    # the two-worker sweep at n = 9 2.8 MB higher at its peak
+    head //= math.factorial(k)
+    pattern *= math.factorial(n) // math.factorial(k)
+    return head, pattern
+
+
+@cache
+def _pattern_sources(k: int) -> np.ndarray:
+    """``sources[t, tau]`` = the lex rank s of the pattern with sigma_s∘tau =
+    sigma_t, over the patterns of S_k in lex order: a permutation whose last
+    k images have pattern s has pattern t there once composed with tau on
+    those positions, and the same head."""
+    perms = list(itertools.permutations(range(k)))
+    rank = {sigma: s for s, sigma in enumerate(perms)}
+    sources = np.empty((len(perms), len(perms)), dtype=np.int64)
+    for s, sigma in enumerate(perms):
+        for tau, t in enumerate(perms):
+            sources[rank[tuple(sigma[x] for x in t)], tau] = s
+    return sources
+
+
 def _fact_chunk(n: int, lo: int, hi: int) -> np.ndarray:
     """Entry i counts the pairs (c1, c2) whose product c1∘c2 has row i of
     _signatures(n), c1 any long cycle and c2 one of rows lo..hi-1 of
-    _cycle_rows(n).  Every product is composed and ranked.  The second
-    factors are visited in one-line order, so that those sharing their first
-    h = n // 2 images come together and the prefix rank of that head is
-    looked up once for all of them; each c2 adds only its tail's suffix
-    rank.  Each full rank buffer is counted by lex rank with one bincount,
-    and the counts by rank are added onto the signature rows once, at the end."""
+    _cycle_rows(n).  Every product is composed and counted once, as
+    (c1∘q)∘tau, with no symmetry of the counts.
+
+    With k = min(_TAIL, n), the second factors fall into head groups by their
+    first n - k images: c2 = q∘tau, q the lex-least permutation with that
+    head (the head, then the other values in order) and tau the pattern of
+    c2's last k images, acting on those positions.  Lex rank obeys
+    rank(pi∘tau) = rank(pi) - rank(pi) mod k! + rank(sigma∘tau), sigma the
+    pattern of pi's tail.  So the products c1∘q are ranked once per group, and
+    the groups whose sets of patterns agree form a class: one accumulator
+    counts the products of all its groups by (pattern, head), and each
+    pattern tau of the class adds it onto the counts with its pattern rows
+    permuted by tau.  Those counts are added onto the signature rows once,
+    at the end."""
     sig, rows = _signatures(n)  # first: its build has the sweep's largest transients, so hold nothing else
     cyc_t = _cycle_rows(n).T.copy()  # row x: the images of x under every long cycle
     pairs, high = _pair_codes(n), _high_codes(n)
-    prefix, suffix = _rank_tables(n)
-    h = n // 2
+    k = min(_TAIL, n)
+    block = math.factorial(k)
+    heads = len(sig) // block
+    head_of, pattern_of = _pattern_major_tables(n)
+    sources = _pattern_sources(k)
 
     def code(images):
-        # column j of all products c1∘c2 is c1(c2(j)): row c2(j) of cyc_t, and
-        # columns j, j+1 together are row c2(j)*n + c2(j+1) of the pair codes;
+        # column j of all products c1∘q is c1(q(j)): row q(j) of cyc_t, and
+        # columns j, j+1 together are row q(j)*n + q(j+1) of the pair codes;
         # the last four images are one add, and a lone first image one row
         if len(images) >= 4:
             a, b, c, d = images[-4:]
@@ -288,24 +341,28 @@ def _fact_chunk(n: int, lo: int, hi: int) -> np.ndarray:
         digits += [pairs[x * n + y] for x, y in zip(images[odd::2], images[odd + 1 :: 2])]
         return _code(n * n, digits)
 
-    second = _cycle_rows(n)[lo:hi]
-    second = second[np.lexsort(second.T[::-1])].tolist()  # one-line order: heads come together
-    ranks = np.empty((_RANK_ROWS_PER_N * n, cyc_t.shape[1]), dtype=np.int64)
-    head_rank = np.empty(cyc_t.shape[1], dtype=np.int64)
-    by_rank = np.zeros(len(sig), dtype=np.int64)
-    k = 0
-    for head, group in itertools.groupby(second, key=lambda c2: c2[:h]):
-        head_rank[:] = prefix[code(head)]  # a scalar at n = 1, whose head is empty
-        for c2 in group:
-            np.add(head_rank, suffix[code(c2[h:])], out=ranks[k])
-            k += 1
-            if k == len(ranks):
-                by_rank += np.bincount(ranks.ravel(), minlength=len(sig))
-                k = 0
+    # group g holds the second factors with head index head[g], one for each
+    # pattern tau set in the bit mask masks[g]
+    second = _cycle_rows(n)[lo:hi].T
+    index = head_of[_code(n, second[: n - k])] + pattern_of[_code(n, second[n - k :])]
+    head, group = np.unique(index % heads, return_inverse=True)
+    masks = np.zeros(len(head), dtype=np.int64)
+    np.bitwise_or.at(masks, group, 1 << index // heads)
+    qs = _all_perm_rows(n)[head * block]  # the lex-least permutation with each head
+    acc = np.empty(len(sig), dtype=np.int64)  # counts by pattern-major index, one class at a time
+    by_pattern = np.zeros((block, heads), dtype=np.int64)
+    classes = itertools.groupby(np.argsort(masks, kind="stable").tolist(), key=masks.tolist().__getitem__)
+    for mask, members in classes:
+        acc[:] = 0
+        for g in members:
+            q = qs[g].tolist()
+            np.add.at(acc, head_of[code(q[: n - k])] + pattern_of[code(q[n - k :])], 1)
+        for tau in range(block):
+            if mask >> tau & 1:
+                by_pattern += acc.reshape(block, heads)[sources[:, tau]]
     del code  # it calls itself, a cycle: unlinked, the tables it holds are freed now, not by a later collection
-    by_rank += np.bincount(ranks[:k].ravel(), minlength=len(sig))
     out = np.zeros(len(rows), dtype=np.int64)
-    np.add.at(out, sig, by_rank)
+    np.add.at(out, sig.reshape(heads, block).T, by_pattern)
     return out
 
 
@@ -318,8 +375,8 @@ def _cpus() -> int:
 
 def _compute_pair_counts(n: int, workers: int = 1) -> np.ndarray:
     """Entry i counts the ordered pairs of long cycles whose product has row
-    i of _signatures(n); the first factors are cut into one chunk per worker,
-    counted by at most one process per CPU."""
+    i of _signatures(n); the second factors are cut into one chunk per
+    worker, counted by at most one process per CPU."""
     m = math.factorial(n - 1)
     workers = max(1, min(workers, m))
     if workers == 1:
@@ -329,7 +386,8 @@ def _compute_pair_counts(n: int, workers: int = 1) -> np.ndarray:
     # built before the pool starts, so forked workers inherit the tables instead
     # of each building its own; the signatures first, as in _fact_chunk
     total = np.zeros(len(_signatures(n)[1]), dtype=np.int64)
-    _rank_tables(n)
+    _pattern_major_tables(n)
+    _pattern_sources(min(_TAIL, n))
     _pair_codes(n)
     _high_codes(n)
     from concurrent.futures import ProcessPoolExecutor  # here, so one worker never loads multiprocessing

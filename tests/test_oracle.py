@@ -261,20 +261,34 @@ class TestPlaneCodesByDiagonals:
 
 
 def _head_cuts(n):
-    """Indices i of _cycle_rows(n) whose row shares its first n // 2 images,
-    its head, with row i - 1: a window starting or ending at i splits that
-    head group."""
+    """Indices i of _cycle_rows(n) whose row shares its first n // 2 images
+    with row i - 1: a window starting or ending at i splits that run of
+    rows."""
     rows = _cycle_rows(n)
     h = n // 2
     return np.flatnonzero((rows[1:, :h] == rows[:-1, :h]).all(axis=1)) + 1
 
 
+def _group_cuts(n):
+    """Indices i of _cycle_rows(n) inside a tail-pattern group of _fact_chunk:
+    rows with the first n - k images of row i lie both before i and from i
+    on.  A window starting or ending at i holds only some of that group's
+    patterns, so it also cuts the group's class of the whole range."""
+    k = min(oracle._TAIL, n)
+    codes = oracle._code(n, _cycle_rows(n).T[: n - k])
+    _, first, group = np.unique(codes, return_index=True, return_inverse=True)
+    last = len(codes) - 1 - np.unique(codes[::-1], return_index=True)[1]
+    at = np.arange(len(codes))
+    return at[(first[group] < at) & (at <= last[group])]
+
+
 def _pair_windows():
     """(n, lo, hi) windows of second factors: the whole range up to n = 6, an
     empty window, windows of 4n + 3 second factors (cut short at n <= 4),
-    which fill the 2n-row rank buffer twice and end inside it, windows at
-    n = 5..8 that start and end inside a head group and span more than one
-    rank buffer, and three second factors at n = 9."""
+    windows at n = 5..8 that start and end inside a run of rows with the
+    same first n // 2 images, windows at n = 5..8 that start and end inside a
+    tail-pattern group and span more than min(8n, (n-1)!/4) second factors,
+    and three second factors at n = 9."""
     for n in range(1, 10):
         m = math.factorial(n - 1)
         if n <= 6:
@@ -286,29 +300,88 @@ def _pair_windows():
             cuts = _head_cuts(n)
             lo = cuts[len(cuts) // 2]
             yield n, int(lo), int(cuts[cuts > lo + 2 * n][0])
+            cuts = _group_cuts(n)
+            lo = cuts[len(cuts) // 3]
+            yield n, int(lo), int(cuts[cuts > lo + min(8 * n, m // 4)][0])
     yield 9, 100, 103
+
+
+def _composed_counts(n, lo, hi):
+    """The pair counts of second factors lo..hi-1 by signature, from every
+    product composed as an array and walked by _min_lengths."""
+    cyc = _cycle_rows(n)
+    # row c1 of cyc[:, c2] is the product c1∘c2; _min_lengths reads element first
+    products = np.concatenate([cyc[:, c2] for c2 in cyc[lo:hi].tolist()] or [np.empty((0, n), np.int64)])
+    sig_rows = {row: i for i, row in enumerate(map(tuple, _signatures(n)[1].tolist()))}
+    expected = np.zeros(len(sig_rows), dtype=np.int64)
+    for lens in _min_lengths(products.T).T.tolist():
+        expected[sig_rows[tuple(lens)]] += 1
+    return expected
 
 
 class TestPairKernel:
     @pytest.mark.parametrize("n, lo, hi", list(_pair_windows()))
     def test_fact_chunk_against_composed_products(self, n, lo, hi):
-        cyc = _cycle_rows(n)
-        # row c1 of cyc[:, c2] is the product c1∘c2; _min_lengths reads element first
-        products = np.concatenate([cyc[:, c2] for c2 in cyc[lo:hi].tolist()] or [np.empty((0, n), np.int64)])
-        sig_rows = {row: i for i, row in enumerate(map(tuple, _signatures(n)[1].tolist()))}
-        expected = np.zeros(len(sig_rows), dtype=np.int64)
-        for lens in _min_lengths(products.T).T.tolist():
-            expected[sig_rows[tuple(lens)]] += 1
         got = _fact_chunk(n, lo, hi)
         assert got.dtype == np.int64
-        assert got.tolist() == expected.tolist()
+        assert got.tolist() == _composed_counts(n, lo, hi).tolist()
         assert got.sum() == (hi - lo) * math.factorial(n - 1)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_window_when_the_head_is_empty(self, n):
+        # k = n: one head group, whose q is the identity, and every second
+        # factor one of its patterns
+        m = math.factorial(n - 1)
+        for lo in range(m + 1):
+            for hi in range(lo, m + 1):
+                assert _fact_chunk(n, lo, hi).tolist() == _composed_counts(n, lo, hi).tolist()
 
     def test_chunks_cut_inside_head_groups_sum_to_whole_range(self):
         whole = _fact_chunk(7, 0, 720)
         cuts = _head_cuts(7)
         for cut in cuts[:: len(cuts) // 4].tolist():
             assert np.array_equal(_fact_chunk(7, 0, cut) + _fact_chunk(7, cut, 720), whole)
+
+
+def _pattern_products(k):
+    """``products[s][tau]`` = the lex rank of sigma_s∘tau among the
+    permutations of range(k), by itertools."""
+    perms = list(itertools.permutations(range(k)))
+    rank = {sigma: i for i, sigma in enumerate(perms)}
+    return [[rank[tuple(sigma[x] for x in t)] for t in perms] for sigma in perms]
+
+
+class TestTailPatterns:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rank_identity(self, n):
+        # rank(pi∘tau) = rank(pi) - rank(pi) mod k! + M[rank(pi) mod k!, tau],
+        # tau acting on the last k positions, for every pi and every tau
+        k = min(oracle._TAIL, n)
+        block = math.factorial(k)
+        products = np.array(_pattern_products(k))
+        perms = _all_perm_rows(n)
+        ranks = np.arange(len(perms))
+        for tau, t in enumerate(itertools.permutations(range(k))):
+            composed = perms[:, [*range(n - k), *(n - k + x for x in t)]]
+            expected = ranks - ranks % block + products[ranks % block, tau]
+            assert np.array_equal(_lex_rank(n, composed.T), expected)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_pattern_sources_invert_the_products(self, k):
+        sources = oracle._pattern_sources(k)
+        for s, row in enumerate(_pattern_products(k)):
+            for tau, t in enumerate(row):
+                assert sources[t, tau] == s
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pattern_major_index(self, n):
+        k = min(oracle._TAIL, n)
+        block = math.factorial(k)
+        head_of, pattern_of = oracle._pattern_major_tables(n)
+        columns = _all_perm_rows(n).T
+        index = head_of[oracle._code(n, columns[: n - k])] + pattern_of[oracle._code(n, columns[n - k :])]
+        ranks = np.arange(math.factorial(n))
+        assert np.array_equal(index, ranks % block * (len(ranks) // block) + ranks // block)
 
 
 class TestEnumerators:
@@ -567,6 +640,12 @@ class TestDeterminism:
         double = fresh_pair_counts(n, 2).tolist()
         assert single == double
 
+    def test_seven_agrees_at_one_two_and_three_workers(self, fresh_pair_counts):
+        # three chunks of 240 second factors cut head groups and classes
+        # elsewhere than two of 360
+        single, double, triple = (fresh_pair_counts(7, w).tolist() for w in (1, 2, 3))
+        assert single == double == triple
+
     def test_json_identical_across_workers(self, fresh_pair_counts):
         texts = []
         for w in (1, 3):
@@ -595,7 +674,7 @@ class TestPoolSize:
     )
     def test_at_most_one_process_per_cpu_and_one_chunk_per_worker(self, monkeypatch, cpus, workers, processes):
         started, chunks, prebuilt = [], [], []
-        tables = (oracle._rank_tables, oracle._pair_codes, oracle._high_codes)
+        tables = (oracle._pattern_major_tables, oracle._pattern_sources, oracle._pair_codes, oracle._high_codes)
 
         class InProcessPool:  # records what a process pool would start; starts none
             def __init__(self, max_workers):
@@ -619,7 +698,7 @@ class TestPoolSize:
             table.cache_clear()
         counts = oracle._compute_pair_counts(5, workers)
         assert started == [processes]
-        assert prebuilt == [[1, 1, 1]]  # forked workers inherit the tables for n = 5
+        assert prebuilt == [[1, 1, 1, 1]]  # forked workers inherit the tables for n = 5
         assert len(chunks) == min(workers, math.factorial(4))
         assert counts.tolist() == _fact_chunk(5, 0, math.factorial(4)).tolist()
 
