@@ -16,6 +16,15 @@ cycles are its arrays with s = c1 whose vertical, c2⁻¹, is a long cycle.
 The pair sweep is partitioned into contiguous chunks of the second factor's
 index range; chunk tallies are merged by addition, so results are identical
 for any worker count.
+
+The aggregations read per-n tables, each built once and shared by every
+call at that n: _signatures(n), the distinct _min_lengths rows of all n!
+permutations with the row of each lex rank; _signature_sums(n), their
+prefix sums, from which _tally reads block separation; the pair counts by
+row, product_pair_counts(n); and from those the rows of the cycle_type
+table, _pairs_type_rows(n), and the separated-prefix table,
+_pairs_sep_prefix(n).  The plane tallies read the (count, exceedances)
+totals of the full plane sweep, _plane_totals(n).
 """
 
 from __future__ import annotations
@@ -182,9 +191,11 @@ def _min_lengths(perms: np.ndarray) -> np.ndarray:
     lens = np.empty((n, m), dtype=np.int64)
     for lo in range(0, m, _MIN_LENGTHS_CHUNK):
         hi = min(lo + _MIN_LENGTHS_CHUNK, m)
+        # lens[x, r] counts the y with low[y, r] == x: one bincount of x * width + r
         low = _cycle_minima(perms[:, lo:hi], np.arange(n))
-        for x in range(n):
-            np.sum(low == x, axis=0, out=lens[x, lo:hi])
+        low *= hi - lo
+        low += np.arange(hi - lo)
+        lens[:, lo:hi] = np.bincount(low.ravel(), minlength=n * (hi - lo)).reshape(n, hi - lo)
     return lens
 
 
@@ -202,24 +213,16 @@ def _cycle_type(lens: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(filter(None, lens), reverse=True))
 
 
-def _block_types(lens: Sequence[int], alpha_parts: Sequence[int]) -> _SeqKey | None:
-    """The cycle types inside the consecutive blocks of the given sizes, or
-    None when a cycle crosses from one block into another."""
-    types = []
-    lo = 0
-    for part in alpha_parts:
-        block = lens[lo : lo + part]
-        if sum(block) != part:
-            return None
-        types.append(_cycle_type(block))
-        lo += part
-    return tuple(types)
+# _cycle_type of one block of a row, memoized by the block's entries as a
+# tuple: _tally passes each block sorted, so few distinct blocks reach it
+_block_type = cache(_cycle_type)
 
 
-def _sep_prefix(lens: Sequence[int]) -> int:
-    """The largest m with 1..m in pairwise distinct cycles: the number of
-    nonzero entries of a row of _min_lengths before its first 0."""
-    return next((x for x, length in enumerate(lens) if not length), len(lens))
+def _sep_prefixes(rows: np.ndarray) -> np.ndarray:
+    """For each row of _min_lengths, one per line, the largest m with 1..m in
+    pairwise distinct cycles: the number of its nonzero entries before its
+    first 0."""
+    return np.logical_and.accumulate(rows != 0, axis=1).sum(axis=1)
 
 
 @cache
@@ -229,21 +232,35 @@ def _signatures(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _distinct_rows(_all_perm_rows(n).T)
 
 
-def _tally(rows: np.ndarray, counts: np.ndarray, alpha_parts: Sequence[int]) -> dict[_SeqKey, np.ndarray]:
+@cache
+def _signature_sums(n: int) -> np.ndarray:
+    """The prefix sums of the rows of _signatures(n), along each row: the
+    table _tally reads the alpha-separated rows from, built once per n."""
+    return np.cumsum(_signatures(n)[1], axis=1)
+
+
+def _tally(
+    rows: np.ndarray, sums: np.ndarray, counts: np.ndarray, alpha_parts: Sequence[int]
+) -> dict[_SeqKey, np.ndarray]:
     """Block types -> the sum of ``counts[i]`` over the alpha-separated rows i
-    that have them, keyed in the order of their first row.  With alpha = (n)
-    the keys are the cycle types, (lam,)."""
+    that have them, keyed in the order of their first row; ``sums`` holds the
+    prefix sums of the rows, np.cumsum(rows, axis=1).  With alpha = (n) the
+    keys are the cycle types, (lam,)."""
     cuts = np.cumsum(alpha_parts)
-    ids = np.flatnonzero((np.cumsum(rows, axis=1)[:, cuts - 1] == cuts).all(axis=1))
-    separated = rows[ids]
+    ids = np.flatnonzero((sums[:, cuts - 1] == cuts).all(axis=1))
     # each block's entries in order, so that rows with equal block types have
     # equal codes: the block offsets keep every entry inside its block
     offsets = np.repeat(np.arange(len(cuts)) * (rows.shape[1] + 1), alpha_parts)
-    blocks = np.sort(separated + offsets, axis=1) - offsets
+    blocks = np.sort(rows[ids] + offsets, axis=1) - offsets
     _, first, key_of = np.unique(_code(rows.shape[1] + 1, blocks.T), return_index=True, return_inverse=True)
-    sums = np.zeros((len(first), *counts.shape[1:]), dtype=counts.dtype)
-    np.add.at(sums, key_of, counts[ids])
-    return {_block_types(separated[first[j]].tolist(), alpha_parts): sums[j] for j in np.argsort(first).tolist()}
+    totals = np.zeros((len(first), *counts.shape[1:]), dtype=counts.dtype)
+    np.add.at(totals, key_of, counts[ids])
+    order = np.argsort(first)
+    key_rows = blocks[first[order]]
+    # the block types of every key row, one block (a column range) at a time
+    blocks_of = (key_rows[:, cut - part : cut].tolist() for part, cut in zip(alpha_parts, cuts))
+    types = [map(_block_type, map(tuple, block)) for block in blocks_of]
+    return dict(zip(zip(*types), totals[order]))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +441,7 @@ def _pairs_alpha_tables(
     counts = product_pair_counts(n)
     d_table: dict[tuple[int, ...], int] = {}
     lam_table: dict[_SeqKey, int] = {}
-    for key, cnt in _tally(_signatures(n)[1], counts, alpha_parts).items():
+    for key, cnt in _tally(_signatures(n)[1], _signature_sums(n), counts, alpha_parts).items():
         cnt = int(cnt)
         if cnt:
             d = tuple(len(c) for c in key)
@@ -434,14 +451,25 @@ def _pairs_alpha_tables(
 
 
 @cache
+def _pairs_type_rows(n: int) -> dict[str, int]:
+    """The rows of sweep_pairs' cycle_type table: every cycle type of n, zero
+    counts included, keyed by its text form."""
+    types = _pairs_alpha_tables(n, (n,))[1]
+    return {format_type_key(t): types.get((t,), 0) for t in _partition_list(n)}
+
+
+@cache
 def _pairs_sep_prefix(n: int) -> dict[tuple[int, int], int]:
-    """table[(m, k)] = pairs whose product has k cycles and 1..m separated."""
-    table = {(m, k): 0 for m in range(1, n + 1) for k in range(1, n + 1)}
-    for lens, cnt in zip(_signatures(n)[1].tolist(), product_pair_counts(n).tolist()):
-        k = len(_cycle_type(lens))
-        for m in range(1, _sep_prefix(lens) + 1):
-            table[(m, k)] += cnt
-    return table
+    """table[(m, k)] = pairs whose product has k cycles and 1..m separated.
+
+    A row of _signatures(n) with k nonzero entries has 1..m separated for
+    every m up to its _sep_prefixes entry p: by_k[k, p] sums the counts of
+    the rows with that k and p, and the table sums by_k[k, p] over p >= m."""
+    rows = _signatures(n)[1]
+    by_k = np.zeros((n + 1, n + 1), dtype=np.int64)
+    np.add.at(by_k, (np.count_nonzero(rows, axis=1), _sep_prefixes(rows)), product_pair_counts(n))
+    at_least = np.cumsum(by_k[:, ::-1], axis=1)[:, ::-1].tolist()  # at_least[k][m]: the sum over p >= m
+    return {(m, k): at_least[k][m] for m in range(1, n + 1) for k in range(1, n + 1)}
 
 
 def pairs_separating_prefix(n: int, m: int, k: int, *, workers: int = 1, force: bool = False) -> int:
@@ -486,7 +514,9 @@ def _diag_tallies(n: int, d_image: tuple[int, ...], alpha_parts: tuple[int, ...]
     """Block types -> [count for a = 0..n]: plane permutations with fixed
     diagonal whose vertical is alpha-separated with those block types and has
     a exceedances.  With alpha = (n) the keys are the cycle type, (lam,)."""
-    return {key: by_a.tolist() for key, by_a in _tally(*_diag_rows(n, d_image), alpha_parts).items()}
+    rows, counts = _diag_rows(n, d_image)
+    tally = _tally(rows, np.cumsum(rows, axis=1), counts, alpha_parts)
+    return {key: by_a.tolist() for key, by_a in tally.items()}
 
 
 def count_factorizations(target: Permutation, *, force: bool = False) -> int:
@@ -523,7 +553,6 @@ def _outer_codes(words: int, rows: Sequence[np.ndarray], base: int) -> np.ndarra
     return codes
 
 
-@cache
 def _plane_codes(n: int) -> np.ndarray:
     """Counts over all plane permutations (s, pi), indexed by
     (diagonal type index, signature id of the vertical, exceedance count).
@@ -570,6 +599,16 @@ def _plane_codes(n: int) -> np.ndarray:
 
 
 @cache
+def _plane_totals(n: int) -> np.ndarray:
+    """``totals[i, t]`` = (count, exceedances): the plane permutations whose
+    vertical has signature id i and whose diagonal has type index t, and the
+    sum of their exceedance counts; the same for every composition.  Only
+    these totals are kept, not the sweep's (n + 1) times larger codes."""
+    acc = _plane_codes(n).swapaxes(0, 1)  # indexed by (signature id, type index, a)
+    return np.stack((acc.sum(axis=2), acc @ np.arange(n + 1)), axis=2)
+
+
+@cache
 def _plane_tallies(
     n: int, alpha_parts: tuple[int, ...]
 ) -> dict[tuple[int, ...], dict[_SeqKey, tuple[int, int]]]:
@@ -578,9 +617,9 @@ def _plane_tallies(
     types key, and the sum of their exceedance counts.  Keys that no
     vertical has are left out; with alpha = (n) the keys are the vertical's
     cycle type, (lam,)."""
-    acc = _plane_codes(n).swapaxes(0, 1)  # indexed by (signature id, type index, a)
-    totals = np.stack((acc.sum(axis=2), acc @ np.arange(n + 1)), axis=2)  # (signature id, type index, 2)
-    sums = {key: by_t.tolist() for key, by_t in _tally(_signatures(n)[1], totals, alpha_parts).items()}
+    totals = _plane_totals(n)  # first: _plane_codes checks the sweep limit before any signature is built
+    tally = _tally(_signatures(n)[1], _signature_sums(n), totals, alpha_parts)
+    sums = {key: by_t.tolist() for key, by_t in tally.items()}
     etas = _partition_list(n)
     return {eta: {key: tuple(by_t[t]) for key, by_t in sums.items()} for t, eta in enumerate(etas)}
 
@@ -764,8 +803,7 @@ def sweep_pairs(
     if cached is not None:
         return cached
     product_pair_counts(n, workers, force)
-    types = _pairs_alpha_tables(n, (n,))[1]
-    tables = {"cycle_type": CountTable({format_type_key(t): types.get((t,), 0) for t in _partition_list(n)})}
+    tables = {"cycle_type": CountTable(_pairs_type_rows(n))}  # its own copy of the rows
     if alpha is not None:
         d_table, lam_table, _ = _pairs_alpha_tables(n, alpha.parts)
         tables["d_vector"] = CountTable({format_d_key(d): c for d, c in d_table.items()})

@@ -47,13 +47,18 @@ def _classify(word: tuple[int, ...], pi: Permutation):
 
 def _cycle_minima(perms: np.ndarray, key: np.ndarray) -> np.ndarray:
     """``out[x, ...]`` = the least ``key[y]`` over y on the cycle of x: a
-    running minimum over windows of 2, 4, 8, ... consecutive cycle elements."""
+    running minimum over windows of 2, 4, 8, ... consecutive cycle elements.
+
+    np.take and order="C" make ``low`` and ``step`` C-contiguous for any
+    layout of ``perms``: key[cols] and cols * m keep the layout of a strided
+    batch (a transposed view, a column slice), and then every ravel() below
+    would copy the whole batch."""
     n = len(perms)
     cols = perms.reshape(n, -1)
-    low = key[cols]
+    low = np.take(key, cols)
     np.minimum(low, key[:, None], out=low)
     # flat index of (pi(x), same array); step.ravel()[step] squares pi
-    step = cols * cols.shape[1]
+    step = np.multiply(cols, cols.shape[1], order="C")
     step += np.arange(cols.shape[1])
     span = 2
     while span < n:

@@ -1,12 +1,12 @@
 import pytest
 
 from longcycles import verify
-from longcycles.oracle import _pair_counts_cache, _pairs_alpha_tables, _pairs_sep_prefix
+from longcycles.oracle import _pair_counts_cache, _pairs_alpha_tables, _pairs_sep_prefix, _pairs_type_rows
 
 
 def _clear_pair_caches():
     _pair_counts_cache.clear()
-    for derived in (_pairs_alpha_tables, _pairs_sep_prefix):
+    for derived in (_pairs_alpha_tables, _pairs_sep_prefix, _pairs_type_rows):
         derived.cache_clear()
 
 

@@ -35,11 +35,11 @@ from longcycles import (
     z_of,
 )
 from longcycles import oracle, verify
+from longcycles.plane import _cycle_minima
 from longcycles.oracle import (
     CountTable,
     OracleResult,
     _all_perm_rows,
-    _block_types,
     _cycle_rows,
     _cycle_type,
     _cycle_words,
@@ -49,8 +49,9 @@ from longcycles.oracle import (
     _min_lengths,
     _plane_codes,
     _plane_tallies,
-    _sep_prefix,
+    _sep_prefixes,
     _signatures,
+    _tally,
     product_pair_counts,
 )
 
@@ -120,6 +121,22 @@ class TestSweepPairs:
     def test_alpha_must_match_n(self):
         with pytest.raises(ValueError):
             sweep_pairs(4, C((2, 3)))
+
+    def test_each_result_owns_its_cycle_type_table(self):
+        first = sweep_pairs(5, C((2, 3)))
+        expected = first.tables["cycle_type"].items()
+        first.tables["cycle_type"]._data["5"] = -1
+        first.tables["cycle_type"]._data["new"] = 1
+        assert sweep_pairs(5).tables["cycle_type"].items() == expected
+        assert sweep_pairs(5, C((1, 4))).tables["cycle_type"].items() == expected
+
+    def test_every_alpha_table_at_n7_digest(self):
+        # pinned before the type table, the prefix sums and the block-type
+        # memo were built once per n: all 64 compositions of 7
+        digest = hashlib.sha256()
+        for alpha in compositions(7):
+            digest.update(sweep_pairs(7, alpha).to_json().encode())
+        assert digest.hexdigest() == "3f9703c65797221f8d02b9fc3033da3eed28babdeaaeb553de4fa080ce24b1c8"
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_counts_match_direct_enumeration(self, n):
@@ -241,7 +258,7 @@ class TestPlaneCodesByDiagonals:
                 suffix[[i, j]] = suffix[[j, i]]
             return prefix, suffix
 
-        caches = (real, _plane_codes, _plane_tallies)
+        caches = (real, oracle._plane_totals, _plane_tallies)
 
         def clear():
             for table in caches:
@@ -403,7 +420,9 @@ class TestMinLengths:
     def test_rows_against_the_scalar_reference(self, n):
         rows = _all_perm_rows(n)
         alphas = list(compositions(n))
-        for image, lens in zip(rows.tolist(), _min_lengths(rows.T).T.tolist()):
+        lens_rows = _min_lengths(rows.T).T
+        by_alpha = {alpha.parts: {} for alpha in alphas}  # block types -> count, in the order of their first row
+        for image, lens, prefix in zip(rows.tolist(), lens_rows.tolist(), _sep_prefixes(lens_rows).tolist()):
             p = Permutation(tuple(x + 1 for x in image))
             cycles = p.cycles()  # each starts at its least element
             expected = [0] * n
@@ -413,14 +432,17 @@ class TestMinLengths:
             assert _cycle_type(lens) == cycle_type(p).parts
             for alpha in alphas:
                 if is_alpha_separated(p, alpha):
-                    assert _block_types(lens, alpha.parts) == alpha_type(p, alpha).key()
-                else:
-                    assert _block_types(lens, alpha.parts) is None
+                    key = alpha_type(p, alpha).key()
+                    by_alpha[alpha.parts][key] = by_alpha[alpha.parts].get(key, 0) + 1
             cycle_of = {x: i for i, cyc in enumerate(cycles) for x in cyc}
             m = 0
             while m < n and cycle_of[m + 1] not in {cycle_of[y] for y in range(1, m + 1)}:
                 m += 1
-            assert _sep_prefix(lens) == m
+            assert prefix == m
+        sums = np.cumsum(lens_rows, axis=1)
+        for parts, expected in by_alpha.items():
+            tally = _tally(lens_rows, sums, np.ones(len(lens_rows), dtype=np.int64), parts)
+            assert [(key, int(cnt)) for key, cnt in tally.items()] == list(expected.items())
 
     def test_chunked_equals_one_pass(self, monkeypatch):
         # 120 columns in chunks of 7: sixteen full chunks and one of one column
@@ -431,6 +453,47 @@ class TestMinLengths:
         assert chunked.dtype == whole.dtype == np.int64
         assert np.array_equal(chunked, whole)
         assert _min_lengths(perms[:, :0]).shape == (5, 0)
+
+    # sha256 of sig.tobytes() + rows.tobytes(), pinned while _min_lengths
+    # walked the transposed view of _all_perm_rows(n)
+    @pytest.mark.parametrize(
+        "n, shape, expected",
+        [
+            (1, (1, 1), "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db"),
+            (2, (2, 2), "33b8534144102af2096928367e4933dedd333bf54a3585314ce4e1b8a85716ef"),
+            (3, (5, 3), "137019ab7ed06ec7382d52e599a5b916f85b7c0f2264a4e39a14d64fe947f52d"),
+            (4, (14, 4), "86b84b30147abd1085c6a266a8c11106af9b13690fcb748e29282db8e1324967"),
+            (5, (42, 5), "8fd3aee12a635a6f55c7eefc10684a93a8b3f21fc98249039c6be4c7c8fb0bd2"),
+            (6, (132, 6), "afbc456cd0e07a9289e323b2c667fe5c86678aaf3a2ca6f57d394bdf08d9151d"),
+            (7, (429, 7), "6b08dd294d10b50a67192ed1c7b4d4198047f62050b1f3532f5b407ea95ebcc2"),
+            (8, (1430, 8), "aa7ac7b1ec269bc22062435bced55f849a6c8fbf9e35e73ff7a160b313e18b13"),
+        ],
+    )
+    def test_signatures_digest(self, n, shape, expected):
+        sig, rows = _signatures(n)
+        assert sig.dtype == rows.dtype == np.int64 and rows.shape == shape
+        assert hashlib.sha256(sig.tobytes() + rows.tobytes()).hexdigest() == expected
+        assert np.array_equal(oracle._signature_sums(n), np.cumsum(rows, axis=1))
+
+    @pytest.mark.parametrize(
+        "strided",
+        [
+            lambda: _all_perm_rows(6).T,  # the batch _signatures walks
+            lambda: _all_perm_rows(7).T[:, 720:3600],  # a column window, as _min_lengths cuts at n = 9
+            lambda: np.argsort([2, 0, 4, 1, 3, 6, 5])[_cycle_rows(7)].T,  # the verticals of _diag_rows
+        ],
+        ids=["transposed", "column-slice", "diag-verticals"],
+    )
+    def test_strided_batches_match_contiguous_copies(self, strided, monkeypatch):
+        perms = strided()
+        assert not perms.flags.c_contiguous
+        copy = np.ascontiguousarray(perms)
+        key = np.arange(len(perms))[::-1].copy()
+        assert np.array_equal(_cycle_minima(perms, key), _cycle_minima(copy, key))
+        lens = _min_lengths(perms)
+        assert np.array_equal(lens, _min_lengths(copy))
+        monkeypatch.setattr(oracle, "_MIN_LENGTHS_CHUNK", 500)  # windows of a strided view, the last one short
+        assert np.array_equal(_min_lengths(perms), lens)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_signatures_index_every_rank(self, n):
@@ -622,6 +685,28 @@ class TestSeparatingPrefix:
         assert pairs_separating_prefix(4, 2, 2) == 16
         assert pairs_separating_prefix(4, 2, 4) == 6
         assert pairs_separating_prefix(4, 2, 3) == 0
+
+    # sha256 of json.dumps(sorted(_pairs_sep_prefix(n).items())), pinned
+    # while the table was still summed row by row in Python
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (1, "c3d67ed486d506e7ae9102de1bb2ac8f67af5fb605438a7f31e062f5cc03c93f"),
+            (2, "4329a816ebae09ec24b44734737f0c73f3208adcfe1694c6f55811594470d342"),
+            (3, "1f607f524dfaf6806c8710d5dee1ea13b2253dff20119665db171eb282d74d97"),
+            (4, "aa09865d61b85ae7b93735c7d029d33cdf1521891d0ac0180273f23666f5c798"),
+            (5, "79ea5b475b44de9768c8e6fea98fff89b8a9a6b2a6af3ac0ad55e886793feb14"),
+            (6, "5c3f7a5325bc77d2c31c4242fcd5dbbda5abd2755dded9eec1c64b9d17de402f"),
+            (7, "605adeaf1ee4feb8c251406732a15b233f05357f46292fc547df7e24215abf38"),
+            (8, "0ae9fe6e04ccb104febf41ced63d23031b11f8ee2f6d3ac015279a73dd15f4cf"),
+        ],
+    )
+    def test_table_digest(self, n, expected):
+        pairs_separating_prefix(n, 1, 1)
+        table = oracle._pairs_sep_prefix(n)
+        assert list(table) == [(m, k) for m in range(1, n + 1) for k in range(1, n + 1)]
+        assert all(type(v) is int for v in table.values())
+        assert hashlib.sha256(json.dumps(sorted(table.items())).encode()).hexdigest() == expected
 
     def test_m1_is_unconstrained(self):
         for n in range(2, 6):
