@@ -294,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--n", type=int, required=True)
     p_oracle.add_argument("--alpha", type=_alpha_arg)
     p_oracle.add_argument("--eta", type=_lambda_arg, help="diagonal cycle type (diagonal sweeps)")
-    p_oracle.add_argument("--threads", type=int, help="worker processes (pair sweeps; default 1)")
+    p_oracle.add_argument(
+        "--threads", type=int, help="worker processes: splits the pair sweep over them (oracle pairs; default 1)"
+    )
     p_oracle.add_argument("--cache-dir", type=Path, default=None)
     p_oracle.add_argument("--no-cache", action="store_true")
     p_oracle.add_argument("--force", action="store_true")
@@ -305,7 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=int, default=6)
     p_verify.add_argument("--suite", action="append", choices=SUITES)
     p_verify.add_argument("--baserecur-max-n", type=int, default=12)
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes: split the formulas suite's pair sweep and the plane suite's checks (default 1)",
+    )
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_table = sub.add_parser("table", help="render grids of formula values")

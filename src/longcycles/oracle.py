@@ -13,9 +13,14 @@ tallies the verticals by (block types, exceedance count), the cycle type
 again being the one-block case.  The factorizations c1∘c2 = D into long
 cycles are its arrays with s = c1 whose vertical, c2⁻¹, is a long cycle.
 
-The pair sweep is partitioned into contiguous chunks of the second factor's
-index range; chunk tallies are merged by addition, so results are identical
-for any worker count.
+Sweeps with a worker count cut their index range into contiguous chunks,
+one per worker, and _chunk_sum adds up the chunks' counts: the pair sweep
+over second factors, and the plane suite of verify over cycle words.  The
+shared tables are built first.  Then the process forks a child for every
+worker beyond the first, up to one process per CPU; each child counts its
+share of the chunks and sends the raw int64 sum back through a pipe, while
+the process counts the first share itself.  Counts are sums, so results are
+identical for any worker count.
 
 The aggregations read per-n tables, each built once and shared by every
 call at that n: _signatures(n), the distinct _min_lengths rows of all n!
@@ -35,13 +40,14 @@ import json
 import logging
 import math
 import os
+import signal
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -390,30 +396,111 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _chunks(m: int, parts: int) -> list[tuple[int, int]]:
+    """range(m) cut into at most ``parts`` contiguous (lo, hi) ranges, all
+    of one length but the last."""
+    step = -(-m // max(1, min(parts, m)))
+    return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
+# the exit status of a child that ran out of memory
+_MEMORY_EXIT = 3
+
+
+def _share_sum(count: Callable[[int, int], np.ndarray], share: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The sum of count(lo, hi) over the chunks of a share, as a new int64 array."""
+    total = np.array(count(*share[0]), dtype=np.int64)
+    for lo, hi in share[1:]:
+        total += count(lo, hi)
+    return total
+
+
+def _child(count: Callable[[int, int], np.ndarray], share: Sequence[tuple[int, int]], pipe: int) -> NoReturn:
+    """Count a share of the chunks in a forked child, write the raw bytes of
+    the sum to ``pipe`` and exit: it never returns into the parent's frames."""
+    status = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # an interrupt is the parent's to handle
+        with open(pipe, "wb") as out:
+            out.write(_share_sum(count, share).tobytes())
+        status = 0
+    except MemoryError:
+        status = _MEMORY_EXIT
+    except BaseException:
+        import traceback
+
+        # to the descriptor: sys.stderr may still hold text the parent wrote before the fork
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def _chunk_sum(count: Callable[[int, int], np.ndarray], chunks: Sequence[tuple[int, int]], workers: int) -> np.ndarray:
+    """The sum of count(lo, hi), int64 arrays of one shape, over the (lo, hi)
+    in ``chunks``, counted by at most min(workers, _cpus()) processes.
+
+    With P processes, process p counts chunks p, p + P, ...  This process
+    forks the other P - 1, which inherit every table built before the call,
+    counts its own share, then adds the raw sums the children write to their
+    pipes.  A child that fails prints its traceback and exits; a child killed
+    by a signal or out of memory raises ResourceLimitError here, any other
+    failure RuntimeError naming its chunks.  Whatever is raised, here or by
+    ``count`` in this process, every child is killed and reaped first.
+    Without os.fork every chunk is counted here."""
+    procs = max(1, min(workers, _cpus(), len(chunks))) if hasattr(os, "fork") else 1
+    shares = [chunks[p::procs] for p in range(procs)]
+    children = {}  # pid -> (read end of its pipe, its share), until it is reaped
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(count, share, write)
+            os.close(write)
+            children[pid] = (open(read, "rb"), share)
+        total = _share_sum(count, shares[0])
+        for pid, (pipe, share) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            code = os.waitstatus_to_exitcode(status)
+            what = "the process counting chunks " + ", ".join(f"{lo}..{hi - 1}" for lo, hi in share)
+            if code < 0:
+                raise ResourceLimitError(f"{what} was killed by signal {-code}")
+            if code == _MEMORY_EXIT:
+                raise ResourceLimitError(f"{what} ran out of memory")
+            if code != 0 or len(data) != total.nbytes:
+                raise RuntimeError(f"{what} failed: exit status {code}, {len(data)} of {total.nbytes} bytes")
+            total += np.frombuffer(data, dtype=np.int64).reshape(total.shape)
+        return total
+    finally:
+        for pid, (pipe, _) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
 def _compute_pair_counts(n: int, workers: int = 1) -> np.ndarray:
     """Entry i counts the ordered pairs of long cycles whose product has row
     i of _signatures(n); the second factors are cut into one chunk per
-    worker, counted by at most one process per CPU."""
+    worker, summed by _chunk_sum."""
     m = math.factorial(n - 1)
-    workers = max(1, min(workers, m))
-    if workers == 1:
+    if min(workers, m) <= 1:
         return _fact_chunk(n, 0, m)
-    step = -(-m // workers)
-    chunks = [(n, lo, min(lo + step, m)) for lo in range(0, m, step)]
-    # built before the pool starts, so forked workers inherit the tables instead
+    # built before the fork, so that the children inherit the tables instead
     # of each building its own; the signatures first, as in _fact_chunk
-    total = np.zeros(len(_signatures(n)[1]), dtype=np.int64)
+    _signatures(n)
     _pattern_major_tables(n)
     _pattern_sources(min(_TAIL, n))
     _pair_codes(n)
     _high_codes(n)
-    from concurrent.futures import ProcessPoolExecutor  # here, so one worker never loads multiprocessing
-
-    # a fork-started pool starts all its processes at once, so never more than the CPUs
-    with ProcessPoolExecutor(max_workers=min(workers, _cpus())) as pool:
-        for part in pool.map(_fact_chunk, *zip(*chunks)):
-            total += part
-    return total
+    return _chunk_sum(partial(_fact_chunk, n), _chunks(m, workers), workers)
 
 
 _pair_counts_cache: dict[int, np.ndarray] = {}

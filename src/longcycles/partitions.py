@@ -119,6 +119,7 @@ def _z_seq(key: tuple[tuple[int, ...], ...]) -> int:
     return math.prod(map(_z, key))
 
 
+@cache  # the sweeps' tables format the same few block types again and again
 def format_type_key(parts: tuple[int, ...]) -> str:
     """The key of a partition: "3+2+1", or "0" when it is empty."""
     return "+".join(map(str, parts)) if parts else "0"

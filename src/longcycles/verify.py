@@ -638,7 +638,7 @@ def _transposition_bad_count(
 
 
 @_collector_paused()
-def plane_structure_reports(max_n: int = 6) -> list[IdentityReport]:
+def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityReport]:
     """Exhaustive structural checks on two-row arrays.
 
     Over every pair (long cycle word, arbitrary vertical): the diagonal read
@@ -648,7 +648,9 @@ def plane_structure_reports(max_n: int = 6) -> list[IdentityReport]:
     cycles (s, D) and every legal block transposition: the diagonal is
     preserved, and the vertical's cycle count moves by −2, 0, or +2 (so its
     parity is preserved).  Each word is checked against all verticals, and
-    against all diagonals times all transpositions, as one array.
+    against all diagonals times all transpositions, as one array.  The
+    failure counts are summed over one chunk of words per worker
+    (oracle._chunk_sum).
     """
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
@@ -657,25 +659,28 @@ def plane_structure_reports(max_n: int = 6) -> list[IdentityReport]:
         rows = oracle._all_perm_rows(n)
         perms, perms_inv = rows.T.copy(), np.argsort(rows, axis=1).T.copy()
         cc = _cycle_counts_by_rank(n)  # the verticals are in lex order, so cc holds their counts
-        bad = np.zeros(3, dtype=np.int64)
-        for word, s_img in zip(words, cycles):
-            bad += _array_bad_counts(word, s_img, perms, perms_inv, cc, cc)
-        inst = f"n={n} over {len(words) * len(rows)} arrays"
-        for name, count in zip(("diagonal_agreement", "ntae_count_formula", "reflection_identity"), bad):
-            reports.append(IdentityReport(f"plane:{name}", inst, int(count), 0))
         # block transpositions over pairs of long cycles (s, D), vertical D⁻¹∘s
-        if n < 3:
-            continue
         hs = np.array(
             [(i, j, k) for i in range(1, n - 1) for j in range(i, n - 1) for k in range(j + 1, n)]
         )
         diags, diags_inv = cycles.T.copy(), np.argsort(cycles, axis=1).T.copy()
-        trans_bad = sum(
-            _transposition_bad_count(word, diags_inv[s_img], diags, hs, cc)
-            for word, s_img in zip(words, cycles)
-        )
-        inst = f"n={n} over {len(words) * len(cycles) * len(hs)} transpositions"
-        reports.append(IdentityReport("plane:transposition_action", inst, trans_bad, 0))
+
+        def bad_counts(lo: int, hi: int) -> np.ndarray:
+            # the failures of the three per-array checks, then of the transpositions
+            bad = np.zeros(4, dtype=np.int64)
+            for word, s_img in zip(words[lo:hi], cycles[lo:hi]):
+                bad[:3] += _array_bad_counts(word, s_img, perms, perms_inv, cc, cc)
+                if len(hs):
+                    bad[3] += _transposition_bad_count(word, diags_inv[s_img], diags, hs, cc)
+            return bad
+
+        bad = oracle._chunk_sum(bad_counts, oracle._chunks(len(words), workers), workers).tolist()
+        inst = f"n={n} over {len(words) * len(rows)} arrays"
+        for name, count in zip(("diagonal_agreement", "ntae_count_formula", "reflection_identity"), bad):
+            reports.append(IdentityReport(f"plane:{name}", inst, count, 0))
+        if len(hs):
+            inst = f"n={n} over {len(words) * len(cycles) * len(hs)} transpositions"
+            reports.append(IdentityReport("plane:transposition_action", inst, bad[3], 0))
     return reports
 
 
@@ -774,7 +779,7 @@ def run_suites(
     if "formulas" in suites:
         reports += formula_vs_oracle_reports(max_n, workers)
     if "plane" in suites:
-        reports += plane_structure_reports(plane_max_n or max_n)
+        reports += plane_structure_reports(plane_max_n or max_n, workers)
     if "parity" in suites:
         audit += parity_audit(max_n)
     return VerifyRun(reports=reports, audit=audit)

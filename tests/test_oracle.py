@@ -1,12 +1,15 @@
-import concurrent.futures
+import functools
 import gc
 import hashlib
 import itertools
 import json
 import logging
 import math
+import os
+import signal
 import subprocess
 import sys
+import time
 import weakref
 from fractions import Fraction
 
@@ -752,44 +755,108 @@ class TestCodeTables:
         assert [table() for table in tables] == [None, None]
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestChunkSum:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])  # 3 chunks over 2 processes
+    def test_sums_equal_one_chunk(self, workers):
+        m = math.factorial(4)
+        counts = oracle._chunk_sum(functools.partial(_fact_chunk, 5), oracle._chunks(m, workers), workers)
+        assert counts.tolist() == _fact_chunk(5, 0, m).tolist()
+        _assert_no_child_left()
+
+    def test_without_fork_the_chunks_run_here(self, monkeypatch):
+        monkeypatch.delattr(oracle.os, "fork")
+        assert oracle._chunk_sum(lambda lo, hi: np.array([hi - lo, os.getpid()]), [(0, 2), (2, 5)], 2).tolist() == [
+            5,
+            2 * os.getpid(),
+        ]
+
+    def test_a_child_that_raises_names_its_chunk(self, capfd):
+        def count(lo, hi):
+            if lo:
+                raise ValueError("bad chunk")
+            return np.zeros(3, dtype=np.int64)
+
+        with pytest.raises(RuntimeError, match=r"chunks 2\.\.4 failed"):
+            oracle._chunk_sum(count, [(0, 2), (2, 5)], 2)
+        assert "ValueError: bad chunk" in capfd.readouterr().err
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("fail", ["kill", "memory"])
+    def test_a_child_killed_or_out_of_memory_is_a_resource_limit(self, fail):
+        def count(lo, hi):
+            if not lo:
+                return np.zeros(3, dtype=np.int64)
+            if fail == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise MemoryError
+
+        with pytest.raises(ResourceLimitError, match="signal 9" if fail == "kill" else "out of memory"):
+            oracle._chunk_sum(count, [(0, 2), (2, 5)], 2)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_the_parents_chunk_raising_kills_and_reaps_the_children(self, error):
+        def count(lo, hi):
+            if lo:
+                time.sleep(30)  # the parent must not wait for this
+            raise error
+
+        start = time.monotonic()
+        with pytest.raises(error):
+            oracle._chunk_sum(count, [(0, 2), (2, 5)], 2)
+        assert time.monotonic() - start < 10
+        _assert_no_child_left()
+
+    def test_chunks_cover_the_range_in_order(self):
+        assert oracle._chunks(24, 5000) == [(i, i + 1) for i in range(24)]
+        assert oracle._chunks(720, 3) == [(0, 240), (240, 480), (480, 720)]
+        assert oracle._chunks(5, 2) == [(0, 3), (3, 5)]
+
+
 class TestPoolSize:
     @pytest.mark.parametrize(
         "cpus, workers, processes",
         [(2, 5000, 2), (2, 3, 2), (4, 3, 3), (1, 2, 1)],
     )
     def test_at_most_one_process_per_cpu_and_one_chunk_per_worker(self, monkeypatch, cpus, workers, processes):
-        started, chunks, prebuilt = [], [], []
+        calls, forks = [], []
         tables = (oracle._pattern_major_tables, oracle._pattern_sources, oracle._pair_codes, oracle._high_codes)
+        chunk_sum, fork = oracle._chunk_sum, os.fork
 
-        class InProcessPool:  # records what a process pool would start; starts none
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                prebuilt.append([table.cache_info().currsize for table in tables])
+        def recorded_chunk_sum(count, chunks, workers):
+            calls.append((list(chunks), [table.cache_info().currsize for table in tables]))
+            return chunk_sum(count, chunks, workers)
 
-            def __enter__(self):
-                return self
+        def recorded_fork():  # records what the runner forks, then forks
+            forks.append(None)
+            return fork()
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *args):
-                chunks.extend(zip(*args))
-                return map(fn, *args)
-
-        # _compute_pair_counts imports the pool class from here in its pool branch
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(oracle, "_chunk_sum", recorded_chunk_sum)
+        monkeypatch.setattr(oracle.os, "fork", recorded_fork)
         monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         for table in tables:
             table.cache_clear()
         counts = oracle._compute_pair_counts(5, workers)
-        assert started == [processes]
-        assert prebuilt == [[1, 1, 1, 1]]  # forked workers inherit the tables for n = 5
+        ((chunks, prebuilt),) = calls
+        assert len(forks) + 1 == processes
+        assert prebuilt == [1, 1, 1, 1]  # the forked children inherit the tables for n = 5
         assert len(chunks) == min(workers, math.factorial(4))
         assert counts.tolist() == _fact_chunk(5, 0, math.factorial(4)).tolist()
+        _assert_no_child_left()
 
-    def test_one_worker_loads_no_process_pool(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_worker_loads_no_process_pool(self, workers):  # two fork without one
         script = (
-            "import sys, longcycles; longcycles.sweep_pairs(5, cache_dir=None); "
+            f"import sys, longcycles; longcycles.sweep_pairs(5, workers={workers}, cache_dir=None); "
             "print(sorted(m for m in sys.modules if m.startswith(('concurrent.futures.', 'multiprocessing'))))"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

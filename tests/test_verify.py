@@ -98,11 +98,22 @@ class TestSuites:
         assert reports
         assert_all_pass(reports)
 
-    def test_plane_json_pinned(self, capsys):
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_plane_json_pinned(self, capsys, threads):
         # sha256 of the output before the suite ran on arrays, newline included
-        assert cli.main(["verify", "--format", "json", "--max-n", "6", "--suite", "plane"]) == 0
+        assert cli.main(["verify", "--format", "json", "--max-n", "6", "--suite", "plane", "--threads", threads]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "5cbc2dc50929cc6680af878b233053dab8785040a10084827ac70f7e71dcac47"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_plane_failures_are_counted_once_per_word(self, monkeypatch, workers):
+        # failures that depend on the word: every word is checked once, whatever the chunks and processes
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(verify, "_array_bad_counts", lambda word, *rest: (1, int(word[1]), 0))
+        monkeypatch.setattr(verify, "_transposition_bad_count", lambda word, *rest: int(word[-1]))
+        reports = [r for r in verify.plane_structure_reports(5, workers) if r.instance.startswith("n=5 ")]
+        words = oracle._cycle_words(5)
+        assert [r.lhs for r in reports] == [len(words), words[:, 1].sum(), 0, words[:, -1].sum()]
 
     def test_plane_at_n7(self):
         reports = [r for r in verify.plane_structure_reports(7) if r.instance.startswith("n=7 ")]
@@ -549,10 +560,12 @@ class TestRunner:
     def test_plane_and_baserecur_are_limited_at_their_own_n(self, monkeypatch):
         calls = []
         for function in ("plane_structure_reports", "baserecur_reports"):
-            monkeypatch.setattr(verify, function, lambda n: calls.append(n) or [])
+            monkeypatch.setattr(verify, function, lambda *args: calls.append(args) or [])
         limit = verify._SUITE_LIMITS["baserecur"]
-        verify.run_suites(("baserecur", "plane"), 9, baserecur_max_n=limit, plane_max_n=oracle.PLANE_SWEEP_LIMIT)
-        assert calls == [limit, oracle.PLANE_SWEEP_LIMIT]
+        verify.run_suites(
+            ("baserecur", "plane"), 9, baserecur_max_n=limit, plane_max_n=oracle.PLANE_SWEEP_LIMIT, workers=2
+        )
+        assert calls == [(limit,), (oracle.PLANE_SWEEP_LIMIT, 2)]  # the plane suite also gets the workers
 
     @pytest.mark.parametrize(
         "suite, kwargs",
