@@ -8,7 +8,8 @@ Subcommands:
 - ``table``: render grids of formula values over a range of n.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 domain error,
-4 resource limit, 141 output pipe closed by its reader (128 + SIGPIPE).
+4 resource limit, 70 internal error (EX_SOFTWARE: a bug, with its traceback
+on stderr), 141 output pipe closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -345,6 +346,12 @@ def main(argv: list[str] | None = None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a bug: never 1, which means a failed check
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 70
 
 
 if __name__ == "__main__":

@@ -13,6 +13,11 @@ tallies the verticals by (block types, exceedance count), the cycle type
 again being the one-block case.  The factorizations c1∘c2 = D into long
 cycles are its arrays with s = c1 whose vertical, c2⁻¹, is a long cycle.
 
+Every lex rank is read from _rank_tables(n), split after a permutation's
+first h = n - min(_TAIL, n) images, and the pair kernel's tables,
+_pair_tables(n), are built once per sweep and freed when its counts are
+stored.
+
 Sweeps with a worker count cut their index range into contiguous chunks,
 one per worker, and _chunk_sum adds up the chunks' counts: the pair sweep
 over second factors, and the plane suite of verify over cycle words.  The
@@ -147,15 +152,24 @@ def _code(base: int, digits):
     return code
 
 
-def _lex_tables(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+# a permutation's last k = min(_TAIL, n) images are its tail, read as a
+# pattern of S_k, and the first h = n - k its head.  Every lex rank is split
+# there.  With k = 4 each head group of a whole pair sweep holds six of the 24
+# patterns, and from n = 7 on the groups fall into 24 classes by them
+_TAIL = 4
+
+
+@cache
+def _rank_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Lookup tables for the lex rank of a permutation of range(n), split
-    after its first h images.
+    after its first h = n - min(_TAIL, n) images.
 
     ``prefix[code of the first h images]`` is the lex index of that
     h-arrangement times (n - h)!, and ``suffix[code of the last n - h
     images]`` is the lex rank of their relative order; the lex rank is the
-    sum.  The tables have n^h and n^(n-h) entries.
+    sum.  The tables have n^h and n^(n-h) entries: under 1 MB up to n = 9.
     """
+    h = n - min(_TAIL, n)
     tail = math.factorial(n - h)
     prefix = np.zeros(n**h, dtype=np.int64)
     for i, head in enumerate(itertools.permutations(range(n), h)):
@@ -167,18 +181,12 @@ def _lex_tables(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     return prefix, suffix
 
 
-@cache
-def _rank_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_lex_tables split after h = n // 2 images: under 1 MB up to n = 9."""
-    return _lex_tables(n, n // 2)
-
-
 def _lex_rank(n: int, columns):
     """Lex rank among all n! permutations of range(n).  ``columns[j]`` holds
     the image of j: an int, or an integer array ranking many permutations
     at once."""
     prefix, suffix = _rank_tables(n)
-    h = n // 2
+    h = n - min(_TAIL, n)
     return prefix[_code(n, columns[:h])] + suffix[_code(n, columns[h:])]
 
 
@@ -273,44 +281,30 @@ def _tally(
 # the pair sweep: pair counts by product signature
 
 
-# a second factor's last k = min(_TAIL, n) images are its tail, read as a
-# pattern of S_k.  With k = 4 each head group of a whole sweep holds six of
-# the 24 patterns, and from n = 7 on the groups fall into 24 classes by them
-_TAIL = 4
-
-
 @cache
-def _pair_codes(n: int) -> np.ndarray:
-    """Row x*n + y holds c1(x)*n + c1(y) for every long cycle c1, in
-    _cycle_rows order: two base-n digits of the code of every product at once."""
-    cyc_t = _cycle_rows(n).T.copy()  # row x: the images of x under every long cycle
-    return (cyc_t[:, None, :] * n + cyc_t[None, :, :]).reshape(n * n, -1)
+def _pair_tables(n: int) -> tuple[np.ndarray, ...]:
+    """(cyc_t, pairs, high, head_of, pattern_of, sources): every table
+    _fact_chunk reads besides _signatures(n).  Over every long cycle c1, in
+    _cycle_rows order, row x of ``cyc_t`` holds c1(x), and row x*n + y of
+    ``pairs`` holds c1(x)*n + c1(y): two base-n digits of the code of every
+    product at once.  ``high`` is pairs times n^2, so that the code of
+    images a, b, c, d is one add, high[ab] + pairs[cd].
 
-
-@cache
-def _high_codes(n: int) -> np.ndarray:
-    """_pair_codes(n) times n^2: the upper two digits of a four-digit code,
-    so that the code of images a, b, c, d is one add, high[ab] + pairs[cd]."""
-    return _pair_codes(n) * (n * n)
-
-
-@cache
-def _pattern_major_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(head, pattern) for k = min(_TAIL, n): ``head[code of the first n - k
-    images]`` is the lex index of that arrangement, and ``pattern[code of the
-    last k images]`` is the lex rank of their pattern times n!/k!, the number
-    of heads.  Their sum is the pattern-major index of the permutation,
-    pattern * n!/k! + head; its lex rank is head * k! + pattern."""
+    With k = min(_TAIL, n), ``head_of`` and ``pattern_of`` are _rank_tables(n)
+    over k! and times n!/k!, the number of heads: the lex index of the first
+    n - k images and the lex rank of the last k images' pattern times n!/k!.
+    Their sum is the pattern-major index, pattern * n!/k! + head, of the
+    permutation of lex rank head * k! + pattern; ``sources`` is
+    _pattern_sources(k)."""
+    cyc_t = _cycle_rows(n).T.copy()
+    pairs = (cyc_t[:, None, :] * n + cyc_t[None, :, :]).reshape(n * n, -1)
     k = min(_TAIL, n)
-    head, pattern = _lex_tables(n, n - k)
-    # in place: new arrays, with the old ones freed, left the main process of
-    # the two-worker sweep at n = 9 2.8 MB higher at its peak
-    head //= math.factorial(k)
-    pattern *= math.factorial(n) // math.factorial(k)
-    return head, pattern
+    prefix, suffix = _rank_tables(n)
+    block = math.factorial(k)
+    heads = math.factorial(n) // block
+    return cyc_t, pairs, pairs * (n * n), prefix // block, suffix * heads, _pattern_sources(k)
 
 
-@cache
 def _pattern_sources(k: int) -> np.ndarray:
     """``sources[t, tau]`` = the lex rank s of the pattern with sigma_s∘tau =
     sigma_t, over the patterns of S_k in lex order: a permutation whose last
@@ -343,26 +337,26 @@ def _fact_chunk(n: int, lo: int, hi: int) -> np.ndarray:
     permuted by tau.  Those counts are added onto the signature rows once,
     at the end."""
     sig, rows = _signatures(n)  # first: its build has the sweep's largest transients, so hold nothing else
-    cyc_t = _cycle_rows(n).T.copy()  # row x: the images of x under every long cycle
-    pairs, high = _pair_codes(n), _high_codes(n)
+    cyc_t, pairs, high, head_of, pattern_of, sources = _pair_tables(n)
     k = min(_TAIL, n)
     block = math.factorial(k)
     heads = len(sig) // block
-    head_of, pattern_of = _pattern_major_tables(n)
-    sources = _pattern_sources(k)
 
     def code(images):
         # column j of all products c1∘q is c1(q(j)): row q(j) of cyc_t, and
         # columns j, j+1 together are row q(j)*n + q(j+1) of the pair codes;
-        # the last four images are one add, and a lone first image one row
-        if len(images) >= 4:
-            a, b, c, d = images[-4:]
+        # each four images are one add, and the one to three images before
+        # the fours are a lone first image's row and a pair's row
+        lead = len(images) % 4
+        out = cyc_t[images[0]] if lead % 2 else 0
+        if lead > 1:
+            x, y = images[lead - 2 : lead]
+            out = out * (n * n) + pairs[x * n + y] if lead == 3 else pairs[x * n + y]
+        for j in range(lead, len(images), 4):
+            a, b, c, d = images[j : j + 4]
             low = high[a * n + b] + pairs[c * n + d]
-            return low if len(images) == 4 else code(images[:-4]) * n**4 + low
-        odd = len(images) % 2
-        digits = [cyc_t[x] for x in images[:odd]]
-        digits += [pairs[x * n + y] for x, y in zip(images[odd::2], images[odd + 1 :: 2])]
-        return _code(n * n, digits)
+            out = out * n**4 + low if j else low
+        return out
 
     # group g holds the second factors with head index head[g], one for each
     # pattern tau set in the bit mask masks[g]
@@ -383,7 +377,6 @@ def _fact_chunk(n: int, lo: int, hi: int) -> np.ndarray:
         for tau in range(block):
             if mask >> tau & 1:
                 by_pattern += acc.reshape(block, heads)[sources[:, tau]]
-    del code  # it calls itself, a cycle: unlinked, the tables it holds are freed now, not by a later collection
     out = np.zeros(len(rows), dtype=np.int64)
     np.add.at(out, sig.reshape(heads, block).T, by_pattern)
     return out
@@ -486,33 +479,25 @@ def _chunk_sum(count: Callable[[int, int], np.ndarray], chunks: Sequence[tuple[i
             pipe.close()
 
 
-def _compute_pair_counts(n: int, workers: int = 1) -> np.ndarray:
-    """Entry i counts the ordered pairs of long cycles whose product has row
-    i of _signatures(n); the second factors are cut into one chunk per
-    worker, summed by _chunk_sum."""
-    m = math.factorial(n - 1)
-    if min(workers, m) <= 1:
-        return _fact_chunk(n, 0, m)
-    # built before the fork, so that the children inherit the tables instead
-    # of each building its own; the signatures first, as in _fact_chunk
-    _signatures(n)
-    _pattern_major_tables(n)
-    _pattern_sources(min(_TAIL, n))
-    _pair_codes(n)
-    _high_codes(n)
-    return _chunk_sum(partial(_fact_chunk, n), _chunks(m, workers), workers)
-
-
 _pair_counts_cache: dict[int, np.ndarray] = {}
 
 
 def product_pair_counts(n: int, workers: int = 1, force: bool = False) -> np.ndarray:
-    # the guard limits work, so counts already computed under force are served
+    """Entry i counts the ordered pairs of long cycles whose product has row
+    i of _signatures(n): _fact_chunk over the second factors, cut into one
+    chunk per worker and summed by _chunk_sum.  The guard limits work, so
+    counts already computed under force are served."""
     if n not in _pair_counts_cache:
         _require_scale("pair sweep", n, PAIR_SWEEP_FREE_LIMIT, HARD_LIMIT, force)
-        _pair_counts_cache[n] = _compute_pair_counts(n, workers)
-        _pair_codes.cache_clear()  # 26 MB each at n = 9, and no other sweep reads them
-        _high_codes.cache_clear()
+        # built before any fork, so that the children inherit the tables
+        # instead of each building its own; the signatures first, as in _fact_chunk
+        _signatures(n)
+        try:
+            _pair_tables(n)
+            chunks = _chunks(math.factorial(n - 1), workers)
+            _pair_counts_cache[n] = _chunk_sum(partial(_fact_chunk, n), chunks, workers)
+        finally:
+            _pair_tables.cache_clear()  # 55 MB at n = 9, and no other sweep reads them
     return _pair_counts_cache[n]
 
 
@@ -646,10 +631,11 @@ def _plane_codes(n: int) -> np.ndarray:
 
     The lex rank of the diagonal s∘pi⁻¹ is prefix + suffix rank of the images
     of pi⁻¹ with s applied, and the exceedance count of (s, pi) is a sum over
-    the images of pi.  Split after the first h = n // 2 images, each half is
-    read from a table built per word over every digit tuple of that half,
-    keyed by the half's code; the codes of pi and pi⁻¹ are the same for
-    every word.  The tables of _PLANE_WORDS words are built at once."""
+    the images of pi.  Split as _rank_tables splits, after the first
+    h = n - min(_TAIL, n) images, each part is read from a table built per
+    word over every digit tuple of that part, keyed by the part's code; the
+    codes of pi and pi⁻¹ are the same for every word.  The tables of
+    _PLANE_WORDS words are built at once."""
     _require_scale("full plane-permutation sweep", n, PLANE_SWEEP_LIMIT, PLANE_SWEEP_LIMIT, False)
     perms = _all_perm_rows(n).T  # element first: row x holds the image of x under every perm
     pinv_t = np.argsort(perms, axis=0)  # row j: perm⁻¹(j) for every perm
@@ -660,7 +646,7 @@ def _plane_codes(n: int) -> np.ndarray:
     type_base = type_of[sig] * stride  # lex rank of a diagonal -> the first index of its type
     sig_base = sig * (n + 1)  # lex rank of a vertical -> the first index of its signature within a type
     prefix, suffix = _rank_tables(n)
-    h = n // 2
+    h = n - min(_TAIL, n)
     inv_head, inv_tail = _code(n, pinv_t[:h]), _code(n, pinv_t[h:])
     img_head, img_tail = _code(n, perms[:h]), _code(n, perms[h:])
     acc = np.zeros(len(types) * stride, dtype=np.int64)
@@ -670,7 +656,7 @@ def _plane_codes(n: int) -> np.ndarray:
         s_img = cycles[lo : lo + _PLANE_WORDS]  # one word per line
         pos = np.argsort(words[lo : lo + _PLANE_WORDS], axis=1)  # pos[w, x]: index of x in word w
         later = (pos[:, None, :] > pos[:, :, None]).astype(np.int64)  # later[w, x, y]: y after x in word w
-        # per word, over every digit tuple t of a half: the rank of s(t), and
+        # per word, over every digit tuple t of a part: the rank of s(t), and
         # the exceedances of x = 0..h-1 (or h..n-1) with images t
         m = len(s_img)
         rank_head = prefix[_outer_codes(m, [s_img] * h, n)]

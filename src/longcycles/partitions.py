@@ -80,20 +80,25 @@ def _partition_list(n: int, maxpart: int | None = None) -> tuple[tuple[int, ...]
     non-increasing tuples, reverse-lexicographic."""
     if n == 0:
         return ((),)
+    top = n if maxpart is None else min(n, maxpart)
     out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def rec(remaining: int, maxpart: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(remaining, maxpart), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p)
-            prefix.pop()
-
-    rec(n, n if maxpart is None else maxpart)
-    del rec  # it calls itself, a cycle: unlinked, it is freed now, not by a later collection
+    parts: list[int] = []
+    rest = n  # what follows parts: filled greedily with parts of at most top
+    while top >= 1:
+        q, r = divmod(rest, top)
+        parts += [top] * q
+        if r:
+            parts.append(r)
+        out.append(tuple(parts))
+        # the next partition lowers the last part above 1 by one, and fills
+        # what it and the ones after it held
+        rest = 0
+        while parts and parts[-1] == 1:
+            rest += parts.pop()
+        if not parts:
+            break
+        top = parts.pop() - 1
+        rest += top + 1
     return tuple(out)
 
 

@@ -180,6 +180,28 @@ class TestOracle:
         assert code == 4
         assert err == "resource limit: out of memory\n"
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_failed_sweep_is_an_internal_error(self, capfd, monkeypatch, clear_pair_caches, threads):
+        # exit 1 would claim that a check failed; at two threads the chunk
+        # that ends the range is the forked child's, and it prints its traceback
+        chunk = oracle._fact_chunk
+
+        def broken(n, lo, hi):
+            if hi == 120:
+                raise IndexError("broken chunk")
+            return chunk(n, lo, hi)
+
+        monkeypatch.setattr(oracle, "_fact_chunk", broken)
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        clear_pair_caches()
+        code = cli.main(["oracle", "pairs", "--n", "6", "--no-cache", "--threads", threads])
+        err = capfd.readouterr().err
+        assert code == 70
+        assert "IndexError: broken chunk" in err
+        assert "internal error: " in err.splitlines()[-1]
+        if threads == "2":
+            assert "internal error: RuntimeError: the process counting chunks 60..119 failed" in err
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize(
         "argv",

@@ -249,15 +249,15 @@ class TestPlaneCodesByDiagonals:
         assert np.array_equal(_plane_codes_by_diagonals(n), _plane_codes(n))
 
     def test_swapped_suffix_ranks_are_caught(self, monkeypatch, clear_pair_caches):
-        # two tail arrangements of one value set trade lex ranks: a diagonal
-        # of type 5 and one of type 3+2 at n = 5 swap places in the plane codes
+        # two tail arrangements of one value set trade lex ranks: at n = 5
+        # the identity and the transposition (4 5) swap places in the plane codes
         n = 5
         real = oracle._rank_tables
 
         def swapped(k):
             prefix, suffix = real.__wrapped__(k)  # fresh arrays: the cached tables stay whole
             if k == n:  # classic_reports(n) also reads n = 2..4, which stay whole
-                i, j = oracle._code(n, (0, 1, 2)), oracle._code(n, (0, 2, 1))
+                i, j = oracle._code(n, (1, 2, 3, 4)), oracle._code(n, (1, 2, 4, 3))
                 suffix[[i, j]] = suffix[[j, i]]
             return prefix, suffix
 
@@ -397,7 +397,7 @@ class TestTailPatterns:
     def test_pattern_major_index(self, n):
         k = min(oracle._TAIL, n)
         block = math.factorial(k)
-        head_of, pattern_of = oracle._pattern_major_tables(n)
+        head_of, pattern_of = oracle._pair_tables(n)[3:5]
         columns = _all_perm_rows(n).T
         index = head_of[oracle._code(n, columns[: n - k])] + pattern_of[oracle._code(n, columns[n - k :])]
         ranks = np.arange(math.factorial(n))
@@ -746,13 +746,14 @@ class TestCodeTables:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_freed_once_the_counts_are_stored(self, clear_pair_caches, workers):
         clear_pair_caches()
-        tables = [weakref.ref(oracle._pair_codes(5)), weakref.ref(oracle._high_codes(5))]
+        tables = [weakref.ref(table) for table in oracle._pair_tables(5)]
+        assert len(tables) == 6  # cyc_t, the pair and high codes, the head, pattern and source tables
         gc.disable()  # freed by their reference counts, not by a later collection
         try:
             product_pair_counts(5, workers)
         finally:
             gc.enable()
-        assert [table() for table in tables] == [None, None]
+        assert [table() for table in tables] == [None] * 6
 
 
 def _assert_no_child_left():
@@ -825,11 +826,13 @@ class TestChunkSum:
 class TestPoolSize:
     @pytest.mark.parametrize(
         "cpus, workers, processes",
-        [(2, 5000, 2), (2, 3, 2), (4, 3, 3), (1, 2, 1)],
+        [(2, 5000, 2), (2, 3, 2), (4, 3, 3), (1, 2, 1), (2, 1, 1)],
     )
-    def test_at_most_one_process_per_cpu_and_one_chunk_per_worker(self, monkeypatch, cpus, workers, processes):
+    def test_at_most_one_process_per_cpu_and_one_chunk_per_worker(
+        self, monkeypatch, clear_pair_caches, cpus, workers, processes
+    ):
         calls, forks = [], []
-        tables = (oracle._pattern_major_tables, oracle._pattern_sources, oracle._pair_codes, oracle._high_codes)
+        tables = (oracle._signatures, oracle._pair_tables)
         chunk_sum, fork = oracle._chunk_sum, os.fork
 
         def recorded_chunk_sum(count, chunks, workers):
@@ -843,15 +846,24 @@ class TestPoolSize:
         monkeypatch.setattr(oracle, "_chunk_sum", recorded_chunk_sum)
         monkeypatch.setattr(oracle.os, "fork", recorded_fork)
         monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        clear_pair_caches()
         for table in tables:
             table.cache_clear()
-        counts = oracle._compute_pair_counts(5, workers)
+        counts = product_pair_counts(5, workers)
         ((chunks, prebuilt),) = calls
         assert len(forks) + 1 == processes
-        assert prebuilt == [1, 1, 1, 1]  # the forked children inherit the tables for n = 5
+        assert prebuilt == [1, 1]  # the forked children inherit the tables for n = 5
         assert len(chunks) == min(workers, math.factorial(4))
         assert counts.tolist() == _fact_chunk(5, 0, math.factorial(4)).tolist()
         _assert_no_child_left()
+
+    def test_one_worker_forks_nothing(self, monkeypatch, clear_pair_caches):
+        def no_fork():
+            raise AssertionError("a one-worker sweep forked")
+
+        monkeypatch.setattr(oracle.os, "fork", no_fork)
+        clear_pair_caches()
+        assert product_pair_counts(6, 1).tolist() == _fact_chunk(6, 0, 120).tolist()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_worker_loads_no_process_pool(self, workers):  # two fork without one
