@@ -169,13 +169,9 @@ def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if args.what == "pairs":
         if args.eta is not None:
             parser.error("oracle pairs does not read --eta")
-        result = oracle.sweep_pairs(
-            args.n,
-            args.alpha,
-            workers=threads,
-            force=args.force,
-            cache_dir=cache_dir,
-        )
+        if args.force:
+            parser.error("oracle pairs does not read --force")
+        result = oracle.sweep_pairs(args.n, args.alpha, workers=threads, cache_dir=cache_dir)
     else:
         if args.threads is not None:
             parser.error("oracle diagonal does not read --threads")
@@ -300,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--cache-dir", type=Path, default=None)
     p_oracle.add_argument("--no-cache", action="store_true")
-    p_oracle.add_argument("--force", action="store_true")
+    p_oracle.add_argument(
+        "--force", action="store_true", help="run the fixed-diagonal sweep past its free limit (oracle diagonal)"
+    )
     p_oracle.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
 
     p_verify = sub.add_parser("verify", help="run the identity suites")

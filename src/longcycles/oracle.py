@@ -71,12 +71,10 @@ __all__ = [
     "expected_k_cycles",
     "pairs_separating_prefix",
     "default_cache_dir",
-    "PAIR_SWEEP_FREE_LIMIT",
     "HARD_LIMIT",
 ]
 
-PAIR_SWEEP_FREE_LIMIT = 8  # beyond this, sweep_pairs requires force=True
-HARD_LIMIT = 9  # the pair sweep never runs past this; the fixed-diagonal sweep needs force past it
+HARD_LIMIT = 9  # the pair sweep runs to this and never past it; the fixed-diagonal sweep needs force past it
 DIAG_SWEEP_HARD_LIMIT = 10  # the fixed-diagonal sweep never runs past this: ~300 MB at n=10, x n per step
 PLANE_SWEEP_LIMIT = 7  # (n-1)! * n! plane permutations; 3.6M at n=7
 
@@ -482,13 +480,12 @@ def _chunk_sum(count: Callable[[int, int], np.ndarray], chunks: Sequence[tuple[i
 _pair_counts_cache: dict[int, np.ndarray] = {}
 
 
-def product_pair_counts(n: int, workers: int = 1, force: bool = False) -> np.ndarray:
+def product_pair_counts(n: int, workers: int = 1) -> np.ndarray:
     """Entry i counts the ordered pairs of long cycles whose product has row
     i of _signatures(n): _fact_chunk over the second factors, cut into one
-    chunk per worker and summed by _chunk_sum.  The guard limits work, so
-    counts already computed under force are served."""
+    chunk per worker and summed by _chunk_sum."""
     if n not in _pair_counts_cache:
-        _require_scale("pair sweep", n, PAIR_SWEEP_FREE_LIMIT, HARD_LIMIT, force)
+        _require_scale("pair sweep", n, HARD_LIMIT, HARD_LIMIT, False)
         # built before any fork, so that the children inherit the tables
         # instead of each building its own; the signatures first, as in _fact_chunk
         _signatures(n)
@@ -544,18 +541,18 @@ def _pairs_sep_prefix(n: int) -> dict[tuple[int, int], int]:
     return {(m, k): at_least[k][m] for m in range(1, n + 1) for k in range(1, n + 1)}
 
 
-def pairs_separating_prefix(n: int, m: int, k: int, *, workers: int = 1, force: bool = False) -> int:
+def pairs_separating_prefix(n: int, m: int, k: int, *, workers: int = 1) -> int:
     """Ordered pairs of long cycles whose product has k cycles and keeps
     1..m in pairwise distinct cycles — by enumeration."""
     if not 1 <= m <= n or not 1 <= k <= n:
         raise ValueError("need 1 <= m <= n and 1 <= k <= n")
-    product_pair_counts(n, workers, force)
+    product_pair_counts(n, workers)
     return _pairs_sep_prefix(n)[(m, k)]
 
 
-def expected_k_cycles(n: int, k: int, *, workers: int = 1, force: bool = False) -> Fraction:
+def expected_k_cycles(n: int, k: int, *, workers: int = 1) -> Fraction:
     """Average number of k-cycles in the product over all ordered pairs."""
-    product_pair_counts(n, workers, force)
+    product_pair_counts(n, workers)
     by_type = _pairs_alpha_tables(n, (n,))[1]
     hits = sum(cnt * lam.count(k) for (lam,), cnt in by_type.items())
     return Fraction(hits, math.factorial(n - 1) ** 2)
@@ -858,7 +855,6 @@ def sweep_pairs(
     alpha: Composition | None = None,
     *,
     workers: int = 1,
-    force: bool = False,
     cache_dir: Path | None = None,
 ) -> OracleResult:
     """Enumerate all ordered pairs of long cycles on [n].
@@ -867,7 +863,7 @@ def sweep_pairs(
     block-separated products by their d-vector and by their per-block cycle
     types.  The grand total is ((n-1)!)^2.
     """
-    _require_scale("pair sweep", n, PAIR_SWEEP_FREE_LIMIT, HARD_LIMIT, force)
+    _require_scale("pair sweep", n, HARD_LIMIT, HARD_LIMIT, False)
     if alpha is not None and alpha.n != n:
         raise ValueError(f"composition {alpha} is not a composition of {n}")
     query = {"kind": "pairs", "n": n, "alpha": str(alpha) if alpha else None}
@@ -875,7 +871,7 @@ def sweep_pairs(
     cached = _load_cached(cache_dir, query, total)
     if cached is not None:
         return cached
-    product_pair_counts(n, workers, force)
+    product_pair_counts(n, workers)
     tables = {"cycle_type": CountTable(_pairs_type_rows(n))}  # its own copy of the rows
     if alpha is not None:
         d_table, lam_table, _ = _pairs_alpha_tables(n, alpha.parts)

@@ -652,6 +652,7 @@ def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityRe
     failure counts are summed over one chunk of words per worker
     (oracle._chunk_sum).
     """
+    oracle._require_scale("plane suite", max_n, oracle.PLANE_SWEEP_LIMIT, oracle.PLANE_SWEEP_LIMIT, False)
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
         words = oracle._cycle_words(n)
@@ -689,16 +690,16 @@ def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityRe
 
 
 # the largest n at which each suite can run: the plane tallies and the plane
-# suite's n! permutation rows stop at PLANE_SWEEP_LIMIT, the unforced pair
-# sweep at PAIR_SWEEP_FREE_LIMIT; baserecur's instances grow about 2.7x per N
+# suite's n! permutation rows stop at PLANE_SWEEP_LIMIT, the pair sweep at
+# HARD_LIMIT; baserecur's instances grow about 2.7x per N
 # (264,499 at N = 13, 5.2M at N = 16)
 _SUITE_LIMITS = {
     "classic": oracle.PLANE_SWEEP_LIMIT,
     "section3": oracle.PLANE_SWEEP_LIMIT,
     "baserecur": 14,
-    "formulas": oracle.PAIR_SWEEP_FREE_LIMIT,
+    "formulas": oracle.HARD_LIMIT,
     "plane": oracle.PLANE_SWEEP_LIMIT,
-    "parity": oracle.PAIR_SWEEP_FREE_LIMIT,
+    "parity": oracle.HARD_LIMIT,
 }
 
 

@@ -145,14 +145,17 @@ class TestOracle:
         doc = json.loads(out)
         assert dict(doc["tables"]["d_vector"]) == {"(1,1)": "2", "(2,2)": "6"}
 
-    def test_eta_on_a_pair_sweep_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("option", [["--eta", "2+2"], ["--force"]], ids=["eta", "force"])
+    def test_an_option_the_pair_sweep_does_not_read_is_usage_error(self, capsys, option):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["oracle", "pairs", "--n", "4", "--eta", "2+2", "--no-cache"])
+            cli.main(["oracle", "pairs", "--n", "4", *option, "--no-cache"])
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"oracle pairs does not read {option[0]}" in captured.err
 
     def test_resource_limit_exit_code(self, capsys):
-        code = cli.main(["oracle", "pairs", "--n", "12"])
+        code = cli.main(["oracle", "pairs", "--n", "10"])
         assert code == 4
         assert "resource limit" in capsys.readouterr().err
 

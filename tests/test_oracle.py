@@ -106,20 +106,21 @@ class TestSweepPairs:
         assert res.total == 1
         assert res.tables["cycle_type"]["1"] == 1
 
-    def test_guard(self):
-        with pytest.raises(ResourceLimitError):
-            sweep_pairs(9)
-        with pytest.raises(ResourceLimitError):
-            sweep_pairs(12)
-        with pytest.raises(ResourceLimitError):
-            sweep_pairs(12, force=True)  # hard limit, force cannot unlock
+    def test_guard(self, monkeypatch):
+        # the signatures are the sweep's first step: n = 9 reaches them, so it
+        # passes both guards, and n = 10 is refused before them
+        class Reached(Exception):
+            pass
 
-    def test_forced_sweep_passes_the_guard(self, monkeypatch, clear_pair_caches):
-        monkeypatch.setattr(oracle, "PAIR_SWEEP_FREE_LIMIT", 4)
-        clear_pair_caches()
-        with pytest.raises(ResourceLimitError):
-            sweep_pairs(5)
-        assert sweep_pairs(5, force=True).total == 24**2
+        def reached(n):
+            raise Reached(n)
+
+        monkeypatch.setattr(oracle, "_signatures", reached)
+        with pytest.raises(Reached):
+            sweep_pairs(oracle.HARD_LIMIT)
+        for n in (oracle.HARD_LIMIT + 1, 12):
+            with pytest.raises(ResourceLimitError, match="pair sweep"):
+                sweep_pairs(n)
 
     def test_alpha_must_match_n(self):
         with pytest.raises(ValueError):

@@ -41,8 +41,8 @@ from longcycles.verify import IdentityReport, ParityAuditRecord, VerifyRun
 SWEEP_LIMITS = {
     "classic": ("classic_reports", oracle.PLANE_SWEEP_LIMIT),
     "section3": ("section3_reports", oracle.PLANE_SWEEP_LIMIT),
-    "formulas": ("formula_vs_oracle_reports", oracle.PAIR_SWEEP_FREE_LIMIT),
-    "parity": ("parity_audit", oracle.PAIR_SWEEP_FREE_LIMIT),
+    "formulas": ("formula_vs_oracle_reports", oracle.HARD_LIMIT),
+    "parity": ("parity_audit", oracle.HARD_LIMIT),
     "plane": ("plane_structure_reports", oracle.PLANE_SWEEP_LIMIT),
 }
 
@@ -97,6 +97,14 @@ class TestSuites:
         reports = verify.plane_structure_reports(4)
         assert reports
         assert_all_pass(reports)
+
+    def test_plane_above_its_limit_fails_before_any_sweep(self, monkeypatch):
+        def never(n):
+            raise AssertionError("permutations listed above the plane sweep limit")
+
+        monkeypatch.setattr(oracle, "_all_perm_rows", never)
+        with pytest.raises(ResourceLimitError, match="plane"):
+            verify.plane_structure_reports(oracle.PLANE_SWEEP_LIMIT + 1)
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_plane_json_pinned(self, capsys, threads):
