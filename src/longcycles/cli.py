@@ -24,12 +24,10 @@ from typing import Callable, NamedTuple
 
 from . import formulas
 from ._suites import SUITES
-from .errors import ExactnessError, ResourceLimitError
+from .errors import ResourceLimitError
 from .formulas import _value_str
 from .partitions import Composition, IntegerPartition, compositions
 from .permutations import canonical_of_type
-
-_DOMAIN_ERRORS = (ValueError, ExactnessError)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +167,6 @@ def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if args.what == "pairs":
         if args.eta is not None:
             parser.error("oracle pairs does not read --eta")
-        if args.force:
-            parser.error("oracle pairs does not read --force")
         result = oracle.sweep_pairs(args.n, args.alpha, workers=threads, cache_dir=cache_dir)
     else:
         if args.threads is not None:
@@ -178,12 +174,7 @@ def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         eta = args.eta or IntegerPartition((args.n,))
         if eta.n != args.n:
             parser.error(f"--eta {eta} is not a partition of {args.n}")
-        result = oracle.sweep_fixed_diagonal(
-            canonical_of_type(eta),
-            args.alpha,
-            force=args.force,
-            cache_dir=cache_dir,
-        )
+        result = oracle.sweep_fixed_diagonal(canonical_of_type(eta), args.alpha, cache_dir=cache_dir)
     if args.format == "csv":
         sys.stdout.write(result.to_csv())
     elif args.format == "markdown":
@@ -296,9 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--cache-dir", type=Path, default=None)
     p_oracle.add_argument("--no-cache", action="store_true")
-    p_oracle.add_argument(
-        "--force", action="store_true", help="run the fixed-diagonal sweep past its free limit (oracle diagonal)"
-    )
     p_oracle.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
 
     p_verify = sub.add_parser("verify", help="run the identity suites")
@@ -341,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceLimitError, RecursionError, MemoryError) as exc:
         print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
-    except _DOMAIN_ERRORS as exc:
+    except ValueError as exc:  # input outside a domain; an ExactnessError is a bug, so exit 70
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a bug: never 1, which means a failed check

@@ -74,8 +74,8 @@ __all__ = [
     "HARD_LIMIT",
 ]
 
-HARD_LIMIT = 9  # the pair sweep runs to this and never past it; the fixed-diagonal sweep needs force past it
-DIAG_SWEEP_HARD_LIMIT = 10  # the fixed-diagonal sweep never runs past this: ~300 MB at n=10, x n per step
+HARD_LIMIT = 9  # the pair sweep runs to this and never past it
+DIAG_SWEEP_HARD_LIMIT = 10  # the fixed-diagonal sweep never runs past this: 0.6 s and 218 MB at n=10, x n per step
 PLANE_SWEEP_LIMIT = 7  # (n-1)! * n! plane permutations; 3.6M at n=7
 
 _ENV_CACHE_DIR = "LONGCYCLES_CACHE_DIR"
@@ -92,17 +92,13 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "longcycles"
 
 
-def _require_scale(what: str, n: int, free: int, hard: int, force: bool) -> None:
-    """The size guard of every sweep: the sweep named ``what`` runs freely up
-    to n = free, needs force up to n = hard, and never runs past it."""
+def _require_scale(what: str, n: int, limit: int) -> None:
+    """The size guard of every sweep and suite: the one named ``what`` runs
+    up to n = limit and never past it."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > hard:
-        raise ResourceLimitError(f"{what} at n={n} is past its hard limit, n={hard}")
-    if n > free and not force:
-        raise ResourceLimitError(
-            f"{what} at n={n} exceeds the guard (n={free}); pass force=True / --force to run it anyway"
-        )
+    if n > limit:
+        raise ResourceLimitError(f"{what} at n={n} is past its limit, n={limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +481,7 @@ def product_pair_counts(n: int, workers: int = 1) -> np.ndarray:
     i of _signatures(n): _fact_chunk over the second factors, cut into one
     chunk per worker and summed by _chunk_sum."""
     if n not in _pair_counts_cache:
-        _require_scale("pair sweep", n, HARD_LIMIT, HARD_LIMIT, False)
+        _require_scale("pair sweep", n, HARD_LIMIT)
         # built before any fork, so that the children inherit the tables
         # instead of each building its own; the signatures first, as in _fact_chunk
         _signatures(n)
@@ -541,18 +537,17 @@ def _pairs_sep_prefix(n: int) -> dict[tuple[int, int], int]:
     return {(m, k): at_least[k][m] for m in range(1, n + 1) for k in range(1, n + 1)}
 
 
-def pairs_separating_prefix(n: int, m: int, k: int, *, workers: int = 1) -> int:
+def pairs_separating_prefix(n: int, m: int, k: int) -> int:
     """Ordered pairs of long cycles whose product has k cycles and keeps
     1..m in pairwise distinct cycles — by enumeration."""
     if not 1 <= m <= n or not 1 <= k <= n:
         raise ValueError("need 1 <= m <= n and 1 <= k <= n")
-    product_pair_counts(n, workers)
+    product_pair_counts(n)  # the guard, before _pairs_sep_prefix reads _signatures(n)
     return _pairs_sep_prefix(n)[(m, k)]
 
 
-def expected_k_cycles(n: int, k: int, *, workers: int = 1) -> Fraction:
+def expected_k_cycles(n: int, k: int) -> Fraction:
     """Average number of k-cycles in the product over all ordered pairs."""
-    product_pair_counts(n, workers)
     by_type = _pairs_alpha_tables(n, (n,))[1]
     hits = sum(cnt * lam.count(k) for (lam,), cnt in by_type.items())
     return Fraction(hits, math.factorial(n - 1) ** 2)
@@ -588,12 +583,12 @@ def _diag_tallies(n: int, d_image: tuple[int, ...], alpha_parts: tuple[int, ...]
     return {key: by_a.tolist() for key, by_a in tally.items()}
 
 
-def count_factorizations(target: Permutation, *, force: bool = False) -> int:
+def count_factorizations(target: Permutation) -> int:
     """Ordered pairs (c1, c2) of long cycles with c1∘c2 equal to the fixed
     target: the plane permutations with diagonal target whose vertical,
     target⁻¹∘c1 = c2⁻¹, is a long cycle — one per pair, none by conjugacy."""
     n = target.n
-    _require_scale("fixed-diagonal sweep", n, HARD_LIMIT, DIAG_SWEEP_HARD_LIMIT, force)
+    _require_scale("fixed-diagonal sweep", n, DIAG_SWEEP_HARD_LIMIT)
     return sum(_diag_tallies(n, target.image, (n,)).get(((n,),), ()))
 
 
@@ -633,7 +628,7 @@ def _plane_codes(n: int) -> np.ndarray:
     word over every digit tuple of that part, keyed by the part's code; the
     codes of pi and pi⁻¹ are the same for every word.  The tables of
     _PLANE_WORDS words are built at once."""
-    _require_scale("full plane-permutation sweep", n, PLANE_SWEEP_LIMIT, PLANE_SWEEP_LIMIT, False)
+    _require_scale("full plane-permutation sweep", n, PLANE_SWEEP_LIMIT)
     perms = _all_perm_rows(n).T  # element first: row x holds the image of x under every perm
     pinv_t = np.argsort(perms, axis=0)  # row j: perm⁻¹(j) for every perm
     sig, rows = _signatures(n)
@@ -863,7 +858,7 @@ def sweep_pairs(
     block-separated products by their d-vector and by their per-block cycle
     types.  The grand total is ((n-1)!)^2.
     """
-    _require_scale("pair sweep", n, HARD_LIMIT, HARD_LIMIT, False)
+    _require_scale("pair sweep", n, HARD_LIMIT)
     if alpha is not None and alpha.n != n:
         raise ValueError(f"composition {alpha} is not a composition of {n}")
     query = {"kind": "pairs", "n": n, "alpha": str(alpha) if alpha else None}
@@ -886,7 +881,6 @@ def sweep_fixed_diagonal(
     D: Permutation,
     alpha: Composition | None = None,
     *,
-    force: bool = False,
     cache_dir: Path | None = None,
 ) -> OracleResult:
     """Enumerate all plane permutations with the fixed diagonal D: one per
@@ -897,7 +891,7 @@ def sweep_fixed_diagonal(
     (block type, exceedance count).  The grand total is (n-1)!.
     """
     n = D.n
-    _require_scale("fixed-diagonal sweep", n, HARD_LIMIT, DIAG_SWEEP_HARD_LIMIT, force)
+    _require_scale("fixed-diagonal sweep", n, DIAG_SWEEP_HARD_LIMIT)
     if alpha is not None and alpha.n != n:
         raise ValueError(f"composition {alpha} is not a composition of {n}")
     query = {

@@ -44,7 +44,6 @@ import numpy as np
 
 from . import formulas, oracle, plane
 from ._suites import SUITES
-from .errors import ResourceLimitError
 from .formulas import _value_str
 from .partitions import (
     Composition,
@@ -271,6 +270,7 @@ def _split_long(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> tuple[int,
 
 @_collector_paused()
 def classic_reports(max_n: int = 6) -> list[IdentityReport]:
+    oracle._require_scale("the classic suite", max_n, _SUITE_LIMITS["classic"])
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
         etas = _partition_list(n)
@@ -301,6 +301,7 @@ def classic_reports(max_n: int = 6) -> list[IdentityReport]:
 
 @_collector_paused()
 def section3_reports(max_n: int = 6) -> list[IdentityReport]:
+    oracle._require_scale("the section3 suite", max_n, _SUITE_LIMITS["section3"])
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
         eta_rows = _eta_rows(n)
@@ -420,6 +421,7 @@ def _leading_folds(rest: int, parts: tuple[int, ...], folded: list) -> Iterator[
 def baserecur_reports(max_n: int = 12) -> list[IdentityReport]:
     """The length-weight recurrence over all block types of all compositions,
     oracle-free: each side is a product or a sum of per-block pieces."""
+    oracle._require_scale("the baserecur suite", max_n, _SUITE_LIMITS["baserecur"])
     reports: list[IdentityReport] = []
     append = reports.append
     for total in range(1, max_n + 1):
@@ -452,6 +454,7 @@ def _zagier_oracle(n: int) -> dict[int, int]:
 
 @_collector_paused()
 def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[IdentityReport]:
+    oracle._require_scale("the formulas suite", max_n, _SUITE_LIMITS["formulas"])
     reports: list[IdentityReport] = []
     for n in range(1, max_n + 1):
         oracle.product_pair_counts(n, workers)
@@ -554,6 +557,7 @@ def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[Identity
 
 @_collector_paused()
 def parity_audit(max_n: int = 6) -> list[ParityAuditRecord]:
+    oracle._require_scale("the parity suite", max_n, _SUITE_LIMITS["parity"])
     records: list[ParityAuditRecord] = []
     for n in range(2, max_n + 1):
         for k in range(1, n + 1):
@@ -652,7 +656,7 @@ def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityRe
     failure counts are summed over one chunk of words per worker
     (oracle._chunk_sum).
     """
-    oracle._require_scale("plane suite", max_n, oracle.PLANE_SWEEP_LIMIT, oracle.PLANE_SWEEP_LIMIT, False)
+    oracle._require_scale("the plane suite", max_n, _SUITE_LIMITS["plane"])
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
         words = oracle._cycle_words(n)
@@ -766,9 +770,7 @@ def run_suites(
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     sizes = {"baserecur": baserecur_max_n, "plane": plane_max_n or max_n}  # the n each suite runs at
     for suite in suites:
-        n, limit = sizes.get(suite, max_n), _SUITE_LIMITS[suite]
-        if n > limit:
-            raise ResourceLimitError(f"the {suite} suite cannot run at n={n}: it stops at n={limit}")
+        oracle._require_scale(f"the {suite} suite", sizes.get(suite, max_n), _SUITE_LIMITS[suite])
     reports: list[IdentityReport] = []
     audit: list[ParityAuditRecord] = []
     if "classic" in suites:

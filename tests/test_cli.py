@@ -130,6 +130,15 @@ class TestFormula:
         assert captured.out == ""
         assert f"does not read {flag}" in captured.err
 
+    def test_an_exactness_error_is_an_internal_error(self, capsys, monkeypatch):
+        # a non-integer count is a bug, not a domain error: exit 70, with its traceback
+        monkeypatch.setattr(formulas, "zagier_stanley_raw", lambda n, k: Fraction(1, 2))
+        code = cli.main(["formula", "zagier-stanley", "--n", "3", "--k", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (70, "")
+        assert "Traceback" in captured.err
+        assert "internal error: ExactnessError" in captured.err.splitlines()[-1]
+
 
 class TestOracle:
     def test_pairs_json(self, capsys):
@@ -145,14 +154,23 @@ class TestOracle:
         doc = json.loads(out)
         assert dict(doc["tables"]["d_vector"]) == {"(1,1)": "2", "(2,2)": "6"}
 
-    @pytest.mark.parametrize("option", [["--eta", "2+2"], ["--force"]], ids=["eta", "force"])
-    def test_an_option_the_pair_sweep_does_not_read_is_usage_error(self, capsys, option):
+    def test_an_option_the_pair_sweep_does_not_read_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["oracle", "pairs", "--n", "4", *option, "--no-cache"])
+            cli.main(["oracle", "pairs", "--n", "4", "--eta", "2+2", "--no-cache"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"oracle pairs does not read {option[0]}" in captured.err
+        assert "oracle pairs does not read --eta" in captured.err
+
+    @pytest.mark.parametrize("what", ["pairs", "diagonal"])
+    def test_force_is_usage_error(self, capsys, what):
+        # no sweep has a forced tier, so --force is no option of either
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", what, "--n", "4", "--force", "--no-cache"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --force" in captured.err
 
     def test_resource_limit_exit_code(self, capsys):
         code = cli.main(["oracle", "pairs", "--n", "10"])
@@ -160,7 +178,7 @@ class TestOracle:
         assert "resource limit" in capsys.readouterr().err
 
     def test_diagonal_past_its_hard_limit_exits_4(self, capsys):
-        code = cli.main(["oracle", "diagonal", "--n", "11", "--force", "--no-cache"])
+        code = cli.main(["oracle", "diagonal", "--n", "11", "--no-cache"])
         assert code == 4
         assert "fixed-diagonal" in capsys.readouterr().err
 

@@ -23,11 +23,13 @@ from longcycles import (
     PlanePermutation,
     ResourceLimitError,
     alpha_type,
+    boccara,
     canonical_of_type,
     compose,
     compositions,
     count_factorizations,
     cycle_type,
+    even_factorization_count,
     is_alpha_separated,
     expected_k_cycles,
     long_cycle_iter,
@@ -547,6 +549,15 @@ class TestCountFactorizations:
             fixed = count_factorizations(canonical_of_type(lam))
             assert z_of(lam) * fixed == table[str(lam)]
 
+    @pytest.mark.extended
+    def test_closed_forms_at_the_diagonal_limit(self):
+        # the only check of a closed form at n = 10, past the formulas suite's
+        # n = 9; the n = 10 tables stay cached (about 90 MB)
+        assert count_factorizations(canonical_of_type(P((5, 5)))) == boccara(10, 5) == 66240
+        for lam, expected in (((7, 3), 66528), ((4, 3, 2, 1), 70848)):
+            fixed = count_factorizations(canonical_of_type(P(lam)))
+            assert fixed == even_factorization_count(P(lam)) == expected
+
 
 def _perms_of_type(n, lam):
     return [
@@ -647,20 +658,32 @@ class TestFixedDiagonal:
                 digest.update(sweep_fixed_diagonal(D, alpha).to_json().encode())
         assert digest.hexdigest() == expected
 
-    def test_guard_above_the_hard_limit(self):
-        D = canonical_of_type(P((oracle.HARD_LIMIT + 1,)))
+    @pytest.mark.parametrize("sweep", [sweep_fixed_diagonal, count_factorizations])
+    def test_guard_above_the_hard_limit(self, monkeypatch, sweep):
+        # the long cycles are the sweep's first step: n = 10 reaches them, so
+        # it passes the guard, and n = 11 is refused before them
+        class Reached(Exception):
+            pass
+
+        def reached(n):
+            raise Reached(n)
+
+        monkeypatch.setattr(oracle, "_cycle_rows", reached)
+        with pytest.raises(Reached):
+            sweep(canonical_of_type(P((10,))))
         with pytest.raises(ResourceLimitError, match="fixed-diagonal"):
-            sweep_fixed_diagonal(D)
+            sweep(canonical_of_type(P((11,))))
 
     @pytest.mark.parametrize("sweep", [sweep_fixed_diagonal, count_factorizations])
-    def test_force_stops_at_the_diagonal_hard_limit(self, monkeypatch, sweep):
+    def test_nothing_is_enumerated_above_the_hard_limit(self, monkeypatch, sweep):
         def never(n):
-            raise AssertionError("long cycles listed above the fixed-diagonal hard limit")
+            raise AssertionError("permutations listed above the fixed-diagonal hard limit")
 
-        monkeypatch.setattr(oracle, "_cycle_rows", never)
-        D = canonical_of_type(P((oracle.DIAG_SWEEP_HARD_LIMIT + 1,)))
-        with pytest.raises(ResourceLimitError, match="fixed-diagonal"):
-            sweep(D, force=True)
+        for table in ("_cycle_rows", "_cycle_words", "_all_perm_rows", "_signatures"):
+            monkeypatch.setattr(oracle, table, never)
+        for lam in ((11,), (6, 6), (13,)):
+            with pytest.raises(ResourceLimitError, match="fixed-diagonal"):
+                sweep(canonical_of_type(P(lam)))
 
     def test_separated_totals_sum_over_all_diagonals(self):
         # block tallies are not conjugation-invariant: summing the separated
@@ -671,6 +694,19 @@ class TestFixedDiagonal:
             res = sweep_fixed_diagonal(D, alpha)
             total += res.tables["alpha_type"].total() if "alpha_type" in res.tables else 0
         assert total == sweep_pairs(4, alpha).separated_total() == 8
+
+
+@pytest.mark.parametrize(
+    "query", [lambda n: expected_k_cycles(n, 1), lambda n: pairs_separating_prefix(n, 1, 1)],
+    ids=["expected_k_cycles", "pairs_separating_prefix"],
+)
+def test_pair_aggregations_refuse_above_the_limit_before_the_signatures(monkeypatch, query):
+    def never(n):
+        raise AssertionError("signatures computed above the pair sweep limit")
+
+    monkeypatch.setattr(oracle, "_signatures", never)
+    with pytest.raises(ResourceLimitError, match="pair sweep"):
+        query(oracle.HARD_LIMIT + 1)
 
 
 class TestExpectedCycles:

@@ -98,13 +98,20 @@ class TestSuites:
         assert reports
         assert_all_pass(reports)
 
-    def test_plane_above_its_limit_fails_before_any_sweep(self, monkeypatch):
-        def never(n):
-            raise AssertionError("permutations listed above the plane sweep limit")
+    @pytest.mark.parametrize("suite", sorted(verify._SUITE_LIMITS))
+    def test_above_its_limit_fails_before_any_sweep(self, monkeypatch, suite):
+        # called directly, not through run_suites: the first step at the
+        # smallest n of every suite fails, so the guard must come first
+        def never(*args):
+            raise AssertionError(f"the {suite} suite ran above its limit")
 
-        monkeypatch.setattr(oracle, "_all_perm_rows", never)
-        with pytest.raises(ResourceLimitError, match="plane"):
-            verify.plane_structure_reports(oracle.PLANE_SWEEP_LIMIT + 1)
+        for name in ("_all_perm_rows", "_signatures", "_cycle_rows", "_cycle_words", "product_pair_counts"):
+            monkeypatch.setattr(oracle, name, never)
+        for name in ("_eta_rows", "_leading_folds", "_zagier_oracle"):
+            monkeypatch.setattr(verify, name, never)
+        function = "baserecur_reports" if suite == "baserecur" else SWEEP_LIMITS[suite][0]
+        with pytest.raises(ResourceLimitError, match=f"the {suite} suite"):
+            getattr(verify, function)(verify._SUITE_LIMITS[suite] + 1)
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_plane_json_pinned(self, capsys, threads):
