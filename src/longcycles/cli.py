@@ -7,9 +7,10 @@ Subcommands:
 - ``verify``: run the identity suites and exit 0 only if everything passes;
 - ``table``: render grids of formula values over a range of n.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 domain error,
-4 resource limit, 70 internal error (EX_SOFTWARE: a bug, with its traceback
-on stderr), 141 output pipe closed by its reader (128 + SIGPIPE).
+Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 domain error
+(a DomainError), 4 resource limit, 70 internal error (EX_SOFTWARE: a bug,
+with its traceback on stderr), 141 output pipe closed by its reader
+(128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple
 
 from . import formulas
 from ._suites import SUITES
-from .errors import ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .formulas import _value_str
 from .partitions import Composition, IntegerPartition, compositions
 from .permutations import canonical_of_type
@@ -33,6 +34,17 @@ from .permutations import canonical_of_type
 # ---------------------------------------------------------------------------
 # argument parsing helpers (used as argparse type= converters: a ValueError
 # raised here is a usage error, exit code 2)
+
+
+def _at_least(low: int) -> Callable[[str], int]:
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, not {value}")
+        return value
+
+    convert.__name__ = "int"  # argparse names it in "invalid int value"
+    return convert
 
 
 def _alpha_arg(text: str) -> Composition:
@@ -67,9 +79,9 @@ class _Formula(NamedTuple):
     first: int = 1  # the first column of its table grid
 
 
-# A name reads one flag per argument of its kind (lam is --lambda) and takes n
-# from --lambda or --alpha when the kind has one of those; a --n given as well
-# must agree.  boccara reads --n and --k instead: Boccara's closed form for the
+# A name reads the flag in _FLAGS of each argument of its kind and takes n from
+# --lambda or --alpha when the kind has one of those; a --n given as well must
+# agree.  boccara reads --n and --k instead: Boccara's closed form for the
 # two-cycle type (k, n-k).
 _FORMULAS = {
     "zagier-stanley": _Formula("by_cycle_count", table=True),
@@ -89,6 +101,16 @@ def _closed_form(name: str) -> tuple[Callable[..., int | Fraction], tuple[str, .
     if name == "boccara":
         return formulas.boccara, ("n", "k")
     return formulas._KINDS[_FORMULAS[name].kind]
+
+
+_FLAGS = {  # the flag, type= converter and help of each argument of a closed form
+    "n": ("--n", int, None),
+    "k": ("--k", int, None),
+    "m": ("--m", int, None),
+    "alpha": ("--alpha", _alpha_arg, "composition, e.g. 2,3,1"),
+    "d": ("--d", _d_arg, "block cycle counts, e.g. 1,2"),
+    "lam": ("--lambda", _lambda_arg, "partition, e.g. 3+2+1"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -111,22 +133,8 @@ def _print_grid(fmt: str, header: list[str], rows: list[list[str]]) -> None:
 # formula subcommand
 
 
-def _flag(arg: str) -> str:
-    return "--lambda" if arg == "lam" else "--" + arg
-
-
 def _run_formula(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    arg_names = _closed_form(args.name)[1]
-    reads = {*arg_names, "n"} if {"lam", "alpha"} & set(arg_names) else set(arg_names)
-    every_arg = {arg for name in _FORMULAS for arg in _closed_form(name)[1]}
-    for arg in sorted(every_arg - reads):
-        if getattr(args, arg) is not None:
-            parser.error(f"formula {args.name!r} does not read {_flag(arg)}")
-    params = {}
-    for arg in arg_names:
-        params[arg] = getattr(args, arg)
-        if params[arg] is None:
-            parser.error(f"formula {args.name!r} requires {_flag(arg)}")
+    params = {arg: getattr(args, arg) for arg in _closed_form(args.name)[1]}
     n = params.pop("n", None)
     for val in params.values():
         if isinstance(val, (IntegerPartition, Composition)):
@@ -160,17 +168,10 @@ def _run_formula(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import oracle  # loads numpy, which formula and table never need
 
-    threads = 1 if args.threads is None else args.threads
-    if threads < 1:
-        parser.error("--threads must be >= 1")
     cache_dir = None if args.no_cache else (args.cache_dir or oracle.default_cache_dir())
     if args.what == "pairs":
-        if args.eta is not None:
-            parser.error("oracle pairs does not read --eta")
-        result = oracle.sweep_pairs(args.n, args.alpha, workers=threads, cache_dir=cache_dir)
+        result = oracle.sweep_pairs(args.n, args.alpha, workers=args.threads, cache_dir=cache_dir)
     else:
-        if args.threads is not None:
-            parser.error("oracle diagonal does not read --threads")
         eta = args.eta or IntegerPartition((args.n,))
         if eta.n != args.n:
             parser.error(f"--eta {eta} is not a partition of {args.n}")
@@ -195,19 +196,8 @@ def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def _run_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import verify  # loads numpy, as oracle does
 
-    if args.max_n < 2:
-        parser.error("--max-n must be >= 2")
-    if args.baserecur_max_n < 1:
-        parser.error("--baserecur-max-n must be >= 1")
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     suites = tuple(args.suite) if args.suite else SUITES
-    run = verify.run_suites(
-        suites,
-        args.max_n,
-        baserecur_max_n=args.baserecur_max_n,
-        workers=args.threads,
-    )
+    run = verify.run_suites(suites, args.max_n, baserecur_max_n=args.baserecur_max_n, workers=args.threads)
     if args.format == "json":
         run.write_json(sys.stdout)
     else:
@@ -227,7 +217,7 @@ def _cell(function: Callable[..., int | Fraction], *args: object) -> str:
     """A closed form's value as text, blank outside its domain."""
     try:
         value = function(*args)
-    except ValueError:
+    except DomainError:
         return ""
     return _value_str(value)
 
@@ -249,9 +239,7 @@ def _table_rows(name: str, n_values: list[int], parts: int | None) -> tuple[list
 
 
 def _run_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.parts is not None and _closed_form(args.name)[1][-1] != "alpha":
-        parser.error(f"table {args.name!r} does not read --parts")
-    _print_grid(args.format, *_table_rows(args.name, args.n, args.parts))
+    _print_grid(args.format, *_table_rows(args.name, args.n, getattr(args, "parts", None)))
     return 0
 
 
@@ -266,48 +254,55 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_formula = sub.add_parser("formula", help="evaluate one closed-form count")
-    p_formula.set_defaults(run=_run_formula, parser=p_formula)
-    p_formula.add_argument("name", choices=sorted(_FORMULAS))
-    p_formula.add_argument("--n", type=int)
-    p_formula.add_argument("--k", type=int)
-    p_formula.add_argument("--m", type=int)
-    p_formula.add_argument("--alpha", type=_alpha_arg, help="composition, e.g. 2,3,1")
-    p_formula.add_argument("--d", type=_d_arg, help="block cycle counts, e.g. 1,2")
-    p_formula.add_argument("--lambda", dest="lam", type=_lambda_arg, help="partition, e.g. 3+2+1")
-    p_formula.add_argument("--format", choices=("text", "json", "csv", "markdown"), default="text")
+    formula_names = p_formula.add_subparsers(dest="name", required=True)
 
-    p_oracle = sub.add_parser("oracle", help="run a brute-force sweep")
-    p_oracle.set_defaults(run=_run_oracle, parser=p_oracle)
-    p_oracle.add_argument("what", choices=("pairs", "diagonal"))
-    p_oracle.add_argument("--n", type=int, required=True)
-    p_oracle.add_argument("--alpha", type=_alpha_arg)
-    p_oracle.add_argument("--eta", type=_lambda_arg, help="diagonal cycle type (diagonal sweeps)")
-    p_oracle.add_argument(
-        "--threads", type=int, help="worker processes: splits the pair sweep over them (oracle pairs; default 1)"
-    )
-    p_oracle.add_argument("--cache-dir", type=Path, default=None)
-    p_oracle.add_argument("--no-cache", action="store_true")
-    p_oracle.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
+    sweeps = sub.add_parser("oracle", help="run a brute-force sweep").add_subparsers(dest="what", required=True)
+    for what in ("pairs", "diagonal"):
+        p_oracle = sweeps.add_parser(what)
+        p_oracle.set_defaults(run=_run_oracle, parser=p_oracle)
+        p_oracle.add_argument("--n", type=_at_least(1), required=True)
+        p_oracle.add_argument("--alpha", type=_alpha_arg)
+        if what == "pairs":
+            p_oracle.add_argument("--threads", type=_at_least(1), default=1, help="worker processes (default 1)")
+        else:
+            p_oracle.add_argument("--eta", type=_lambda_arg, help="diagonal cycle type (default: one n-cycle)")
+        p_oracle.add_argument("--cache-dir", type=Path, default=None)
+        p_oracle.add_argument("--no-cache", action="store_true")
+        p_oracle.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
 
     p_verify = sub.add_parser("verify", help="run the identity suites")
     p_verify.set_defaults(run=_run_verify, parser=p_verify)
-    p_verify.add_argument("--max-n", type=int, default=6)
+    p_verify.add_argument("--max-n", type=_at_least(2), default=6)
     p_verify.add_argument("--suite", action="append", choices=SUITES)
-    p_verify.add_argument("--baserecur-max-n", type=int, default=12)
+    p_verify.add_argument("--baserecur-max-n", type=_at_least(1), default=12)
     p_verify.add_argument(
         "--threads",
-        type=int,
+        type=_at_least(1),
         default=1,
         help="worker processes: split the formulas suite's pair sweep and the plane suite's checks (default 1)",
     )
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_table = sub.add_parser("table", help="render grids of formula values")
-    p_table.set_defaults(run=_run_table, parser=p_table)
-    p_table.add_argument("name", choices=[name for name, entry in _FORMULAS.items() if entry.table])
-    p_table.add_argument("--n", type=_range_arg, required=True, help="single n or a range like 3..7")
-    p_table.add_argument("--parts", type=int, help="restrict separating-total to k-part compositions")
-    p_table.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")
+    table_names = p_table.add_subparsers(dest="name", required=True)
+
+    for name in sorted(_FORMULAS):
+        arg_names = _closed_form(name)[1]
+        formula_leaf = formula_names.add_parser(name)
+        formula_leaf.set_defaults(run=_run_formula, parser=formula_leaf)
+        if {"lam", "alpha"} & set(arg_names):
+            formula_leaf.add_argument("--n", type=int, help="optional: must match the n of --lambda or --alpha")
+        for arg in arg_names:
+            flag, convert, text = _FLAGS[arg]
+            formula_leaf.add_argument(flag, dest=arg, type=convert, required=True, help=text)
+        formula_leaf.add_argument("--format", choices=("text", "json", "csv", "markdown"), default="text")
+        if _FORMULAS[name].table:
+            table_leaf = table_names.add_parser(name)
+            table_leaf.set_defaults(run=_run_table, parser=table_leaf)
+            table_leaf.add_argument("--n", type=_range_arg, required=True, help="single n or a range like 3..7")
+            if arg_names[-1] == "alpha":
+                table_leaf.add_argument("--parts", type=int, help="restrict to k-part compositions")
+            table_leaf.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")
 
     return parser
 
@@ -315,9 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # values are exact, so print every digit
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:  # a usage error shows the usage of the command that was given
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
-        code = args.run(args, args.parser)  # a usage error shows the subcommand's usage
+        code = args.run(args, args.parser)
         sys.stdout.flush()  # so a reader that closed early shows here, not at exit
         return code
     except OSError as exc:  # a write failed: never 1, which means a failed check
@@ -329,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceLimitError, RecursionError, MemoryError) as exc:
         print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
-    except ValueError as exc:  # input outside a domain; an ExactnessError is a bug, so exit 70
+    except DomainError as exc:  # input outside a domain; any other ValueError is a bug, so exit 70
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a bug: never 1, which means a failed check

@@ -13,7 +13,7 @@ class DomainError(ValueError):
     """Arguments are outside the domain where a formula is defined."""
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(DomainError):
     """Paired arguments have incompatible lengths."""
 
 

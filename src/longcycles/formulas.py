@@ -75,7 +75,7 @@ def zagier_stanley(n: int, k: int) -> int:
     2 C(n+1, k) / (n (n+1)), and 0 whenever k and n have different parity
     (the product of two long cycles is even)."""
     if n < 1 or not 1 <= k <= n:
-        raise ValueError("need n >= 1 and 1 <= k <= n")
+        raise DomainError("need n >= 1 and 1 <= k <= n")
     if (n - k) % 2:
         return 0
     return _exact_int(zagier_stanley_raw(n, k), f"zagier_stanley({n},{k})")
@@ -96,7 +96,7 @@ def boccara(n: int, k: int) -> int:
     """Ordered factorizations of a fixed even permutation of cycle type
     (k, n-k) into two n-cycles: (2 (n-1)! / (n+1)) (1 - (-1)^k / binom(n,k))."""
     if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
+        raise DomainError("need 1 <= k < n")
     if n % 2:
         raise DomainError(f"a permutation with two cycles on [{n}] is odd")
     value = Fraction(2 * math.factorial(n - 1), n + 1) * (1 - Fraction((-1) ** k, math.comb(n, k)))
@@ -116,7 +116,7 @@ def even_factorization_count(lam: IntegerPartition) -> int:
     parts = lam.parts
     n = lam.n
     if n < 1:
-        raise ValueError("need a partition of n >= 1")
+        raise DomainError("need a partition of n >= 1")
     if (n - lam.length) % 2:
         raise DomainError(f"a permutation of type {lam} on [{n}] is odd")
     head = parts[0]
@@ -157,7 +157,7 @@ def _check_d(alpha: Composition, d: Sequence[int]) -> tuple[int, ...]:
     if len(d) != alpha.length:
         raise DimensionMismatchError(f"d has {len(d)} entries for {alpha.length} blocks")
     if any(di < 1 for di in d):
-        raise ValueError("every d_i must be >= 1")
+        raise DomainError("every d_i must be >= 1")
     return d
 
 
@@ -248,7 +248,7 @@ def separated_pairs_by_count(n: int, m: int, k: int) -> int:
     1..m in pairwise distinct cycles:
     2 (n-1)! C_m(n+1, k) / ((n+m)(n+1-m)), and 0 for infeasible parity."""
     if not 1 <= m <= n or not 1 <= k <= n:
-        raise ValueError("need 1 <= m <= n and 1 <= k <= n")
+        raise DomainError("need 1 <= m <= n and 1 <= k <= n")
     if (n - k) % 2:
         return 0
     return _exact_int(separated_pairs_by_count_raw(n, m, k), f"separated_pairs_by_count({n},{m},{k})")
@@ -259,7 +259,7 @@ def separation_probability(n: int, m: int) -> Fraction:
     [n] has 1..m in pairwise distinct cycles: 1/m! when n-m is odd, plus
     2/((m-2)! (n+1-m)(n+m)) when n-m is even."""
     if not 2 <= m <= n:
-        raise ValueError("need 2 <= m <= n")
+        raise DomainError("need 2 <= m <= n")
     base = Fraction(1, math.factorial(m))
     if (n - m) % 2:
         return base

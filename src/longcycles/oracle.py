@@ -57,7 +57,7 @@ from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 import numpy as np
 
 from ._version import __version__
-from .errors import ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .partitions import Composition, _partition_list, format_d_key, format_seq_key, format_type_key
 from .permutations import Permutation
 from .plane import _cycle_minima
@@ -96,7 +96,7 @@ def _require_scale(what: str, n: int, limit: int) -> None:
     """The size guard of every sweep and suite: the one named ``what`` runs
     up to n = limit and never past it."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError("n must be >= 1")
     if n > limit:
         raise ResourceLimitError(f"{what} at n={n} is past its limit, n={limit}")
 
@@ -541,7 +541,7 @@ def pairs_separating_prefix(n: int, m: int, k: int) -> int:
     """Ordered pairs of long cycles whose product has k cycles and keeps
     1..m in pairwise distinct cycles — by enumeration."""
     if not 1 <= m <= n or not 1 <= k <= n:
-        raise ValueError("need 1 <= m <= n and 1 <= k <= n")
+        raise DomainError("need 1 <= m <= n and 1 <= k <= n")
     product_pair_counts(n)  # the guard, before _pairs_sep_prefix reads _signatures(n)
     return _pairs_sep_prefix(n)[(m, k)]
 
@@ -860,7 +860,7 @@ def sweep_pairs(
     """
     _require_scale("pair sweep", n, HARD_LIMIT)
     if alpha is not None and alpha.n != n:
-        raise ValueError(f"composition {alpha} is not a composition of {n}")
+        raise DomainError(f"composition {alpha} is not a composition of {n}")
     query = {"kind": "pairs", "n": n, "alpha": str(alpha) if alpha else None}
     total = math.factorial(n - 1) ** 2
     cached = _load_cached(cache_dir, query, total)
@@ -893,7 +893,7 @@ def sweep_fixed_diagonal(
     n = D.n
     _require_scale("fixed-diagonal sweep", n, DIAG_SWEEP_HARD_LIMIT)
     if alpha is not None and alpha.n != n:
-        raise ValueError(f"composition {alpha} is not a composition of {n}")
+        raise DomainError(f"composition {alpha} is not a composition of {n}")
     query = {
         "kind": "fixed_diagonal",
         "n": n,

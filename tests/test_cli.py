@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import os
@@ -128,7 +129,8 @@ class TestFormula:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"does not read {flag}" in captured.err
+        assert captured.err.startswith(f"usage: longcycles formula {argv[0]} ")
+        assert f"unrecognized arguments: {flag}" in captured.err
 
     def test_an_exactness_error_is_an_internal_error(self, capsys, monkeypatch):
         # a non-integer count is a bug, not a domain error: exit 70, with its traceback
@@ -138,6 +140,18 @@ class TestFormula:
         assert (code, captured.out) == (70, "")
         assert "Traceback" in captured.err
         assert "internal error: ExactnessError" in captured.err.splitlines()[-1]
+
+    def test_a_value_error_from_a_bug_is_an_internal_error(self, capsys, monkeypatch):
+        # only a DomainError exits 3
+        def broken(factors):
+            raise ValueError("broken product")
+
+        monkeypatch.setattr(formulas, "_poly_product", broken)
+        code = cli.main(["formula", "even-factorizations", "--lambda", "3+1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (70, "")
+        assert "Traceback" in captured.err
+        assert "internal error: ValueError" in captured.err.splitlines()[-1]
 
 
 class TestOracle:
@@ -160,7 +174,17 @@ class TestOracle:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "oracle pairs does not read --eta" in captured.err
+        assert captured.err.startswith("usage: longcycles oracle pairs ")
+        assert "unrecognized arguments: --eta" in captured.err
+
+    @pytest.mark.parametrize("what", ["pairs", "diagonal"])
+    def test_n_below_one_is_usage_error(self, capsys, what):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", what, "--n", "0", "--no-cache"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --n: must be >= 1" in captured.err
 
     @pytest.mark.parametrize("what", ["pairs", "diagonal"])
     def test_force_is_usage_error(self, capsys, what):
@@ -420,9 +444,75 @@ def test_a_usage_error_a_subcommand_finds_shows_its_own_usage(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     err = capsys.readouterr().err
+    prog = "longcycles " + " ".join(argv[:1] if argv[0] == "verify" else argv[:2])
     assert exc.value.code == 2
-    assert err.startswith(f"usage: longcycles {argv[0]} ")
-    assert f"\nlongcycles {argv[0]}: error: " in err
+    assert err.startswith(f"usage: {prog} ")
+    assert f"\n{prog}: error: " in err
+
+
+def _leaves(parser, path=()):
+    """The command words and parser of every command the CLI runs."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _leaves(child, (*path, name))
+            return
+    yield " ".join(path), parser
+
+
+_LEAVES = dict(_leaves(cli.build_parser()))
+# the flags each command reads, besides --help and --format
+_READS = {
+    "formula boccara": "--n --k",
+    "formula even-factorizations": "--n --lambda",
+    "formula hultman": "--n --k",
+    "formula pairs-by-type": "--n --lambda",
+    "formula sep-prob": "--n --m",
+    "formula separated-count": "--n --m --k",
+    "formula separating-by-d": "--n --alpha --d",
+    "formula separating-total": "--n --alpha",
+    "formula zagier-stanley": "--n --k",
+    "oracle pairs": "--n --alpha --threads --cache-dir --no-cache",
+    "oracle diagonal": "--n --alpha --eta --cache-dir --no-cache",
+    "verify": "--max-n --suite --baserecur-max-n --threads",
+    "table boccara": "--n",
+    "table hultman": "--n",
+    "table sep-prob": "--n",
+    "table separating-total": "--n --parts",
+    "table zagier-stanley": "--n",
+}
+# a value for every required flag, by its dest
+_REQUIRED = {"n": "4", "k": "2", "m": "2", "alpha": "2,2", "d": "1,1", "lam": "2+2"}
+
+
+def _command_id(command):
+    return command.replace(" ", "/")  # a test id without spaces
+
+
+@pytest.mark.parametrize("command", sorted(_READS), ids=_command_id)
+def test_each_command_declares_only_the_flags_it_reads(command):
+    flags = {flag for action in _LEAVES[command]._actions for flag in action.option_strings}
+    assert flags == {"-h", "--help", "--format", *_READS[command].split()}
+
+
+def test_every_command_is_a_leaf_of_the_parser():
+    assert sorted(_LEAVES) == sorted(_READS)
+
+
+@pytest.mark.parametrize("command", sorted(_LEAVES), ids=_command_id)
+def test_an_undefined_flag_shows_the_usage_of_its_leaf(capsys, command):
+    required = [
+        arg
+        for action in _LEAVES[command]._actions
+        if action.required and action.option_strings
+        for arg in (action.option_strings[0], _REQUIRED[action.dest])
+    ]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command.split(), *required, "--bogus"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.startswith(f"usage: longcycles {command} ")
+    assert f"\nlongcycles {command}: error: unrecognized arguments: --bogus\n" in captured.err
 
 
 _LARGE_AND_SMALL_OUTPUT = [
@@ -483,6 +573,16 @@ class TestTable:
         lines = out.strip().splitlines()
         assert lines[0] == "alpha,value"
         assert set(lines[1:]) == {'"(1,3)",12', '"(2,2)",8', '"(3,1)",12'}
+
+    def test_a_value_error_from_a_bug_is_not_a_blank_cell(self, capsys, monkeypatch):
+        def broken(n, k):
+            raise ValueError("broken closed form")
+
+        monkeypatch.setattr(formulas, "boccara", broken)
+        code = cli.main(["table", "boccara", "--n", "3..4"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (70, "")
+        assert "internal error: ValueError" in captured.err.splitlines()[-1]
 
     def test_parts_on_a_grid_table_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -317,6 +317,25 @@ class TestPairsByType:
             assert lhs == rhs + math.factorial(n - 1) * z_of(lam), lam
 
 
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        (zagier_stanley, (0, 1)),
+        (zagier_stanley, (4, 5)),
+        (boccara, (4, 4)),
+        (even_factorization_count, (P(()),)),
+        (separating_by_d, (C((2, 2)), (1, 0))),
+        (separating_by_d, (C((2, 2)), (1,))),
+        (separated_pairs_by_count, (3, 4, 1)),
+        (separation_probability, (3, 1)),
+    ],
+)
+def test_an_argument_outside_the_domain_is_a_domain_error(function, args):
+    # the CLI exits 3 for a DomainError, and 70 for any other ValueError
+    with pytest.raises(DomainError):
+        function(*args)
+
+
 class TestCountQuery:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ import pytest
 
 from longcycles import (
     Composition,
+    DomainError,
     IntegerPartition,
     Permutation,
     PlanePermutation,
@@ -127,6 +128,21 @@ class TestSweepPairs:
     def test_alpha_must_match_n(self):
         with pytest.raises(ValueError):
             sweep_pairs(4, C((2, 3)))
+
+    @pytest.mark.parametrize(
+        "sweep, args",
+        [
+            (sweep_pairs, (0,)),
+            (sweep_pairs, (4, C((2, 3)))),
+            (sweep_fixed_diagonal, (canonical_of_type(P((4,))), C((2, 3)))),
+            (pairs_separating_prefix, (4, 5, 1)),
+            (pairs_separating_prefix, (4, 2, 0)),
+        ],
+    )
+    def test_an_argument_outside_the_domain_is_a_domain_error(self, sweep, args):
+        # the CLI exits 3 for a DomainError, and 70 for any other ValueError
+        with pytest.raises(DomainError):
+            sweep(*args)
 
     def test_each_result_owns_its_cycle_type_table(self):
         first = sweep_pairs(5, C((2, 3)))
