@@ -47,24 +47,35 @@ def _at_least(low: int) -> Callable[[str], int]:
     return convert
 
 
-def _alpha_arg(text: str) -> Composition:
-    return Composition.parse(text)
+def _reasoned(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """``parse`` as a type= converter whose ValueError shows its reason:
+    argparse would name the converter and drop the message."""
+
+    def convert(text: str) -> object:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r} ({exc})") from None
+
+    return convert
 
 
+_alpha_arg = _reasoned(Composition.parse)
+_lambda_arg = _reasoned(IntegerPartition.parse)
+
+
+@_reasoned
 def _d_arg(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.strip().lstrip("(").rstrip(")").split(","))
 
 
-def _lambda_arg(text: str) -> IntegerPartition:
-    return IntegerPartition.parse(text)
-
-
+@_reasoned
 def _range_arg(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..")
         values = list(range(int(lo), int(hi) + 1))
         if not values:
-            raise ValueError(f"empty range {text!r}")
+            raise ValueError("the range is empty")
         return values
     return [int(text)]
 
@@ -168,6 +179,8 @@ def _run_formula(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 def _run_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import oracle  # loads numpy, which formula and table never need
 
+    if args.alpha is not None and args.alpha.n != args.n:
+        parser.error(f"--alpha {args.alpha} is not a composition of {args.n}")
     cache_dir = None if args.no_cache else (args.cache_dir or oracle.default_cache_dir())
     if args.what == "pairs":
         result = oracle.sweep_pairs(args.n, args.alpha, workers=args.threads, cache_dir=cache_dir)

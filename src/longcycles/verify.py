@@ -24,7 +24,9 @@ Identity names used in reports:
   evaluation;
 - ``block_deletion_d`` / ``block_deletion_total``: the block-deletion
   identities tying refined separation counts to Stirling products;
-- ``formula:*``: closed form versus brute-force oracle;
+- ``formula:*``: closed form versus brute-force oracle, one row each of the
+  table ``_IDENTITIES``; the parity audit runs the bare expressions of its
+  rows on wrong-parity instances;
 - ``plane:*``: structural sweeps over two-row arrays.
 """
 
@@ -452,102 +454,92 @@ def _zagier_oracle(n: int) -> dict[int, int]:
     return counts
 
 
+def _fixed_target(lam: IntegerPartition) -> int:
+    """The ordered factorizations of a fixed permutation of type lam."""
+    return oracle.count_factorizations(canonical_of_type(lam))
+
+
+# Every formula:* identity once: name -> (closed form, bare expression or None,
+# oracle witness), each called with the args of one instance.  The formulas
+# suite reports "formula:" + name; the parity audit runs the bare expression
+# on the wrong-parity instances, under name.
+_IDENTITIES = {
+    "by_cycle_count": (formulas.zagier_stanley, formulas.zagier_stanley_raw, lambda n, k: _zagier_oracle(n).get(k, 0)),
+    "expected_k_cycles": (formulas.hultman_expected, None, oracle.expected_k_cycles),
+    "two_cycle_factorizations": (formulas.boccara, None, lambda n, k: _fixed_target(IntegerPartition((k, n - k)))),
+    "factorization_of_type": (formulas.even_factorization_count, None, _fixed_target),
+    "by_cycle_type": (formulas.pairs_by_type, None, lambda lam: _p_seq(lam.n, (lam.n,), (lam.parts,))),
+    "separated_total": (
+        formulas.separating_total, None, lambda alpha: oracle._pairs_alpha_tables(alpha.n, alpha.parts)[2]
+    ),
+    "separated_by_alpha_d": (
+        formulas.separating_by_d,
+        formulas.separating_by_d_raw,
+        lambda alpha, d: oracle._pairs_alpha_tables(alpha.n, alpha.parts)[0].get(d, 0),
+    ),
+    "separated_by_m_and_count": (
+        formulas.separated_pairs_by_count, formulas.separated_pairs_by_count_raw, oracle.pairs_separating_prefix
+    ),
+    "separation_probability": (
+        formulas.separation_probability,
+        None,
+        lambda n, m: Fraction(
+            sum(oracle.pairs_separating_prefix(n, m, k) for k in range(1, n + 1)), math.factorial(n - 1) ** 2
+        ),
+    ),
+}
+
+
+def _formula_instances(n: int) -> Iterator[tuple[str, str, tuple]]:
+    """The formulas suite's instances at n, in its order: (name, text, args)."""
+    for k in range(1, n + 1):
+        yield "by_cycle_count", f"n={n} k={k}", (n, k)
+    for k in range(1, n):
+        yield "expected_k_cycles", f"n={n} k={k}", (n, k)
+    if n % 2 == 0:
+        for k in range(1, n):
+            yield "two_cycle_factorizations", f"n={n} k={k}", (n, k)
+    for lam_parts in _partition_list(n):
+        if (n - len(lam_parts)) % 2 == 0:
+            text, args = f"n={n} lam={format_type_key(lam_parts)}", (IntegerPartition(lam_parts),)
+            yield "factorization_of_type", text, args
+            yield "by_cycle_type", text, args
+    for alpha_parts in _compositions(n):
+        head, alpha = f"n={n} alpha={format_d_key(alpha_parts)}", Composition(alpha_parts)
+        yield "separated_total", head, (alpha,)
+        for d in itertools.product(*(range(1, p + 1) for p in alpha_parts)):
+            yield "separated_by_alpha_d", f"{head} d={format_d_key(d)}", (alpha, d)
+    for m in range(1, n + 1):
+        for k in range(1, n + 1):
+            yield "separated_by_m_and_count", f"n={n} m={m} k={k}", (n, m, k)
+    for m in range(2, n + 1):
+        yield "separation_probability", f"n={n} m={m}", (n, m)
+
+
+def _parity_instances(n: int) -> Iterator[tuple[str, str, tuple]]:
+    """The wrong-parity instances of the identities with a bare expression at
+    n, in the parity audit's order: k first."""
+    for k in range(1, n + 1):
+        if (n - k) % 2:
+            yield "by_cycle_count", f"n={n} k={k}", (n, k)
+            for m in range(1, n + 1):
+                yield "separated_by_m_and_count", f"n={n} m={m} k={k}", (n, m, k)
+    for alpha_parts in _compositions(n):
+        head, alpha = f"n={n} alpha={format_d_key(alpha_parts)}", Composition(alpha_parts)
+        for d in itertools.product(*(range(1, p + 1) for p in alpha_parts)):
+            if (sum(d) - n) % 2:
+                yield "separated_by_alpha_d", f"{head} d={format_d_key(d)}", (alpha, d)
+
+
 @_collector_paused()
 def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[IdentityReport]:
     oracle._require_scale("the formulas suite", max_n, _SUITE_LIMITS["formulas"])
     reports: list[IdentityReport] = []
     for n in range(1, max_n + 1):
-        oracle.product_pair_counts(n, workers)
-        fact_sq = math.factorial(n - 1) ** 2
-        for k in range(1, n + 1):
-            reports.append(
-                IdentityReport(
-                    "formula:by_cycle_count",
-                    f"n={n} k={k}",
-                    formulas.zagier_stanley(n, k),
-                    _zagier_oracle(n).get(k, 0),
-                )
-            )
-        for k in range(1, n):
-            reports.append(
-                IdentityReport(
-                    "formula:expected_k_cycles",
-                    f"n={n} k={k}",
-                    formulas.hultman_expected(n, k),
-                    oracle.expected_k_cycles(n, k),
-                )
-            )
-        if n % 2 == 0:
-            for k in range(1, n):
-                target = canonical_of_type(IntegerPartition((max(k, n - k), min(k, n - k))))
-                reports.append(
-                    IdentityReport(
-                        "formula:two_cycle_factorizations",
-                        f"n={n} k={k}",
-                        formulas.boccara(n, k),
-                        oracle.count_factorizations(target),
-                    )
-                )
-        for lam_parts in _partition_list(n):
-            if (n - len(lam_parts)) % 2:
-                continue
-            lam = IntegerPartition(lam_parts)
-            efc = formulas.even_factorization_count(lam)
-            reports.append(
-                IdentityReport(
-                    "formula:factorization_of_type",
-                    f"n={n} lam={format_type_key(lam_parts)}",
-                    efc,
-                    oracle.count_factorizations(canonical_of_type(lam)),
-                )
-            )
-            reports.append(
-                IdentityReport(
-                    "formula:by_cycle_type",
-                    f"n={n} lam={format_type_key(lam_parts)}",
-                    formulas.pairs_by_type(lam),
-                    _p_seq(n, (n,), (lam_parts,)),
-                )
-            )
-        for alpha_parts in _compositions(n):
-            alpha = Composition(alpha_parts)
-            reports.append(
-                IdentityReport(
-                    "formula:separated_total",
-                    f"n={n} alpha={format_d_key(alpha_parts)}",
-                    formulas.separating_total(alpha),
-                    oracle._pairs_alpha_tables(n, alpha_parts)[2],
-                )
-            )
-            for d in itertools.product(*(range(1, p + 1) for p in alpha_parts)):
-                reports.append(
-                    IdentityReport(
-                        "formula:separated_by_alpha_d",
-                        f"n={n} alpha={format_d_key(alpha_parts)} d={format_d_key(d)}",
-                        formulas.separating_by_d(alpha, d),
-                        oracle._pairs_alpha_tables(n, alpha_parts)[0].get(d, 0),
-                    )
-                )
-        for m in range(1, n + 1):
-            for k in range(1, n + 1):
-                reports.append(
-                    IdentityReport(
-                        "formula:separated_by_m_and_count",
-                        f"n={n} m={m} k={k}",
-                        formulas.separated_pairs_by_count(n, m, k),
-                        oracle.pairs_separating_prefix(n, m, k),
-                    )
-                )
-        for m in range(2, n + 1):
-            true_sep = sum(oracle.pairs_separating_prefix(n, m, k) for k in range(1, n + 1))
-            reports.append(
-                IdentityReport(
-                    "formula:separation_probability",
-                    f"n={n} m={m}",
-                    formulas.separation_probability(n, m),
-                    Fraction(true_sep, fact_sq),
-                )
-            )
+        oracle.product_pair_counts(n, workers)  # the sweep the witnesses read, split over the workers
+        for name, text, args in _formula_instances(n):
+            closed, _raw, witness = _IDENTITIES[name]
+            reports.append(IdentityReport(f"formula:{name}", text, closed(*args), witness(*args)))
     return reports
 
 
@@ -560,39 +552,9 @@ def parity_audit(max_n: int = 6) -> list[ParityAuditRecord]:
     oracle._require_scale("the parity suite", max_n, _SUITE_LIMITS["parity"])
     records: list[ParityAuditRecord] = []
     for n in range(2, max_n + 1):
-        for k in range(1, n + 1):
-            if (n - k) % 2 == 0:
-                continue
-            records.append(
-                ParityAuditRecord(
-                    "by_cycle_count",
-                    f"n={n} k={k}",
-                    formulas.zagier_stanley_raw(n, k),
-                    _zagier_oracle(n).get(k, 0),
-                )
-            )
-            for m in range(1, n + 1):
-                records.append(
-                    ParityAuditRecord(
-                        "separated_by_m_and_count",
-                        f"n={n} m={m} k={k}",
-                        formulas.separated_pairs_by_count_raw(n, m, k),
-                        oracle.pairs_separating_prefix(n, m, k),
-                    )
-                )
-        for alpha_parts in _compositions(n):
-            alpha = Composition(alpha_parts)
-            for d in itertools.product(*(range(1, p + 1) for p in alpha_parts)):
-                if (sum(d) - n) % 2 == 0:
-                    continue
-                records.append(
-                    ParityAuditRecord(
-                        "separated_by_alpha_d",
-                        f"n={n} alpha={format_d_key(alpha_parts)} d={format_d_key(d)}",
-                        formulas.separating_by_d_raw(alpha, d),
-                        oracle._pairs_alpha_tables(n, alpha_parts)[0].get(d, 0),
-                    )
-                )
+        for name, text, args in _parity_instances(n):
+            _closed, raw, witness = _IDENTITIES[name]
+            records.append(ParityAuditRecord(name, text, raw(*args), witness(*args)))
     return records
 
 

@@ -187,6 +187,16 @@ class TestOracle:
         assert "argument --n: must be >= 1" in captured.err
 
     @pytest.mark.parametrize("what", ["pairs", "diagonal"])
+    def test_alpha_of_another_n_is_usage_error(self, capsys, what):
+        # as --eta of another n is: both flags are read against --n before any sweep
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", what, "--n", "4", "--alpha", "1,1,1,1,1", "--no-cache"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.startswith(f"usage: longcycles oracle {what} ")
+        assert "--alpha (1,1,1,1,1) is not a composition of 4" in captured.err
+
+    @pytest.mark.parametrize("what", ["pairs", "diagonal"])
     def test_force_is_usage_error(self, capsys, what):
         # no sweep has a forced tier, so --force is no option of either
         with pytest.raises(SystemExit) as exc:
@@ -448,6 +458,27 @@ def test_a_usage_error_a_subcommand_finds_shows_its_own_usage(capsys, argv):
     assert exc.value.code == 2
     assert err.startswith(f"usage: {prog} ")
     assert f"\n{prog}: error: " in err
+
+
+@pytest.mark.parametrize(
+    "argv, value, reason",
+    [
+        (["formula", "separating-total", "--alpha", "0,1"], "0,1", "composition parts must be positive"),
+        (["formula", "separating-total", "--alpha", ","], ",", "invalid literal for int()"),
+        (["formula", "pairs-by-type", "--lambda", "3+x"], "3+x", "invalid literal for int()"),
+        (["formula", "separating-by-d", "--alpha", "2,3", "--d", "1,x"], "1,x", "invalid literal for int()"),
+        (["oracle", "diagonal", "--n", "4", "--eta", "4+0", "--no-cache"], "4+0", "parts must be positive"),
+        (["table", "sep-prob", "--n", "5..3"], "5..3", "the range is empty"),
+    ],
+)
+def test_an_unreadable_value_gives_its_reason(capsys, argv, value, reason):
+    # argparse would name a converter that raises ValueError, and drop its message
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert f"invalid value {value!r} ({reason}" in captured.err
+    assert not re.search(r"_\w+_arg", captured.err)
 
 
 def _leaves(parser, path=()):

@@ -1011,3 +1011,40 @@ class TestSerializationAndCache:
         assert "cache miss" in caplog.text
         assert json.loads(path.read_text())["result"] == good.to_dict()
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_concurrent_writes_leave_one_whole_entry(self, tmp_path):
+        # two processes store the same entry over and over while a third loads
+        # it.  The entry exists before they start and os.replace swaps whole
+        # files, so every load is a hit equal to the fresh result: a miss
+        # (None) would be a torn file.
+        fresh = sweep_pairs(5, C((2, 3)))
+        oracle._store_cached(tmp_path, fresh)
+
+        def store():
+            for _ in range(200):
+                oracle._store_cached(tmp_path, fresh)
+            return 0
+
+        def load():
+            for _ in range(400):
+                got = oracle._load_cached(tmp_path, fresh.query, fresh.total)
+                if got is None or got.to_json() != fresh.to_json():
+                    return 1
+            return 0
+
+        pids = []
+        for body in (store, store, load):
+            pid = os.fork()
+            if pid == 0:
+                code = 2
+                try:
+                    signal.alarm(60)  # a child that hangs dies, so the waits below end
+                    code = body()
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        assert codes == [0, 0, 0]
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert len(list(tmp_path.iterdir())) == 1
+        assert oracle._load_cached(tmp_path, fresh.query, fresh.total).to_json() == fresh.to_json()

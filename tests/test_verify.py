@@ -547,6 +547,27 @@ class TestParityAudit:
         assert str(hits[0].formula_value) == "11/6"
 
 
+class TestIdentityTable:
+    def test_every_row_is_reported(self):
+        # no row is orphaned: each shows in the formulas suite, and each with a
+        # bare expression in the parity audit; no report names another identity
+        formula_names = {r.identity for r in verify.formula_vs_oracle_reports(4)}
+        audit_names = {a.identity for a in verify.parity_audit(4)}
+        assert formula_names == {f"formula:{name}" for name in verify._IDENTITIES}
+        assert audit_names == {name for name, (_closed, raw, _witness) in verify._IDENTITIES.items() if raw}
+
+    def test_a_row_off_at_one_instance_fails_one_report(self, monkeypatch):
+        closed, raw, witness = verify._IDENTITIES["separated_by_alpha_d"]
+
+        def off(alpha, d):
+            return closed(alpha, d) + (alpha.parts == (2, 2) and d == (1, 1))
+
+        monkeypatch.setitem(verify._IDENTITIES, "separated_by_alpha_d", (off, raw, witness))
+        failed = [(r.identity, r.instance) for r in verify.formula_vs_oracle_reports(4) if not r.passed]
+        assert failed == [("formula:separated_by_alpha_d", "n=4 alpha=(2,2) d=(1,1)")]
+        assert all(a.ok for a in verify.parity_audit(4))  # the audit reads the bare expression, not this
+
+
 class TestRunner:
     def test_run_subset(self):
         run = verify.run_suites(("classic", "baserecur"), 4, baserecur_max_n=6)
