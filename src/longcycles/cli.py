@@ -71,13 +71,15 @@ def _d_arg(text: str) -> tuple[int, ...]:
 
 @_reasoned
 def _range_arg(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        values = list(range(int(lo), int(hi) + 1))
-        if not values:
-            raise ValueError("the range is empty")
-        return values
-    return [int(text)]
+    lo, dots, hi = text.partition("..")
+    if not dots:
+        return [int(text)]
+    if ".." in hi:
+        raise ValueError("a range is lo..hi")
+    values = list(range(int(lo), int(hi) + 1))
+    if not values:
+        raise ValueError("the range is empty")
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -469,6 +469,7 @@ def test_a_usage_error_a_subcommand_finds_shows_its_own_usage(capsys, argv):
         (["formula", "separating-by-d", "--alpha", "2,3", "--d", "1,x"], "1,x", "invalid literal for int()"),
         (["oracle", "diagonal", "--n", "4", "--eta", "4+0", "--no-cache"], "4+0", "parts must be positive"),
         (["table", "sep-prob", "--n", "5..3"], "5..3", "the range is empty"),
+        (["table", "sep-prob", "--n", "3..4..5"], "3..4..5", "a range is lo..hi"),
     ],
 )
 def test_an_unreadable_value_gives_its_reason(capsys, argv, value, reason):

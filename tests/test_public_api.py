@@ -6,11 +6,11 @@ import json
 import pkgutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import longcycles
+import pins
 
 MODULES = ["longcycles"] + [f"longcycles.{m.name}" for m in pkgutil.iter_modules(longcycles.__path__)]
 
@@ -105,7 +105,7 @@ print(json.dumps({
 }))
 """
 
-# the same queries, with the values that cli_golden.json pins for them
+# the same queries, with the values that pins.json pins for them
 _VALUES = {
     "by_cycle_count": "469",
     "by_cycle_type": "6",
@@ -119,8 +119,8 @@ _VALUES = {
 
 
 def test_closed_forms_and_their_commands_run_without_numpy():
-    golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
-    # cli_golden.json pins every formula and table name (test_cli_golden.py checks that)
+    # pins.json pins every formula and table name (test_pins.py checks that)
+    golden = {row["args"]: row["stdout"] for row in pins.PINS if "stdout" in row}
     pinned = [line for line in golden if line.startswith(("formula ", "table "))]
     helps = ["--help"] + [f"{command} --help" for command in ("formula", "oracle", "verify", "table")]
     proc = subprocess.run(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from longcycles import cli
-from test_cli_golden import command_choices
+from test_pins import command_choices
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 CLI_BLOCK = README.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
