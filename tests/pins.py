@@ -17,15 +17,32 @@ nothing to standard output and no traceback, and exit 2, a usage error, must
 start standard error with ``usage: longcycles <leaf> ``: the usage of the
 row's command, its leading words before the first flag.
 
-Run one tier through the installed console script, one line per row, and
-exit 1 naming every row that failed:
+Why some ``ci`` rows are there, and what they cost on a two-core CI runner:
+- ``oracle pairs --n 8``, threads 1, 2, 3: three chunks of 1,680 second
+  factors cut head groups at other places than two chunks of 2,520;
+- ``oracle pairs --n 7 --alpha 3,4``, threads 1, 3: an odd ``n``, so an odd
+  half of digits;
+- ``oracle pairs --n 9``: the 1.63G pairs at the sweep's limit, about 4 s;
+- ``verify --suite formulas --suite parity --max-n 9``: 5,215 reports and
+  2,196 audit records over the ``n = 9`` pair sweep, about 4 s;
+- ``oracle diagonal --n 10``: the sweep's limit, the 362,880 long cycles,
+  about 0.6 s and 218 MB;
+- ``verify --max-n 7``: the text form prints one summary line per identity,
+  then PASS; the JSON form at threads 2 and 3 counts the plane suite's words
+  in two processes, then in three chunks;
+- ``verify --suite baserecur --baserecur-max-n 14``: the suite's limit,
+  713,709 reports, about 4-6 s and 149 MB;
+- the ``exit`` 2 rows other than ``--force``: each command declares only the
+  flags it reads, so argparse rejects the rest itself.
 
-    python tests/pins.py ci
+Run every ``ci`` row through the installed console script, one line per row,
+and exit 1 naming every row that failed:
+
+    python tests/pins.py
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -41,7 +58,7 @@ PINS = json.loads((Path(__file__).parent / "pins.json").read_text())
 EXPECTATIONS = ("stdout", "sha256", "exit")
 TIERS = ("tier1", "ci")
 
-Run = Callable[[list[str]], tuple[int, str, str]]  # argv -> exit code, stdout, stderr
+Run = Callable[[list[str]], tuple[int, bytes, str]]  # argv -> exit code, stdout, stderr
 
 
 def leaf(row: dict) -> str:
@@ -59,19 +76,19 @@ def argvs(row: dict) -> list[list[str]]:
     return [[*argv, "--threads", str(t)] for t in row["threads"]] if "threads" in row else [argv]
 
 
-def _faults(row: dict, code: int, out: str, err: str) -> Iterator[str]:
+def _faults(row: dict, code: int, out: bytes, err: str) -> Iterator[str]:
     if "exit" not in row:
         if code != 0:
             yield f"exited {code}, expected 0: {err.strip()[-300:]}"
-        elif "stdout" in row and out != row["stdout"]:
-            yield f"printed {out!r}, pinned {row['stdout']!r}"
-        elif "sha256" in row and (digest := hashlib.sha256(out.encode()).hexdigest()) != row["sha256"]:
+        elif "stdout" in row and out != row["stdout"].encode():
+            yield f"printed {out.decode(errors='replace')!r}, pinned {row['stdout']!r}"
+        elif "sha256" in row and (digest := hashlib.sha256(out).hexdigest()) != row["sha256"]:
             yield f"printed sha256 {digest}, pinned {row['sha256']}"
         return
     if code != row["exit"]:
         yield f"exited {code}, expected {row['exit']}: {err.strip()[-300:]}"
     if out:
-        yield f"printed {out[:300]!r} to stdout"
+        yield f"printed {out[:300].decode(errors='replace')!r} to stdout"
     if "Traceback" in err:
         yield "printed a traceback"
     usage, first_line = f"usage: longcycles {leaf(row)} ", err.partition("\n")[0]
@@ -84,7 +101,7 @@ def problems(row: dict, run: Run) -> list[str]:
     return [f"{' '.join(argv)}: {fault}" for argv in argvs(row) for fault in _faults(row, *run(argv))]
 
 
-def in_process(argv: list[str]) -> tuple[int, str, str]:
+def in_process(argv: list[str]) -> tuple[int, bytes, str]:
     from longcycles import cli
 
     out, err = io.StringIO(), io.StringIO()
@@ -93,21 +110,18 @@ def in_process(argv: list[str]) -> tuple[int, str, str]:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue().encode(), err.getvalue()
 
 
-def console_script(argv: list[str]) -> tuple[int, str, str]:
+def console_script(argv: list[str]) -> tuple[int, bytes, str]:
     proc = subprocess.run(["longcycles", *argv], capture_output=True)
-    return proc.returncode, proc.stdout.decode(), proc.stderr.decode(errors="replace")
+    return proc.returncode, proc.stdout, proc.stderr.decode(errors="replace")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Check one tier of pins.json through the longcycles console script.")
-    parser.add_argument("tier", choices=TIERS)
-    tier = parser.parse_args(argv).tier
+def main() -> int:
     failed = []
     for row in PINS:
-        if row["tier"] == tier:
+        if row["tier"] == "ci":
             start = time.perf_counter()
             found = problems(row, console_script)
             print("FAIL" if found else "ok", f"{time.perf_counter() - start:5.1f} s", label(row), flush=True)

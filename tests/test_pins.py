@@ -13,10 +13,11 @@ blank) and every ``oracle`` sweep in every format (``pairs`` and ``diagonal
 sha256 of the ``verify --format json`` documents at ``--max-n 6`` (all suites,
 and the plane suite at 1, 2 and 3 threads) and of the classic and section3
 suites at ``--max-n 7``.  The ``ci`` rows, the long sweeps and the exit
-codes, run through the console script: ``python tests/pins.py ci``.
+codes, run through the console script: ``python tests/pins.py``.
 """
 
 import argparse
+import hashlib
 import re
 
 import pytest
@@ -62,6 +63,14 @@ def test_row_is_well_formed(row):
         assert "--threads" in parser._option_string_actions
         assert "--threads" not in row["args"].split()
         assert row["threads"] and all(isinstance(t, int) and t >= 1 for t in row["threads"])
+
+
+def test_bytes_that_are_not_utf8_fail_their_row():
+    row = {"args": "formula boccara --n 6 --k 4 --format text", "tier": "tier1", "stdout": "32\n"}
+    found = pins.problems(row, lambda argv: (0, b"3\xff\n", ""))
+    assert found == [f"{row['args']}: printed '3\ufffd\\n', pinned '32\\n'"]
+    row = {"args": row["args"], "tier": "ci", "sha256": hashlib.sha256(b"3\xff\n").hexdigest()}
+    assert pins.problems(row, lambda argv: (0, b"3\xff\n", "")) == []
 
 
 def test_no_two_rows_share_a_command_line_and_thread_count():
