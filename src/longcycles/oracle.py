@@ -184,6 +184,18 @@ def _lex_rank(n: int, columns):
     return prefix[_code(n, columns[:h])] + suffix[_code(n, columns[h:])]
 
 
+def _code_places(n: int) -> np.ndarray:
+    """(2, n) place values: ``places @ columns`` is the (head, tail) code pair
+    that _lex_rank looks up, for columns stored element first.  Row 0 holds
+    the place value of each image in the head code, zero in the tail, and row
+    1 those of the tail code."""
+    h = n - min(_TAIL, n)
+    places = np.zeros((2, n), dtype=np.int64)
+    places[0, :h] = n ** np.arange(h - 1, -1, -1)
+    places[1, h:] = n ** np.arange(n - h - 1, -1, -1)
+    return places
+
+
 # columns of _min_lengths per pass: n <= 8 is one pass, and at n = 9 the
 # pointer-doubling temporaries stay at 2.9 MB each instead of 26 MB
 _MIN_LENGTHS_CHUNK = math.factorial(8)
@@ -566,7 +578,7 @@ def _diag_rows(n: int, d_image: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray
     d_inv = np.argsort([x - 1 for x in d_image])
     verticals = d_inv[_cycle_rows(n)]  # row i: D⁻¹∘s for the i-th long cycle s
     pos = np.argsort(_cycle_words(n), axis=1)  # pos[i, x]: index of x in the word of s
-    # each vertical has its own word; plane._exceedances takes one word, and a flat gather for it is slower
+    # each vertical has its own word; plane._exceedance_counts takes one word, and a flat gather for it is slower
     exceedances = (np.take_along_axis(pos, verticals, axis=1) > pos).sum(axis=1)
     ids, rows = _distinct_rows(verticals.T)
     counts = np.bincount(ids * (n + 1) + exceedances, minlength=len(rows) * (n + 1))

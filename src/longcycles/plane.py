@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,71 +44,162 @@ def _classify(word: tuple[int, ...], pi: Permutation):
 # 0-based, and a batch of permutations is stored with the element first:
 # perms[x] holds the image of x in every array of the batch (any trailing
 # shape), so that each step works on long contiguous rows.  A cycle word is
-# an integer array starting at 0.
+# an integer array starting at 0.  The plane suite runs them once per word,
+# against tables built once per n, into buffers allocated once per n: fresh
+# temporaries of this size would be page-faulted in again for every word.
 
 
-def _cycle_minima(perms: np.ndarray, key: np.ndarray) -> np.ndarray:
+def _take(a: np.ndarray, indices: np.ndarray, out: np.ndarray | None, axis: int | None = None) -> np.ndarray:
+    """a.take(indices), into ``out`` when given.  mode="clip" writes ``out``
+    in place, where the default mode writes a copy first; every index the
+    kernels take is in range by construction."""
+    return a.take(indices, axis=axis, out=out, mode="clip")
+
+
+def _flat(perms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``flat[x, r]``: the flat index of (pi(x), r) into an (n, m) array, for
+    the (n, m) batch ``perms``; ``a.ravel()[flat]`` reads a[pi(x), r].
+
+    order="C" keeps ``flat`` C-contiguous for any layout of ``perms`` (a
+    transposed view, a column slice), so that ravel() never copies it."""
+    flat = np.multiply(perms, perms.shape[1], out=out, order="C")
+    flat += np.arange(perms.shape[1])
+    return flat
+
+
+def _squarings(flat: np.ndarray) -> Iterator[np.ndarray]:
+    """pi^2, pi^4, ... as flat indices, from pi's _flat indices, while 2, 4,
+    ... is below n: the pointer-doubling steps of _cycle_minima.  Lazy, so
+    that one step at a time is alive."""
+    step, span = flat, 2
+    while span < len(flat):
+        step = step.ravel()[step]
+        yield step
+        span *= 2
+
+
+def _cycle_minima(
+    perms: np.ndarray, key: np.ndarray, steps: Iterable[np.ndarray] | None = None,
+    out: np.ndarray | None = None, spare: np.ndarray | None = None,
+) -> np.ndarray:
     """``out[x, ...]`` = the least ``key[y]`` over y on the cycle of x: a
     running minimum over windows of 2, 4, 8, ... consecutive cycle elements.
-
-    np.take and order="C" make ``low`` and ``step`` C-contiguous for any
-    layout of ``perms``: key[cols] and cols * m keep the layout of a strided
-    batch (a transposed view, a column slice), and then every ravel() below
-    would copy the whole batch."""
+    ``steps`` are the _squarings of ``perms``, built here when not given;
+    ``out`` and ``spare`` are (n, m) buffers, allocated here when not given.
+    np.take makes ``low`` C-contiguous for any layout of ``perms``, as in
+    _flat."""
     n = len(perms)
     cols = perms.reshape(n, -1)
-    low = np.take(key, cols)
+    low = _take(key, cols, out)
     np.minimum(low, key[:, None], out=low)
-    # flat index of (pi(x), same array); step.ravel()[step] squares pi
-    step = np.multiply(cols, cols.shape[1], order="C")
-    step += np.arange(cols.shape[1])
-    span = 2
-    while span < n:
-        step = step.ravel()[step]
-        np.minimum(low, low.ravel()[step], out=low)
-        span *= 2
+    for step in _squarings(_flat(cols)) if steps is None else steps:
+        np.minimum(low, _take(low.ravel(), step, spare), out=low)
     return low.reshape(perms.shape)
 
 
-def _diagonals_from_pairs(words: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Batched PlanePermutation.diagonal_from_pairs: the bottom pi(word[i]) of
-    each column maps to the top word[i+1] of the next.  ``words`` has the
-    shape of ``perms`` without its last axis, one word for every r in
-    perms[..., r].  An entry that no column writes, which happens only when a
-    vertical is not a permutation, stays -1."""
-    bottoms = np.take_along_axis(perms, words[..., None], axis=0)
-    out = np.full_like(perms, -1)
-    np.put_along_axis(out, bottoms, np.roll(words, -1, axis=0)[..., None], axis=0)
-    return out
+class _Verticals(NamedTuple):
+    """An (n, m) batch of verticals with the tables that every word's checks
+    over it read, its _flat indices and their _squarings, and the (n, m)
+    buffers that _exceedance_counts writes."""
+
+    perms: np.ndarray
+    flat: np.ndarray
+    steps: tuple[np.ndarray, ...]
+    at: np.ndarray
+    low: np.ndarray
+    spare: np.ndarray
+    exc: np.ndarray
+    either: np.ndarray
 
 
-def _exceedances(pos: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """``exc[x, r]``: x is an exceedance of (word, perms[:, r]), pi(x) after x
-    in the word, for a 2-D ``perms``; ``pos[x]`` is the index of x in the word."""
-    return pos[perms] > pos[:, None]
+def _verticals(perms: np.ndarray) -> _Verticals:
+    """The batch ``perms`` (n, m) with its tables and buffers."""
+    flat = _flat(perms)
+    ints = (np.empty_like(flat) for _ in range(3))
+    return _Verticals(perms, flat, tuple(_squarings(flat)), *ints, *np.empty((2, *flat.shape), dtype=bool))
 
 
-def _exceedance_counts(word: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _refill(verts: _Verticals, perms: np.ndarray, rows: np.ndarray) -> None:
+    """Overwrite the batch ``verts`` with perms[rows], its tables included."""
+    _take(perms, rows, verts.perms, axis=0)
+    _flat(verts.perms, out=verts.flat)
+    for prev, step in zip((verts.flat, *verts.steps), verts.steps):
+        _take(prev.ravel(), prev, step)
+
+
+@cache
+def _shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in a word of n entries: of the entry after each one,
+    cyclically, and of the reflected word's entries, w[0], w[n-1], ..., w[1]."""
+    t = np.arange(n)
+    return (t + 1) % n, -t % n
+
+
+def _diagonal_misses(
+    bottoms: np.ndarray, diags: np.ndarray, next_tops: np.ndarray,
+    vals: np.ndarray | None = None, miss: np.ndarray | None = None,
+) -> np.ndarray:
+    """The gather form of PlanePermutation.diagonal_from_pairs: ``out[..., r]``
+    is True where some column t of array r breaks D(bottom of t) = top of
+    t + 1.  ``bottoms[t, ..., r]`` is the flat index of (bottom of t, r) into
+    the (n, m) ``diags``, stored element first (see _flat), and
+    ``next_tops[t, ...]`` the top of column t + 1, cyclically; ``vals`` and
+    ``miss`` are buffers of the shape of ``bottoms``.  As the tops and D are
+    bijections, the check passing at every t makes the bottoms a bijection
+    too, and the diagonal read off the array is then D."""
+    vals = _take(diags.ravel(), bottoms, vals)
+    return np.not_equal(vals, next_tops[..., None], out=miss).any(axis=0)
+
+
+def _exceedance_counts(word: np.ndarray, verts: _Verticals) -> tuple[np.ndarray, np.ndarray]:
     """Exceedance and non-trivial anti-exceedance counts of (word, pi) for
-    every column pi of the (n, m) array ``perms``.  As in _classify, each
-    cycle's trivial anti-exceedance is the preimage of its word-order minimum."""
+    every pi in the batch ``verts``.  As in _classify, each cycle's trivial
+    anti-exceedance is the preimage of its word-order minimum."""
     pos = np.argsort(word)
-    exc = _exceedances(pos, perms)
-    trivial = pos[perms] == _cycle_minima(perms, pos)
-    return exc.sum(axis=0), (~exc & ~trivial).sum(axis=0)
+    at = _take(pos, verts.perms, verts.at)  # at[x, r]: the index of pi(x) in the word
+    exc = np.greater(at, pos[:, None], out=verts.exc)
+    low = _cycle_minima(verts.perms, pos, verts.steps, verts.low, verts.spare)
+    either = np.equal(at, low, out=verts.either)  # trivial, then trivial or exceedance
+    either |= exc
+    return exc.sum(axis=0), len(word) - either.sum(axis=0)
 
 
-def _transposed(word: np.ndarray, perms: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched PlanePermutation.transpose_blocks over the rows (i, j, k) of
-    ``hs``: the new words (n, H) and the new verticals (n, H) + perms.shape[1:]."""
-    i, j, k = (hs[:, col, None] for col in range(3))
-    t = np.arange(len(word))
+# a block transposition hands pi(s_j), pi(s_k), pi(s_{i-1}) to s_{i-1}, s_j,
+# s_k: the images by their index in (s_{i-1}, s_j, s_k), in turn
+_TURN = (1, 2, 0)
+
+
+class _Moves(NamedTuple):
+    """The legal block transpositions h = (i, j, k) of a word of n entries,
+    one per column, as positions in the word:
+    - ``src[t, h]``, the entry that sits at position t of the new word w';
+    - ``next_src``, the same for position t + 1, cyclically;
+    - ``image_src``, ``src`` with the positions of s_{i-1}, s_j, s_k
+      overwritten by those whose images they take: the bottom of column t
+      of the transposed array (w', pi') is pi(w[image_src[t, h]]);
+    - ``moved``, (3, H): the positions i - 1, j, k of s_{i-1}, s_j, s_k, and
+      ``turned`` = moved[_TURN], whose images they take."""
+
+    src: np.ndarray
+    next_src: np.ndarray
+    image_src: np.ndarray
+    moved: np.ndarray
+    turned: np.ndarray
+
+
+def _moves(n: int) -> _Moves:
+    """The _Moves of n: every h with 1 <= i <= j < k <= n - 1."""
+    hs = [(i, j, k) for i in range(1, n - 1) for j in range(i, n - 1) for k in range(j + 1, n)]
+    i, j, k = np.array(hs, dtype=np.int64).reshape(-1, 3).T
+    t = np.arange(n)[:, None]
     # position t of the new word reads word[t], shifted inside the two blocks
     src = np.where((t < i) | (t > k), t, np.where(t < i + k - j, t + j + 1 - i, t + j - k))
-    moved = word[hs - (1, 0, 0)].T  # s_{i-1}, s_j, s_k, whose images rotate
-    new = np.repeat(perms[:, None], len(hs), axis=1)
-    new[moved, np.arange(len(hs))] = perms[moved[[1, 2, 0]]]
-    return word[src].T, new
+    moved = np.stack((i - 1, j, k))
+    turned = moved[list(_TURN)]
+    image_src = src.copy()
+    # s_{i-1} stays at i - 1; s_j ends the moved block at k, s_k the other at i + k - j - 1
+    image_src[np.stack((i - 1, k, i + k - j - 1)), np.arange(len(hs))] = turned
+    return _Moves(src, src[_shifts(n)[0]], image_src, moved, turned)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -405,18 +405,28 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
 # pure partition algebra
 
 
-def _leading_folds(rest: int, parts: tuple[int, ...], folded: list) -> Iterator[tuple[tuple[int, ...], list]]:
+def _leading_folds(
+    rest: int, parts: tuple[int, ...], folded: list, folds: dict, keep: int
+) -> Iterator[tuple[tuple[int, ...], list]]:
     """Each composition of sum(parts) + rest that begins with parts, in
     _compositions order, with its leading blocks folded, in itertools.product
-    order, into (key text, z, sum_i S_i z / z_i, weight, length), from the
-    fold of parts.  Only the folds on the current path of the walk are alive."""
+    order, into (key text, z, sum_i S_i z / z_i, weight, length), from
+    ``folded``, the fold of parts.  A composition leads at every larger
+    total, so ``folds`` keeps the fold of each one of sum below ``keep``, and
+    each is folded once per call of baserecur_reports."""
     yield parts + (rest,), folded
     for b in range(rest - 1, 0, -1):
-        yield from _leading_folds(rest - b, parts + (b,), [
-            (text + piece + " | ", z * zp, s * zp + sp * z, w + wp, length + lp)
-            for text, z, s, w, length in folded
-            for piece, zp, sp, wp, lp in _block_pieces(b).values()
-        ])
+        lead = parts + (b,)
+        lead_folded = folds.get(lead)
+        if lead_folded is None:
+            lead_folded = [
+                (text + piece + " | ", z * zp, s * zp + sp * z, w + wp, length + lp)
+                for text, z, s, w, length in folded
+                for piece, zp, sp, wp, lp in _block_pieces(b).values()
+            ]
+            if sum(lead) < keep:
+                folds[lead] = lead_folded
+        yield from _leading_folds(rest - b, lead, lead_folded, folds, keep)
 
 
 @_collector_paused()
@@ -426,8 +436,9 @@ def baserecur_reports(max_n: int = 12) -> list[IdentityReport]:
     oracle._require_scale("the baserecur suite", max_n, _SUITE_LIMITS["baserecur"])
     reports: list[IdentityReport] = []
     append = reports.append
+    folds: dict = {}  # the leading compositions' folds, shared by every total
     for total in range(1, max_n + 1):
-        for alpha_parts, folded in _leading_folds(total, (), [("", 1, 0, 0, 0)]):
+        for alpha_parts, folded in _leading_folds(total, (), [("", 1, 0, 0, 0)], folds, max_n - 1):
             head = f"N={total} alpha={format_d_key(alpha_parts)} Lam="
             last = tuple(_block_pieces(alpha_parts[-1]).values())
             for text, z, s, w, length in folded:
@@ -569,38 +580,120 @@ def _cycle_counts_by_rank(n: int) -> np.ndarray:
     return (rows > 0).sum(axis=1)[sig]
 
 
-def _array_bad_counts(
-    word: np.ndarray, s_img: np.ndarray, perms: np.ndarray, perms_inv: np.ndarray,
-    c_pi: np.ndarray, cc: np.ndarray,
-) -> tuple[int, int, int]:
+class _ArrayTables(NamedTuple):
+    """What the per-array checks at one n read besides the word, and the
+    buffers they write: every vertical pi (plane._verticals), the inverses
+    and cycle counts of the verticals, the table of _cycle_counts_by_rank,
+    the reflected arrays' verticals pi∘s⁻¹ (refilled for each word), and
+    (n, n!) buffers for the diagonal check."""
+
+    verts: plane._Verticals
+    perms_inv: np.ndarray
+    c_pi: np.ndarray
+    cc: np.ndarray
+    reflected: plane._Verticals
+    diag: np.ndarray
+    bottoms: np.ndarray
+    vals: np.ndarray
+    miss: np.ndarray
+
+
+def _array_tables(perms: np.ndarray, perms_inv: np.ndarray, c_pi: np.ndarray, cc: np.ndarray) -> _ArrayTables:
+    """The _ArrayTables of the verticals ``perms`` (n, n!), stored element first."""
+    buffers = (np.empty_like(perms) for _ in range(3))
+    return _ArrayTables(
+        plane._verticals(perms), perms_inv, c_pi, cc, plane._verticals(perms.copy()),
+        *buffers, np.empty(perms.shape, dtype=bool),
+    )
+
+
+def _array_bad_counts(word: np.ndarray, s_img: np.ndarray, tables: _ArrayTables) -> tuple[int, int, int]:
     """Failures of the three per-array checks over the arrays (word, pi) for
-    every pi in ``perms`` (stored element first, see plane.py); ``s_img`` is
-    the word's one-line image, ``c_pi`` the verticals' cycle counts and
-    ``cc`` the table of _cycle_counts_by_rank."""
+    every vertical pi of ``tables``; ``s_img`` is the word's one-line image."""
     n = len(word)
-    diag = s_img[perms_inv]  # s∘pi⁻¹ by composition
-    diag_bad = np.any(diag != plane._diagonals_from_pairs(word, perms), axis=0).sum()
-    a, ne = plane._exceedance_counts(word, perms)
-    ne_bad = (ne != n - c_pi - a).sum()
+    t = tables
+    after, reflected = plane._shifts(n)
+    diag = plane._take(s_img, t.perms_inv, t.diag)  # s∘pi⁻¹ by composition
+    bottoms = plane._take(t.verts.flat, word, t.bottoms, axis=0)  # pi(w[i]), as flat indices
+    diag_bad = plane._diagonal_misses(bottoms, diag, word[after], t.vals, t.miss).sum()
+    a, ne = plane._exceedance_counts(word, t.verts)
+    ne_bad = (ne != n - t.c_pi - a).sum()
     # the reflected array (s⁻¹, D⁻¹), with D⁻¹ = pi∘s⁻¹
-    refl_word = np.concatenate((word[:1], word[:0:-1]))
-    _, ne_refl = plane._exceedance_counts(refl_word, perms[np.argsort(s_img)])
-    refl_bad = (ne + ne_refl != n + 1 - c_pi - cc[oracle._lex_rank(n, diag)]).sum()
+    plane._refill(t.reflected, t.verts.perms, np.argsort(s_img))
+    _, ne_refl = plane._exceedance_counts(word[reflected], t.reflected)
+    refl_bad = (ne + ne_refl != n + 1 - t.c_pi - t.cc[oracle._lex_rank(n, diag)]).sum()
     return int(diag_bad), int(ne_bad), int(refl_bad)
 
 
-def _transposition_bad_count(
-    word: np.ndarray, verticals: np.ndarray, diags: np.ndarray, hs: np.ndarray, cc: np.ndarray
-) -> int:
-    """Failures over every block transposition h in ``hs`` of every array
-    (word, verticals[:, r]) whose diagonal is diags[:, r]: the transposed
-    array must keep that diagonal, and its vertical's cycle count, read from
-    the table ``cc`` of _cycle_counts_by_rank, moves by -2, 0 or 2."""
-    n = len(word)
-    new_words, new_verticals = plane._transposed(word, verticals, hs)
-    moved = np.any(plane._diagonals_from_pairs(new_words, new_verticals) != diags[:, None], axis=0)
-    delta = cc[oracle._lex_rank(n, new_verticals)] - cc[oracle._lex_rank(n, verticals)]
-    return int((moved | ~np.isin(delta, (-2, 0, 2))).sum())
+class _TranspositionTables(NamedTuple):
+    """What the transposition checks at one n read besides the word and the
+    verticals, and the buffers they write: the diagonals D, the block
+    transpositions (plane._moves), the place values of the rank codes
+    (oracle._code_places), the table of _cycle_counts_by_rank, and buffers
+    (n, H, (n-1)!) for the diagonal check, (3, H, (n-1)!) for the moved
+    images, (2, H, (n-1)!) for the codes and (H, (n-1)!) for the ranks."""
+
+    diags: np.ndarray
+    moves: plane._Moves
+    places: np.ndarray
+    cc: np.ndarray
+    bottoms: np.ndarray
+    vals: np.ndarray
+    miss: np.ndarray
+    old: np.ndarray
+    new: np.ndarray
+    codes: np.ndarray
+    ranks: np.ndarray
+    spare: np.ndarray
+
+
+def _transposition_tables(
+    diags: np.ndarray, moves: plane._Moves, places: np.ndarray, cc: np.ndarray
+) -> _TranspositionTables:
+    """The _TranspositionTables of the diagonals ``diags`` (n, (n-1)!), stored element first."""
+    n, m = diags.shape
+    hs = moves.src.shape[1]
+
+    def ints(*rows: int) -> np.ndarray:
+        return np.empty((*rows, hs, m), dtype=np.int64)
+
+    bools = np.empty((n, hs, m), dtype=bool)
+    return _TranspositionTables(diags, moves, places, cc, ints(n), ints(n), bools, ints(3), ints(3), ints(2), ints(), ints())
+
+
+def _transposed_ranks(word: np.ndarray, verticals: np.ndarray, tables: _TranspositionTables) -> tuple[np.ndarray, np.ndarray]:
+    """The lex ranks of pi' (H, (n-1)!) and of pi ((n-1)!,) over every block
+    transposition of every array (word, pi = verticals[:, r]).  pi' is pi
+    with the images of s_{i-1}, s_j, s_k turned, and each of the three moves
+    pi's head or tail code by (new - old) times its place value."""
+    t = tables
+    changed = word[t.moves.moved]  # s_{i-1}, s_j, s_k
+    old = plane._take(verticals, changed, t.old, axis=0)
+    change = plane._take(verticals, word[t.moves.turned], t.new, axis=0)
+    change -= old
+    codes = t.places @ verticals  # pi's head and tail codes
+    new_codes = np.einsum("pqh,qhr->phr", t.places[:, changed], change, out=t.codes)
+    new_codes += codes[:, None]
+    prefix, suffix = oracle._rank_tables(len(word))
+    ranks = plane._take(prefix, new_codes[0], t.ranks)
+    ranks += plane._take(suffix, new_codes[1], t.spare)
+    return ranks, prefix[codes[0]] + suffix[codes[1]]
+
+
+def _transposition_bad_count(word: np.ndarray, verticals: np.ndarray, tables: _TranspositionTables) -> int:
+    """Failures over every block transposition of every array (word,
+    verticals[:, r]) whose diagonal is diags[:, r], in ``tables``: the
+    transposed array (w', pi') must keep that diagonal, checked in the gather
+    form at pi'(w'[t]), and the cycle count of pi', read from the table of
+    _cycle_counts_by_rank at the _transposed_ranks, moves by -2, 0 or 2."""
+    t = tables
+    bottoms = plane._take(plane._flat(verticals), word[t.moves.image_src], t.bottoms, axis=0)
+    moved = plane._diagonal_misses(bottoms, t.diags, word[t.moves.next_src], t.vals, t.miss)
+    ranks, source_ranks = _transposed_ranks(word, verticals, tables)
+    delta = plane._take(t.cc, ranks, t.spare)
+    delta -= t.cc[source_ranks]
+    delta = np.abs(delta, out=delta)  # even and at most 2: 0 or 2
+    return int(np.count_nonzero(moved | (delta == 1) | (delta > 2)))
 
 
 @_collector_paused()
@@ -621,32 +714,32 @@ def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityRe
     oracle._require_scale("the plane suite", max_n, _SUITE_LIMITS["plane"])
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
+        # every table that does not depend on the word, built before the fork
         words = oracle._cycle_words(n)
         cycles = oracle._cycle_rows(n)
         rows = oracle._all_perm_rows(n)
-        perms, perms_inv = rows.T.copy(), np.argsort(rows, axis=1).T.copy()
         cc = _cycle_counts_by_rank(n)  # the verticals are in lex order, so cc holds their counts
+        arrays = _array_tables(rows.T.copy(), np.argsort(rows, axis=1).T.copy(), cc, cc)
         # block transpositions over pairs of long cycles (s, D), vertical D⁻¹∘s
-        hs = np.array(
-            [(i, j, k) for i in range(1, n - 1) for j in range(i, n - 1) for k in range(j + 1, n)]
-        )
+        moves = plane._moves(n)
         diags, diags_inv = cycles.T.copy(), np.argsort(cycles, axis=1).T.copy()
+        transpositions = _transposition_tables(diags, moves, oracle._code_places(n), cc)
 
         def bad_counts(lo: int, hi: int) -> np.ndarray:
             # the failures of the three per-array checks, then of the transpositions
             bad = np.zeros(4, dtype=np.int64)
             for word, s_img in zip(words[lo:hi], cycles[lo:hi]):
-                bad[:3] += _array_bad_counts(word, s_img, perms, perms_inv, cc, cc)
-                if len(hs):
-                    bad[3] += _transposition_bad_count(word, diags_inv[s_img], diags, hs, cc)
+                bad[:3] += _array_bad_counts(word, s_img, arrays)
+                if moves.src.size:
+                    bad[3] += _transposition_bad_count(word, diags_inv[s_img], transpositions)
             return bad
 
         bad = oracle._chunk_sum(bad_counts, oracle._chunks(len(words), workers), workers).tolist()
         inst = f"n={n} over {len(words) * len(rows)} arrays"
         for name, count in zip(("diagonal_agreement", "ntae_count_formula", "reflection_identity"), bad):
             reports.append(IdentityReport(f"plane:{name}", inst, count, 0))
-        if len(hs):
-            inst = f"n={n} over {len(words) * len(cycles) * len(hs)} transpositions"
+        if moves.src.size:
+            inst = f"n={n} over {len(words) * len(cycles) * moves.src.shape[1]} transpositions"
             reports.append(IdentityReport("plane:transposition_action", inst, bad[3], 0))
     return reports
 

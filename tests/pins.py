@@ -30,6 +30,8 @@ Why some ``ci`` rows are there, and what they cost on a two-core CI runner:
 - ``verify --max-n 7``: the text form prints one summary line per identity,
   then PASS; the JSON form at threads 2 and 3 counts the plane suite's words
   in two processes, then in three chunks;
+- ``verify --suite plane --max-n 7``, threads 1, 2, 3: the plane suite
+  alone at its limit, 3.6M arrays and 18.1M transpositions;
 - ``verify --suite baserecur --baserecur-max-n 14``: the suite's limit,
   713,709 reports, about 4-6 s and 149 MB;
 - the ``exit`` 2 rows other than ``--force``: each command declares only the

@@ -237,31 +237,47 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_diagonals_cycle_counts_and_exceedances(self, n):
         perms = verticals(n)
+        verts = plane._verticals(perms)
+        after = plane._shifts(n)[0]
         by_rank = verify._cycle_counts_by_rank(n)[oracle._lex_rank(n, perms)]
         assert by_rank.tolist() == [to_plane(range(n), col).pi.cycle_count for col in perms.T]
         for word in all_words(n):
             w = np.array(word) - 1
-            diags = plane._diagonals_from_pairs(w, perms)
-            exc, ntae = plane._exceedance_counts(w, perms)
-            for r, col in enumerate(perms.T):
-                p = to_plane(w, col)
+            planes = [to_plane(w, col) for col in perms.T]
+            diags = np.array([p.diagonal_from_pairs().image for p in planes]).reshape(-1, n).T - 1
+            # the gather form passes every array's own diagonal, and fails the next array's where it differs
+            assert not plane._diagonal_misses(verts.flat[w], diags, w[after]).any()
+            others = np.roll(diags, 1, axis=1)
+            misses = plane._diagonal_misses(verts.flat[w], others, w[after])
+            assert misses.tolist() == np.any(others != diags, axis=0).tolist()
+            exc, ntae = plane._exceedance_counts(w, verts)
+            for r, p in enumerate(planes):
                 st = p.exceedance_stats()
-                assert tuple(diags[:, r] + 1) == p.diagonal().image == p.diagonal_from_pairs().image
+                assert tuple(diags[:, r] + 1) == p.diagonal().image
                 assert exc[r] == len(st.exceedances) == p.exceedance_count()
                 assert ntae[r] == len(st.ntaes) == p.ntae_count()
 
     @pytest.mark.parametrize("n", range(3, 6))
     def test_transposed(self, n):
+        # the gather-and-patch bottoms and the rank deltas against transpose_blocks
         perms = verticals(n)
         hs = legal_hs(n)
+        moves = plane._moves(n)
+        # the ranks read no diagonal: perms stands in for one, to size the buffers
+        tables = verify._transposition_tables(perms, moves, oracle._code_places(n), verify._cycle_counts_by_rank(n))
         for word in all_words(n):
             w = np.array(word) - 1
-            new_words, new_perms = plane._transposed(w, perms, hs)
-            assert new_perms.shape == (n, len(hs), perms.shape[1])
+            new_words, bottoms = w[moves.src], perms[w[moves.image_src]]
+            ranks, source_ranks = verify._transposed_ranks(w, perms, tables)
+            assert bottoms.shape == (n, len(hs), perms.shape[1])
+            assert source_ranks.tolist() == oracle._lex_rank(n, perms).tolist()
             for r, col in enumerate(perms.T):
                 p = to_plane(w, col)
                 for t, h in enumerate(hs.tolist()):
-                    assert to_plane(new_words[:, t], new_perms[:, t, r]) == p.transpose_blocks(tuple(h))
+                    q = p.transpose_blocks(tuple(h))
+                    assert tuple(new_words[:, t] + 1) == q.s
+                    assert tuple(bottoms[:, t, r] + 1) == tuple(map(q.pi, q.s))
+                    assert ranks[t, r] == oracle._lex_rank(n, np.array(q.pi.image) - 1)
 
     def test_cycle_minima_takes_the_least_key_on_each_cycle(self):
         # the vertical (1 3)(2 4 5), 0-based, keyed by the word order of 1 5 4 2 3
@@ -269,6 +285,8 @@ class TestBatchedKernels:
         word = np.array([0, 4, 3, 1, 2])
         pos = np.argsort(word)
         assert plane._cycle_minima(perm, pos).ravel().tolist() == [0, 1, 0, 1, 1]
+        steps = plane._verticals(perm).steps
+        assert plane._cycle_minima(perm, pos, steps).ravel().tolist() == [0, 1, 0, 1, 1]
 
 
 class TestPlaneSuiteSeesFaults:
@@ -286,17 +304,20 @@ class TestPlaneSuiteSeesFaults:
         return word, s_img, perms, np.argsort(perms, axis=0), cc[oracle._lex_rank(n, perms)], cc
 
     def test_sound_inputs_pass(self):
-        assert verify._array_bad_counts(*self.sound_inputs()) == (0, 0, 0)
+        word, s_img, *tables = self.sound_inputs()
+        assert verify._array_bad_counts(word, s_img, verify._array_tables(*tables)) == (0, 0, 0)
 
     def test_corrupted_vertical(self):
         word, s_img, perms, perms_inv, c_pi, cc = self.sound_inputs()
         perms[[0, 1], 17] = perms[[1, 0], 17]  # one vertical changed after its inverse and C(pi)
-        diag_bad, ne_bad, _ = verify._array_bad_counts(word, s_img, perms, perms_inv, c_pi, cc)
+        tables = verify._array_tables(perms, perms_inv, c_pi, cc)
+        diag_bad, ne_bad, _ = verify._array_bad_counts(word, s_img, tables)
         assert (diag_bad, ne_bad) == (1, 1)
 
     def test_corrupted_cycle_counts(self):
         word, s_img, perms, perms_inv, c_pi, cc = self.sound_inputs()
-        _, ne_bad, refl_bad = verify._array_bad_counts(word, s_img, perms, perms_inv, c_pi + 1, cc)
+        tables = verify._array_tables(perms, perms_inv, c_pi + 1, cc)
+        _, ne_bad, refl_bad = verify._array_bad_counts(word, s_img, tables)
         assert ne_bad == refl_bad == perms.shape[1]
 
     def transposition_inputs(self):
@@ -305,16 +326,46 @@ class TestPlaneSuiteSeesFaults:
         diags = np.array([Permutation.from_cycle_word(tuple((w + 1).tolist())).image for w in words]).T - 1
         s_img = diags[:, 3]
         pi = np.argsort(diags, axis=0)[s_img]  # D⁻¹∘s for every D
-        return words[3], pi, diags, legal_hs(n), verify._cycle_counts_by_rank(n)
+        return words[3], pi, diags, oracle._code_places(n), verify._cycle_counts_by_rank(n)
+
+    def transposition_bad_count(self, word, pi, diags, places, cc):
+        tables = verify._transposition_tables(diags, plane._moves(self.n), places, cc)
+        return verify._transposition_bad_count(word, pi, tables)
 
     def test_corrupted_diagonal(self):
-        word, pi, diags, hs, cc = self.transposition_inputs()
-        assert verify._transposition_bad_count(word, pi, diags, hs, cc) == 0
+        word, pi, diags, places, cc = self.transposition_inputs()
+        hs = legal_hs(self.n)
+        assert self.transposition_bad_count(word, pi, diags, places, cc) == 0
         diags[[0, 1], 5] = diags[[1, 0], 5]
-        assert verify._transposition_bad_count(word, pi, diags, hs, cc) == len(hs)
+        assert self.transposition_bad_count(word, pi, diags, places, cc) == len(hs)
 
     def test_corrupted_cycle_count_table(self):
-        word, pi, diags, hs, cc = self.transposition_inputs()
+        word, pi, diags, places, cc = self.transposition_inputs()
+        hs = legal_hs(self.n)
         cc[oracle._lex_rank(self.n, pi[:, 5])] += 1  # cc is a fresh array, not the cached table
         # every transposition of that array now moves the count by an odd number
-        assert verify._transposition_bad_count(word, pi, diags, hs, cc) >= len(hs)
+        assert self.transposition_bad_count(word, pi, diags, places, cc) >= len(hs)
+
+    def test_wrong_rotation_of_the_moved_images(self, monkeypatch):
+        # s_{i-1}, s_j, s_k take the images of s_k, s_{i-1}, s_j: every transposed
+        # array breaks its diagonal, in the kernel and in the suite's report
+        monkeypatch.setattr(plane, "_TURN", (2, 0, 1))
+        word, pi, diags, places, cc = self.transposition_inputs()
+        assert self.transposition_bad_count(word, pi, diags, places, cc) == len(legal_hs(self.n)) * pi.shape[1]
+        reports = [r for r in verify.plane_structure_reports(self.n) if r.identity == "plane:transposition_action"]
+        assert [r.lhs for r in reports] == [int(r.instance.split()[2]) for r in reports]
+
+    def test_wrong_place_value_in_the_rank_delta(self, monkeypatch):
+        # the last tail image counted twice: tail codes stay under n^4, and ranks go wrong
+        sound = oracle._code_places
+
+        def damaged(n):
+            places = sound(n)
+            places[1, -1] = 2
+            return places
+
+        word, pi, diags, _, cc = self.transposition_inputs()
+        assert self.transposition_bad_count(word, pi, diags, damaged(self.n), cc) > 0
+        monkeypatch.setattr(oracle, "_code_places", damaged)
+        reports = [r for r in verify.plane_structure_reports(self.n) if r.identity == "plane:transposition_action"]
+        assert all(r.lhs > 0 for r in reports)
