@@ -27,6 +27,12 @@ share of the chunks and sends the raw int64 sum back through a pipe, while
 the process counts the first share itself.  Counts are sums, so results are
 identical for any worker count.
 
+The tables over all permutations or cycle words of one n are built in
+passes of _PASS rows, so that no temporary is as large as a table: a pass
+of _signatures or of the fixed-diagonal sweep keeps only the codes of its
+rows of _min_lengths (_length_codes, into buffers every pass reuses), and
+the distinct rows are decoded from the distinct codes at the end.
+
 The aggregations read per-n tables, each built once and shared by every
 call at that n: _signatures(n), the distinct _min_lengths rows of all n!
 permutations with the row of each lex rank; _signature_sums(n), their
@@ -60,7 +66,7 @@ from ._version import __version__
 from .errors import DomainError, ResourceLimitError
 from .partitions import Composition, _partition_list, format_d_key, format_seq_key, format_type_key
 from .permutations import Permutation
-from .plane import _cycle_minima
+from .plane import _cycle_minima, _flat, _squarings, _take
 
 __all__ = [
     "CountTable",
@@ -75,7 +81,7 @@ __all__ = [
 ]
 
 HARD_LIMIT = 9  # the pair sweep runs to this and never past it
-DIAG_SWEEP_HARD_LIMIT = 10  # the fixed-diagonal sweep never runs past this: 0.6 s and 218 MB at n=10, x n per step
+DIAG_SWEEP_HARD_LIMIT = 10  # the fixed-diagonal sweep never runs past this: 0.4 s and 115 MB at n=10, x n per step
 PLANE_SWEEP_LIMIT = 7  # (n-1)! * n! plane permutations; 3.6M at n=7
 
 _ENV_CACHE_DIR = "LONGCYCLES_CACHE_DIR"
@@ -105,24 +111,43 @@ def _require_scale(what: str, n: int, limit: int) -> None:
 # the permutation universe at size n (0-based arrays, lex order = rank order)
 
 
+def _perm_level(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The k! permutations of range(k) as rows of ``out``, in lexicographic
+    order, from ``rows``, those of range(k - 1): for each first entry f in
+    turn, f followed by ``rows`` with every entry >= f raised by one."""
+    for f, block in enumerate(np.split(out, out.shape[1])):
+        block[:, 0] = f
+        np.add(rows, rows >= f, out=block[:, 1:])
+    return out
+
+
 @cache
 def _all_perm_rows(n: int) -> np.ndarray:
-    """All n! permutations of range(n) as rows, in lexicographic order: the
-    rows at size k are, for each first entry f in turn, f followed by the
-    rows at size k - 1 with every entry >= f raised by one."""
-    rows = np.zeros((1, 0), dtype=np.int64)
-    for k in range(1, n + 1):
-        firsts = np.arange(k)[:, None, None]
-        rows = np.concatenate(
-            [np.broadcast_to(firsts, (k, len(rows), 1)), rows + (rows >= firsts)], axis=2
-        ).reshape(-1, k)
-    return rows
+    """All n! permutations of range(n) as rows, in lexicographic order."""
+    if n == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    return _perm_level(_all_perm_rows(n - 1), np.empty((math.factorial(n), n), dtype=np.int64))
+
+
+# rows of every per-n table per pass: permutations, the columns of
+# _min_lengths, or cycle words.  Every n <= 7 table is one pass.  At n <= 10
+# each temporary of a pass, (_PASS, n) int64, is at most 403 KB, so a pass
+# works inside a 2 MB L2 cache, and the buffers of _length_codes are reused
+# by every pass instead of being page-faulted in again
+_PASS = math.factorial(7)
 
 
 @cache
 def _cycle_words(n: int) -> np.ndarray:
-    """0-based words of all long cycles, each starting at 0, in lex order."""
-    return np.pad(_all_perm_rows(n - 1) + 1, ((0, 0), (1, 0)))
+    """0-based words of all long cycles, each starting at 0, in lex order:
+    the first (n-1)! rows of _all_perm_rows(n), 0 followed by the
+    permutations of 1..n-1, built without the permutations of range(n - 1)."""
+    if n < 2:
+        return np.zeros((1, 1), dtype=np.int64)
+    words = np.zeros((math.factorial(n - 1), n), dtype=np.int64)
+    _perm_level(_all_perm_rows(n - 2), words[:, 1:])
+    words[:, 1:] += 1
+    return words
 
 
 @cache
@@ -131,7 +156,9 @@ def _cycle_rows(n: int) -> np.ndarray:
     each word maps every entry to the next one, cyclically."""
     words = _cycle_words(n)
     rows = np.empty_like(words)
-    np.put_along_axis(rows, words, np.roll(words, -1, axis=1), axis=1)
+    for lo in range(0, len(words), _PASS):
+        part = words[lo : lo + _PASS]
+        np.put_along_axis(rows[lo : lo + _PASS], part, np.roll(part, -1, axis=1), axis=1)
     return rows
 
 
@@ -196,36 +223,61 @@ def _code_places(n: int) -> np.ndarray:
     return places
 
 
-# columns of _min_lengths per pass: n <= 8 is one pass, and at n = 9 the
-# pointer-doubling temporaries stay at 2.9 MB each instead of 26 MB
-_MIN_LENGTHS_CHUNK = math.factorial(8)
-
-
 def _min_lengths(perms: np.ndarray) -> np.ndarray:
     """``lens[x, r]`` = the length of the cycle of x under perms[:, r] when x
     is the least element of that cycle, else 0, for an (n, m) batch stored
     element first as in plane.py.  The nonzero entries are the cycle type,
     1..m lie in distinct cycles iff the first m entries are nonzero, and 1..b
-    is a union of cycles iff the first b entries sum to b."""
+    is a union of cycles iff the first b entries sum to b.  The tables read
+    these rows through their codes, _length_codes; this is the reference."""
     n, m = perms.shape
-    lens = np.empty((n, m), dtype=np.int64)
-    for lo in range(0, m, _MIN_LENGTHS_CHUNK):
-        hi = min(lo + _MIN_LENGTHS_CHUNK, m)
-        # lens[x, r] counts the y with low[y, r] == x: one bincount of x * width + r
-        low = _cycle_minima(perms[:, lo:hi], np.arange(n))
-        low *= hi - lo
-        low += np.arange(hi - lo)
-        lens[:, lo:hi] = np.bincount(low.ravel(), minlength=n * (hi - lo)).reshape(n, hi - lo)
-    return lens
+    # lens[x, r] counts the y with low[y, r] == x: one bincount of x * m + r
+    low = _cycle_minima(perms, np.arange(n))
+    low *= m
+    low += np.arange(m)
+    return np.bincount(low.ravel(), minlength=n * m).reshape(n, m)
+
+
+def _length_codes(perms: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """``out[r]`` = the base-(n + 1) code of the row of _min_lengths of the
+    column perms[:, r], for an (n, w) batch stored element first.  Entry x
+    of the row counts the y whose cycle has least element x, so the code is
+    the sum over y of (n + 1)^(n - 1 - x): one gather of place values and
+    one column sum.  ``work`` holds five buffers of at least n * w entries,
+    which every pass of a table reuses."""
+    n, w = perms.shape
+    flat, low, spare, *steps = (buf[: n * w].reshape(n, w) for buf in work)
+    low = _cycle_minima(perms, np.arange(n), _squarings(_flat(perms, flat), steps), low, spare)
+    places = (n + 1) ** np.arange(n - 1, -1, -1)
+    np.sum(_take(places, low, spare), axis=0, out=out)
+
+
+def _pass_buffers(n: int, m: int) -> np.ndarray:
+    """The ``work`` of _length_codes for passes over m columns of n entries."""
+    return np.empty((5, n * min(m, _PASS)), dtype=np.int64)
+
+
+def _unique_rows(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, rows) for the _length_codes of n-entry rows of _min_lengths:
+    ``rows`` holds the distinct rows in the order of their codes, decoded
+    from the distinct codes, and ``ids[r]`` indexes the row of code r."""
+    distinct, ids = np.unique(codes, return_inverse=True)
+    rows = np.empty((len(distinct), n), dtype=np.int64)
+    for x in range(n - 1, -1, -1):
+        distinct, rows[:, x] = np.divmod(distinct, n + 1)
+    return ids, rows
 
 
 def _distinct_rows(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ids, rows) for an (n, m) batch stored element first: ``rows`` holds
     the distinct rows of _min_lengths, one per line, and ``ids[r]`` indexes
-    the row of the column perms[:, r]."""
-    lens = _min_lengths(perms)
-    _, first, ids = np.unique(_code(len(perms) + 1, lens), return_index=True, return_inverse=True)
-    return ids, lens[:, first].T
+    the row of the column perms[:, r].  Only the codes outlive a pass."""
+    n, m = perms.shape
+    codes = np.empty(m, dtype=np.int64)
+    work = _pass_buffers(n, m)
+    for lo in range(0, m, _PASS):
+        _length_codes(perms[:, lo : lo + _PASS], codes[lo : lo + _PASS], work)
+    return _unique_rows(codes, n)
 
 
 def _cycle_type(lens: Sequence[int]) -> tuple[int, ...]:
@@ -576,11 +628,17 @@ def _diag_rows(n: int, d_image: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray
     rows of _min_lengths of the verticals, and ``counts[i, a]`` counts those
     with row i and a exceedances."""
     d_inv = np.argsort([x - 1 for x in d_image])
-    verticals = d_inv[_cycle_rows(n)]  # row i: D⁻¹∘s for the i-th long cycle s
-    pos = np.argsort(_cycle_words(n), axis=1)  # pos[i, x]: index of x in the word of s
-    # each vertical has its own word; plane._exceedance_counts takes one word, and a flat gather for it is slower
-    exceedances = (np.take_along_axis(pos, verticals, axis=1) > pos).sum(axis=1)
-    ids, rows = _distinct_rows(verticals.T)
+    words, cycles = _cycle_words(n), _cycle_rows(n)
+    codes = np.empty(len(words), dtype=np.int64)  # of the verticals' rows of _min_lengths
+    exceedances = np.empty(len(words), dtype=np.int64)
+    work = _pass_buffers(n, len(words))
+    for lo in range(0, len(words), _PASS):
+        verticals = d_inv[cycles[lo : lo + _PASS]]  # row i: D⁻¹∘s for the i-th long cycle s
+        pos = np.argsort(words[lo : lo + _PASS], axis=1)  # pos[i, x]: index of x in the word of s
+        # each vertical has its own word; plane._exceedance_counts takes one word, and a flat gather for it is slower
+        np.sum(np.take_along_axis(pos, verticals, axis=1) > pos, axis=1, out=exceedances[lo : lo + _PASS])
+        _length_codes(verticals.T, codes[lo : lo + _PASS], work)
+    ids, rows = _unique_rows(codes, n)
     counts = np.bincount(ids * (n + 1) + exceedances, minlength=len(rows) * (n + 1))
     return rows, counts.reshape(len(rows), n + 1)
 

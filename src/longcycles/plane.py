@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,15 +67,17 @@ def _flat(perms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return flat
 
 
-def _squarings(flat: np.ndarray) -> Iterator[np.ndarray]:
+def _squarings(flat: np.ndarray, out: Sequence[np.ndarray] = ()) -> Iterator[np.ndarray]:
     """pi^2, pi^4, ... as flat indices, from pi's _flat indices, while 2, 4,
     ... is below n: the pointer-doubling steps of _cycle_minima.  Lazy, so
-    that one step at a time is alive."""
-    step, span = flat, 2
+    that one step at a time is alive.  ``out``, two buffers of flat's shape
+    when given, take the steps in turn: each step is overwritten by the one
+    after next."""
+    step, span, turn = flat, 2, 0
     while span < len(flat):
-        step = step.ravel()[step]
+        step = _take(step.ravel(), step, out[turn] if out else None)
         yield step
-        span *= 2
+        span, turn = span * 2, 1 - turn
 
 
 def _cycle_minima(

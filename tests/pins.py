@@ -10,7 +10,11 @@ A row is a JSON object with
   exit code;
 - ``tier``: ``tier1`` rows run in-process through ``cli.main`` in the tier-1
   tests (``test_pins.py``); ``ci`` rows, the long sweeps and the exit codes,
-  run through the ``longcycles`` console script.
+  run through the ``longcycles`` console script;
+- ``max_rss_mb`` (optional, ``ci`` rows only): a bound on the peak resident
+  set of every run, in MiB, read from ``os.wait4`` (``ru_maxrss`` is in KiB
+  on Linux).  Each bound is the peak measured when it was set plus about
+  15%.
 
 A ``stdout`` or ``sha256`` row must exit 0.  An ``exit`` row must print
 nothing to standard output and no traceback, and exit 2, a usage error, must
@@ -22,11 +26,12 @@ Why some ``ci`` rows are there, and what they cost on a two-core CI runner:
   factors cut head groups at other places than two chunks of 2,520;
 - ``oracle pairs --n 7 --alpha 3,4``, threads 1, 3: an odd ``n``, so an odd
   half of digits;
-- ``oracle pairs --n 9``: the 1.63G pairs at the sweep's limit, about 4 s;
+- ``oracle pairs --n 9``: the 1.63G pairs at the sweep's limit, about 4 s
+  and 136 MB at either thread count, bounded at 156 MB;
 - ``verify --suite formulas --suite parity --max-n 9``: 5,215 reports and
   2,196 audit records over the ``n = 9`` pair sweep, about 4 s;
 - ``oracle diagonal --n 10``: the sweep's limit, the 362,880 long cycles,
-  about 0.6 s and 218 MB;
+  about 0.5 s and 116 MB, bounded at 133 MB;
 - ``verify --max-n 7``: the text form prints one summary line per identity,
   then PASS; the JSON form at threads 2 and 3 counts the plane suite's words
   in two processes, then in three chunks;
@@ -50,8 +55,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Callable, Iterator
@@ -60,7 +67,8 @@ PINS = json.loads((Path(__file__).parent / "pins.json").read_text())
 EXPECTATIONS = ("stdout", "sha256", "exit")
 TIERS = ("tier1", "ci")
 
-Run = Callable[[list[str]], tuple[int, bytes, str]]  # argv -> exit code, stdout, stderr
+# argv -> exit code, stdout, stderr, and the peak RSS in MiB where it was measured
+Run = Callable[[list[str]], tuple[int, bytes, str, float | None]]
 
 
 def leaf(row: dict) -> str:
@@ -78,7 +86,11 @@ def argvs(row: dict) -> list[list[str]]:
     return [[*argv, "--threads", str(t)] for t in row["threads"]] if "threads" in row else [argv]
 
 
-def _faults(row: dict, code: int, out: bytes, err: str) -> Iterator[str]:
+def _faults(row: dict, code: int, out: bytes, err: str, rss: float | None) -> Iterator[str]:
+    if "max_rss_mb" in row and rss is None:
+        yield "peak RSS not measured: a max_rss_mb row runs through the console script"
+    elif "max_rss_mb" in row and rss > row["max_rss_mb"]:
+        yield f"peak RSS {rss} MB, bound {row['max_rss_mb']} MB"
     if "exit" not in row:
         if code != 0:
             yield f"exited {code}, expected 0: {err.strip()[-300:]}"
@@ -103,7 +115,7 @@ def problems(row: dict, run: Run) -> list[str]:
     return [f"{' '.join(argv)}: {fault}" for argv in argvs(row) for fault in _faults(row, *run(argv))]
 
 
-def in_process(argv: list[str]) -> tuple[int, bytes, str]:
+def in_process(argv: list[str]) -> tuple[int, bytes, str, None]:
     from longcycles import cli
 
     out, err = io.StringIO(), io.StringIO()
@@ -112,12 +124,19 @@ def in_process(argv: list[str]) -> tuple[int, bytes, str]:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    return code, out.getvalue().encode(), err.getvalue()
+    return code, out.getvalue().encode(), err.getvalue(), None
 
 
-def console_script(argv: list[str]) -> tuple[int, bytes, str]:
-    proc = subprocess.run(["longcycles", *argv], capture_output=True)
-    return proc.returncode, proc.stdout, proc.stderr.decode(errors="replace")
+def console_script(argv: list[str]) -> tuple[int, bytes, str, float]:
+    # the output goes to files, so that os.wait4 can reap the process and
+    # read its peak RSS while nothing waits on a full pipe
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(["longcycles", *argv], stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait for it again
+        out.seek(0)
+        err.seek(0)
+        return proc.returncode, out.read(), err.read().decode(errors="replace"), round(usage.ru_maxrss / 1024, 1)
 
 
 def main() -> int:

@@ -562,6 +562,12 @@ def _run_cli_into(stdout, argv):
     )
 
 
+def test_python_dash_m_longcycles_runs_the_command_line():
+    argv = ["formula", "zagier-stanley", "--n", "7", "--k", "3"]
+    proc = subprocess.run([sys.executable, "-m", "longcycles", *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "469\n", "")
+
+
 class TestClosedPipe:
     @pytest.mark.parametrize("argv", _LARGE_AND_SMALL_OUTPUT)
     def test_a_reader_that_closed_early_gets_141_and_no_traceback(self, argv):

@@ -41,6 +41,7 @@ from longcycles import (
     z_of,
 )
 from longcycles import oracle, verify
+from longcycles.partitions import _partition_list, format_type_key
 from longcycles.plane import _cycle_minima
 from longcycles.oracle import (
     CountTable,
@@ -244,6 +245,17 @@ class TestPlaneTallies:
                 assert all(type(v) is int for pair in by_key.values() for v in pair)
                 nonzero = {key: pair for key, pair in by_key.items() if pair != (0, 0)}
                 assert nonzero == direct[alpha.parts].get(eta, {})
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_long_verticals_tally_the_pair_sweep_by_type(self, n):
+        # the plane permutations (s, pi) with pi a long cycle are the pairs
+        # (s, pi⁻¹) of long cycles, and the diagonal is their product: the
+        # plane sweep's long-vertical slice is the pair sweep's cycle-type table
+        (long_id,) = np.flatnonzero(_signatures(n)[1][:, 0] == n)
+        by_type = oracle._plane_totals(n)[long_id, :, 0].tolist()
+        pairs = oracle._pairs_type_rows(n)
+        assert by_type == [pairs[format_type_key(t)] for t in _partition_list(n)]
+        assert sum(by_type) == math.factorial(n - 1) ** 2  # 1, 4, 36, 576, 14,400, 518,400
 
 
 def _plane_codes_by_diagonals(n):
@@ -466,18 +478,38 @@ class TestMinLengths:
             tally = _tally(lens_rows, sums, np.ones(len(lens_rows), dtype=np.int64), parts)
             assert [(key, int(cnt)) for key, cnt in tally.items()] == list(expected.items())
 
-    def test_chunked_equals_one_pass(self, monkeypatch):
-        # 120 columns in chunks of 7: sixteen full chunks and one of one column
-        perms = _all_perm_rows(5).T
-        whole = _min_lengths(perms)
-        monkeypatch.setattr(oracle, "_MIN_LENGTHS_CHUNK", 7)
-        chunked = _min_lengths(perms)
-        assert chunked.dtype == whole.dtype == np.int64
-        assert np.array_equal(chunked, whole)
-        assert _min_lengths(perms[:, :0]).shape == (5, 0)
+    @pytest.mark.parametrize("size", [7, 500])
+    @pytest.mark.parametrize("n", range(5, 8))
+    def test_passes_equal_one_pass(self, n, size, monkeypatch):
+        # every table at n <= 7 is one pass of 7! columns or words; in passes
+        # of 7 or 500 most are full and the last one is short
+        diagonals = [
+            tuple(range(1, n + 1)),  # the identity
+            (*range(2, n + 1), 1),  # a long cycle
+            (2, 3, 1, 5, 4, *range(6, n + 1)),  # (1 2 3)(4 5), the rest fixed
+        ]
+
+        def tables():
+            return [
+                _signatures.__wrapped__(n),
+                oracle._distinct_rows(_all_perm_rows(n)[::-1].T),  # the columns in reverse lex order
+                (_cycle_rows.__wrapped__(n),),
+                *(_diag_rows.__wrapped__(n, d) for d in diagonals),
+            ]
+
+        assert oracle._PASS == math.factorial(7)
+        whole = tables()
+        monkeypatch.setattr(oracle, "_PASS", size)
+        for got, expected in zip(tables(), whole, strict=True):
+            for a, b in zip(got, expected, strict=True):
+                assert a.dtype == b.dtype == np.int64
+                assert np.array_equal(a, b)
+
+    def test_empty_batch(self):
+        assert _min_lengths(_all_perm_rows(5).T[:, :0]).shape == (5, 0)
 
     # sha256 of sig.tobytes() + rows.tobytes(), pinned while _min_lengths
-    # walked the transposed view of _all_perm_rows(n)
+    # walked the transposed view of _all_perm_rows(n), n = 9 in passes of 8! columns
     @pytest.mark.parametrize(
         "n, shape, expected",
         [
@@ -489,6 +521,7 @@ class TestMinLengths:
             (6, (132, 6), "afbc456cd0e07a9289e323b2c667fe5c86678aaf3a2ca6f57d394bdf08d9151d"),
             (7, (429, 7), "6b08dd294d10b50a67192ed1c7b4d4198047f62050b1f3532f5b407ea95ebcc2"),
             (8, (1430, 8), "aa7ac7b1ec269bc22062435bced55f849a6c8fbf9e35e73ff7a160b313e18b13"),
+            (9, (4862, 9), "6e771e729918bada0a254d729be41c5f65f5493e03237c73ce90f411fee547dc"),
         ],
     )
     def test_signatures_digest(self, n, shape, expected):
@@ -501,7 +534,7 @@ class TestMinLengths:
         "strided",
         [
             lambda: _all_perm_rows(6).T,  # the batch _signatures walks
-            lambda: _all_perm_rows(7).T[:, 720:3600],  # a column window, as _min_lengths cuts at n = 9
+            lambda: _all_perm_rows(7).T[:, 720:3600],  # a column window, as _distinct_rows cuts from n = 8 on
             lambda: np.argsort([2, 0, 4, 1, 3, 6, 5])[_cycle_rows(7)].T,  # the verticals of _diag_rows
         ],
         ids=["transposed", "column-slice", "diag-verticals"],
@@ -512,10 +545,11 @@ class TestMinLengths:
         copy = np.ascontiguousarray(perms)
         key = np.arange(len(perms))[::-1].copy()
         assert np.array_equal(_cycle_minima(perms, key), _cycle_minima(copy, key))
-        lens = _min_lengths(perms)
-        assert np.array_equal(lens, _min_lengths(copy))
-        monkeypatch.setattr(oracle, "_MIN_LENGTHS_CHUNK", 500)  # windows of a strided view, the last one short
-        assert np.array_equal(_min_lengths(perms), lens)
+        assert np.array_equal(_min_lengths(perms), _min_lengths(copy))
+        ids, rows = oracle._distinct_rows(copy)
+        monkeypatch.setattr(oracle, "_PASS", 500)  # windows of a strided view, the last one short
+        in_passes = oracle._distinct_rows(perms)
+        assert np.array_equal(in_passes[0], ids) and np.array_equal(in_passes[1], rows)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_signatures_index_every_rank(self, n):

@@ -51,12 +51,14 @@ def test_tier1_row_holds(row):
 
 @pytest.mark.parametrize("row", pins.PINS, ids=pins.label)
 def test_row_is_well_formed(row):
-    assert set(row) <= {"args", "threads", "tier", *pins.EXPECTATIONS}
+    assert set(row) <= {"args", "threads", "tier", "max_rss_mb", *pins.EXPECTATIONS}
     assert [key for key in pins.EXPECTATIONS if key in row] in (["stdout"], ["sha256"], ["exit"])
     assert row["tier"] in pins.TIERS
     assert isinstance(row.get("stdout", ""), str)
     assert re.fullmatch("[0-9a-f]{64}", row.get("sha256", "0" * 64))
     assert row.get("exit", 1) in (1, 2, 3, 4)
+    if "max_rss_mb" in row:  # only the console script's runs are measured
+        assert row["tier"] == "ci" and row["max_rss_mb"] > 0
     parser = _parser_of(pins.leaf(row))
     assert not _subcommands(parser), "args must name a leaf command"
     if "threads" in row:
@@ -67,10 +69,19 @@ def test_row_is_well_formed(row):
 
 def test_bytes_that_are_not_utf8_fail_their_row():
     row = {"args": "formula boccara --n 6 --k 4 --format text", "tier": "tier1", "stdout": "32\n"}
-    found = pins.problems(row, lambda argv: (0, b"3\xff\n", ""))
+    found = pins.problems(row, lambda argv: (0, b"3\xff\n", "", None))
     assert found == [f"{row['args']}: printed '3\ufffd\\n', pinned '32\\n'"]
     row = {"args": row["args"], "tier": "ci", "sha256": hashlib.sha256(b"3\xff\n").hexdigest()}
-    assert pins.problems(row, lambda argv: (0, b"3\xff\n", "")) == []
+    assert pins.problems(row, lambda argv: (0, b"3\xff\n", "", None)) == []
+
+
+def test_a_run_above_its_peak_rss_bound_fails_its_row():
+    row = {"args": "formula boccara --n 6 --k 4", "tier": "ci", "stdout": "32\n", "max_rss_mb": 100}
+    assert pins.problems(row, lambda argv: (0, b"32\n", "", 100.0)) == []
+    assert pins.problems(row, lambda argv: (0, b"32\n", "", 100.1)) == [f"{row['args']}: peak RSS 100.1 MB, bound 100 MB"]
+    assert pins.problems(row, pins.in_process) == [
+        f"{row['args']}: peak RSS not measured: a max_rss_mb row runs through the console script"
+    ]
 
 
 def test_no_two_rows_share_a_command_line_and_thread_count():
