@@ -14,9 +14,9 @@ again being the one-block case.  The factorizations c1∘c2 = D into long
 cycles are its arrays with s = c1 whose vertical, c2⁻¹, is a long cycle.
 
 Every lex rank is read from _rank_tables(n), split after a permutation's
-first h = n - min(_TAIL, n) images, and the pair kernel's tables,
-_pair_tables(n), are built once per sweep and freed when its counts are
-stored.
+first h = n - min(_TAIL, n) images.  The pair kernel's tables,
+_pair_tables(n), and the n! permutation rows, _all_perm_rows(n), are not
+cached: each is a local of the sweep or table build that reads it.
 
 Sweeps with a worker count cut their index range into contiguous chunks,
 one per worker, and _chunk_sum adds up the chunks' counts: the pair sweep
@@ -81,7 +81,7 @@ __all__ = [
 ]
 
 HARD_LIMIT = 9  # the pair sweep runs to this and never past it
-DIAG_SWEEP_HARD_LIMIT = 10  # the fixed-diagonal sweep never runs past this: 0.4 s and 115 MB at n=10, x n per step
+DIAG_SWEEP_HARD_LIMIT = 10  # the fixed-diagonal sweep never runs past this: 0.5 s and 113 MB at n=10, x n per step
 PLANE_SWEEP_LIMIT = 7  # (n-1)! * n! plane permutations; 3.6M at n=7
 
 _ENV_CACHE_DIR = "LONGCYCLES_CACHE_DIR"
@@ -121,12 +121,14 @@ def _perm_level(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@cache
-def _all_perm_rows(n: int) -> np.ndarray:
-    """All n! permutations of range(n) as rows, in lexicographic order."""
-    if n == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return _perm_level(_all_perm_rows(n - 1), np.empty((math.factorial(n), n), dtype=np.int64))
+def _all_perm_rows(n: int, tail: int = 0) -> np.ndarray:
+    """Every tail!-th of the n! permutations of range(n) as rows, in
+    lexicographic order: all of them when tail <= 1, and otherwise the
+    lex-least permutation of each head of n - tail images."""
+    if n <= tail:
+        return np.arange(n)[None]
+    rows = np.empty((math.factorial(n) // math.factorial(tail), n), dtype=np.int64)
+    return _perm_level(_all_perm_rows(n - 1, tail), rows)
 
 
 # rows of every per-n table per pass: permutations, the columns of
@@ -339,28 +341,28 @@ def _tally(
 # the pair sweep: pair counts by product signature
 
 
-@cache
 def _pair_tables(n: int) -> tuple[np.ndarray, ...]:
-    """(cyc_t, pairs, high, head_of, pattern_of, sources): every table
-    _fact_chunk reads besides _signatures(n).  Over every long cycle c1, in
-    _cycle_rows order, row x of ``cyc_t`` holds c1(x), and row x*n + y of
-    ``pairs`` holds c1(x)*n + c1(y): two base-n digits of the code of every
-    product at once.  ``high`` is pairs times n^2, so that the code of
-    images a, b, c, d is one add, high[ab] + pairs[cd].
+    """(cyc_t, pairs, high, head_of, pattern_of, sources, least): every table
+    _fact_chunk reads besides _signatures(n), built anew by each sweep.  Over
+    every long cycle c1, in _cycle_rows order, row x of ``cyc_t`` holds c1(x),
+    and row x*n + y of ``pairs`` holds c1(x)*n + c1(y): two base-n digits of
+    the code of every product at once.  ``high`` is pairs times n^2, so that
+    the code of images a, b, c, d is one add, high[ab] + pairs[cd].
 
     With k = min(_TAIL, n), ``head_of`` and ``pattern_of`` are _rank_tables(n)
     over k! and times n!/k!, the number of heads: the lex index of the first
     n - k images and the lex rank of the last k images' pattern times n!/k!.
     Their sum is the pattern-major index, pattern * n!/k! + head, of the
     permutation of lex rank head * k! + pattern; ``sources`` is
-    _pattern_sources(k)."""
+    _pattern_sources(k), and row i of ``least`` the lex-least permutation
+    with head index i."""
     cyc_t = _cycle_rows(n).T.copy()
     pairs = (cyc_t[:, None, :] * n + cyc_t[None, :, :]).reshape(n * n, -1)
     k = min(_TAIL, n)
     prefix, suffix = _rank_tables(n)
     block = math.factorial(k)
     heads = math.factorial(n) // block
-    return cyc_t, pairs, pairs * (n * n), prefix // block, suffix * heads, _pattern_sources(k)
+    return cyc_t, pairs, pairs * (n * n), prefix // block, suffix * heads, _pattern_sources(k), _all_perm_rows(n, k)
 
 
 def _pattern_sources(k: int) -> np.ndarray:
@@ -377,11 +379,11 @@ def _pattern_sources(k: int) -> np.ndarray:
     return sources
 
 
-def _fact_chunk(n: int, lo: int, hi: int) -> np.ndarray:
+def _fact_chunk(n: int, tables: tuple[np.ndarray, ...], lo: int, hi: int) -> np.ndarray:
     """Entry i counts the pairs (c1, c2) whose product c1∘c2 has row i of
     _signatures(n), c1 any long cycle and c2 one of rows lo..hi-1 of
-    _cycle_rows(n).  Every product is composed and counted once, as
-    (c1∘q)∘tau, with no symmetry of the counts.
+    _cycle_rows(n), read from ``tables``, _pair_tables(n).  Every product is
+    composed and counted once, as (c1∘q)∘tau, with no symmetry of the counts.
 
     With k = min(_TAIL, n), the second factors fall into head groups by their
     first n - k images: c2 = q∘tau, q the lex-least permutation with that
@@ -394,8 +396,8 @@ def _fact_chunk(n: int, lo: int, hi: int) -> np.ndarray:
     pattern tau of the class adds it onto the counts with its pattern rows
     permuted by tau.  Those counts are added onto the signature rows once,
     at the end."""
-    sig, rows = _signatures(n)  # first: its build has the sweep's largest transients, so hold nothing else
-    cyc_t, pairs, high, head_of, pattern_of, sources = _pair_tables(n)
+    sig, rows = _signatures(n)
+    cyc_t, pairs, high, head_of, pattern_of, sources, least = tables
     k = min(_TAIL, n)
     block = math.factorial(k)
     heads = len(sig) // block
@@ -418,12 +420,12 @@ def _fact_chunk(n: int, lo: int, hi: int) -> np.ndarray:
 
     # group g holds the second factors with head index head[g], one for each
     # pattern tau set in the bit mask masks[g]
-    second = _cycle_rows(n)[lo:hi].T
+    second = cyc_t[:, lo:hi]
     index = head_of[_code(n, second[: n - k])] + pattern_of[_code(n, second[n - k :])]
     head, group = np.unique(index % heads, return_inverse=True)
     masks = np.zeros(len(head), dtype=np.int64)
     np.bitwise_or.at(masks, group, 1 << index // heads)
-    qs = _all_perm_rows(n)[head * block]  # the lex-least permutation with each head
+    qs = least[head]
     acc = np.empty(len(sig), dtype=np.int64)  # counts by pattern-major index, one class at a time
     by_pattern = np.zeros((block, heads), dtype=np.int64)
     classes = itertools.groupby(np.argsort(masks, kind="stable").tolist(), key=masks.tolist().__getitem__)
@@ -547,14 +549,12 @@ def product_pair_counts(n: int, workers: int = 1) -> np.ndarray:
     if n not in _pair_counts_cache:
         _require_scale("pair sweep", n, HARD_LIMIT)
         # built before any fork, so that the children inherit the tables
-        # instead of each building its own; the signatures first, as in _fact_chunk
+        # instead of each building its own.  The signatures first: their
+        # build has the sweep's largest transients, so it holds nothing else
         _signatures(n)
-        try:
-            _pair_tables(n)
-            chunks = _chunks(math.factorial(n - 1), workers)
-            _pair_counts_cache[n] = _chunk_sum(partial(_fact_chunk, n), chunks, workers)
-        finally:
-            _pair_tables.cache_clear()  # 55 MB at n = 9, and no other sweep reads them
+        tables = _pair_tables(n)  # 55 MB at n = 9, freed when this returns
+        chunks = _chunks(math.factorial(n - 1), workers)
+        _pair_counts_cache[n] = _chunk_sum(partial(_fact_chunk, n, tables), chunks, workers)
     return _pair_counts_cache[n]
 
 

@@ -27,11 +27,12 @@ Why some ``ci`` rows are there, and what they cost on a two-core CI runner:
 - ``oracle pairs --n 7 --alpha 3,4``, threads 1, 3: an odd ``n``, so an odd
   half of digits;
 - ``oracle pairs --n 9``: the 1.63G pairs at the sweep's limit, about 4 s
-  and 136 MB at either thread count, bounded at 156 MB;
+  and 109 MB at either thread count, bounded at 126 MB;
 - ``verify --suite formulas --suite parity --max-n 9``: 5,215 reports and
-  2,196 audit records over the ``n = 9`` pair sweep, about 4 s;
+  2,196 audit records over the ``n = 9`` pair sweep, about 5 s and 113 MB,
+  bounded at 130 MB;
 - ``oracle diagonal --n 10``: the sweep's limit, the 362,880 long cycles,
-  about 0.5 s and 116 MB, bounded at 133 MB;
+  about 0.5 s and 113 MB, bounded at 133 MB;
 - ``verify --max-n 7``: the text form prints one summary line per identity,
   then PASS; the JSON form at threads 2 and 3 counts the plane suite's words
   in two processes, then in three chunks;

@@ -241,10 +241,10 @@ class TestOracle:
         # that ends the range is the forked child's, and it prints its traceback
         chunk = oracle._fact_chunk
 
-        def broken(n, lo, hi):
+        def broken(n, tables, lo, hi):
             if hi == 120:
                 raise IndexError("broken chunk")
-            return chunk(n, lo, hi)
+            return chunk(n, tables, lo, hi)
 
         monkeypatch.setattr(oracle, "_fact_chunk", broken)
         monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

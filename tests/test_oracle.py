@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -54,6 +55,7 @@ from longcycles.oracle import (
     _fact_chunk,
     _lex_rank,
     _min_lengths,
+    _pair_tables,
     _plane_codes,
     _plane_tallies,
     _sep_prefixes,
@@ -64,6 +66,11 @@ from longcycles.oracle import (
 
 P = IntegerPartition
 C = Composition
+
+
+def _chunk(n, lo, hi):
+    """_fact_chunk over the second factors lo..hi-1, with tables of its own."""
+    return _fact_chunk(n, _pair_tables(n), lo, hi)
 
 
 @pytest.fixture
@@ -185,8 +192,9 @@ class TestLexRank:
             assert _lex_rank(n, list(image)) == i
 
     def test_fact_chunks_sum_to_whole_range(self):
-        whole = _fact_chunk(6, 0, 120)
-        parts = _fact_chunk(6, 0, 7) + _fact_chunk(6, 7, 64) + _fact_chunk(6, 64, 120)
+        tables = _pair_tables(6)
+        whole = _fact_chunk(6, tables, 0, 120)
+        parts = sum(_fact_chunk(6, tables, lo, hi) for lo, hi in ((0, 7), (7, 64), (64, 120)))
         assert np.array_equal(parts, whole)
         assert whole.sum() == 120**2
 
@@ -373,7 +381,7 @@ def _composed_counts(n, lo, hi):
 class TestPairKernel:
     @pytest.mark.parametrize("n, lo, hi", list(_pair_windows()))
     def test_fact_chunk_against_composed_products(self, n, lo, hi):
-        got = _fact_chunk(n, lo, hi)
+        got = _chunk(n, lo, hi)
         assert got.dtype == np.int64
         assert got.tolist() == _composed_counts(n, lo, hi).tolist()
         assert got.sum() == (hi - lo) * math.factorial(n - 1)
@@ -383,15 +391,17 @@ class TestPairKernel:
         # k = n: one head group, whose q is the identity, and every second
         # factor one of its patterns
         m = math.factorial(n - 1)
+        tables = _pair_tables(n)
         for lo in range(m + 1):
             for hi in range(lo, m + 1):
-                assert _fact_chunk(n, lo, hi).tolist() == _composed_counts(n, lo, hi).tolist()
+                assert _fact_chunk(n, tables, lo, hi).tolist() == _composed_counts(n, lo, hi).tolist()
 
     def test_chunks_cut_inside_head_groups_sum_to_whole_range(self):
-        whole = _fact_chunk(7, 0, 720)
+        tables = _pair_tables(7)
+        whole = _fact_chunk(7, tables, 0, 720)
         cuts = _head_cuts(7)
         for cut in cuts[:: len(cuts) // 4].tolist():
-            assert np.array_equal(_fact_chunk(7, 0, cut) + _fact_chunk(7, cut, 720), whole)
+            assert np.array_equal(_fact_chunk(7, tables, 0, cut) + _fact_chunk(7, tables, cut, 720), whole)
 
 
 def _pattern_products(k):
@@ -443,6 +453,15 @@ class TestEnumerators:
         for got, expected in ((_all_perm_rows(n), perms), (_cycle_words(n), words)):
             assert got.dtype == expected.dtype
             assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_perm_rows_with_a_tail_are_every_tail_factorial_th_row(self, n):
+        whole = _all_perm_rows(n)
+        for tail in range(min(4, n) + 1):
+            got, expected = _all_perm_rows(n, tail), whole[:: math.factorial(tail)]
+            assert got.dtype == np.int64
+            assert got.shape == expected.shape  # (1, 0) at n = 0
             assert np.array_equal(got, expected)
 
 
@@ -830,17 +849,62 @@ class TestDeterminism:
 
 
 class TestCodeTables:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_freed_once_the_counts_are_stored(self, clear_pair_caches, workers):
+    @pytest.fixture
+    def table_refs(self, monkeypatch, clear_pair_caches):
+        """Weak references to every array that _pair_tables returns from
+        here on, with the pair counts cleared and two CPUs."""
+        refs, build = [], oracle._pair_tables
+
+        def recorded(n):
+            tables = build(n)
+            refs.extend(map(weakref.ref, tables))
+            return tables
+
+        monkeypatch.setattr(oracle, "_pair_tables", recorded)
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         clear_pair_caches()
-        tables = [weakref.ref(table) for table in oracle._pair_tables(5)]
-        assert len(tables) == 6  # cyc_t, the pair and high codes, the head, pattern and source tables
+        return refs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_freed_once_the_counts_are_stored(self, table_refs, workers):
         gc.disable()  # freed by their reference counts, not by a later collection
         try:
             product_pair_counts(5, workers)
         finally:
             gc.enable()
-        assert [table() for table in tables] == [None] * 6
+        assert len(table_refs) == 7  # cyc_t, the pair and high codes, the head, pattern, source and least tables
+        assert [table() for table in table_refs] == [None] * 7
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_freed_once_a_failed_sweeps_exception_is_dropped(self, monkeypatch, table_refs, workers):
+        def broken(n, tables, lo, hi):
+            raise IndexError("broken chunk")
+
+        monkeypatch.setattr(oracle, "_fact_chunk", broken)
+        gc.disable()
+        try:
+            with pytest.raises(IndexError):
+                product_pair_counts(5, workers)
+        finally:
+            gc.enable()
+        assert len(table_refs) == 7
+        assert [table() for table in table_refs] == [None] * 7
+        assert 5 not in oracle._pair_counts_cache
+
+    def test_no_whole_permutation_table_stays_behind(self, clear_pair_caches):
+        # a cold n = 8 sweep keeps the signatures, the long cycles, the rank
+        # tables and the counts, about 1.1 MiB, and nothing of the size of
+        # the table of all 8! permutations (2.46 MiB)
+        clear_pair_caches()
+        for table in (_signatures, _cycle_rows, _cycle_words, oracle._rank_tables):
+            table.cache_clear()
+        tracemalloc.start()
+        try:
+            product_pair_counts(8)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < _all_perm_rows(8).nbytes
 
 
 def _assert_no_child_left():
@@ -856,8 +920,9 @@ class TestChunkSum:
     @pytest.mark.parametrize("workers", [1, 2, 3])  # 3 chunks over 2 processes
     def test_sums_equal_one_chunk(self, workers):
         m = math.factorial(4)
-        counts = oracle._chunk_sum(functools.partial(_fact_chunk, 5), oracle._chunks(m, workers), workers)
-        assert counts.tolist() == _fact_chunk(5, 0, m).tolist()
+        tables = _pair_tables(5)
+        counts = oracle._chunk_sum(functools.partial(_fact_chunk, 5, tables), oracle._chunks(m, workers), workers)
+        assert counts.tolist() == _fact_chunk(5, tables, 0, m).tolist()
         _assert_no_child_left()
 
     def test_without_fork_the_chunks_run_here(self, monkeypatch):
@@ -918,30 +983,34 @@ class TestPoolSize:
     def test_at_most_one_process_per_cpu_and_one_chunk_per_worker(
         self, monkeypatch, clear_pair_caches, cpus, workers, processes
     ):
-        calls, forks = [], []
-        tables = (oracle._signatures, oracle._pair_tables)
-        chunk_sum, fork = oracle._chunk_sum, os.fork
+        calls, forks, builds = [], [], []
+        chunk_sum, fork, build = oracle._chunk_sum, os.fork, oracle._pair_tables
+
+        def recorded_build(n):  # records who builds the tables, and after what
+            builds.append((n, os.getpid(), _signatures.cache_info().currsize))
+            return build(n)
 
         def recorded_chunk_sum(count, chunks, workers):
-            calls.append((list(chunks), [table.cache_info().currsize for table in tables]))
+            calls.append((list(chunks), len(builds)))
             return chunk_sum(count, chunks, workers)
 
         def recorded_fork():  # records what the runner forks, then forks
             forks.append(None)
             return fork()
 
+        monkeypatch.setattr(oracle, "_pair_tables", recorded_build)
         monkeypatch.setattr(oracle, "_chunk_sum", recorded_chunk_sum)
         monkeypatch.setattr(oracle.os, "fork", recorded_fork)
         monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         clear_pair_caches()
-        for table in tables:
-            table.cache_clear()
+        _signatures.cache_clear()
         counts = product_pair_counts(5, workers)
         ((chunks, prebuilt),) = calls
         assert len(forks) + 1 == processes
-        assert prebuilt == [1, 1]  # the forked children inherit the tables for n = 5
+        assert builds == [(5, os.getpid(), 1)]  # once, here, with the signatures already built
+        assert prebuilt == 1  # before the fork: the children inherit the tables
         assert len(chunks) == min(workers, math.factorial(4))
-        assert counts.tolist() == _fact_chunk(5, 0, math.factorial(4)).tolist()
+        assert counts.tolist() == _chunk(5, 0, math.factorial(4)).tolist()
         _assert_no_child_left()
 
     def test_one_worker_forks_nothing(self, monkeypatch, clear_pair_caches):
@@ -950,7 +1019,7 @@ class TestPoolSize:
 
         monkeypatch.setattr(oracle.os, "fork", no_fork)
         clear_pair_caches()
-        assert product_pair_counts(6, 1).tolist() == _fact_chunk(6, 0, 120).tolist()
+        assert product_pair_counts(6, 1).tolist() == _chunk(6, 0, 120).tolist()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_worker_loads_no_process_pool(self, workers):  # two fork without one
