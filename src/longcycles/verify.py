@@ -36,16 +36,19 @@ import gc
 import itertools
 import json
 import math
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
 from . import formulas, oracle, plane
 from ._suites import SUITES
+from .errors import ResourceLimitError
 from .formulas import _value_str
 from .partitions import (
     Composition,
@@ -92,6 +95,10 @@ class IdentityReport:
     a report builds no string; the text is joined only when read, through
     ``instance``, ``to_dict`` and ``str``.  Equality and repr go by the
     joined text.
+
+    The baserecur suite keeps its reports as columns (``_ReportBlock``) and
+    builds one only when it is indexed or iterated: its sides are then
+    Python ints, the right side a ``Fraction`` when it is a half.
     """
 
     __slots__ = ("identity", "_head", "lhs", "rhs", "_mid", "_tail")
@@ -170,6 +177,99 @@ class ParityAuditRecord:
             f"[{mark}] parity violation {self.identity} @ {self.instance}: "
             f"expression gives {_value_str(self.formula_value)}, true count {self.true_count}"
         )
+
+
+@dataclass(slots=True, eq=False)
+class _ReportBlock:
+    """The reports of one identity as two int64 columns, the left sides and
+    twice the right sides, beside ``texts``, each instance's text as (head,
+    mid, tail) in the same order: a report passes on ``2 * lhs == twice``.
+    Counts and failures come from the columns; an IdentityReport is built
+    only when one is indexed or iterated, and the JSON dicts of 1024 reports
+    at a time straight from the columns."""
+
+    identity: str
+    lhs: np.ndarray
+    twice: np.ndarray
+    texts: Sequence[tuple[str, str, str]]
+
+    def __len__(self) -> int:
+        return len(self.lhs)
+
+    def failed(self) -> np.ndarray:
+        """The indices of the reports that fail, in order."""
+        return np.flatnonzero(2 * self.lhs != self.twice)
+
+    def _report(self, text: tuple[str, str, str], lhs: int, twice: int) -> IdentityReport:
+        head, mid, tail = text
+        return IdentityReport(self.identity, head, lhs, _half(twice), mid, tail)
+
+    def __getitem__(self, i: int) -> IdentityReport:
+        return self._report(self.texts[i], int(self.lhs[i]), int(self.twice[i]))
+
+    def _chunks(self, size: int) -> Iterator[tuple[Iterable, list[int], list[int]]]:
+        """The texts and the sides as Python ints of ``size`` reports at a
+        time, so that no list over the whole column is held."""
+        texts = iter(self.texts)
+        for lo in range(0, len(self), size):
+            hi = lo + size
+            yield itertools.islice(texts, size), self.lhs[lo:hi].tolist(), self.twice[lo:hi].tolist()
+
+    def __iter__(self) -> Iterator[IdentityReport]:
+        for chunk in self._chunks(1024):
+            yield from map(self._report, *chunk)
+
+    def dicts(self, size: int) -> Iterator[list[dict]]:
+        """``[r.to_dict() for r in chunk]`` of each chunk of ``size`` reports."""
+        name = self.identity
+        for texts, lhs, twice in self._chunks(size):
+            yield [
+                {"identity": name, "instance": head + mid + tail, "lhs": str(left),
+                 "rhs": _value_str(_half(right)), "pass": 2 * left == right}
+                for (head, mid, tail), left, right in zip(texts, lhs, twice)
+            ]
+
+
+class _Reports(Sequence):
+    """A read-only sequence of reports, kept as parts in order: tuples of
+    records and _ReportBlocks.  ``+`` with a list or another _Reports joins
+    the parts, copying no block; iterating or indexing a block builds its
+    reports one at a time."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Iterable[tuple | _ReportBlock] = ()) -> None:
+        self.parts = tuple(parts)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.parts))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        for part in self.parts:
+            if 0 <= i < len(part):
+                return part[i]
+            i -= len(part)
+        raise IndexError("report index out of range")
+
+    def __iter__(self) -> Iterator:
+        return itertools.chain.from_iterable(self.parts)
+
+    def __add__(self, other: object) -> _Reports:
+        if isinstance(other, _Reports):
+            return _Reports(self.parts + other.parts)
+        if isinstance(other, list):
+            return _Reports((*self.parts, tuple(other)))
+        return NotImplemented
+
+    def __radd__(self, other: object) -> _Reports:
+        if isinstance(other, list):
+            return _Reports((tuple(other), *self.parts))
+        return NotImplemented
 
 
 @contextmanager
@@ -405,50 +505,137 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
 # pure partition algebra
 
 
-def _leading_folds(
-    rest: int, parts: tuple[int, ...], folded: list, folds: dict, keep: int
-) -> Iterator[tuple[tuple[int, ...], list]]:
-    """Each composition of sum(parts) + rest that begins with parts, in
-    _compositions order, with its leading blocks folded, in itertools.product
-    order, into (key text, z, sum_i S_i z / z_i, weight, length), from
-    ``folded``, the fold of parts.  A composition leads at every larger
-    total, so ``folds`` keeps the fold of each one of sum below ``keep``, and
-    each is folded once per call of baserecur_reports."""
-    yield parts + (rest,), folded
-    for b in range(rest - 1, 0, -1):
-        lead = parts + (b,)
-        lead_folded = folds.get(lead)
-        if lead_folded is None:
-            lead_folded = [
-                (text + piece + " | ", z * zp, s * zp + sp * z, w + wp, length + lp)
-                for text, z, s, w, length in folded
-                for piece, zp, sp, wp, lp in _block_pieces(b).values()
-            ]
-            if sum(lead) < keep:
-                folds[lead] = lead_folded
-        yield from _leading_folds(rest - b, lead, lead_folded, folds, keep)
+def _require_int64(max_n: int) -> None:
+    """Raise ResourceLimitError unless every value of _baserecur_columns at
+    totals up to max_n stays below 2**62, so that it and its double are
+    exact in int64: a bound on z, S, the weight and twice either side, in
+    Python ints, from each block size's largest pieces, folded over the
+    compositions as the columns fold them."""
+    largest = [[max(column) for column in list(zip(*_block_pieces(p).values()))[1:4]] for p in range(max_n + 1)]
+    tops = [(1, 0, 0)]  # per total: bounds on z, S and the weight over its block types
+    for total in range(1, max_n + 1):
+        z = s = w = 0
+        for first in range(1, total + 1):
+            (zp, sp, wp), (zr, sr, wr) = largest[first], tops[total - first]
+            z, s, w = max(z, zp * zr), max(s, sp * zr + zp * sr), max(w, wp + wr)
+        tops.append((z, s, w))
+        if max(2 * s + z * w, 2 * total * z) >= 2**62:  # twice the rhs, twice the lhs (N - length) z
+            raise ResourceLimitError(f"the baserecur suite at n={max_n} would overflow int64 at N={total}")
+
+
+def _grouped(copies: int, sizes: np.ndarray) -> np.ndarray:
+    """Where each entry of a (copies, sum(sizes)) array goes when its
+    columns are cut into segments of ``sizes`` and each segment's rows are
+    laid out together, segment by segment."""
+    ends = np.cumsum(sizes)
+    start, size = np.repeat(ends - sizes, sizes), np.repeat(sizes, sizes)
+    return np.arange(copies)[:, None] * size + ((copies - 1) * start + np.arange(ends[-1]))
+
+
+def _baserecur_columns(max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The left sides and twice the right sides of baserecur at every total
+    N = 1..max_n, in its order, as int64 columns, and the instance count of
+    each composition of each N in turn.
+
+    The block types of the compositions of m, first block ``first`` = m..1
+    and the rest a composition of m - first, are the outer products of the
+    pieces of ``first`` with the folded columns (z, S, weight, length) of
+    m - first: z multiplies, S = sum_i S_i z / z_i folds as S' z + z' S, and
+    the weight and the length add.  Each product is laid out so that every
+    composition's block types stay together, last block fastest."""
+    pieces = [np.array([piece[1:] for piece in _block_pieces(p).values()], dtype=np.int64).T for p in range(max_n + 1)]
+    counts = [1]  # per total: its instances
+    for total in range(1, max_n + 1):
+        counts.append(sum(pieces[first].shape[1] * counts[total - first] for first in range(1, total + 1)))
+    lhs, twice = np.empty((2, sum(counts) - 1), dtype=np.int64)
+    folded = [np.array([[1], [0], [0], [0]], dtype=np.int64)]  # per total: z, S, weight, length
+    sizes = [np.ones(1, dtype=np.int64)]  # per total: the instances of each composition
+    done = 0
+    for total in range(1, max_n + 1):
+        out, lo, segments = np.empty((4, counts[total]), dtype=np.int64), 0, []
+        for first in range(total, 0, -1):
+            z, s, w, length = pieces[first][:, :, None]
+            rz, rs, rw, rlength = folded[total - first][:, None, :]
+            at = lo + _grouped(len(z), sizes[total - first])
+            out[0, at] = z * rz
+            out[1, at] = s * rz + z * rs
+            out[2, at] = w + rw
+            out[3, at] = length + rlength
+            lo += at.size
+            segments.append(len(z) * sizes[total - first])
+        folded.append(out)
+        sizes.append(np.concatenate(segments))
+        z, s, w, length = out
+        rows = slice(done, done + counts[total])
+        np.multiply(total - length, z, out=lhs[rows])
+        np.add(2 * s, z * w, out=twice[rows])
+        done += counts[total]
+    return lhs, twice, np.concatenate(sizes[1:])
+
+
+class _BlockTypeTexts(Sequence):
+    """The instance texts of baserecur in its order, each as (head, the
+    leading blocks' text, the last block's piece): "N=3 alpha=(2,1) Lam=",
+    "1+1 | ", "1".  Only the instance count of each composition is held;
+    iteration builds a head per composition and a leading text per leading
+    key, and indexing decodes the composition from its place."""
+
+    __slots__ = ("max_n", "ends")
+
+    def __init__(self, max_n: int, sizes: np.ndarray) -> None:
+        self.max_n = max_n
+        self.ends = np.cumsum(sizes)
+
+    def __len__(self) -> int:
+        return int(self.ends[-1])
+
+    @staticmethod
+    def _texts(p: int) -> list[str]:
+        return [piece[0] for piece in _block_pieces(p).values()]
+
+    def __iter__(self) -> Iterator[tuple[str, str, str]]:
+        texts = [self._texts(p) for p in range(self.max_n + 1)]
+        leads = [[text + " | " for text in by_p] for by_p in texts]
+        for total in range(1, self.max_n + 1):
+            for alpha in _compositions(total):
+                head, mids = f"N={total} alpha={format_d_key(alpha)} Lam=", [""]
+                for p in alpha[:-1]:
+                    mids = [mid + lead for mid in mids for lead in leads[p]]
+                for mid in mids:
+                    for tail in texts[alpha[-1]]:
+                        yield head, mid, tail
+
+    def __getitem__(self, i: int) -> tuple[str, str, str]:
+        # the compositions of N are the 2^(N-1) after those of smaller totals,
+        # each at its cut pattern read as a binary number
+        g = int(np.searchsorted(self.ends, i, side="right"))
+        k = i - (int(self.ends[g - 1]) if g else 0)  # the key's place among its composition's
+        total = (g + 1).bit_length()
+        cuts = g + 1 - (1 << (total - 1))
+        bounds = [0, *(j for j in range(1, total) if cuts >> (total - 1 - j) & 1), total]
+        alpha = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        texts = []
+        for p in reversed(alpha):  # the last block's partition changes fastest
+            k, d = divmod(k, len(_block_pieces(p)))
+            texts.append(self._texts(p)[d])
+        *leading, tail = reversed(texts)
+        return f"N={total} alpha={format_d_key(alpha)} Lam=", "".join(text + " | " for text in leading), tail
 
 
 @_collector_paused()
-def baserecur_reports(max_n: int = 12) -> list[IdentityReport]:
-    """The length-weight recurrence over all block types of all compositions,
-    oracle-free: each side is a product or a sum of per-block pieces."""
+def baserecur_reports(max_n: int = 12) -> _Reports:
+    """The length-weight recurrence over all block types of all compositions
+    of every N up to max_n, oracle-free: each side is a product or a sum of
+    per-block pieces, computed as int64 columns (_baserecur_columns) after a
+    bound in Python ints shows that they are exact (_require_int64).
+
+    A read-only sequence of reports (len, indexing, iteration, unpacking,
+    ``+`` with a list), which holds one _ReportBlock: each IdentityReport
+    is built only when it is read."""
     oracle._require_scale("the baserecur suite", max_n, _SUITE_LIMITS["baserecur"])
-    reports: list[IdentityReport] = []
-    append = reports.append
-    folds: dict = {}  # the leading compositions' folds, shared by every total
-    for total in range(1, max_n + 1):
-        for alpha_parts, folded in _leading_folds(total, (), [("", 1, 0, 0, 0)], folds, max_n - 1):
-            head = f"N={total} alpha={format_d_key(alpha_parts)} Lam="
-            last = tuple(_block_pieces(alpha_parts[-1]).values())
-            for text, z, s, w, length in folded:
-                for piece, zp, sp, wp, lp in last:
-                    z_key = z * zp
-                    twice = 2 * (s * zp + sp * z) + z_key * (w + wp)  # the right side, doubled
-                    rhs = twice >> 1 if twice & 1 == 0 else Fraction(twice, 2)  # _half, inline
-                    lhs = (total - length - lp) * z_key
-                    append(IdentityReport("length_weight_base", head, lhs, rhs, text, piece))
-    return reports
+    _require_int64(max_n)
+    lhs, twice, sizes = _baserecur_columns(max_n)
+    return _Reports((_ReportBlock("length_weight_base", lhs, twice, _BlockTypeTexts(max_n, sizes)),))
 
 
 # ---------------------------------------------------------------------------
@@ -750,8 +937,9 @@ def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityRe
 
 # the largest n at which each suite can run: the plane tallies and the plane
 # suite's n! permutation rows stop at PLANE_SWEEP_LIMIT, the pair sweep at
-# HARD_LIMIT; baserecur's instances grow about 2.7x per N
-# (264,499 at N = 13, 5.2M at N = 16)
+# HARD_LIMIT; baserecur's columns stay exact in int64 well past its limit
+# (_require_int64), but its instances grow about 2.7x per N (713,709 up to
+# N = 14, 5.2M at N = 16), and a JSON run writes each one
 _SUITE_LIMITS = {
     "classic": oracle.PLANE_SWEEP_LIMIT,
     "section3": oracle.PLANE_SWEEP_LIMIT,
@@ -764,23 +952,51 @@ _SUITE_LIMITS = {
 
 @dataclass
 class VerifyRun:
-    reports: list[IdentityReport]
+    """The reports and parity-audit records of one run.
+
+    ``reports`` may be given as any sequence of IdentityReport, such as a
+    list; it is kept as a read-only sequence of parts, in which the suites'
+    lists are tuples and baserecur is a _ReportBlock.  ``ok``,
+    ``summary_lines()`` and ``failures()`` read a block's columns and build
+    only its failed reports; ``write_json`` writes its dicts straight from
+    the columns."""
+
+    reports: Sequence[IdentityReport]
     audit: list[ParityAuditRecord]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.reports, _Reports):
+            self.reports = _Reports((tuple(self.reports),))
+
+    def _failed(self) -> Iterator[IdentityReport]:
+        for part in self.reports.parts:
+            if isinstance(part, _ReportBlock):
+                yield from map(part.__getitem__, part.failed().tolist())
+            else:
+                yield from (r for r in part if not r.passed)
 
     @property
     def ok(self) -> bool:
-        return all(r.passed for r in self.reports) and all(a.ok for a in self.audit)
+        return next(self._failed(), None) is None and all(a.ok for a in self.audit)
 
     def failures(self) -> list[str]:
-        out = [str(r) for r in self.reports if not r.passed]
+        out = [str(r) for r in self._failed()]
         out += [str(a) for a in self.audit if not a.ok]
         return out
 
     def summary_lines(self) -> list[str]:
         by_identity: dict[str, tuple[int, int]] = {}
-        for r in self.reports:
-            done, bad = by_identity.get(r.identity, (0, 0))
-            by_identity[r.identity] = (done + 1, bad + (0 if r.passed else 1))
+
+        def tally(name: str, count: int, failed: int) -> None:
+            done, bad = by_identity.get(name, (0, 0))
+            by_identity[name] = (done + count, bad + failed)
+
+        for part in self.reports.parts:
+            if isinstance(part, _ReportBlock):
+                tally(part.identity, len(part), len(part.failed()))
+            else:
+                for r in part:
+                    tally(r.identity, 1, 0 if r.passed else 1)
         lines = []
         for name in sorted(by_identity):
             done, bad = by_identity[name]
@@ -799,15 +1015,22 @@ class VerifyRun:
             "ok": self.ok,
         }
 
+    def _dict_chunks(self, size: int) -> Iterator[list[dict]]:
+        for part in self.reports.parts:
+            if isinstance(part, _ReportBlock):
+                yield from part.dicts(size)
+            else:
+                for lo in range(0, len(part), size):
+                    yield [r.to_dict() for r in part[lo : lo + size]]
+
     def write_json(self, out: TextIO) -> None:
         """Write ``json.dumps(self.to_dict(), sort_keys=True)`` and a newline,
         holding the dicts of 1024 reports at a time, not all of them."""
-        encode, chunk = json.JSONEncoder(sort_keys=True).encode, 1024
+        encode = json.JSONEncoder(sort_keys=True).encode
         audit = encode([a.to_dict() for a in self.audit])
         out.write(f'{{"audit": {audit}, "ok": {encode(self.ok)}, "reports": [')
-        for lo in range(0, len(self.reports), chunk):
-            dicts = [r.to_dict() for r in self.reports[lo : lo + chunk]]
-            out.write((", " if lo else "") + encode(dicts)[1:-1])  # the items, without [ and ]
+        for i, dicts in enumerate(self._dict_chunks(1024)):
+            out.write((", " if i else "") + encode(dicts)[1:-1])  # the items, without [ and ]
         out.write("]}\n")
 
 
@@ -826,7 +1049,7 @@ def run_suites(
     sizes = {"baserecur": baserecur_max_n, "plane": plane_max_n or max_n}  # the n each suite runs at
     for suite in suites:
         oracle._require_scale(f"the {suite} suite", sizes.get(suite, max_n), _SUITE_LIMITS[suite])
-    reports: list[IdentityReport] = []
+    reports = _Reports()
     audit: list[ParityAuditRecord] = []
     if "classic" in suites:
         reports += classic_reports(max_n)

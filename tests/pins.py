@@ -35,11 +35,14 @@ Why some ``ci`` rows are there, and what they cost on a two-core CI runner:
   about 0.5 s and 113 MB, bounded at 133 MB;
 - ``verify --max-n 7``: the text form prints one summary line per identity,
   then PASS; the JSON form at threads 2 and 3 counts the plane suite's words
-  in two processes, then in three chunks;
+  in two processes, then in three chunks; about 53 MB either way, bounded at
+  61 MB (text) and 62 MB (JSON);
 - ``verify --suite plane --max-n 7``, threads 1, 2, 3: the plane suite
   alone at its limit, 3.6M arrays and 18.1M transpositions;
-- ``verify --suite baserecur --baserecur-max-n 14``: the suite's limit,
-  713,709 reports, about 4-6 s and 149 MB;
+- ``verify --suite baserecur --baserecur-max-n 13`` and ``14``: 264,499
+  and, at the suite's limit, 713,709 reports, held as int64 columns and
+  written 1,024 at a time: about 1 s and 52 MB, bounded at 60 MB, and
+  2-4 s and 80 MB, bounded at 92 MB;
 - the ``exit`` 2 rows other than ``--force``: each command declares only the
   flags it reads, so argparse rejects the rest itself.
 

@@ -13,6 +13,7 @@ import pytest
 from longcycles import (
     IntegerPartition,
     Permutation,
+    cli,
     compose,
     formulas,
     long_cycle_iter,
@@ -106,7 +107,7 @@ class TestSuites:
 
         for name in ("_all_perm_rows", "_signatures", "_cycle_rows", "_cycle_words", "product_pair_counts"):
             monkeypatch.setattr(oracle, name, never)
-        for name in ("_eta_rows", "_leading_folds", "_zagier_oracle"):
+        for name in ("_eta_rows", "_require_int64", "_baserecur_columns", "_zagier_oracle"):
             monkeypatch.setattr(verify, name, never)
         function = "baserecur_reports" if suite == "baserecur" else SWEEP_LIMITS[suite][0]
         with pytest.raises(ResourceLimitError, match=f"the {suite} suite"):
@@ -504,6 +505,145 @@ class TestBaserecurSecondRoute:
         (report,) = verify.baserecur_reports(1)
         assert (report.lhs, report.rhs, report.passed) == (0, Fraction(1, 2), False)
         assert str(report) == "[FAIL] length_weight_base @ N=1 alpha=(1) Lam=1: 0 vs 1/2"
+
+
+def _leading_folds(rest, parts, folded, folds, keep):
+    """Each composition of sum(parts) + rest that begins with parts, in
+    _compositions order, with its leading blocks folded, in itertools.product
+    order, into (key text, z, sum_i S_i z / z_i, weight, length), from
+    ``folded``, the fold of parts.  A composition leads at every larger
+    total, so ``folds`` keeps the fold of each one of sum below ``keep``."""
+    yield parts + (rest,), folded
+    for b in range(rest - 1, 0, -1):
+        lead = parts + (b,)
+        lead_folded = folds.get(lead)
+        if lead_folded is None:
+            lead_folded = [
+                (text + piece + " | ", z * zp, s * zp + sp * z, w + wp, length + lp)
+                for text, z, s, w, length in folded
+                for piece, zp, sp, wp, lp in verify._block_pieces(b).values()
+            ]
+            if sum(lead) < keep:
+                folds[lead] = lead_folded
+        yield from _leading_folds(rest - b, lead, lead_folded, folds, keep)
+
+
+def scalar_baserecur_reports(max_n):
+    """baserecur one instance at a time in Python ints, from the pieces of
+    verify._block_pieces: the reference for its int64 columns."""
+    reports = []
+    folds = {}  # the leading compositions' folds, shared by every total
+    for total in range(1, max_n + 1):
+        for alpha_parts, folded in _leading_folds(total, (), [("", 1, 0, 0, 0)], folds, max_n - 1):
+            head = f"N={total} alpha={format_d_key(alpha_parts)} Lam="
+            last = tuple(verify._block_pieces(alpha_parts[-1]).values())
+            for text, z, s, w, length in folded:
+                for piece, zp, sp, wp, lp in last:
+                    z_key = z * zp
+                    twice = 2 * (s * zp + sp * z) + z_key * (w + wp)  # the right side, doubled
+                    rhs = twice >> 1 if twice & 1 == 0 else Fraction(twice, 2)
+                    lhs = (total - length - lp) * z_key
+                    reports.append(IdentityReport("length_weight_base", head, lhs, rhs, text, piece))
+    return reports
+
+
+def _fields(reports):
+    return [(r.identity, r.instance, r.lhs, r.rhs, type(r.lhs), type(r.rhs), str(r)) for r in reports]
+
+
+class TestBaserecurColumns:
+    @pytest.mark.parametrize("max_n", [*range(1, 13), pytest.param(14, marks=pytest.mark.extended)])
+    def test_every_field_is_the_scalar_reference(self, max_n):
+        reports = verify.baserecur_reports(max_n)
+        reference = scalar_baserecur_reports(max_n)
+        assert len(reports) == len(reference)
+        assert _fields(reports) == _fields(reference)
+
+    def test_int64_bound_holds_at_the_limit_and_fails_above(self):
+        verify._require_int64(verify._SUITE_LIMITS["baserecur"])
+        with pytest.raises(ResourceLimitError, match="overflow int64"):
+            verify._require_int64(20)
+
+    def test_int64_bound_is_checked_before_the_columns(self, monkeypatch):
+        def never(max_n):
+            raise AssertionError("int64 columns past the bound")
+
+        monkeypatch.setitem(verify._SUITE_LIMITS, "baserecur", 20)
+        monkeypatch.setattr(verify, "_baserecur_columns", never)
+        with pytest.raises(ResourceLimitError, match="the baserecur suite at n=20 would overflow int64"):
+            verify.baserecur_reports(20)
+
+    def test_a_failing_piece_fails_the_reference_instances(self, monkeypatch):
+        # one more unit of weight on the partition 2+1 of a block of 3: every
+        # key with that block fails, by z / 2, a half where z is odd
+        def heavier(p):
+            return {c: (text, z, s, w + (c == (2, 1)), n) for c, (text, z, s, w, n) in _block_pieces(p).items()}
+
+        monkeypatch.setattr(verify, "_block_pieces", heavier)
+        run = verify.run_suites(("baserecur",), 3, baserecur_max_n=7)
+        expected = [str(r) for r in scalar_baserecur_reports(7) if not r.passed]
+        assert expected and any("/2" in line for line in expected)
+        assert run.failures() == expected  # read from the columns, built one index at a time
+        assert [str(r) for r in run.reports if not r.passed] == expected  # built in order
+        assert f"length_weight_base: {len(run.reports)} instances, {len(expected)} FAILED" in run.summary_lines()
+        assert not run.ok
+        out = io.StringIO()
+        run.write_json(out)  # the dicts straight from the columns, halves and failures included
+        assert out.getvalue() == json.dumps(run.to_dict(), sort_keys=True) + "\n"
+
+
+class TestReportStore:
+    def test_sequence_protocol(self):
+        reports, reference = verify.baserecur_reports(8), scalar_baserecur_reports(8)
+        n = len(reference)
+        assert len(reports) == n and list(reports) == reference
+        assert [reports[i] for i in range(n)] == reference == [reports[i] for i in range(-n, 0)]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                reports[i]
+        assert reports[3:9] == reference[3:9] and reports[::-7] == reference[::-7]
+        first, second, *rest, last = reports
+        assert [first, second, *rest, last] == reference
+        extra = IdentityReport("x", "n=1", 1, 1)
+        assert list(reports + [extra]) == [*reference, extra]
+        assert list([extra] + reports) == [extra, *reference]
+        assert list(reports + reports) == reference * 2
+        assert reports.index(reference[7]) == 7 and reference[-1] in reports
+
+    def test_reports_joined_with_the_audit(self):
+        run = verify.run_suites(("classic", "baserecur", "parity"), 3, baserecur_max_n=4)
+        records = run.reports + run.audit
+        assert len(records) == len(run.reports) + len(run.audit) and run.audit
+        assert list(records) == [*verify.classic_reports(3), *scalar_baserecur_reports(4), *run.audit]
+
+    def test_json_of_lists_and_blocks_is_the_document_of_to_dict(self):
+        # a failed report on each side of a block, and chunks of 1024 that
+        # cross from one part into the next
+        reports = [IdentityReport("fake", "n=1", 0, Fraction(1, 2))] * 700
+        reports = reports + verify.baserecur_reports(8) + [IdentityReport("fake", "n=2", 3, 4)]
+        run = VerifyRun(reports=reports, audit=[ParityAuditRecord("fake_parity", "n=3", 2, 0)])
+        out = io.StringIO()
+        run.write_json(out)
+        assert out.getvalue() == json.dumps(run.to_dict(), sort_keys=True) + "\n"
+        assert [d["pass"] for d in run.to_dict()["reports"]].count(False) == 701
+
+    def test_a_passing_run_builds_no_report_for_its_text(self, monkeypatch, capsys):
+        built = []
+        init = IdentityReport.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(IdentityReport, "__init__", counted)
+        run = verify.run_suites(("baserecur",), 3, baserecur_max_n=10)
+        assert run.ok and run.failures() == []
+        assert run.summary_lines() == [f"length_weight_base: {len(run.reports)} instances, ok"]
+        assert cli.main(["verify", "--suite", "baserecur", "--baserecur-max-n", "10"]) == 0
+        assert capsys.readouterr().out.endswith("PASS\n")
+        assert built == []
+        run.reports[-1]
+        assert len(built) == 1  # the count sees a report that is read
 
 
 class TestZagierOracle:
