@@ -1,0 +1,477 @@
+"""Block-type key spaces and the int64 columns of the classic, section3 and
+baserecur identity suites of :mod:`longcycles.verify`.
+
+The block types (keys) of every composition of a total are laid out one
+composition after another, and their z, odd-split sum, weight and length,
+their odd splits and their down-arrow steps are folded block by block into
+index arrays (_key_columns, _key_moves).  The oracle's plane tallies and pair
+counts are dense arrays in the same key order (oracle._plane_array,
+oracle._pair_array), so each side of an identity is a sum over split or step
+rows, with no Python loop per instance, taken exactly once a bound in Python
+ints shows that every column stays below 2**62 (_require_exact,
+_require_int64).  The suites build their _ReportBlocks from what this module
+returns: identity names, codes, both sides doubled, and the texts.
+
+The suites import this module when they first run, so that a process that
+never runs them does not load it.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from collections.abc import Callable, Iterator, Sequence
+from functools import cache, partial
+
+import numpy as np
+
+from . import oracle
+from .errors import ResourceLimitError
+from .partitions import (
+    _block_pieces,
+    _compositions,
+    _odd_refinements,
+    _partition_list,
+    _shrink_steps,
+    format_d_key,
+    format_type_key,
+)
+
+
+# ---------------------------------------------------------------------------
+# key spaces: the block types of every composition of a total m, each
+# composition's keys in _partition_sequence_keys order (mixed radix, the last
+# block fastest), one composition after another in _compositions order, with
+# the per-key columns and moves that the suites read, all as int64 arrays
+
+
+def _grouped(copies: int, sizes: np.ndarray) -> np.ndarray:
+    """Where each entry of a (copies, sum(sizes)) array goes when its
+    columns are cut into segments of ``sizes`` and each segment's rows are
+    laid out together, segment by segment."""
+    ends = np.cumsum(sizes)
+    start, size = np.repeat(ends - sizes, sizes), np.repeat(sizes, sizes)
+    return np.arange(copies)[:, None] * size + ((copies - 1) * start + np.arange(ends[-1]))
+
+
+def _key_columns(max_n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per total m = 0..max_n: the columns (z, S, weight, length) of every key
+    of the key space of m, and the key count of each of its compositions.
+
+    The keys of the compositions of m with first block ``first`` = m..1 are
+    the outer products of the pieces of ``first`` (_block_pieces) with the
+    keys of m - first: z multiplies, S = sum_i S_i z / z_i, the odd splits'
+    z, folds as S' z + z' S, and the weight and the length add.  Each
+    product is laid out by _grouped, so that every composition's keys stay
+    together, the last block fastest."""
+    pieces = [np.array([piece[1:] for piece in _block_pieces(p).values()], dtype=np.int64).T for p in range(max_n + 1)]
+    folded = [np.array([[1], [0], [0], [0]], dtype=np.int64)]
+    sizes = [np.ones(1, dtype=np.int64)]
+    for total in range(1, max_n + 1):
+        count = sum(pieces[first].shape[1] * folded[total - first].shape[1] for first in range(1, total + 1))
+        out, lo, segments = np.empty((4, count), dtype=np.int64), 0, []
+        for first in range(total, 0, -1):
+            z, s, w, length = pieces[first][:, :, None]
+            rz, rs, rw, rlength = folded[total - first][:, None, :]
+            at = lo + _grouped(len(z), sizes[total - first])
+            out[0, at] = z * rz
+            out[1, at] = s * rz + z * rs
+            out[2, at] = w + rw
+            out[3, at] = length + rlength
+            lo += at.size
+            segments.append(len(z) * sizes[total - first])
+        folded.append(out)
+        sizes.append(np.concatenate(segments))
+    return folded, sizes
+
+
+@cache
+def _block_moves(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The odd splits and the down-arrow steps of the partitions of p, by
+    index in _partition_list order: splits (3, R), rows (partition, split,
+    kappa), from _odd_refinements; steps (5, T), rows (partition, its shrunk
+    partition of p - 1, twice the coefficient, the part times its
+    multiplicity, part), from _shrink_steps of a block of size p."""
+    index = {c: i for i, c in enumerate(_partition_list(p))}
+    down = {c: i for i, c in enumerate(_partition_list(p - 1))}
+    splits = [(index[c], index[mu], kap) for c in index for mu, kap in _odd_refinements(c)]
+    steps = [
+        (index[c], down[shrunk], twice, part * c.count(part), part)
+        for c in index
+        for _i0, part, twice, _a2, (shrunk,) in _shrink_steps((p,), (c,))
+    ]
+    return np.array(splits, dtype=np.int64).reshape(-1, 3).T, np.array(steps, dtype=np.int64).reshape(-1, 5).T
+
+
+def _key_moves(max_m: int, sizes: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per total m = 0..max_m, the odd splits and the down-arrow steps of the
+    keys of m, with ``sizes`` from _key_columns: splits (3, R), rows (key,
+    split key, kappa), one per odd split of one block; steps (6, T), rows
+    (key, the shrunk key among those of m - 1, twice the coefficient, the
+    part times its multiplicity, block index, part), each key's steps in
+    _shrink_steps order.
+
+    Folded as _key_columns folds: a move of the first block moves its piece
+    and keeps the rest, and a move of the rest keeps the piece and moves the
+    rest as the moves of m - first do."""
+    moves = [(np.empty((3, 0), dtype=np.int64), np.empty((6, 0), dtype=np.int64))]
+    below: dict[int, np.ndarray] = {}  # the places of m - 1
+    for m in range(1, max_m + 1):
+        splits, steps, places, lo = [], [], {}, 0
+        for first in range(m, 0, -1):
+            # at[d, j]: the key with piece d of ``first`` and key j of m - first
+            at = places[first] = lo + _grouped(len(_block_pieces(first)), sizes[m - first])
+            lo += at.size
+            (c, mu, kap), own_steps = _block_moves(first)
+            splits.append(np.broadcast_arrays(at[c], at[mu], kap[:, None]))
+            key, split, kap = moves[m - first][0]
+            splits.append(np.broadcast_arrays(at[:, key], at[:, split], kap))
+            c, shrunk, *columns = own_steps
+            if c.size:  # a step of the first block leaves m - 1 with first block ``first - 1``
+                twice, mult, part = (column[:, None] for column in columns)
+                steps.append(np.broadcast_arrays(at[c], below[first - 1][shrunk], twice, mult, 0, part))
+            key, shrunk, twice, mult, block, part = moves[m - first][1]
+            if key.size:
+                steps.append(np.broadcast_arrays(at[:, key], below[first][:, shrunk], twice, mult, block + 1, part))
+        splits, steps = ([np.stack(move).reshape(len(move), -1) for move in group] for group in (splits, steps))
+        steps = np.concatenate(steps, axis=1) if steps else moves[0][1]
+        moves.append((np.concatenate(splits, axis=1), steps[:, np.lexsort((-steps[5], steps[4], steps[0]))]))
+        below = places
+    return moves
+
+
+def _seq_texts(total: int) -> Iterator[tuple[tuple[int, ...], list[str], list[str]]]:
+    """Per composition of total, in order: (the composition, the texts of
+    its leading blocks, "1+1 | 2 | ", and those of its last block, "1"):
+    each key's text is a leading text and a last one, the last fastest."""
+    texts = [[piece[0] for piece in _block_pieces(p).values()] for p in range(total + 1)]
+    leads = [[text + " | " for text in by_p] for by_p in texts]
+    for alpha in _compositions(total):
+        mids = [""]
+        for p in alpha[:-1]:
+            mids = [mid + lead for mid in mids for lead in leads[p]]
+        yield alpha, mids, texts[alpha[-1]]
+
+
+def _sums_by(rows: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """out[i] = the sum of the ``terms`` whose row is i, for i < size."""
+    out = np.zeros((size, *terms.shape[1:]), dtype=np.int64)
+    np.add.at(out, rows, terms)
+    return out
+
+
+def _split_sums(splits: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per key, the sum of kappa times ``values`` (indexed by key first) over
+    its odd splits, from splits (3, R) as _key_moves gives them."""
+    key, split, kap = splits
+    return _sums_by(key, kap.reshape(-1, *[1] * (values.ndim - 1)) * values[split], len(values))
+
+
+def _largest_row_sum(rows: np.ndarray, weights: np.ndarray) -> int:
+    """The largest sum of ``weights`` over one row, 0 with no rows."""
+    return int(_sums_by(rows, weights, int(rows.max(initial=-1)) + 1).max(initial=0))
+
+
+def _require_exact(n: int, moves: list[tuple[np.ndarray, np.ndarray]]) -> int:
+    """Raise ResourceLimitError unless every side of classic and section3 at
+    n, doubled, stays below 2**62, so that their int64 columns are exact: a
+    bound in Python ints on the sum of every term that any side adds, from
+    the largest count each term can read ((n-1)! n! plane permutations, n
+    times as many exceedances, ((n-1)!)^2 pairs, z <= (n+1)!) and the
+    largest row sums of the split and step matrices (_key_moves).  Returns
+    the bound on the doubled sides."""
+    fact = math.factorial(n - 1)
+    planes, pairs, closed = fact * math.factorial(n), fact * fact, fact * math.factorial(n + 1)
+    split, split_up = (_largest_row_sum(splits[0], splits[2]) for splits, _steps in moves[n : n + 2])
+    steps = moves[n + 1][1]
+    step, coefficient = _largest_row_sum(steps[0], steps[2]), int(steps[2].max(initial=0))
+    pair_terms = (n + 1 + split) * (1 + coefficient + step) + split_up * step
+    bound = (3 * n + 2 * split) * planes + pair_terms * pairs + 2 * (n + 1 + split) * closed
+    if 2 * bound >= 2**62:
+        raise ResourceLimitError(f"the classic and section3 suites at n={n} would overflow int64")
+    return 2 * bound
+
+
+@cache
+def _key_spaces(max_m: int) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
+    """The columns (_key_columns) and the moves (_key_moves) of the keys of
+    every total up to max_m: partition algebra only, which classic and
+    section3 share, read-only since every caller gets the same arrays."""
+    columns, sizes = _key_columns(max_m)
+    moves = _key_moves(max_m, sizes)
+    for array in (*columns, *itertools.chain.from_iterable(moves)):
+        array.flags.writeable = False
+    return columns, moves
+
+
+def _suite_keys(max_n: int) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
+    """_key_spaces(max_n + 1), for classic and section3 at n = 2..max_n,
+    once _require_exact has shown that each n is exact in int64."""
+    columns, moves = _key_spaces(max_n + 1)
+    for n in range(2, max_n + 1):
+        _require_exact(n, moves)
+    return columns, moves
+
+
+class _KeyTexts(Sequence):
+    """The instance texts of a block of classic or section3, each as (head,
+    part, ""): a head per key (or diagonal type) and a part per diagonal
+    type or step, each shared by many reports.  Only the index of each
+    report's head and part is held; ``build()`` gives the two lists of
+    texts, on the first read, and they are kept."""
+
+    __slots__ = ("build", "head_of", "part_of", "_texts")
+
+    def __init__(self, build: Callable[[], tuple[list[str], list[str]]], head_of: np.ndarray, part_of: np.ndarray):
+        self.build, self.head_of, self.part_of, self._texts = build, head_of, part_of, None
+
+    def __len__(self) -> int:
+        return len(self.head_of)
+
+    def texts(self) -> tuple[list[str], list[str]]:
+        if self._texts is None:
+            self._texts = self.build()
+        return self._texts
+
+    def __getitem__(self, i: int) -> tuple[str, str, str]:
+        heads, parts = self.texts()
+        return heads[self.head_of[i]], parts[self.part_of[i]], ""
+
+    def __iter__(self) -> Iterator[tuple[str, str, str]]:
+        heads, parts = self.texts()
+        for head, part in zip(self.head_of.tolist(), self.part_of.tolist()):
+            yield heads[head], parts[part], ""
+
+
+def _ordered_block(names: tuple[str, ...], segments: list[tuple], build: Callable) -> tuple:
+    """The fields of a _ReportBlock (names, codes, twice lhs, twice rhs,
+    texts) from ``segments``, one per identity: (code, order, head, part,
+    twice lhs, twice rhs), whose arrays broadcast to one shape, put in the
+    suite's order by a stable sort on ``order``, so that reports of equal
+    order keep the order of their segments."""
+    flat = ([column.ravel() for column in np.broadcast_arrays(*segment)] for segment in segments)
+    code, order, head, part, lhs, rhs = map(np.concatenate, zip(*flat))
+    at = np.argsort(order, kind="stable")
+    return names, code[at].astype(np.int8), lhs[at], rhs[at], _KeyTexts(build, head[at], part[at])
+
+
+# ---------------------------------------------------------------------------
+# the split recurrences: twice both sides at every key and diagonal type, with
+# plane-permutation counts read from the oracle
+
+
+def _split_sides(
+    n: int, planes: np.ndarray, length: np.ndarray, splits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(split lhs, split rhs, joint lhs, joint rhs), doubled, each (keys,
+    diagonal types), from the keys' plane tallies (oracle._plane_array), their
+    lengths and their odd splits.  The joint split clears the exceedances
+    and splits the diagonal type too, by the odd splits of the partitions of
+    n, whose lengths lead ``length``: the keys of alpha = (n) come first."""
+    count, exceedances = 2 * planes[..., 0], 2 * planes[..., 1]
+    etas = count.shape[1]
+    split_rhs = _split_sums(splits, count)
+    joint_rhs = split_rhs + _split_sums(_block_moves(n)[0], count.T).T
+    split_lhs = (n - length)[:, None] * count - exceedances
+    joint_lhs = (n + 1 - length[:etas] - length[:, None]) * count
+    return split_lhs, split_rhs, joint_lhs, joint_rhs
+
+
+def _long_sides(n: int, pairs: np.ndarray, split_pairs: np.ndarray, z: np.ndarray, length: np.ndarray):
+    """The split recurrence for a long-cycle diagonal over pair counts, which
+    needs n - length even: the keys where it does, and twice both sides there."""
+    keep = np.flatnonzero((length - n) % 2 == 0)
+    lhs = 2 * (n + 1 - length[keep]) * pairs[keep]
+    return keep, lhs, 2 * (split_pairs[keep] + math.factorial(n - 1) * z[keep])
+
+
+# ---------------------------------------------------------------------------
+# classic suite: the split recurrences in the one-block case alpha = (n),
+# where the block types of the vertical are its cycle type
+
+_CLASSIC = ("split_exceedance", "split_exceedance_dual", "split_joint", "split_long")
+
+
+def _classic_texts(n: int) -> tuple[list[str], list[str]]:
+    texts = [format_type_key(eta) for eta in _partition_list(n)]
+    heads = [f"n={n} eta={text}" for text in texts] + [f"n={n} lam={text}" for text in texts]
+    return heads, ["", *(f" lam={text}" for text in texts)]
+
+
+def _classic_block(n: int, columns: list[np.ndarray]) -> tuple:
+    """The block of classic at n (_ordered_block): per diagonal type eta and
+    vertical type lam, the split at (lam, eta), the same recurrence with the
+    roles of the two types swapped, and the joint split; then the long-cycle
+    split per lam."""
+    etas = len(_partition_list(n))
+    z, _s, _w, length = columns[n][:, :etas]  # the keys of alpha = (n), (lam,), lead
+    splits = _block_moves(n)[0]
+    split_lhs, split_rhs, joint_lhs, joint_rhs = _split_sides(n, oracle._plane_array(n, (n,)), length, splits)
+    pairs = oracle._pair_array(n, (n,))
+    keep, long_lhs, long_rhs = _long_sides(n, pairs, _split_sums(splits, pairs), z, length)
+    eta, lam = np.indices((etas, etas))
+    order = eta * etas + lam
+    segments = [
+        (0, order, eta, 1 + lam, split_lhs.T, split_rhs.T),
+        (1, order, eta, 1 + lam, split_lhs, split_rhs),
+        (2, order, eta, 1 + lam, joint_lhs.T, joint_rhs.T),
+        (3, etas * etas + keep, etas + keep, 0, long_lhs, long_rhs),
+    ]
+    return _ordered_block(_CLASSIC, segments, partial(_classic_texts, n))
+
+
+# ---------------------------------------------------------------------------
+# block-refined suite
+
+_SECTION3 = (
+    "split_exceedance_sep",
+    "split_joint_sep",
+    "split_long_sep",
+    "total_exceedance_balance",
+    "total_exceedance_count",
+    "downarrow_step",
+    "weighted_sum_recurrence",
+    "weighted_sum_value",
+    "downarrow_exchange",
+)
+
+
+def _section3_texts(n: int) -> tuple[list[str], list[str]]:
+    heads = []
+    for total in (n, n + 1):
+        for alpha, mids, tails in _seq_texts(total):
+            head = f"n={n} alpha={format_d_key(alpha)} Lam="
+            heads += [head + mid + tail for mid in mids for tail in tails]
+    etas = (f" eta={format_type_key(eta)}" for eta in _partition_list(n))
+    steps = (f" i={i0 + 1} j={j}" for i0 in range(n + 1) for j in range(n + 1))
+    return heads, ["", *etas, *steps]
+
+
+def _section3_block(n: int, columns: list[np.ndarray], moves: list) -> tuple:
+    """The block of section3 at n (_ordered_block): over the keys of n, per
+    key, the split and the joint split per diagonal type, the long-cycle
+    split, and the total exceedances two ways.  Then over the keys of n + 1,
+    the weighted part-shrinking identities, per key: its down-arrow steps,
+    the weighted sum's recurrence and value (under the parity hypothesis),
+    and the exchange identity."""
+    fact = math.factorial(n - 1)
+    etas = len(_partition_list(n))
+    z, s, w, length = columns[n]
+    splits = moves[n][0]
+    keys = np.arange(len(z))
+    planes = np.concatenate([oracle._plane_array(n, alpha) for alpha in _compositions(n)])
+    pairs = np.concatenate([oracle._pair_array(n, alpha) for alpha in _compositions(n)])
+    split_pairs = _split_sums(splits, pairs)
+    split_lhs, split_rhs, joint_lhs, joint_rhs = _split_sides(n, planes, length, splits)
+    keep, long_lhs, long_rhs = _long_sides(n, pairs, split_pairs, z, length)
+    twice_exceedances = 2 * planes[..., 1].sum(axis=1)
+    slots = etas + 1  # per key: one per diagonal type, then one for the rest
+    key, eta = np.indices((len(keys), etas))
+    last = keys * slots + etas
+    segments = [
+        (0, key * slots + eta, key, 1 + eta, split_lhs, split_rhs),
+        (1, key * slots + eta, key, 1 + eta, joint_lhs, joint_rhs),
+        (2, last[keep], keep, 0, long_lhs, long_rhs),
+        (3, last, keys, 0, twice_exceedances, 2 * fact * ((n - length) * z - s)),
+        (4, last, keys, 0, twice_exceedances, fact * w * z),
+    ]
+    # one element up: the steps shrink a part of a key of n + 1 to a key of n
+    z, _s, w, length = columns[n + 1]
+    splits, (key, shrunk, twice, mult, block, part) = moves[n + 1]
+    up = len(z)
+    head = len(keys) + np.arange(up)  # after every key of n
+    twice_terms = twice * pairs[shrunk]
+    twice_sums = _sums_by(key, twice_terms, up)  # twice the weighted sums
+    refined = twice * split_pairs[shrunk]
+    refined_sums = _split_sums(splits, twice_sums)
+    fz = fact * z
+    parity = (length - n) % 2 == 0
+    on = parity[key]  # the steps of the keys under the parity hypothesis
+    at, ij = head[key[on]], 1 + etas + block[on] * (n + 1) + part[on] - 1  # ij: the part " i=... j=..."
+    segments += [
+        (5, at * slots, at, ij, (n + 1 - length[key[on]]) * twice_terms[on], refined[on] + mult[on] * fz[key[on]]),
+        (6, head[parity] * slots + 1, head[parity], 0, (n + 1 - length[parity]) * twice_sums[parity],
+         refined_sums[parity] + fz[parity] * w[parity]),
+        (7, head[parity] * slots + 1, head[parity], 0, twice_sums[parity], 2 * fz[parity]),
+        (8, head * slots + 1, head, 0, _sums_by(key, refined, up), refined_sums),  # holds without the parity
+    ]
+    return _ordered_block(_SECTION3, segments, partial(_section3_texts, n))
+
+
+# ---------------------------------------------------------------------------
+# pure partition algebra: baserecur
+
+
+def _require_int64(max_n: int) -> None:
+    """Raise ResourceLimitError unless every value of _baserecur_columns at
+    totals up to max_n stays below 2**62, so that it and its double are
+    exact in int64: a bound on z, S, the weight and twice either side, in
+    Python ints, from each block size's largest pieces, folded over the
+    compositions as the columns fold them."""
+    largest = [[max(column) for column in list(zip(*_block_pieces(p).values()))[1:4]] for p in range(max_n + 1)]
+    tops = [(1, 0, 0)]  # per total: bounds on z, S and the weight over its block types
+    for total in range(1, max_n + 1):
+        z = s = w = 0
+        for first in range(1, total + 1):
+            (zp, sp, wp), (zr, sr, wr) = largest[first], tops[total - first]
+            z, s, w = max(z, zp * zr), max(s, sp * zr + zp * sr), max(w, wp + wr)
+        tops.append((z, s, w))
+        if max(2 * s + z * w, 2 * total * z) >= 2**62:  # twice the rhs, twice the lhs (N - length) z
+            raise ResourceLimitError(f"the baserecur suite at n={max_n} would overflow int64 at N={total}")
+
+
+def _baserecur_columns(max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Twice the left and twice the right sides of baserecur at every total
+    N = 1..max_n, in its order, as int64 columns, from the columns of the
+    keys of each N (_key_columns), and the instance count of each
+    composition of each N in turn."""
+    folded, sizes = _key_columns(max_n)
+    twice_lhs, twice_rhs = np.empty((2, sum(out.shape[1] for out in folded[1:])), dtype=np.int64)
+    done = 0
+    for total, (z, s, w, length) in enumerate(folded[1:], 1):
+        rows = slice(done, done + len(z))
+        np.multiply(2 * (total - length), z, out=twice_lhs[rows])
+        np.add(2 * s, z * w, out=twice_rhs[rows])
+        done += len(z)
+    return twice_lhs, twice_rhs, np.concatenate(sizes[1:])
+
+
+class _BlockTypeTexts(Sequence):
+    """The instance texts of baserecur in its order, each as (head, the
+    leading blocks' text, the last block's piece): "N=3 alpha=(2,1) Lam=",
+    "1+1 | ", "1".  Only the instance count of each composition is held;
+    iteration builds a head per composition and a leading text per leading
+    key (_seq_texts), and indexing decodes the composition from its place."""
+
+    __slots__ = ("max_n", "ends")
+
+    def __init__(self, max_n: int, sizes: np.ndarray) -> None:
+        self.max_n = max_n
+        self.ends = np.cumsum(sizes)
+
+    def __len__(self) -> int:
+        return int(self.ends[-1])
+
+    def __iter__(self) -> Iterator[tuple[str, str, str]]:
+        for total in range(1, self.max_n + 1):
+            for alpha, mids, tails in _seq_texts(total):
+                head = f"N={total} alpha={format_d_key(alpha)} Lam="
+                for mid in mids:
+                    for tail in tails:
+                        yield head, mid, tail
+
+    def __getitem__(self, i: int) -> tuple[str, str, str]:
+        # the compositions of N are the 2^(N-1) after those of smaller totals,
+        # each at its cut pattern read as a binary number
+        g = int(np.searchsorted(self.ends, i, side="right"))
+        k = i - (int(self.ends[g - 1]) if g else 0)  # the key's place among its composition's
+        total = (g + 1).bit_length()
+        cuts = g + 1 - (1 << (total - 1))
+        bounds = [0, *(j for j in range(1, total) if cuts >> (total - 1 - j) & 1), total]
+        alpha = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        texts = []
+        for p in reversed(alpha):  # the last block's partition changes fastest
+            k, d = divmod(k, len(_block_pieces(p)))
+            texts.append(list(_block_pieces(p).values())[d][0])
+        *leading, tail = reversed(texts)
+        return f"N={total} alpha={format_d_key(alpha)} Lam=", "".join(text + " | " for text in leading), tail

@@ -2,10 +2,14 @@
 
 The pair sweep enumerates every ordered pair of long cycles on [n] (there are
 ((n-1)!)^2 of them) and counts the products by one exact statistic, their
-row of _min_lengths.  Every table is an exact integer sum of those counts,
-its keys read from the rows — no symmetry shortcut is applied to any tally,
-and block-separation tallies are sums over honestly enumerated pairs.  The
-cycle type is the block type for the one block alpha = (n).
+length row: entry x is the length of the cycle of x when x is the least
+element of that cycle, else 0.  The nonzero entries are the cycle type,
+1..m lie in distinct cycles iff the first m entries are nonzero, and 1..b is
+a union of cycles iff the first b entries sum to b.  Every table is an exact
+integer sum of those counts, its keys read from the rows — no symmetry
+shortcut is applied to any tally, and block-separation tallies are sums over
+honestly enumerated pairs.  The cycle type is the block type for the one
+block alpha = (n).
 
 The fixed-diagonal sweep enumerates, for a fixed permutation D, all plane
 permutations with diagonal D (one per long cycle s, with vertical D⁻¹∘s) and
@@ -30,17 +34,19 @@ identical for any worker count.
 The tables over all permutations or cycle words of one n are built in
 passes of _PASS rows, so that no temporary is as large as a table: a pass
 of _signatures or of the fixed-diagonal sweep keeps only the codes of its
-rows of _min_lengths (_length_codes, into buffers every pass reuses), and
+length rows (_length_codes, into buffers every pass reuses), and
 the distinct rows are decoded from the distinct codes at the end.
 
 The aggregations read per-n tables, each built once and shared by every
-call at that n: _signatures(n), the distinct _min_lengths rows of all n!
+call at that n: _signatures(n), the distinct length rows of all n!
 permutations with the row of each lex rank; _signature_sums(n), their
 prefix sums, from which _tally reads block separation; the pair counts by
 row, product_pair_counts(n); and from those the rows of the cycle_type
 table, _pairs_type_rows(n), and the separated-prefix table,
-_pairs_sep_prefix(n).  The plane tallies read the (count, exceedances)
-totals of the full plane sweep, _plane_totals(n).
+_pairs_sep_prefix(n).  The plane tallies, _plane_array(n, alpha), read the
+(count, exceedances) totals of the full plane sweep, _plane_totals(n).  They
+and the pair counts by block types, _pair_array(n, alpha), are dense int64
+arrays with one entry per block-type key of alpha, for the verify suites.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DomainError, ResourceLimitError
-from .partitions import Composition, _partition_list, format_d_key, format_seq_key, format_type_key
+from .partitions import Composition, _partition_list, _partition_sequence_keys, format_d_key, format_seq_key, format_type_key
 from .permutations import Permutation
 from .plane import _cycle_minima, _flat, _squarings, _take
 
@@ -131,8 +137,8 @@ def _all_perm_rows(n: int, tail: int = 0) -> np.ndarray:
     return _perm_level(_all_perm_rows(n - 1, tail), rows)
 
 
-# rows of every per-n table per pass: permutations, the columns of
-# _min_lengths, or cycle words.  Every n <= 7 table is one pass.  At n <= 10
+# rows of every per-n table per pass: permutations, their length rows, or
+# cycle words.  Every n <= 7 table is one pass.  At n <= 10
 # each temporary of a pass, (_PASS, n) int64, is at most 403 KB, so a pass
 # works inside a 2 MB L2 cache, and the buffers of _length_codes are reused
 # by every pass instead of being page-faulted in again
@@ -225,24 +231,9 @@ def _code_places(n: int) -> np.ndarray:
     return places
 
 
-def _min_lengths(perms: np.ndarray) -> np.ndarray:
-    """``lens[x, r]`` = the length of the cycle of x under perms[:, r] when x
-    is the least element of that cycle, else 0, for an (n, m) batch stored
-    element first as in plane.py.  The nonzero entries are the cycle type,
-    1..m lie in distinct cycles iff the first m entries are nonzero, and 1..b
-    is a union of cycles iff the first b entries sum to b.  The tables read
-    these rows through their codes, _length_codes; this is the reference."""
-    n, m = perms.shape
-    # lens[x, r] counts the y with low[y, r] == x: one bincount of x * m + r
-    low = _cycle_minima(perms, np.arange(n))
-    low *= m
-    low += np.arange(m)
-    return np.bincount(low.ravel(), minlength=n * m).reshape(n, m)
-
-
 def _length_codes(perms: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
-    """``out[r]`` = the base-(n + 1) code of the row of _min_lengths of the
-    column perms[:, r], for an (n, w) batch stored element first.  Entry x
+    """``out[r]`` = the base-(n + 1) code of the length row of the column
+    perms[:, r], for an (n, w) batch stored element first.  Entry x
     of the row counts the y whose cycle has least element x, so the code is
     the sum over y of (n + 1)^(n - 1 - x): one gather of place values and
     one column sum.  ``work`` holds five buffers of at least n * w entries,
@@ -260,7 +251,7 @@ def _pass_buffers(n: int, m: int) -> np.ndarray:
 
 
 def _unique_rows(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, rows) for the _length_codes of n-entry rows of _min_lengths:
+    """(ids, rows) for the _length_codes of n-entry length rows:
     ``rows`` holds the distinct rows in the order of their codes, decoded
     from the distinct codes, and ``ids[r]`` indexes the row of code r."""
     distinct, ids = np.unique(codes, return_inverse=True)
@@ -272,7 +263,7 @@ def _unique_rows(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _distinct_rows(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ids, rows) for an (n, m) batch stored element first: ``rows`` holds
-    the distinct rows of _min_lengths, one per line, and ``ids[r]`` indexes
+    the distinct length rows, one per line, and ``ids[r]`` indexes
     the row of the column perms[:, r].  Only the codes outlive a pass."""
     n, m = perms.shape
     codes = np.empty(m, dtype=np.int64)
@@ -283,7 +274,7 @@ def _distinct_rows(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cycle_type(lens: Sequence[int]) -> tuple[int, ...]:
-    """The cycle type of a row of _min_lengths: its nonzero entries, largest first."""
+    """The cycle type of a length row: its nonzero entries, largest first."""
     return tuple(sorted(filter(None, lens), reverse=True))
 
 
@@ -293,7 +284,7 @@ _block_type = cache(_cycle_type)
 
 
 def _sep_prefixes(rows: np.ndarray) -> np.ndarray:
-    """For each row of _min_lengths, one per line, the largest m with 1..m in
+    """For each length row, one per line, the largest m with 1..m in
     pairwise distinct cycles: the number of its nonzero entries before its
     first 0."""
     return np.logical_and.accumulate(rows != 0, axis=1).sum(axis=1)
@@ -301,7 +292,7 @@ def _sep_prefixes(rows: np.ndarray) -> np.ndarray:
 
 @cache
 def _signatures(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sig, rows): ``rows`` holds the distinct rows of _min_lengths over all
+    """(sig, rows): ``rows`` holds the distinct length rows over all
     n! permutations, one per line, and ``sig[r]`` indexes the row of lex rank r."""
     return _distinct_rows(_all_perm_rows(n).T)
 
@@ -625,11 +616,11 @@ def expected_k_cycles(n: int, k: int) -> Fraction:
 def _diag_rows(n: int, d_image: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(rows, counts) over the (n-1)! plane permutations with fixed diagonal,
     one per long cycle s, with vertical D⁻¹∘s: ``rows`` holds the distinct
-    rows of _min_lengths of the verticals, and ``counts[i, a]`` counts those
+    length rows of the verticals, and ``counts[i, a]`` counts those
     with row i and a exceedances."""
     d_inv = np.argsort([x - 1 for x in d_image])
     words, cycles = _cycle_words(n), _cycle_rows(n)
-    codes = np.empty(len(words), dtype=np.int64)  # of the verticals' rows of _min_lengths
+    codes = np.empty(len(words), dtype=np.int64)  # of the verticals' length rows
     exceedances = np.empty(len(words), dtype=np.int64)
     work = _pass_buffers(n, len(words))
     for lo in range(0, len(words), _PASS):
@@ -743,20 +734,28 @@ def _plane_totals(n: int) -> np.ndarray:
     return np.stack((acc.sum(axis=2), acc @ np.arange(n + 1)), axis=2)
 
 
+def _dense(table: dict, alpha_parts: tuple[int, ...], zero) -> np.ndarray:
+    """A tally by block types as an int64 array with one entry per block-type
+    key of alpha_parts, in _partition_sequence_keys order (mixed radix, the
+    last block fastest), and ``zero`` for the keys that it leaves out."""
+    return np.array([table.get(key, zero) for key in _partition_sequence_keys(alpha_parts)], dtype=np.int64)
+
+
+def _pair_array(n: int, alpha_parts: tuple[int, ...]) -> np.ndarray:
+    """The ordered pairs whose product is alpha-separated, by its block
+    types: the block-type table of _pairs_alpha_tables, dense (_dense)."""
+    return _dense(_pairs_alpha_tables(n, alpha_parts)[1], alpha_parts, 0)
+
+
 @cache
-def _plane_tallies(
-    n: int, alpha_parts: tuple[int, ...]
-) -> dict[tuple[int, ...], dict[_SeqKey, tuple[int, int]]]:
-    """by_eta[eta][key] = (count, exceedances): the plane permutations with
-    diagonal cycle type eta whose vertical is alpha-separated with block
-    types key, and the sum of their exceedance counts.  Keys that no
-    vertical has are left out; with alpha = (n) the keys are the vertical's
-    cycle type, (lam,)."""
+def _plane_array(n: int, alpha_parts: tuple[int, ...]) -> np.ndarray:
+    """``planes[k, t]`` = (count, exceedances): the plane permutations whose
+    vertical is alpha-separated with block-type key k (_dense order) and
+    whose diagonal has type index t, and the sum of their exceedance counts.
+    With alpha = (n) the keys are the vertical's cycle types, (lam,)."""
     totals = _plane_totals(n)  # first: _plane_codes checks the sweep limit before any signature is built
     tally = _tally(_signatures(n)[1], _signature_sums(n), totals, alpha_parts)
-    sums = {key: by_t.tolist() for key, by_t in tally.items()}
-    etas = _partition_list(n)
-    return {eta: {key: tuple(by_t[t]) for key, by_t in sums.items()} for t, eta in enumerate(etas)}
+    return _dense(tally, alpha_parts, np.zeros(totals.shape[1:], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

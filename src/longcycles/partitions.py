@@ -422,33 +422,11 @@ def _block_pieces(p: int) -> dict[tuple[int, ...], tuple[str, int, int, int, int
     }
 
 
-def _odd_split_z(blocks: Iterable[tuple[str, int, int, int, int]], z_key: int) -> int:
-    """sum of kappa * z(Lam') over the odd splits Lam' of one block of Lam,
-    from Lam's block pieces and z(Lam): sum_i S(c_i) z(Lam) / z(c_i)."""
-    return sum(s * (z_key // z) for _text, z, s, _w, _len in blocks)
-
-
 def odd_refinements(lam: IntegerPartition) -> Iterator[tuple[IntegerPartition, int]]:
     """All (mu, kappa) with mu a split of one part of lam into an odd number
     (at least 3) of parts."""
     for mu, kap in _odd_refinements(lam.parts):
         yield IntegerPartition(mu), kap
-
-
-@cache
-def _odd_refinements_seq(
-    seq_key: tuple[tuple[int, ...], ...],
-) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
-    """Component-wise odd splits of a partition sequence.
-
-    Yields (new sequence key, kappa); the merging count of a sequence pair
-    equals that of the one component they differ in.
-    """
-    out = []
-    for i, comp in enumerate(seq_key):
-        for mu, kap in _odd_refinements(comp):
-            out.append((seq_key[:i] + (mu,) + seq_key[i + 1 :], kap))
-    return tuple(out)
 
 
 def refinement_targets_seq(seq: PartitionSequence, k: int) -> Iterator[tuple[PartitionSequence, int]]:

@@ -28,6 +28,10 @@ Identity names used in reports:
   table ``_IDENTITIES``; the parity audit runs the bare expressions of its
   rows on wrong-parity instances;
 - ``plane:*``: structural sweeps over two-row arrays.
+
+classic, section3 and baserecur compute their sides as int64 columns
+(:mod:`longcycles._columns`), with no Python loop per instance, and keep
+their reports in compact blocks (_ReportBlock).
 """
 
 from __future__ import annotations
@@ -41,29 +45,20 @@ from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from typing import NamedTuple, TextIO
 
 import numpy as np
 
 from . import formulas, oracle, plane
 from ._suites import SUITES
-from .errors import ResourceLimitError
 from .formulas import _value_str
 from .partitions import (
     Composition,
     IntegerPartition,
-    _block_pieces,
     _compositions,
-    _odd_refinements,
-    _odd_refinements_seq,
-    _odd_split_z,
     _partition_list,
-    _partition_sequence_keys,
-    _shrink_steps,
-    _z_seq,
     format_d_key,
-    format_seq_key,
     format_type_key,
     stirling_first,
 )
@@ -96,9 +91,11 @@ class IdentityReport:
     ``instance``, ``to_dict`` and ``str``.  Equality and repr go by the
     joined text.
 
-    The baserecur suite keeps its reports as columns (``_ReportBlock``) and
-    builds one only when it is indexed or iterated: its sides are then
-    Python ints, the right side a ``Fraction`` when it is a half.
+    The classic, section3 and baserecur suites keep their reports as
+    columns (``_ReportBlock``) and build one only when it is indexed or
+    iterated: its sides are then Python ints, or a ``Fraction`` when one is
+    a half.  Only section3's block-deletion reports, whose closed-form side
+    is computed per call, are built as they are made.
     """
 
     __slots__ = ("identity", "_head", "lhs", "rhs", "_mid", "_tail")
@@ -181,39 +178,50 @@ class ParityAuditRecord:
 
 @dataclass(slots=True, eq=False)
 class _ReportBlock:
-    """The reports of one identity as two int64 columns, the left sides and
-    twice the right sides, beside ``texts``, each instance's text as (head,
-    mid, tail) in the same order: a report passes on ``2 * lhs == twice``.
+    """The reports of one suite at one n (all of baserecur) as columns, in
+    order: ``codes``, each report's identity as an index into ``names``;
+    ``twice_lhs`` and ``twice_rhs``, its two sides doubled as int64, so that
+    a half on either side is exact; and ``texts``, each instance's text as
+    (head, mid, tail).  A report passes on ``twice_lhs == twice_rhs``.
     Counts and failures come from the columns; an IdentityReport is built
     only when one is indexed or iterated, and the JSON dicts of 1024 reports
     at a time straight from the columns."""
 
-    identity: str
-    lhs: np.ndarray
-    twice: np.ndarray
+    names: tuple[str, ...]
+    codes: np.ndarray
+    twice_lhs: np.ndarray
+    twice_rhs: np.ndarray
     texts: Sequence[tuple[str, str, str]]
 
     def __len__(self) -> int:
-        return len(self.lhs)
+        return len(self.codes)
 
     def failed(self) -> np.ndarray:
         """The indices of the reports that fail, in order."""
-        return np.flatnonzero(2 * self.lhs != self.twice)
+        return np.flatnonzero(self.twice_lhs != self.twice_rhs)
 
-    def _report(self, text: tuple[str, str, str], lhs: int, twice: int) -> IdentityReport:
+    def tallies(self) -> Iterator[tuple[str, int, int]]:
+        """(identity, reports, failures) per name."""
+        size = len(self.names)
+        done, bad = np.bincount(self.codes, minlength=size), np.bincount(self.codes[self.failed()], minlength=size)
+        return zip(self.names, done.tolist(), bad.tolist())
+
+    def _report(self, code: int, text: tuple[str, str, str], twice_lhs: int, twice_rhs: int) -> IdentityReport:
         head, mid, tail = text
-        return IdentityReport(self.identity, head, lhs, _half(twice), mid, tail)
+        return IdentityReport(self.names[code], head, _half(twice_lhs), _half(twice_rhs), mid, tail)
 
     def __getitem__(self, i: int) -> IdentityReport:
-        return self._report(self.texts[i], int(self.lhs[i]), int(self.twice[i]))
+        return self._report(int(self.codes[i]), self.texts[i], int(self.twice_lhs[i]), int(self.twice_rhs[i]))
 
-    def _chunks(self, size: int) -> Iterator[tuple[Iterable, list[int], list[int]]]:
-        """The texts and the sides as Python ints of ``size`` reports at a
-        time, so that no list over the whole column is held."""
+    def _chunks(self, size: int) -> Iterator[tuple[list[int], Iterable, list[int], list[int]]]:
+        """The codes, the texts and the sides as Python ints of ``size``
+        reports at a time, so that no list over the whole column is held."""
         texts = iter(self.texts)
         for lo in range(0, len(self), size):
             hi = lo + size
-            yield itertools.islice(texts, size), self.lhs[lo:hi].tolist(), self.twice[lo:hi].tolist()
+            columns = self.codes[lo:hi], self.twice_lhs[lo:hi], self.twice_rhs[lo:hi]
+            codes, lhs, rhs = (column.tolist() for column in columns)
+            yield codes, itertools.islice(texts, size), lhs, rhs
 
     def __iter__(self) -> Iterator[IdentityReport]:
         for chunk in self._chunks(1024):
@@ -221,12 +229,12 @@ class _ReportBlock:
 
     def dicts(self, size: int) -> Iterator[list[dict]]:
         """``[r.to_dict() for r in chunk]`` of each chunk of ``size`` reports."""
-        name = self.identity
-        for texts, lhs, twice in self._chunks(size):
+        names = self.names
+        for codes, texts, lhs, rhs in self._chunks(size):
             yield [
-                {"identity": name, "instance": head + mid + tail, "lhs": str(left),
-                 "rhs": _value_str(_half(right)), "pass": 2 * left == right}
-                for (head, mid, tail), left, right in zip(texts, lhs, twice)
+                {"identity": names[code], "instance": head + mid + tail, "lhs": _half_text(left),
+                 "rhs": _half_text(right), "pass": left == right}
+                for code, (head, mid, tail), left, right in zip(codes, texts, lhs, rhs)
             ]
 
 
@@ -291,33 +299,7 @@ def _collector_paused() -> Iterator[None]:
 
 
 # ---------------------------------------------------------------------------
-# cached accessors over the oracle (tuple keys throughout)
-
-SeqKey = tuple[tuple[int, ...], ...]
-
-
-def _p_seq(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int:
-    """Ordered pairs whose product is alpha-separated with the given block types."""
-    return oracle._pairs_alpha_tables(n, alpha_parts)[1].get(key, 0)
-
-
-def _p_refined(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int:
-    """sum of kappa * _p_seq over the odd refinements of the block types key."""
-    return sum(kap * _p_seq(n, alpha_parts, k2) for k2, kap in _odd_refinements_seq(key))
-
-
-# ---------------------------------------------------------------------------
-# small algebra helpers on tuple keys
-
-
-def _seq_len(key: SeqKey) -> int:
-    return sum(len(c) for c in key)
-
-
-def _T(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> int:
-    """Twice the part-shrinking weighted sum over pair counts one level down."""
-    steps = _shrink_steps(alpha_parts, key)
-    return sum(twice * _p_seq(n, a2, key2) for _i, _p, twice, a2, key2 in steps)
+# exact halves
 
 
 def _half(x: int) -> int | Fraction:
@@ -325,76 +307,26 @@ def _half(x: int) -> int | Fraction:
     return x // 2 if x % 2 == 0 else Fraction(x, 2)
 
 
-# ---------------------------------------------------------------------------
-# the split recurrences: both sides for any composition alpha and block types
-# key, with plane-permutation counts read from the oracle
-
-
-_NO_PLANES = (0, 0)  # the (count, exceedances) of a key that no vertical has
-
-
-def _eta_rows(n: int) -> list[tuple[str, tuple[tuple[int, int], ...], int]]:
-    """Per diagonal type eta of size n, in _partition_list order: its text, its
-    odd splits as (index of the split, kappa), and n + 1 - len(eta)."""
-    index = {eta: i for i, eta in enumerate(_partition_list(n))}
-    refs = {eta: tuple((index[mu], kap) for mu, kap in _odd_refinements(eta)) for eta in index}
-    return [(format_type_key(eta), refs[eta], n + 1 - len(eta)) for eta in index]
-
-
-def _split_rows(n: int, tallies: list[dict], key: SeqKey, length: int, eta_rows: list) -> tuple[list, int]:
-    """((split lhs, split rhs), (joint lhs, joint rhs)) at block types key of
-    ``length`` parts, per eta of ``eta_rows``, and key's exceedances over all
-    eta; ``tallies`` are one composition's plane tallies in that order.  The
-    joint split clears the exceedances and splits the diagonal type too."""
-    refs = _odd_refinements_seq(key)
-    cells = [by_key.get(key, _NO_PLANES) for by_key in tallies]
-    rows, total_exc = [], 0
-    for (_text, eta_refs, free), by_key, (count, exc) in zip(eta_rows, tallies, cells):
-        split_rhs = sum(kap * by_key.get(k2, _NO_PLANES)[0] for k2, kap in refs)
-        joint_rhs = split_rhs + sum(kap * cells[i][0] for i, kap in eta_refs)
-        rows.append((((n - length) * count - exc, split_rhs), ((free - length) * count, joint_rhs)))
-        total_exc += exc
-    return rows, total_exc
-
-
-def _split_long(n: int, alpha_parts: tuple[int, ...], key: SeqKey) -> tuple[int, int]:
-    """The split recurrence for a long-cycle diagonal, over pair counts; it
-    needs n - len(key) even."""
-    lhs = (n + 1 - _seq_len(key)) * _p_seq(n, alpha_parts, key)
-    rhs = _p_refined(n, alpha_parts, key) + math.factorial(n - 1) * _z_seq(key)
-    return lhs, rhs
+def _half_text(x: int) -> str:
+    """_value_str(_half(x)): x / 2 as text."""
+    return str(x >> 1) if x & 1 == 0 else f"{x}/2"
 
 
 # ---------------------------------------------------------------------------
 # classic suite: the split recurrences in the one-block case alpha = (n),
-# where the block types of the vertical are its cycle type
+# where the block types of the vertical are its cycle type; with section3 and
+# baserecur computed as int64 columns by _columns, which the first of them
+# to run imports, so that a process that never runs them does not load it
 
 
 @_collector_paused()
-def classic_reports(max_n: int = 6) -> list[IdentityReport]:
+def classic_reports(max_n: int = 6) -> _Reports:
+    """The classic suite at n = 2..max_n, one _ReportBlock per n."""
     oracle._require_scale("the classic suite", max_n, _SUITE_LIMITS["classic"])
-    reports: list[IdentityReport] = []
-    for n in range(2, max_n + 1):
-        etas = _partition_list(n)
-        eta_rows = _eta_rows(n)
-        by_eta = oracle._plane_tallies(n, (n,))
-        tallies = [by_eta[eta] for eta in etas]
-        rows = [_split_rows(n, tallies, (lam,), len(lam), eta_rows)[0] for lam in etas]
-        lam_parts = [f" lam={lam_text}" for lam_text, _refs, _free in eta_rows]
-        for i, (eta_text, _refs, _free) in enumerate(eta_rows):
-            head = f"n={n} eta={eta_text}"
-            for j, lam_part in enumerate(lam_parts):
-                split, joint = rows[j][i]  # rows[j][i]: vertical type etas[j], diagonal type etas[i]
-                reports.append(IdentityReport("split_exceedance", head, *split, lam_part))
-                # the same recurrence with the roles of the two types swapped
-                reports.append(IdentityReport("split_exceedance_dual", head, *rows[i][j][0], lam_part))
-                reports.append(IdentityReport("split_joint", head, *joint, lam_part))
-        # long-cycle diagonal specialization, under its parity hypothesis
-        for lam in etas:
-            if (len(lam) - n) % 2 == 0:
-                inst = f"n={n} lam={format_type_key(lam)}"
-                reports.append(IdentityReport("split_long", inst, *_split_long(n, (n,), (lam,))))
-    return reports
+    from . import _columns
+
+    columns, _moves = _columns._suite_keys(max_n)
+    return _Reports(_ReportBlock(*_columns._classic_block(n, columns)) for n in range(2, max_n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -402,70 +334,17 @@ def classic_reports(max_n: int = 6) -> list[IdentityReport]:
 
 
 @_collector_paused()
-def section3_reports(max_n: int = 6) -> list[IdentityReport]:
+def section3_reports(max_n: int = 6) -> _Reports:
+    """The section3 suite at n = 2..max_n: per n one _ReportBlock, then the
+    block-deletion reports at n."""
     oracle._require_scale("the section3 suite", max_n, _SUITE_LIMITS["section3"])
-    reports: list[IdentityReport] = []
+    from . import _columns
+
+    columns, moves = _columns._suite_keys(max_n)
+    parts: list = []
     for n in range(2, max_n + 1):
-        eta_rows = _eta_rows(n)
-        eta_parts = [f" eta={eta_text}" for eta_text, _refs, _free in eta_rows]
-        fact_n1 = math.factorial(n - 1)
-        # identities over block types of products on [n]
-        for alpha_parts in _compositions(n):
-            head = f"n={n} alpha={format_d_key(alpha_parts)} Lam="
-            by_eta = oracle._plane_tallies(n, alpha_parts)
-            tallies = [by_eta[eta] for eta in _partition_list(n)]
-            pieces = [_block_pieces(p) for p in alpha_parts]
-            for key in _partition_sequence_keys(alpha_parts):
-                base = head + format_seq_key(key)
-                z_key, length = _z_seq(key), _seq_len(key)
-                rows, total_exc = _split_rows(n, tallies, key, length, eta_rows)
-                # block-refined split with exceedance weights, per diagonal type
-                for eta_part, (split, joint) in zip(eta_parts, rows):
-                    reports.append(IdentityReport("split_exceedance_sep", base, *split, eta_part))
-                    reports.append(IdentityReport("split_joint_sep", base, *joint, eta_part))
-                # long-cycle diagonal specialization (parity hypothesis)
-                if (length - n) % 2 == 0:
-                    reports.append(IdentityReport("split_long_sep", base, *_split_long(n, alpha_parts, key)))
-                # total exceedances over all diagonals, two evaluations
-                blocks = [by_c[c] for by_c, c in zip(pieces, key)]
-                balance = fact_n1 * ((n - length) * z_key - _odd_split_z(blocks, z_key))
-                reports.append(IdentityReport("total_exceedance_balance", base, total_exc, balance))
-                direct = (n - sum(c.count(1) for c in key)) * fact_n1 * z_key
-                reports.append(IdentityReport("total_exceedance_count", base, total_exc, _half(direct)))
-        # weighted part-shrinking identities: block types one element up; every
-        # side below is doubled, so that it is an integer, and halved in the report.
-        # Memos live for one call, as _p_seq may be replaced between calls.
-        p_refined = cache(partial(_p_refined, n))
-        # " i=... j=..." of block i0 + 1 and part size j + 1, shared by every key
-        ij_parts = [[f" i={i0 + 1} j={j}" for j in range(n + 1)] for i0 in range(n + 1)]
-        for alpha_parts in _compositions(n + 1):
-            head = f"n={n} alpha={format_d_key(alpha_parts)} Lam="
-            pieces = [_block_pieces(p) for p in alpha_parts]
-            twice_sum = cache(partial(_T, n, alpha_parts))
-            for key in _partition_sequence_keys(alpha_parts):
-                base = head + format_seq_key(key)
-                fz_key, length = fact_n1 * _z_seq(key), _seq_len(key)
-                steps = tuple(_shrink_steps(alpha_parts, key))
-                refined = [twice * p_refined(a2, key2) for _i, _p, twice, a2, key2 in steps]
-                t_refined = sum(kap * twice_sum(k2) for k2, kap in _odd_refinements_seq(key))
-                if (length - n) % 2 == 0:
-                    t_key = 0
-                    for (i0, part, twice, a2, key2), twice_refined in zip(steps, refined):
-                        twice_p = twice * _p_seq(n, a2, key2)
-                        t_key += twice_p
-                        lhs = (n + 1 - length) * twice_p
-                        rhs = twice_refined + part * key[i0].count(part) * fz_key
-                        ij = ij_parts[i0][part - 1]
-                        reports.append(IdentityReport("downarrow_step", base, _half(lhs), _half(rhs), ij))
-                    weight = sum(by_c[c][3] for by_c, c in zip(pieces, key))
-                    lhs_rec, rhs_rec = _half((n + 1 - length) * t_key), _half(t_refined + fz_key * weight)
-                    reports.append(IdentityReport("weighted_sum_recurrence", base, lhs_rec, rhs_rec))
-                    reports.append(IdentityReport("weighted_sum_value", base, _half(t_key), fz_key))
-                # the exchange identity holds without the parity hypothesis
-                lhs_ex = sum(refined)
-                reports.append(IdentityReport("downarrow_exchange", base, _half(lhs_ex), _half(t_refined)))
-        reports += block_deletion_reports(n)
-    return reports
+        parts += (_ReportBlock(*_columns._section3_block(n, columns, moves)), tuple(block_deletion_reports(n)))
+    return _Reports(parts)
 
 
 def block_deletion_reports(n: int) -> list[IdentityReport]:
@@ -505,123 +384,6 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
 # pure partition algebra
 
 
-def _require_int64(max_n: int) -> None:
-    """Raise ResourceLimitError unless every value of _baserecur_columns at
-    totals up to max_n stays below 2**62, so that it and its double are
-    exact in int64: a bound on z, S, the weight and twice either side, in
-    Python ints, from each block size's largest pieces, folded over the
-    compositions as the columns fold them."""
-    largest = [[max(column) for column in list(zip(*_block_pieces(p).values()))[1:4]] for p in range(max_n + 1)]
-    tops = [(1, 0, 0)]  # per total: bounds on z, S and the weight over its block types
-    for total in range(1, max_n + 1):
-        z = s = w = 0
-        for first in range(1, total + 1):
-            (zp, sp, wp), (zr, sr, wr) = largest[first], tops[total - first]
-            z, s, w = max(z, zp * zr), max(s, sp * zr + zp * sr), max(w, wp + wr)
-        tops.append((z, s, w))
-        if max(2 * s + z * w, 2 * total * z) >= 2**62:  # twice the rhs, twice the lhs (N - length) z
-            raise ResourceLimitError(f"the baserecur suite at n={max_n} would overflow int64 at N={total}")
-
-
-def _grouped(copies: int, sizes: np.ndarray) -> np.ndarray:
-    """Where each entry of a (copies, sum(sizes)) array goes when its
-    columns are cut into segments of ``sizes`` and each segment's rows are
-    laid out together, segment by segment."""
-    ends = np.cumsum(sizes)
-    start, size = np.repeat(ends - sizes, sizes), np.repeat(sizes, sizes)
-    return np.arange(copies)[:, None] * size + ((copies - 1) * start + np.arange(ends[-1]))
-
-
-def _baserecur_columns(max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The left sides and twice the right sides of baserecur at every total
-    N = 1..max_n, in its order, as int64 columns, and the instance count of
-    each composition of each N in turn.
-
-    The block types of the compositions of m, first block ``first`` = m..1
-    and the rest a composition of m - first, are the outer products of the
-    pieces of ``first`` with the folded columns (z, S, weight, length) of
-    m - first: z multiplies, S = sum_i S_i z / z_i folds as S' z + z' S, and
-    the weight and the length add.  Each product is laid out so that every
-    composition's block types stay together, last block fastest."""
-    pieces = [np.array([piece[1:] for piece in _block_pieces(p).values()], dtype=np.int64).T for p in range(max_n + 1)]
-    counts = [1]  # per total: its instances
-    for total in range(1, max_n + 1):
-        counts.append(sum(pieces[first].shape[1] * counts[total - first] for first in range(1, total + 1)))
-    lhs, twice = np.empty((2, sum(counts) - 1), dtype=np.int64)
-    folded = [np.array([[1], [0], [0], [0]], dtype=np.int64)]  # per total: z, S, weight, length
-    sizes = [np.ones(1, dtype=np.int64)]  # per total: the instances of each composition
-    done = 0
-    for total in range(1, max_n + 1):
-        out, lo, segments = np.empty((4, counts[total]), dtype=np.int64), 0, []
-        for first in range(total, 0, -1):
-            z, s, w, length = pieces[first][:, :, None]
-            rz, rs, rw, rlength = folded[total - first][:, None, :]
-            at = lo + _grouped(len(z), sizes[total - first])
-            out[0, at] = z * rz
-            out[1, at] = s * rz + z * rs
-            out[2, at] = w + rw
-            out[3, at] = length + rlength
-            lo += at.size
-            segments.append(len(z) * sizes[total - first])
-        folded.append(out)
-        sizes.append(np.concatenate(segments))
-        z, s, w, length = out
-        rows = slice(done, done + counts[total])
-        np.multiply(total - length, z, out=lhs[rows])
-        np.add(2 * s, z * w, out=twice[rows])
-        done += counts[total]
-    return lhs, twice, np.concatenate(sizes[1:])
-
-
-class _BlockTypeTexts(Sequence):
-    """The instance texts of baserecur in its order, each as (head, the
-    leading blocks' text, the last block's piece): "N=3 alpha=(2,1) Lam=",
-    "1+1 | ", "1".  Only the instance count of each composition is held;
-    iteration builds a head per composition and a leading text per leading
-    key, and indexing decodes the composition from its place."""
-
-    __slots__ = ("max_n", "ends")
-
-    def __init__(self, max_n: int, sizes: np.ndarray) -> None:
-        self.max_n = max_n
-        self.ends = np.cumsum(sizes)
-
-    def __len__(self) -> int:
-        return int(self.ends[-1])
-
-    @staticmethod
-    def _texts(p: int) -> list[str]:
-        return [piece[0] for piece in _block_pieces(p).values()]
-
-    def __iter__(self) -> Iterator[tuple[str, str, str]]:
-        texts = [self._texts(p) for p in range(self.max_n + 1)]
-        leads = [[text + " | " for text in by_p] for by_p in texts]
-        for total in range(1, self.max_n + 1):
-            for alpha in _compositions(total):
-                head, mids = f"N={total} alpha={format_d_key(alpha)} Lam=", [""]
-                for p in alpha[:-1]:
-                    mids = [mid + lead for mid in mids for lead in leads[p]]
-                for mid in mids:
-                    for tail in texts[alpha[-1]]:
-                        yield head, mid, tail
-
-    def __getitem__(self, i: int) -> tuple[str, str, str]:
-        # the compositions of N are the 2^(N-1) after those of smaller totals,
-        # each at its cut pattern read as a binary number
-        g = int(np.searchsorted(self.ends, i, side="right"))
-        k = i - (int(self.ends[g - 1]) if g else 0)  # the key's place among its composition's
-        total = (g + 1).bit_length()
-        cuts = g + 1 - (1 << (total - 1))
-        bounds = [0, *(j for j in range(1, total) if cuts >> (total - 1 - j) & 1), total]
-        alpha = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-        texts = []
-        for p in reversed(alpha):  # the last block's partition changes fastest
-            k, d = divmod(k, len(_block_pieces(p)))
-            texts.append(self._texts(p)[d])
-        *leading, tail = reversed(texts)
-        return f"N={total} alpha={format_d_key(alpha)} Lam=", "".join(text + " | " for text in leading), tail
-
-
 @_collector_paused()
 def baserecur_reports(max_n: int = 12) -> _Reports:
     """The length-weight recurrence over all block types of all compositions
@@ -633,9 +395,13 @@ def baserecur_reports(max_n: int = 12) -> _Reports:
     ``+`` with a list), which holds one _ReportBlock: each IdentityReport
     is built only when it is read."""
     oracle._require_scale("the baserecur suite", max_n, _SUITE_LIMITS["baserecur"])
-    _require_int64(max_n)
-    lhs, twice, sizes = _baserecur_columns(max_n)
-    return _Reports((_ReportBlock("length_weight_base", lhs, twice, _BlockTypeTexts(max_n, sizes)),))
+    from . import _columns
+
+    _columns._require_int64(max_n)
+    twice_lhs, twice_rhs, sizes = _columns._baserecur_columns(max_n)
+    codes = np.zeros(len(twice_lhs), dtype=np.int8)
+    texts = _columns._BlockTypeTexts(max_n, sizes)
+    return _Reports((_ReportBlock(("length_weight_base",), codes, twice_lhs, twice_rhs, texts),))
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +432,9 @@ _IDENTITIES = {
     "expected_k_cycles": (formulas.hultman_expected, None, oracle.expected_k_cycles),
     "two_cycle_factorizations": (formulas.boccara, None, lambda n, k: _fixed_target(IntegerPartition((k, n - k)))),
     "factorization_of_type": (formulas.even_factorization_count, None, _fixed_target),
-    "by_cycle_type": (formulas.pairs_by_type, None, lambda lam: _p_seq(lam.n, (lam.n,), (lam.parts,))),
+    "by_cycle_type": (
+        formulas.pairs_by_type, None, lambda lam: oracle._pairs_alpha_tables(lam.n, (lam.n,))[1].get((lam.parts,), 0)
+    ),
     "separated_total": (
         formulas.separating_total, None, lambda alpha: oracle._pairs_alpha_tables(alpha.n, alpha.parts)[2]
     ),
@@ -762,7 +530,7 @@ def parity_audit(max_n: int = 6) -> list[ParityAuditRecord]:
 
 def _cycle_counts_by_rank(n: int) -> np.ndarray:
     """``cc[r]``: the number of cycles of the permutation of lex rank r,
-    read off its row of _min_lengths (one nonzero entry per cycle)."""
+    read off its length row (one nonzero entry per cycle)."""
     sig, rows = oracle._signatures(n)
     return (rows > 0).sum(axis=1)[sig]
 
@@ -956,10 +724,12 @@ class VerifyRun:
 
     ``reports`` may be given as any sequence of IdentityReport, such as a
     list; it is kept as a read-only sequence of parts, in which the suites'
-    lists are tuples and baserecur is a _ReportBlock.  ``ok``,
-    ``summary_lines()`` and ``failures()`` read a block's columns and build
-    only its failed reports; ``write_json`` writes its dicts straight from
-    the columns."""
+    lists are tuples, classic and section3 are a _ReportBlock per n (and
+    section3's block-deletion reports a tuple per n), and baserecur is one
+    _ReportBlock.  ``ok``, ``summary_lines()`` (per identity, also inside a
+    block) and ``failures()`` read a block's columns and build only its
+    failed reports; ``write_json`` writes its dicts straight from the
+    columns."""
 
     reports: Sequence[IdentityReport]
     audit: list[ParityAuditRecord]
@@ -993,7 +763,9 @@ class VerifyRun:
 
         for part in self.reports.parts:
             if isinstance(part, _ReportBlock):
-                tally(part.identity, len(part), len(part.failed()))
+                for name, count, failed in part.tallies():
+                    if count:
+                        tally(name, count, failed)
             else:
                 for r in part:
                     tally(r.identity, 1, 0 if r.passed else 1)

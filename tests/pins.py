@@ -14,7 +14,7 @@ A row is a JSON object with
 - ``max_rss_mb`` (optional, ``ci`` rows only): a bound on the peak resident
   set of every run, in MiB, read from ``os.wait4`` (``ru_maxrss`` is in KiB
   on Linux).  Each bound is the peak measured when it was set plus about
-  15%.
+  15%; every ``sha256`` row of the ``ci`` tier has one.
 
 A ``stdout`` or ``sha256`` row must exit 0.  An ``exit`` row must print
 nothing to standard output and no traceback, and exit 2, a usage error, must
@@ -23,26 +23,30 @@ row's command, its leading words before the first flag.
 
 Why some ``ci`` rows are there, and what they cost on a two-core CI runner:
 - ``oracle pairs --n 8``, threads 1, 2, 3: three chunks of 1,680 second
-  factors cut head groups at other places than two chunks of 2,520;
+  factors cut head groups at other places than two chunks of 2,520; about
+  42 MB with or without ``--alpha 3,5``, bounded at 49;
 - ``oracle pairs --n 7 --alpha 3,4``, threads 1, 3: an odd ``n``, so an odd
-  half of digits;
+  half of digits; about 36 MB, bounded at 41;
 - ``oracle pairs --n 9``: the 1.63G pairs at the sweep's limit, about 4 s
   and 109 MB at either thread count, bounded at 126 MB;
 - ``verify --suite formulas --suite parity --max-n 9``: 5,215 reports and
   2,196 audit records over the ``n = 9`` pair sweep, about 5 s and 113 MB,
   bounded at 130 MB;
+- ``oracle diagonal --n 9 --alpha 4,5``: about 44 MB, bounded at 51;
 - ``oracle diagonal --n 10``: the sweep's limit, the 362,880 long cycles,
-  about 0.5 s and 113 MB, bounded at 133 MB;
+  about 0.5 s and 112 MB, bounded at 133 MB; with ``--eta 5+5 --alpha 5,5``
+  also about 112 MB, bounded at 129;
 - ``verify --max-n 7``: the text form prints one summary line per identity,
   then PASS; the JSON form at threads 2 and 3 counts the plane suite's words
-  in two processes, then in three chunks; about 53 MB either way, bounded at
+  in two processes, then in three chunks; about 51 MB either way, bounded at
   61 MB (text) and 62 MB (JSON);
 - ``verify --suite plane --max-n 7``, threads 1, 2, 3: the plane suite
-  alone at its limit, 3.6M arrays and 18.1M transpositions;
+  alone at its limit, 3.6M arrays and 18.1M transpositions; about 45 MB,
+  bounded at 53;
 - ``verify --suite baserecur --baserecur-max-n 13`` and ``14``: 264,499
   and, at the suite's limit, 713,709 reports, held as int64 columns and
-  written 1,024 at a time: about 1 s and 52 MB, bounded at 60 MB, and
-  2-4 s and 80 MB, bounded at 92 MB;
+  written 1,024 at a time: about 1 s and 50 MB, bounded at 60 MB, and
+  2-4 s and 75 MB, bounded at 92 MB;
 - the ``exit`` 2 rows other than ``--force``: each command declares only the
   flags it reads, so argparse rejects the rest itself.
 
@@ -133,9 +137,13 @@ def in_process(argv: list[str]) -> tuple[int, bytes, str, None]:
 
 def console_script(argv: list[str]) -> tuple[int, bytes, str, float]:
     # the output goes to files, so that os.wait4 can reap the process and
-    # read its peak RSS while nothing waits on a full pipe
+    # read its peak RSS while nothing waits on a full pipe.  A preexec_fn
+    # makes subprocess fork instead of vfork: Linux carries a process's peak
+    # RSS across exec, and a vforked child's is this runner's own peak (the
+    # largest output it has read so far), while a forked child's starts at
+    # this runner's current RSS, far below any bound
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        proc = subprocess.Popen(["longcycles", *argv], stdout=out, stderr=err)
+        proc = subprocess.Popen(["longcycles", *argv], stdout=out, stderr=err, preexec_fn=os.getpid)
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait for it again
         out.seek(0)

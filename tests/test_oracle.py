@@ -36,6 +36,7 @@ from longcycles import (
     expected_k_cycles,
     long_cycle_iter,
     pairs_separating_prefix,
+    partition_sequences,
     partitions,
     sweep_fixed_diagonal,
     sweep_pairs,
@@ -54,10 +55,9 @@ from longcycles.oracle import (
     _diag_rows,
     _fact_chunk,
     _lex_rank,
-    _min_lengths,
     _pair_tables,
     _plane_codes,
-    _plane_tallies,
+    _plane_array,
     _sep_prefixes,
     _signatures,
     _tally,
@@ -66,6 +66,19 @@ from longcycles.oracle import (
 
 P = IntegerPartition
 C = Composition
+
+
+def _min_lengths(perms):
+    """``lens[x, r]`` = the length of the cycle of x under perms[:, r] when x
+    is the least element of that cycle, else 0, for an (n, m) batch stored
+    element first as in plane.py: the length rows whose codes
+    oracle._length_codes computes, by a bincount, as the reference."""
+    n, m = perms.shape
+    # lens[x, r] counts the y with low[y, r] == x: one bincount of x * m + r
+    low = _cycle_minima(perms, np.arange(n))
+    low *= m
+    low += np.arange(m)
+    return np.bincount(low.ravel(), minlength=n * m).reshape(n, m)
 
 
 def _chunk(n, lo, hi):
@@ -224,7 +237,7 @@ class TestLexRank:
         monkeypatch.setattr(oracle, "_signatures", never)
         n = oracle.PLANE_SWEEP_LIMIT + 1
         with pytest.raises(ResourceLimitError, match="plane"):
-            _plane_tallies(n, (n,))
+            _plane_array(n, (n,))
 
 
 class TestPlaneTallies:
@@ -246,13 +259,14 @@ class TestPlaneTallies:
                         by_key = direct[alpha.parts].setdefault(eta, {})
                         count, exceedances = by_key.get(alpha_type(pi, alpha).key(), (0, 0))
                         by_key[alpha_type(pi, alpha).key()] = (count + 1, exceedances + a)
+        etas = [eta.parts for eta in partitions(n)]
         for alpha in alphas:
-            by_eta = _plane_tallies(n, alpha.parts)
-            assert list(by_eta) == [eta.parts for eta in partitions(n)]
-            for eta, by_key in by_eta.items():
-                assert all(type(v) is int for pair in by_key.values() for v in pair)
-                nonzero = {key: pair for key, pair in by_key.items() if pair != (0, 0)}
-                assert nonzero == direct[alpha.parts].get(eta, {})
+            planes = _plane_array(n, alpha.parts)
+            keys = [seq.key() for seq in partition_sequences(alpha)]
+            assert planes.dtype == np.int64 and planes.shape == (len(keys), len(etas), 2)
+            for t, eta in enumerate(etas):
+                by_key = direct[alpha.parts].get(eta, {})
+                assert {key: tuple(cell) for key, cell in zip(keys, planes[:, t].tolist()) if cell != [0, 0]} == by_key
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_long_verticals_tally_the_pair_sweep_by_type(self, n):
@@ -300,7 +314,7 @@ class TestPlaneCodesByDiagonals:
                 suffix[[i, j]] = suffix[[j, i]]
             return prefix, suffix
 
-        caches = (real, oracle._plane_totals, _plane_tallies)
+        caches = (real, oracle._plane_totals, _plane_array)
 
         def clear():
             for table in caches:
@@ -669,10 +683,8 @@ class TestFixedDiagonal:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_total_over_verticals_counts_diagonal_class(self, n):
         # plane permutations with diagonal of type eta: (n-1)! z_eta in all
-        by_eta = _plane_tallies(n, (n,))
-        for eta in partitions(n):
-            total = sum(count for count, _exceedances in by_eta[eta.parts].values())
-            assert total == math.factorial(n - 1) * z_of(eta)
+        counts = _plane_array(n, (n,))[..., 0].sum(axis=0).tolist()  # per diagonal type, over every vertical type
+        assert counts == [math.factorial(n - 1) * z_of(eta) for eta in partitions(n)]
 
     @pytest.mark.parametrize(
         "cycles, parts",

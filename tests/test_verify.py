@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import io
@@ -8,6 +9,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from longcycles import (
@@ -23,17 +25,19 @@ from longcycles import (
     verify,
     z_of,
 )
+from longcycles import _columns
 from longcycles.errors import ResourceLimitError
 from longcycles.partitions import (
     _block_pieces,
     _compositions,
-    _odd_refinements_seq,
+    _odd_refinements,
     _partition_list,
     _partition_sequence_keys,
     _shrink_steps,
     _z_seq,
     format_d_key,
     format_seq_key,
+    format_type_key,
 )
 from longcycles.verify import IdentityReport, ParityAuditRecord, VerifyRun
 
@@ -107,8 +111,9 @@ class TestSuites:
 
         for name in ("_all_perm_rows", "_signatures", "_cycle_rows", "_cycle_words", "product_pair_counts"):
             monkeypatch.setattr(oracle, name, never)
-        for name in ("_eta_rows", "_require_int64", "_baserecur_columns", "_zagier_oracle"):
-            monkeypatch.setattr(verify, name, never)
+        for name in ("_key_spaces", "_require_int64", "_baserecur_columns"):
+            monkeypatch.setattr(_columns, name, never)
+        monkeypatch.setattr(verify, "_zagier_oracle", never)
         function = "baserecur_reports" if suite == "baserecur" else SWEEP_LIMITS[suite][0]
         with pytest.raises(ResourceLimitError, match=f"the {suite} suite"):
             getattr(verify, function)(verify._SUITE_LIMITS[suite] + 1)
@@ -150,6 +155,252 @@ class TestSuites:
         assert reports[0].lhs == reports[0].rhs == 3
 
 
+# ---------------------------------------------------------------------------
+# the scalar reference: classic and section3 one report at a time in Python
+# ints, from the oracle's tables by key, as the suites computed them before
+# their int64 columns.  ``planes`` and ``pairs`` are the two sources it reads,
+# so that a test can inject one fault into the suite and the reference alike.
+
+_NO_PLANES = (0, 0)  # the (count, exceedances) of a key that no vertical has
+
+
+def plane_tallies(n, alpha_parts):
+    """by_eta[eta][key] = (count, exceedances): the plane permutations with
+    diagonal cycle type eta whose vertical is alpha-separated with block
+    types key, and the sum of their exceedance counts, from _tally over the
+    plane sweep's totals.  Keys that no vertical has are left out."""
+    tally = oracle._tally(oracle._signatures(n)[1], oracle._signature_sums(n), oracle._plane_totals(n), alpha_parts)
+    sums = {key: by_t.tolist() for key, by_t in tally.items()}
+    return {eta: {key: tuple(by_t[t]) for key, by_t in sums.items()} for t, eta in enumerate(_partition_list(n))}
+
+
+def pair_count(n, alpha_parts, key):
+    """Ordered pairs whose product is alpha-separated with the given block types."""
+    return oracle._pairs_alpha_tables(n, alpha_parts)[1].get(key, 0)
+
+
+@functools.cache
+def odd_refinements_seq(seq_key):
+    """(new sequence key, kappa) over the odd splits of one block of seq_key."""
+    return tuple(
+        (seq_key[:i] + (mu,) + seq_key[i + 1 :], kap)
+        for i, comp in enumerate(seq_key)
+        for mu, kap in _odd_refinements(comp)
+    )
+
+
+def seq_len(key):
+    return sum(len(c) for c in key)
+
+
+def _eta_rows(n):
+    """Per diagonal type eta of size n, in _partition_list order: its text, its
+    odd splits as (index of the split, kappa), and n + 1 - len(eta)."""
+    index = {eta: i for i, eta in enumerate(_partition_list(n))}
+    refs = {eta: tuple((index[mu], kap) for mu, kap in _odd_refinements(eta)) for eta in index}
+    return [(format_type_key(eta), refs[eta], n + 1 - len(eta)) for eta in index]
+
+
+def _split_rows(n, tallies, key, length, eta_rows):
+    """((split lhs, split rhs), (joint lhs, joint rhs)) at block types key of
+    ``length`` parts, per eta of ``eta_rows``, and key's exceedances over all
+    eta; ``tallies`` are one composition's plane tallies in that order."""
+    refs = odd_refinements_seq(key)
+    cells = [by_key.get(key, _NO_PLANES) for by_key in tallies]
+    rows, total_exc = [], 0
+    for (_text, eta_refs, free), by_key, (count, exc) in zip(eta_rows, tallies, cells):
+        split_rhs = sum(kap * by_key.get(k2, _NO_PLANES)[0] for k2, kap in refs)
+        joint_rhs = split_rhs + sum(kap * cells[i][0] for i, kap in eta_refs)
+        rows.append((((n - length) * count - exc, split_rhs), ((free - length) * count, joint_rhs)))
+        total_exc += exc
+    return rows, total_exc
+
+
+def _p_refined(pairs, n, alpha_parts, key):
+    return sum(kap * pairs(n, alpha_parts, k2) for k2, kap in odd_refinements_seq(key))
+
+
+def _split_long(pairs, n, alpha_parts, key):
+    lhs = (n + 1 - seq_len(key)) * pairs(n, alpha_parts, key)
+    return lhs, _p_refined(pairs, n, alpha_parts, key) + math.factorial(n - 1) * _z_seq(key)
+
+
+def _twice_weighted_sum(pairs, n, alpha_parts, key):
+    return sum(twice * pairs(n, a2, key2) for _i, _p, twice, a2, key2 in _shrink_steps(alpha_parts, key))
+
+
+def _half(x):
+    return x // 2 if x % 2 == 0 else Fraction(x, 2)
+
+
+def scalar_classic_reports(max_n, planes=plane_tallies, pairs=pair_count):
+    reports = []
+    for n in range(2, max_n + 1):
+        etas = _partition_list(n)
+        eta_rows = _eta_rows(n)
+        by_eta = planes(n, (n,))
+        tallies = [by_eta[eta] for eta in etas]
+        rows = [_split_rows(n, tallies, (lam,), len(lam), eta_rows)[0] for lam in etas]
+        for i, (eta_text, _refs, _free) in enumerate(eta_rows):
+            head = f"n={n} eta={eta_text}"
+            for j, (lam_text, _refs, _free) in enumerate(eta_rows):
+                split, joint = rows[j][i]  # vertical type etas[j], diagonal type etas[i]
+                reports.append(IdentityReport("split_exceedance", f"{head} lam={lam_text}", *split))
+                reports.append(IdentityReport("split_exceedance_dual", f"{head} lam={lam_text}", *rows[i][j][0]))
+                reports.append(IdentityReport("split_joint", f"{head} lam={lam_text}", *joint))
+        for lam in etas:
+            if (len(lam) - n) % 2 == 0:
+                inst = f"n={n} lam={format_type_key(lam)}"
+                reports.append(IdentityReport("split_long", inst, *_split_long(pairs, n, (n,), (lam,))))
+    return reports
+
+
+def scalar_section3_reports(max_n, planes=plane_tallies, pairs=pair_count):
+    reports = []
+    for n in range(2, max_n + 1):
+        eta_rows = _eta_rows(n)
+        fact_n1 = math.factorial(n - 1)
+        for alpha, key in alpha_instances(n):
+            base = f"n={n} alpha={format_d_key(alpha)} Lam={format_seq_key(key)}"
+            by_eta = planes(n, alpha)
+            z_key, length = _z_seq(key), seq_len(key)
+            rows, total_exc = _split_rows(n, [by_eta[eta] for eta in _partition_list(n)], key, length, eta_rows)
+            for (eta_text, _refs, _free), (split, joint) in zip(eta_rows, rows):
+                reports.append(IdentityReport("split_exceedance_sep", f"{base} eta={eta_text}", *split))
+                reports.append(IdentityReport("split_joint_sep", f"{base} eta={eta_text}", *joint))
+            if (length - n) % 2 == 0:
+                reports.append(IdentityReport("split_long_sep", base, *_split_long(pairs, n, alpha, key)))
+            odd_split_z = sum(kap * _z_seq(k2) for k2, kap in odd_refinements_seq(key))
+            reports.append(IdentityReport("total_exceedance_balance", base, total_exc, fact_n1 * ((n - length) * z_key - odd_split_z)))
+            direct = (n - sum(c.count(1) for c in key)) * fact_n1 * z_key
+            reports.append(IdentityReport("total_exceedance_count", base, total_exc, _half(direct)))
+        # every side below is doubled, so that it is an integer, and halved in the report
+        for alpha, key in alpha_instances(n + 1):
+            base = f"n={n} alpha={format_d_key(alpha)} Lam={format_seq_key(key)}"
+            fz_key, length = fact_n1 * _z_seq(key), seq_len(key)
+            steps = tuple(_shrink_steps(alpha, key))
+            refined = [twice * _p_refined(pairs, n, a2, key2) for _i, _p, twice, a2, key2 in steps]
+            t_refined = sum(kap * _twice_weighted_sum(pairs, n, alpha, k2) for k2, kap in odd_refinements_seq(key))
+            if (length - n) % 2 == 0:
+                t_key = 0
+                for (i0, part, twice, a2, key2), twice_refined in zip(steps, refined):
+                    twice_p = twice * pairs(n, a2, key2)
+                    t_key += twice_p
+                    lhs = (n + 1 - length) * twice_p
+                    rhs = twice_refined + part * key[i0].count(part) * fz_key
+                    reports.append(IdentityReport("downarrow_step", f"{base} i={i0 + 1} j={part - 1}", _half(lhs), _half(rhs)))
+                weight = sum(p for c in key for p in c if p >= 2)
+                lhs_rec, rhs_rec = _half((n + 1 - length) * t_key), _half(t_refined + fz_key * weight)
+                reports.append(IdentityReport("weighted_sum_recurrence", base, lhs_rec, rhs_rec))
+                reports.append(IdentityReport("weighted_sum_value", base, _half(t_key), fz_key))
+            reports.append(IdentityReport("downarrow_exchange", base, _half(sum(refined)), _half(t_refined)))
+        reports += verify.block_deletion_reports(n)
+    return reports
+
+
+SCALAR = {"classic": scalar_classic_reports, "section3": scalar_section3_reports}
+
+
+def _fields(reports):
+    return [(r.identity, r.instance, r.lhs, r.rhs, type(r.lhs), type(r.rhs), str(r)) for r in reports]
+
+
+def assert_same_fields(got, expected):
+    """_fields(got) == _fields(expected), naming the first report that
+    differs rather than diffing the whole lists."""
+    got, expected = _fields(got), _fields(expected)
+    first = next((i for i, pair in enumerate(zip(got, expected)) if pair[0] != pair[1]), None)
+    assert first is None, (first, got[first], expected[first])
+    assert len(got) == len(expected)
+
+
+def shifted_planes(planes):
+    """A plane-tally source with one exceedance too many at every key of
+    every diagonal type, keys that no vertical has included."""
+
+    def shifted(n, alpha_parts):
+        keys = list(_partition_sequence_keys(alpha_parts))
+        return {
+            eta: {key: (count, exc + 1) for key in keys for count, exc in [by_key.get(key, _NO_PLANES)]}
+            for eta, by_key in planes(n, alpha_parts).items()
+        }
+
+    return shifted
+
+
+def shift_the_oracle(monkeypatch, exceedances=0, pairs=0):
+    """Add ``exceedances`` to every exceedance total and ``pairs`` to every
+    pair count that the classic and section3 columns read."""
+    true_planes, true_pairs = oracle._plane_array, oracle._pair_array
+
+    def planes(n, alpha_parts):
+        shifted = true_planes(n, alpha_parts).copy()  # the cached array stays whole
+        shifted[..., 1] += exceedances
+        return shifted
+
+    monkeypatch.setattr(oracle, "_plane_array", planes)
+    monkeypatch.setattr(oracle, "_pair_array", lambda n, alpha_parts: true_pairs(n, alpha_parts) + pairs)
+
+
+class TestScalarReference:
+    @pytest.mark.parametrize("max_n", range(2, 8))
+    @pytest.mark.parametrize("suite", sorted(SCALAR))
+    def test_every_field_is_the_scalar_reference(self, suite, max_n):
+        reports = getattr(verify, f"{suite}_reports")(max_n)
+        reference = SCALAR[suite](max_n)
+        assert_same_fields(reports, reference)
+
+    @pytest.mark.parametrize("suite", sorted(SCALAR))
+    def test_one_pair_too_many_fails_as_in_the_reference(self, monkeypatch, suite):
+        # at every key: the failed sides have odd doubles, printed as halves
+        shift_the_oracle(monkeypatch, pairs=1)
+        reports = getattr(verify, f"{suite}_reports")(4)
+        assert_same_fields(reports, SCALAR[suite](4, pairs=lambda n, alpha, key: pair_count(n, alpha, key) + 1))
+        reports = _fields(reports)
+        failed = {identity for identity, _i, lhs, rhs, *_ in reports if lhs != rhs}
+        assert failed == ({"split_long"} if suite == "classic" else {
+            "split_long_sep", "downarrow_step", "weighted_sum_recurrence", "weighted_sum_value",
+        })
+        assert suite == "classic" or any("/" in text for *_, text in reports)
+
+    @pytest.mark.parametrize("suite", sorted(SCALAR))
+    def test_one_exceedance_too_many_fails_as_in_the_reference(self, monkeypatch, suite):
+        shift_the_oracle(monkeypatch, exceedances=1)
+        reports = getattr(verify, f"{suite}_reports")(3)
+        assert_same_fields(reports, SCALAR[suite](3, planes=shifted_planes(plane_tallies)))
+        assert not all(r.passed for r in reports)
+
+
+class TestExactnessBound:
+    def test_holds_at_n9(self):
+        _key_columns, moves = _columns._key_spaces(10)
+        for n in range(2, 10):
+            _columns._require_exact(n, moves)
+
+    @pytest.mark.parametrize("suite", sorted(SCALAR))
+    def test_checked_before_any_column(self, monkeypatch, suite):
+        def never(*args):
+            raise AssertionError("int64 columns past the bound")
+
+        for name in ("_plane_array", "_pair_array", "_plane_totals"):
+            monkeypatch.setattr(oracle, name, never)
+        monkeypatch.setattr(_columns, f"_{suite}_block", never)
+        monkeypatch.setattr(_columns, "_largest_row_sum", lambda rows, weights: 2**62)
+        with pytest.raises(ResourceLimitError, match="the classic and section3 suites at n=2 would overflow int64"):
+            getattr(verify, f"{suite}_reports")(3)
+
+    def test_bounds_the_largest_column(self):
+        # at n = 7 every doubled side that the suites compute is within the bound
+        largest = max(
+            int(np.abs(column).max())
+            for reports in (verify.classic_reports(7), verify.section3_reports(7))
+            for part in reports.parts
+            if isinstance(part, verify._ReportBlock) and part.texts[0][0].startswith("n=7 ")
+            for column in (part.twice_lhs, part.twice_rhs)
+        )
+        assert 0 < largest <= _columns._require_exact(7, _columns._key_spaces(8)[1]) < 2**62
+
+
 # the section3 identities whose sides are compared doubled, as integers
 DOUBLED = {
     "total_exceedance_count",
@@ -160,7 +411,7 @@ DOUBLED = {
 }
 
 
-def _fraction_reports(n):
+def _fraction_reports(n, pairs=pair_count):
     """The DOUBLED reports at size n in section3's order, each side evaluated
     with the halved coefficients as Fractions."""
     fact_n1 = math.factorial(n - 1)
@@ -171,23 +422,23 @@ def _fraction_reports(n):
             yield i0, part, Fraction(alpha[i0], 2) * (part - 1) * key2[i0].count(part - 1), a2, key2
 
     def weighted_sum(alpha, key):
-        return sum(coeff * verify._p_seq(n, a2, key2) for _i, _p, coeff, a2, key2 in steps(alpha, key))
+        return sum(coeff * pairs(n, a2, key2) for _i, _p, coeff, a2, key2 in steps(alpha, key))
 
     reports = []
     for alpha, key in alpha_instances(n):
         base = f"n={n} alpha={format_d_key(alpha)} Lam={format_seq_key(key)}"
-        by_eta = oracle._plane_tallies(n, alpha)
+        by_eta = plane_tallies(n, alpha)
         total_exc = sum(by_eta[eta].get(key, (0, 0))[1] for eta in _partition_list(n))
         direct = Fraction(n - sum(c.count(1) for c in key), 2) * fact_n1 * _z_seq(key)
         reports.append(IdentityReport("total_exceedance_count", base, total_exc, direct))
     for alpha, key in alpha_instances(n + 1):
         base = f"n={n} alpha={format_d_key(alpha)} Lam={format_seq_key(key)}"
-        z_key, length = _z_seq(key), verify._seq_len(key)
-        t_refined = sum(kap * weighted_sum(alpha, k2) for k2, kap in _odd_refinements_seq(key))
+        z_key, length = _z_seq(key), seq_len(key)
+        t_refined = sum(kap * weighted_sum(alpha, k2) for k2, kap in odd_refinements_seq(key))
         if (length - n) % 2 == 0:
             for i0, part, coeff, a2, key2 in steps(alpha, key):
-                lhs = (n + 1 - length) * coeff * verify._p_seq(n, a2, key2)
-                rhs = coeff * verify._p_refined(n, a2, key2)
+                lhs = (n + 1 - length) * coeff * pairs(n, a2, key2)
+                rhs = coeff * _p_refined(pairs, n, a2, key2)
                 rhs += Fraction(part * key[i0].count(part), 2) * fact_n1 * z_key
                 reports.append(IdentityReport("downarrow_step", f"{base} i={i0 + 1} j={part - 1}", lhs, rhs))
             t_key = weighted_sum(alpha, key)
@@ -195,7 +446,7 @@ def _fraction_reports(n):
             rhs_rec = t_refined + Fraction(fact_n1 * z_key, 2) * weight
             reports.append(IdentityReport("weighted_sum_recurrence", base, (n + 1 - length) * t_key, rhs_rec))
             reports.append(IdentityReport("weighted_sum_value", base, t_key, fact_n1 * z_key))
-        lhs_ex = sum(coeff * verify._p_refined(n, a2, key2) for _i, _p, coeff, a2, key2 in steps(alpha, key))
+        lhs_ex = sum(coeff * _p_refined(pairs, n, a2, key2) for _i, _p, coeff, a2, key2 in steps(alpha, key))
         reports.append(IdentityReport("downarrow_exchange", base, lhs_ex, t_refined))
     return reports
 
@@ -210,25 +461,17 @@ class TestSection3DoubledSides:
     def test_broken_identities_report_the_same_exact_halves(self, monkeypatch):
         # one pair too many at every key: the failed sides have odd doubles,
         # so the reports must print halves exactly as the Fractions did
-        true_p_seq = verify._p_seq
-        monkeypatch.setattr(verify, "_p_seq", lambda n, alpha, key: true_p_seq(n, alpha, key) + 1)
+        shift_the_oracle(monkeypatch, pairs=1)
         new = [r.to_dict() for r in verify.section3_reports(4) if r.identity in DOUBLED]
-        old = [r.to_dict() for n in range(2, 5) for r in _fraction_reports(n)]
+        one_more = lambda n, alpha, key: pair_count(n, alpha, key) + 1  # noqa: E731
+        old = [r.to_dict() for n in range(2, 5) for r in _fraction_reports(n, one_more)]
         assert new == old
         assert any("/" in r["lhs"] + r["rhs"] for r in new)
         assert not all(r["pass"] for r in new)
 
     def test_shifted_exceedance_totals_fail_the_exceedance_identities(self, monkeypatch):
         # one exceedance too many at every key of every tally
-        true_tallies = oracle._plane_tallies
-
-        def shifted(n, alpha_parts):
-            return {
-                eta: {key: (count, exc + 1) for key, (count, exc) in by_key.items()}
-                for eta, by_key in true_tallies(n, alpha_parts).items()
-            }
-
-        monkeypatch.setattr(oracle, "_plane_tallies", shifted)
+        shift_the_oracle(monkeypatch, exceedances=1)
         reports = verify.section3_reports(3)
         hit = {"split_exceedance_sep", "total_exceedance_balance", "total_exceedance_count"}
         assert hit <= {r.identity for r in reports}
@@ -255,16 +498,8 @@ class TestSharedSplitRows:
         # memo kept across calls would still serve the true values
         verify.section3_reports(4)
         verify.block_deletion_reports(4)
-        true_p_seq, true_tallies, true_closed = verify._p_seq, oracle._plane_tallies, formulas.separating_by_d
-
-        def shifted(n, alpha_parts):
-            return {
-                eta: {key: (count, exc + 1) for key, (count, exc) in by_key.items()}
-                for eta, by_key in true_tallies(n, alpha_parts).items()
-            }
-
-        monkeypatch.setattr(verify, "_p_seq", lambda n, alpha, key: true_p_seq(n, alpha, key) + 1)
-        monkeypatch.setattr(oracle, "_plane_tallies", shifted)
+        true_closed = formulas.separating_by_d
+        shift_the_oracle(monkeypatch, exceedances=1, pairs=1)
         monkeypatch.setattr(formulas, "separating_by_d", lambda alpha, d: true_closed(alpha, d) + 1)
         failed = {r.identity for r in verify.section3_reports(4) if not r.passed}
         assert failed == {
@@ -400,7 +635,10 @@ class TestCollectorPause:
         ("plane_structure_reports", (3,)),
         ("parity_audit", (3,)),
     ]
-    HELPERS = [(verify, "_partition_list"), (verify, "_compositions"), (verify, "_block_pieces"), (oracle, "_cycle_words")]
+    HELPERS = [
+        (verify, "_partition_list"), (verify, "_compositions"), (_columns, "_partition_list"), (_columns, "_block_pieces"),
+        (oracle, "_cycle_words"),
+    ]
 
     @pytest.fixture(autouse=True)
     def restore_collector(self):
@@ -435,7 +673,7 @@ class TestCollectorPause:
             assert not gc.isenabled()
             raise ZeroDivisionError("a broken tally")
 
-        monkeypatch.setattr(oracle, "_plane_tallies", broken)
+        monkeypatch.setattr(oracle, "_plane_array", broken)
         with pytest.raises(ZeroDivisionError):
             verify.classic_reports(3)
         assert gc.isenabled() is enabled
@@ -478,8 +716,8 @@ class TestBaserecurSecondRoute:
         assert len(reports) == len(instances)
         for report, (total, alpha, key) in zip(reports, instances):
             assert report.instance == f"N={total} alpha={format_d_key(alpha)} Lam={format_seq_key(key)}"
-            assert report.lhs == (total - verify._seq_len(key)) * _z_seq(key)
-            rhs = sum(kap * _z_seq(k2) for k2, kap in _odd_refinements_seq(key))
+            assert report.lhs == (total - seq_len(key)) * _z_seq(key)
+            rhs = sum(kap * _z_seq(k2) for k2, kap in odd_refinements_seq(key))
             rhs += Fraction(_z_seq(key), 2) * sum(p for c in key for p in c if p >= 2)
             assert report.rhs == rhs
 
@@ -501,7 +739,7 @@ class TestBaserecurSecondRoute:
         def heavier(p):
             return {c: (text, z, s, w + 1, n) for c, (text, z, s, w, n) in _block_pieces(p).items()}
 
-        monkeypatch.setattr(verify, "_block_pieces", heavier)
+        monkeypatch.setattr(_columns, "_block_pieces", heavier)
         (report,) = verify.baserecur_reports(1)
         assert (report.lhs, report.rhs, report.passed) == (0, Fraction(1, 2), False)
         assert str(report) == "[FAIL] length_weight_base @ N=1 alpha=(1) Lam=1: 0 vs 1/2"
@@ -521,7 +759,7 @@ def _leading_folds(rest, parts, folded, folds, keep):
             lead_folded = [
                 (text + piece + " | ", z * zp, s * zp + sp * z, w + wp, length + lp)
                 for text, z, s, w, length in folded
-                for piece, zp, sp, wp, lp in verify._block_pieces(b).values()
+                for piece, zp, sp, wp, lp in _columns._block_pieces(b).values()
             ]
             if sum(lead) < keep:
                 folds[lead] = lead_folded
@@ -530,13 +768,13 @@ def _leading_folds(rest, parts, folded, folds, keep):
 
 def scalar_baserecur_reports(max_n):
     """baserecur one instance at a time in Python ints, from the pieces of
-    verify._block_pieces: the reference for its int64 columns."""
+    _columns._block_pieces: the reference for its int64 columns."""
     reports = []
     folds = {}  # the leading compositions' folds, shared by every total
     for total in range(1, max_n + 1):
         for alpha_parts, folded in _leading_folds(total, (), [("", 1, 0, 0, 0)], folds, max_n - 1):
             head = f"N={total} alpha={format_d_key(alpha_parts)} Lam="
-            last = tuple(verify._block_pieces(alpha_parts[-1]).values())
+            last = tuple(_columns._block_pieces(alpha_parts[-1]).values())
             for text, z, s, w, length in folded:
                 for piece, zp, sp, wp, lp in last:
                     z_key = z * zp
@@ -545,10 +783,6 @@ def scalar_baserecur_reports(max_n):
                     lhs = (total - length - lp) * z_key
                     reports.append(IdentityReport("length_weight_base", head, lhs, rhs, text, piece))
     return reports
-
-
-def _fields(reports):
-    return [(r.identity, r.instance, r.lhs, r.rhs, type(r.lhs), type(r.rhs), str(r)) for r in reports]
 
 
 class TestBaserecurColumns:
@@ -560,16 +794,16 @@ class TestBaserecurColumns:
         assert _fields(reports) == _fields(reference)
 
     def test_int64_bound_holds_at_the_limit_and_fails_above(self):
-        verify._require_int64(verify._SUITE_LIMITS["baserecur"])
+        _columns._require_int64(verify._SUITE_LIMITS["baserecur"])
         with pytest.raises(ResourceLimitError, match="overflow int64"):
-            verify._require_int64(20)
+            _columns._require_int64(20)
 
     def test_int64_bound_is_checked_before_the_columns(self, monkeypatch):
         def never(max_n):
             raise AssertionError("int64 columns past the bound")
 
         monkeypatch.setitem(verify._SUITE_LIMITS, "baserecur", 20)
-        monkeypatch.setattr(verify, "_baserecur_columns", never)
+        monkeypatch.setattr(_columns, "_baserecur_columns", never)
         with pytest.raises(ResourceLimitError, match="the baserecur suite at n=20 would overflow int64"):
             verify.baserecur_reports(20)
 
@@ -579,7 +813,7 @@ class TestBaserecurColumns:
         def heavier(p):
             return {c: (text, z, s, w + (c == (2, 1)), n) for c, (text, z, s, w, n) in _block_pieces(p).items()}
 
-        monkeypatch.setattr(verify, "_block_pieces", heavier)
+        monkeypatch.setattr(_columns, "_block_pieces", heavier)
         run = verify.run_suites(("baserecur",), 3, baserecur_max_n=7)
         expected = [str(r) for r in scalar_baserecur_reports(7) if not r.passed]
         assert expected and any("/2" in line for line in expected)
@@ -644,6 +878,49 @@ class TestReportStore:
         assert built == []
         run.reports[-1]
         assert len(built) == 1  # the count sees a report that is read
+
+
+    def test_a_passing_classic_and_section3_run_builds_no_column_report(self, monkeypatch, capsys):
+        built = []
+        init = IdentityReport.__init__
+
+        def counted(self, identity, *args):
+            built.append(identity)
+            init(self, identity, *args)
+
+        monkeypatch.setattr(IdentityReport, "__init__", counted)
+        run = verify.run_suites(("classic", "section3"), 6)
+        deletion = len(built)  # the block-deletion reports, which stay a list
+        assert deletion and {name.split("[")[0] for name in built} == {"block_deletion_d", "block_deletion_total"}
+        assert run.ok and run.failures() == []
+        lines = run.summary_lines()
+        out = io.StringIO()
+        run.write_json(out)
+        assert cli.main(["verify", "--suite", "classic", "--suite", "section3", "--max-n", "6"]) == 0
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines) + "PASS\n"
+        assert built == built[:deletion] * 2  # the CLI's run built its block-deletion reports again, and no other
+        monkeypatch.undo()
+        reference = VerifyRun(reports=scalar_classic_reports(6) + scalar_section3_reports(6), audit=[])
+        assert lines == reference.summary_lines()  # the counts per identity inside each block
+        assert out.getvalue() == json.dumps(reference.to_dict(), sort_keys=True) + "\n"
+
+    def test_one_failure_shows_the_same_everywhere(self):
+        run = verify.run_suites(("classic", "section3"), 4)
+        block = run.reports.parts[-2]  # section3's block at n = 4
+        assert [block[i] for i in range(len(block))] == list(block)  # indexing decodes what iteration builds
+        i = len(block) // 2
+        good = block[i]
+        block.twice_lhs[i] += 1  # half a unit more on one left side
+        bad = IdentityReport(good.identity, good.instance, good.lhs + Fraction(1, 2), good.rhs)
+        assert not bad.passed and block[i] == bad
+        assert run.failures() == [str(bad)] == [str(r) for r in run.reports if not r.passed]
+        assert not run.ok
+        count = sum(r.identity == bad.identity for r in run.reports)
+        assert f"{bad.identity}: {count} instances, 1 FAILED" in run.summary_lines()
+        out = io.StringIO()
+        run.write_json(out)
+        assert out.getvalue() == json.dumps(run.to_dict(), sort_keys=True) + "\n"
+        assert [d for d in json.loads(out.getvalue())["reports"] if not d["pass"]] == [bad.to_dict()]
 
 
 class TestZagierOracle:
