@@ -24,7 +24,8 @@ cached: each is a local of the sweep or table build that reads it.
 
 Sweeps with a worker count cut their index range into contiguous chunks,
 one per worker, and _chunk_sum adds up the chunks' counts: the pair sweep
-over second factors, and the plane suite of verify over cycle words.  The
+over second factors, and the full plane sweep and the plane suite of verify
+over cycle words.  The
 shared tables are built first.  Then the process forks a child for every
 worker beyond the first, up to one process per CPU; each child counts its
 share of the chunks and sends the raw int64 sum back through a pipe, while
@@ -47,6 +48,14 @@ _pairs_sep_prefix(n).  The plane tallies, _plane_array(n, alpha), read the
 (count, exceedances) totals of the full plane sweep, _plane_totals(n).  They
 and the pair counts by block types, _pair_array(n, alpha), are dense int64
 arrays with one entry per block-type key of alpha, for the verify suites.
+
+The full plane sweep, _plane_codes(n), walks the verticals pi by q = pi⁻¹
+in lex order, so that q's first n - min(_TAIL, n) images form head groups
+of consecutive q's.  Per cycle word s, the lex rank of the diagonal s∘q and
+the exceedance count of (s, pi) are each a head term, one per head group,
+plus a tail term, read from a table over q's tail arrangements; the two are
+fused into one code, rank * (n + 1) + exceedances, whose bin one per-n
+table, tbx, gives.
 """
 
 from __future__ import annotations
@@ -662,76 +671,130 @@ def count_factorizations(target: Permutation) -> int:
 # one representative.  These sweeps walk all (n-1)! * n! pairs (s, pi).
 
 
-# cycle words whose tables _plane_codes builds as one array each, and whose
-# bincount indices share one buffer
+# cycle words per numpy call of _plane_chunk: their part tables are built at
+# once, and their bins share one buffer and one bincount
 _PLANE_WORDS = 16
 
 
-def _outer_codes(words: int, rows: Sequence[np.ndarray], base: int) -> np.ndarray:
-    """``codes[w]``, for w < words: over every tuple t of column indices, in
-    lex order, the base-``base`` code of (rows[0][w, t_0], rows[1][w, t_1],
-    ...), most significant digit first; with base 1, their sum.  Outer sums,
-    one position at a time, as ``np.ix_`` gives for one word."""
-    codes = np.zeros((words, 1), dtype=np.int64)
-    for row in rows:
-        codes = (codes[:, :, None] * base + row[:, None, :]).reshape(words, -1)
-    return codes
+def _plane_tables(n: int) -> tuple:
+    """(words, cycles, tbx, sig_off, tail_of, head, tail): every table
+    _plane_chunk reads, built before any fork.
 
-
-def _plane_codes(n: int) -> np.ndarray:
-    """Counts over all plane permutations (s, pi), indexed by
-    (diagonal type index, signature id of the vertical, exceedance count).
-
-    The lex rank of the diagonal s∘pi⁻¹ is prefix + suffix rank of the images
-    of pi⁻¹ with s applied, and the exceedance count of (s, pi) is a sum over
-    the images of pi.  Split as _rank_tables splits, after the first
-    h = n - min(_TAIL, n) images, each part is read from a table built per
-    word over every digit tuple of that part, keyed by the part's code; the
-    codes of pi and pi⁻¹ are the same for every word.  The tables of
-    _PLANE_WORDS words are built at once."""
-    _require_scale("full plane-permutation sweep", n, PLANE_SWEEP_LIMIT)
-    perms = _all_perm_rows(n).T  # element first: row x holds the image of x under every perm
-    pinv_t = np.argsort(perms, axis=0)  # row j: perm⁻¹(j) for every perm
+    The verticals pi are enumerated by q = pi⁻¹ in lex order, so the first
+    h = n - min(_TAIL, n) images of q form head groups of k! = min(_TAIL, n)!
+    consecutive q's.  ``tail_of[q]`` is the index of q's last k images among
+    the n!/(n-k)! injective k-tuples, in lex order, and ``sig_off[q]`` =
+    sig[rank(q⁻¹)] * (n + 1), the vertical's signature offset.  A fused code
+    x = rank * (n + 1) + a of a diagonal and an exceedance count has its bin
+    at ``tbx[x]`` = type_base[x // (n + 1)] + x % (n + 1) plus the
+    signature offset.  ``head`` and ``tail`` are (places, columns, lut) of
+    the two parts of q: the digit places of their images in the rank code,
+    times m + 1 for a part of m images; (m, tuples) indices of each position
+    of every tuple into _part_codes' digit table; and the part's table of
+    _rank_tables(n), fused with an exceedance count e <= m at c * (m + 1) +
+    e for the code c of its images."""
+    k = min(_TAIL, n)
+    h = n - k
+    qs = _all_perm_rows(n)
     sig, rows = _signatures(n)
     types = _partition_list(n)
     type_of = np.array([types.index(_cycle_type(row)) for row in rows.tolist()])  # signature id -> type index
-    stride = len(rows) * (n + 1)
-    type_base = type_of[sig] * stride  # lex rank of a diagonal -> the first index of its type
-    sig_base = sig * (n + 1)  # lex rank of a vertical -> the first index of its signature within a type
+    tbx = ((type_of * (len(rows) * (n + 1)))[sig][:, None] + np.arange(n + 1)).ravel()
+    sig_off = sig[_lex_rank(n, np.argsort(qs, axis=1).T)] * (n + 1)
+    arrangements = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64).reshape(-1, k)
+    index = np.zeros(n**k, dtype=np.int64)
+    index[_code(n, arrangements.T)] = np.arange(len(arrangements))
+    tail_of = index[_code(n, qs[:, h:].T)]
+    heads = qs[:: math.factorial(k), :h]
     prefix, suffix = _rank_tables(n)
+
+    def part(images: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        m = images.shape[1]
+        places = n ** np.arange(m - 1, -1, -1) * (m + 1)
+        lut = (ranks[:, None] * (n + 1) + np.arange(m + 1)).ravel()
+        return places, (images + np.arange(m) * n).T.copy(), lut
+
+    return _cycle_words(n), _cycle_rows(n), tbx, sig_off, tail_of, part(heads, prefix), part(arrangements, suffix)
+
+
+def _part_codes(s_img: np.ndarray, later: np.ndarray, cols: range, part: tuple) -> np.ndarray:
+    """``codes[w, t]`` = rank * (n + 1) + e over the m-tuples t of ``part``
+    (_plane_tables' head or tail) as images of the positions ``cols`` of q,
+    for the words of ``s_img``: the rank part of s(t) in the diagonal's lex
+    rank, and e, the y in cols after q(y) in the word.  One digit table per
+    word, ``digits[w, i, x]`` = s(x) * places[i] + [cols[i] after x], summed
+    at each position of t, then one lookup in the part's lut."""
+    places, columns, lut = part
+    digits = s_img[:, None, :] * places[:, None] + later[:, :, cols].transpose(0, 2, 1)
+    digits = digits.reshape(len(s_img), -1)
+    codes = np.zeros((len(s_img), columns.shape[1]), dtype=np.int64)
+    for column in columns:
+        codes += digits.take(column, axis=1)
+    return lut.take(codes)
+
+
+def _plane_chunk(n: int, tables: tuple, lo: int, hi: int) -> np.ndarray:
+    """The flat counts of _plane_codes(n) over the plane permutations (s,
+    pi) with s one of cycle words lo..hi-1, from ``tables``, _plane_tables(n).
+
+    The diagonal s∘pi⁻¹ = s∘q has lex rank prefix[s(q head)] + suffix[s(q
+    tail)], and the exceedances of (s, pi) are a = #{y : y after q(y) in
+    the word}; both split at the head.  So per word, one fused code per
+    head group and a table over the tail arrangements (_part_codes) give
+    every x = rank * (n + 1) + a with one gather and one broadcast add, and
+    its bin with one gather from ``tbx`` and one add."""
+    words, cycles, tbx, sig_off, tail_of, head, tail = tables
     h = n - min(_TAIL, n)
-    inv_head, inv_tail = _code(n, pinv_t[:h]), _code(n, pinv_t[h:])
-    img_head, img_tail = _code(n, perms[:h]), _code(n, perms[h:])
-    acc = np.zeros(len(types) * stride, dtype=np.int64)
-    buf = np.empty((_PLANE_WORDS, perms.shape[1]), dtype=np.int64)
-    words, cycles = _cycle_words(n), _cycle_rows(n)
-    for lo in range(0, len(words), _PLANE_WORDS):
-        s_img = cycles[lo : lo + _PLANE_WORDS]  # one word per line
-        pos = np.argsort(words[lo : lo + _PLANE_WORDS], axis=1)  # pos[w, x]: index of x in word w
-        later = (pos[:, None, :] > pos[:, :, None]).astype(np.int64)  # later[w, x, y]: y after x in word w
-        # per word, over every digit tuple t of a part: the rank of s(t), and
-        # the exceedances of x = 0..h-1 (or h..n-1) with images t
+    groups = len(sig_off) // math.factorial(n - h)
+    acc = np.zeros(len(_partition_list(n)) * len(_signatures(n)[1]) * (n + 1), dtype=np.int64)
+    codes = np.empty((_PLANE_WORDS, len(sig_off)), dtype=np.int64)
+    bins = np.empty_like(codes)
+    for start in range(lo, hi, _PLANE_WORDS):
+        s_img = cycles[start : min(start + _PLANE_WORDS, hi)]  # one word per line
         m = len(s_img)
-        rank_head = prefix[_outer_codes(m, [s_img] * h, n)]
-        rank_tail = suffix[_outer_codes(m, [s_img] * (n - h), n)]
-        exc_head = _outer_codes(m, [later[:, x] for x in range(h)], 1)
-        exc_tail = _outer_codes(m, [later[:, x] for x in range(h, n)], 1)
-        for w in range(m):
-            d = rank_head[w][inv_head] + rank_tail[w][inv_tail]
-            a = exc_head[w][img_head] + exc_tail[w][img_tail]
-            np.add(type_base[d], sig_base + a, out=buf[w])
-        acc += np.bincount(buf[:m].ravel(), minlength=acc.size)
-    return acc.reshape(len(types), len(rows), n + 1)
+        pos = np.argsort(words[start : start + m], axis=1)  # pos[w, x]: index of x in word w
+        later = pos[:, None, :] > pos[:, :, None]  # later[w, x, y]: y after x in word w
+        x = _part_codes(s_img, later, range(h, n), tail).take(tail_of, axis=1, out=codes[:m], mode="clip")
+        grouped = x.reshape(m, groups, -1)  # a view: the q's of head group g are row g
+        grouped += _part_codes(s_img, later, range(h), head)[:, :, None]
+        np.add(tbx.take(x, out=bins[:m], mode="clip"), sig_off, out=bins[:m])
+        acc += np.bincount(bins[:m].ravel(), minlength=acc.size)
+    return acc
 
 
-@cache
-def _plane_totals(n: int) -> np.ndarray:
+def _plane_codes(n: int, workers: int = 1) -> np.ndarray:
+    """Counts over all plane permutations (s, pi), indexed by
+    (diagonal type index, signature id of the vertical, exceedance count):
+    _plane_chunk over the cycle words, cut into one chunk per worker and
+    summed by _chunk_sum.
+
+    The verticals are walked by q = pi⁻¹ in lex order.  Per word, each
+    plane permutation has a fused code x = rank * (n + 1) + a, the lex rank
+    of its diagonal s∘q and its exceedance count: the head group's term
+    plus the tail arrangement's.  Its bin is tbx[x], where tbx[x] =
+    type_base[x // (n + 1)] + x % (n + 1) and type_base is the first index
+    of the diagonal's cycle type, plus the vertical's signature offset,
+    sig[rank(q⁻¹)] * (n + 1); both tables are per n (_plane_tables).  So a
+    word costs two gathers of n! entries, where walking pi by rank took five."""
+    _require_scale("full plane-permutation sweep", n, PLANE_SWEEP_LIMIT)
+    tables = _plane_tables(n)
+    acc = _chunk_sum(partial(_plane_chunk, n, tables), _chunks(math.factorial(n - 1), workers), workers)
+    return acc.reshape(len(_partition_list(n)), len(_signatures(n)[1]), n + 1)
+
+
+_plane_totals_cache: dict[int, np.ndarray] = {}
+
+
+def _plane_totals(n: int, workers: int = 1) -> np.ndarray:
     """``totals[i, t]`` = (count, exceedances): the plane permutations whose
     vertical has signature id i and whose diagonal has type index t, and the
     sum of their exceedance counts; the same for every composition.  Only
-    these totals are kept, not the sweep's (n + 1) times larger codes."""
-    acc = _plane_codes(n).swapaxes(0, 1)  # indexed by (signature id, type index, a)
-    return np.stack((acc.sum(axis=2), acc @ np.arange(n + 1)), axis=2)
+    these totals are kept, not the sweep's (n + 1) times larger codes.  Kept
+    per n: the sweep gives the same totals at any worker count."""
+    if n not in _plane_totals_cache:
+        acc = _plane_codes(n, workers).swapaxes(0, 1)  # indexed by (signature id, type index, a)
+        _plane_totals_cache[n] = np.stack((acc.sum(axis=2), acc @ np.arange(n + 1)), axis=2)
+    return _plane_totals_cache[n]
 
 
 def _dense(table: dict, alpha_parts: tuple[int, ...], zero) -> np.ndarray:

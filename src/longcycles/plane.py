@@ -44,9 +44,10 @@ def _classify(word: tuple[int, ...], pi: Permutation):
 # 0-based, and a batch of permutations is stored with the element first:
 # perms[x] holds the image of x in every array of the batch (any trailing
 # shape), so that each step works on long contiguous rows.  A cycle word is
-# an integer array starting at 0.  The plane suite runs them once per word,
-# against tables built once per n, into buffers allocated once per n: fresh
-# temporaries of this size would be page-faulted in again for every word.
+# an integer array starting at 0.  The plane suite runs them over batches of
+# words, with a leading word axis, against tables built once per n, into
+# buffers allocated once per n: fresh temporaries of this size would be
+# page-faulted in again for every batch.
 
 
 def _take(a: np.ndarray, indices: np.ndarray, out: np.ndarray | None, axis: int | None = None) -> np.ndarray:
@@ -100,11 +101,15 @@ def _cycle_minima(
 
 
 class _Verticals(NamedTuple):
-    """An (n, m) batch of verticals with the tables that every word's checks
-    over it read, its _flat indices and their _squarings, and the (n, m)
-    buffers that _exceedance_counts writes."""
+    """A (B, n, m) batch of verticals, m for each of B words, with the tables
+    that every batch's checks over it read and the buffers that
+    _exceedance_counts writes, all (B, n, m): ``values``, each image plus n
+    times its word's index, so that it indexes a (B, n) table of the words;
+    ``flat``, the flat index of (word, image, column) into a (B, n, m) array
+    (as _flat, one word after another); and the _squarings of ``flat``.  A
+    batch of b < B words uses the first b of each."""
 
-    perms: np.ndarray
+    values: np.ndarray
     flat: np.ndarray
     steps: tuple[np.ndarray, ...]
     at: np.ndarray
@@ -114,19 +119,36 @@ class _Verticals(NamedTuple):
     either: np.ndarray
 
 
-def _verticals(perms: np.ndarray) -> _Verticals:
-    """The batch ``perms`` (n, m) with its tables and buffers."""
-    flat = _flat(perms)
-    ints = (np.empty_like(flat) for _ in range(3))
-    return _Verticals(perms, flat, tuple(_squarings(flat)), *ints, *np.empty((2, *flat.shape), dtype=bool))
+def _verticals(perms: np.ndarray, words: int) -> _Verticals:
+    """The verticals ``perms`` (n, m) for each of a batch of ``words``
+    words, with their tables and buffers."""
+    n, m = perms.shape
+    ints = (np.empty((words, n, m), dtype=np.int64) for _ in range(5 + max(0, (n - 1).bit_length() - 1)))
+    values, flat, at, low, spare, *steps = ints
+    bools = np.empty((2, words, n, m), dtype=bool)
+    verts = _Verticals(values, flat, tuple(steps), at, low, spare, *bools)
+    np.add(perms, np.arange(0, words * n, n)[:, None, None], out=values)
+    np.multiply(values, m, out=flat)
+    flat += np.arange(m)
+    _square(verts, words)
+    return verts
 
 
-def _refill(verts: _Verticals, perms: np.ndarray, rows: np.ndarray) -> None:
-    """Overwrite the batch ``verts`` with perms[rows], its tables included."""
-    _take(perms, rows, verts.perms, axis=0)
-    _flat(verts.perms, out=verts.flat)
-    for prev, step in zip((verts.flat, *verts.steps), verts.steps):
-        _take(prev.ravel(), prev, step)
+def _refill(verts: _Verticals, source: _Verticals, rows: np.ndarray) -> None:
+    """Overwrite the first b words of the batch ``verts`` with rows of the
+    batch ``source``, its tables included: row x of word w is row rows[w, x]
+    of source's (B n, m) tables, one of word w's own n rows."""
+    b, m = len(rows), verts.values.shape[2]
+    _take(source.values.reshape(-1, m), rows, verts.values[:b], axis=0)
+    _take(source.flat.reshape(-1, m), rows, verts.flat[:b], axis=0)
+    _square(verts, b)
+
+
+def _square(verts: _Verticals, b: int) -> None:
+    """The _squarings of the first b words' ``flat``, into ``steps``."""
+    flat = verts.flat[:b]
+    for step in verts.steps:  # pi^2, pi^4, ... while 2, 4, ... is below n
+        flat = _take(flat.ravel(), flat, step[:b])
 
 
 @cache
@@ -141,29 +163,33 @@ def _diagonal_misses(
     bottoms: np.ndarray, diags: np.ndarray, next_tops: np.ndarray,
     vals: np.ndarray | None = None, miss: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The gather form of PlanePermutation.diagonal_from_pairs: ``out[..., r]``
-    is True where some column t of array r breaks D(bottom of t) = top of
-    t + 1.  ``bottoms[t, ..., r]`` is the flat index of (bottom of t, r) into
-    the (n, m) ``diags``, stored element first (see _flat), and
-    ``next_tops[t, ...]`` the top of column t + 1, cyclically; ``vals`` and
-    ``miss`` are buffers of the shape of ``bottoms``.  As the tops and D are
-    bijections, the check passing at every t makes the bottoms a bijection
-    too, and the diagonal read off the array is then D."""
+    """The gather form of PlanePermutation.diagonal_from_pairs over a batch
+    of words: ``out[w, ..., r]`` is True where some column t of array r of
+    word w breaks D(bottom of t) = top of t + 1.  ``bottoms[w, t, ..., r]``
+    is the flat index of (bottom of t, r) into ``diags`` (see _flat), and
+    ``next_tops[w, t, ...]`` the top of column t + 1, cyclically; ``vals``
+    and ``miss`` are buffers of the shape of ``bottoms``.  As the tops and D
+    are bijections, the check passing at every t makes the bottoms a
+    bijection too, and the diagonal read off the array is then D."""
     vals = _take(diags.ravel(), bottoms, vals)
-    return np.not_equal(vals, next_tops[..., None], out=miss).any(axis=0)
+    return np.not_equal(vals, next_tops[..., None], out=miss).any(axis=1)
 
 
-def _exceedance_counts(word: np.ndarray, verts: _Verticals) -> tuple[np.ndarray, np.ndarray]:
-    """Exceedance and non-trivial anti-exceedance counts of (word, pi) for
-    every pi in the batch ``verts``.  As in _classify, each cycle's trivial
-    anti-exceedance is the preimage of its word-order minimum."""
-    pos = np.argsort(word)
-    at = _take(pos, verts.perms, verts.at)  # at[x, r]: the index of pi(x) in the word
-    exc = np.greater(at, pos[:, None], out=verts.exc)
-    low = _cycle_minima(verts.perms, pos, verts.steps, verts.low, verts.spare)
-    either = np.equal(at, low, out=verts.either)  # trivial, then trivial or exceedance
+def _exceedance_counts(words: np.ndarray, verts: _Verticals) -> tuple[np.ndarray, np.ndarray]:
+    """Exceedance and non-trivial anti-exceedance counts, (b, m) each, of
+    (words[w], pi) for every pi of word w in the batch ``verts``.  As in
+    _classify, each cycle's trivial anti-exceedance is the preimage of its
+    word-order minimum, found as in _cycle_minima."""
+    b, n = words.shape
+    pos = np.argsort(words, axis=1)
+    at = _take(pos.ravel(), verts.values[:b], verts.at[:b])  # at[w, x, r]: the index of pi(x) in word w
+    exc = np.greater(at, pos[:, :, None], out=verts.exc[:b])
+    low = np.minimum(at, pos[:, :, None], out=verts.low[:b])  # the least index over windows of 2, 4, ... cycle elements
+    for step in verts.steps:
+        np.minimum(low, _take(low.ravel(), step[:b], verts.spare[:b]), out=low)
+    either = np.equal(at, low, out=verts.either[:b])  # trivial, then trivial or exceedance
     either |= exc
-    return exc.sum(axis=0), len(word) - either.sum(axis=0)
+    return exc.sum(axis=1), n - either.sum(axis=1)
 
 
 # a block transposition hands pi(s_j), pi(s_k), pi(s_{i-1}) to s_{i-1}, s_j,

@@ -59,8 +59,8 @@ from .partitions import (
     _compositions,
     _partition_list,
     format_d_key,
+    _stirling_table,
     format_type_key,
-    stirling_first,
 )
 from .permutations import canonical_of_type
 
@@ -95,7 +95,7 @@ class IdentityReport:
     columns (``_ReportBlock``) and build one only when it is indexed or
     iterated: its sides are then Python ints, or a ``Fraction`` when one is
     a half.  Only section3's block-deletion reports, whose closed-form side
-    is computed per call, are built as they are made.
+    is read from tables built per call, are built as they are made.
     """
 
     __slots__ = ("identity", "_head", "lhs", "rhs", "_mid", "_tail")
@@ -320,13 +320,17 @@ def _half_text(x: int) -> str:
 
 
 @_collector_paused()
-def classic_reports(max_n: int = 6) -> _Reports:
+def classic_reports(max_n: int = 6, workers: int = 1) -> _Reports:
     """The classic suite at n = 2..max_n, one _ReportBlock per n."""
     oracle._require_scale("the classic suite", max_n, _SUITE_LIMITS["classic"])
     from . import _columns
 
     columns, _moves = _columns._suite_keys(max_n)
-    return _Reports(_ReportBlock(*_columns._classic_block(n, columns)) for n in range(2, max_n + 1))
+    blocks = []
+    for n in range(2, max_n + 1):
+        oracle._plane_totals(n, workers)  # the plane sweep the columns read, split over the workers
+        blocks.append(_ReportBlock(*_columns._classic_block(n, columns)))
+    return _Reports(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +338,7 @@ def classic_reports(max_n: int = 6) -> _Reports:
 
 
 @_collector_paused()
-def section3_reports(max_n: int = 6) -> _Reports:
+def section3_reports(max_n: int = 6, workers: int = 1) -> _Reports:
     """The section3 suite at n = 2..max_n: per n one _ReportBlock, then the
     block-deletion reports at n."""
     oracle._require_scale("the section3 suite", max_n, _SUITE_LIMITS["section3"])
@@ -343,6 +347,7 @@ def section3_reports(max_n: int = 6) -> _Reports:
     columns, moves = _columns._suite_keys(max_n)
     parts: list = []
     for n in range(2, max_n + 1):
+        oracle._plane_totals(n, workers)  # the plane sweep the columns read, split over the workers
         parts += (_ReportBlock(*_columns._section3_block(n, columns, moves)), tuple(block_deletion_reports(n)))
     return _Reports(parts)
 
@@ -351,31 +356,42 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
     """The block-deletion identities at size n, the refined one certified from
     both the oracle's tables and the closed form.
 
+    The closed side reads one table per shrunk composition, built the first
+    time it is needed (formulas._separating_by_d_table) and kept for this
+    call only, with 0 for the d's it leaves out; the Stirling products read
+    one table per n.
+
     The d-summed form needs a block of size >= 2: with every block a
     singleton there is no d of the right parity, and the closed right side no
     longer applies.
     """
     reports: list[IdentityReport] = []
     fact_n1 = math.factorial(n - 1)
-    closed = cache(lambda b2, d: formulas.separating_by_d(Composition(b2), d))  # for this call only
+    stirling = _stirling_table(n + 2)
+    closed: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for beta in _compositions(n + 1):
         inst_total = f"n={n} beta={format_d_key(beta)}"
-        # (binom(b, 2), beta with block b one element smaller) per block b >= 2
-        shrinks = [
-            (math.comb(b, 2), beta[:i] + (b - 1,) + beta[i + 1 :]) for i, b in enumerate(beta) if b >= 2
-        ]
+        # (binom(b, 2), the oracle's and the closed form's tables by d of beta
+        # with block b one element smaller) per block b >= 2
+        shrinks = []
+        for i, b in enumerate(beta):
+            if b >= 2:
+                b2 = beta[:i] + (b - 1,) + beta[i + 1 :]
+                if b2 not in closed:
+                    closed[b2] = formulas._separating_by_d_table(b2)
+                shrinks.append((math.comb(b, 2), oracle._pairs_alpha_tables(n, b2), closed[b2]))
         if shrinks:
-            lhs_tot = sum(coeff * oracle._pairs_alpha_tables(n, b2)[2] for coeff, b2 in shrinks)
+            lhs_tot = sum(coeff * pairs[2] for coeff, pairs, _ in shrinks)
             rhs_tot = Fraction(fact_n1 * math.prod(map(math.factorial, beta)), 2)
             reports.append(IdentityReport("block_deletion_total", inst_total, lhs_tot, rhs_tot))
         for d in itertools.product(*(range(1, b + 1) for b in beta)):
             if (sum(d) - n) % 2:
                 continue
             inst = f"{inst_total} d={format_d_key(d)}"
-            rhs = fact_n1 * math.prod(map(stirling_first, beta, d))
-            lhs = sum(coeff * oracle._pairs_alpha_tables(n, b2)[0].get(d, 0) for coeff, b2 in shrinks)
+            rhs = fact_n1 * math.prod(stirling[b][k] for b, k in zip(beta, d))
+            lhs = sum(coeff * pairs[0].get(d, 0) for coeff, pairs, _ in shrinks)
             reports.append(IdentityReport("block_deletion_d[oracle]", inst, lhs, rhs))
-            lhs = sum(coeff * closed(b2, d) for coeff, b2 in shrinks)
+            lhs = sum(coeff * table.get(d, 0) for coeff, _, table in shrinks)
             reports.append(IdentityReport("block_deletion_d[formula]", inst, lhs, rhs))
     return reports
 
@@ -536,14 +552,17 @@ def _cycle_counts_by_rank(n: int) -> np.ndarray:
 
 
 class _ArrayTables(NamedTuple):
-    """What the per-array checks at one n read besides the word, and the
-    buffers they write: every vertical pi (plane._verticals), the inverses
-    and cycle counts of the verticals, the table of _cycle_counts_by_rank,
-    the reflected arrays' verticals pi∘s⁻¹ (refilled for each word), and
-    (n, n!) buffers for the diagonal check."""
+    """What the per-array checks at one n read besides the words, and the
+    buffers they write, for batches of up to B words: the verticals pi
+    (n, n!), every word's batch of them (plane._verticals), their inverses
+    as rows of a (B n) table of the words (_word_rows) and their cycle
+    counts, the table of _cycle_counts_by_rank, the reflected arrays'
+    verticals pi∘s⁻¹ (refilled for each batch), and (B, n, n!) buffers for
+    the diagonal check."""
 
+    perms: np.ndarray
     verts: plane._Verticals
-    perms_inv: np.ndarray
+    inv_rows: np.ndarray
     c_pi: np.ndarray
     cc: np.ndarray
     reflected: plane._Verticals
@@ -553,45 +572,57 @@ class _ArrayTables(NamedTuple):
     miss: np.ndarray
 
 
-def _array_tables(perms: np.ndarray, perms_inv: np.ndarray, c_pi: np.ndarray, cc: np.ndarray) -> _ArrayTables:
-    """The _ArrayTables of the verticals ``perms`` (n, n!), stored element first."""
-    buffers = (np.empty_like(perms) for _ in range(3))
+def _array_tables(perms: np.ndarray, perms_inv: np.ndarray, c_pi: np.ndarray, cc: np.ndarray, words: int) -> _ArrayTables:
+    """The _ArrayTables of the verticals ``perms`` (n, n!), stored element
+    first, for batches of up to ``words`` words."""
+    shape = (words, *perms.shape)
     return _ArrayTables(
-        plane._verticals(perms), perms_inv, c_pi, cc, plane._verticals(perms.copy()),
-        *buffers, np.empty(perms.shape, dtype=bool),
+        perms, plane._verticals(perms, words), _word_rows(np.broadcast_to(perms_inv, shape), len(perms)), c_pi, cc,
+        plane._verticals(perms, words), *(np.empty(shape, dtype=np.int64) for _ in range(3)), np.empty(shape, dtype=bool),
     )
 
 
-def _array_bad_counts(word: np.ndarray, s_img: np.ndarray, tables: _ArrayTables) -> tuple[int, int, int]:
+def _word_rows(entries: np.ndarray, n: int) -> np.ndarray:
+    """Each of the (b, ...) entries of a batch of words plus n times its
+    word's index: its row in a (b n, ...) table that holds n rows per word."""
+    return entries + np.arange(0, len(entries) * n, n).reshape(-1, *[1] * (entries.ndim - 1))
+
+
+def _array_bad_counts(words: np.ndarray, s_img: np.ndarray, tables: _ArrayTables) -> tuple[int, int, int]:
     """Failures of the three per-array checks over the arrays (word, pi) for
-    every vertical pi of ``tables``; ``s_img`` is the word's one-line image."""
-    n = len(word)
+    every word of the batch ``words`` (b, n) and every vertical pi of
+    ``tables``; ``s_img`` holds the words' one-line images."""
+    b, n = words.shape
     t = tables
     after, reflected = plane._shifts(n)
-    diag = plane._take(s_img, t.perms_inv, t.diag)  # s∘pi⁻¹ by composition
-    bottoms = plane._take(t.verts.flat, word, t.bottoms, axis=0)  # pi(w[i]), as flat indices
-    diag_bad = plane._diagonal_misses(bottoms, diag, word[after], t.vals, t.miss).sum()
-    a, ne = plane._exceedance_counts(word, t.verts)
+    diag = plane._take(s_img.ravel(), t.inv_rows[:b], t.diag[:b])  # s∘pi⁻¹ by composition
+    flat = t.verts.flat.reshape(-1, t.perms.shape[1])
+    bottoms = plane._take(flat, _word_rows(words, n), t.bottoms[:b], axis=0)  # pi(w[i]), as flat indices
+    diag_bad = plane._diagonal_misses(bottoms, diag, words[:, after], t.vals[:b], t.miss[:b]).sum()
+    a, ne = plane._exceedance_counts(words, t.verts)
     ne_bad = (ne != n - t.c_pi - a).sum()
-    # the reflected array (s⁻¹, D⁻¹), with D⁻¹ = pi∘s⁻¹
-    plane._refill(t.reflected, t.verts.perms, np.argsort(s_img))
-    _, ne_refl = plane._exceedance_counts(word[reflected], t.reflected)
-    refl_bad = (ne + ne_refl != n + 1 - t.c_pi - t.cc[oracle._lex_rank(n, diag)]).sum()
+    # the reflected arrays (s⁻¹, D⁻¹), with D⁻¹ = pi∘s⁻¹
+    plane._refill(t.reflected, t.verts, _word_rows(np.argsort(s_img, axis=1), n))
+    _, ne_refl = plane._exceedance_counts(words[:, reflected], t.reflected)
+    refl_bad = (ne + ne_refl != n + 1 - t.c_pi - t.cc[oracle._lex_rank(n, diag.swapaxes(0, 1))]).sum()
     return int(diag_bad), int(ne_bad), int(refl_bad)
 
 
 class _TranspositionTables(NamedTuple):
-    """What the transposition checks at one n read besides the word and the
-    verticals, and the buffers they write: the diagonals D, the block
-    transpositions (plane._moves), the place values of the rank codes
-    (oracle._code_places), the table of _cycle_counts_by_rank, and buffers
-    (n, H, (n-1)!) for the diagonal check, (3, H, (n-1)!) for the moved
-    images, (2, H, (n-1)!) for the codes and (H, (n-1)!) for the ranks."""
+    """What the transposition checks at one n read besides the words and
+    the verticals, and the buffers they write, for batches of up to B
+    words: the diagonals D, the block transpositions (plane._moves), the
+    place values of the rank codes (oracle._code_places), the table of
+    _cycle_counts_by_rank, and buffers (B n, (n-1)!) for the verticals'
+    flat indices, (B, n, H, (n-1)!) for the diagonal check, (B, 3, H,
+    (n-1)!) for the moved images, (B, 2, H, (n-1)!) for the codes and (B, H,
+    (n-1)!) for the ranks."""
 
     diags: np.ndarray
     moves: plane._Moves
     places: np.ndarray
     cc: np.ndarray
+    flat: np.ndarray
     bottoms: np.ndarray
     vals: np.ndarray
     miss: np.ndarray
@@ -603,52 +634,68 @@ class _TranspositionTables(NamedTuple):
 
 
 def _transposition_tables(
-    diags: np.ndarray, moves: plane._Moves, places: np.ndarray, cc: np.ndarray
+    diags: np.ndarray, moves: plane._Moves, places: np.ndarray, cc: np.ndarray, words: int
 ) -> _TranspositionTables:
-    """The _TranspositionTables of the diagonals ``diags`` (n, (n-1)!), stored element first."""
+    """The _TranspositionTables of the diagonals ``diags`` (n, (n-1)!),
+    stored element first, for batches of up to ``words`` words."""
     n, m = diags.shape
     hs = moves.src.shape[1]
 
     def ints(*rows: int) -> np.ndarray:
-        return np.empty((*rows, hs, m), dtype=np.int64)
+        return np.empty((words, *rows, hs, m), dtype=np.int64)
 
-    bools = np.empty((n, hs, m), dtype=bool)
-    return _TranspositionTables(diags, moves, places, cc, ints(n), ints(n), bools, ints(3), ints(3), ints(2), ints(), ints())
+    bools = np.empty((words, n, hs, m), dtype=bool)
+    flat = np.empty((words * n, m), dtype=np.int64)
+    return _TranspositionTables(
+        diags, moves, places, cc, flat, ints(n), ints(n), bools, ints(3), ints(3), ints(2), ints(), ints()
+    )
 
 
-def _transposed_ranks(word: np.ndarray, verticals: np.ndarray, tables: _TranspositionTables) -> tuple[np.ndarray, np.ndarray]:
-    """The lex ranks of pi' (H, (n-1)!) and of pi ((n-1)!,) over every block
-    transposition of every array (word, pi = verticals[:, r]).  pi' is pi
-    with the images of s_{i-1}, s_j, s_k turned, and each of the three moves
-    pi's head or tail code by (new - old) times its place value."""
+def _transposed_ranks(words: np.ndarray, verticals: np.ndarray, tables: _TranspositionTables) -> tuple[np.ndarray, np.ndarray]:
+    """The lex ranks of pi' (b, H, (n-1)!) and of pi (b, (n-1)!) over every
+    block transposition of every array (words[w], pi = verticals[w, :, r]).
+    pi' is pi with the images of s_{i-1}, s_j, s_k turned, and each of the
+    three moves pi's head or tail code by (new - old) times its place value."""
+    b, n = words.shape
     t = tables
-    changed = word[t.moves.moved]  # s_{i-1}, s_j, s_k
-    old = plane._take(verticals, changed, t.old, axis=0)
-    change = plane._take(verticals, word[t.moves.turned], t.new, axis=0)
+    rows = verticals.reshape(b * n, -1)  # word w's images in rows w n .. w n + n - 1
+    changed = words[:, t.moves.moved]  # s_{i-1}, s_j, s_k
+    old = plane._take(rows, _word_rows(changed, n), t.old[:b], axis=0)
+    change = plane._take(rows, _word_rows(words[:, t.moves.turned], n), t.new[:b], axis=0)
     change -= old
-    codes = t.places @ verticals  # pi's head and tail codes
-    new_codes = np.einsum("pqh,qhr->phr", t.places[:, changed], change, out=t.codes)
-    new_codes += codes[:, None]
-    prefix, suffix = oracle._rank_tables(len(word))
-    ranks = plane._take(prefix, new_codes[0], t.ranks)
-    ranks += plane._take(suffix, new_codes[1], t.spare)
-    return ranks, prefix[codes[0]] + suffix[codes[1]]
+    codes = t.places @ verticals  # pi's head and tail codes, (b, 2, (n-1)!)
+    new_codes = np.einsum("pwqh,wqhr->wphr", t.places[:, changed], change, out=t.codes[:b])
+    new_codes += codes[:, :, None]
+    prefix, suffix = oracle._rank_tables(n)
+    ranks = plane._take(prefix, new_codes[:, 0], t.ranks[:b])
+    ranks += plane._take(suffix, new_codes[:, 1], t.spare[:b])
+    return ranks, prefix[codes[:, 0]] + suffix[codes[:, 1]]
 
 
-def _transposition_bad_count(word: np.ndarray, verticals: np.ndarray, tables: _TranspositionTables) -> int:
-    """Failures over every block transposition of every array (word,
-    verticals[:, r]) whose diagonal is diags[:, r], in ``tables``: the
-    transposed array (w', pi') must keep that diagonal, checked in the gather
-    form at pi'(w'[t]), and the cycle count of pi', read from the table of
-    _cycle_counts_by_rank at the _transposed_ranks, moves by -2, 0 or 2."""
+def _transposition_bad_count(words: np.ndarray, verticals: np.ndarray, tables: _TranspositionTables) -> int:
+    """Failures over every block transposition of every array (words[w],
+    verticals[w, :, r]) whose diagonal is diags[:, r], in ``tables``, for
+    the batch ``words`` (b, n): the transposed array (w', pi') must keep
+    that diagonal, checked in the gather form at pi'(w'[t]), and the cycle
+    count of pi', read from the table of _cycle_counts_by_rank at the
+    _transposed_ranks, moves by -2, 0 or 2."""
+    b, n = words.shape
     t = tables
-    bottoms = plane._take(plane._flat(verticals), word[t.moves.image_src], t.bottoms, axis=0)
-    moved = plane._diagonal_misses(bottoms, t.diags, word[t.moves.next_src], t.vals, t.miss)
-    ranks, source_ranks = _transposed_ranks(word, verticals, tables)
-    delta = plane._take(t.cc, ranks, t.spare)
-    delta -= t.cc[source_ranks]
+    flat = plane._flat(verticals.reshape(b * n, -1), t.flat[: b * n])
+    bottoms = plane._take(flat, _word_rows(words[:, t.moves.image_src], n), t.bottoms[:b], axis=0)
+    moved = plane._diagonal_misses(bottoms, t.diags, words[:, t.moves.next_src], t.vals[:b], t.miss[:b])
+    ranks, source_ranks = _transposed_ranks(words, verticals, tables)
+    delta = plane._take(t.cc, ranks, t.spare[:b])
+    delta -= t.cc[source_ranks][:, None]
     delta = np.abs(delta, out=delta)  # even and at most 2: 0 or 2
     return int(np.count_nonzero(moved | (delta == 1) | (delta > 2)))
+
+
+# word x vertical columns per call of the plane checks: 2 words at n = 6,
+# 12 at n = 5, every word below, and one word at n = 7.  The checks' buffers
+# grow by about 1 MB per word at n = 6, and with 7 words there (7! columns)
+# the plane suite raised the peak RSS of a verify run at max_n = 7 by 5 MB
+_PLANE_COLUMNS = 2 * math.factorial(6)
 
 
 @_collector_paused()
@@ -661,32 +708,35 @@ def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityRe
     Ne(p) + Ne(p') = n + 1 − C(pi) − C(diagonal).  Over every pair of long
     cycles (s, D) and every legal block transposition: the diagonal is
     preserved, and the vertical's cycle count moves by −2, 0, or +2 (so its
-    parity is preserved).  Each word is checked against all verticals, and
-    against all diagonals times all transpositions, as one array.  The
-    failure counts are summed over one chunk of words per worker
-    (oracle._chunk_sum).
+    parity is preserved).  A batch of words (_PLANE_COLUMNS) is checked
+    against all verticals, and against all diagonals times all
+    transpositions, as one array with a leading word axis.  The failure
+    counts are summed over one chunk of words per worker
+    (oracle._chunk_sum); the batches lie inside a chunk.
     """
     oracle._require_scale("the plane suite", max_n, _SUITE_LIMITS["plane"])
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
-        # every table that does not depend on the word, built before the fork
+        # every table that does not depend on the words, built before the fork
         words = oracle._cycle_words(n)
         cycles = oracle._cycle_rows(n)
         rows = oracle._all_perm_rows(n)
+        batch = max(1, _PLANE_COLUMNS // len(rows))  # words per call of the checks
         cc = _cycle_counts_by_rank(n)  # the verticals are in lex order, so cc holds their counts
-        arrays = _array_tables(rows.T.copy(), np.argsort(rows, axis=1).T.copy(), cc, cc)
+        arrays = _array_tables(rows.T.copy(), np.argsort(rows, axis=1).T.copy(), cc, cc, batch)
         # block transpositions over pairs of long cycles (s, D), vertical D⁻¹∘s
         moves = plane._moves(n)
         diags, diags_inv = cycles.T.copy(), np.argsort(cycles, axis=1).T.copy()
-        transpositions = _transposition_tables(diags, moves, oracle._code_places(n), cc)
+        transpositions = _transposition_tables(diags, moves, oracle._code_places(n), cc, batch)
 
         def bad_counts(lo: int, hi: int) -> np.ndarray:
             # the failures of the three per-array checks, then of the transpositions
             bad = np.zeros(4, dtype=np.int64)
-            for word, s_img in zip(words[lo:hi], cycles[lo:hi]):
-                bad[:3] += _array_bad_counts(word, s_img, arrays)
+            for start in range(lo, hi, batch):
+                part, s_img = words[start : min(start + batch, hi)], cycles[start : min(start + batch, hi)]
+                bad[:3] += _array_bad_counts(part, s_img, arrays)
                 if moves.src.size:
-                    bad[3] += _transposition_bad_count(word, diags_inv[s_img], transpositions)
+                    bad[3] += _transposition_bad_count(part, diags_inv.take(s_img, axis=0), transpositions)
             return bad
 
         bad = oracle._chunk_sum(bad_counts, oracle._chunks(len(words), workers), workers).tolist()
@@ -824,9 +874,9 @@ def run_suites(
     reports = _Reports()
     audit: list[ParityAuditRecord] = []
     if "classic" in suites:
-        reports += classic_reports(max_n)
+        reports += classic_reports(max_n, workers)
     if "section3" in suites:
-        reports += section3_reports(max_n)
+        reports += section3_reports(max_n, workers)
     if "baserecur" in suites:
         reports += baserecur_reports(baserecur_max_n)
     if "formulas" in suites:

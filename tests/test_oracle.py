@@ -314,11 +314,10 @@ class TestPlaneCodesByDiagonals:
                 suffix[[i, j]] = suffix[[j, i]]
             return prefix, suffix
 
-        caches = (real, oracle._plane_totals, _plane_array)
-
         def clear():
-            for table in caches:
+            for table in (real, _plane_array):
                 table.cache_clear()
+            oracle._plane_totals_cache.clear()
             clear_pair_caches()
 
         clear()
@@ -331,6 +330,83 @@ class TestPlaneCodesByDiagonals:
             monkeypatch.undo()
             clear()
         assert failed and failed <= {"split_exceedance", "split_exceedance_dual", "split_joint"}
+
+
+def _outer_codes(words, rows, base):
+    """``codes[w]``, for w < words: over every tuple t of column indices, in
+    lex order, the base-``base`` code of (rows[0][w, t_0], rows[1][w, t_1],
+    ...), most significant digit first; with base 1, their sum."""
+    codes = np.zeros((words, 1), dtype=np.int64)
+    for row in rows:
+        codes = (codes[:, :, None] * base + row[:, None, :]).reshape(words, -1)
+    return codes
+
+
+def reference_plane_codes(n):
+    """_plane_codes(n) as the sweep computed it by vertical pi in lex order:
+    per word, the diagonal's rank parts and the exceedances of the head and
+    tail images, each read from a table over every digit tuple of that part
+    and keyed by the code of pi⁻¹'s or pi's images there, five gathers of
+    n! entries per word."""
+    perms = _all_perm_rows(n).T  # element first: row x holds the image of x under every perm
+    pinv_t = np.argsort(perms, axis=0)  # row j: perm⁻¹(j) for every perm
+    sig, rows = _signatures(n)
+    types = _partition_list(n)
+    type_of = np.array([types.index(_cycle_type(row)) for row in rows.tolist()])
+    stride = len(rows) * (n + 1)
+    type_base = type_of[sig] * stride  # lex rank of a diagonal -> the first index of its type
+    sig_base = sig * (n + 1)  # lex rank of a vertical -> the first index of its signature within a type
+    prefix, suffix = oracle._rank_tables(n)
+    h = n - min(oracle._TAIL, n)
+    inv_head, inv_tail = oracle._code(n, pinv_t[:h]), oracle._code(n, pinv_t[h:])
+    img_head, img_tail = oracle._code(n, perms[:h]), oracle._code(n, perms[h:])
+    acc = np.zeros(len(types) * stride, dtype=np.int64)
+    words, cycles = _cycle_words(n), _cycle_rows(n)
+    for lo in range(0, len(words), 16):
+        s_img = cycles[lo : lo + 16]
+        pos = np.argsort(words[lo : lo + 16], axis=1)
+        later = (pos[:, None, :] > pos[:, :, None]).astype(np.int64)  # later[w, x, y]: y after x in word w
+        m = len(s_img)
+        rank_head = prefix[_outer_codes(m, [s_img] * h, n)]
+        rank_tail = suffix[_outer_codes(m, [s_img] * (n - h), n)]
+        exc_head = _outer_codes(m, [later[:, x] for x in range(h)], 1)
+        exc_tail = _outer_codes(m, [later[:, x] for x in range(h, n)], 1)
+        for w in range(m):
+            d = rank_head[w][inv_head] + rank_tail[w][inv_tail]
+            a = exc_head[w][img_head] + exc_tail[w][img_tail]
+            acc += np.bincount(type_base[d] + sig_base + a, minlength=acc.size)
+    return acc.reshape(len(types), len(rows), n + 1)
+
+
+class TestPlaneKernel:
+    """_plane_codes by head groups of q = pi⁻¹ against the kernel it
+    replaced, which walks pi in lex order."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_the_reference_kernel(self, n):
+        codes = _plane_codes(n)
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, reference_plane_codes(n))
+
+    @pytest.mark.extended
+    def test_equals_the_reference_kernel_at_8(self, monkeypatch):
+        monkeypatch.setattr(oracle, "PLANE_SWEEP_LIMIT", 8)
+        assert np.array_equal(_plane_codes(8), reference_plane_codes(8))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_byte_identical_at_one_two_and_three_workers(self, monkeypatch, n):
+        # three chunks of 40 (n = 6) words cut the batches elsewhere than two of 60
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        single, double, triple = (_plane_codes(n, w).tobytes() for w in (1, 2, 3))
+        assert single == double == triple
+
+    def test_plane_totals_are_kept_once_per_n(self, monkeypatch):
+        n = 5
+        monkeypatch.setattr(oracle, "_plane_totals_cache", {})
+        totals = oracle._plane_totals(n, 2)
+        monkeypatch.setattr(oracle, "_plane_codes", lambda *args: pytest.fail("swept twice"))
+        assert oracle._plane_totals(n) is totals
+        assert oracle._plane_totals(n, 3) is totals
 
 
 def _head_cuts(n):

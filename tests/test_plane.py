@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -232,52 +233,60 @@ def to_plane(word, pi_column):
 
 class TestBatchedKernels:
     """The array kernels behind the plane suite against the scalar methods,
-    on every (word, vertical) and every legal h up to n = 5."""
+    on every (word, vertical) and every legal h up to n = 5, with every word
+    of n in one batch."""
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_diagonals_cycle_counts_and_exceedances(self, n):
         perms = verticals(n)
-        verts = plane._verticals(perms)
+        words = np.array(all_words(n)).reshape(-1, n) - 1
+        verts = plane._verticals(perms, len(words))
         after = plane._shifts(n)[0]
         by_rank = verify._cycle_counts_by_rank(n)[oracle._lex_rank(n, perms)]
         assert by_rank.tolist() == [to_plane(range(n), col).pi.cycle_count for col in perms.T]
-        for word in all_words(n):
-            w = np.array(word) - 1
-            planes = [to_plane(w, col) for col in perms.T]
-            diags = np.array([p.diagonal_from_pairs().image for p in planes]).reshape(-1, n).T - 1
-            # the gather form passes every array's own diagonal, and fails the next array's where it differs
-            assert not plane._diagonal_misses(verts.flat[w], diags, w[after]).any()
-            others = np.roll(diags, 1, axis=1)
-            misses = plane._diagonal_misses(verts.flat[w], others, w[after])
-            assert misses.tolist() == np.any(others != diags, axis=0).tolist()
-            exc, ntae = plane._exceedance_counts(w, verts)
-            for r, p in enumerate(planes):
+        planes = [[to_plane(w, col) for col in perms.T] for w in words]
+        # diags[w, :, r]: the diagonal of array r of word w
+        diags = np.array([[p.diagonal_from_pairs().image for p in row] for row in planes]).transpose(0, 2, 1) - 1
+        bottoms = verts.flat.reshape(-1, perms.shape[1])[verify._word_rows(words, n)]
+        # the gather form passes every array's own diagonal, and fails the next array's where it differs
+        assert not plane._diagonal_misses(bottoms, diags, words[:, after]).any()
+        others = np.roll(diags, 1, axis=2)
+        misses = plane._diagonal_misses(bottoms, others, words[:, after])
+        assert misses.tolist() == np.any(others != diags, axis=1).tolist()
+        exc, ntae = plane._exceedance_counts(words, verts)
+        for i, row in enumerate(planes):
+            for r, p in enumerate(row):
                 st = p.exceedance_stats()
-                assert tuple(diags[:, r] + 1) == p.diagonal().image
-                assert exc[r] == len(st.exceedances) == p.exceedance_count()
-                assert ntae[r] == len(st.ntaes) == p.ntae_count()
+                assert tuple(diags[i, :, r] + 1) == p.diagonal().image
+                assert exc[i, r] == len(st.exceedances) == p.exceedance_count()
+                assert ntae[i, r] == len(st.ntaes) == p.ntae_count()
 
     @pytest.mark.parametrize("n", range(3, 6))
     def test_transposed(self, n):
-        # the gather-and-patch bottoms and the rank deltas against transpose_blocks
+        # the gather-and-patch bottoms and the rank deltas against
+        # transpose_blocks; each word of the batch has its verticals in its
+        # own column order, so a word read at another word's rows shows
         perms = verticals(n)
         hs = legal_hs(n)
         moves = plane._moves(n)
+        words = np.array(all_words(n)) - 1
+        batch = np.stack([np.roll(perms, i, axis=1) for i in range(len(words))])
         # the ranks read no diagonal: perms stands in for one, to size the buffers
-        tables = verify._transposition_tables(perms, moves, oracle._code_places(n), verify._cycle_counts_by_rank(n))
-        for word in all_words(n):
-            w = np.array(word) - 1
-            new_words, bottoms = w[moves.src], perms[w[moves.image_src]]
-            ranks, source_ranks = verify._transposed_ranks(w, perms, tables)
+        tables = verify._transposition_tables(
+            perms, moves, oracle._code_places(n), verify._cycle_counts_by_rank(n), len(words)
+        )
+        ranks, source_ranks = verify._transposed_ranks(words, batch, tables)
+        for i, w in enumerate(words):
+            new_words, bottoms = w[moves.src], batch[i][w[moves.image_src]]
             assert bottoms.shape == (n, len(hs), perms.shape[1])
-            assert source_ranks.tolist() == oracle._lex_rank(n, perms).tolist()
-            for r, col in enumerate(perms.T):
+            assert source_ranks[i].tolist() == oracle._lex_rank(n, batch[i]).tolist()
+            for r, col in enumerate(batch[i].T):
                 p = to_plane(w, col)
                 for t, h in enumerate(hs.tolist()):
                     q = p.transpose_blocks(tuple(h))
                     assert tuple(new_words[:, t] + 1) == q.s
                     assert tuple(bottoms[:, t, r] + 1) == tuple(map(q.pi, q.s))
-                    assert ranks[t, r] == oracle._lex_rank(n, np.array(q.pi.image) - 1)
+                    assert ranks[i, t, r] == oracle._lex_rank(n, np.array(q.pi.image) - 1)
 
     def test_cycle_minima_takes_the_least_key_on_each_cycle(self):
         # the vertical (1 3)(2 4 5), 0-based, keyed by the word order of 1 5 4 2 3
@@ -285,7 +294,7 @@ class TestBatchedKernels:
         word = np.array([0, 4, 3, 1, 2])
         pos = np.argsort(word)
         assert plane._cycle_minima(perm, pos).ravel().tolist() == [0, 1, 0, 1, 1]
-        steps = plane._verticals(perm).steps
+        steps = [step[0] for step in plane._verticals(perm, 1).steps]  # one word: its flat indices
         assert plane._cycle_minima(perm, pos, steps).ravel().tolist() == [0, 1, 0, 1, 1]
 
 
@@ -305,19 +314,19 @@ class TestPlaneSuiteSeesFaults:
 
     def test_sound_inputs_pass(self):
         word, s_img, *tables = self.sound_inputs()
-        assert verify._array_bad_counts(word, s_img, verify._array_tables(*tables)) == (0, 0, 0)
+        assert verify._array_bad_counts(word[None], s_img[None], verify._array_tables(*tables, 1)) == (0, 0, 0)
 
     def test_corrupted_vertical(self):
         word, s_img, perms, perms_inv, c_pi, cc = self.sound_inputs()
         perms[[0, 1], 17] = perms[[1, 0], 17]  # one vertical changed after its inverse and C(pi)
-        tables = verify._array_tables(perms, perms_inv, c_pi, cc)
-        diag_bad, ne_bad, _ = verify._array_bad_counts(word, s_img, tables)
+        tables = verify._array_tables(perms, perms_inv, c_pi, cc, 1)
+        diag_bad, ne_bad, _ = verify._array_bad_counts(word[None], s_img[None], tables)
         assert (diag_bad, ne_bad) == (1, 1)
 
     def test_corrupted_cycle_counts(self):
         word, s_img, perms, perms_inv, c_pi, cc = self.sound_inputs()
-        tables = verify._array_tables(perms, perms_inv, c_pi + 1, cc)
-        _, ne_bad, refl_bad = verify._array_bad_counts(word, s_img, tables)
+        tables = verify._array_tables(perms, perms_inv, c_pi + 1, cc, 1)
+        _, ne_bad, refl_bad = verify._array_bad_counts(word[None], s_img[None], tables)
         assert ne_bad == refl_bad == perms.shape[1]
 
     def transposition_inputs(self):
@@ -329,8 +338,8 @@ class TestPlaneSuiteSeesFaults:
         return words[3], pi, diags, oracle._code_places(n), verify._cycle_counts_by_rank(n)
 
     def transposition_bad_count(self, word, pi, diags, places, cc):
-        tables = verify._transposition_tables(diags, plane._moves(self.n), places, cc)
-        return verify._transposition_bad_count(word, pi, tables)
+        tables = verify._transposition_tables(diags, plane._moves(self.n), places, cc, 1)
+        return verify._transposition_bad_count(word[None], pi[None], tables)
 
     def test_corrupted_diagonal(self):
         word, pi, diags, places, cc = self.transposition_inputs()
@@ -369,3 +378,68 @@ class TestPlaneSuiteSeesFaults:
         monkeypatch.setattr(oracle, "_code_places", damaged)
         reports = [r for r in verify.plane_structure_reports(self.n) if r.identity == "plane:transposition_action"]
         assert all(r.lhs > 0 for r in reports)
+
+
+class TestPlaneSuiteBatches:
+    """The plane suite's batches of words against the loop of one word per
+    call that it replaced, at n = 6: its own batches of 2 words, and
+    batches of 7, which do not divide the 120 words."""
+
+    n = 6
+
+    def tables(self, words, cc):
+        n = self.n
+        cycles, rows = oracle._cycle_rows(n), oracle._all_perm_rows(n)
+        arrays = verify._array_tables(rows.T.copy(), np.argsort(rows, axis=1).T.copy(), cc, cc, words)
+        places = oracle._code_places(n)
+        transpositions = verify._transposition_tables(cycles.T.copy(), plane._moves(n), places, cc, words)
+        return arrays, transpositions
+
+    def per_word_counts(self, cc):
+        """The failure counts at n of the suite's checks, one word per call."""
+        words, cycles = oracle._cycle_words(self.n), oracle._cycle_rows(self.n)
+        diags_inv = np.argsort(cycles, axis=1).T
+        arrays, transpositions = self.tables(1, cc)
+        bad = [0, 0, 0, 0]
+        for word, s_img in zip(words, cycles):
+            counts = verify._array_bad_counts(word[None], s_img[None], arrays)
+            counts += (verify._transposition_bad_count(word[None], diags_inv[s_img][None], transpositions),)
+            bad = [a + b for a, b in zip(bad, counts)]
+        return bad
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [None, 7])  # the suite's own batches, or 7 words: 120 = 17 * 7 + 1
+    def test_failure_counts_equal_the_per_word_loop(self, monkeypatch, workers, batch):
+        if batch:
+            monkeypatch.setattr(verify, "_PLANE_COLUMNS", batch * math.factorial(self.n))
+        # a cycle count one too large at a few ranks: every check but the
+        # diagonal's fails on some arrays, a different number for each word
+        true_counts = verify._cycle_counts_by_rank
+        damaged = true_counts(self.n).copy()
+        damaged[[5, 100, 333, 719]] += 1
+        monkeypatch.setattr(verify, "_cycle_counts_by_rank", lambda n: damaged if n == self.n else true_counts(n))
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        reports = verify.plane_structure_reports(self.n, workers)
+        got = [r.lhs for r in reports if r.instance.startswith(f"n={self.n} ")]
+        expected = self.per_word_counts(damaged)
+        assert got == expected
+        assert expected[0] == 0 and all(expected[1:])
+
+    def test_a_corrupted_word_counts_alone(self):
+        # word 3 of a batch of 7 with a wrong one-line image, then with two
+        # rows of its verticals swapped: the batch fails exactly where that
+        # word does on its own
+        n = self.n
+        words, cycles = oracle._cycle_words(n)[:7], oracle._cycle_rows(n)[:7].copy()
+        cc = verify._cycle_counts_by_rank(n)
+        diags_inv = np.argsort(oracle._cycle_rows(n), axis=1).T
+        verticals = diags_inv[cycles]
+        batch, alone = self.tables(7, cc), self.tables(1, cc)
+        assert verify._array_bad_counts(words, cycles, batch[0]) == (0, 0, 0)
+        assert verify._transposition_bad_count(words, verticals, batch[1]) == 0
+        cycles[3, [1, 2]] = cycles[3, [2, 1]]
+        verticals[3, [0, 4]] = verticals[3, [4, 0]]
+        counts = verify._array_bad_counts(words, cycles, batch[0])
+        assert counts == verify._array_bad_counts(words[3:4], cycles[3:4], alone[0]) and any(counts)
+        count = verify._transposition_bad_count(words, verticals, batch[1])
+        assert count == verify._transposition_bad_count(words[3:4], verticals[3:4], alone[1]) > 0

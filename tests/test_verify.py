@@ -2,6 +2,7 @@ import functools
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -28,6 +29,7 @@ from longcycles import (
 from longcycles import _columns
 from longcycles.errors import ResourceLimitError
 from longcycles.partitions import (
+    Composition,
     _block_pieces,
     _compositions,
     _odd_refinements,
@@ -38,6 +40,7 @@ from longcycles.partitions import (
     format_d_key,
     format_seq_key,
     format_type_key,
+    stirling_first,
 )
 from longcycles.verify import IdentityReport, ParityAuditRecord, VerifyRun
 
@@ -122,8 +125,8 @@ class TestSuites:
     def test_plane_failures_are_counted_once_per_word(self, monkeypatch, workers):
         # failures that depend on the word: every word is checked once, whatever the chunks and processes
         monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(verify, "_array_bad_counts", lambda word, *rest: (1, int(word[1]), 0))
-        monkeypatch.setattr(verify, "_transposition_bad_count", lambda word, *rest: int(word[-1]))
+        monkeypatch.setattr(verify, "_array_bad_counts", lambda words, *rest: (len(words), int(words[:, 1].sum()), 0))
+        monkeypatch.setattr(verify, "_transposition_bad_count", lambda words, *rest: int(words[:, -1].sum()))
         reports = [r for r in verify.plane_structure_reports(5, workers) if r.instance.startswith("n=5 ")]
         words = oracle._cycle_words(5)
         assert [r.lhs for r in reports] == [len(words), words[:, 1].sum(), 0, words[:, -1].sum()]
@@ -294,7 +297,33 @@ def scalar_section3_reports(max_n, planes=plane_tallies, pairs=pair_count):
                 reports.append(IdentityReport("weighted_sum_recurrence", base, lhs_rec, rhs_rec))
                 reports.append(IdentityReport("weighted_sum_value", base, _half(t_key), fz_key))
             reports.append(IdentityReport("downarrow_exchange", base, _half(sum(refined)), _half(t_refined)))
-        reports += verify.block_deletion_reports(n)
+        reports += scalar_block_deletion_reports(n)
+    return reports
+
+
+def scalar_block_deletion_reports(n):
+    """block_deletion_reports as it was computed one report at a time: the
+    closed side by one separating_by_d call per (shrunk composition, d), the
+    Stirling products by stirling_first."""
+    reports = []
+    fact_n1 = math.factorial(n - 1)
+    closed = functools.cache(lambda b2, d: formulas.separating_by_d(Composition(b2), d))
+    for beta in _compositions(n + 1):
+        inst_total = f"n={n} beta={format_d_key(beta)}"
+        shrinks = [(math.comb(b, 2), beta[:i] + (b - 1,) + beta[i + 1 :]) for i, b in enumerate(beta) if b >= 2]
+        if shrinks:
+            lhs_tot = sum(coeff * oracle._pairs_alpha_tables(n, b2)[2] for coeff, b2 in shrinks)
+            rhs_tot = Fraction(fact_n1 * math.prod(map(math.factorial, beta)), 2)
+            reports.append(IdentityReport("block_deletion_total", inst_total, lhs_tot, rhs_tot))
+        for d in itertools.product(*(range(1, b + 1) for b in beta)):
+            if (sum(d) - n) % 2:
+                continue
+            inst = f"{inst_total} d={format_d_key(d)}"
+            rhs = fact_n1 * math.prod(map(stirling_first, beta, d))
+            lhs = sum(coeff * oracle._pairs_alpha_tables(n, b2)[0].get(d, 0) for coeff, b2 in shrinks)
+            reports.append(IdentityReport("block_deletion_d[oracle]", inst, lhs, rhs))
+            lhs = sum(coeff * closed(b2, d) for coeff, b2 in shrinks)
+            reports.append(IdentityReport("block_deletion_d[formula]", inst, lhs, rhs))
     return reports
 
 
@@ -369,6 +398,35 @@ class TestScalarReference:
         reports = getattr(verify, f"{suite}_reports")(3)
         assert_same_fields(reports, SCALAR[suite](3, planes=shifted_planes(plane_tallies)))
         assert not all(r.passed for r in reports)
+
+
+class TestBlockDeletionReference:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_field_is_the_per_call_reference(self, n):
+        assert_same_fields(verify.block_deletion_reports(n), scalar_block_deletion_reports(n))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tables_are_the_per_call_closed_form(self, n):
+        # every d up to one above each block: the ones a table leaves out are 0
+        for alpha in _compositions(n):
+            table = formulas._separating_by_d_table(alpha)
+            assert set(table) <= {d for d in itertools.product(*(range(1, a + 2) for a in alpha)) if (sum(d) - n) % 2 == 0}
+            for d in itertools.product(*(range(1, a + 2) for a in alpha)):
+                value = formulas.separating_by_d(Composition(alpha), d)
+                assert table.get(d, 0) == value and type(table.get(d, 0)) is int, (alpha, d)
+
+    def test_a_non_integer_closed_form_is_an_exactness_error(self, monkeypatch):
+        # C(3, 2) one too large: the sum at alpha = (2), d = (2) is no longer divisible out
+        true_table = formulas._stirling_table
+
+        def damaged(size):
+            rows = [list(row) for row in true_table(size)]
+            rows[3][2] += 1
+            return rows
+
+        monkeypatch.setattr(formulas, "_stirling_table", damaged)
+        with pytest.raises(formulas.ExactnessError, match=r"separating_by_d\(\(2\),\(2,\)\) evaluated to non-integer"):
+            formulas._separating_by_d_table((2,))
 
 
 class TestExactnessBound:
@@ -498,9 +556,11 @@ class TestSharedSplitRows:
         # memo kept across calls would still serve the true values
         verify.section3_reports(4)
         verify.block_deletion_reports(4)
-        true_closed = formulas.separating_by_d
+        true_closed = formulas._separating_by_d_table
         shift_the_oracle(monkeypatch, exceedances=1, pairs=1)
-        monkeypatch.setattr(formulas, "separating_by_d", lambda alpha, d: true_closed(alpha, d) + 1)
+        monkeypatch.setattr(
+            formulas, "_separating_by_d_table", lambda alpha: {d: v + 1 for d, v in true_closed(alpha).items()}
+        )
         failed = {r.identity for r in verify.section3_reports(4) if not r.passed}
         assert failed == {
             "split_long_sep",  # pair counts
