@@ -58,8 +58,8 @@ from .partitions import (
     IntegerPartition,
     _compositions,
     _partition_list,
-    format_d_key,
     _stirling_table,
+    format_d_key,
     format_type_key,
 )
 from .permutations import canonical_of_type
@@ -553,14 +553,13 @@ def _cycle_counts_by_rank(n: int) -> np.ndarray:
 
 class _ArrayTables(NamedTuple):
     """What the per-array checks at one n read besides the words, and the
-    buffers they write, for batches of up to B words: the verticals pi
-    (n, n!), every word's batch of them (plane._verticals), their inverses
-    as rows of a (B n) table of the words (_word_rows) and their cycle
-    counts, the table of _cycle_counts_by_rank, the reflected arrays'
-    verticals pi∘s⁻¹ (refilled for each batch), and (B, n, n!) buffers for
-    the diagonal check."""
+    buffers they write, for batches of up to B words: the verticals pi for
+    every word of a batch (plane._verticals), their inverses as rows of a
+    (B n) table of the words (_word_rows) and their cycle counts, the table
+    of _cycle_counts_by_rank, the reflected arrays' verticals pi∘s⁻¹
+    (refilled for each batch), and (B, n, n!) buffers for the diagonal
+    check."""
 
-    perms: np.ndarray
     verts: plane._Verticals
     inv_rows: np.ndarray
     c_pi: np.ndarray
@@ -577,7 +576,7 @@ def _array_tables(perms: np.ndarray, perms_inv: np.ndarray, c_pi: np.ndarray, cc
     first, for batches of up to ``words`` words."""
     shape = (words, *perms.shape)
     return _ArrayTables(
-        perms, plane._verticals(perms, words), _word_rows(np.broadcast_to(perms_inv, shape), len(perms)), c_pi, cc,
+        plane._verticals(perms, words), _word_rows(np.broadcast_to(perms_inv, shape), len(perms)), c_pi, cc,
         plane._verticals(perms, words), *(np.empty(shape, dtype=np.int64) for _ in range(3)), np.empty(shape, dtype=bool),
     )
 
@@ -596,7 +595,7 @@ def _array_bad_counts(words: np.ndarray, s_img: np.ndarray, tables: _ArrayTables
     t = tables
     after, reflected = plane._shifts(n)
     diag = plane._take(s_img.ravel(), t.inv_rows[:b], t.diag[:b])  # s∘pi⁻¹ by composition
-    flat = t.verts.flat.reshape(-1, t.perms.shape[1])
+    flat = t.verts.flat.reshape(len(t.verts.flat) * n, -1)  # row w n + x: the flat indices of word w's pi(x)
     bottoms = plane._take(flat, _word_rows(words, n), t.bottoms[:b], axis=0)  # pi(w[i]), as flat indices
     diag_bad = plane._diagonal_misses(bottoms, diag, words[:, after], t.vals[:b], t.miss[:b]).sum()
     a, ne = plane._exceedance_counts(words, t.verts)
