@@ -238,13 +238,10 @@ def separating_by_d(alpha: Composition, d: Sequence[int]) -> int:
 
 
 def _separating_by_d_table(alpha_parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """separating_by_d(Composition(alpha_parts), d) at once for every d of
-    the parity of n with d_1 <= alpha_1 + 1 and d_j <= alpha_j for j > 1:
-    the same sum as separating_by_d_raw, with each factor polynomial built
-    once per (block, d_j), the products shared by the d's with a common
-    prefix, one Horner pass per d_1 and an exact divmod at the end.  A d_j
-    above alpha_j at a later block is 0 there: its factor polynomial reads
-    only C(m, d_j) with m <= alpha_j, which vanish."""
+    """separating_by_d(Composition(alpha_parts), d) for every d of the
+    parity of n with d_1 <= alpha_1 + 1 and d_j <= alpha_j, j > 1, as
+    separating_by_d_raw sums it, with the factor products shared by prefix
+    and an exact divmod.  A larger d_j, j > 1, gives 0."""
     g, rest, n = alpha_parts[0], alpha_parts[1:], sum(alpha_parts)
     stirling = _stirling_table(n + 2)
     factors = [

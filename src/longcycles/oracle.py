@@ -49,13 +49,10 @@ _pairs_sep_prefix(n).  The plane tallies, _plane_array(n, alpha), read the
 and the pair counts by block types, _pair_array(n, alpha), are dense int64
 arrays with one entry per block-type key of alpha, for the verify suites.
 
-The full plane sweep, _plane_codes(n), walks the verticals pi by q = pi⁻¹
-in lex order, so that q's first n - min(_TAIL, n) images form head groups
-of consecutive q's.  Per cycle word s, the lex rank of the diagonal s∘q and
-the exceedance count of (s, pi) are each a head term, one per head group,
-plus a tail term, read from a table over q's tail arrangements; the two are
-fused into one code, rank * (n + 1) + exceedances, whose bin one per-n
-table, tbx, gives.
+The full plane sweep, _plane_codes(n), walks the verticals by their
+inverses q in lex order: per word, head terms per head group of q plus tail
+terms per tail arrangement, fused as rank * (n + 1) + exceedances and
+binned through one per-n table, tbx.
 """
 
 from __future__ import annotations
@@ -677,22 +674,12 @@ _PLANE_WORDS = 16
 
 
 def _plane_tables(n: int) -> tuple:
-    """(words, cycles, tbx, sig_off, tail_of, head, tail): every table
-    _plane_chunk reads, built before any fork.
-
-    The verticals pi are enumerated by q = pi⁻¹ in lex order, so the first
-    h = n - min(_TAIL, n) images of q form head groups of k! = min(_TAIL, n)!
-    consecutive q's.  ``tail_of[q]`` is the index of q's last k images among
-    the n!/(n-k)! injective k-tuples, in lex order, and ``sig_off[q]`` =
-    sig[rank(q⁻¹)] * (n + 1), the vertical's signature offset.  A fused code
-    x = rank * (n + 1) + a of a diagonal and an exceedance count has its bin
-    at ``tbx[x]`` = type_base[x // (n + 1)] + x % (n + 1) plus the
-    signature offset.  ``head`` and ``tail`` are (places, columns, lut) of
-    the two parts of q: the digit places of their images in the rank code,
-    times m + 1 for a part of m images; (m, tuples) indices of each position
-    of every tuple into _part_codes' digit table; and the part's table of
-    _rank_tables(n), fused with an exceedance count e <= m at c * (m + 1) +
-    e for the code c of its images."""
+    """(words, cycles, tbx, sig_off, tail_of, head, tail): the tables of
+    _plane_chunk.  Over q = pi⁻¹ in lex order: ``tail_of[q]``, the index of
+    q's last k = min(_TAIL, n) images among the injective k-tuples, and
+    ``sig_off[q]`` = sig[rank(q⁻¹)] * (n + 1).  ``tbx[x]`` = type_base[x //
+    (n + 1)] + x % (n + 1).  ``head`` and ``tail``: (places, columns, lut)
+    of _part_codes over the head images and the tail tuples."""
     k = min(_TAIL, n)
     h = n - k
     qs = _all_perm_rows(n)
@@ -718,12 +705,11 @@ def _plane_tables(n: int) -> tuple:
 
 
 def _part_codes(s_img: np.ndarray, later: np.ndarray, cols: range, part: tuple) -> np.ndarray:
-    """``codes[w, t]`` = rank * (n + 1) + e over the m-tuples t of ``part``
-    (_plane_tables' head or tail) as images of the positions ``cols`` of q,
-    for the words of ``s_img``: the rank part of s(t) in the diagonal's lex
-    rank, and e, the y in cols after q(y) in the word.  One digit table per
-    word, ``digits[w, i, x]`` = s(x) * places[i] + [cols[i] after x], summed
-    at each position of t, then one lookup in the part's lut."""
+    """``codes[w, t]`` = rank * (n + 1) + e for the m-tuples t of ``part``
+    as images of the positions ``cols`` of q, per word: the rank term of
+    s(t) and e = #{y in cols : y after q(y)}.  A digit table per word,
+    s(x) * places[i] + [cols[i] after x], summed over the positions of t,
+    then the part's lut."""
     places, columns, lut = part
     digits = s_img[:, None, :] * places[:, None] + later[:, :, cols].transpose(0, 2, 1)
     digits = digits.reshape(len(s_img), -1)
@@ -734,15 +720,11 @@ def _part_codes(s_img: np.ndarray, later: np.ndarray, cols: range, part: tuple) 
 
 
 def _plane_chunk(n: int, tables: tuple, lo: int, hi: int) -> np.ndarray:
-    """The flat counts of _plane_codes(n) over the plane permutations (s,
-    pi) with s one of cycle words lo..hi-1, from ``tables``, _plane_tables(n).
-
-    The diagonal s∘pi⁻¹ = s∘q has lex rank prefix[s(q head)] + suffix[s(q
-    tail)], and the exceedances of (s, pi) are a = #{y : y after q(y) in
-    the word}; both split at the head.  So per word, one fused code per
-    head group and a table over the tail arrangements (_part_codes) give
-    every x = rank * (n + 1) + a with one gather and one broadcast add, and
-    its bin with one gather from ``tbx`` and one add."""
+    """The flat counts of _plane_codes(n) over cycle words lo..hi-1, from
+    ``tables``, _plane_tables(n).  Per batch of words, the fused codes of
+    the head groups and of the tail tuples (_part_codes); per word, one
+    gather and one broadcast add give every code, one gather from ``tbx``
+    and one add its bin."""
     words, cycles, tbx, sig_off, tail_of, head, tail = tables
     h = n - min(_TAIL, n)
     groups = len(sig_off) // math.factorial(n - h)
@@ -765,17 +747,11 @@ def _plane_chunk(n: int, tables: tuple, lo: int, hi: int) -> np.ndarray:
 def _plane_codes(n: int, workers: int = 1) -> np.ndarray:
     """Counts over all plane permutations (s, pi), indexed by
     (diagonal type index, signature id of the vertical, exceedance count):
-    _plane_chunk over the cycle words, cut into one chunk per worker and
-    summed by _chunk_sum.
-
-    The verticals are walked by q = pi⁻¹ in lex order.  Per word, each
-    plane permutation has a fused code x = rank * (n + 1) + a, the lex rank
-    of its diagonal s∘q and its exceedance count: the head group's term
-    plus the tail arrangement's.  Its bin is tbx[x], where tbx[x] =
-    type_base[x // (n + 1)] + x % (n + 1) and type_base is the first index
-    of the diagonal's cycle type, plus the vertical's signature offset,
-    sig[rank(q⁻¹)] * (n + 1); both tables are per n (_plane_tables).  So a
-    word costs two gathers of n! entries, where walking pi by rank took five."""
+    _plane_chunk over the cycle words, one chunk per worker, summed by
+    _chunk_sum.  With q = pi⁻¹ in lex order, the lex rank of s∘q and the
+    exceedances, #{y : y after q(y) in the word}, are each a head term plus
+    a tail term, fused as x = rank * (n + 1) + a; the bin is tbx[x] plus
+    the vertical's signature offset."""
     _require_scale("full plane-permutation sweep", n, PLANE_SWEEP_LIMIT)
     tables = _plane_tables(n)
     acc = _chunk_sum(partial(_plane_chunk, n, tables), _chunks(math.factorial(n - 1), workers), workers)

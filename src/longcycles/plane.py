@@ -101,13 +101,10 @@ def _cycle_minima(
 
 
 class _Verticals(NamedTuple):
-    """A (B, n, m) batch of verticals, m for each of B words, with the tables
-    that every batch's checks over it read and the buffers that
-    _exceedance_counts writes, all (B, n, m): ``values``, each image plus n
-    times its word's index, so that it indexes a (B, n) table of the words;
-    ``flat``, the flat index of (word, image, column) into a (B, n, m) array
-    (as _flat, one word after another); and the _squarings of ``flat``.  A
-    batch of b < B words uses the first b of each."""
+    """Verticals for a batch of up to B words, m per word, each table and
+    buffer (B, n, m): ``values``, each image plus n times its word's index;
+    ``flat``, the flat index of (word, image, column); its _squarings; and
+    the buffers of _exceedance_counts.  b < B words use the first b."""
 
     values: np.ndarray
     flat: np.ndarray
@@ -163,14 +160,13 @@ def _diagonal_misses(
     bottoms: np.ndarray, diags: np.ndarray, next_tops: np.ndarray,
     vals: np.ndarray | None = None, miss: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The gather form of PlanePermutation.diagonal_from_pairs over a batch
+    """The gather form of PlanePermutation.diagonal_from_pairs for a batch
     of words: ``out[w, ..., r]`` is True where some column t of array r of
     word w breaks D(bottom of t) = top of t + 1.  ``bottoms[w, t, ..., r]``
-    is the flat index of (bottom of t, r) into ``diags`` (see _flat), and
+    is the flat index of (bottom of t, r) into ``diags``, and
     ``next_tops[w, t, ...]`` the top of column t + 1, cyclically; ``vals``
-    and ``miss`` are buffers of the shape of ``bottoms``.  As the tops and D
-    are bijections, the check passing at every t makes the bottoms a
-    bijection too, and the diagonal read off the array is then D."""
+    and ``miss`` are buffers shaped as ``bottoms``.  As the tops and D are
+    bijections, passing at every t makes the diagonal read off D."""
     vals = _take(diags.ravel(), bottoms, vals)
     return np.not_equal(vals, next_tops[..., None], out=miss).any(axis=1)
 

@@ -356,10 +356,8 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
     """The block-deletion identities at size n, the refined one certified from
     both the oracle's tables and the closed form.
 
-    The closed side reads one table per shrunk composition, built the first
-    time it is needed (formulas._separating_by_d_table) and kept for this
-    call only, with 0 for the d's it leaves out; the Stirling products read
-    one table per n.
+    The closed side reads formulas._separating_by_d_table, one per shrunk
+    composition and call, 0 where it has no entry.
 
     The d-summed form needs a block of size >= 2: with every block a
     singleton there is no d of the right parity, and the closed right side no
@@ -552,13 +550,11 @@ def _cycle_counts_by_rank(n: int) -> np.ndarray:
 
 
 class _ArrayTables(NamedTuple):
-    """What the per-array checks at one n read besides the words, and the
-    buffers they write, for batches of up to B words: the verticals pi for
-    every word of a batch (plane._verticals), their inverses as rows of a
-    (B n) table of the words (_word_rows) and their cycle counts, the table
-    of _cycle_counts_by_rank, the reflected arrays' verticals pi∘s⁻¹
-    (refilled for each batch), and (B, n, n!) buffers for the diagonal
-    check."""
+    """What the per-array checks at one n read besides the words, and their
+    buffers for up to B words: the verticals (plane._verticals), their
+    inverses as rows of a (B n) table (_word_rows), their cycle counts, the
+    table of _cycle_counts_by_rank, the reflected verticals pi∘s⁻¹, and
+    buffers for the diagonal check."""
 
     verts: plane._Verticals
     inv_rows: np.ndarray
@@ -609,13 +605,11 @@ def _array_bad_counts(words: np.ndarray, s_img: np.ndarray, tables: _ArrayTables
 
 class _TranspositionTables(NamedTuple):
     """What the transposition checks at one n read besides the words and
-    the verticals, and the buffers they write, for batches of up to B
-    words: the diagonals D, the block transpositions (plane._moves), the
-    place values of the rank codes (oracle._code_places), the table of
-    _cycle_counts_by_rank, and buffers (B n, (n-1)!) for the verticals'
-    flat indices, (B, n, H, (n-1)!) for the diagonal check, (B, 3, H,
-    (n-1)!) for the moved images, (B, 2, H, (n-1)!) for the codes and (B, H,
-    (n-1)!) for the ranks."""
+    the verticals, and their buffers for up to B words: the diagonals D,
+    the block transpositions (plane._moves), the place values of the rank
+    codes (oracle._code_places), the table of _cycle_counts_by_rank, and
+    buffers for the flat indices, the diagonal check, the moved images,
+    the codes and the ranks, each B words long."""
 
     diags: np.ndarray
     moves: plane._Moves
