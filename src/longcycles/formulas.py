@@ -174,7 +174,7 @@ def _stirling_cut(n: int, d: tuple[int, ...]) -> Sequence[Sequence[int] | Mappin
 
     A table of at most _CUT_KEEP_ENTRIES entries is kept whole, and every
     later call whose rows and columns it covers reads it: the verify suites
-    make about 1,500 calls at n <= 7.  A larger table keeps only the columns
+    make about 600 calls at n <= 7.  A larger table keeps only the columns
     in d, for its own call: whole cut rows would hold ~340 MB at n = 1200
     and d = (600,), and stirling_first's whole rows ~30 MB.
     """
