@@ -294,7 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_at_least(1),
         default=1,
-        help="worker processes: split the formulas suite's pair sweep and the plane suite's checks (default 1)",
+        help=(
+            "worker processes: split the pair sweep of formulas, the plane sweep of classic and section3,"
+            " and the checks of plane (default 1)"
+        ),
     )
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 

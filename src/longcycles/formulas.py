@@ -256,7 +256,9 @@ def _separating_by_d_table(alpha_parts: tuple[int, ...]) -> dict[tuple[int, ...]
     # product shared by every d that extends its prefix
     products: dict[tuple[int, ...], list[int]] = {(): [1]}
     for a, by_dj in zip(rest, factors):
-        products = {(*d_rest, dj): _poly_product([poly, by_dj[dj]]) for d_rest, poly in products.items() for dj in range(1, a + 1)}
+        products = {
+            (*d_rest, dj): _poly_product([poly, by_dj[dj]]) for d_rest, poly in products.items() for dj in range(1, a + 1)
+        }
     table: dict[tuple[int, ...], int] = {}
     for d_rest, poly in products.items():
         terms = [math.factorial(total) * c for total, c in enumerate(poly)]
@@ -266,7 +268,8 @@ def _separating_by_d_table(alpha_parts: tuple[int, ...]) -> dict[tuple[int, ...]
                 num = num * (g + total + 1) * (g + total) + term * stirling[g + total + 1][d0]
             value, remainder = divmod(scale * num, denominator)
             if remainder:
-                _exact_int(Fraction(scale * num, denominator), f"separating_by_d({Composition(alpha_parts)},{(d0, *d_rest)})")
+                context = f"separating_by_d({Composition(alpha_parts)},{(d0, *d_rest)})"
+                _exact_int(Fraction(scale * num, denominator), context)
             table[(d0, *d_rest)] = value
     return table
 

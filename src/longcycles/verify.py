@@ -567,13 +567,16 @@ class _ArrayTables(NamedTuple):
     miss: np.ndarray
 
 
-def _array_tables(perms: np.ndarray, perms_inv: np.ndarray, c_pi: np.ndarray, cc: np.ndarray, words: int) -> _ArrayTables:
+def _array_tables(
+    perms: np.ndarray, perms_inv: np.ndarray, c_pi: np.ndarray, cc: np.ndarray, words: int
+) -> _ArrayTables:
     """The _ArrayTables of the verticals ``perms`` (n, n!), stored element
     first, for batches of up to ``words`` words."""
     shape = (words, *perms.shape)
     return _ArrayTables(
         plane._verticals(perms, words), _word_rows(np.broadcast_to(perms_inv, shape), len(perms)), c_pi, cc,
-        plane._verticals(perms, words), *(np.empty(shape, dtype=np.int64) for _ in range(3)), np.empty(shape, dtype=bool),
+        plane._verticals(perms, words), *(np.empty(shape, dtype=np.int64) for _ in range(3)),
+        np.empty(shape, dtype=bool),
     )
 
 
