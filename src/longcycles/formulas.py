@@ -23,7 +23,6 @@ from .partitions import (
     IntegerPartition,
     binomial,
     falling_factorial,
-    _stirling_table,
     separated_stirling,
     stirling_first,
     z_of,
@@ -162,19 +161,22 @@ def _check_d(alpha: Composition, d: Sequence[int]) -> tuple[int, ...]:
     return d
 
 
+# C(m, k) as table[m][k], as _stirling_cut gives it
+_Stirling = Sequence[Sequence[int] | Mapping[int, int]]
+
 # The last table of _stirling_cut small enough to keep.  One call builds it
 # anyway, so the memo never holds more than that call did.
 _CUT_KEEP_ENTRIES = 1024
 _kept_cut: tuple[tuple[int, ...], ...] = ((1,),)
 
 
-def _stirling_cut(n: int, d: tuple[int, ...]) -> Sequence[Sequence[int] | Mapping[int, int]]:
+def _stirling_cut(n: int, d: tuple[int, ...]) -> _Stirling:
     """C(m, k) as ``table[m][k]`` for m <= n + 1 and every k in d, from the
     Stirling rows cut at column max(d).
 
     A table of at most _CUT_KEEP_ENTRIES entries is kept whole, and every
     later call whose rows and columns it covers reads it: the verify suites
-    make about 600 calls at n <= 7.  A larger table keeps only the columns
+    make about 740 calls at n <= 7.  A larger table keeps only the columns
     in d, for its own call: whole cut rows would hold ~340 MB at n = 1200
     and d = (600,), and stirling_first's whole rows ~30 MB.
     """
@@ -193,24 +195,29 @@ def _stirling_cut(n: int, d: tuple[int, ...]) -> Sequence[Sequence[int] | Mappin
     return table
 
 
-def separating_by_d_raw(alpha: Composition, d: Sequence[int]) -> Fraction:
-    d = _check_d(alpha, d)
-    g, n = alpha.parts[0], alpha.n
-    stirling = _stirling_cut(n, d)
-    poly = _poly_product(
-        [
-            (-1) ** r * math.factorial(r) * binomial(a, r) * binomial(a - 1, r) * stirling[a - r][dj]
-            for r in range(a)
-        ]
-        for a, dj in zip(alpha.parts[1:], d[1:])
-    )
-    # Horner's rule over the common denominator (g+R+1)! (g+R)! of the last term
+def _block_factor(a: int, dj: int, stirling: _Stirling) -> list[int]:
+    """The factor of a later block of size a split into dj cycles: the
+    coefficient of x^r, r < a, is (-1)^r r! binom(a, r) binom(a-1, r) C(a-r, dj)."""
+    return [(-1) ** r * math.factorial(r) * binomial(a, r) * binomial(a - 1, r) * stirling[a - r][dj] for r in range(a)]
+
+
+def _horner(n: int, g: int, poly: Sequence[int], d0: int, stirling: _Stirling) -> tuple[int, int]:
+    """(numerator, denominator) of 2 (n-1)! g! (g-1)! * sum over R of
+    R! c_R C(g+R+1, d0) / ((g+R+1)! (g+R)!), c_R = poly[R]: Horner's rule
+    over the common denominator (g+R+1)! (g+R)! of the last term."""
     num = 0
     for total, c in enumerate(poly):
-        num = num * (g + total + 1) * (g + total) + math.factorial(total) * c * stirling[g + total + 1][d[0]]
+        num = num * (g + total + 1) * (g + total) + math.factorial(total) * c * stirling[g + total + 1][d0]
     top = g + len(poly)
-    factor = 2 * math.factorial(n - 1) * math.factorial(g) * math.factorial(g - 1)
-    return Fraction(factor * num, math.factorial(top) * math.factorial(top - 1))
+    scale = 2 * math.factorial(n - 1) * math.factorial(g) * math.factorial(g - 1)
+    return scale * num, math.factorial(top) * math.factorial(top - 1)
+
+
+def separating_by_d_raw(alpha: Composition, d: Sequence[int]) -> Fraction:
+    d = _check_d(alpha, d)
+    stirling = _stirling_cut(alpha.n, d)
+    poly = _poly_product(_block_factor(a, dj, stirling) for a, dj in zip(alpha.parts[1:], d[1:]))
+    return Fraction(*_horner(alpha.n, alpha.parts[0], poly, d[0], stirling))
 
 
 def separating_by_d(alpha: Composition, d: Sequence[int]) -> int:
@@ -239,37 +246,26 @@ def separating_by_d(alpha: Composition, d: Sequence[int]) -> int:
 
 def _separating_by_d_table(alpha_parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """separating_by_d(Composition(alpha_parts), d) for every d of the
-    parity of n with d_1 <= alpha_1 + 1 and d_j <= alpha_j, j > 1, as
-    separating_by_d_raw sums it, with the factor products shared by prefix
-    and an exact divmod.  A larger d_j, j > 1, gives 0."""
+    parity of n with d_1 <= alpha_1 + 1 and d_j <= alpha_j, j > 1, from the
+    pieces separating_by_d_raw sums, with the factor products shared by
+    prefix and an exact divmod.  A larger d_j, j > 1, gives 0."""
     g, rest, n = alpha_parts[0], alpha_parts[1:], sum(alpha_parts)
-    stirling = _stirling_table(n + 2)
-    factors = [
-        [[(-1) ** r * math.factorial(r) * binomial(a, r) * binomial(a - 1, r) * stirling[a - r][dj] for r in range(a)]
-         for dj in range(a + 1)]
-        for a in rest
-    ]
-    top = g + 1 + sum(rest) - len(rest)  # g + len(poly), as in separating_by_d_raw
-    scale = 2 * math.factorial(n - 1) * math.factorial(g) * math.factorial(g - 1)
-    denominator = math.factorial(top) * math.factorial(top - 1)
+    stirling = _stirling_cut(n, tuple(range(1, max(alpha_parts) + 2)))
     # the factor polynomials' products by d_2..d_k, one block at a time, each
     # product shared by every d that extends its prefix
     products: dict[tuple[int, ...], list[int]] = {(): [1]}
-    for a, by_dj in zip(rest, factors):
+    for a in rest:
+        by_dj = [(dj, _block_factor(a, dj, stirling)) for dj in range(1, a + 1)]
         products = {
-            (*d_rest, dj): _poly_product([poly, by_dj[dj]]) for d_rest, poly in products.items() for dj in range(1, a + 1)
+            (*d_rest, dj): _poly_product([poly, factor]) for d_rest, poly in products.items() for dj, factor in by_dj
         }
     table: dict[tuple[int, ...], int] = {}
     for d_rest, poly in products.items():
-        terms = [math.factorial(total) * c for total, c in enumerate(poly)]
         for d0 in range(1 + (sum(d_rest) + 1 - n) % 2, g + 2, 2):
-            num = 0
-            for total, term in enumerate(terms):
-                num = num * (g + total + 1) * (g + total) + term * stirling[g + total + 1][d0]
-            value, remainder = divmod(scale * num, denominator)
+            num, den = _horner(n, g, poly, d0, stirling)
+            value, remainder = divmod(num, den)
             if remainder:
-                context = f"separating_by_d({Composition(alpha_parts)},{(d0, *d_rest)})"
-                _exact_int(Fraction(scale * num, denominator), context)
+                _exact_int(Fraction(num, den), f"separating_by_d({Composition(alpha_parts)},{(d0, *d_rest)})")
             table[(d0, *d_rest)] = value
     return table
 

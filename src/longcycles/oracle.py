@@ -736,10 +736,10 @@ def _plane_chunk(n: int, tables: tuple, lo: int, hi: int) -> np.ndarray:
         m = len(s_img)
         pos = np.argsort(words[start : start + m], axis=1)  # pos[w, x]: index of x in word w
         later = pos[:, None, :] > pos[:, :, None]  # later[w, x, y]: y after x in word w
-        x = _part_codes(s_img, later, range(h, n), tail).take(tail_of, axis=1, out=codes[:m], mode="clip")
+        x = _take(_part_codes(s_img, later, range(h, n), tail), tail_of, codes[:m], axis=1)
         grouped = x.reshape(m, groups, -1)  # a view: the q's of head group g are row g
         grouped += _part_codes(s_img, later, range(h), head)[:, :, None]
-        np.add(tbx.take(x, out=bins[:m], mode="clip"), sig_off, out=bins[:m])
+        np.add(_take(tbx, x, bins[:m]), sig_off, out=bins[:m])
         acc += np.bincount(bins[:m].ravel(), minlength=acc.size)
     return acc
 

@@ -502,12 +502,6 @@ def stirling_first(n: int, k: int) -> int:
     return _insertion_row(n, 0)[k] if k <= n else 0
 
 
-@cache
-def _stirling_table(size: int) -> tuple[tuple[int, ...], ...]:
-    """``table[m][k]`` = stirling_first(m, k) for m, k < size."""
-    return tuple(tuple(stirling_first(m, k) for k in range(size)) for m in range(size))
-
-
 def separated_stirling(n: int, m: int, k: int) -> int:
     """Permutations of [n] with k cycles and 1..m in pairwise distinct cycles.
 

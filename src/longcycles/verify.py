@@ -36,13 +36,11 @@ their reports in compact blocks (_ReportBlock).
 
 from __future__ import annotations
 
-import gc
 import itertools
 import json
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -58,7 +56,6 @@ from .partitions import (
     IntegerPartition,
     _compositions,
     _partition_list,
-    _stirling_table,
     format_d_key,
     format_type_key,
 )
@@ -280,24 +277,6 @@ class _Reports(Sequence):
         return NotImplemented
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector, and restore the state it was in
-    (on or off) on the way out, also when the body raises.
-
-    The suites build up to hundreds of thousands of reports, numbers and
-    tuples that form no reference cycles; with the collector on, every 700
-    of them start a generation scan that frees nothing.  Used as a
-    decorator, a nested pause finds the collector off and leaves it off."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 # ---------------------------------------------------------------------------
 # exact halves
 
@@ -319,7 +298,6 @@ def _half_text(x: int) -> str:
 # to run imports, so that a process that never runs them does not load it
 
 
-@_collector_paused()
 def classic_reports(max_n: int = 6, workers: int = 1) -> _Reports:
     """The classic suite at n = 2..max_n, one _ReportBlock per n."""
     oracle._require_scale("the classic suite", max_n, _SUITE_LIMITS["classic"])
@@ -337,7 +315,6 @@ def classic_reports(max_n: int = 6, workers: int = 1) -> _Reports:
 # block-refined suite
 
 
-@_collector_paused()
 def section3_reports(max_n: int = 6, workers: int = 1) -> _Reports:
     """The section3 suite at n = 2..max_n: per n one _ReportBlock, then the
     block-deletion reports at n."""
@@ -357,7 +334,8 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
     both the oracle's tables and the closed form.
 
     The closed side reads formulas._separating_by_d_table, one per shrunk
-    composition and call, 0 where it has no entry.
+    composition and call, 0 where it has no entry: the factor and Horner
+    steps that separating_by_d runs.
 
     The d-summed form needs a block of size >= 2: with every block a
     singleton there is no d of the right parity, and the closed right side no
@@ -365,7 +343,7 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
     """
     reports: list[IdentityReport] = []
     fact_n1 = math.factorial(n - 1)
-    stirling = _stirling_table(n + 2)
+    stirling = formulas._stirling_cut(n, tuple(range(1, n + 2)))
     closed: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for beta in _compositions(n + 1):
         inst_total = f"n={n} beta={format_d_key(beta)}"
@@ -398,7 +376,6 @@ def block_deletion_reports(n: int) -> list[IdentityReport]:
 # pure partition algebra
 
 
-@_collector_paused()
 def baserecur_reports(max_n: int = 12) -> _Reports:
     """The length-weight recurrence over all block types of all compositions
     of every N up to max_n, oracle-free: each side is a product or a sum of
@@ -511,7 +488,6 @@ def _parity_instances(n: int) -> Iterator[tuple[str, str, tuple]]:
                 yield "separated_by_alpha_d", f"{head} d={format_d_key(d)}", (alpha, d)
 
 
-@_collector_paused()
 def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[IdentityReport]:
     oracle._require_scale("the formulas suite", max_n, _SUITE_LIMITS["formulas"])
     reports: list[IdentityReport] = []
@@ -527,7 +503,6 @@ def formula_vs_oracle_reports(max_n: int = 7, workers: int = 1) -> list[Identity
 # parity audit: what the bare expressions produce on infeasible input
 
 
-@_collector_paused()
 def parity_audit(max_n: int = 6) -> list[ParityAuditRecord]:
     oracle._require_scale("the parity suite", max_n, _SUITE_LIMITS["parity"])
     records: list[ParityAuditRecord] = []
@@ -694,7 +669,6 @@ def _transposition_bad_count(words: np.ndarray, verticals: np.ndarray, tables: _
 _PLANE_COLUMNS = 2 * math.factorial(6)
 
 
-@_collector_paused()
 def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityReport]:
     """Exhaustive structural checks on two-row arrays.
 
@@ -852,7 +826,6 @@ class VerifyRun:
         out.write("]}\n")
 
 
-@_collector_paused()
 def run_suites(
     suites: Sequence[str] = SUITES,
     max_n: int = 6,

@@ -443,3 +443,43 @@ class TestPlaneSuiteBatches:
         assert counts == verify._array_bad_counts(words[3:4], cycles[3:4], alone[0]) and any(counts)
         count = verify._transposition_bad_count(words, verticals, batch[1])
         assert count == verify._transposition_bad_count(words[3:4], verticals[3:4], alone[1]) > 0
+
+
+class TestClippedGathers:
+    """plane._take gathers with mode="clip", which clamps an index out of
+    range instead of raising, and every clipped gather goes through it.  With
+    a _take that asserts each index lies inside the gathered axis, the
+    kernels give what they give without it."""
+
+    n = 6
+
+    @staticmethod
+    def check_indices(monkeypatch):
+        true_take, calls = plane._take, []
+
+        def take(a, indices, out, axis=None):
+            size = a.size if axis is None else a.shape[axis]
+            assert indices.size == 0 or 0 <= indices.min() <= indices.max() < size, (a.shape, axis)
+            calls.append(indices.size)
+            return true_take(a, indices, out, axis)
+
+        monkeypatch.setattr(plane, "_take", take)
+        monkeypatch.setattr(oracle, "_take", take)
+        return calls
+
+    def test_plane_suite(self, monkeypatch):
+        expected = verify.plane_structure_reports(self.n)
+        calls = self.check_indices(monkeypatch)
+        assert verify.plane_structure_reports(self.n) == expected and calls
+
+    def test_plane_codes(self, monkeypatch):
+        expected = oracle._plane_codes(self.n)
+        calls = self.check_indices(monkeypatch)
+        assert np.array_equal(oracle._plane_codes(self.n), expected) and calls
+
+    def test_distinct_rows(self, monkeypatch):
+        perms = oracle._all_perm_rows(self.n).T
+        expected = oracle._distinct_rows(perms)
+        calls = self.check_indices(monkeypatch)
+        got = oracle._distinct_rows(perms)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True)) and calls

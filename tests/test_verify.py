@@ -417,16 +417,31 @@ class TestBlockDeletionReference:
 
     def test_a_non_integer_closed_form_is_an_exactness_error(self, monkeypatch):
         # C(3, 2) one too large: the sum at alpha = (2), d = (2) is no longer divisible out
-        true_table = formulas._stirling_table
+        true_cut = formulas._stirling_cut
 
-        def damaged(size):
-            rows = [list(row) for row in true_table(size)]
+        def damaged(n, d):
+            rows = [list(row) for row in true_cut(n, d)]
             rows[3][2] += 1
             return rows
 
-        monkeypatch.setattr(formulas, "_stirling_table", damaged)
+        monkeypatch.setattr(formulas, "_stirling_cut", damaged)
         with pytest.raises(formulas.ExactnessError, match=r"separating_by_d\(\(2\),\(2,\)\) evaluated to non-integer"):
             formulas._separating_by_d_table((2,))
+
+    def test_a_damaged_block_factor_fails_both_closed_identities(self, monkeypatch):
+        # C(a, d_j) + 1 as the constant term of every later block's factor: at
+        # n = 4 the damaged sums stay integers, 2 (n-1)! = 12 being divisible by
+        # g (g + 1) for every g <= 3, and both the formulas suite and block
+        # deletion's closed side read the factor
+        def closed_failures():
+            reports = [*verify.formula_vs_oracle_reports(4), *verify.block_deletion_reports(4)]
+            return {r.identity for r in reports if r.identity in identities and not r.passed}
+
+        identities = {"formula:separated_by_alpha_d", "block_deletion_d[formula]", "block_deletion_d[oracle]"}
+        assert closed_failures() == set()
+        true_factor = formulas._block_factor
+        monkeypatch.setattr(formulas, "_block_factor", lambda *args: [true_factor(*args)[0] + 1, *true_factor(*args)[1:]])
+        assert closed_failures() == {"formula:separated_by_alpha_d", "block_deletion_d[formula]"}
 
 
 class TestExactnessBound:
@@ -684,74 +699,6 @@ class TestInstanceTextParts:
         pieces = {id(piece) for b in range(1, 9) for piece, *_ in _block_pieces(b).values()}
         assert len(reports) > 1 + len(alphas) + leading
         assert len(self._texts(reports) - pieces) <= 1 + len(alphas) + leading  # 1: the identity's name
-
-
-class TestCollectorPause:
-    BUILDERS = [
-        ("classic_reports", (3,)),
-        ("section3_reports", (3,)),
-        ("baserecur_reports", (4,)),
-        ("formula_vs_oracle_reports", (3,)),
-        ("plane_structure_reports", (3,)),
-        ("parity_audit", (3,)),
-    ]
-    HELPERS = [
-        (verify, "_partition_list"), (verify, "_compositions"), (_columns, "_partition_list"), (_columns, "_block_pieces"),
-        (oracle, "_cycle_words"),
-    ]
-
-    @pytest.fixture(autouse=True)
-    def restore_collector(self):
-        enabled = gc.isenabled()
-        yield
-        (gc.enable if enabled else gc.disable)()
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize("name, args", BUILDERS)
-    def test_paused_inside_and_restored_after(self, monkeypatch, enabled, name, args):
-        (gc.enable if enabled else gc.disable)()
-        seen = []  # the collector's state at each call of a helper that the suites use
-        for module, helper in self.HELPERS:
-            monkeypatch.setattr(module, helper, self._watched(getattr(module, helper), seen))
-        getattr(verify, name)(*args)
-        assert seen and not any(seen)
-        assert gc.isenabled() is enabled
-
-    @staticmethod
-    def _watched(function, seen):
-        def watched(*args):
-            seen.append(gc.isenabled())
-            return function(*args)
-
-        return watched
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_restored_when_a_suite_raises(self, monkeypatch, enabled):
-        (gc.enable if enabled else gc.disable)()
-
-        def broken(*args):
-            assert not gc.isenabled()
-            raise ZeroDivisionError("a broken tally")
-
-        monkeypatch.setattr(oracle, "_plane_array", broken)
-        with pytest.raises(ZeroDivisionError):
-            verify.classic_reports(3)
-        assert gc.isenabled() is enabled
-        # nested under run_suites: the suite's pause and the runner's both unwind
-        with pytest.raises(ZeroDivisionError):
-            verify.run_suites(("baserecur", "section3"), 3, baserecur_max_n=4)
-        assert gc.isenabled() is enabled
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_nested_pauses(self, enabled):
-        (gc.enable if enabled else gc.disable)()
-        with verify._collector_paused():
-            with verify._collector_paused():
-                assert not gc.isenabled()
-            assert not gc.isenabled()  # the inner pause found it off
-        assert gc.isenabled() is enabled
-        run = verify.run_suites(("classic", "baserecur", "parity"), 3, baserecur_max_n=4)
-        assert run.ok and gc.isenabled() is enabled
 
 
 def test_a_cold_run_leaves_no_cyclic_garbage():
