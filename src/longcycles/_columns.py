@@ -214,11 +214,10 @@ def _suite_keys(max_n: int) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np
 
 
 class _KeyTexts(Sequence):
-    """The instance texts of a block of classic or section3, each as (head,
-    part, ""): a head per key (or diagonal type) and a part per diagonal
-    type or step, each shared by many reports.  Only the index of each
-    report's head and part is held; ``build()`` gives the two lists of
-    texts, on the first read, and they are kept."""
+    """The instance texts of a block of classic or section3, each a head per
+    key (or diagonal type) followed by a part per diagonal type or step.
+    Only the index of each report's head and part is held; ``build()``
+    gives the two lists of texts, on the first read, and they are kept."""
 
     __slots__ = ("build", "head_of", "part_of", "_texts")
 
@@ -233,14 +232,14 @@ class _KeyTexts(Sequence):
             self._texts = self.build()
         return self._texts
 
-    def __getitem__(self, i: int) -> tuple[str, str, str]:
+    def __getitem__(self, i: int) -> str:
         heads, parts = self.texts()
-        return heads[self.head_of[i]], parts[self.part_of[i]], ""
+        return heads[self.head_of[i]] + parts[self.part_of[i]]
 
-    def __iter__(self) -> Iterator[tuple[str, str, str]]:
+    def __iter__(self) -> Iterator[str]:
         heads, parts = self.texts()
         for head, part in zip(self.head_of.tolist(), self.part_of.tolist()):
-            yield heads[head], parts[part], ""
+            yield heads[head] + parts[part]
 
 
 def _ordered_block(names: tuple[str, ...], segments: list[tuple], build: Callable) -> tuple:
@@ -437,11 +436,11 @@ def _baserecur_columns(max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _BlockTypeTexts(Sequence):
-    """The instance texts of baserecur in its order, each as (head, the
-    leading blocks' text, the last block's piece): "N=3 alpha=(2,1) Lam=",
-    "1+1 | ", "1".  Only the instance count of each composition is held;
-    iteration builds a head per composition and a leading text per leading
-    key (_seq_texts), and indexing decodes the composition from its place."""
+    """The instance texts of baserecur in its order, each a head, the leading
+    blocks' text and the last block's piece: "N=3 alpha=(2,1) Lam=1+1 | 1".
+    Only the instance count of each composition is held; iteration builds a
+    head per composition and a leading text per leading key (_seq_texts),
+    and indexing decodes the composition from its place."""
 
     __slots__ = ("max_n", "ends")
 
@@ -452,15 +451,16 @@ class _BlockTypeTexts(Sequence):
     def __len__(self) -> int:
         return int(self.ends[-1])
 
-    def __iter__(self) -> Iterator[tuple[str, str, str]]:
+    def __iter__(self) -> Iterator[str]:
         for total in range(1, self.max_n + 1):
-            for alpha, mids, tails in _seq_texts(total):
+            for alpha, leads, lasts in _seq_texts(total):
                 head = f"N={total} alpha={format_d_key(alpha)} Lam="
-                for mid in mids:
-                    for tail in tails:
-                        yield head, mid, tail
+                for lead in leads:
+                    start = head + lead
+                    for last in lasts:
+                        yield start + last
 
-    def __getitem__(self, i: int) -> tuple[str, str, str]:
+    def __getitem__(self, i: int) -> str:
         # the compositions of N are the 2^(N-1) after those of smaller totals,
         # each at its cut pattern read as a binary number
         g = int(np.searchsorted(self.ends, i, side="right"))
@@ -473,5 +473,4 @@ class _BlockTypeTexts(Sequence):
         for p in reversed(alpha):  # the last block's partition changes fastest
             k, d = divmod(k, len(_block_pieces(p)))
             texts.append(list(_block_pieces(p).values())[d][0])
-        *leading, tail = reversed(texts)
-        return f"N={total} alpha={format_d_key(alpha)} Lam=", "".join(text + " | " for text in leading), tail
+        return f"N={total} alpha={format_d_key(alpha)} Lam=" + " | ".join(reversed(texts))

@@ -19,7 +19,8 @@ cycles are its arrays with s = c1 whose vertical, c2⁻¹, is a long cycle.
 
 Every lex rank is read from _rank_tables(n), split after a permutation's
 first h = n - min(_TAIL, n) images.  The pair kernel's tables,
-_pair_tables(n), and the n! permutation rows, _all_perm_rows(n), are not
+_pair_tables(n), the n! permutation rows, _all_perm_rows(n), the cycle
+words, _cycle_words(n), and the long cycles, _cycle_rows(words), are not
 cached: each is a local of the sweep or table build that reads it.
 
 Sweeps with a worker count cut their index range into contiguous chunks,
@@ -151,7 +152,6 @@ def _all_perm_rows(n: int, tail: int = 0) -> np.ndarray:
 _PASS = math.factorial(7)
 
 
-@cache
 def _cycle_words(n: int) -> np.ndarray:
     """0-based words of all long cycles, each starting at 0, in lex order:
     the first (n-1)! rows of _all_perm_rows(n), 0 followed by the
@@ -164,11 +164,10 @@ def _cycle_words(n: int) -> np.ndarray:
     return words
 
 
-@cache
-def _cycle_rows(n: int) -> np.ndarray:
-    """0-based one-line images of all long cycles, in cycle-word lex order:
-    each word maps every entry to the next one, cyclically."""
-    words = _cycle_words(n)
+def _cycle_rows(words: np.ndarray) -> np.ndarray:
+    """0-based one-line images of the long cycles with cycle words
+    ``words``, rows of _cycle_words, in their order: each word maps every
+    entry to the next one, cyclically."""
     rows = np.empty_like(words)
     for lo in range(0, len(words), _PASS):
         part = words[lo : lo + _PASS]
@@ -353,7 +352,7 @@ def _pair_tables(n: int) -> tuple[np.ndarray, ...]:
     permutation of lex rank head * k! + pattern; ``sources`` is
     _pattern_sources(k), and row i of ``least`` the lex-least permutation
     with head index i."""
-    cyc_t = _cycle_rows(n).T.copy()
+    cyc_t = _cycle_rows(_cycle_words(n)).T.copy()
     pairs = (cyc_t[:, None, :] * n + cyc_t[None, :, :]).reshape(n * n, -1)
     k = min(_TAIL, n)
     prefix, suffix = _rank_tables(n)
@@ -378,9 +377,10 @@ def _pattern_sources(k: int) -> np.ndarray:
 
 def _fact_chunk(n: int, tables: tuple[np.ndarray, ...], lo: int, hi: int) -> np.ndarray:
     """Entry i counts the pairs (c1, c2) whose product c1∘c2 has row i of
-    _signatures(n), c1 any long cycle and c2 one of rows lo..hi-1 of
-    _cycle_rows(n), read from ``tables``, _pair_tables(n).  Every product is
-    composed and counted once, as (c1∘q)∘tau, with no symmetry of the counts.
+    _signatures(n), c1 any long cycle and c2 one of the long cycles
+    lo..hi-1 in _cycle_rows order, read from ``tables``, _pair_tables(n).
+    Every product is composed and counted once, as (c1∘q)∘tau, with no
+    symmetry of the counts.
 
     With k = min(_TAIL, n), the second factors fall into head groups by their
     first n - k images: c2 = q∘tau, q the lex-least permutation with that
@@ -625,7 +625,8 @@ def _diag_rows(n: int, d_image: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray
     length rows of the verticals, and ``counts[i, a]`` counts those
     with row i and a exceedances."""
     d_inv = np.argsort([x - 1 for x in d_image])
-    words, cycles = _cycle_words(n), _cycle_rows(n)
+    words = _cycle_words(n)
+    cycles = _cycle_rows(words)
     codes = np.empty(len(words), dtype=np.int64)  # of the verticals' length rows
     exceedances = np.empty(len(words), dtype=np.int64)
     work = _pass_buffers(n, len(words))
@@ -680,6 +681,7 @@ def _plane_tables(n: int) -> tuple:
     ``sig_off[q]`` = sig[rank(q⁻¹)] * (n + 1).  ``tbx[x]`` = type_base[x //
     (n + 1)] + x % (n + 1).  ``head`` and ``tail``: (places, columns, lut)
     of _part_codes over the head images and the tail tuples."""
+    words = _cycle_words(n)
     k = min(_TAIL, n)
     h = n - k
     qs = _all_perm_rows(n)
@@ -701,7 +703,7 @@ def _plane_tables(n: int) -> tuple:
         lut = (ranks[:, None] * (n + 1) + np.arange(m + 1)).ravel()
         return places, (images + np.arange(m) * n).T.copy(), lut
 
-    return _cycle_words(n), _cycle_rows(n), tbx, sig_off, tail_of, part(heads, prefix), part(arrangements, suffix)
+    return words, _cycle_rows(words), tbx, sig_off, tail_of, part(heads, prefix), part(arrangements, suffix)
 
 
 def _part_codes(s_img: np.ndarray, later: np.ndarray, cols: range, part: tuple) -> np.ndarray:

@@ -76,17 +76,10 @@ __all__ = [
 ]
 
 
+@dataclass(slots=True)
 class IdentityReport:
     """One instance of one identity: its two sides, which pass only on exact
     equality, and the instance's text.
-
-    ``IdentityReport(identity, instance, lhs, rhs)`` takes the whole text.
-    The suites pass it in parts, ``instance`` and up to two more after
-    ``rhs``, whose concatenation is the text: a key's text, a diagonal type's
-    ``" eta=..."``, a block piece.  Many reports share each part, so building
-    a report builds no string; the text is joined only when read, through
-    ``instance``, ``to_dict`` and ``str``.  Equality and repr go by the
-    joined text.
 
     The classic, section3 and baserecur suites keep their reports as
     columns (``_ReportBlock``) and build one only when it is indexed or
@@ -95,38 +88,14 @@ class IdentityReport:
     is read from tables built per call, are built as they are made.
     """
 
-    __slots__ = ("identity", "_head", "lhs", "rhs", "_mid", "_tail")
-    __match_args__ = ("identity", "instance", "lhs", "rhs")
-    __hash__ = None  # mutable, and equal by value
-
-    def __init__(
-        self, identity: str, instance: str, lhs: int | Fraction, rhs: int | Fraction, mid: str = "", tail: str = ""
-    ) -> None:
-        self.identity = identity
-        self._head = instance
-        self.lhs = lhs
-        self.rhs = rhs
-        self._mid = mid
-        self._tail = tail
-
-    @property
-    def instance(self) -> str:
-        return self._head + self._mid + self._tail
+    identity: str
+    instance: str
+    lhs: int | Fraction
+    rhs: int | Fraction
 
     @property
     def passed(self) -> bool:
         return self.lhs == self.rhs
-
-    def _fields(self) -> tuple:
-        return self.identity, self.instance, self.lhs, self.rhs
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "IdentityReport(identity={!r}, instance={!r}, lhs={!r}, rhs={!r})".format(*self._fields())
 
     def to_dict(self) -> dict:
         return {
@@ -178,17 +147,17 @@ class _ReportBlock:
     """The reports of one suite at one n (all of baserecur) as columns, in
     order: ``codes``, each report's identity as an index into ``names``;
     ``twice_lhs`` and ``twice_rhs``, its two sides doubled as int64, so that
-    a half on either side is exact; and ``texts``, each instance's text as
-    (head, mid, tail).  A report passes on ``twice_lhs == twice_rhs``.
-    Counts and failures come from the columns; an IdentityReport is built
-    only when one is indexed or iterated, and the JSON dicts of 1024 reports
-    at a time straight from the columns."""
+    a half on either side is exact; and ``texts``, each instance's text.  A
+    report passes on ``twice_lhs == twice_rhs``.  Counts and failures come
+    from the columns; an IdentityReport is built only when one is indexed or
+    iterated, and the JSON dicts of 1024 reports at a time straight from the
+    columns."""
 
     names: tuple[str, ...]
     codes: np.ndarray
     twice_lhs: np.ndarray
     twice_rhs: np.ndarray
-    texts: Sequence[tuple[str, str, str]]
+    texts: Sequence[str]
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -203,9 +172,8 @@ class _ReportBlock:
         done, bad = np.bincount(self.codes, minlength=size), np.bincount(self.codes[self.failed()], minlength=size)
         return zip(self.names, done.tolist(), bad.tolist())
 
-    def _report(self, code: int, text: tuple[str, str, str], twice_lhs: int, twice_rhs: int) -> IdentityReport:
-        head, mid, tail = text
-        return IdentityReport(self.names[code], head, _half(twice_lhs), _half(twice_rhs), mid, tail)
+    def _report(self, code: int, text: str, twice_lhs: int, twice_rhs: int) -> IdentityReport:
+        return IdentityReport(self.names[code], text, _half(twice_lhs), _half(twice_rhs))
 
     def __getitem__(self, i: int) -> IdentityReport:
         return self._report(int(self.codes[i]), self.texts[i], int(self.twice_lhs[i]), int(self.twice_rhs[i]))
@@ -229,9 +197,9 @@ class _ReportBlock:
         names = self.names
         for codes, texts, lhs, rhs in self._chunks(size):
             yield [
-                {"identity": names[code], "instance": head + mid + tail, "lhs": _half_text(left),
+                {"identity": names[code], "instance": text, "lhs": _half_text(left),
                  "rhs": _half_text(right), "pass": left == right}
-                for code, (head, mid, tail), left, right in zip(codes, texts, lhs, rhs)
+                for code, text, left, right in zip(codes, texts, lhs, rhs)
             ]
 
 
@@ -689,7 +657,7 @@ def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityRe
     for n in range(2, max_n + 1):
         # every table that does not depend on the words, built before the fork
         words = oracle._cycle_words(n)
-        cycles = oracle._cycle_rows(n)
+        cycles = oracle._cycle_rows(words)
         rows = oracle._all_perm_rows(n)
         batch = max(1, _PLANE_COLUMNS // len(rows))  # words per call of the checks
         cc = _cycle_counts_by_rank(n)  # the verticals are in lex order, so cc holds their counts

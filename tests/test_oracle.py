@@ -361,7 +361,8 @@ def reference_plane_codes(n):
     inv_head, inv_tail = oracle._code(n, pinv_t[:h]), oracle._code(n, pinv_t[h:])
     img_head, img_tail = oracle._code(n, perms[:h]), oracle._code(n, perms[h:])
     acc = np.zeros(len(types) * stride, dtype=np.int64)
-    words, cycles = _cycle_words(n), _cycle_rows(n)
+    words = _cycle_words(n)
+    cycles = _cycle_rows(words)
     for lo in range(0, len(words), 16):
         s_img = cycles[lo : lo + 16]
         pos = np.argsort(words[lo : lo + 16], axis=1)
@@ -410,21 +411,21 @@ class TestPlaneKernel:
 
 
 def _head_cuts(n):
-    """Indices i of _cycle_rows(n) whose row shares its first n // 2 images
+    """Indices i of the long cycles (_cycle_rows) whose row shares its first n // 2 images
     with row i - 1: a window starting or ending at i splits that run of
     rows."""
-    rows = _cycle_rows(n)
+    rows = _cycle_rows(_cycle_words(n))
     h = n // 2
     return np.flatnonzero((rows[1:, :h] == rows[:-1, :h]).all(axis=1)) + 1
 
 
 def _group_cuts(n):
-    """Indices i of _cycle_rows(n) inside a tail-pattern group of _fact_chunk:
+    """Indices i of the long cycles (_cycle_rows) inside a tail-pattern group of _fact_chunk:
     rows with the first n - k images of row i lie both before i and from i
     on.  A window starting or ending at i holds only some of that group's
     patterns, so it also cuts the group's class of the whole range."""
     k = min(oracle._TAIL, n)
-    codes = oracle._code(n, _cycle_rows(n).T[: n - k])
+    codes = oracle._code(n, _cycle_rows(_cycle_words(n)).T[: n - k])
     _, first, group = np.unique(codes, return_index=True, return_inverse=True)
     last = len(codes) - 1 - np.unique(codes[::-1], return_index=True)[1]
     at = np.arange(len(codes))
@@ -458,7 +459,7 @@ def _pair_windows():
 def _composed_counts(n, lo, hi):
     """The pair counts of second factors lo..hi-1 by signature, from every
     product composed as an array and walked by _min_lengths."""
-    cyc = _cycle_rows(n)
+    cyc = _cycle_rows(_cycle_words(n))
     # row c1 of cyc[:, c2] is the product c1∘c2; _min_lengths reads element first
     products = np.concatenate([cyc[:, c2] for c2 in cyc[lo:hi].tolist()] or [np.empty((0, n), np.int64)])
     sig_rows = {row: i for i, row in enumerate(map(tuple, _signatures(n)[1].tolist()))}
@@ -602,7 +603,7 @@ class TestMinLengths:
             return [
                 _signatures.__wrapped__(n),
                 oracle._distinct_rows(_all_perm_rows(n)[::-1].T),  # the columns in reverse lex order
-                (_cycle_rows.__wrapped__(n),),
+                (_cycle_rows(_cycle_words(n)),),
                 *(_diag_rows.__wrapped__(n, d) for d in diagonals),
             ]
 
@@ -644,7 +645,7 @@ class TestMinLengths:
         [
             lambda: _all_perm_rows(6).T,  # the batch _signatures walks
             lambda: _all_perm_rows(7).T[:, 720:3600],  # a column window, as _distinct_rows cuts from n = 8 on
-            lambda: np.argsort([2, 0, 4, 1, 3, 6, 5])[_cycle_rows(7)].T,  # the verticals of _diag_rows
+            lambda: np.argsort([2, 0, 4, 1, 3, 6, 5])[_cycle_rows(_cycle_words(7))].T,  # the verticals of _diag_rows
         ],
         ids=["transposed", "column-slice", "diag-verticals"],
     )
@@ -670,7 +671,7 @@ class TestMinLengths:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cycle_rows_are_the_long_cycles_in_order(self, n):
         expected = [[x - 1 for x in c.image] for c in long_cycle_iter(n)]
-        assert _cycle_rows(n).tolist() == expected
+        assert _cycle_rows(_cycle_words(n)).tolist() == expected
 
 
 class TestCountFactorizations:
@@ -817,7 +818,7 @@ class TestFixedDiagonal:
 
     @pytest.mark.parametrize("sweep", [sweep_fixed_diagonal, count_factorizations])
     def test_guard_above_the_hard_limit(self, monkeypatch, sweep):
-        # the long cycles are the sweep's first step: n = 10 reaches them, so
+        # the cycle words are the sweep's first step: n = 10 reaches them, so
         # it passes the guard, and n = 11 is refused before them
         class Reached(Exception):
             pass
@@ -825,7 +826,7 @@ class TestFixedDiagonal:
         def reached(n):
             raise Reached(n)
 
-        monkeypatch.setattr(oracle, "_cycle_rows", reached)
+        monkeypatch.setattr(oracle, "_cycle_words", reached)
         with pytest.raises(Reached):
             sweep(canonical_of_type(P((10,))))
         with pytest.raises(ResourceLimitError, match="fixed-diagonal"):
@@ -980,11 +981,11 @@ class TestCodeTables:
         assert 5 not in oracle._pair_counts_cache
 
     def test_no_whole_permutation_table_stays_behind(self, clear_pair_caches):
-        # a cold n = 8 sweep keeps the signatures, the long cycles, the rank
-        # tables and the counts, about 1.1 MiB, and nothing of the size of
-        # the table of all 8! permutations (2.46 MiB)
+        # a cold n = 8 sweep keeps the signatures, the rank tables and the
+        # counts, and nothing of the size of the table of all 8!
+        # permutations (2.46 MiB)
         clear_pair_caches()
-        for table in (_signatures, _cycle_rows, _cycle_words, oracle._rank_tables):
+        for table in (_signatures, oracle._rank_tables):
             table.cache_clear()
         tracemalloc.start()
         try:
@@ -993,6 +994,18 @@ class TestCodeTables:
         finally:
             tracemalloc.stop()
         assert held < _all_perm_rows(8).nbytes
+
+    def test_the_fixed_diagonal_sweep_leaves_its_tables_behind(self):
+        # in a fresh process every cache is cold: an n = 8 sweep keeps its
+        # tallies, a few KiB, and neither the 7! cycle words nor the long
+        # cycles (0.62 MiB together)
+        script = (
+            "import tracemalloc; from longcycles import Permutation, oracle; tracemalloc.start(); "
+            "oracle.sweep_fixed_diagonal(Permutation.identity(8)); print(tracemalloc.get_traced_memory()[0])"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 0.1 * 2**20
 
 
 def _assert_no_child_left():

@@ -389,7 +389,7 @@ class TestPlaneSuiteBatches:
 
     def tables(self, words, cc):
         n = self.n
-        cycles, rows = oracle._cycle_rows(n), oracle._all_perm_rows(n)
+        cycles, rows = oracle._cycle_rows(oracle._cycle_words(n)), oracle._all_perm_rows(n)
         arrays = verify._array_tables(rows.T.copy(), np.argsort(rows, axis=1).T.copy(), cc, cc, words)
         places = oracle._code_places(n)
         transpositions = verify._transposition_tables(cycles.T.copy(), plane._moves(n), places, cc, words)
@@ -397,7 +397,8 @@ class TestPlaneSuiteBatches:
 
     def per_word_counts(self, cc):
         """The failure counts at n of the suite's checks, one word per call."""
-        words, cycles = oracle._cycle_words(self.n), oracle._cycle_rows(self.n)
+        words = oracle._cycle_words(self.n)
+        cycles = oracle._cycle_rows(words)
         diags_inv = np.argsort(cycles, axis=1).T
         arrays, transpositions = self.tables(1, cc)
         bad = [0, 0, 0, 0]
@@ -430,9 +431,11 @@ class TestPlaneSuiteBatches:
         # rows of its verticals swapped: the batch fails exactly where that
         # word does on its own
         n = self.n
-        words, cycles = oracle._cycle_words(n)[:7], oracle._cycle_rows(n)[:7].copy()
+        words = oracle._cycle_words(n)
+        cycles = oracle._cycle_rows(words)
+        diags_inv = np.argsort(cycles, axis=1).T
+        words, cycles = words[:7], cycles[:7].copy()
         cc = verify._cycle_counts_by_rank(n)
-        diags_inv = np.argsort(oracle._cycle_rows(n), axis=1).T
         verticals = diags_inv[cycles]
         batch, alone = self.tables(7, cc), self.tables(1, cc)
         assert verify._array_bad_counts(words, cycles, batch[0]) == (0, 0, 0)

@@ -1,5 +1,4 @@
 import functools
-import gc
 import hashlib
 import io
 import itertools
@@ -468,7 +467,7 @@ class TestExactnessBound:
             int(np.abs(column).max())
             for reports in (verify.classic_reports(7), verify.section3_reports(7))
             for part in reports.parts
-            if isinstance(part, verify._ReportBlock) and part.texts[0][0].startswith("n=7 ")
+            if isinstance(part, verify._ReportBlock) and part.texts[0].startswith("n=7 ")
             for column in (part.twice_lhs, part.twice_rhs)
         )
         assert 0 < largest <= _columns._require_exact(7, _columns._key_spaces(8)[1]) < 2**62
@@ -659,46 +658,24 @@ class TestInstanceTextParts:
         assert (len(records), digest.hexdigest()) == self.EAGER_TEXT[suite]
 
     def test_positional_and_equal_by_joined_text(self):
-        whole = IdentityReport("x", "n=2 eta=1+1", 3, Fraction(1, 2))
-        parts = IdentityReport("x", "n=2", 3, Fraction(1, 2), " eta=", "1+1")
-        assert (whole.identity, whole.instance, whole.lhs, whole.rhs) == ("x", "n=2 eta=1+1", 3, Fraction(1, 2))
-        assert parts.instance == whole.instance
-        assert parts == whole and not parts != whole
-        assert repr(parts) == repr(whole) == "IdentityReport(identity='x', instance='n=2 eta=1+1', lhs=3, rhs=Fraction(1, 2))"
-        assert (str(parts), parts.to_dict()) == (str(whole), whole.to_dict())
-        assert parts != IdentityReport("x", "n=2", 3, Fraction(1, 2), " eta=", "2")
-        assert parts != IdentityReport("y", "n=2 eta=1+1", 3, Fraction(1, 2))
-        assert whole != ("x", "n=2 eta=1+1", 3, Fraction(1, 2))
-        match parts:
+        report = IdentityReport("x", "n=2 eta=1+1", 3, Fraction(1, 2))
+        assert (report.identity, report.instance, report.lhs, report.rhs) == ("x", "n=2 eta=1+1", 3, Fraction(1, 2))
+        joined = IdentityReport("x", "".join(["n=2", " eta=", "1+1"]), 3, Fraction(1, 2))
+        assert joined == report and not joined != report
+        assert repr(joined) == "IdentityReport(identity='x', instance='n=2 eta=1+1', lhs=3, rhs=Fraction(1, 2))"
+        assert (str(joined), joined.to_dict()) == (str(report), report.to_dict())
+        assert report != IdentityReport("x", "n=2 eta=2", 3, Fraction(1, 2))
+        assert report != IdentityReport("y", "n=2 eta=1+1", 3, Fraction(1, 2))
+        assert report != ("x", "n=2 eta=1+1", 3, Fraction(1, 2))
+        match joined:
             case IdentityReport("x", instance, lhs, rhs):
                 assert (instance, lhs, rhs) == ("n=2 eta=1+1", 3, Fraction(1, 2))
             case _:
                 pytest.fail("no match by position")
         with pytest.raises(TypeError):
-            hash(whole)
-
-    @staticmethod
-    def _texts(reports):
-        """The distinct string objects that the reports point to."""
-        return {id(o) for r in reports for o in gc.get_referents(r) if type(o) is str}
-
-    @pytest.mark.parametrize("suite", ["section3_reports", "classic_reports"])
-    def test_reports_share_their_text_parts(self, suite):
-        # a string made per diagonal type, or per (i, j) of a step, would
-        # make one for every two or three reports
-        reports = getattr(verify, suite)(6)
-        assert len(self._texts(reports)) < len(reports) // 3
-
-    def test_baserecur_makes_no_string_per_report(self):
-        # a report's text is its composition's head, the text of its leading
-        # blocks, which every partition of the last block shares, and that
-        # partition's cached piece: a string per report would exceed the count
-        reports = verify.baserecur_reports(8)
-        alphas = [alpha for total in range(1, 9) for alpha in _compositions(total)]
-        leading = sum(math.prod(len(_partition_list(b)) for b in alpha[:-1]) for alpha in alphas)
-        pieces = {id(piece) for b in range(1, 9) for piece, *_ in _block_pieces(b).values()}
-        assert len(reports) > 1 + len(alphas) + leading
-        assert len(self._texts(reports) - pieces) <= 1 + len(alphas) + leading  # 1: the identity's name
+            hash(report)
+        with pytest.raises(TypeError):  # the four fields and no more
+            IdentityReport("x", "n=2", 3, Fraction(1, 2), " eta=", "1+1")
 
 
 def test_a_cold_run_leaves_no_cyclic_garbage():
@@ -783,12 +760,13 @@ def scalar_baserecur_reports(max_n):
             head = f"N={total} alpha={format_d_key(alpha_parts)} Lam="
             last = tuple(_columns._block_pieces(alpha_parts[-1]).values())
             for text, z, s, w, length in folded:
+                lead = head + text
                 for piece, zp, sp, wp, lp in last:
                     z_key = z * zp
                     twice = 2 * (s * zp + sp * z) + z_key * (w + wp)  # the right side, doubled
                     rhs = twice >> 1 if twice & 1 == 0 else Fraction(twice, 2)
                     lhs = (total - length - lp) * z_key
-                    reports.append(IdentityReport("length_weight_base", head, lhs, rhs, text, piece))
+                    reports.append(IdentityReport("length_weight_base", lead + piece, lhs, rhs))
     return reports
 
 
