@@ -140,17 +140,20 @@ def _key_moves(max_m: int, sizes: list[np.ndarray]) -> list[tuple[np.ndarray, np
     return moves
 
 
-def _seq_texts(total: int) -> Iterator[tuple[tuple[int, ...], list[str], list[str]]]:
-    """Per composition of total, in order: (the composition, the texts of
-    its leading blocks, "1+1 | 2 | ", and those of its last block, "1"):
-    each key's text is a leading text and a last one, the last fastest."""
+def _seq_texts(total: int, prefix: str) -> Iterator[str]:
+    """The text of every key of total, in key order: ``prefix``, the
+    composition and its blocks' texts, "N=3 alpha=(2,1) Lam=1+1 | 1" for
+    the prefix "N=3 ".  Each leading text is built once per composition and
+    shared by every partition of the last block."""
     texts = [[piece[0] for piece in _block_pieces(p).values()] for p in range(total + 1)]
     leads = [[text + " | " for text in by_p] for by_p in texts]
     for alpha in _compositions(total):
-        mids = [""]
+        mids = [f"{prefix}alpha={format_d_key(alpha)} Lam="]
         for p in alpha[:-1]:
             mids = [mid + lead for mid in mids for lead in leads[p]]
-        yield alpha, mids, texts[alpha[-1]]
+        for mid in mids:
+            for last in texts[alpha[-1]]:
+                yield mid + last
 
 
 def _sums_by(rows: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
@@ -336,11 +339,7 @@ _SECTION3 = (
 
 
 def _section3_texts(n: int) -> tuple[list[str], list[str]]:
-    heads = []
-    for total in (n, n + 1):
-        for alpha, mids, tails in _seq_texts(total):
-            head = f"n={n} alpha={format_d_key(alpha)} Lam="
-            heads += [head + mid + tail for mid in mids for tail in tails]
+    heads = [*_seq_texts(n, f"n={n} "), *_seq_texts(n + 1, f"n={n} ")]
     etas = (f" eta={format_type_key(eta)}" for eta in _partition_list(n))
     steps = (f" i={i0 + 1} j={j}" for i0 in range(n + 1) for j in range(n + 1))
     return heads, ["", *etas, *steps]
@@ -436,11 +435,10 @@ def _baserecur_columns(max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _BlockTypeTexts(Sequence):
-    """The instance texts of baserecur in its order, each a head, the leading
-    blocks' text and the last block's piece: "N=3 alpha=(2,1) Lam=1+1 | 1".
-    Only the instance count of each composition is held; iteration builds a
-    head per composition and a leading text per leading key (_seq_texts),
-    and indexing decodes the composition from its place."""
+    """The instance texts of baserecur in its order: "N=3 alpha=(2,1)
+    Lam=1+1 | 1".  Only the instance count of each composition is held;
+    iteration builds the texts of each total in turn (_seq_texts), and
+    indexing decodes the composition from its place."""
 
     __slots__ = ("max_n", "ends")
 
@@ -453,12 +451,7 @@ class _BlockTypeTexts(Sequence):
 
     def __iter__(self) -> Iterator[str]:
         for total in range(1, self.max_n + 1):
-            for alpha, leads, lasts in _seq_texts(total):
-                head = f"N={total} alpha={format_d_key(alpha)} Lam="
-                for lead in leads:
-                    start = head + lead
-                    for last in lasts:
-                        yield start + last
+            yield from _seq_texts(total, f"N={total} ")
 
     def __getitem__(self, i: int) -> str:
         # the compositions of N are the 2^(N-1) after those of smaller totals,
