@@ -18,10 +18,14 @@ again being the one-block case.  The factorizations c1∘c2 = D into long
 cycles are its arrays with s = c1 whose vertical, c2⁻¹, is a long cycle.
 
 Every lex rank is read from _rank_tables(n), split after a permutation's
-first h = n - min(_TAIL, n) images.  The pair kernel's tables,
-_pair_tables(n), the n! permutation rows, _all_perm_rows(n), the cycle
-words, _cycle_words(n), and the long cycles, _cycle_rows(words), are not
-cached: each is a local of the sweep or table build that reads it.
+first h = n - min(_TAIL, n) images.  The word-walk tables of one n, _Tables
+(the cycle words, the long cycles, the n! permutation rows and the rank of
+the inverse of each, and the arrangements of the lex split), are read through
+_tables(n).  They are not cached for the process: inside _run_tables, which
+verify.run_suites holds for one run, every sweep and suite at n <= 7 shares
+one set per n, dropped when the run returns; elsewhere each caller builds
+its own and drops it with its locals.  The pair kernel's tables,
+_pair_tables(n), are a local of the sweep.
 
 Sweeps with a worker count cut their index range into contiguous chunks,
 one per worker, and _chunk_sum adds up the chunks' counts: the pair sweep
@@ -52,8 +56,9 @@ arrays with one entry per block-type key of alpha, for the verify suites.
 
 The full plane sweep, _plane_codes(n), walks the verticals by their
 inverses q in lex order: per word, head terms per head group of q plus tail
-terms per tail arrangement, fused as rank * (n + 1) + exceedances and
-binned through one per-n table, tbx.
+terms per tail arrangement (_part_sums), fused as rank * (n + 1) +
+exceedances and binned through one per-n table, tbx.  The plane suite of
+verify splits its per-array quantities the same way.
 """
 
 from __future__ import annotations
@@ -67,9 +72,10 @@ import os
 import signal
 import tempfile
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -79,7 +85,7 @@ from ._version import __version__
 from .errors import DomainError, ResourceLimitError
 from .partitions import Composition, _partition_list, _partition_sequence_keys, format_d_key, format_seq_key, format_type_key
 from .permutations import Permutation
-from .plane import _cycle_minima, _flat, _squarings, _take
+from .plane import _cycle_minima, _flat, _part_columns, _part_sums, _squarings, _take
 
 __all__ = [
     "CountTable",
@@ -236,6 +242,83 @@ def _code_places(n: int) -> np.ndarray:
     return places
 
 
+class _Tables:
+    """The word-walk tables of one n, each built when it is first read:
+    - ``words`` and ``cycles``: the cycle words and the long cycles
+      (_cycle_words, _cycle_rows), (n-1)! rows each;
+    - ``perms`` and ``inverse_ranks``: the n! permutations of range(n) as
+      rows, in lex order, and the lex rank of the inverse of each;
+    - ``least``: the lex-least permutation of each head group of the lex
+      split, _all_perm_rows(n, k), k = min(_TAIL, n);
+    - ``tails``: (arrangements, index), the k-arrangements of range(n) in
+      lex order, one per row, and the index of each by its base-n code.
+
+    The rank tables are _rank_tables(n).  Every sweep and suite reads the
+    tables of its n from _tables(n), so that one run shares them."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    @cached_property
+    def words(self) -> np.ndarray:
+        return _cycle_words(self.n)
+
+    @cached_property
+    def cycles(self) -> np.ndarray:
+        return _cycle_rows(self.words)
+
+    @cached_property
+    def perms(self) -> np.ndarray:
+        return _all_perm_rows(self.n)
+
+    @cached_property
+    def inverse_ranks(self) -> np.ndarray:
+        return _lex_rank(self.n, np.argsort(self.perms, axis=1).T)
+
+    @cached_property
+    def least(self) -> np.ndarray:
+        return _all_perm_rows(self.n, min(_TAIL, self.n))
+
+    @cached_property
+    def tails(self) -> tuple[np.ndarray, np.ndarray]:
+        n, k = self.n, min(_TAIL, self.n)
+        arrangements = self.perms[:: math.factorial(n - k), :k].copy()  # the heads of k images, in lex order
+        index = np.zeros(n**k, dtype=np.int64)
+        index[_code(n, arrangements.T)] = np.arange(len(arrangements))
+        return arrangements, index
+
+
+# the _Tables of each n while a run holds them (_run_tables), else None.  Only
+# n <= PLANE_SWEEP_LIMIT: their tables take under 1 MB together, while the
+# n! rows of n = 9 alone take 26 MB
+_held: dict[int, _Tables] | None = None
+
+
+@contextmanager
+def _run_tables() -> Iterator[None]:
+    """Inside the block, _tables(n) gives one _Tables per n, shared by
+    every sweep and suite; they are dropped when the outermost block exits."""
+    global _held
+    if _held is not None:
+        yield
+        return
+    _held = {}
+    try:
+        yield
+    finally:
+        _held = None
+
+
+def _tables(n: int) -> _Tables:
+    """The _Tables of n: the run's (_run_tables), or a new one, which lives
+    as long as its caller holds it."""
+    if _held is None or n > PLANE_SWEEP_LIMIT:
+        return _Tables(n)
+    if n not in _held:
+        _held[n] = _Tables(n)
+    return _held[n]
+
+
 def _length_codes(perms: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
     """``out[r]`` = the base-(n + 1) code of the length row of the column
     perms[:, r], for an (n, w) batch stored element first.  Entry x
@@ -299,7 +382,7 @@ def _sep_prefixes(rows: np.ndarray) -> np.ndarray:
 def _signatures(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(sig, rows): ``rows`` holds the distinct length rows over all
     n! permutations, one per line, and ``sig[r]`` indexes the row of lex rank r."""
-    return _distinct_rows(_all_perm_rows(n).T)
+    return _distinct_rows(_tables(n).perms.T)
 
 
 @cache
@@ -352,13 +435,14 @@ def _pair_tables(n: int) -> tuple[np.ndarray, ...]:
     permutation of lex rank head * k! + pattern; ``sources`` is
     _pattern_sources(k), and row i of ``least`` the lex-least permutation
     with head index i."""
-    cyc_t = _cycle_rows(_cycle_words(n)).T.copy()
+    tables = _tables(n)
+    cyc_t = tables.cycles.T.copy()
     pairs = (cyc_t[:, None, :] * n + cyc_t[None, :, :]).reshape(n * n, -1)
     k = min(_TAIL, n)
     prefix, suffix = _rank_tables(n)
     block = math.factorial(k)
     heads = math.factorial(n) // block
-    return cyc_t, pairs, pairs * (n * n), prefix // block, suffix * heads, _pattern_sources(k), _all_perm_rows(n, k)
+    return cyc_t, pairs, pairs * (n * n), prefix // block, suffix * heads, _pattern_sources(k), tables.least
 
 
 def _pattern_sources(k: int) -> np.ndarray:
@@ -366,12 +450,10 @@ def _pattern_sources(k: int) -> np.ndarray:
     sigma_t, over the patterns of S_k in lex order: a permutation whose last
     k images have pattern s has pattern t there once composed with tau on
     those positions, and the same head."""
-    perms = list(itertools.permutations(range(k)))
-    rank = {sigma: s for s, sigma in enumerate(perms)}
-    sources = np.empty((len(perms), len(perms)), dtype=np.int64)
-    for s, sigma in enumerate(perms):
-        for tau, t in enumerate(perms):
-            sources[rank[tuple(sigma[x] for x in t)], tau] = s
+    perms = np.array(list(itertools.permutations(range(k))))
+    composed = _lex_rank(k, perms[:, perms].transpose(2, 0, 1))  # composed[s, tau]: the rank of sigma_s∘tau
+    sources = np.empty_like(composed)
+    sources[composed, np.arange(len(perms))] = np.arange(len(perms))[:, None]
     return sources
 
 
@@ -625,15 +707,15 @@ def _diag_rows(n: int, d_image: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray
     length rows of the verticals, and ``counts[i, a]`` counts those
     with row i and a exceedances."""
     d_inv = np.argsort([x - 1 for x in d_image])
-    words = _cycle_words(n)
-    cycles = _cycle_rows(words)
+    tables = _tables(n)
+    words, cycles = tables.words, tables.cycles
     codes = np.empty(len(words), dtype=np.int64)  # of the verticals' length rows
     exceedances = np.empty(len(words), dtype=np.int64)
     work = _pass_buffers(n, len(words))
     for lo in range(0, len(words), _PASS):
         verticals = d_inv[cycles[lo : lo + _PASS]]  # row i: D⁻¹∘s for the i-th long cycle s
         pos = np.argsort(words[lo : lo + _PASS], axis=1)  # pos[i, x]: index of x in the word of s
-        # each vertical has its own word; plane._exceedance_counts takes one word, and a flat gather for it is slower
+        # each vertical has its own word, so the positions are gathered row by row
         np.sum(np.take_along_axis(pos, verticals, axis=1) > pos, axis=1, out=exceedances[lo : lo + _PASS])
         _length_codes(verticals.T, codes[lo : lo + _PASS], work)
     ids, rows = _unique_rows(codes, n)
@@ -670,55 +752,58 @@ def count_factorizations(target: Permutation) -> int:
 
 
 # cycle words per numpy call of _plane_chunk: their part tables are built at
-# once, and their bins share one buffer and one bincount
+# once, and their bins share one buffer and one bincount.  At most
+# _PLANE_WORDS, and at most _PLANE_COLUMNS word x q columns, so that each of
+# the two per-batch buffers takes at most 11.6 MB: 16 words up to n = 8, and
+# 4 at n = 9, where 16 took 46 MB each
 _PLANE_WORDS = 16
+_PLANE_COLUMNS = 4 * math.factorial(9)
+
+
+def _plane_batch(n: int) -> int:
+    """Cycle words per numpy call of _plane_chunk at n."""
+    return max(1, min(_PLANE_WORDS, _PLANE_COLUMNS // math.factorial(n)))
 
 
 def _plane_tables(n: int) -> tuple:
     """(words, cycles, tbx, sig_off, tail_of, head, tail): the tables of
     _plane_chunk.  Over q = pi⁻¹ in lex order: ``tail_of[q]``, the index of
-    q's last k = min(_TAIL, n) images among the injective k-tuples, and
+    q's last k = min(_TAIL, n) images among the k-arrangements, and
     ``sig_off[q]`` = sig[rank(q⁻¹)] * (n + 1).  ``tbx[x]`` = type_base[x //
     (n + 1)] + x % (n + 1).  ``head`` and ``tail``: (places, columns, lut)
-    of _part_codes over the head images and the tail tuples."""
-    words = _cycle_words(n)
+    of _part_codes over the head images and the tail arrangements."""
+    tables = _tables(n)
     k = min(_TAIL, n)
     h = n - k
-    qs = _all_perm_rows(n)
+    qs = tables.perms
     sig, rows = _signatures(n)
     types = _partition_list(n)
     type_of = np.array([types.index(_cycle_type(row)) for row in rows.tolist()])  # signature id -> type index
     tbx = ((type_of * (len(rows) * (n + 1)))[sig][:, None] + np.arange(n + 1)).ravel()
-    sig_off = sig[_lex_rank(n, np.argsort(qs, axis=1).T)] * (n + 1)
-    arrangements = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64).reshape(-1, k)
-    index = np.zeros(n**k, dtype=np.int64)
-    index[_code(n, arrangements.T)] = np.arange(len(arrangements))
+    sig_off = sig[tables.inverse_ranks] * (n + 1)
+    arrangements, index = tables.tails
     tail_of = index[_code(n, qs[:, h:].T)]
-    heads = qs[:: math.factorial(k), :h]
     prefix, suffix = _rank_tables(n)
 
     def part(images: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         m = images.shape[1]
         places = n ** np.arange(m - 1, -1, -1) * (m + 1)
         lut = (ranks[:, None] * (n + 1) + np.arange(m + 1)).ravel()
-        return places, (images + np.arange(m) * n).T.copy(), lut
+        return places, _part_columns(images, n), lut
 
-    return words, _cycle_rows(words), tbx, sig_off, tail_of, part(heads, prefix), part(arrangements, suffix)
+    head = part(tables.least[:, :h], prefix)
+    return tables.words, tables.cycles, tbx, sig_off, tail_of, head, part(arrangements, suffix)
 
 
 def _part_codes(s_img: np.ndarray, later: np.ndarray, cols: range, part: tuple) -> np.ndarray:
     """``codes[w, t]`` = rank * (n + 1) + e for the m-tuples t of ``part``
     as images of the positions ``cols`` of q, per word: the rank term of
     s(t) and e = #{y in cols : y after q(y)}.  A digit table per word,
-    s(x) * places[i] + [cols[i] after x], summed over the positions of t,
-    then the part's lut."""
+    s(x) * places[i] + [cols[i] after x], summed over the positions of t
+    (_part_sums), then the part's lut."""
     places, columns, lut = part
     digits = s_img[:, None, :] * places[:, None] + later[:, :, cols].transpose(0, 2, 1)
-    digits = digits.reshape(len(s_img), -1)
-    codes = np.zeros((len(s_img), columns.shape[1]), dtype=np.int64)
-    for column in columns:
-        codes += digits.take(column, axis=1)
-    return lut.take(codes)
+    return lut.take(_part_sums(digits, columns))
 
 
 def _plane_chunk(n: int, tables: tuple, lo: int, hi: int) -> np.ndarray:
@@ -731,10 +816,11 @@ def _plane_chunk(n: int, tables: tuple, lo: int, hi: int) -> np.ndarray:
     h = n - min(_TAIL, n)
     groups = len(sig_off) // math.factorial(n - h)
     acc = np.zeros(len(_partition_list(n)) * len(_signatures(n)[1]) * (n + 1), dtype=np.int64)
-    codes = np.empty((_PLANE_WORDS, len(sig_off)), dtype=np.int64)
+    batch = _plane_batch(n)
+    codes = np.empty((batch, len(sig_off)), dtype=np.int64)
     bins = np.empty_like(codes)
-    for start in range(lo, hi, _PLANE_WORDS):
-        s_img = cycles[start : min(start + _PLANE_WORDS, hi)]  # one word per line
+    for start in range(lo, hi, batch):
+        s_img = cycles[start : min(start + batch, hi)]  # one word per line
         m = len(s_img)
         pos = np.argsort(words[start : start + m], axis=1)  # pos[w, x]: index of x in word w
         later = pos[:, None, :] > pos[:, :, None]  # later[w, x, y]: y after x in word w

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -44,10 +43,8 @@ def _classify(word: tuple[int, ...], pi: Permutation):
 # 0-based, and a batch of permutations is stored with the element first:
 # perms[x] holds the image of x in every array of the batch (any trailing
 # shape), so that each step works on long contiguous rows.  A cycle word is
-# an integer array starting at 0.  The plane suite runs them over batches of
-# words, with a leading word axis, against tables built once per n, into
-# buffers allocated once per n: fresh temporaries of this size would be
-# page-faulted in again for every batch.
+# an integer array starting at 0.  The sweeps of oracle and the plane suite of
+# verify run them against the tables of each n (oracle._Tables).
 
 
 def _take(a: np.ndarray, indices: np.ndarray, out: np.ndarray | None, axis: int | None = None) -> np.ndarray:
@@ -100,92 +97,28 @@ def _cycle_minima(
     return low.reshape(perms.shape)
 
 
-class _Verticals(NamedTuple):
-    """Verticals for a batch of up to B words, m per word, each table and
-    buffer (B, n, m): ``values``, each image plus n times its word's index;
-    ``flat``, the flat index of (word, image, column); its _squarings; and
-    the buffers of _exceedance_counts.  b < B words use the first b."""
-
-    values: np.ndarray
-    flat: np.ndarray
-    steps: tuple[np.ndarray, ...]
-    at: np.ndarray
-    low: np.ndarray
-    spare: np.ndarray
-    exc: np.ndarray
-    either: np.ndarray
+def _part_columns(arrangements: np.ndarray, n: int) -> np.ndarray:
+    """The ``columns`` of _part_sums for m-arrangements of range(n), one
+    per row of ``arrangements``: row i holds the flat index of (i, the i-th
+    image) into a digit table of m positions times n images."""
+    return (arrangements + np.arange(arrangements.shape[1]) * n).T.copy()
 
 
-def _verticals(perms: np.ndarray, words: int) -> _Verticals:
-    """The verticals ``perms`` (n, m) for each of a batch of ``words``
-    words, with their tables and buffers."""
-    n, m = perms.shape
-    ints = (np.empty((words, n, m), dtype=np.int64) for _ in range(5 + max(0, (n - 1).bit_length() - 1)))
-    values, flat, at, low, spare, *steps = ints
-    bools = np.empty((2, words, n, m), dtype=bool)
-    verts = _Verticals(values, flat, tuple(steps), at, low, spare, *bools)
-    np.add(perms, np.arange(0, words * n, n)[:, None, None], out=values)
-    np.multiply(values, m, out=flat)
-    flat += np.arange(m)
-    _square(verts, words)
-    return verts
+def _part_sums(digits: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``sums[w, a]`` = the sum over positions i of digits[w, i, t(i)], t the
+    a-th arrangement of the part (_part_columns): the per-word term of every
+    arrangement, from ``digits`` (b, m, n), one table per word of a value
+    for each position i and image."""
+    flat = digits.reshape(len(digits), -1)
+    sums = np.zeros((len(digits), columns.shape[1]), dtype=np.int64)
+    for column in columns:
+        sums += flat.take(column, axis=1)
+    return sums
 
 
-def _refill(verts: _Verticals, source: _Verticals, rows: np.ndarray) -> None:
-    """Overwrite the first b words of the batch ``verts`` with rows of the
-    batch ``source``, its tables included: row x of word w is row rows[w, x]
-    of source's (B n, m) tables, one of word w's own n rows."""
-    b, m = len(rows), verts.values.shape[2]
-    _take(source.values.reshape(-1, m), rows, verts.values[:b], axis=0)
-    _take(source.flat.reshape(-1, m), rows, verts.flat[:b], axis=0)
-    _square(verts, b)
-
-
-def _square(verts: _Verticals, b: int) -> None:
-    """The _squarings of the first b words' ``flat``, into ``steps``."""
-    flat = verts.flat[:b]
-    for step in verts.steps:  # pi^2, pi^4, ... while 2, 4, ... is below n
-        flat = _take(flat.ravel(), flat, step[:b])
-
-
-@cache
-def _shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in a word of n entries: of the entry after each one,
-    cyclically, and of the reflected word's entries, w[0], w[n-1], ..., w[1]."""
-    t = np.arange(n)
-    return (t + 1) % n, -t % n
-
-
-def _diagonal_misses(
-    bottoms: np.ndarray, diags: np.ndarray, next_tops: np.ndarray,
-    vals: np.ndarray | None = None, miss: np.ndarray | None = None,
-) -> np.ndarray:
-    """The gather form of PlanePermutation.diagonal_from_pairs for a batch
-    of words: ``out[w, ..., r]`` is True where some column t of array r of
-    word w breaks D(bottom of t) = top of t + 1.  ``bottoms[w, t, ..., r]``
-    is the flat index of (bottom of t, r) into ``diags``, and
-    ``next_tops[w, t, ...]`` the top of column t + 1, cyclically; ``vals``
-    and ``miss`` are buffers shaped as ``bottoms``.  As the tops and D are
-    bijections, passing at every t makes the diagonal read off D."""
-    vals = _take(diags.ravel(), bottoms, vals)
-    return np.not_equal(vals, next_tops[..., None], out=miss).any(axis=1)
-
-
-def _exceedance_counts(words: np.ndarray, verts: _Verticals) -> tuple[np.ndarray, np.ndarray]:
-    """Exceedance and non-trivial anti-exceedance counts, (b, m) each, of
-    (words[w], pi) for every pi of word w in the batch ``verts``.  As in
-    _classify, each cycle's trivial anti-exceedance is the preimage of its
-    word-order minimum, found as in _cycle_minima."""
-    b, n = words.shape
-    pos = np.argsort(words, axis=1)
-    at = _take(pos.ravel(), verts.values[:b], verts.at[:b])  # at[w, x, r]: the index of pi(x) in word w
-    exc = np.greater(at, pos[:, :, None], out=verts.exc[:b])
-    low = np.minimum(at, pos[:, :, None], out=verts.low[:b])  # the least index over windows of 2, 4, ... cycle elements
-    for step in verts.steps:
-        np.minimum(low, _take(low.ravel(), step[:b], verts.spare[:b]), out=low)
-    either = np.equal(at, low, out=verts.either[:b])  # trivial, then trivial or exceedance
-    either |= exc
-    return exc.sum(axis=1), n - either.sum(axis=1)
+# ---------------------------------------------------------------------------
+# the block transpositions of a word of n entries, as position tables for the
+# plane suite's batched checks (0-based; a cycle word starts at 0)
 
 
 # a block transposition hands pi(s_j), pi(s_k), pi(s_{i-1}) to s_{i-1}, s_j,
@@ -223,7 +156,7 @@ def _moves(n: int) -> _Moves:
     image_src = src.copy()
     # s_{i-1} stays at i - 1; s_j ends the moved block at k, s_k the other at i + k - j - 1
     image_src[np.stack((i - 1, k, i + k - j - 1)), np.arange(len(hs))] = turned
-    return _Moves(src, src[_shifts(n)[0]], image_src, moved, turned)
+    return _Moves(src, src[(np.arange(n) + 1) % n], image_src, moved, turned)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ Identity names used in reports:
 
 classic, section3 and baserecur compute their sides as int64 columns
 (:mod:`longcycles._columns`), with no Python loop per instance, and keep
-their reports in compact blocks (_ReportBlock).
+their reports in compact blocks (_ReportBlock).  The plane suite's kernels
+are in :mod:`longcycles._plane_checks`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -492,149 +493,11 @@ def _cycle_counts_by_rank(n: int) -> np.ndarray:
     return (rows > 0).sum(axis=1)[sig]
 
 
-class _ArrayTables(NamedTuple):
-    """What the per-array checks at one n read besides the words, and their
-    buffers for up to B words: the verticals (plane._verticals), their
-    inverses as rows of a (B n) table (_word_rows), their cycle counts, the
-    table of _cycle_counts_by_rank, the reflected verticals pi∘s⁻¹, and
-    buffers for the diagonal check."""
-
-    verts: plane._Verticals
-    inv_rows: np.ndarray
-    c_pi: np.ndarray
-    cc: np.ndarray
-    reflected: plane._Verticals
-    diag: np.ndarray
-    bottoms: np.ndarray
-    vals: np.ndarray
-    miss: np.ndarray
-
-
-def _array_tables(
-    perms: np.ndarray, perms_inv: np.ndarray, c_pi: np.ndarray, cc: np.ndarray, words: int
-) -> _ArrayTables:
-    """The _ArrayTables of the verticals ``perms`` (n, n!), stored element
-    first, for batches of up to ``words`` words."""
-    shape = (words, *perms.shape)
-    return _ArrayTables(
-        plane._verticals(perms, words), _word_rows(np.broadcast_to(perms_inv, shape), len(perms)), c_pi, cc,
-        plane._verticals(perms, words), *(np.empty(shape, dtype=np.int64) for _ in range(3)),
-        np.empty(shape, dtype=bool),
-    )
-
-
-def _word_rows(entries: np.ndarray, n: int) -> np.ndarray:
-    """Each of the (b, ...) entries of a batch of words plus n times its
-    word's index: its row in a (b n, ...) table that holds n rows per word."""
-    return entries + np.arange(0, len(entries) * n, n).reshape(-1, *[1] * (entries.ndim - 1))
-
-
-def _array_bad_counts(words: np.ndarray, s_img: np.ndarray, tables: _ArrayTables) -> tuple[int, int, int]:
-    """Failures of the three per-array checks over the arrays (word, pi) for
-    every word of the batch ``words`` (b, n) and every vertical pi of
-    ``tables``; ``s_img`` holds the words' one-line images."""
-    b, n = words.shape
-    t = tables
-    after, reflected = plane._shifts(n)
-    diag = plane._take(s_img.ravel(), t.inv_rows[:b], t.diag[:b])  # s∘pi⁻¹ by composition
-    flat = t.verts.flat.reshape(len(t.verts.flat) * n, -1)  # row w n + x: the flat indices of word w's pi(x)
-    bottoms = plane._take(flat, _word_rows(words, n), t.bottoms[:b], axis=0)  # pi(w[i]), as flat indices
-    diag_bad = plane._diagonal_misses(bottoms, diag, words[:, after], t.vals[:b], t.miss[:b]).sum()
-    a, ne = plane._exceedance_counts(words, t.verts)
-    ne_bad = (ne != n - t.c_pi - a).sum()
-    # the reflected arrays (s⁻¹, D⁻¹), with D⁻¹ = pi∘s⁻¹
-    plane._refill(t.reflected, t.verts, _word_rows(np.argsort(s_img, axis=1), n))
-    _, ne_refl = plane._exceedance_counts(words[:, reflected], t.reflected)
-    refl_bad = (ne + ne_refl != n + 1 - t.c_pi - t.cc[oracle._lex_rank(n, diag.swapaxes(0, 1))]).sum()
-    return int(diag_bad), int(ne_bad), int(refl_bad)
-
-
-class _TranspositionTables(NamedTuple):
-    """What the transposition checks at one n read besides the words and
-    the verticals, and their buffers for up to B words: the diagonals D,
-    the block transpositions (plane._moves), the place values of the rank
-    codes (oracle._code_places), the table of _cycle_counts_by_rank, and
-    buffers for the flat indices, the diagonal check, the moved images,
-    the codes and the ranks, each B words long."""
-
-    diags: np.ndarray
-    moves: plane._Moves
-    places: np.ndarray
-    cc: np.ndarray
-    flat: np.ndarray
-    bottoms: np.ndarray
-    vals: np.ndarray
-    miss: np.ndarray
-    old: np.ndarray
-    new: np.ndarray
-    codes: np.ndarray
-    ranks: np.ndarray
-    spare: np.ndarray
-
-
-def _transposition_tables(
-    diags: np.ndarray, moves: plane._Moves, places: np.ndarray, cc: np.ndarray, words: int
-) -> _TranspositionTables:
-    """The _TranspositionTables of the diagonals ``diags`` (n, (n-1)!),
-    stored element first, for batches of up to ``words`` words."""
-    n, m = diags.shape
-    hs = moves.src.shape[1]
-
-    def ints(*rows: int) -> np.ndarray:
-        return np.empty((words, *rows, hs, m), dtype=np.int64)
-
-    bools = np.empty((words, n, hs, m), dtype=bool)
-    flat = np.empty((words * n, m), dtype=np.int64)
-    return _TranspositionTables(
-        diags, moves, places, cc, flat, ints(n), ints(n), bools, ints(3), ints(3), ints(2), ints(), ints()
-    )
-
-
-def _transposed_ranks(words: np.ndarray, verticals: np.ndarray, tables: _TranspositionTables) -> tuple[np.ndarray, np.ndarray]:
-    """The lex ranks of pi' (b, H, (n-1)!) and of pi (b, (n-1)!) over every
-    block transposition of every array (words[w], pi = verticals[w, :, r]).
-    pi' is pi with the images of s_{i-1}, s_j, s_k turned, and each of the
-    three moves pi's head or tail code by (new - old) times its place value."""
-    b, n = words.shape
-    t = tables
-    rows = verticals.reshape(b * n, -1)  # word w's images in rows w n .. w n + n - 1
-    changed = words[:, t.moves.moved]  # s_{i-1}, s_j, s_k
-    old = plane._take(rows, _word_rows(changed, n), t.old[:b], axis=0)
-    change = plane._take(rows, _word_rows(words[:, t.moves.turned], n), t.new[:b], axis=0)
-    change -= old
-    codes = t.places @ verticals  # pi's head and tail codes, (b, 2, (n-1)!)
-    new_codes = np.einsum("pwqh,wqhr->wphr", t.places[:, changed], change, out=t.codes[:b])
-    new_codes += codes[:, :, None]
-    prefix, suffix = oracle._rank_tables(n)
-    ranks = plane._take(prefix, new_codes[:, 0], t.ranks[:b])
-    ranks += plane._take(suffix, new_codes[:, 1], t.spare[:b])
-    return ranks, prefix[codes[:, 0]] + suffix[codes[:, 1]]
-
-
-def _transposition_bad_count(words: np.ndarray, verticals: np.ndarray, tables: _TranspositionTables) -> int:
-    """Failures over every block transposition of every array (words[w],
-    verticals[w, :, r]) whose diagonal is diags[:, r], in ``tables``, for
-    the batch ``words`` (b, n): the transposed array (w', pi') must keep
-    that diagonal, checked in the gather form at pi'(w'[t]), and the cycle
-    count of pi', read from the table of _cycle_counts_by_rank at the
-    _transposed_ranks, moves by -2, 0 or 2."""
-    b, n = words.shape
-    t = tables
-    flat = plane._flat(verticals.reshape(b * n, -1), t.flat[: b * n])
-    bottoms = plane._take(flat, _word_rows(words[:, t.moves.image_src], n), t.bottoms[:b], axis=0)
-    moved = plane._diagonal_misses(bottoms, t.diags, words[:, t.moves.next_src], t.vals[:b], t.miss[:b])
-    ranks, source_ranks = _transposed_ranks(words, verticals, tables)
-    delta = plane._take(t.cc, ranks, t.spare[:b])
-    delta -= t.cc[source_ranks][:, None]
-    delta = np.abs(delta, out=delta)  # even and at most 2: 0 or 2
-    return int(np.count_nonzero(moved | (delta == 1) | (delta > 2)))
-
-
-# word x vertical columns per call of the plane checks: 2 words at n = 6,
-# 12 at n = 5, every word below, and one word at n = 7.  The checks' buffers
-# grow by about 1 MB per word at n = 6, and with 7 words there (7! columns)
-# the plane suite raised the peak RSS of a verify run at max_n = 7 by 5 MB
-_PLANE_COLUMNS = 2 * math.factorial(6)
+# arrays (word x vertical columns) per call of the plane checks: 8 words at
+# n = 7, 56 at n = 6, every word below.  A call keeps a few (words, n!) int64
+# terms and, over the 25,200 transpositions of each word at n = 7, about
+# 25 bytes a transposition: 5 MB at 8 words.  16 words at n = 7 were no faster
+_PLANE_COLUMNS = 8 * math.factorial(7)
 
 
 def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityReport]:
@@ -648,33 +511,34 @@ def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityRe
     preserved, and the vertical's cycle count moves by −2, 0, or +2 (so its
     parity is preserved).  A batch of words (_PLANE_COLUMNS) is checked
     against all verticals, and against all diagonals times all
-    transpositions, as one array with a leading word axis.  The failure
-    counts are summed over one chunk of words per worker
-    (oracle._chunk_sum); the batches lie inside a chunk.
+    transpositions, by the kernels of _plane_checks, as arrays with a
+    leading word axis.  The failure counts are summed over one chunk of
+    words per worker (oracle._chunk_sum); the batches lie inside a chunk.
+    The tables of n come from oracle._tables, which a run shares.
     """
     oracle._require_scale("the plane suite", max_n, _SUITE_LIMITS["plane"])
+    from . import _plane_checks as checks
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
         # every table that does not depend on the words, built before the fork
-        words = oracle._cycle_words(n)
-        cycles = oracle._cycle_rows(words)
-        rows = oracle._all_perm_rows(n)
+        tables = oracle._tables(n)
+        words, cycles, rows = tables.words, tables.cycles, tables.perms
         batch = max(1, _PLANE_COLUMNS // len(rows))  # words per call of the checks
         cc = _cycle_counts_by_rank(n)  # the verticals are in lex order, so cc holds their counts
-        arrays = _array_tables(rows.T.copy(), np.argsort(rows, axis=1).T.copy(), cc, cc, batch)
+        arrays = checks._array_tables(rows.T, rows[tables.inverse_ranks].T, cc, cc)
         # block transpositions over pairs of long cycles (s, D), vertical D⁻¹∘s
         moves = plane._moves(n)
         diags, diags_inv = cycles.T.copy(), np.argsort(cycles, axis=1).T.copy()
-        transpositions = _transposition_tables(diags, moves, oracle._code_places(n), cc, batch)
+        transpositions = checks._transposition_tables(diags, moves, oracle._code_places(n), cc)
 
         def bad_counts(lo: int, hi: int) -> np.ndarray:
             # the failures of the three per-array checks, then of the transpositions
             bad = np.zeros(4, dtype=np.int64)
             for start in range(lo, hi, batch):
                 part, s_img = words[start : min(start + batch, hi)], cycles[start : min(start + batch, hi)]
-                bad[:3] += _array_bad_counts(part, s_img, arrays)
+                bad[:3] += checks._array_bad_counts(part, s_img, arrays)
                 if moves.src.size:
-                    bad[3] += _transposition_bad_count(part, diags_inv.take(s_img, axis=0), transpositions)
+                    bad[3] += checks._transposition_bad_count(part, diags_inv.take(s_img, axis=0), transpositions)
             return bad
 
         bad = oracle._chunk_sum(bad_counts, oracle._chunks(len(words), workers), workers).tolist()
@@ -805,21 +669,23 @@ def run_suites(
     unknown = set(suites) - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    sizes = {"baserecur": baserecur_max_n, "plane": plane_max_n or max_n}  # the n each suite runs at
+    plane_max_n = max_n if plane_max_n is None else plane_max_n
+    sizes = {"baserecur": baserecur_max_n, "plane": plane_max_n}  # the n each suite runs at
     for suite in suites:
         oracle._require_scale(f"the {suite} suite", sizes.get(suite, max_n), _SUITE_LIMITS[suite])
     reports = _Reports()
     audit: list[ParityAuditRecord] = []
-    if "classic" in suites:
-        reports += classic_reports(max_n, workers)
-    if "section3" in suites:
-        reports += section3_reports(max_n, workers)
-    if "baserecur" in suites:
-        reports += baserecur_reports(baserecur_max_n)
-    if "formulas" in suites:
-        reports += formula_vs_oracle_reports(max_n, workers)
-    if "plane" in suites:
-        reports += plane_structure_reports(plane_max_n or max_n, workers)
-    if "parity" in suites:
-        audit += parity_audit(max_n)
+    with oracle._run_tables():  # one set of word-walk tables per n for every suite of the run
+        if "classic" in suites:
+            reports += classic_reports(max_n, workers)
+        if "section3" in suites:
+            reports += section3_reports(max_n, workers)
+        if "baserecur" in suites:
+            reports += baserecur_reports(baserecur_max_n)
+        if "formulas" in suites:
+            reports += formula_vs_oracle_reports(max_n, workers)
+        if "plane" in suites:
+            reports += plane_structure_reports(plane_max_n, workers)
+        if "parity" in suites:
+            audit += parity_audit(max_n)
     return VerifyRun(reports=reports, audit=audit)

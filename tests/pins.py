@@ -41,8 +41,8 @@ Why some ``ci`` rows are there, and what they cost on a two-core CI runner:
   in two processes, then in three chunks; about 51 MB either way, bounded at
   61 MB (text) and 62 MB (JSON);
 - ``verify --suite plane --max-n 7``, threads 1, 2, 3: the plane suite
-  alone at its limit, 3.6M arrays and 18.1M transpositions; about 45 MB,
-  bounded at 53;
+  alone at its limit, 3.6M arrays and 18.1M transpositions; about 41 MB,
+  bounded at 48;
 - ``verify --suite baserecur --baserecur-max-n 13`` and ``14``: 264,499
   and, at the suite's limit, 713,709 reports, held as int64 columns and
   written 1,024 at a time: about 1 s and 50 MB, bounded at 60 MB, and

@@ -409,6 +409,13 @@ class TestPlaneKernel:
         assert oracle._plane_totals(n) is totals
         assert oracle._plane_totals(n, 3) is totals
 
+    @pytest.mark.parametrize("n, words", [(7, 16), (8, 16), (9, 4)])
+    def test_batches_are_sized_by_a_byte_budget(self, n, words):
+        # each of _plane_chunk's two per-batch buffers, int64 over the words' n! columns,
+        # stays within the budget: 16 words up to n = 8, as before, and 4 at n = 9, where 16 took 46 MB
+        assert oracle._plane_batch(n) == words
+        assert words * math.factorial(n) * 8 <= oracle._PLANE_COLUMNS * 8 < 12 * 2**20
+
 
 def _head_cuts(n):
     """Indices i of the long cycles (_cycle_rows) whose row shares its first n // 2 images

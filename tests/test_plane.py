@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from longcycles import Permutation, PlanePermutation, compose, oracle, plane, verify
+from longcycles import Permutation, PlanePermutation, _plane_checks, compose, oracle, plane, verify
 
 
 def all_perms(n):
@@ -240,53 +242,66 @@ class TestBatchedKernels:
     def test_diagonals_cycle_counts_and_exceedances(self, n):
         perms = verticals(n)
         words = np.array(all_words(n)).reshape(-1, n) - 1
-        verts = plane._verticals(perms, len(words))
-        after = plane._shifts(n)[0]
-        by_rank = verify._cycle_counts_by_rank(n)[oracle._lex_rank(n, perms)]
+        s_img = np.array([Permutation.from_cycle_word(w).image for w in all_words(n)]).reshape(-1, n) - 1
+        cc = verify._cycle_counts_by_rank(n)
+        by_rank = cc[oracle._lex_rank(n, perms)]
         assert by_rank.tolist() == [to_plane(range(n), col).pi.cycle_count for col in perms.T]
-        planes = [[to_plane(w, col) for col in perms.T] for w in words]
-        # diags[w, :, r]: the diagonal of array r of word w
-        diags = np.array([[p.diagonal_from_pairs().image for p in row] for row in planes]).transpose(0, 2, 1) - 1
-        bottoms = verts.flat.reshape(-1, perms.shape[1])[verify._word_rows(words, n)]
-        # the gather form passes every array's own diagonal, and fails the next array's where it differs
-        assert not plane._diagonal_misses(bottoms, diags, words[:, after]).any()
-        others = np.roll(diags, 1, axis=2)
-        misses = plane._diagonal_misses(bottoms, others, words[:, after])
-        assert misses.tolist() == np.any(others != diags, axis=1).tolist()
-        exc, ntae = plane._exceedance_counts(words, verts)
-        for i, row in enumerate(planes):
-            for r, p in enumerate(row):
-                st = p.exceedance_stats()
-                assert tuple(diags[i, :, r] + 1) == p.diagonal().image
-                assert exc[i, r] == len(st.exceedances) == p.exceedance_count()
-                assert ntae[i, r] == len(st.ntaes) == p.ntae_count()
+        tables = _plane_checks._array_tables(perms, np.argsort(perms, axis=0), by_rank, cc)
+        t = _plane_checks._array_terms(words, s_img, tables)
+        ne_refl = n - t.exc_refl - np.take_along_axis(t.trivial_refl, t.rank, axis=1)
+        for i, w in enumerate(words):
+            for r, col in enumerate(perms.T):
+                p = to_plane(w, col)
+                st, refl = p.exceedance_stats(), p.reflect().exceedance_stats()
+                diagonal = np.array(p.diagonal().image) - 1
+                assert t.read[i, r] == oracle._code(n, np.array(p.diagonal_from_pairs().image) - 1)
+                assert t.diag[i, r] == oracle._code(n, diagonal) and t.rank[i, r] == oracle._lex_rank(n, diagonal)
+                assert t.exc[i, r] == len(st.exceedances) == p.exceedance_count()
+                assert n - t.exc[i, r] - t.trivial[i, r] == len(st.ntaes) == p.ntae_count()
+                assert t.exc_refl[i, r] == len(refl.exceedances) and ne_refl[i, r] == len(refl.ntaes)
 
     @pytest.mark.parametrize("n", range(3, 6))
     def test_transposed(self, n):
-        # the gather-and-patch bottoms and the rank deltas against
-        # transpose_blocks; each word of the batch has its verticals in its
-        # own column order, so a word read at another word's rows shows
+        # the moved bottoms, the transposed codes and the cycle counts by code
+        # against transpose_blocks; each word of the batch has its verticals
+        # in its own column order, so a word read at another word's rows shows
         perms = verticals(n)
         hs = legal_hs(n)
         moves = plane._moves(n)
         words = np.array(all_words(n)) - 1
         batch = np.stack([np.roll(perms, i, axis=1) for i in range(len(words))])
-        # the ranks read no diagonal: perms stands in for one, to size the buffers
-        tables = verify._transposition_tables(
-            perms, moves, oracle._code_places(n), verify._cycle_counts_by_rank(n), len(words)
-        )
-        ranks, source_ranks = verify._transposed_ranks(words, batch, tables)
+        # the codes read no diagonal: perms stands in for one
+        cc = verify._cycle_counts_by_rank(n)
+        tables = _plane_checks._transposition_tables(perms, moves, oracle._code_places(n), cc)
+        codes, source_codes = _plane_checks._transposed_codes(words, batch, tables)
         for i, w in enumerate(words):
             new_words, bottoms = w[moves.src], batch[i][w[moves.image_src]]
             assert bottoms.shape == (n, len(hs), perms.shape[1])
-            assert source_ranks[i].tolist() == oracle._lex_rank(n, batch[i]).tolist()
+            assert source_codes[i].tolist() == oracle._code(n, batch[i]).tolist()
             for r, col in enumerate(batch[i].T):
                 p = to_plane(w, col)
                 for t, h in enumerate(hs.tolist()):
                     q = p.transpose_blocks(tuple(h))
                     assert tuple(new_words[:, t] + 1) == q.s
                     assert tuple(bottoms[:, t, r] + 1) == tuple(map(q.pi, q.s))
-                    assert ranks[i, t, r] == oracle._lex_rank(n, np.array(q.pi.image) - 1)
+                    assert codes[i, t, r] == oracle._code(n, np.array(q.pi.image) - 1)
+                    assert tables.counts[codes[i, t, r]] == q.pi.cycle_count
+
+    def test_cycle_sums_count_the_cycles_whose_flag_holds(self):
+        # with element 0 as every element's neighbour, a cycle's flag holds iff
+        # its least position is no later than 0's, so some fail in most words,
+        # and each sum counts the cycles of its vertical whose flag holds
+        n = 5
+        perms = verticals(n)
+        table = _plane_checks._cycle_table(perms)
+        words = np.array(all_words(n)) - 1
+        keys = np.argsort(words, axis=1)
+        sums = _plane_checks._cycle_sums(keys, table, np.zeros_like(table.before))
+        cycles = [to_plane(range(n), col).pi.cycles() for col in perms.T]
+        expected = [[sum(min(key[x - 1] for x in c) <= key[0] for c in cs) for cs in cycles] for key in keys]
+        counts = [list(map(len, cycles))] * len(words)
+        assert sums.tolist() == expected and (sums < counts).any()
+        assert _plane_checks._cycle_sums(keys, table, table.before).tolist() == counts
 
     def test_cycle_minima_takes_the_least_key_on_each_cycle(self):
         # the vertical (1 3)(2 4 5), 0-based, keyed by the word order of 1 5 4 2 3
@@ -294,8 +309,68 @@ class TestBatchedKernels:
         word = np.array([0, 4, 3, 1, 2])
         pos = np.argsort(word)
         assert plane._cycle_minima(perm, pos).ravel().tolist() == [0, 1, 0, 1, 1]
-        steps = [step[0] for step in plane._verticals(perm, 1).steps]  # one word: its flat indices
+        steps = list(plane._squarings(plane._flat(perm)))
         assert plane._cycle_minima(perm, pos, steps).ravel().tolist() == [0, 1, 0, 1, 1]
+
+
+@st.composite
+def word_and_verticals(draw):
+    """A 0-based cycle word of n = 6..8 and a batch of verticals, (n, m)
+    stored element first."""
+    n = draw(st.integers(6, 8))
+    word = [0, *draw(st.permutations(range(1, n)))]
+    columns = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=8))
+    return np.array(word), np.array(columns).T.copy()
+
+
+class TestKernelsAgainstScalarRoutines:
+    """The plane suite's kernels at n = 6..8, past the exhaustive tests
+    above, where the lex split has more head digits, against the scalar
+    routines of PlanePermutation on a drawn word and batch of verticals."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(word_and_verticals())
+    def test_array_terms(self, case):
+        word, perms = case
+        n = len(word)
+        planes = [to_plane(word, col) for col in perms.T]
+        s_img = np.array(planes[0].s_perm().image) - 1
+        c_pi = np.array([p.pi.cycle_count for p in planes])
+        tables = _plane_checks._array_tables(perms, np.argsort(perms, axis=0), c_pi, verify._cycle_counts_by_rank(n))
+        t = _plane_checks._array_terms(word[None], s_img[None], tables)
+        trivial_refl = np.take_along_axis(t.trivial_refl, t.rank, axis=1)
+        for r, p in enumerate(planes):
+            stats, refl = p.exceedance_stats(), p.reflect().exceedance_stats()
+            diagonal = np.array(p.diagonal().image) - 1
+            assert t.read[0, r] == oracle._code(n, np.array(p.diagonal_from_pairs().image) - 1)
+            assert t.diag[0, r] == oracle._code(n, diagonal) and t.rank[0, r] == oracle._lex_rank(n, diagonal)
+            assert t.exc[0, r] == len(stats.exceedances) and t.exc_refl[0, r] == len(refl.exceedances)
+            assert n - t.exc[0, r] - t.trivial[0, r] == len(stats.ntaes)
+            assert n - t.exc_refl[0, r] - trivial_refl[0, r] == len(refl.ntaes)
+
+    @settings(max_examples=12, deadline=None)
+    @given(word_and_verticals(), st.data())
+    def test_transpositions(self, case, data):
+        # each array is checked against its own diagonal or against another
+        # permutation, which every transposition of it then fails to keep
+        word, perms = case
+        n = len(word)
+        planes = [to_plane(word, col) for col in perms.T]
+        others = st.permutations(range(1, n + 1)).map(Permutation)
+        diags = [p.diagonal() if data.draw(st.booleans()) else data.draw(others) for p in planes]
+        diag_cols = np.array([d.image for d in diags]).T - 1
+        cc = verify._cycle_counts_by_rank(n)
+        tables = _plane_checks._transposition_tables(diag_cols, plane._moves(n), oracle._code_places(n), cc)
+        codes, source_codes = _plane_checks._transposed_codes(word[None], perms[None], tables)
+        expected = 0
+        for r, (p, d) in enumerate(zip(planes, diags)):
+            assert source_codes[0, r] == oracle._code(n, perms[:, r])
+            for t, h in enumerate(legal_hs(n).tolist()):
+                q = p.transpose_blocks(tuple(h))
+                assert codes[0, t, r] == oracle._code(n, np.array(q.pi.image) - 1)
+                assert tables.counts[codes[0, t, r]] == q.pi.cycle_count
+                expected += q.diagonal_from_pairs() != d or abs(q.pi.cycle_count - p.pi.cycle_count) not in (0, 2)
+        assert _plane_checks._transposition_bad_count(word[None], perms[None], tables) == expected
 
 
 class TestPlaneSuiteSeesFaults:
@@ -314,19 +389,20 @@ class TestPlaneSuiteSeesFaults:
 
     def test_sound_inputs_pass(self):
         word, s_img, *tables = self.sound_inputs()
-        assert verify._array_bad_counts(word[None], s_img[None], verify._array_tables(*tables, 1)) == (0, 0, 0)
+        arrays = _plane_checks._array_tables(*tables)
+        assert _plane_checks._array_bad_counts(word[None], s_img[None], arrays) == (0, 0, 0)
 
     def test_corrupted_vertical(self):
         word, s_img, perms, perms_inv, c_pi, cc = self.sound_inputs()
         perms[[0, 1], 17] = perms[[1, 0], 17]  # one vertical changed after its inverse and C(pi)
-        tables = verify._array_tables(perms, perms_inv, c_pi, cc, 1)
-        diag_bad, ne_bad, _ = verify._array_bad_counts(word[None], s_img[None], tables)
+        tables = _plane_checks._array_tables(perms, perms_inv, c_pi, cc)
+        diag_bad, ne_bad, _ = _plane_checks._array_bad_counts(word[None], s_img[None], tables)
         assert (diag_bad, ne_bad) == (1, 1)
 
     def test_corrupted_cycle_counts(self):
         word, s_img, perms, perms_inv, c_pi, cc = self.sound_inputs()
-        tables = verify._array_tables(perms, perms_inv, c_pi + 1, cc, 1)
-        _, ne_bad, refl_bad = verify._array_bad_counts(word[None], s_img[None], tables)
+        tables = _plane_checks._array_tables(perms, perms_inv, c_pi + 1, cc)
+        _, ne_bad, refl_bad = _plane_checks._array_bad_counts(word[None], s_img[None], tables)
         assert ne_bad == refl_bad == perms.shape[1]
 
     def transposition_inputs(self):
@@ -338,8 +414,8 @@ class TestPlaneSuiteSeesFaults:
         return words[3], pi, diags, oracle._code_places(n), verify._cycle_counts_by_rank(n)
 
     def transposition_bad_count(self, word, pi, diags, places, cc):
-        tables = verify._transposition_tables(diags, plane._moves(self.n), places, cc, 1)
-        return verify._transposition_bad_count(word[None], pi[None], tables)
+        tables = _plane_checks._transposition_tables(diags, plane._moves(self.n), places, cc)
+        return _plane_checks._transposition_bad_count(word[None], pi[None], tables)
 
     def test_corrupted_diagonal(self):
         word, pi, diags, places, cc = self.transposition_inputs()
@@ -365,7 +441,7 @@ class TestPlaneSuiteSeesFaults:
         assert [r.lhs for r in reports] == [int(r.instance.split()[2]) for r in reports]
 
     def test_wrong_place_value_in_the_rank_delta(self, monkeypatch):
-        # the last tail image counted twice: tail codes stay under n^4, and ranks go wrong
+        # the last image counted twice: the codes of pi and pi' go wrong, and so do their cycle counts
         sound = oracle._code_places
 
         def damaged(n):
@@ -382,17 +458,17 @@ class TestPlaneSuiteSeesFaults:
 
 class TestPlaneSuiteBatches:
     """The plane suite's batches of words against the loop of one word per
-    call that it replaced, at n = 6: its own batches of 2 words, and
+    call that it replaced, at n = 6: its own batches of 56 words, and
     batches of 7, which do not divide the 120 words."""
 
     n = 6
 
-    def tables(self, words, cc):
+    def tables(self, cc):
         n = self.n
         cycles, rows = oracle._cycle_rows(oracle._cycle_words(n)), oracle._all_perm_rows(n)
-        arrays = verify._array_tables(rows.T.copy(), np.argsort(rows, axis=1).T.copy(), cc, cc, words)
+        arrays = _plane_checks._array_tables(rows.T.copy(), np.argsort(rows, axis=1).T.copy(), cc, cc)
         places = oracle._code_places(n)
-        transpositions = verify._transposition_tables(cycles.T.copy(), plane._moves(n), places, cc, words)
+        transpositions = _plane_checks._transposition_tables(cycles.T.copy(), plane._moves(n), places, cc)
         return arrays, transpositions
 
     def per_word_counts(self, cc):
@@ -400,11 +476,11 @@ class TestPlaneSuiteBatches:
         words = oracle._cycle_words(self.n)
         cycles = oracle._cycle_rows(words)
         diags_inv = np.argsort(cycles, axis=1).T
-        arrays, transpositions = self.tables(1, cc)
+        arrays, transpositions = self.tables(cc)
         bad = [0, 0, 0, 0]
         for word, s_img in zip(words, cycles):
-            counts = verify._array_bad_counts(word[None], s_img[None], arrays)
-            counts += (verify._transposition_bad_count(word[None], diags_inv[s_img][None], transpositions),)
+            counts = _plane_checks._array_bad_counts(word[None], s_img[None], arrays)
+            counts += (_plane_checks._transposition_bad_count(word[None], diags_inv[s_img][None], transpositions),)
             bad = [a + b for a, b in zip(bad, counts)]
         return bad
 
@@ -437,15 +513,15 @@ class TestPlaneSuiteBatches:
         words, cycles = words[:7], cycles[:7].copy()
         cc = verify._cycle_counts_by_rank(n)
         verticals = diags_inv[cycles]
-        batch, alone = self.tables(7, cc), self.tables(1, cc)
-        assert verify._array_bad_counts(words, cycles, batch[0]) == (0, 0, 0)
-        assert verify._transposition_bad_count(words, verticals, batch[1]) == 0
+        batch = alone = self.tables(cc)
+        assert _plane_checks._array_bad_counts(words, cycles, batch[0]) == (0, 0, 0)
+        assert _plane_checks._transposition_bad_count(words, verticals, batch[1]) == 0
         cycles[3, [1, 2]] = cycles[3, [2, 1]]
         verticals[3, [0, 4]] = verticals[3, [4, 0]]
-        counts = verify._array_bad_counts(words, cycles, batch[0])
-        assert counts == verify._array_bad_counts(words[3:4], cycles[3:4], alone[0]) and any(counts)
-        count = verify._transposition_bad_count(words, verticals, batch[1])
-        assert count == verify._transposition_bad_count(words[3:4], verticals[3:4], alone[1]) > 0
+        counts = _plane_checks._array_bad_counts(words, cycles, batch[0])
+        assert counts == _plane_checks._array_bad_counts(words[3:4], cycles[3:4], alone[0]) and any(counts)
+        count = _plane_checks._transposition_bad_count(words, verticals, batch[1])
+        assert count == _plane_checks._transposition_bad_count(words[3:4], verticals[3:4], alone[1]) > 0
 
 
 class TestClippedGathers:

@@ -25,8 +25,8 @@ from longcycles import (
     verify,
     z_of,
 )
-from longcycles import _columns
-from longcycles.errors import ResourceLimitError
+from longcycles import _columns, _plane_checks
+from longcycles.errors import DomainError, ResourceLimitError
 from longcycles.partitions import (
     Composition,
     _block_pieces,
@@ -124,8 +124,9 @@ class TestSuites:
     def test_plane_failures_are_counted_once_per_word(self, monkeypatch, workers):
         # failures that depend on the word: every word is checked once, whatever the chunks and processes
         monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(verify, "_array_bad_counts", lambda words, *rest: (len(words), int(words[:, 1].sum()), 0))
-        monkeypatch.setattr(verify, "_transposition_bad_count", lambda words, *rest: int(words[:, -1].sum()))
+        checks = _plane_checks
+        monkeypatch.setattr(checks, "_array_bad_counts", lambda words, *rest: (len(words), int(words[:, 1].sum()), 0))
+        monkeypatch.setattr(checks, "_transposition_bad_count", lambda words, *rest: int(words[:, -1].sum()))
         reports = [r for r in verify.plane_structure_reports(5, workers) if r.instance.startswith("n=5 ")]
         words = oracle._cycle_words(5)
         assert [r.lhs for r in reports] == [len(words), words[:, 1].sum(), 0, words[:, -1].sum()]
@@ -1008,6 +1009,12 @@ class TestRunner:
         with pytest.raises(ResourceLimitError, match=suite):
             verify.run_suites(("formulas", "baserecur", "plane"), 4, **kwargs)
 
+    @pytest.mark.parametrize("plane_max_n", [0, -1])
+    def test_own_n_below_one_fails_before_any_suite(self, forbid_suites, plane_max_n):
+        # 0 is an n of its own, not a stand-in for max_n
+        with pytest.raises(DomainError):
+            verify.run_suites(("formulas", "plane"), 4, plane_max_n=plane_max_n)
+
     def test_failure_detection(self):
         run = VerifyRun(
             reports=[IdentityReport("fake", "n=1", 1, 2)],
@@ -1027,3 +1034,80 @@ class TestRunner:
         assert doc["lhs"] == "3"
         run = verify.run_suites(("baserecur",), 3, baserecur_max_n=4)
         assert run.to_dict()["ok"] is True
+
+
+# run in a fresh process, where every cache is cold, so every table that a
+# run reads is built during it.  Either it counts the top-level builds of the
+# word-walk tables by n, the bytes that the run holds while the plane suite
+# runs, and the tables still alive after the run; or it sums the traced
+# memory allocated under oracle._Tables that is held after the run, less the
+# rank tables, which are cached for the process wherever they are first built
+_RUN_TABLES_SCRIPT = """
+import collections, inspect, json, sys, tracemalloc, weakref
+from longcycles import oracle, verify
+
+builds, depth, made = collections.Counter(), [0], []
+
+def counted(name):
+    build = getattr(oracle, name)
+
+    def wrapper(n, *rest):
+        if not depth[0]:
+            builds[repr((name, n, *rest))] += 1
+        depth[0] += 1
+        try:
+            return build(n, *rest)
+        finally:
+            depth[0] -= 1
+
+    setattr(oracle, name, wrapper)
+
+for name in ("_cycle_words", "_all_perm_rows"):
+    counted(name)
+init = oracle._Tables.__init__
+oracle._Tables.__init__ = lambda self, n: made.append(weakref.ref(self)) or init(self, n)
+
+def nbytes(value):
+    return value.nbytes if hasattr(value, "nbytes") else sum(map(nbytes, value))
+
+def lines(function):
+    source, first = inspect.getsourcelines(function)
+    return range(first, first + len(source))
+
+def under(trace, lines):
+    return any(f.filename == oracle.__file__ and f.lineno in lines for f in trace.traceback)
+
+if sys.argv[1] == "count":
+    during = []
+    suite = verify.plane_structure_reports
+    held = lambda: sum(nbytes(v) for tables in oracle._held.values() for k, v in vars(tables).items() if k != "n")
+    verify.plane_structure_reports = lambda *args: during.append(held()) or suite(*args)
+    verify.run_suites(verify.SUITES, 7, plane_max_n=6)
+    print(json.dumps({"builds": builds, "during": during[0], "alive": sum(ref() is not None for ref in made)}))
+else:
+    tables, ranks = lines(oracle._Tables), lines(oracle._rank_tables)
+    tracemalloc.start(6)
+    verify.run_suites(verify.SUITES, 6, baserecur_max_n=6)
+    traces = tracemalloc.take_snapshot().traces
+    print(sum(t.size for t in traces if under(t, tables) and not under(t, ranks)))
+"""
+
+
+def _run_tables_script(mode):
+    proc = subprocess.run([sys.executable, "-c", _RUN_TABLES_SCRIPT, mode], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_one_run_builds_each_table_once():
+    out = _run_tables_script("count")
+    # the cycle words, the n! rows and the lex-least rows of each head group, once for every n from 1 to 7
+    tables = [(("_cycle_words", n), ("_all_perm_rows", n), ("_all_perm_rows", n, min(n, 4))) for n in range(1, 8)]
+    assert out["builds"] == {repr(table): 1 for by_n in tables for table in by_n}
+    assert 2**16 < out["during"] < 2 * 2**20  # the tables of n <= 7 while the plane suite runs
+    assert out["alive"] == 0
+
+
+def test_a_run_leaves_no_table_behind():
+    # a few blocks under 1 KiB may stay, which numpy keeps for reuse
+    assert _run_tables_script("trace") < 2**14
