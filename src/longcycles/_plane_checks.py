@@ -9,7 +9,7 @@ value per position and image, summed over every head and tail arrangement
 transposed vertical is coded by one matrix product per word and reads its
 cycle count by code (_transposed_codes).  Every check compares two
 independent routes; the tables shared with the sweeps come from
-oracle._tables.
+oracle._shared.
 
 The plane suite imports this module when it first runs, so that a process
 that never runs it does not load it.
@@ -113,13 +113,25 @@ class _ArrayTables(NamedTuple):
     cc: np.ndarray
 
 
-def _array_tables(perms: np.ndarray, perms_inv: np.ndarray, c_pi: np.ndarray, cc: np.ndarray) -> _ArrayTables:
+def _array_tables(
+    perms: np.ndarray,
+    perms_inv: np.ndarray,
+    pi_cycles: _CycleTable,
+    c_pi: np.ndarray,
+    lex_cycles: _CycleTable,
+    cc: np.ndarray,
+) -> _ArrayTables:
     """The _ArrayTables of the verticals ``perms`` (n, M) and their inverses
-    ``perms_inv``, stored element first, read from the tables of n."""
+    ``perms_inv``, stored element first, with the verticals' _CycleTable
+    and cycle counts, and those of the n! permutations in lex order; the
+    rest is read from the tables of n."""
     n = len(perms)
-    h = n - min(oracle._TAIL, n)
-    tables = oracle._tables(n)
-    arrangements, index = tables.tails
+    k = min(oracle._TAIL, n)
+    h = n - k
+    lex = oracle._shared(oracle._all_perm_rows, n)
+    arrangements = lex[:: math.factorial(n - k), :k].copy()  # the heads of k images, in lex order
+    index = np.zeros(n**k, dtype=np.int64)  # of each arrangement, by its base-n code
+    index[oracle._code(n, arrangements.T)] = np.arange(len(arrangements))
     prefix = oracle._rank_tables(n)[0]
 
     def parts(columns: np.ndarray) -> np.ndarray:
@@ -127,11 +139,9 @@ def _array_tables(perms: np.ndarray, perms_inv: np.ndarray, c_pi: np.ndarray, cc
         head = prefix[oracle._code(n, columns[:h])] // math.factorial(n - h)
         return np.stack(np.broadcast_arrays(head, index[oracle._code(n, columns[h:])]))
 
-    lex_cycles = _cycle_table(tables.perms.T)
-    same = np.array_equal(perms, tables.perms.T)
     return _ArrayTables(
-        plane._part_columns(tables.least[:, :h], n), plane._part_columns(arrangements, n),
-        parts(perms), parts(perms_inv), lex_cycles if same else _cycle_table(perms), lex_cycles, c_pi, cc,
+        plane._part_columns(lex[:: math.factorial(k), :h], n), plane._part_columns(arrangements, n),
+        parts(perms), parts(perms_inv), pi_cycles, lex_cycles, c_pi, cc,
     )
 
 
@@ -237,7 +247,7 @@ def _transposition_tables(
     cycle counts ``cc`` by lex rank."""
     n = len(diags)
     counts = np.full(n**n, -n, dtype=np.int8)
-    counts[oracle._code(n, oracle._tables(n).perms.T)] = cc
+    counts[oracle._code(n, oracle._shared(oracle._all_perm_rows, n).T)] = cc
     return _TranspositionTables(diags, moves, places[0] * n ** min(oracle._TAIL, n) + places[1], counts)
 
 

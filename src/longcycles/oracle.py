@@ -18,14 +18,14 @@ again being the one-block case.  The factorizations c1∘c2 = D into long
 cycles are its arrays with s = c1 whose vertical, c2⁻¹, is a long cycle.
 
 Every lex rank is read from _rank_tables(n), split after a permutation's
-first h = n - min(_TAIL, n) images.  The word-walk tables of one n, _Tables
-(the cycle words, the long cycles, the n! permutation rows and the rank of
-the inverse of each, and the arrangements of the lex split), are read through
-_tables(n).  They are not cached for the process: inside _run_tables, which
-verify.run_suites holds for one run, every sweep and suite at n <= 7 shares
-one set per n, dropped when the run returns; elsewhere each caller builds
-its own and drops it with its locals.  The pair kernel's tables,
-_pair_tables(n), are a local of the sweep.
+first h = n - min(_TAIL, n) images.  The word-walk tables of one n, the
+cycle words, _cycle_words(n), the long cycles, _long_cycles(n), and the
+permutation rows, _all_perm_rows(n, tail), are read through _shared.  They
+are not cached for the process: inside _run_tables, which verify.run_suites
+holds for one run, every sweep and suite at n <= 7 shares one of each per n,
+dropped when the run returns; elsewhere each caller builds its own and drops
+it with its locals.  The pair kernel's tables, _pair_tables(n), are a local
+of the sweep.
 
 Sweeps with a worker count cut their index range into contiguous chunks,
 one per worker, and _chunk_sum adds up the chunks' counts: the pair sweep
@@ -75,7 +75,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -242,66 +242,17 @@ def _code_places(n: int) -> np.ndarray:
     return places
 
 
-class _Tables:
-    """The word-walk tables of one n, each built when it is first read:
-    - ``words`` and ``cycles``: the cycle words and the long cycles
-      (_cycle_words, _cycle_rows), (n-1)! rows each;
-    - ``perms`` and ``inverse_ranks``: the n! permutations of range(n) as
-      rows, in lex order, and the lex rank of the inverse of each;
-    - ``least``: the lex-least permutation of each head group of the lex
-      split, _all_perm_rows(n, k), k = min(_TAIL, n);
-    - ``tails``: (arrangements, index), the k-arrangements of range(n) in
-      lex order, one per row, and the index of each by its base-n code.
-
-    The rank tables are _rank_tables(n).  Every sweep and suite reads the
-    tables of its n from _tables(n), so that one run shares them."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    @cached_property
-    def words(self) -> np.ndarray:
-        return _cycle_words(self.n)
-
-    @cached_property
-    def cycles(self) -> np.ndarray:
-        return _cycle_rows(self.words)
-
-    @cached_property
-    def perms(self) -> np.ndarray:
-        return _all_perm_rows(self.n)
-
-    @cached_property
-    def inverse_ranks(self) -> np.ndarray:
-        return _lex_rank(self.n, np.argsort(self.perms, axis=1).T)
-
-    @cached_property
-    def least(self) -> np.ndarray:
-        return _all_perm_rows(self.n, min(_TAIL, self.n))
-
-    @cached_property
-    def tails(self) -> tuple[np.ndarray, np.ndarray]:
-        n, k = self.n, min(_TAIL, self.n)
-        arrangements = self.perms[:: math.factorial(n - k), :k].copy()  # the heads of k images, in lex order
-        index = np.zeros(n**k, dtype=np.int64)
-        index[_code(n, arrangements.T)] = np.arange(len(arrangements))
-        return arrangements, index
-
-
-# the _Tables of each n while a run holds them (_run_tables), else None.  Only
-# n <= PLANE_SWEEP_LIMIT: their tables take under 1 MB together, while the
-# n! rows of n = 9 alone take 26 MB
-_held: dict[int, _Tables] | None = None
+# the word-walk tables of the open run (_run_tables) by builder and
+# arguments, else None.  Module state, not an object passed down, since the
+# readers sit under cached calls (_signatures, _diag_rows) that take only n
+_held: dict[tuple, np.ndarray] | None = None
 
 
 @contextmanager
 def _run_tables() -> Iterator[None]:
-    """Inside the block, _tables(n) gives one _Tables per n, shared by
-    every sweep and suite; they are dropped when the outermost block exits."""
+    """Inside the block, _shared builds each table of n <= PLANE_SWEEP_LIMIT
+    once, for every sweep and suite; they are dropped when the block exits."""
     global _held
-    if _held is not None:
-        yield
-        return
     _held = {}
     try:
         yield
@@ -309,14 +260,22 @@ def _run_tables() -> Iterator[None]:
         _held = None
 
 
-def _tables(n: int) -> _Tables:
-    """The _Tables of n: the run's (_run_tables), or a new one, which lives
-    as long as its caller holds it."""
+def _shared(build: Callable[..., np.ndarray], n: int, *args: int) -> np.ndarray:
+    """``build(n, *args)``: the run's table (_run_tables), or a new one, which
+    lives as long as its caller holds it.  A run holds only n <=
+    PLANE_SWEEP_LIMIT: their tables take under 1 MB together, while the n!
+    rows of n = 9 alone take 26 MB."""
     if _held is None or n > PLANE_SWEEP_LIMIT:
-        return _Tables(n)
-    if n not in _held:
-        _held[n] = _Tables(n)
-    return _held[n]
+        return build(n, *args)
+    key = (build, n, *args)
+    if key not in _held:
+        _held[key] = build(n, *args)
+    return _held[key]
+
+
+def _long_cycles(n: int) -> np.ndarray:
+    """_cycle_rows of the cycle words of n."""
+    return _cycle_rows(_shared(_cycle_words, n))
 
 
 def _length_codes(perms: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
@@ -382,7 +341,7 @@ def _sep_prefixes(rows: np.ndarray) -> np.ndarray:
 def _signatures(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(sig, rows): ``rows`` holds the distinct length rows over all
     n! permutations, one per line, and ``sig[r]`` indexes the row of lex rank r."""
-    return _distinct_rows(_tables(n).perms.T)
+    return _distinct_rows(_shared(_all_perm_rows, n).T)
 
 
 @cache
@@ -435,14 +394,14 @@ def _pair_tables(n: int) -> tuple[np.ndarray, ...]:
     permutation of lex rank head * k! + pattern; ``sources`` is
     _pattern_sources(k), and row i of ``least`` the lex-least permutation
     with head index i."""
-    tables = _tables(n)
-    cyc_t = tables.cycles.T.copy()
+    cyc_t = _shared(_long_cycles, n).T.copy()
     pairs = (cyc_t[:, None, :] * n + cyc_t[None, :, :]).reshape(n * n, -1)
     k = min(_TAIL, n)
     prefix, suffix = _rank_tables(n)
     block = math.factorial(k)
     heads = math.factorial(n) // block
-    return cyc_t, pairs, pairs * (n * n), prefix // block, suffix * heads, _pattern_sources(k), tables.least
+    least = _shared(_all_perm_rows, n, k)
+    return cyc_t, pairs, pairs * (n * n), prefix // block, suffix * heads, _pattern_sources(k), least
 
 
 def _pattern_sources(k: int) -> np.ndarray:
@@ -450,10 +409,12 @@ def _pattern_sources(k: int) -> np.ndarray:
     sigma_t, over the patterns of S_k in lex order: a permutation whose last
     k images have pattern s has pattern t there once composed with tau on
     those positions, and the same head."""
-    perms = np.array(list(itertools.permutations(range(k))))
-    composed = _lex_rank(k, perms[:, perms].transpose(2, 0, 1))  # composed[s, tau]: the rank of sigma_s∘tau
-    sources = np.empty_like(composed)
-    sources[composed, np.arange(len(perms))] = np.arange(len(perms))[:, None]
+    perms = list(itertools.permutations(range(k)))
+    rank = {sigma: s for s, sigma in enumerate(perms)}
+    sources = np.empty((len(perms), len(perms)), dtype=np.int64)
+    for s, sigma in enumerate(perms):
+        for tau, t in enumerate(perms):
+            sources[rank[tuple(sigma[x] for x in t)], tau] = s
     return sources
 
 
@@ -707,8 +668,8 @@ def _diag_rows(n: int, d_image: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray
     length rows of the verticals, and ``counts[i, a]`` counts those
     with row i and a exceedances."""
     d_inv = np.argsort([x - 1 for x in d_image])
-    tables = _tables(n)
-    words, cycles = tables.words, tables.cycles
+    words = _shared(_cycle_words, n)
+    cycles = _shared(_long_cycles, n)
     codes = np.empty(len(words), dtype=np.int64)  # of the verticals' length rows
     exceedances = np.empty(len(words), dtype=np.int64)
     work = _pass_buffers(n, len(words))
@@ -768,21 +729,24 @@ def _plane_batch(n: int) -> int:
 def _plane_tables(n: int) -> tuple:
     """(words, cycles, tbx, sig_off, tail_of, head, tail): the tables of
     _plane_chunk.  Over q = pi⁻¹ in lex order: ``tail_of[q]``, the index of
-    q's last k = min(_TAIL, n) images among the k-arrangements, and
+    q's last k = min(_TAIL, n) images among the injective k-tuples, and
     ``sig_off[q]`` = sig[rank(q⁻¹)] * (n + 1).  ``tbx[x]`` = type_base[x //
     (n + 1)] + x % (n + 1).  ``head`` and ``tail``: (places, columns, lut)
-    of _part_codes over the head images and the tail arrangements."""
-    tables = _tables(n)
+    of _part_codes over the head images and the tail tuples."""
+    words = _shared(_cycle_words, n)
     k = min(_TAIL, n)
     h = n - k
-    qs = tables.perms
+    qs = _shared(_all_perm_rows, n)
     sig, rows = _signatures(n)
     types = _partition_list(n)
     type_of = np.array([types.index(_cycle_type(row)) for row in rows.tolist()])  # signature id -> type index
     tbx = ((type_of * (len(rows) * (n + 1)))[sig][:, None] + np.arange(n + 1)).ravel()
-    sig_off = sig[tables.inverse_ranks] * (n + 1)
-    arrangements, index = tables.tails
+    sig_off = sig[_lex_rank(n, np.argsort(qs, axis=1).T)] * (n + 1)
+    arrangements = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64).reshape(-1, k)
+    index = np.zeros(n**k, dtype=np.int64)
+    index[_code(n, arrangements.T)] = np.arange(len(arrangements))
     tail_of = index[_code(n, qs[:, h:].T)]
+    heads = qs[:: math.factorial(k), :h]
     prefix, suffix = _rank_tables(n)
 
     def part(images: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -791,8 +755,7 @@ def _plane_tables(n: int) -> tuple:
         lut = (ranks[:, None] * (n + 1) + np.arange(m + 1)).ravel()
         return places, _part_columns(images, n), lut
 
-    head = part(tables.least[:, :h], prefix)
-    return tables.words, tables.cycles, tbx, sig_off, tail_of, head, part(arrangements, suffix)
+    return words, _shared(_long_cycles, n), tbx, sig_off, tail_of, part(heads, prefix), part(arrangements, suffix)
 
 
 def _part_codes(s_img: np.ndarray, later: np.ndarray, cols: range, part: tuple) -> np.ndarray:

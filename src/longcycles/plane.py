@@ -44,7 +44,7 @@ def _classify(word: tuple[int, ...], pi: Permutation):
 # perms[x] holds the image of x in every array of the batch (any trailing
 # shape), so that each step works on long contiguous rows.  A cycle word is
 # an integer array starting at 0.  The sweeps of oracle and the plane suite of
-# verify run them against the tables of each n (oracle._Tables).
+# verify run them against the tables of each n (oracle._shared).
 
 
 def _take(a: np.ndarray, indices: np.ndarray, out: np.ndarray | None, axis: int | None = None) -> np.ndarray:

@@ -493,11 +493,13 @@ def _cycle_counts_by_rank(n: int) -> np.ndarray:
     return (rows > 0).sum(axis=1)[sig]
 
 
-# arrays (word x vertical columns) per call of the plane checks: 8 words at
-# n = 7, 56 at n = 6, every word below.  A call keeps a few (words, n!) int64
-# terms and, over the 25,200 transpositions of each word at n = 7, about
-# 25 bytes a transposition: 5 MB at 8 words.  16 words at n = 7 were no faster
-_PLANE_COLUMNS = 8 * math.factorial(7)
+# arrays (word x vertical columns) per call of the plane checks, in at most
+# 16 words: 8 words at n = 7, 16 at n = 5 and 6, every word below.  A call
+# keeps a few (words, n!) int64 terms and, over the 25,200 transpositions of
+# each word at n = 7, about 25 bytes a transposition: 5 MB at 8 words.  16
+# words at n = 7 were no faster, nor 56 words at n = 6, which held 2 MiB more
+# than 16
+_PLANE_ARRAYS = 8 * math.factorial(7)
 
 
 def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityReport]:
@@ -509,23 +511,24 @@ def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityRe
     Ne(p) + Ne(p') = n + 1 − C(pi) − C(diagonal).  Over every pair of long
     cycles (s, D) and every legal block transposition: the diagonal is
     preserved, and the vertical's cycle count moves by −2, 0, or +2 (so its
-    parity is preserved).  A batch of words (_PLANE_COLUMNS) is checked
+    parity is preserved).  A batch of words (_PLANE_ARRAYS) is checked
     against all verticals, and against all diagonals times all
     transpositions, by the kernels of _plane_checks, as arrays with a
     leading word axis.  The failure counts are summed over one chunk of
     words per worker (oracle._chunk_sum); the batches lie inside a chunk.
-    The tables of n come from oracle._tables, which a run shares.
+    The tables of n come from oracle._shared, which a run shares.
     """
     oracle._require_scale("the plane suite", max_n, _SUITE_LIMITS["plane"])
     from . import _plane_checks as checks
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
         # every table that does not depend on the words, built before the fork
-        tables = oracle._tables(n)
-        words, cycles, rows = tables.words, tables.cycles, tables.perms
-        batch = max(1, _PLANE_COLUMNS // len(rows))  # words per call of the checks
+        words, cycles = oracle._shared(oracle._cycle_words, n), oracle._shared(oracle._long_cycles, n)
+        rows = oracle._shared(oracle._all_perm_rows, n)
+        batch = min(16, max(1, _PLANE_ARRAYS // len(rows)))  # words per call of the checks
         cc = _cycle_counts_by_rank(n)  # the verticals are in lex order, so cc holds their counts
-        arrays = checks._array_tables(rows.T, rows[tables.inverse_ranks].T, cc, cc)
+        cycle_table = checks._cycle_table(rows.T)
+        arrays = checks._array_tables(rows.T, np.argsort(rows, axis=1).T, cycle_table, cc, cycle_table, cc)
         # block transpositions over pairs of long cycles (s, D), vertical D⁻¹∘s
         moves = plane._moves(n)
         diags, diags_inv = cycles.T.copy(), np.argsort(cycles, axis=1).T.copy()
@@ -675,13 +678,15 @@ def run_suites(
         oracle._require_scale(f"the {suite} suite", sizes.get(suite, max_n), _SUITE_LIMITS[suite])
     reports = _Reports()
     audit: list[ParityAuditRecord] = []
-    with oracle._run_tables():  # one set of word-walk tables per n for every suite of the run
+    # baserecur reads no word-walk table, so it runs before the run's tables
+    # are built, and its peak does not carry them; its reports keep their place
+    base = baserecur_reports(baserecur_max_n) if "baserecur" in suites else _Reports()
+    with oracle._run_tables():  # one set of word-walk tables per n for every other suite
         if "classic" in suites:
             reports += classic_reports(max_n, workers)
         if "section3" in suites:
             reports += section3_reports(max_n, workers)
-        if "baserecur" in suites:
-            reports += baserecur_reports(baserecur_max_n)
+        reports += base
         if "formulas" in suites:
             reports += formula_vs_oracle_reports(max_n, workers)
         if "plane" in suites:

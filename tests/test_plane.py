@@ -224,6 +224,15 @@ def verticals(n):
     return np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n).T.copy()
 
 
+def array_tables(perms, perms_inv, c_pi, cc):
+    """The plane suite's array tables of the verticals ``perms``, with the
+    cycle tables of ``perms`` and of all n! permutations in lex order."""
+    lex = oracle._all_perm_rows(len(perms)).T
+    return _plane_checks._array_tables(
+        perms, perms_inv, _plane_checks._cycle_table(perms), c_pi, _plane_checks._cycle_table(lex), cc
+    )
+
+
 def legal_hs(n):
     """Every h = (i, j, k) with 1 <= i <= j < k <= n - 1, as rows."""
     return np.array([(i, j, k) for i in range(1, n - 1) for j in range(i, n - 1) for k in range(j + 1, n)])
@@ -246,7 +255,7 @@ class TestBatchedKernels:
         cc = verify._cycle_counts_by_rank(n)
         by_rank = cc[oracle._lex_rank(n, perms)]
         assert by_rank.tolist() == [to_plane(range(n), col).pi.cycle_count for col in perms.T]
-        tables = _plane_checks._array_tables(perms, np.argsort(perms, axis=0), by_rank, cc)
+        tables = array_tables(perms, np.argsort(perms, axis=0), by_rank, cc)
         t = _plane_checks._array_terms(words, s_img, tables)
         ne_refl = n - t.exc_refl - np.take_along_axis(t.trivial_refl, t.rank, axis=1)
         for i, w in enumerate(words):
@@ -336,7 +345,7 @@ class TestKernelsAgainstScalarRoutines:
         planes = [to_plane(word, col) for col in perms.T]
         s_img = np.array(planes[0].s_perm().image) - 1
         c_pi = np.array([p.pi.cycle_count for p in planes])
-        tables = _plane_checks._array_tables(perms, np.argsort(perms, axis=0), c_pi, verify._cycle_counts_by_rank(n))
+        tables = array_tables(perms, np.argsort(perms, axis=0), c_pi, verify._cycle_counts_by_rank(n))
         t = _plane_checks._array_terms(word[None], s_img[None], tables)
         trivial_refl = np.take_along_axis(t.trivial_refl, t.rank, axis=1)
         for r, p in enumerate(planes):
@@ -389,19 +398,19 @@ class TestPlaneSuiteSeesFaults:
 
     def test_sound_inputs_pass(self):
         word, s_img, *tables = self.sound_inputs()
-        arrays = _plane_checks._array_tables(*tables)
+        arrays = array_tables(*tables)
         assert _plane_checks._array_bad_counts(word[None], s_img[None], arrays) == (0, 0, 0)
 
     def test_corrupted_vertical(self):
         word, s_img, perms, perms_inv, c_pi, cc = self.sound_inputs()
         perms[[0, 1], 17] = perms[[1, 0], 17]  # one vertical changed after its inverse and C(pi)
-        tables = _plane_checks._array_tables(perms, perms_inv, c_pi, cc)
+        tables = array_tables(perms, perms_inv, c_pi, cc)
         diag_bad, ne_bad, _ = _plane_checks._array_bad_counts(word[None], s_img[None], tables)
         assert (diag_bad, ne_bad) == (1, 1)
 
     def test_corrupted_cycle_counts(self):
         word, s_img, perms, perms_inv, c_pi, cc = self.sound_inputs()
-        tables = _plane_checks._array_tables(perms, perms_inv, c_pi + 1, cc)
+        tables = array_tables(perms, perms_inv, c_pi + 1, cc)
         _, ne_bad, refl_bad = _plane_checks._array_bad_counts(word[None], s_img[None], tables)
         assert ne_bad == refl_bad == perms.shape[1]
 
@@ -466,7 +475,7 @@ class TestPlaneSuiteBatches:
     def tables(self, cc):
         n = self.n
         cycles, rows = oracle._cycle_rows(oracle._cycle_words(n)), oracle._all_perm_rows(n)
-        arrays = _plane_checks._array_tables(rows.T.copy(), np.argsort(rows, axis=1).T.copy(), cc, cc)
+        arrays = array_tables(rows.T.copy(), np.argsort(rows, axis=1).T.copy(), cc, cc)
         places = oracle._code_places(n)
         transpositions = _plane_checks._transposition_tables(cycles.T.copy(), plane._moves(n), places, cc)
         return arrays, transpositions
@@ -488,7 +497,7 @@ class TestPlaneSuiteBatches:
     @pytest.mark.parametrize("batch", [None, 7])  # the suite's own batches, or 7 words: 120 = 17 * 7 + 1
     def test_failure_counts_equal_the_per_word_loop(self, monkeypatch, workers, batch):
         if batch:
-            monkeypatch.setattr(verify, "_PLANE_COLUMNS", batch * math.factorial(self.n))
+            monkeypatch.setattr(verify, "_PLANE_ARRAYS", batch * math.factorial(self.n))
         # a cycle count one too large at a few ranks: every check but the
         # diagonal's fails on some arrays, a different number for each word
         true_counts = verify._cycle_counts_by_rank

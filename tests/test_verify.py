@@ -1039,14 +1039,15 @@ class TestRunner:
 # run in a fresh process, where every cache is cold, so every table that a
 # run reads is built during it.  Either it counts the top-level builds of the
 # word-walk tables by n, the bytes that the run holds while the plane suite
-# runs, and the tables still alive after the run; or it sums the traced
-# memory allocated under oracle._Tables that is held after the run, less the
-# rank tables, which are cached for the process wherever they are first built
+# runs, and whether the run still holds any table after it returns; or it
+# sums the traced memory allocated under oracle._shared that is held after
+# the run, less the rank tables, which are cached for the process wherever
+# they are first built
 _RUN_TABLES_SCRIPT = """
-import collections, inspect, json, sys, tracemalloc, weakref
+import collections, inspect, json, sys, tracemalloc
 from longcycles import oracle, verify
 
-builds, depth, made = collections.Counter(), [0], []
+builds, depth = collections.Counter(), [0]
 
 def counted(name):
     build = getattr(oracle, name)
@@ -1064,11 +1065,6 @@ def counted(name):
 
 for name in ("_cycle_words", "_all_perm_rows"):
     counted(name)
-init = oracle._Tables.__init__
-oracle._Tables.__init__ = lambda self, n: made.append(weakref.ref(self)) or init(self, n)
-
-def nbytes(value):
-    return value.nbytes if hasattr(value, "nbytes") else sum(map(nbytes, value))
 
 def lines(function):
     source, first = inspect.getsourcelines(function)
@@ -1080,16 +1076,16 @@ def under(trace, lines):
 if sys.argv[1] == "count":
     during = []
     suite = verify.plane_structure_reports
-    held = lambda: sum(nbytes(v) for tables in oracle._held.values() for k, v in vars(tables).items() if k != "n")
+    held = lambda: sum(table.nbytes for table in oracle._held.values())
     verify.plane_structure_reports = lambda *args: during.append(held()) or suite(*args)
     verify.run_suites(verify.SUITES, 7, plane_max_n=6)
-    print(json.dumps({"builds": builds, "during": during[0], "alive": sum(ref() is not None for ref in made)}))
+    print(json.dumps({"builds": builds, "during": during[0], "held": oracle._held is not None}))
 else:
-    tables, ranks = lines(oracle._Tables), lines(oracle._rank_tables)
-    tracemalloc.start(6)
+    shared, ranks = lines(oracle._shared), lines(oracle._rank_tables)
+    tracemalloc.start(10)
     verify.run_suites(verify.SUITES, 6, baserecur_max_n=6)
     traces = tracemalloc.take_snapshot().traces
-    print(sum(t.size for t in traces if under(t, tables) and not under(t, ranks)))
+    print(sum(t.size for t in traces if under(t, shared) and not under(t, ranks)))
 """
 
 
@@ -1105,7 +1101,7 @@ def test_one_run_builds_each_table_once():
     tables = [(("_cycle_words", n), ("_all_perm_rows", n), ("_all_perm_rows", n, min(n, 4))) for n in range(1, 8)]
     assert out["builds"] == {repr(table): 1 for by_n in tables for table in by_n}
     assert 2**16 < out["during"] < 2 * 2**20  # the tables of n <= 7 while the plane suite runs
-    assert out["alive"] == 0
+    assert not out["held"]
 
 
 def test_a_run_leaves_no_table_behind():
