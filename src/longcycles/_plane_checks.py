@@ -4,12 +4,13 @@ all (n-1)! diagonals times every legal block transposition.
 
 Each per-array quantity is a sum over positions, so it is a head term plus a
 tail term, as in the oracle's plane sweep: per word, one digit table of a
-value per position and image, summed over every head and tail arrangement
-(plane._part_sums); per array, one gather from each (_array_terms).  A
-transposed vertical is coded by one matrix product per word and reads its
-cycle count by code (_transposed_codes).  Every check compares two
-independent routes; the tables shared with the sweeps come from
-oracle._shared.
+value per position and image, summed over every head and every tail of the
+one lex split of n (oracle._split_sums); per array, one gather from each
+(_array_terms).  A transposed vertical is coded by one matrix product per
+word and reads its cycle count by code (_transposed_codes).  Every check
+compares two independent routes, and none reads the numbers it checks from
+oracle._plane_codes; the split is oracle._split(n), and the tables shared
+with the sweeps come from oracle._shared.
 
 The plane suite imports this module when it first runs, so that a process
 that never runs it does not load it.
@@ -92,19 +93,16 @@ def _cycle_sums(keys: np.ndarray, table: _CycleTable, neighbour: np.ndarray) -> 
 
 
 class _ArrayTables(NamedTuple):
-    """What the per-array checks at one n read besides the words, for the
-    verticals pi (n, M), stored element first:
-    - ``head``, ``tail``: the _part_sums columns of the k-arrangements of
-      the last k = min(_TAIL, n) positions, and of the h = n - k first;
-    - ``pi_parts``, ``inv_parts``: (2, M), the indices of the head and the
-      tail arrangement of each pi, and of each pi⁻¹;
+    """What the per-array checks at one n read besides the words and the
+    split, oracle._split(n), for the verticals pi (n, M), stored element
+    first:
+    - ``pi_parts``, ``inv_parts``: (2, M), the lex index of the head and the
+      index of the tail of each pi, and of each pi⁻¹;
     - ``pi_cycles``: the _CycleTable of the verticals; ``lex_cycles``: that
       of the n! permutations in lex order, which the diagonals read by rank;
     - ``c_pi``: the cycle counts of the verticals; ``cc``: the table of
       _cycle_counts_by_rank."""
 
-    head: np.ndarray
-    tail: np.ndarray
     pi_parts: np.ndarray
     inv_parts: np.ndarray
     pi_cycles: _CycleTable
@@ -123,26 +121,16 @@ def _array_tables(
 ) -> _ArrayTables:
     """The _ArrayTables of the verticals ``perms`` (n, M) and their inverses
     ``perms_inv``, stored element first, with the verticals' _CycleTable
-    and cycle counts, and those of the n! permutations in lex order; the
-    rest is read from the tables of n."""
+    and cycle counts, and those of the n! permutations in lex order."""
     n = len(perms)
-    k = min(oracle._TAIL, n)
-    h = n - k
-    lex = oracle._shared(oracle._all_perm_rows, n)
-    arrangements = lex[:: math.factorial(n - k), :k].copy()  # the heads of k images, in lex order
-    index = np.zeros(n**k, dtype=np.int64)  # of each arrangement, by its base-n code
-    index[oracle._code(n, arrangements.T)] = np.arange(len(arrangements))
-    prefix = oracle._rank_tables(n)[0]
+    split = oracle._split(n)
+    block = math.factorial(n - split.h)
 
     def parts(columns: np.ndarray) -> np.ndarray:
-        # the lex index of each head, its prefix rank over k!, and the index of each tail
-        head = prefix[oracle._code(n, columns[:h])] // math.factorial(n - h)
-        return np.stack(np.broadcast_arrays(head, index[oracle._code(n, columns[h:])]))
+        head = split.prefix[oracle._code(n, columns[: split.h])] // block
+        return np.stack(np.broadcast_arrays(head, split.tail_of[oracle._code(n, columns[split.h :])]))
 
-    return _ArrayTables(
-        plane._part_columns(lex[:: math.factorial(k), :h], n), plane._part_columns(arrangements, n),
-        parts(perms), parts(perms_inv), pi_cycles, lex_cycles, c_pi, cc,
-    )
+    return _ArrayTables(parts(perms), parts(perms_inv), pi_cycles, lex_cycles, c_pi, cc)
 
 
 class _ArrayTerms(NamedTuple):
@@ -169,25 +157,24 @@ def _array_terms(words: np.ndarray, s_img: np.ndarray, tables: _ArrayTables) -> 
     ``words`` (b, n) and every vertical pi of ``tables``; ``s_img`` holds the
     words' one-line images.  Each count and code is a sum over positions, so
     it is a head term plus a tail term: per word, a digit table of a value
-    per position and image, summed over every head and tail arrangement
-    (plane._part_sums); per array, one gather from each.  pi's head and
+    per position and image, summed over every head and every tail
+    (oracle._split_sums); per array, one gather from each.  pi's head and
     tail give the exceedances, x before pi(x), and the diagonal read off
     the array, which sends pi(x) to the top after x; pi⁻¹'s give s∘pi⁻¹,
     whose image of y is s(pi⁻¹(y)), and the reflected exceedances, y after
     s(pi⁻¹(y)) in the reflected word."""
     b, n = words.shape
     t = tables
-    h = n - min(oracle._TAIL, n)
+    split = oracle._split(n)
+    h = split.h
     pos = np.argsort(words, axis=1)  # pos[w, x]: the index of x in word w
     after = np.empty_like(words)  # the top after x in word w
     np.put_along_axis(after, words, np.roll(words, -1, axis=1), axis=1)
     refl = (n - pos) % n  # the index of x in the reflected word, w[0], w[n-1], ..., w[1]
 
     def terms(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # digits (q, b, n, n), by position and image: the (q, b, A) terms of every head and every tail arrangement
-        q = len(digits) * b
-        head = plane._part_sums(digits[:, :, :h].reshape(q, h, n), t.head)
-        tail = plane._part_sums(digits[:, :, h:].reshape(q, n - h, n), t.tail)
+        # digits (q, b, n, n), by position and image: the (q, b, A) terms of every head and every tail
+        head, tail = oracle._split_sums(digits.reshape(-1, n, n), split)
         return head.reshape(len(digits), b, -1), tail.reshape(len(digits), b, -1)
 
     # by pi's images: [x before v], and the top after x times the place of v
@@ -195,13 +182,11 @@ def _array_terms(words: np.ndarray, s_img: np.ndarray, tables: _ArrayTables) -> 
     head, tail = terms(np.stack((pos[:, None, :] > pos[:, :, None], after[:, :, None] * full)))
     exc, read = plane._take(head, t.pi_parts[0], None, axis=2) + plane._take(tail, t.pi_parts[1], None, axis=2)
     # by pi⁻¹'s images: the rank code digit of s(v) at y, and [y after s(v) in the reflected word]
-    places = oracle._code_places(n).sum(axis=0)
     s_refl = np.take_along_axis(refl, s_img, axis=1)
-    head, tail = terms(np.stack((s_img[:, None, :] * places[:, None], refl[:, :, None] > s_refl[:, None, :])))
-    prefix, suffix = oracle._rank_tables(n)
+    head, tail = terms(np.stack((s_img[:, None, :] * split.places[:, None], refl[:, :, None] > s_refl[:, None, :])))
     hd, tl = t.inv_parts
     diag = plane._take(head[0] * n ** (n - h), hd, None, axis=1) + plane._take(tail[0], tl, None, axis=1)
-    rank = plane._take(prefix[head[0]], hd, None, axis=1) + plane._take(suffix[tail[0]], tl, None, axis=1)
+    rank = plane._take(split.prefix[head[0]], hd, None, axis=1) + plane._take(split.suffix[tail[0]], tl, None, axis=1)
     exc_refl = plane._take(head[1], hd, None, axis=1) + plane._take(tail[1], tl, None, axis=1)
     trivial = _cycle_sums(pos, t.pi_cycles, t.pi_cycles.before)
     trivial_refl = _cycle_sums(refl, t.lex_cycles, t.lex_cycles.after)
@@ -227,28 +212,22 @@ def _array_bad_counts(words: np.ndarray, s_img: np.ndarray, tables: _ArrayTables
 class _TranspositionTables(NamedTuple):
     """What the transposition checks at one n read besides the words and
     the verticals: the diagonals D; the block transpositions
-    (plane._moves); ``places``, the place value of each image in the
-    base-n code, from the rank code places (oracle._code_places);
-    and ``counts``, the cycle count of the permutation of each base-n code
-    (from the table of _cycle_counts_by_rank), and -n at a code of no
-    permutation."""
+    (plane._moves); and ``counts``, the cycle count of the permutation of
+    each base-n code (from the table of _cycle_counts_by_rank), and -n at a
+    code of no permutation."""
 
     diags: np.ndarray
     moves: plane._Moves
-    places: np.ndarray
     counts: np.ndarray
 
 
-def _transposition_tables(
-    diags: np.ndarray, moves: plane._Moves, places: np.ndarray, cc: np.ndarray
-) -> _TranspositionTables:
+def _transposition_tables(diags: np.ndarray, moves: plane._Moves, cc: np.ndarray) -> _TranspositionTables:
     """The _TranspositionTables of the diagonals ``diags`` (n, (n-1)!),
-    stored element first, with the rank code places ``places`` and the
-    cycle counts ``cc`` by lex rank."""
+    stored element first, with the cycle counts ``cc`` by lex rank."""
     n = len(diags)
     counts = np.full(n**n, -n, dtype=np.int8)
     counts[oracle._code(n, oracle._shared(oracle._all_perm_rows, n).T)] = cc
-    return _TranspositionTables(diags, moves, places[0] * n ** min(oracle._TAIL, n) + places[1], counts)
+    return _TranspositionTables(diags, moves, counts)
 
 
 def _transposed_codes(
@@ -267,8 +246,9 @@ def _transposed_codes(
     source = np.broadcast_to(np.arange(n), (b, hs, n)).copy()  # source[w, h, x] = rho⁻¹(x)
     turned, moved = (words[:, rows].transpose(0, 2, 1) for rows in (t.moves.turned, t.moves.moved))
     np.put_along_axis(source, turned, moved, axis=2)
-    codes = np.matmul(t.places[source].astype(np.float32), verticals.astype(np.float32))
-    return codes.astype(np.int64), t.places @ verticals
+    places = n ** np.arange(n - 1, -1, -1)  # of each image in the base-n code
+    codes = np.matmul(places[source].astype(np.float32), verticals.astype(np.float32))
+    return codes.astype(np.int64), places @ verticals
 
 
 def _transposition_bad_count(words: np.ndarray, verticals: np.ndarray, tables: _TranspositionTables) -> int:

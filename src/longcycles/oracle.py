@@ -17,15 +17,16 @@ tallies the verticals by (block types, exceedance count), the cycle type
 again being the one-block case.  The factorizations c1∘c2 = D into long
 cycles are its arrays with s = c1 whose vertical, c2⁻¹, is a long cycle.
 
-Every lex rank is read from _rank_tables(n), split after a permutation's
-first h = n - min(_TAIL, n) images.  The word-walk tables of one n, the
-cycle words, _cycle_words(n), the long cycles, _long_cycles(n), and the
-permutation rows, _all_perm_rows(n, tail), are read through _shared.  They
-are not cached for the process: inside _run_tables, which verify.run_suites
-holds for one run, every sweep and suite at n <= 7 shares one of each per n,
-dropped when the run returns; elsewhere each caller builds its own and drops
-it with its locals.  The pair kernel's tables, _pair_tables(n), are a local
-of the sweep.
+Every kernel splits a permutation after its first h images, its head, in
+one way per n, _split(n), the only place that h is worked out: each lex
+rank, head, tail and place value is read from it.  The word-walk tables of
+one n, the cycle words, _cycle_words(n), the long cycles, _long_cycles(n),
+and the permutation rows, _all_perm_rows(n, tail), are read through
+_shared.  They are not cached for the process: inside _run_tables, which
+verify.run_suites holds for one run, every sweep and suite at n <= 7 shares
+one of each per n, dropped when the run returns; elsewhere each caller
+builds its own and drops it with its locals.  The pair kernel's tables,
+_pair_tables(n), are a local of the sweep.
 
 Sweeps with a worker count cut their index range into contiguous chunks,
 one per worker, and _chunk_sum adds up the chunks' counts: the pair sweep
@@ -55,10 +56,10 @@ and the pair counts by block types, _pair_array(n, alpha), are dense int64
 arrays with one entry per block-type key of alpha, for the verify suites.
 
 The full plane sweep, _plane_codes(n), walks the verticals by their
-inverses q in lex order: per word, head terms per head group of q plus tail
-terms per tail arrangement (_part_sums), fused as rank * (n + 1) +
-exceedances and binned through one per-n table, tbx.  The plane suite of
-verify splits its per-array quantities the same way.
+inverses q in lex order: per word, a term per head of q plus a term per
+tail (_split_sums), fused as rank * (n + 1) + exceedances and binned
+through one per-n table, tbx.  The plane suite of verify splits its
+per-array quantities on the same split.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -85,7 +86,7 @@ from ._version import __version__
 from .errors import DomainError, ResourceLimitError
 from .partitions import Composition, _partition_list, _partition_sequence_keys, format_d_key, format_seq_key, format_type_key
 from .permutations import Permutation
-from .plane import _cycle_minima, _flat, _part_columns, _part_sums, _squarings, _take
+from .plane import _cycle_minima, _flat, _part_sums, _squarings, _take
 
 __all__ = [
     "CountTable",
@@ -199,47 +200,61 @@ def _code(base: int, digits):
 _TAIL = 4
 
 
-@cache
-def _rank_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lookup tables for the lex rank of a permutation of range(n), split
-    after its first h = n - min(_TAIL, n) images.
+class _Split(NamedTuple):
+    """The split of the permutations of range(n) after their first h
+    images, their head; the last k = n - h are their tail:
+    - ``places[j]``: the place value of image j in the base-n code of its
+      part, the head or the tail;
+    - ``prefix[code of a head]``: its lex index among the h-arrangements of
+      range(n), times k!; ``suffix[code of a tail]``: the lex rank of its
+      pattern; a lex rank is the sum of the two;
+    - ``tail_of[code of a tail]``: its index among the k-arrangements of
+      range(n) in lex order;
+    - ``heads``, ``tails``: the columns of _part_sums for every head and
+      every tail in lex order: row i holds the flat index of (position,
+      image) of the i-th position of the part into an (n, n) digit table."""
 
-    ``prefix[code of the first h images]`` is the lex index of that
-    h-arrangement times (n - h)!, and ``suffix[code of the last n - h
-    images]`` is the lex rank of their relative order; the lex rank is the
-    sum.  The tables have n^h and n^(n-h) entries: under 1 MB up to n = 9.
-    """
+    h: int
+    places: np.ndarray
+    prefix: np.ndarray
+    suffix: np.ndarray
+    tail_of: np.ndarray
+    heads: np.ndarray
+    tails: np.ndarray
+
+
+@cache
+def _split(n: int) -> _Split:
+    """The _Split of n, after the first h = n - min(_TAIL, n) images: 1.3 MB
+    at n = 9, and no table of n! or (n-1)! rows."""
     h = n - min(_TAIL, n)
-    tail = math.factorial(n - h)
+    k = n - h
+    places = n ** np.r_[np.arange(h - 1, -1, -1), np.arange(k - 1, -1, -1)]
+    heads, tails = (np.array(list(itertools.permutations(range(n), m)), dtype=np.int64) for m in (h, k))
     prefix = np.zeros(n**h, dtype=np.int64)
-    for i, head in enumerate(itertools.permutations(range(n), h)):
-        prefix[_code(n, head)] = i * tail
-    suffix = np.zeros(n ** (n - h), dtype=np.int64)
-    for values in itertools.combinations(range(n), n - h):
+    prefix[heads @ places[:h]] = np.arange(len(heads)) * math.factorial(k)
+    suffix, tail_of = np.zeros((2, n**k), dtype=np.int64)
+    tail_of[tails @ places[h:]] = np.arange(len(tails))
+    for values in itertools.combinations(range(n), k):
         for j, order in enumerate(itertools.permutations(values)):
             suffix[_code(n, order)] = j
-    return prefix, suffix
+    columns = ((part + np.arange(lo, lo + part.shape[1]) * n).T.copy() for part, lo in ((heads, 0), (tails, h)))
+    return _Split(h, places, prefix, suffix, tail_of, *columns)
+
+
+def _split_sums(digits: np.ndarray, split: _Split) -> tuple[np.ndarray, np.ndarray]:
+    """(heads, tails) for ``digits`` (b, n, n), one table per word of a value
+    for each position and image: the _part_sums of every head of ``split``
+    over the first h positions, and of every tail over the rest."""
+    return _part_sums(digits, split.heads), _part_sums(digits, split.tails)
 
 
 def _lex_rank(n: int, columns):
     """Lex rank among all n! permutations of range(n).  ``columns[j]`` holds
     the image of j: an int, or an integer array ranking many permutations
     at once."""
-    prefix, suffix = _rank_tables(n)
-    h = n - min(_TAIL, n)
-    return prefix[_code(n, columns[:h])] + suffix[_code(n, columns[h:])]
-
-
-def _code_places(n: int) -> np.ndarray:
-    """(2, n) place values: ``places @ columns`` is the (head, tail) code pair
-    that _lex_rank looks up, for columns stored element first.  Row 0 holds
-    the place value of each image in the head code, zero in the tail, and row
-    1 those of the tail code."""
-    h = n - min(_TAIL, n)
-    places = np.zeros((2, n), dtype=np.int64)
-    places[0, :h] = n ** np.arange(h - 1, -1, -1)
-    places[1, h:] = n ** np.arange(n - h - 1, -1, -1)
-    return places
+    split = _split(n)
+    return split.prefix[_code(n, columns[: split.h])] + split.suffix[_code(n, columns[split.h :])]
 
 
 # the word-walk tables of the open run (_run_tables) by builder and
@@ -387,21 +402,21 @@ def _pair_tables(n: int) -> tuple[np.ndarray, ...]:
     the code of every product at once.  ``high`` is pairs times n^2, so that
     the code of images a, b, c, d is one add, high[ab] + pairs[cd].
 
-    With k = min(_TAIL, n), ``head_of`` and ``pattern_of`` are _rank_tables(n)
-    over k! and times n!/k!, the number of heads: the lex index of the first
-    n - k images and the lex rank of the last k images' pattern times n!/k!.
-    Their sum is the pattern-major index, pattern * n!/k! + head, of the
-    permutation of lex rank head * k! + pattern; ``sources`` is
-    _pattern_sources(k), and row i of ``least`` the lex-least permutation
-    with head index i."""
+    With the head and the tail of _split(n), of h and k = n - h images,
+    ``head_of`` and ``pattern_of`` are its prefix over k! and its suffix
+    times n!/k!, the number of heads: the lex index of the head and the lex
+    rank of the tail's pattern times n!/k!.  Their sum is the pattern-major
+    index, pattern * n!/k! + head, of the permutation of lex rank head * k!
+    + pattern; ``sources`` is _pattern_sources(k), and row i of ``least``
+    the lex-least permutation with head index i."""
     cyc_t = _shared(_long_cycles, n).T.copy()
     pairs = (cyc_t[:, None, :] * n + cyc_t[None, :, :]).reshape(n * n, -1)
-    k = min(_TAIL, n)
-    prefix, suffix = _rank_tables(n)
+    split = _split(n)
+    k = n - split.h
     block = math.factorial(k)
     heads = math.factorial(n) // block
     least = _shared(_all_perm_rows, n, k)
-    return cyc_t, pairs, pairs * (n * n), prefix // block, suffix * heads, _pattern_sources(k), least
+    return cyc_t, pairs, pairs * (n * n), split.prefix // block, split.suffix * heads, _pattern_sources(k), least
 
 
 def _pattern_sources(k: int) -> np.ndarray:
@@ -425,10 +440,10 @@ def _fact_chunk(n: int, tables: tuple[np.ndarray, ...], lo: int, hi: int) -> np.
     Every product is composed and counted once, as (c1∘q)∘tau, with no
     symmetry of the counts.
 
-    With k = min(_TAIL, n), the second factors fall into head groups by their
-    first n - k images: c2 = q∘tau, q the lex-least permutation with that
+    The second factors fall into head groups by their head, their first h
+    images in _split(n): c2 = q∘tau, q the lex-least permutation with that
     head (the head, then the other values in order) and tau the pattern of
-    c2's last k images, acting on those positions.  Lex rank obeys
+    c2's last k = n - h images, acting on those positions.  Lex rank obeys
     rank(pi∘tau) = rank(pi) - rank(pi) mod k! + rank(sigma∘tau), sigma the
     pattern of pi's tail.  So the products c1∘q are ranked once per group, and
     the groups whose sets of patterns agree form a class: one accumulator
@@ -438,8 +453,8 @@ def _fact_chunk(n: int, tables: tuple[np.ndarray, ...], lo: int, hi: int) -> np.
     at the end."""
     sig, rows = _signatures(n)
     cyc_t, pairs, high, head_of, pattern_of, sources, least = tables
-    k = min(_TAIL, n)
-    block = math.factorial(k)
+    h = _split(n).h
+    block = math.factorial(n - h)
     heads = len(sig) // block
 
     def code(images):
@@ -461,7 +476,7 @@ def _fact_chunk(n: int, tables: tuple[np.ndarray, ...], lo: int, hi: int) -> np.
     # group g holds the second factors with head index head[g], one for each
     # pattern tau set in the bit mask masks[g]
     second = cyc_t[:, lo:hi]
-    index = head_of[_code(n, second[: n - k])] + pattern_of[_code(n, second[n - k :])]
+    index = head_of[_code(n, second[:h])] + pattern_of[_code(n, second[h:])]
     head, group = np.unique(index % heads, return_inverse=True)
     masks = np.zeros(len(head), dtype=np.int64)
     np.bitwise_or.at(masks, group, 1 << index // heads)
@@ -473,7 +488,7 @@ def _fact_chunk(n: int, tables: tuple[np.ndarray, ...], lo: int, hi: int) -> np.
         acc[:] = 0
         for g in members:
             q = qs[g].tolist()
-            np.add.at(acc, head_of[code(q[: n - k])] + pattern_of[code(q[n - k :])], 1)
+            np.add.at(acc, head_of[code(q[:h])] + pattern_of[code(q[h:])], 1)
         for tau in range(block):
             if mask >> tau & 1:
                 by_pattern += acc.reshape(block, heads)[sources[:, tau]]
@@ -727,57 +742,38 @@ def _plane_batch(n: int) -> int:
 
 
 def _plane_tables(n: int) -> tuple:
-    """(words, cycles, tbx, sig_off, tail_of, head, tail): the tables of
+    """(words, cycles, tbx, sig_off, tail_of, places, luts): the tables of
     _plane_chunk.  Over q = pi⁻¹ in lex order: ``tail_of[q]``, the index of
-    q's last k = min(_TAIL, n) images among the injective k-tuples, and
-    ``sig_off[q]`` = sig[rank(q⁻¹)] * (n + 1).  ``tbx[x]`` = type_base[x //
-    (n + 1)] + x % (n + 1).  ``head`` and ``tail``: (places, columns, lut)
-    of _part_codes over the head images and the tail tuples."""
-    words = _shared(_cycle_words, n)
-    k = min(_TAIL, n)
-    h = n - k
+    q's tail in _split(n), and ``sig_off[q]`` = sig[rank(q⁻¹)] * (n + 1).
+    ``tbx[x]`` = type_base[x // (n + 1)] + x % (n + 1).  ``places[y]``: the
+    split's place value of position y times one more than the size m of its
+    part, so that a part's digits, s(q(y)) * places[y] + [y after q(y)],
+    sum to code * (m + 1) + e; the head's and the tail's ``luts`` map that
+    to the part's rank term * (n + 1) + e."""
+    split = _split(n)
+    h, k = split.h, n - split.h
     qs = _shared(_all_perm_rows, n)
     sig, rows = _signatures(n)
     types = _partition_list(n)
     type_of = np.array([types.index(_cycle_type(row)) for row in rows.tolist()])  # signature id -> type index
     tbx = ((type_of * (len(rows) * (n + 1)))[sig][:, None] + np.arange(n + 1)).ravel()
     sig_off = sig[_lex_rank(n, np.argsort(qs, axis=1).T)] * (n + 1)
-    arrangements = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64).reshape(-1, k)
-    index = np.zeros(n**k, dtype=np.int64)
-    index[_code(n, arrangements.T)] = np.arange(len(arrangements))
-    tail_of = index[_code(n, qs[:, h:].T)]
-    heads = qs[:: math.factorial(k), :h]
-    prefix, suffix = _rank_tables(n)
-
-    def part(images: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        m = images.shape[1]
-        places = n ** np.arange(m - 1, -1, -1) * (m + 1)
-        lut = (ranks[:, None] * (n + 1) + np.arange(m + 1)).ravel()
-        return places, _part_columns(images, n), lut
-
-    return words, _shared(_long_cycles, n), tbx, sig_off, tail_of, part(heads, prefix), part(arrangements, suffix)
-
-
-def _part_codes(s_img: np.ndarray, later: np.ndarray, cols: range, part: tuple) -> np.ndarray:
-    """``codes[w, t]`` = rank * (n + 1) + e for the m-tuples t of ``part``
-    as images of the positions ``cols`` of q, per word: the rank term of
-    s(t) and e = #{y in cols : y after q(y)}.  A digit table per word,
-    s(x) * places[i] + [cols[i] after x], summed over the positions of t
-    (_part_sums), then the part's lut."""
-    places, columns, lut = part
-    digits = s_img[:, None, :] * places[:, None] + later[:, :, cols].transpose(0, 2, 1)
-    return lut.take(_part_sums(digits, columns))
+    tail_of = split.tail_of[_code(n, qs[:, h:].T)]
+    places = split.places * np.repeat([h + 1, k + 1], [h, k])
+    parts = ((split.prefix, h), (split.suffix, k))
+    luts = [(ranks[:, None] * (n + 1) + np.arange(m + 1)).ravel() for ranks, m in parts]
+    return _shared(_cycle_words, n), _shared(_long_cycles, n), tbx, sig_off, tail_of, places, luts
 
 
 def _plane_chunk(n: int, tables: tuple, lo: int, hi: int) -> np.ndarray:
     """The flat counts of _plane_codes(n) over cycle words lo..hi-1, from
-    ``tables``, _plane_tables(n).  Per batch of words, the fused codes of
-    the head groups and of the tail tuples (_part_codes); per word, one
-    gather and one broadcast add give every code, one gather from ``tbx``
-    and one add its bin."""
-    words, cycles, tbx, sig_off, tail_of, head, tail = tables
-    h = n - min(_TAIL, n)
-    groups = len(sig_off) // math.factorial(n - h)
+    ``tables``, _plane_tables(n).  Per batch of words, one digit table per
+    word gives the fused codes of every head and every tail (_split_sums,
+    then the luts); per word, one gather and one broadcast add give every
+    code, one gather from ``tbx`` and one add its bin."""
+    words, cycles, tbx, sig_off, tail_of, places, (head_lut, tail_lut) = tables
+    split = _split(n)
+    groups = split.heads.shape[1]
     acc = np.zeros(len(_partition_list(n)) * len(_signatures(n)[1]) * (n + 1), dtype=np.int64)
     batch = _plane_batch(n)
     codes = np.empty((batch, len(sig_off)), dtype=np.int64)
@@ -786,10 +782,11 @@ def _plane_chunk(n: int, tables: tuple, lo: int, hi: int) -> np.ndarray:
         s_img = cycles[start : min(start + batch, hi)]  # one word per line
         m = len(s_img)
         pos = np.argsort(words[start : start + m], axis=1)  # pos[w, x]: index of x in word w
-        later = pos[:, None, :] > pos[:, :, None]  # later[w, x, y]: y after x in word w
-        x = _take(_part_codes(s_img, later, range(h, n), tail), tail_of, codes[:m], axis=1)
+        after = pos[:, :, None] > pos[:, None, :]  # after[w, y, x]: y after x in word w
+        head, tail = _split_sums(s_img[:, None, :] * places[:, None] + after, split)
+        x = _take(tail_lut.take(tail), tail_of, codes[:m], axis=1)
         grouped = x.reshape(m, groups, -1)  # a view: the q's of head group g are row g
-        grouped += _part_codes(s_img, later, range(h), head)[:, :, None]
+        grouped += head_lut.take(head)[:, :, None]
         np.add(_take(tbx, x, bins[:m]), sig_off, out=bins[:m])
         acc += np.bincount(bins[:m].ravel(), minlength=acc.size)
     return acc

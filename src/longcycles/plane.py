@@ -97,18 +97,12 @@ def _cycle_minima(
     return low.reshape(perms.shape)
 
 
-def _part_columns(arrangements: np.ndarray, n: int) -> np.ndarray:
-    """The ``columns`` of _part_sums for m-arrangements of range(n), one
-    per row of ``arrangements``: row i holds the flat index of (i, the i-th
-    image) into a digit table of m positions times n images."""
-    return (arrangements + np.arange(arrangements.shape[1]) * n).T.copy()
-
-
 def _part_sums(digits: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """``sums[w, a]`` = the sum over positions i of digits[w, i, t(i)], t the
-    a-th arrangement of the part (_part_columns): the per-word term of every
-    arrangement, from ``digits`` (b, m, n), one table per word of a value
-    for each position i and image."""
+    """``sums[w, a]`` = the sum over the part's positions i of digits[w, i,
+    t(i)], t its a-th arrangement: the per-word term of every arrangement,
+    from ``digits`` (b, n, n), one table per word of a value for each
+    position and image.  Row j of ``columns`` (oracle._split) holds the flat
+    index of (the part's j-th position, its image) in every arrangement."""
     flat = digits.reshape(len(digits), -1)
     sums = np.zeros((len(digits), columns.shape[1]), dtype=np.int64)
     for column in columns:

@@ -532,7 +532,7 @@ def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityRe
         # block transpositions over pairs of long cycles (s, D), vertical D⁻¹∘s
         moves = plane._moves(n)
         diags, diags_inv = cycles.T.copy(), np.argsort(cycles, axis=1).T.copy()
-        transpositions = checks._transposition_tables(diags, moves, oracle._code_places(n), cc)
+        transpositions = checks._transposition_tables(diags, moves, cc)
 
         def bad_counts(lo: int, hi: int) -> np.ndarray:
             # the failures of the three per-array checks, then of the transpositions

@@ -1,3 +1,4 @@
+import ast
 import functools
 import gc
 import hashlib
@@ -13,9 +14,12 @@ import time
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longcycles import (
     Composition,
@@ -194,7 +198,7 @@ class TestSweepPairs:
 
 
 class TestLexRank:
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 10))  # to HARD_LIMIT, where the head first has 5 images
     def test_ranks_every_permutation_in_lex_order(self, n):
         ranks = _lex_rank(n, _all_perm_rows(n).T)
         assert np.array_equal(ranks, np.arange(math.factorial(n)))
@@ -238,6 +242,48 @@ class TestLexRank:
         n = oracle.PLANE_SWEEP_LIMIT + 1
         with pytest.raises(ResourceLimitError, match="plane"):
             _plane_array(n, (n,))
+
+
+class TestSplit:
+    """oracle._split(n), the one lex split every kernel reads, against
+    itertools, up to the pair sweep's top size."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_tail_of_numbers_the_tails_in_lex_order(self, n):
+        split = oracle._split(n)
+        tails = np.array(list(itertools.permutations(range(n), n - split.h)))
+        assert split.tail_of[oracle._code(n, tails.T)].tolist() == list(range(len(tails)))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_split_sums_over_every_head_and_tail_in_lex_order(self, n):
+        split = oracle._split(n)
+        h = split.h
+        digits = np.random.default_rng(n).integers(0, 1000, (2, n, n))
+        heads, tails = (np.array(list(itertools.permutations(range(n), m)), dtype=np.int64) for m in (h, n - h))
+        head, tail = oracle._split_sums(digits, split)
+        assert np.array_equal(head, digits[:, np.arange(h), heads].sum(axis=2))
+        assert np.array_equal(tail, digits[:, np.arange(h, n), tails].sum(axis=2))
+        assert split.places.tolist() == [n ** (h - 1 - j) for j in range(h)] + [n ** (n - 1 - j) for j in range(h, n)]
+
+    def test_only_the_split_reads_the_tail_size(self):
+        # the head and tail sizes are worked out in _split alone, so that no
+        # kernel can split a permutation anywhere else
+        readers = []
+
+        def visit(node, path, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = scope or child.name
+                elif isinstance(child, ast.Name) and child.id == "_TAIL" and isinstance(child.ctx, ast.Load):
+                    readers.append((path.name, scope))
+                elif isinstance(child, ast.Attribute) and child.attr == "_TAIL":
+                    readers.append((path.name, scope))
+                visit(child, path, inner)
+
+        for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text()), path, None)
+        assert readers == [("oracle.py", "_split")]
 
 
 class TestPlaneTallies:
@@ -305,14 +351,14 @@ class TestPlaneCodesByDiagonals:
         # two tail arrangements of one value set trade lex ranks: at n = 5
         # the identity and the transposition (4 5) swap places in the plane codes
         n = 5
-        real = oracle._rank_tables
+        real = oracle._split
 
         def swapped(k):
-            prefix, suffix = real.__wrapped__(k)  # fresh arrays: the cached tables stay whole
+            split = real.__wrapped__(k)  # fresh arrays: the cached split stays whole
             if k == n:  # classic_reports(n) also reads n = 2..4, which stay whole
                 i, j = oracle._code(n, (1, 2, 3, 4)), oracle._code(n, (1, 2, 4, 3))
-                suffix[[i, j]] = suffix[[j, i]]
-            return prefix, suffix
+                split.suffix[[i, j]] = split.suffix[[j, i]]
+            return split
 
         def clear():
             for table in (real, _plane_array):
@@ -322,7 +368,7 @@ class TestPlaneCodesByDiagonals:
 
         clear()
         product_pair_counts(n)  # the pair counts come from the whole tables
-        monkeypatch.setattr(oracle, "_rank_tables", swapped)
+        monkeypatch.setattr(oracle, "_split", swapped)
         try:
             assert not np.array_equal(_plane_codes(n), _plane_codes_by_diagonals(n))
             failed = {r.identity for r in verify.classic_reports(n) if not r.passed}
@@ -356,8 +402,8 @@ def reference_plane_codes(n):
     stride = len(rows) * (n + 1)
     type_base = type_of[sig] * stride  # lex rank of a diagonal -> the first index of its type
     sig_base = sig * (n + 1)  # lex rank of a vertical -> the first index of its signature within a type
-    prefix, suffix = oracle._rank_tables(n)
-    h = n - min(oracle._TAIL, n)
+    split = oracle._split(n)
+    prefix, suffix, h = split.prefix, split.suffix, split.h
     inv_head, inv_tail = oracle._code(n, pinv_t[:h]), oracle._code(n, pinv_t[h:])
     img_head, img_tail = oracle._code(n, perms[:h]), oracle._code(n, perms[h:])
     acc = np.zeros(len(types) * stride, dtype=np.int64)
@@ -624,6 +670,24 @@ class TestMinLengths:
 
     def test_empty_batch(self):
         assert _min_lengths(_all_perm_rows(5).T[:, :0]).shape == (5, 0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(6, 10).flatmap(lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=8)))
+    def test_length_codes_and_unique_rows_against_cycles(self, columns):
+        # past the exhaustive tests, where the tables take more than one pass:
+        # a drawn batch, stored element first as a transposed view
+        perms = np.array(columns).T
+        n, m = perms.shape
+        codes = np.empty(m, dtype=np.int64)
+        oracle._length_codes(perms, codes, oracle._pass_buffers(n, m))
+        ids, rows = oracle._unique_rows(codes, n)
+        for r, column in enumerate(columns):
+            expected = [0] * n
+            for cycle in Permutation(tuple(x + 1 for x in column)).cycles():
+                expected[cycle[0] - 1] = len(cycle)
+            assert codes[r] == oracle._code(n + 1, expected)
+            assert rows[ids[r]].tolist() == expected
+        assert len(rows) == len(set(codes.tolist())) and np.all(np.diff(oracle._code(n + 1, rows.T)) > 0)
 
     # sha256 of sig.tobytes() + rows.tobytes(), pinned while _min_lengths
     # walked the transposed view of _all_perm_rows(n), n = 9 in passes of 8! columns
@@ -988,11 +1052,11 @@ class TestCodeTables:
         assert 5 not in oracle._pair_counts_cache
 
     def test_no_whole_permutation_table_stays_behind(self, clear_pair_caches):
-        # a cold n = 8 sweep keeps the signatures, the rank tables and the
+        # a cold n = 8 sweep keeps the signatures, the split and the
         # counts, and nothing of the size of the table of all 8!
         # permutations (2.46 MiB)
         clear_pair_caches()
-        for table in (_signatures, oracle._rank_tables):
+        for table in (_signatures, oracle._split):
             table.cache_clear()
         tracemalloc.start()
         try:

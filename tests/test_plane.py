@@ -1,13 +1,17 @@
+import functools
 import hashlib
+import inspect
 import itertools
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import longcycles
 from longcycles import Permutation, PlanePermutation, _plane_checks, compose, oracle, plane, verify
 
 
@@ -281,7 +285,7 @@ class TestBatchedKernels:
         batch = np.stack([np.roll(perms, i, axis=1) for i in range(len(words))])
         # the codes read no diagonal: perms stands in for one
         cc = verify._cycle_counts_by_rank(n)
-        tables = _plane_checks._transposition_tables(perms, moves, oracle._code_places(n), cc)
+        tables = _plane_checks._transposition_tables(perms, moves, cc)
         codes, source_codes = _plane_checks._transposed_codes(words, batch, tables)
         for i, w in enumerate(words):
             new_words, bottoms = w[moves.src], batch[i][w[moves.image_src]]
@@ -332,10 +336,52 @@ def word_and_verticals(draw):
     return np.array(word), np.array(columns).T.copy()
 
 
+def lex_rank(image):
+    """The lex rank of a permutation of range(n) from its Lehmer code, read
+    without the oracle's split."""
+    rest, rank = sorted(image), 0
+    for x in image:
+        rank = rank * len(rest) + rest.index(x)
+        rest.remove(x)
+    return rank
+
+
+@functools.cache
+def plane_sweep_parts(n):
+    """The places and the head and tail luts of the plane sweep's tables,
+    and the index of every head and every tail in lex order, by itertools."""
+    *_, places, luts = oracle._plane_tables(n)
+    h = oracle._split(n).h
+    index = [{t: i for i, t in enumerate(itertools.permutations(range(n), m))} for m in (h, n - h)]
+    return places, luts, index
+
+
 class TestKernelsAgainstScalarRoutines:
-    """The plane suite's kernels at n = 6..8, past the exhaustive tests
-    above, where the lex split has more head digits, against the scalar
-    routines of PlanePermutation on a drawn word and batch of verticals."""
+    """The plane suite's kernels and the plane sweep's fused codes at
+    n = 6..8, past the exhaustive tests above, where the lex split has more
+    head digits, against the scalar routines of PlanePermutation on a drawn
+    word and batch of verticals."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(word_and_verticals())
+    def test_plane_sweep_fused_codes(self, case):
+        # per word, the head term of q = pi⁻¹'s head plus the tail term of its
+        # tail is rank(s∘q) * (n + 1) + the exceedances of (s, pi)
+        word, perms = case
+        n = len(word)
+        places, (head_lut, tail_lut), (head_index, tail_index) = plane_sweep_parts(n)
+        split = oracle._split(n)
+        s_img = np.array(Permutation.from_cycle_word(tuple((word + 1).tolist())).image) - 1
+        pos = np.argsort(word)
+        after = pos[:, None] > pos[None, :]  # after[y, x]: y after x in the word
+        head, tail = oracle._split_sums((s_img * places[:, None] + after)[None], split)
+        for column in perms.T.tolist():
+            q = np.argsort(column).tolist()
+            hd, tl = head_index[tuple(q[: split.h])], tail_index[tuple(q[split.h :])]
+            fused = head_lut[head[0, hd]] + tail_lut[tail[0, tl]]
+            p = to_plane(word, column)
+            exceedances = len(p.exceedance_stats().exceedances)
+            assert fused == lex_rank([x - 1 for x in p.diagonal().image]) * (n + 1) + exceedances
 
     @settings(max_examples=12, deadline=None)
     @given(word_and_verticals())
@@ -369,7 +415,7 @@ class TestKernelsAgainstScalarRoutines:
         diags = [p.diagonal() if data.draw(st.booleans()) else data.draw(others) for p in planes]
         diag_cols = np.array([d.image for d in diags]).T - 1
         cc = verify._cycle_counts_by_rank(n)
-        tables = _plane_checks._transposition_tables(diag_cols, plane._moves(n), oracle._code_places(n), cc)
+        tables = _plane_checks._transposition_tables(diag_cols, plane._moves(n), cc)
         codes, source_codes = _plane_checks._transposed_codes(word[None], perms[None], tables)
         expected = 0
         for r, (p, d) in enumerate(zip(planes, diags)):
@@ -420,55 +466,58 @@ class TestPlaneSuiteSeesFaults:
         diags = np.array([Permutation.from_cycle_word(tuple((w + 1).tolist())).image for w in words]).T - 1
         s_img = diags[:, 3]
         pi = np.argsort(diags, axis=0)[s_img]  # D⁻¹∘s for every D
-        return words[3], pi, diags, oracle._code_places(n), verify._cycle_counts_by_rank(n)
+        return words[3], pi, diags, verify._cycle_counts_by_rank(n)
 
-    def transposition_bad_count(self, word, pi, diags, places, cc):
-        tables = _plane_checks._transposition_tables(diags, plane._moves(self.n), places, cc)
+    def transposition_bad_count(self, word, pi, diags, cc):
+        tables = _plane_checks._transposition_tables(diags, plane._moves(self.n), cc)
         return _plane_checks._transposition_bad_count(word[None], pi[None], tables)
 
     def test_corrupted_diagonal(self):
-        word, pi, diags, places, cc = self.transposition_inputs()
+        word, pi, diags, cc = self.transposition_inputs()
         hs = legal_hs(self.n)
-        assert self.transposition_bad_count(word, pi, diags, places, cc) == 0
+        assert self.transposition_bad_count(word, pi, diags, cc) == 0
         diags[[0, 1], 5] = diags[[1, 0], 5]
-        assert self.transposition_bad_count(word, pi, diags, places, cc) == len(hs)
+        assert self.transposition_bad_count(word, pi, diags, cc) == len(hs)
 
     def test_corrupted_cycle_count_table(self):
-        word, pi, diags, places, cc = self.transposition_inputs()
+        word, pi, diags, cc = self.transposition_inputs()
         hs = legal_hs(self.n)
         cc[oracle._lex_rank(self.n, pi[:, 5])] += 1  # cc is a fresh array, not the cached table
         # every transposition of that array now moves the count by an odd number
-        assert self.transposition_bad_count(word, pi, diags, places, cc) >= len(hs)
+        assert self.transposition_bad_count(word, pi, diags, cc) >= len(hs)
 
     def test_wrong_rotation_of_the_moved_images(self, monkeypatch):
         # s_{i-1}, s_j, s_k take the images of s_k, s_{i-1}, s_j: every transposed
         # array breaks its diagonal, in the kernel and in the suite's report
         monkeypatch.setattr(plane, "_TURN", (2, 0, 1))
-        word, pi, diags, places, cc = self.transposition_inputs()
-        assert self.transposition_bad_count(word, pi, diags, places, cc) == len(legal_hs(self.n)) * pi.shape[1]
+        word, pi, diags, cc = self.transposition_inputs()
+        assert self.transposition_bad_count(word, pi, diags, cc) == len(legal_hs(self.n)) * pi.shape[1]
         reports = [r for r in verify.plane_structure_reports(self.n) if r.identity == "plane:transposition_action"]
         assert [r.lhs for r in reports] == [int(r.instance.split()[2]) for r in reports]
 
     def test_wrong_place_value_in_the_rank_delta(self, monkeypatch):
-        # the last image counted twice: the codes of pi and pi' go wrong, and so do their cycle counts
-        sound = oracle._code_places
-
-        def damaged(n):
-            places = sound(n)
-            places[1, -1] = 2
-            return places
-
-        word, pi, diags, _, cc = self.transposition_inputs()
-        assert self.transposition_bad_count(word, pi, diags, damaged(self.n), cc) > 0
-        monkeypatch.setattr(oracle, "_code_places", damaged)
+        # the last image counted twice in the place values of _transposed_codes, in a
+        # copy of the module built from its source: the codes of pi and pi' go wrong,
+        # and so do their cycle counts, in the kernel and in the suite's report
+        source = inspect.getsource(_plane_checks)
+        sound = "places = n ** np.arange(n - 1, -1, -1)"
+        assert source.count(sound) == 1
+        damaged = types.ModuleType(_plane_checks.__name__)
+        damaged.__package__ = _plane_checks.__package__
+        exec(compile(source.replace(sound, sound + "; places[-1] = 2"), _plane_checks.__file__, "exec"), vars(damaged))
+        word, pi, diags, cc = self.transposition_inputs()
+        tables = damaged._transposition_tables(diags, plane._moves(self.n), cc)
+        assert damaged._transposition_bad_count(word[None], pi[None], tables) > 0
+        assert self.transposition_bad_count(word, pi, diags, cc) == 0
+        monkeypatch.setattr(longcycles, "_plane_checks", damaged)
         reports = [r for r in verify.plane_structure_reports(self.n) if r.identity == "plane:transposition_action"]
         assert all(r.lhs > 0 for r in reports)
 
 
 class TestPlaneSuiteBatches:
     """The plane suite's batches of words against the loop of one word per
-    call that it replaced, at n = 6: its own batches of 56 words, and
-    batches of 7, which do not divide the 120 words."""
+    call that it replaced, at n = 6: its own batches of 16 words, and
+    batches of 7, neither of which divides the 120 words."""
 
     n = 6
 
@@ -476,8 +525,7 @@ class TestPlaneSuiteBatches:
         n = self.n
         cycles, rows = oracle._cycle_rows(oracle._cycle_words(n)), oracle._all_perm_rows(n)
         arrays = array_tables(rows.T.copy(), np.argsort(rows, axis=1).T.copy(), cc, cc)
-        places = oracle._code_places(n)
-        transpositions = _plane_checks._transposition_tables(cycles.T.copy(), plane._moves(n), places, cc)
+        transpositions = _plane_checks._transposition_tables(cycles.T.copy(), plane._moves(n), cc)
         return arrays, transpositions
 
     def per_word_counts(self, cc):

@@ -1041,8 +1041,8 @@ class TestRunner:
 # word-walk tables by n, the bytes that the run holds while the plane suite
 # runs, and whether the run still holds any table after it returns; or it
 # sums the traced memory allocated under oracle._shared that is held after
-# the run, less the rank tables, which are cached for the process wherever
-# they are first built
+# the run, less the lex split (oracle._split), which is cached for the
+# process wherever it is first built
 _RUN_TABLES_SCRIPT = """
 import collections, inspect, json, sys, tracemalloc
 from longcycles import oracle, verify
@@ -1081,11 +1081,11 @@ if sys.argv[1] == "count":
     verify.run_suites(verify.SUITES, 7, plane_max_n=6)
     print(json.dumps({"builds": builds, "during": during[0], "held": oracle._held is not None}))
 else:
-    shared, ranks = lines(oracle._shared), lines(oracle._rank_tables)
+    shared, split = lines(oracle._shared), lines(oracle._split)
     tracemalloc.start(10)
     verify.run_suites(verify.SUITES, 6, baserecur_max_n=6)
     traces = tracemalloc.take_snapshot().traces
-    print(sum(t.size for t in traces if under(t, shared) and not under(t, ranks)))
+    print(sum(t.size for t in traces if under(t, shared) and not under(t, split)))
 """
 
 
