@@ -25,7 +25,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from . import oracle
+from . import formulas, oracle
 from .errors import ResourceLimitError
 from .partitions import (
     _block_pieces,
@@ -54,32 +54,58 @@ def _grouped(copies: int, sizes: np.ndarray) -> np.ndarray:
     return np.arange(copies)[:, None] * size + ((copies - 1) * start + np.arange(ends[-1]))
 
 
+def _pieces(max_n: int) -> list[np.ndarray]:
+    """Per block size p = 0..max_n, the columns (z, S, weight, length) of the
+    partitions of p, the pieces of a block of size p (_block_pieces), as a
+    (4, P) array."""
+    return [np.array([piece[1:] for piece in _block_pieces(p).values()], dtype=np.int64).T for p in range(max_n + 1)]
+
+
+def _first_blocks(total: int, folded: list[np.ndarray]) -> list[tuple[int, int]]:
+    """(first, width) per first block of the keys of ``total``, from total
+    down to 1, with ``folded`` the columns of every smaller total: the keys
+    with that first block are the next ``width`` in key order."""
+    return [(first, len(_block_pieces(first)) * folded[total - first].shape[1]) for first in range(total, 0, -1)]
+
+
+def _fold_first(piece: np.ndarray, rest: np.ndarray, rest_sizes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into ``out``, (4, P * R), the columns (z, S, weight, length) of
+    the keys whose first block is one of the P pieces ``piece`` (_pieces)
+    and whose other blocks are one of the R keys ``rest`` (4, R) of a
+    smaller total, whose compositions have ``rest_sizes`` keys each; return
+    the key count of each composition of the segment.
+
+    z multiplies, S = sum_i S_i z / z_i, the odd splits' z, folds as S' z +
+    z' S, and the weight and the length add.  The outer product is laid out
+    by _grouped, so that every composition's keys stay together, the last
+    block fastest."""
+    z, s, w, length = piece[:, :, None]
+    rz, rs, rw, rlength = rest[:, None, :]
+    at = _grouped(len(z), rest_sizes)
+    out[0, at] = z * rz
+    out[1, at] = s * rz + z * rs
+    out[2, at] = w + rw
+    out[3, at] = length + rlength
+    return len(z) * rest_sizes
+
+
 def _key_columns(max_n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per total m = 0..max_n: the columns (z, S, weight, length) of every key
     of the key space of m, and the key count of each of its compositions.
 
     The keys of the compositions of m with first block ``first`` = m..1 are
-    the outer products of the pieces of ``first`` (_block_pieces) with the
-    keys of m - first: z multiplies, S = sum_i S_i z / z_i, the odd splits'
-    z, folds as S' z + z' S, and the weight and the length add.  Each
-    product is laid out by _grouped, so that every composition's keys stay
-    together, the last block fastest."""
-    pieces = [np.array([piece[1:] for piece in _block_pieces(p).values()], dtype=np.int64).T for p in range(max_n + 1)]
+    the outer products of the pieces of ``first`` with the keys of m -
+    first, one segment each (_fold_first)."""
+    pieces = _pieces(max_n)
     folded = [np.array([[1], [0], [0], [0]], dtype=np.int64)]
     sizes = [np.ones(1, dtype=np.int64)]
     for total in range(1, max_n + 1):
-        count = sum(pieces[first].shape[1] * folded[total - first].shape[1] for first in range(1, total + 1))
-        out, lo, segments = np.empty((4, count), dtype=np.int64), 0, []
-        for first in range(total, 0, -1):
-            z, s, w, length = pieces[first][:, :, None]
-            rz, rs, rw, rlength = folded[total - first][:, None, :]
-            at = lo + _grouped(len(z), sizes[total - first])
-            out[0, at] = z * rz
-            out[1, at] = s * rz + z * rs
-            out[2, at] = w + rw
-            out[3, at] = length + rlength
-            lo += at.size
-            segments.append(len(z) * sizes[total - first])
+        blocks = _first_blocks(total, folded)
+        out, lo, segments = np.empty((4, sum(width for _first, width in blocks)), dtype=np.int64), 0, []
+        for first, width in blocks:
+            rest, rest_sizes = folded[total - first], sizes[total - first]
+            segments.append(_fold_first(pieces[first], rest, rest_sizes, out[:, lo : lo + width]))
+            lo += width
         folded.append(out)
         sizes.append(np.concatenate(segments))
     return folded, sizes
@@ -181,8 +207,12 @@ def _require_exact(n: int, moves: list[tuple[np.ndarray, np.ndarray]]) -> int:
     bound in Python ints on the sum of every term that any side adds, from
     the largest count each term can read ((n-1)! n! plane permutations, n
     times as many exceedances, ((n-1)!)^2 pairs, z <= (n+1)!) and the
-    largest row sums of the split and step matrices (_key_moves).  Returns
-    the bound on the doubled sides."""
+    largest row sums of the split and step matrices (_key_moves).  Block
+    deletion's left sides add C(b, 2) times a pair count over the blocks b
+    of a composition of n + 1, at most C(n + 1, 2) counts, and its right
+    sides are (n-1)! times a product of Stirling numbers or factorials of
+    the blocks, at most (n-1)! (n+1)!.  Returns the bound on the doubled
+    sides."""
     fact = math.factorial(n - 1)
     planes, pairs, closed = fact * math.factorial(n), fact * fact, fact * math.factorial(n + 1)
     split, split_up = (_largest_row_sum(splits[0], splits[2]) for splits, _steps in moves[n : n + 2])
@@ -190,6 +220,7 @@ def _require_exact(n: int, moves: list[tuple[np.ndarray, np.ndarray]]) -> int:
     step, coefficient = _largest_row_sum(steps[0], steps[2]), int(steps[2].max(initial=0))
     pair_terms = (n + 1 + split) * (1 + coefficient + step) + split_up * step
     bound = (3 * n + 2 * split) * planes + pair_terms * pairs + 2 * (n + 1 + split) * closed
+    bound = max(bound, math.comb(n + 1, 2) * pairs, closed)  # and block deletion's
     if 2 * bound >= 2**62:
         raise ResourceLimitError(f"the classic and section3 suites at n={n} would overflow int64")
     return 2 * bound
@@ -397,6 +428,70 @@ def _section3_block(n: int, columns: list[np.ndarray], moves: list) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# block deletion: the refined separation counts against Stirling products
+
+_BLOCK_DELETION = ("block_deletion_total", "block_deletion_d[oracle]", "block_deletion_d[formula]")
+
+
+def _deletion_instances(n: int) -> Iterator[tuple[int, tuple[int, ...], list[tuple[int, ...]]]]:
+    """(index, beta, its d of the parity of n) per composition beta of n + 1,
+    in order: d runs over every vector with 1 <= d_j <= beta_j."""
+    for g, beta in enumerate(_compositions(n + 1)):
+        ds = itertools.product(*(range(1, b + 1) for b in beta))
+        yield g, beta, [d for d in ds if (sum(d) - n) % 2 == 0]
+
+
+def _deletion_texts(n: int) -> tuple[list[str], list[str]]:
+    heads, parts = [], [""]
+    for _g, beta, ds in _deletion_instances(n):
+        heads.append(f"n={n} beta={format_d_key(beta)}")
+        parts += (f" d={format_d_key(d)}" for d in ds)
+    return heads, parts
+
+
+def _block_deletion_block(n: int) -> tuple:
+    """The block of the block-deletion identities at n (the fields of a
+    _ReportBlock), the refined one certified from both the oracle's tables
+    and the closed form.  Per composition beta of n + 1: the total, then per
+    d of the parity of n the oracle's and the closed form's report.
+
+    Each left side sums, over the blocks b >= 2 of beta, C(b, 2) times an
+    entry of the composition with block b one element smaller: the oracle's
+    separated total or d-vector count (oracle._pairs_alpha_tables), or the
+    closed form's (formulas._separating_by_d_table, one per shrunk
+    composition and call), 0 where a table has no entry.  The sides are
+    summed in Python ints and doubled into int64, exact by _require_exact.
+
+    The d-summed form needs a block of size >= 2: with every block a
+    singleton there is no d of the right parity, and the closed right side
+    no longer applies."""
+    fact = math.factorial(n - 1)
+    stirling = formulas._stirling_cut(n, tuple(range(1, n + 2)))
+    closed: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    rows, part = [], 0  # rows: (code, beta's index, part, twice lhs, twice rhs) per report
+    for g, beta, ds in _deletion_instances(n):
+        # (C(b, 2), the oracle's and the closed form's tables of the shrunk
+        # composition) per block b >= 2
+        shrinks = []
+        for i, b in enumerate(beta):
+            if b >= 2:
+                b2 = beta[:i] + (b - 1,) + beta[i + 1 :]
+                if b2 not in closed:
+                    closed[b2] = formulas._separating_by_d_table(b2)
+                shrinks.append((math.comb(b, 2), oracle._pairs_alpha_tables(n, b2), closed[b2]))
+        if shrinks:
+            lhs = 2 * sum(coeff * pairs[2] for coeff, pairs, _ in shrinks)
+            rows.append((0, g, 0, lhs, fact * math.prod(map(math.factorial, beta))))
+        for d in ds:
+            part += 1
+            rhs = 2 * fact * math.prod(stirling[b][k] for b, k in zip(beta, d))
+            rows.append((1, g, part, 2 * sum(coeff * pairs[0].get(d, 0) for coeff, pairs, _ in shrinks), rhs))
+            rows.append((2, g, part, 2 * sum(coeff * table.get(d, 0) for coeff, _, table in shrinks), rhs))
+    codes, heads, parts, lhs, rhs = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    return _BLOCK_DELETION, codes.astype(np.int8), lhs, rhs, _KeyTexts(partial(_deletion_texts, n), heads, parts)
+
+
+# ---------------------------------------------------------------------------
 # pure partition algebra: baserecur
 
 
@@ -418,19 +513,40 @@ def _require_int64(max_n: int) -> None:
             raise ResourceLimitError(f"the baserecur suite at n={max_n} would overflow int64 at N={total}")
 
 
+def _sides(total: int, columns: np.ndarray, twice_lhs: np.ndarray, twice_rhs: np.ndarray) -> None:
+    """Write twice both sides of baserecur at the keys of ``total`` with
+    ``columns`` (z, S, weight, length): (N - length) z and S + z weight."""
+    z, s, w, length = columns
+    np.multiply(2 * (total - length), z, out=twice_lhs)
+    np.add(2 * s, z * w, out=twice_rhs)
+
+
 def _baserecur_columns(max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Twice the left and twice the right sides of baserecur at every total
-    N = 1..max_n, in its order, as int64 columns, from the columns of the
-    keys of each N (_key_columns), and the instance count of each
-    composition of each N in turn."""
-    folded, sizes = _key_columns(max_n)
-    twice_lhs, twice_rhs = np.empty((2, sum(out.shape[1] for out in folded[1:])), dtype=np.int64)
+    N = 1..max_n, in its order, as int64 columns, and the instance count of
+    each composition of each N in turn.
+
+    The keys of the totals below max_n are folded whole (_key_columns).  The
+    keys of max_n itself, the most of any total (61,697 of 98,023 instances
+    at max_n = 12), are read only for their two sides, so they are folded
+    one first block at a time (_fold_first) into one buffer, and each
+    segment's sides are written straight into the output."""
+    folded, sizes = _key_columns(max_n - 1)
+    pieces, blocks = _pieces(max_n), _first_blocks(max_n, folded)
+    count = sum(columns.shape[1] for columns in folded[1:]) + sum(width for _first, width in blocks)
+    twice_lhs, twice_rhs = np.empty((2, count), dtype=np.int64)
     done = 0
-    for total, (z, s, w, length) in enumerate(folded[1:], 1):
-        rows = slice(done, done + len(z))
-        np.multiply(2 * (total - length), z, out=twice_lhs[rows])
-        np.add(2 * s, z * w, out=twice_rhs[rows])
-        done += len(z)
+    for total, columns in enumerate(folded[1:], 1):
+        rows = slice(done, done + columns.shape[1])
+        _sides(total, columns, twice_lhs[rows], twice_rhs[rows])
+        done = rows.stop
+    buffer = np.empty((4, max(width for _first, width in blocks)), dtype=np.int64)
+    for first, width in blocks:
+        rows, rest = slice(done, done + width), folded[max_n - first]
+        folded[max_n - first] = None  # no later segment reads it
+        sizes.append(_fold_first(pieces[first], rest, sizes[max_n - first], buffer[:, :width]))
+        _sides(max_n, buffer[:, :width], twice_lhs[rows], twice_rhs[rows])
+        done = rows.stop
     return twice_lhs, twice_rhs, np.concatenate(sizes[1:])
 
 

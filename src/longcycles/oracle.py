@@ -22,11 +22,13 @@ one way per n, _split(n), the only place that h is worked out: each lex
 rank, head, tail and place value is read from it.  The word-walk tables of
 one n, the cycle words, _cycle_words(n), the long cycles, _long_cycles(n),
 and the permutation rows, _all_perm_rows(n, tail), are read through
-_shared.  They are not cached for the process: inside _run_tables, which
-verify.run_suites holds for one run, every sweep and suite at n <= 7 shares
-one of each per n, dropped when the run returns; elsewhere each caller
-builds its own and drops it with its locals.  The pair kernel's tables,
-_pair_tables(n), are a local of the sweep.
+_shared, and so are the pattern tables of the tails, _pattern_sources(k),
+and the key assignment of the signatures under each composition,
+_signature_keys(n, alpha).  None of them is cached for the process: inside
+_run_tables, which verify.run_suites holds for one run, every sweep, suite
+and tally at n <= 7 shares one of each, dropped when the run returns;
+elsewhere each caller builds its own and drops it with its locals.  The
+pair kernel's tables, _pair_tables(n), are a local of the sweep.
 
 Sweeps with a worker count cut their index range into contiguous chunks,
 one per worker, and _chunk_sum adds up the chunks' counts: the pair sweep
@@ -47,13 +49,18 @@ the distinct rows are decoded from the distinct codes at the end.
 The aggregations read per-n tables, each built once and shared by every
 call at that n: _signatures(n), the distinct length rows of all n!
 permutations with the row of each lex rank; _signature_sums(n), their
-prefix sums, from which _tally reads block separation; the pair counts by
+prefix sums, from which _keys reads block separation; the pair counts by
 row, product_pair_counts(n); and from those the rows of the cycle_type
 table, _pairs_type_rows(n), and the separated-prefix table,
-_pairs_sep_prefix(n).  The plane tallies, _plane_array(n, alpha), read the
-(count, exceedances) totals of the full plane sweep, _plane_totals(n).  They
-and the pair counts by block types, _pair_array(n, alpha), are dense int64
-arrays with one entry per block-type key of alpha, for the verify suites.
+_pairs_sep_prefix(n).  A tally by block types is the key assignment of a
+row set under alpha (_keys: the alpha-separated rows and the index of each
+one's block types) and a sum of counts over it (_key_sums): the pair counts
+by block types, _pairs_alpha_tables(n, alpha), and the plane tallies,
+_plane_array(n, alpha), which read the (count, exceedances) totals of the
+full plane sweep, _plane_totals(n), sum over one assignment of the
+signatures, _signature_keys(n, alpha).  The plane tallies and the pair
+counts by block types, _pair_array(n, alpha), are dense int64 arrays with
+one entry per block-type key of alpha, for the verify suites.
 
 The full plane sweep, _plane_codes(n), walks the verticals by their
 inverses q in lex order: per word, a term per head of q plus a term per
@@ -78,7 +85,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -107,6 +114,7 @@ PLANE_SWEEP_LIMIT = 7  # (n-1)! * n! plane permutations; 3.6M at n=7
 _ENV_CACHE_DIR = "LONGCYCLES_CACHE_DIR"
 
 _SeqKey = tuple[tuple[int, ...], ...]  # block types: one cycle type per block of alpha
+_T = TypeVar("_T")
 
 _log = logging.getLogger("longcycles")
 
@@ -257,16 +265,18 @@ def _lex_rank(n: int, columns):
     return split.prefix[_code(n, columns[: split.h])] + split.suffix[_code(n, columns[split.h :])]
 
 
-# the word-walk tables of the open run (_run_tables) by builder and
-# arguments, else None.  Module state, not an object passed down, since the
-# readers sit under cached calls (_signatures, _diag_rows) that take only n
-_held: dict[tuple, np.ndarray] | None = None
+# the tables of the open run (_run_tables) by builder and arguments, else
+# None.  Module state, not an object passed down, since the readers sit
+# under cached calls (_signatures, _diag_rows, _pairs_alpha_tables,
+# _plane_array) that take only n and alpha
+_held: dict[tuple, object] | None = None
 
 
 @contextmanager
 def _run_tables() -> Iterator[None]:
     """Inside the block, _shared builds each table of n <= PLANE_SWEEP_LIMIT
-    once, for every sweep and suite; they are dropped when the block exits."""
+    once, for every sweep, suite and tally; they are dropped when the block
+    exits."""
     global _held
     _held = {}
     try:
@@ -275,11 +285,13 @@ def _run_tables() -> Iterator[None]:
         _held = None
 
 
-def _shared(build: Callable[..., np.ndarray], n: int, *args: int) -> np.ndarray:
+def _shared(build: Callable[..., _T], n: int, *args: object) -> _T:
     """``build(n, *args)``: the run's table (_run_tables), or a new one, which
     lives as long as its caller holds it.  A run holds only n <=
-    PLANE_SWEEP_LIMIT: their tables take under 1 MB together, while the n!
-    rows of n = 9 alone take 26 MB."""
+    PLANE_SWEEP_LIMIT: at max_n = 7 its tables take 473 KB together (the
+    word-walk tables 431 KB, the key assignments of the 127 compositions
+    38 KB, the pattern tables 5 KB), while the n! rows of n = 9 alone take
+    26 MB."""
     if _held is None or n > PLANE_SWEEP_LIMIT:
         return build(n, *args)
     key = (build, n, *args)
@@ -341,7 +353,7 @@ def _cycle_type(lens: Sequence[int]) -> tuple[int, ...]:
 
 
 # _cycle_type of one block of a row, memoized by the block's entries as a
-# tuple: _tally passes each block sorted, so few distinct blocks reach it
+# tuple: _keys passes each block sorted, so few distinct blocks reach it
 _block_type = cache(_cycle_type)
 
 
@@ -362,17 +374,25 @@ def _signatures(n: int) -> tuple[np.ndarray, np.ndarray]:
 @cache
 def _signature_sums(n: int) -> np.ndarray:
     """The prefix sums of the rows of _signatures(n), along each row: the
-    table _tally reads the alpha-separated rows from, built once per n."""
+    table _keys reads the alpha-separated rows from, built once per n."""
     return np.cumsum(_signatures(n)[1], axis=1)
 
 
-def _tally(
-    rows: np.ndarray, sums: np.ndarray, counts: np.ndarray, alpha_parts: Sequence[int]
-) -> dict[_SeqKey, np.ndarray]:
-    """Block types -> the sum of ``counts[i]`` over the alpha-separated rows i
-    that have them, keyed in the order of their first row; ``sums`` holds the
-    prefix sums of the rows, np.cumsum(rows, axis=1).  With alpha = (n) the
-    keys are the cycle types, (lam,)."""
+class _Keys(NamedTuple):
+    """The key assignment of a row set under a composition alpha: ``ids``,
+    the alpha-separated rows; ``key_of[j]``, the index of the block types
+    of row ids[j] in ``keys``; and ``keys``, the block types, in the order
+    of their first row.  With alpha = (n) the keys are the cycle types,
+    (lam,)."""
+
+    ids: np.ndarray
+    key_of: np.ndarray
+    keys: list[_SeqKey]
+
+
+def _keys(rows: np.ndarray, sums: np.ndarray, alpha_parts: Sequence[int]) -> _Keys:
+    """The _Keys of ``rows`` under alpha; ``sums`` holds the prefix sums of
+    the rows, np.cumsum(rows, axis=1)."""
     cuts = np.cumsum(alpha_parts)
     ids = np.flatnonzero((sums[:, cuts - 1] == cuts).all(axis=1))
     # each block's entries in order, so that rows with equal block types have
@@ -380,14 +400,26 @@ def _tally(
     offsets = np.repeat(np.arange(len(cuts)) * (rows.shape[1] + 1), alpha_parts)
     blocks = np.sort(rows[ids] + offsets, axis=1) - offsets
     _, first, key_of = np.unique(_code(rows.shape[1] + 1, blocks.T), return_index=True, return_inverse=True)
-    totals = np.zeros((len(first), *counts.shape[1:]), dtype=counts.dtype)
-    np.add.at(totals, key_of, counts[ids])
-    order = np.argsort(first)
+    order = np.argsort(first)  # the keys by first row; np.argsort(order) ranks them
     key_rows = blocks[first[order]]
     # the block types of every key row, one block (a column range) at a time
     blocks_of = (key_rows[:, cut - part : cut].tolist() for part, cut in zip(alpha_parts, cuts))
     types = [map(_block_type, map(tuple, block)) for block in blocks_of]
-    return dict(zip(zip(*types), totals[order]))
+    return _Keys(ids, np.argsort(order)[key_of], list(zip(*types)))
+
+
+def _key_sums(keys: _Keys, counts: np.ndarray) -> np.ndarray:
+    """Entry k: the sum of ``counts[i]`` over the rows i of the assignment
+    with key k."""
+    totals = np.zeros((len(keys.keys), *counts.shape[1:]), dtype=counts.dtype)
+    np.add.at(totals, keys.key_of, counts[keys.ids])
+    return totals
+
+
+def _signature_keys(n: int, alpha_parts: tuple[int, ...]) -> _Keys:
+    """The _Keys of the rows of _signatures(n) under alpha, which the pair
+    counts and the plane tallies of (n, alpha) both read."""
+    return _keys(_signatures(n)[1], _signature_sums(n), alpha_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +448,8 @@ def _pair_tables(n: int) -> tuple[np.ndarray, ...]:
     block = math.factorial(k)
     heads = math.factorial(n) // block
     least = _shared(_all_perm_rows, n, k)
-    return cyc_t, pairs, pairs * (n * n), split.prefix // block, split.suffix * heads, _pattern_sources(k), least
+    sources = _shared(_pattern_sources, k)
+    return cyc_t, pairs, pairs * (n * n), split.prefix // block, split.suffix * heads, sources, least
 
 
 def _pattern_sources(k: int) -> np.ndarray:
@@ -625,8 +658,8 @@ def _pairs_alpha_tables(
     counts = product_pair_counts(n)
     d_table: dict[tuple[int, ...], int] = {}
     lam_table: dict[_SeqKey, int] = {}
-    for key, cnt in _tally(_signatures(n)[1], _signature_sums(n), counts, alpha_parts).items():
-        cnt = int(cnt)
+    keys = _shared(_signature_keys, n, alpha_parts)
+    for key, cnt in zip(keys.keys, _key_sums(keys, counts).tolist()):
         if cnt:
             d = tuple(len(c) for c in key)
             d_table[d] = d_table.get(d, 0) + cnt
@@ -705,8 +738,8 @@ def _diag_tallies(n: int, d_image: tuple[int, ...], alpha_parts: tuple[int, ...]
     diagonal whose vertical is alpha-separated with those block types and has
     a exceedances.  With alpha = (n) the keys are the cycle type, (lam,)."""
     rows, counts = _diag_rows(n, d_image)
-    tally = _tally(rows, np.cumsum(rows, axis=1), counts, alpha_parts)
-    return {key: by_a.tolist() for key, by_a in tally.items()}
+    keys = _keys(rows, np.cumsum(rows, axis=1), alpha_parts)
+    return dict(zip(keys.keys, _key_sums(keys, counts).tolist()))
 
 
 def count_factorizations(target: Permutation) -> int:
@@ -841,7 +874,8 @@ def _plane_array(n: int, alpha_parts: tuple[int, ...]) -> np.ndarray:
     whose diagonal has type index t, and the sum of their exceedance counts.
     With alpha = (n) the keys are the vertical's cycle types, (lam,)."""
     totals = _plane_totals(n)  # first: _plane_codes checks the sweep limit before any signature is built
-    tally = _tally(_signatures(n)[1], _signature_sums(n), totals, alpha_parts)
+    keys = _shared(_signature_keys, n, alpha_parts)
+    tally = dict(zip(keys.keys, _key_sums(keys, totals)))
     return _dense(tally, alpha_parts, np.zeros(totals.shape[1:], dtype=np.int64))
 
 

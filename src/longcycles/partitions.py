@@ -102,6 +102,7 @@ def _partition_list(n: int, maxpart: int | None = None) -> tuple[tuple[int, ...]
     return tuple(out)
 
 
+@cache
 def _compositions(n: int) -> tuple[tuple[int, ...], ...]:
     """Compositions of n, ordered by their cut patterns read as binary numbers."""
     out = []

@@ -85,8 +85,7 @@ class IdentityReport:
     The classic, section3 and baserecur suites keep their reports as
     columns (``_ReportBlock``) and build one only when it is indexed or
     iterated: its sides are then Python ints, or a ``Fraction`` when one is
-    a half.  Only section3's block-deletion reports, whose closed-form side
-    is read from tables built per call, are built as they are made.
+    a half.
     """
 
     identity: str
@@ -286,7 +285,7 @@ def classic_reports(max_n: int = 6, workers: int = 1) -> _Reports:
 
 def section3_reports(max_n: int = 6, workers: int = 1) -> _Reports:
     """The section3 suite at n = 2..max_n: per n one _ReportBlock, then the
-    block-deletion reports at n."""
+    block of the block-deletion reports at n."""
     oracle._require_scale("the section3 suite", max_n, _SUITE_LIMITS["section3"])
     from . import _columns
 
@@ -294,51 +293,17 @@ def section3_reports(max_n: int = 6, workers: int = 1) -> _Reports:
     parts: list = []
     for n in range(2, max_n + 1):
         oracle._plane_totals(n, workers)  # the plane sweep the columns read, split over the workers
-        parts += (_ReportBlock(*_columns._section3_block(n, columns, moves)), tuple(block_deletion_reports(n)))
+        parts += (_ReportBlock(*_columns._section3_block(n, columns, moves)), block_deletion_reports(n))
     return _Reports(parts)
 
 
-def block_deletion_reports(n: int) -> list[IdentityReport]:
+def block_deletion_reports(n: int) -> _ReportBlock:
     """The block-deletion identities at size n, the refined one certified from
-    both the oracle's tables and the closed form.
+    both the oracle's tables and the closed form, as one _ReportBlock
+    (_columns._block_deletion_block)."""
+    from . import _columns
 
-    The closed side reads formulas._separating_by_d_table, one per shrunk
-    composition and call, 0 where it has no entry: the factor and Horner
-    steps that separating_by_d runs.
-
-    The d-summed form needs a block of size >= 2: with every block a
-    singleton there is no d of the right parity, and the closed right side no
-    longer applies.
-    """
-    reports: list[IdentityReport] = []
-    fact_n1 = math.factorial(n - 1)
-    stirling = formulas._stirling_cut(n, tuple(range(1, n + 2)))
-    closed: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for beta in _compositions(n + 1):
-        inst_total = f"n={n} beta={format_d_key(beta)}"
-        # (binom(b, 2), the oracle's and the closed form's tables by d of beta
-        # with block b one element smaller) per block b >= 2
-        shrinks = []
-        for i, b in enumerate(beta):
-            if b >= 2:
-                b2 = beta[:i] + (b - 1,) + beta[i + 1 :]
-                if b2 not in closed:
-                    closed[b2] = formulas._separating_by_d_table(b2)
-                shrinks.append((math.comb(b, 2), oracle._pairs_alpha_tables(n, b2), closed[b2]))
-        if shrinks:
-            lhs_tot = sum(coeff * pairs[2] for coeff, pairs, _ in shrinks)
-            rhs_tot = Fraction(fact_n1 * math.prod(map(math.factorial, beta)), 2)
-            reports.append(IdentityReport("block_deletion_total", inst_total, lhs_tot, rhs_tot))
-        for d in itertools.product(*(range(1, b + 1) for b in beta)):
-            if (sum(d) - n) % 2:
-                continue
-            inst = f"{inst_total} d={format_d_key(d)}"
-            rhs = fact_n1 * math.prod(stirling[b][k] for b, k in zip(beta, d))
-            lhs = sum(coeff * pairs[0].get(d, 0) for coeff, pairs, _ in shrinks)
-            reports.append(IdentityReport("block_deletion_d[oracle]", inst, lhs, rhs))
-            lhs = sum(coeff * table.get(d, 0) for coeff, _, table in shrinks)
-            reports.append(IdentityReport("block_deletion_d[formula]", inst, lhs, rhs))
-    return reports
+    return _ReportBlock(*_columns._block_deletion_block(n))
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +544,9 @@ class VerifyRun:
 
     ``reports`` may be given as any sequence of IdentityReport, such as a
     list; it is kept as a read-only sequence of parts, in which the suites'
-    lists are tuples, classic and section3 are a _ReportBlock per n (and
-    section3's block-deletion reports a tuple per n), and baserecur is one
-    _ReportBlock.  ``ok``, ``summary_lines()`` (per identity, also inside a
+    lists are tuples, classic is a _ReportBlock per n, section3 two per n
+    (its recurrences, then its block-deletion reports), and baserecur is
+    one _ReportBlock.  ``ok``, ``summary_lines()`` (per identity, also inside a
     block) and ``failures()`` read a block's columns and build only its
     failed reports; ``write_json`` writes its dicts straight from the
     columns."""

@@ -45,8 +45,8 @@ Why some ``ci`` rows are there, and what they cost on a two-core CI runner:
   bounded at 48;
 - ``verify --suite baserecur --baserecur-max-n 13`` and ``14``: 264,499
   and, at the suite's limit, 713,709 reports, held as int64 columns and
-  written 1,024 at a time: about 1 s and 50 MB, bounded at 60 MB, and
-  2-4 s and 75 MB, bounded at 92 MB;
+  written 1,024 at a time: about 1 s and 46 MB, bounded at 53 MB, and
+  2-3 s and 64 MB, bounded at 74 MB;
 - the ``exit`` 2 rows other than ``--force``: each command declares only the
   flags it reads, so argparse rejects the rest itself.
 

@@ -63,8 +63,9 @@ from longcycles.oracle import (
     _plane_codes,
     _plane_array,
     _sep_prefixes,
+    _key_sums,
+    _keys,
     _signatures,
-    _tally,
     product_pair_counts,
 )
 
@@ -638,8 +639,9 @@ class TestMinLengths:
             assert prefix == m
         sums = np.cumsum(lens_rows, axis=1)
         for parts, expected in by_alpha.items():
-            tally = _tally(lens_rows, sums, np.ones(len(lens_rows), dtype=np.int64), parts)
-            assert [(key, int(cnt)) for key, cnt in tally.items()] == list(expected.items())
+            keys = _keys(lens_rows, sums, parts)
+            tally = _key_sums(keys, np.ones(len(lens_rows), dtype=np.int64))
+            assert list(zip(keys.keys, tally.tolist())) == list(expected.items())
 
     @pytest.mark.parametrize("size", [7, 500])
     @pytest.mark.parametrize("n", range(5, 8))

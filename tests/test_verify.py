@@ -170,10 +170,12 @@ _NO_PLANES = (0, 0)  # the (count, exceedances) of a key that no vertical has
 def plane_tallies(n, alpha_parts):
     """by_eta[eta][key] = (count, exceedances): the plane permutations with
     diagonal cycle type eta whose vertical is alpha-separated with block
-    types key, and the sum of their exceedance counts, from _tally over the
-    plane sweep's totals.  Keys that no vertical has are left out."""
-    tally = oracle._tally(oracle._signatures(n)[1], oracle._signature_sums(n), oracle._plane_totals(n), alpha_parts)
-    sums = {key: by_t.tolist() for key, by_t in tally.items()}
+    types key, and the sum of their exceedance counts, from the key assignment
+    of the signatures (_keys) over the plane sweep's totals, in the order of
+    each key's first row.  Keys that no vertical has are left out."""
+    keys = oracle._keys(oracle._signatures(n)[1], oracle._signature_sums(n), alpha_parts)
+    assert (np.diff(np.unique(keys.key_of, return_index=True)[1]) > 0).all()  # keys in first-row order
+    sums = dict(zip(keys.keys, oracle._key_sums(keys, oracle._plane_totals(n)).tolist()))
     return {eta: {key: tuple(by_t[t]) for key, by_t in sums.items()} for t, eta in enumerate(_partition_list(n))}
 
 
@@ -304,7 +306,8 @@ def scalar_section3_reports(max_n, planes=plane_tallies, pairs=pair_count):
 def scalar_block_deletion_reports(n):
     """block_deletion_reports as it was computed one report at a time: the
     closed side by one separating_by_d call per (shrunk composition, d), the
-    Stirling products by stirling_first."""
+    Stirling products by stirling_first.  The total's right side is a half
+    of an integer, an int when it is whole, as the suites' blocks give it."""
     reports = []
     fact_n1 = math.factorial(n - 1)
     closed = functools.cache(lambda b2, d: formulas.separating_by_d(Composition(b2), d))
@@ -313,7 +316,7 @@ def scalar_block_deletion_reports(n):
         shrinks = [(math.comb(b, 2), beta[:i] + (b - 1,) + beta[i + 1 :]) for i, b in enumerate(beta) if b >= 2]
         if shrinks:
             lhs_tot = sum(coeff * oracle._pairs_alpha_tables(n, b2)[2] for coeff, b2 in shrinks)
-            rhs_tot = Fraction(fact_n1 * math.prod(map(math.factorial, beta)), 2)
+            rhs_tot = _half(fact_n1 * math.prod(map(math.factorial, beta)))
             reports.append(IdentityReport("block_deletion_total", inst_total, lhs_tot, rhs_tot))
         for d in itertools.product(*(range(1, b + 1) for b in beta)):
             if (sum(d) - n) % 2:
@@ -323,6 +326,39 @@ def scalar_block_deletion_reports(n):
             lhs = sum(coeff * oracle._pairs_alpha_tables(n, b2)[0].get(d, 0) for coeff, b2 in shrinks)
             reports.append(IdentityReport("block_deletion_d[oracle]", inst, lhs, rhs))
             lhs = sum(coeff * closed(b2, d) for coeff, b2 in shrinks)
+            reports.append(IdentityReport("block_deletion_d[formula]", inst, lhs, rhs))
+    return reports
+
+
+def loop_block_deletion_reports(n):
+    """block_deletion_reports as it was computed before its column block, one
+    IdentityReport at a time, the closed side from the same tables as the
+    block: one formulas._separating_by_d_table per shrunk composition."""
+    reports = []
+    fact_n1 = math.factorial(n - 1)
+    stirling = formulas._stirling_cut(n, tuple(range(1, n + 2)))
+    closed = {}
+    for beta in _compositions(n + 1):
+        inst_total = f"n={n} beta={format_d_key(beta)}"
+        shrinks = []
+        for i, b in enumerate(beta):
+            if b >= 2:
+                b2 = beta[:i] + (b - 1,) + beta[i + 1 :]
+                if b2 not in closed:
+                    closed[b2] = formulas._separating_by_d_table(b2)
+                shrinks.append((math.comb(b, 2), oracle._pairs_alpha_tables(n, b2), closed[b2]))
+        if shrinks:
+            lhs_tot = sum(coeff * pairs[2] for coeff, pairs, _ in shrinks)
+            rhs_tot = Fraction(fact_n1 * math.prod(map(math.factorial, beta)), 2)
+            reports.append(IdentityReport("block_deletion_total", inst_total, lhs_tot, rhs_tot))
+        for d in itertools.product(*(range(1, b + 1) for b in beta)):
+            if (sum(d) - n) % 2:
+                continue
+            inst = f"{inst_total} d={format_d_key(d)}"
+            rhs = fact_n1 * math.prod(stirling[b][k] for b, k in zip(beta, d))
+            lhs = sum(coeff * pairs[0].get(d, 0) for coeff, pairs, _ in shrinks)
+            reports.append(IdentityReport("block_deletion_d[oracle]", inst, lhs, rhs))
+            lhs = sum(coeff * table.get(d, 0) for coeff, _, table in shrinks)
             reports.append(IdentityReport("block_deletion_d[formula]", inst, lhs, rhs))
     return reports
 
@@ -404,6 +440,17 @@ class TestBlockDeletionReference:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_every_field_is_the_per_call_reference(self, n):
         assert_same_fields(verify.block_deletion_reports(n), scalar_block_deletion_reports(n))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_the_block_is_the_report_loop(self, n):
+        # the loop's total has a Fraction right side, which the block gives
+        # as the int of equal value: the same text and the same JSON
+        block = verify.block_deletion_reports(n)
+        loop = loop_block_deletion_reports(n)
+        fields = lambda reports: [(r.identity, r.instance, r.lhs, r.rhs, str(r), r.to_dict()) for r in reports]
+        assert fields(block) == fields(loop)
+        assert [d for chunk in block.dicts(100) for d in chunk] == [r.to_dict() for r in loop]
+        assert [block[i] for i in range(len(block))] == list(block)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_tables_are_the_per_call_closed_form(self, n):
@@ -876,15 +923,13 @@ class TestReportStore:
 
         monkeypatch.setattr(IdentityReport, "__init__", counted)
         run = verify.run_suites(("classic", "section3"), 6)
-        deletion = len(built)  # the block-deletion reports, which stay a list
-        assert deletion and {name.split("[")[0] for name in built} == {"block_deletion_d", "block_deletion_total"}
         assert run.ok and run.failures() == []
         lines = run.summary_lines()
         out = io.StringIO()
         run.write_json(out)
         assert cli.main(["verify", "--suite", "classic", "--suite", "section3", "--max-n", "6"]) == 0
         assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines) + "PASS\n"
-        assert built == built[:deletion] * 2  # the CLI's run built its block-deletion reports again, and no other
+        assert built == []  # the block-deletion reports are a block too
         monkeypatch.undo()
         reference = VerifyRun(reports=scalar_classic_reports(6) + scalar_section3_reports(6), audit=[])
         assert lines == reference.summary_lines()  # the counts per identity inside each block
@@ -1038,16 +1083,21 @@ class TestRunner:
 
 # run in a fresh process, where every cache is cold, so every table that a
 # run reads is built during it.  Either it counts the top-level builds of the
-# word-walk tables by n, the bytes that the run holds while the plane suite
+# run's tables by their arguments, which key assignment the pair counts and
+# the plane tallies read, the bytes that the run holds while the plane suite
 # runs, and whether the run still holds any table after it returns; or it
-# sums the traced memory allocated under oracle._shared that is held after
-# the run, less the lex split (oracle._split), which is cached for the
-# process wherever it is first built
+# sums the array data (numpy's trace domain) allocated under oracle._shared
+# that is held after the run, less the lex split (oracle._split) and the
+# signatures' prefix sums (oracle._signature_sums), which are cached for the
+# process wherever they are first built.  Every table is an array; the
+# Python objects under _shared also hold the block types that the cached
+# pair tables keep as keys and small objects the interpreter keeps for reuse
 _RUN_TABLES_SCRIPT = """
 import collections, inspect, json, sys, tracemalloc
+import numpy
 from longcycles import oracle, verify
 
-builds, depth = collections.Counter(), [0]
+builds, depth, built = collections.Counter(), [0], {}
 
 def counted(name):
     build = getattr(oracle, name)
@@ -1057,14 +1107,24 @@ def counted(name):
             builds[repr((name, n, *rest))] += 1
         depth[0] += 1
         try:
-            return build(n, *rest)
+            table = built[(name, n, *rest)] = build(n, *rest)
+            return table
         finally:
             depth[0] -= 1
 
     setattr(oracle, name, wrapper)
 
-for name in ("_cycle_words", "_all_perm_rows"):
-    counted(name)
+# (reader, n, alpha) per call of _key_sums on the assignment that
+# _signature_keys built for (n, alpha), and (reader, None) on any other
+reads, key_sums = collections.Counter(), oracle._key_sums
+
+def read(keys, counts):
+    at = [key[1:] for key, table in built.items() if key[0] == "_signature_keys" and table is keys]
+    reads[repr((sys._getframe(1).f_code.co_name, *(at[0] if at else [None])))] += 1
+    return key_sums(keys, counts)
+
+def nbytes(table):
+    return sum(part.nbytes for part in (table if isinstance(table, tuple) else [table]) if hasattr(part, "nbytes"))
 
 def lines(function):
     source, first = inspect.getsourcelines(function)
@@ -1074,18 +1134,22 @@ def under(trace, lines):
     return any(f.filename == oracle.__file__ and f.lineno in lines for f in trace.traceback)
 
 if sys.argv[1] == "count":
+    for name in ("_cycle_words", "_all_perm_rows", "_pattern_sources", "_signature_keys"):
+        counted(name)
+    oracle._key_sums = read
     during = []
     suite = verify.plane_structure_reports
-    held = lambda: sum(table.nbytes for table in oracle._held.values())
+    held = lambda: sum(map(nbytes, oracle._held.values()))
     verify.plane_structure_reports = lambda *args: during.append(held()) or suite(*args)
     verify.run_suites(verify.SUITES, 7, plane_max_n=6)
-    print(json.dumps({"builds": builds, "during": during[0], "held": oracle._held is not None}))
+    print(json.dumps({"builds": builds, "reads": reads, "during": during[0], "held": oracle._held is not None}))
 else:
-    shared, split = lines(oracle._shared), lines(oracle._split)
+    shared, cached = lines(oracle._shared), [lines(oracle._split), lines(oracle._signature_sums)]
     tracemalloc.start(10)
     verify.run_suites(verify.SUITES, 6, baserecur_max_n=6)
     traces = tracemalloc.take_snapshot().traces
-    print(sum(t.size for t in traces if under(t, shared) and not under(t, split)))
+    arrays = (t for t in traces if t.domain == numpy.lib.tracemalloc_domain)
+    print(sum(t.size for t in arrays if under(t, shared) and not any(under(t, c) for c in cached)))
 """
 
 
@@ -1097,9 +1161,20 @@ def _run_tables_script(mode):
 
 def test_one_run_builds_each_table_once():
     out = _run_tables_script("count")
-    # the cycle words, the n! rows and the lex-least rows of each head group, once for every n from 1 to 7
+    # the cycle words, the n! rows and the lex-least rows of each head group,
+    # once for every n from 1 to 7; the pattern tables of the tails, once per
+    # tail size; and the key assignment of the signatures, once per composition
     tables = [(("_cycle_words", n), ("_all_perm_rows", n), ("_all_perm_rows", n, min(n, 4))) for n in range(1, 8)]
+    tables += [[("_pattern_sources", k) for k in range(1, 5)]]
+    tables += [[("_signature_keys", n, alpha) for alpha in _compositions(n)] for n in range(1, 8)]
     assert out["builds"] == {repr(table): 1 for by_n in tables for table in by_n}
+    # the pair counts of every composition of n <= 7 and the plane tallies of
+    # n = 2..7 each read the one assignment of their composition, and the
+    # fixed-diagonal tallies of the formulas suite their own
+    reads = [("_pairs_alpha_tables", n, alpha) for n in range(1, 8) for alpha in _compositions(n)]
+    reads += [("_plane_array", n, alpha) for n in range(2, 8) for alpha in _compositions(n)]
+    diag = repr(("_diag_tallies", None))
+    assert out["reads"] == {**{repr(read): 1 for read in reads}, diag: out["reads"][diag]}
     assert 2**16 < out["during"] < 2 * 2**20  # the tables of n <= 7 while the plane suite runs
     assert not out["held"]
 
