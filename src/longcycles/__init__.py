@@ -3,8 +3,10 @@ closed-form counts, an exhaustive brute-force oracle, and identity
 verification suites, all in exact integer/rational arithmetic.
 
 The closed forms and the partition and permutation algebra load with the
-package.  The oracle and plane names load numpy, so their modules are
-imported on first use of one of their names."""
+package.  The oracle and plane names are imported on first use of one of
+their names: the oracle loads numpy, and the plane permutations, the
+scalar reference of the oracle's batched kernels, need only the standard
+library."""
 
 import importlib
 

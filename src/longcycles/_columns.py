@@ -189,7 +189,7 @@ def _sums_by(rows: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _split_sums(splits: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _odd_split_sums(splits: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per key, the sum of kappa times ``values`` (indexed by key first) over
     its odd splits, from splits (3, R) as _key_moves gives them."""
     key, split, kap = splits
@@ -303,8 +303,8 @@ def _split_sides(
     n, whose lengths lead ``length``: the keys of alpha = (n) come first."""
     count, exceedances = 2 * planes[..., 0], 2 * planes[..., 1]
     etas = count.shape[1]
-    split_rhs = _split_sums(splits, count)
-    joint_rhs = split_rhs + _split_sums(_block_moves(n)[0], count.T).T
+    split_rhs = _odd_split_sums(splits, count)
+    joint_rhs = split_rhs + _odd_split_sums(_block_moves(n)[0], count.T).T
     split_lhs = (n - length)[:, None] * count - exceedances
     joint_lhs = (n + 1 - length[:etas] - length[:, None]) * count
     return split_lhs, split_rhs, joint_lhs, joint_rhs
@@ -341,7 +341,7 @@ def _classic_block(n: int, columns: list[np.ndarray]) -> tuple:
     splits = _block_moves(n)[0]
     split_lhs, split_rhs, joint_lhs, joint_rhs = _split_sides(n, oracle._plane_array(n, (n,)), length, splits)
     pairs = oracle._pair_array(n, (n,))
-    keep, long_lhs, long_rhs = _long_sides(n, pairs, _split_sums(splits, pairs), z, length)
+    keep, long_lhs, long_rhs = _long_sides(n, pairs, _odd_split_sums(splits, pairs), z, length)
     eta, lam = np.indices((etas, etas))
     order = eta * etas + lam
     segments = [
@@ -390,7 +390,7 @@ def _section3_block(n: int, columns: list[np.ndarray], moves: list) -> tuple:
     keys = np.arange(len(z))
     planes = np.concatenate([oracle._plane_array(n, alpha) for alpha in _compositions(n)])
     pairs = np.concatenate([oracle._pair_array(n, alpha) for alpha in _compositions(n)])
-    split_pairs = _split_sums(splits, pairs)
+    split_pairs = _odd_split_sums(splits, pairs)
     split_lhs, split_rhs, joint_lhs, joint_rhs = _split_sides(n, planes, length, splits)
     keep, long_lhs, long_rhs = _long_sides(n, pairs, split_pairs, z, length)
     twice_exceedances = 2 * planes[..., 1].sum(axis=1)
@@ -412,7 +412,7 @@ def _section3_block(n: int, columns: list[np.ndarray], moves: list) -> tuple:
     twice_terms = twice * pairs[shrunk]
     twice_sums = _sums_by(key, twice_terms, up)  # twice the weighted sums
     refined = twice * split_pairs[shrunk]
-    refined_sums = _split_sums(splits, twice_sums)
+    refined_sums = _odd_split_sums(splits, twice_sums)
     fz = fact * z
     parity = (length - n) % 2 == 0
     on = parity[key]  # the steps of the keys under the parity hypothesis

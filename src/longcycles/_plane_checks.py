@@ -1,16 +1,18 @@
-"""The kernels of the plane suite of :mod:`longcycles.verify`: its checks
-over a batch of cycle words, each word against all n! verticals and against
-all (n-1)! diagonals times every legal block transposition.
+"""The plane suite of :mod:`longcycles.verify`: its tables of each n
+(_suite_counts) and its checks over a batch of cycle words, each word
+against all n! verticals and against all (n-1)! diagonals times every legal
+block transposition (_moves).
 
 Each per-array quantity is a sum over positions, so it is a head term plus a
 tail term, as in the oracle's plane sweep: per word, one digit table of a
 value per position and image, summed over every head and every tail of the
 one lex split of n (oracle._split_sums); per array, one gather from each
 (_array_terms).  A transposed vertical is coded by one matrix product per
-word and reads its cycle count by code (_transposed_codes).  Every check
-compares two independent routes, and none reads the numbers it checks from
-oracle._plane_codes; the split is oracle._split(n), and the tables shared
-with the sweeps come from oracle._shared.
+word and reads its cycle count by code (_transposed_codes), from the one
+table of cycle counts by code of n, which the reflection identity reads as
+well.  Every check compares two independent routes, and none reads the
+numbers it checks from oracle._plane_codes; the split is oracle._split(n),
+and the tables shared with the sweeps come from oracle._shared.
 
 The plane suite imports this module when it first runs, so that a process
 that never runs it does not load it.
@@ -23,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import oracle, plane
+from . import oracle
 
 
 class _CycleTable(NamedTuple):
@@ -82,11 +84,11 @@ def _cycle_sums(keys: np.ndarray, table: _CycleTable, neighbour: np.ndarray) -> 
     least[:, 0] = n
     for x in range(n):
         np.minimum(least[:, : 1 << x], keys[:, x, None], out=least[:, 1 << x : 2 << x])
-    low = plane._take(least, table.masks, None, axis=1)
+    low = oracle._take(least, table.masks, None, axis=1)
     rows = np.arange(0, b * n, n)[:, None]
-    lowest = plane._take(np.argsort(keys, axis=1).ravel(), low + rows, None)  # the element of the least key
-    neighbours = plane._take(neighbour, lowest + n * np.arange(len(low[0])), None)
-    flags = low <= plane._take(keys.ravel(), neighbours + rows, None)
+    lowest = oracle._take(np.argsort(keys, axis=1).ravel(), low + rows, None)  # the element of the least key
+    neighbours = oracle._take(neighbour, lowest + n * np.arange(len(low[0])), None)
+    flags = low <= oracle._take(keys.ravel(), neighbours + rows, None)
     if flags.all():
         return np.broadcast_to(table.counts, (b, len(table.counts)))
     return np.add.reduceat(flags[:, table.ids], table.starts, axis=1, dtype=np.int64)
@@ -100,15 +102,15 @@ class _ArrayTables(NamedTuple):
       index of the tail of each pi, and of each pi⁻¹;
     - ``pi_cycles``: the _CycleTable of the verticals; ``lex_cycles``: that
       of the n! permutations in lex order, which the diagonals read by rank;
-    - ``c_pi``: the cycle counts of the verticals; ``cc``: the table of
-      _cycle_counts_by_rank."""
+    - ``c_pi``: the cycle counts of the verticals; ``counts``: the table of
+      _counts_by_code."""
 
     pi_parts: np.ndarray
     inv_parts: np.ndarray
     pi_cycles: _CycleTable
     lex_cycles: _CycleTable
     c_pi: np.ndarray
-    cc: np.ndarray
+    counts: np.ndarray
 
 
 def _array_tables(
@@ -117,11 +119,12 @@ def _array_tables(
     pi_cycles: _CycleTable,
     c_pi: np.ndarray,
     lex_cycles: _CycleTable,
-    cc: np.ndarray,
+    counts: np.ndarray,
 ) -> _ArrayTables:
     """The _ArrayTables of the verticals ``perms`` (n, M) and their inverses
     ``perms_inv``, stored element first, with the verticals' _CycleTable
-    and cycle counts, and those of the n! permutations in lex order."""
+    and cycle counts, the _CycleTable of the n! permutations in lex order,
+    and the cycle counts by code."""
     n = len(perms)
     split = oracle._split(n)
     block = math.factorial(n - split.h)
@@ -130,7 +133,7 @@ def _array_tables(
         head = split.prefix[oracle._code(n, columns[: split.h])] // block
         return np.stack(np.broadcast_arrays(head, split.tail_of[oracle._code(n, columns[split.h :])]))
 
-    return _ArrayTables(parts(perms), parts(perms_inv), pi_cycles, lex_cycles, c_pi, cc)
+    return _ArrayTables(parts(perms), parts(perms_inv), pi_cycles, lex_cycles, c_pi, counts)
 
 
 class _ArrayTerms(NamedTuple):
@@ -180,14 +183,14 @@ def _array_terms(words: np.ndarray, s_img: np.ndarray, tables: _ArrayTables) -> 
     # by pi's images: [x before v], and the top after x times the place of v
     full = n ** np.arange(n - 1, -1, -1)
     head, tail = terms(np.stack((pos[:, None, :] > pos[:, :, None], after[:, :, None] * full)))
-    exc, read = plane._take(head, t.pi_parts[0], None, axis=2) + plane._take(tail, t.pi_parts[1], None, axis=2)
+    exc, read = oracle._take(head, t.pi_parts[0], None, axis=2) + oracle._take(tail, t.pi_parts[1], None, axis=2)
     # by pi⁻¹'s images: the rank code digit of s(v) at y, and [y after s(v) in the reflected word]
     s_refl = np.take_along_axis(refl, s_img, axis=1)
     head, tail = terms(np.stack((s_img[:, None, :] * split.places[:, None], refl[:, :, None] > s_refl[:, None, :])))
     hd, tl = t.inv_parts
-    diag = plane._take(head[0] * n ** (n - h), hd, None, axis=1) + plane._take(tail[0], tl, None, axis=1)
-    rank = plane._take(split.prefix[head[0]], hd, None, axis=1) + plane._take(split.suffix[tail[0]], tl, None, axis=1)
-    exc_refl = plane._take(head[1], hd, None, axis=1) + plane._take(tail[1], tl, None, axis=1)
+    diag = oracle._take(head[0] * n ** (n - h), hd, None, axis=1) + oracle._take(tail[0], tl, None, axis=1)
+    rank = oracle._take(split.prefix[head[0]], hd, None, axis=1) + oracle._take(split.suffix[tail[0]], tl, None, axis=1)
+    exc_refl = oracle._take(head[1], hd, None, axis=1) + oracle._take(tail[1], tl, None, axis=1)
     trivial = _cycle_sums(pos, t.pi_cycles, t.pi_cycles.before)
     trivial_refl = _cycle_sums(refl, t.lex_cycles, t.lex_cycles.after)
     return _ArrayTerms(exc, trivial, read, diag, rank, exc_refl, trivial_refl)
@@ -199,35 +202,66 @@ def _array_bad_counts(words: np.ndarray, s_img: np.ndarray, tables: _ArrayTables
     ``tables``, from their _array_terms: the diagonal read off the array is
     s∘pi⁻¹; Ne = n - exc - trivial is n - C(pi) - exc; and Ne + Ne' =
     n + 1 - C(pi) - C(s∘pi⁻¹), with Ne' = n - exc_refl - trivial', which
-    is exc + exc_refl + (trivial - C(pi)) + (trivial' - C(s∘pi⁻¹)) = n - 1."""
+    is exc + exc_refl + (trivial - C(pi)) + (trivial' - C(s∘pi⁻¹)) = n - 1.
+    trivial' is read at the lex rank of s∘pi⁻¹ and C(s∘pi⁻¹) at its base-n
+    code, so that a wrong rank shows."""
     n = words.shape[1]
     t = _array_terms(words, s_img, tables)
     diag_bad = np.count_nonzero(t.read != t.diag)
     ne_bad = np.count_nonzero(t.trivial != tables.c_pi)
-    refl = np.take_along_axis(t.trivial_refl - tables.cc, t.rank, axis=1)  # trivial' - C(s∘pi⁻¹)
+    refl = np.take_along_axis(t.trivial_refl, t.rank, axis=1) - oracle._take(tables.counts, t.diag, None)
     refl += t.exc + t.exc_refl + (t.trivial - tables.c_pi)
     return diag_bad, ne_bad, np.count_nonzero(refl != n - 1)
 
 
+# a block transposition hands pi(s_j), pi(s_k), pi(s_{i-1}) to s_{i-1}, s_j,
+# s_k: the images by their index in (s_{i-1}, s_j, s_k), in turn
+_TURN = (1, 2, 0)
+
+
+class _Moves(NamedTuple):
+    """The legal block transpositions h = (i, j, k) of a word of n entries,
+    one per column, as positions in the word (0-based; a cycle word starts
+    at 0):
+    - ``src[t, h]``, the entry that sits at position t of the new word w';
+    - ``next_src``, the same for position t + 1, cyclically;
+    - ``image_src``, ``src`` with the positions of s_{i-1}, s_j, s_k
+      overwritten by those whose images they take: the bottom of column t
+      of the transposed array (w', pi') is pi(w[image_src[t, h]]);
+    - ``moved``, (3, H): the positions i - 1, j, k of s_{i-1}, s_j, s_k, and
+      ``turned`` = moved[_TURN], whose images they take."""
+
+    src: np.ndarray
+    next_src: np.ndarray
+    image_src: np.ndarray
+    moved: np.ndarray
+    turned: np.ndarray
+
+
+def _moves(n: int) -> _Moves:
+    """The _Moves of n: every h with 1 <= i <= j < k <= n - 1."""
+    hs = [(i, j, k) for i in range(1, n - 1) for j in range(i, n - 1) for k in range(j + 1, n)]
+    i, j, k = np.array(hs, dtype=np.int64).reshape(-1, 3).T
+    t = np.arange(n)[:, None]
+    # position t of the new word reads word[t], shifted inside the two blocks
+    src = np.where((t < i) | (t > k), t, np.where(t < i + k - j, t + j + 1 - i, t + j - k))
+    moved = np.stack((i - 1, j, k))
+    turned = moved[list(_TURN)]
+    image_src = src.copy()
+    # s_{i-1} stays at i - 1; s_j ends the moved block at k, s_k the other at i + k - j - 1
+    image_src[np.stack((i - 1, k, i + k - j - 1)), np.arange(len(hs))] = turned
+    return _Moves(src, src[(np.arange(n) + 1) % n], image_src, moved, turned)
+
+
 class _TranspositionTables(NamedTuple):
     """What the transposition checks at one n read besides the words and
-    the verticals: the diagonals D; the block transpositions
-    (plane._moves); and ``counts``, the cycle count of the permutation of
-    each base-n code (from the table of _cycle_counts_by_rank), and -n at a
-    code of no permutation."""
+    the verticals: the diagonals D (n, (n-1)!), stored element first; the
+    block transpositions (_moves); and ``counts``, the table of
+    _counts_by_code."""
 
     diags: np.ndarray
-    moves: plane._Moves
+    moves: _Moves
     counts: np.ndarray
-
-
-def _transposition_tables(diags: np.ndarray, moves: plane._Moves, cc: np.ndarray) -> _TranspositionTables:
-    """The _TranspositionTables of the diagonals ``diags`` (n, (n-1)!),
-    stored element first, with the cycle counts ``cc`` by lex rank."""
-    n = len(diags)
-    counts = np.full(n**n, -n, dtype=np.int8)
-    counts[oracle._code(n, oracle._shared(oracle._all_perm_rows, n).T)] = cc
-    return _TranspositionTables(diags, moves, counts)
 
 
 def _transposed_codes(
@@ -265,10 +299,67 @@ def _transposition_bad_count(words: np.ndarray, verticals: np.ndarray, tables: _
     t = tables
     m = verticals.shape[2]
     full = n ** np.arange(n - 1, -1, -1)
-    sends = np.matmul(full, plane._take(t.diags, verticals * m + np.arange(m), None))  # the code of D∘pi, (b, m)
+    sends = np.matmul(full, oracle._take(t.diags, verticals * m + np.arange(m), None))  # the code of D∘pi, (b, m)
     tops = words[:, t.moves.next_src] * full[words[:, t.moves.image_src]]
     moved = tops.sum(axis=1)  # the code of each h's function, (b, H)
     codes, source_codes = _transposed_codes(words, verticals, tables)
-    delta = plane._take(t.counts, codes, None) - plane._take(t.counts, source_codes, None)[:, None]
+    delta = oracle._take(t.counts, codes, None) - oracle._take(t.counts, source_codes, None)[:, None]
     bad = (sends[:, None] != moved[:, :, None]) | (delta & 1 != 0) | (np.abs(delta) > 2)
     return int(np.count_nonzero(bad))
+
+
+def _cycle_counts_by_rank(n: int) -> np.ndarray:
+    """``cc[r]``: the number of cycles of the permutation of lex rank r,
+    read off its length row (one nonzero entry per cycle)."""
+    sig, rows = oracle._signatures(n)
+    return (rows > 0).sum(axis=1)[sig]
+
+
+def _counts_by_code(n: int, cc: np.ndarray) -> np.ndarray:
+    """``counts[code]``: the cycle count of the permutation of each base-n
+    code, from ``cc`` by lex rank, and -n at a code of no permutation."""
+    counts = np.full(n**n, -n, dtype=np.int8)
+    counts[oracle._code(n, oracle._shared(oracle._all_perm_rows, n).T)] = cc
+    return counts
+
+
+# arrays (word x vertical columns) per call of the checks, in at most 16
+# words: 8 words at n = 7, 16 at n = 5 and 6, every word below.  A call
+# keeps a few (words, n!) int64 terms and, over the 25,200 transpositions of
+# each word at n = 7, about 25 bytes a transposition: 5 MB at 8 words.  16
+# words at n = 7 were no faster, nor 56 words at n = 6, which held 2 MiB more
+# than 16
+_PLANE_ARRAYS = 8 * math.factorial(7)
+
+
+def _suite_counts(n: int, workers: int) -> tuple[int, int, list[int]]:
+    """(arrays, transpositions, bad) of the plane suite at n: the number of
+    arrays (word, vertical) and of block transpositions of arrays (word,
+    D⁻¹∘s) over every long cycle D, and the failures of the three per-array
+    checks, then of the transpositions.  The failures are summed over one
+    chunk of words per worker (oracle._chunk_sum), in batches of words
+    (_PLANE_ARRAYS) inside a chunk; every table that does not depend on the
+    words is built before the fork, the word-walk tables through
+    oracle._shared."""
+    words, cycles = oracle._shared(oracle._cycle_words, n), oracle._shared(oracle._long_cycles, n)
+    rows = oracle._shared(oracle._all_perm_rows, n)
+    batch = min(16, max(1, _PLANE_ARRAYS // len(rows)))  # words per call of the checks
+    cc = _cycle_counts_by_rank(n)  # the verticals are in lex order, so cc holds their counts
+    counts = _counts_by_code(n, cc)
+    cycle_table = _cycle_table(rows.T)
+    arrays = _array_tables(rows.T, np.argsort(rows, axis=1).T, cycle_table, cc, cycle_table, counts)
+    moves = _moves(n)
+    diags_inv = np.argsort(cycles, axis=1).T.copy()
+    transpositions = _TranspositionTables(cycles.T.copy(), moves, counts)
+
+    def bad_counts(lo: int, hi: int) -> np.ndarray:
+        bad = np.zeros(4, dtype=np.int64)
+        for start in range(lo, hi, batch):
+            part, s_img = words[start : min(start + batch, hi)], cycles[start : min(start + batch, hi)]
+            bad[:3] += _array_bad_counts(part, s_img, arrays)
+            if moves.src.size:
+                bad[3] += _transposition_bad_count(part, diags_inv.take(s_img, axis=0), transpositions)
+        return bad
+
+    bad = oracle._chunk_sum(bad_counts, oracle._chunks(len(words), workers), workers).tolist()
+    return len(words) * len(rows), len(words) * len(cycles) * moves.src.shape[1], bad

@@ -65,8 +65,8 @@ one entry per block-type key of alpha, for the verify suites.
 The full plane sweep, _plane_codes(n), walks the verticals by their
 inverses q in lex order: per word, a term per head of q plus a term per
 tail (_split_sums), fused as rank * (n + 1) + exceedances and binned
-through one per-n table, tbx.  The plane suite of verify splits its
-per-array quantities on the same split.
+through one per-n table, tbx.  The plane suite of verify
+(_plane_checks) splits its per-array quantities on the same split.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ from ._version import __version__
 from .errors import DomainError, ResourceLimitError
 from .partitions import Composition, _partition_list, _partition_sequence_keys, format_d_key, format_seq_key, format_type_key
 from .permutations import Permutation
-from .plane import _cycle_minima, _flat, _part_sums, _squarings, _take
 
 __all__ = [
     "CountTable",
@@ -218,7 +217,7 @@ class _Split(NamedTuple):
       pattern; a lex rank is the sum of the two;
     - ``tail_of[code of a tail]``: its index among the k-arrangements of
       range(n) in lex order;
-    - ``heads``, ``tails``: the columns of _part_sums for every head and
+    - ``heads``, ``tails``: the columns of _split_sums for every head and
       every tail in lex order: row i holds the flat index of (position,
       image) of the i-th position of the part into an (n, n) digit table."""
 
@@ -252,9 +251,15 @@ def _split(n: int) -> _Split:
 
 def _split_sums(digits: np.ndarray, split: _Split) -> tuple[np.ndarray, np.ndarray]:
     """(heads, tails) for ``digits`` (b, n, n), one table per word of a value
-    for each position and image: the _part_sums of every head of ``split``
-    over the first h positions, and of every tail over the rest."""
-    return _part_sums(digits, split.heads), _part_sums(digits, split.tails)
+    for each position and image: ``heads[w, a]``, the sum over the first h
+    positions i of digits[w, i, t(i)], t the a-th head of ``split``, and
+    ``tails`` the same over the other positions and every tail."""
+    flat = digits.reshape(len(digits), -1)
+    heads, tails = (np.zeros((len(digits), part.shape[1]), dtype=np.int64) for part in (split.heads, split.tails))
+    for sums, part in ((heads, split.heads), (tails, split.tails)):
+        for column in part:
+            sums += flat.take(column, axis=1)
+    return heads, tails
 
 
 def _lex_rank(n: int, columns):
@@ -305,23 +310,39 @@ def _long_cycles(n: int) -> np.ndarray:
     return _cycle_rows(_shared(_cycle_words, n))
 
 
+def _take(a: np.ndarray, indices: np.ndarray, out: np.ndarray | None, axis: int | None = None) -> np.ndarray:
+    """a.take(indices), into ``out`` when given.  mode="clip" writes ``out``
+    in place, where the default mode writes a copy first; every index the
+    kernels take is in range by construction."""
+    return a.take(indices, axis=axis, out=out, mode="clip")
+
+
 def _length_codes(perms: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
     """``out[r]`` = the base-(n + 1) code of the length row of the column
     perms[:, r], for an (n, w) batch stored element first.  Entry x
     of the row counts the y whose cycle has least element x, so the code is
-    the sum over y of (n + 1)^(n - 1 - x): one gather of place values and
-    one column sum.  ``work`` holds five buffers of at least n * w entries,
-    which every pass of a table reuses."""
+    the sum over y of (n + 1)^(n - 1 - low[y]): one gather of place values
+    and one column sum.  low[y], the least element of y's cycle, is a
+    running minimum over 2, 4, 8, ... consecutive elements of the cycle by
+    pointer doubling.  ``work`` holds four buffers of at least n * w
+    entries, which every pass of a table reuses."""
     n, w = perms.shape
-    flat, low, spare, *steps = (buf[: n * w].reshape(n, w) for buf in work)
-    low = _cycle_minima(perms, np.arange(n), _squarings(_flat(perms, flat), steps), low, spare)
+    step, low, spare, other = (buf[: n * w].reshape(n, w) for buf in work)
+    np.minimum(perms, np.arange(n)[:, None], out=low)  # the least of x and pi(x)
+    np.multiply(perms, w, out=step)
+    step += np.arange(w)  # the flat index of (pi(x), r)
+    span = 2
+    while span < n:
+        step, other = _take(step.ravel(), step, other), step  # pi^span from pi^(span/2)
+        np.minimum(low, _take(low.ravel(), step, spare), out=low)
+        span *= 2
     places = (n + 1) ** np.arange(n - 1, -1, -1)
     np.sum(_take(places, low, spare), axis=0, out=out)
 
 
 def _pass_buffers(n: int, m: int) -> np.ndarray:
     """The ``work`` of _length_codes for passes over m columns of n entries."""
-    return np.empty((5, n * min(m, _PASS)), dtype=np.int64)
+    return np.empty((4, n * min(m, _PASS)), dtype=np.int64)
 
 
 def _unique_rows(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

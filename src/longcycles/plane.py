@@ -4,23 +4,21 @@ A pair (s, pi) is displayed with the word of s on top and pi(s_i) below;
 the diagonal D reads the array cyclically, D(pi(s_{i-1})) = s_i, and always
 equals the product s∘pi⁻¹.  The word of s is normalized to start at 1, and
 that word induces the linear order used by every exceedance comparison.
+
+These are the paper's plane permutations, one array at a time, in plain
+Python: the scalar reference that the batched numpy kernels of the oracle's
+plane sweep and of the plane suite (:mod:`longcycles._plane_checks`) are
+tested against.  The module does not import numpy.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from .permutations import Permutation, compose
 
 __all__ = ["PlanePermutation", "ExceedanceStats"]
-
-
-# ---------------------------------------------------------------------------
-# the scalar routine behind the class; the sweeps use the batched kernels below
 
 
 def _classify(word: tuple[int, ...], pi: Permutation):
@@ -36,124 +34,6 @@ def _classify(word: tuple[int, ...], pi: Permutation):
     lows = ((cyc, min(cyc, key=pos.__getitem__)) for cyc in pi.cycles())
     trivial = {cyc[cyc.index(low) - 1] for cyc, low in lows}
     return exc, anti, trivial
-
-
-# ---------------------------------------------------------------------------
-# batched kernels: the class's routines over many arrays at once.  Everything is
-# 0-based, and a batch of permutations is stored with the element first:
-# perms[x] holds the image of x in every array of the batch (any trailing
-# shape), so that each step works on long contiguous rows.  A cycle word is
-# an integer array starting at 0.  The sweeps of oracle and the plane suite of
-# verify run them against the tables of each n (oracle._shared).
-
-
-def _take(a: np.ndarray, indices: np.ndarray, out: np.ndarray | None, axis: int | None = None) -> np.ndarray:
-    """a.take(indices), into ``out`` when given.  mode="clip" writes ``out``
-    in place, where the default mode writes a copy first; every index the
-    kernels take is in range by construction."""
-    return a.take(indices, axis=axis, out=out, mode="clip")
-
-
-def _flat(perms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``flat[x, r]``: the flat index of (pi(x), r) into an (n, m) array, for
-    the (n, m) batch ``perms``; ``a.ravel()[flat]`` reads a[pi(x), r].
-
-    order="C" keeps ``flat`` C-contiguous for any layout of ``perms`` (a
-    transposed view, a column slice), so that ravel() never copies it."""
-    flat = np.multiply(perms, perms.shape[1], out=out, order="C")
-    flat += np.arange(perms.shape[1])
-    return flat
-
-
-def _squarings(flat: np.ndarray, out: Sequence[np.ndarray] = ()) -> Iterator[np.ndarray]:
-    """pi^2, pi^4, ... as flat indices, from pi's _flat indices, while 2, 4,
-    ... is below n: the pointer-doubling steps of _cycle_minima.  Lazy, so
-    that one step at a time is alive.  ``out``, two buffers of flat's shape
-    when given, take the steps in turn: each step is overwritten by the one
-    after next."""
-    step, span, turn = flat, 2, 0
-    while span < len(flat):
-        step = _take(step.ravel(), step, out[turn] if out else None)
-        yield step
-        span, turn = span * 2, 1 - turn
-
-
-def _cycle_minima(
-    perms: np.ndarray, key: np.ndarray, steps: Iterable[np.ndarray] | None = None,
-    out: np.ndarray | None = None, spare: np.ndarray | None = None,
-) -> np.ndarray:
-    """``out[x, ...]`` = the least ``key[y]`` over y on the cycle of x: a
-    running minimum over windows of 2, 4, 8, ... consecutive cycle elements.
-    ``steps`` are the _squarings of ``perms``, built here when not given;
-    ``out`` and ``spare`` are (n, m) buffers, allocated here when not given.
-    np.take makes ``low`` C-contiguous for any layout of ``perms``, as in
-    _flat."""
-    n = len(perms)
-    cols = perms.reshape(n, -1)
-    low = _take(key, cols, out)
-    np.minimum(low, key[:, None], out=low)
-    for step in _squarings(_flat(cols)) if steps is None else steps:
-        np.minimum(low, _take(low.ravel(), step, spare), out=low)
-    return low.reshape(perms.shape)
-
-
-def _part_sums(digits: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """``sums[w, a]`` = the sum over the part's positions i of digits[w, i,
-    t(i)], t its a-th arrangement: the per-word term of every arrangement,
-    from ``digits`` (b, n, n), one table per word of a value for each
-    position and image.  Row j of ``columns`` (oracle._split) holds the flat
-    index of (the part's j-th position, its image) in every arrangement."""
-    flat = digits.reshape(len(digits), -1)
-    sums = np.zeros((len(digits), columns.shape[1]), dtype=np.int64)
-    for column in columns:
-        sums += flat.take(column, axis=1)
-    return sums
-
-
-# ---------------------------------------------------------------------------
-# the block transpositions of a word of n entries, as position tables for the
-# plane suite's batched checks (0-based; a cycle word starts at 0)
-
-
-# a block transposition hands pi(s_j), pi(s_k), pi(s_{i-1}) to s_{i-1}, s_j,
-# s_k: the images by their index in (s_{i-1}, s_j, s_k), in turn
-_TURN = (1, 2, 0)
-
-
-class _Moves(NamedTuple):
-    """The legal block transpositions h = (i, j, k) of a word of n entries,
-    one per column, as positions in the word:
-    - ``src[t, h]``, the entry that sits at position t of the new word w';
-    - ``next_src``, the same for position t + 1, cyclically;
-    - ``image_src``, ``src`` with the positions of s_{i-1}, s_j, s_k
-      overwritten by those whose images they take: the bottom of column t
-      of the transposed array (w', pi') is pi(w[image_src[t, h]]);
-    - ``moved``, (3, H): the positions i - 1, j, k of s_{i-1}, s_j, s_k, and
-      ``turned`` = moved[_TURN], whose images they take."""
-
-    src: np.ndarray
-    next_src: np.ndarray
-    image_src: np.ndarray
-    moved: np.ndarray
-    turned: np.ndarray
-
-
-def _moves(n: int) -> _Moves:
-    """The _Moves of n: every h with 1 <= i <= j < k <= n - 1."""
-    hs = [(i, j, k) for i in range(1, n - 1) for j in range(i, n - 1) for k in range(j + 1, n)]
-    i, j, k = np.array(hs, dtype=np.int64).reshape(-1, 3).T
-    t = np.arange(n)[:, None]
-    # position t of the new word reads word[t], shifted inside the two blocks
-    src = np.where((t < i) | (t > k), t, np.where(t < i + k - j, t + j + 1 - i, t + j - k))
-    moved = np.stack((i - 1, j, k))
-    turned = moved[list(_TURN)]
-    image_src = src.copy()
-    # s_{i-1} stays at i - 1; s_j ends the moved block at k, s_k the other at i + k - j - 1
-    image_src[np.stack((i - 1, k, i + k - j - 1)), np.arange(len(hs))] = turned
-    return _Moves(src, src[(np.arange(n) + 1) % n], image_src, moved, turned)
-
-
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ Identity names used in reports:
 
 classic, section3 and baserecur compute their sides as int64 columns
 (:mod:`longcycles._columns`), with no Python loop per instance, and keep
-their reports in compact blocks (_ReportBlock).  The plane suite's kernels
-are in :mod:`longcycles._plane_checks`.
+their reports in compact blocks (_ReportBlock).  The plane suite's tables
+and checks are in :mod:`longcycles._plane_checks`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import TextIO
 
 import numpy as np
 
-from . import formulas, oracle, plane
+from . import formulas, oracle
 from ._suites import SUITES
 from .formulas import _value_str
 from .partitions import (
@@ -451,22 +451,6 @@ def parity_audit(max_n: int = 6) -> list[ParityAuditRecord]:
 # structural sweeps over two-row arrays
 
 
-def _cycle_counts_by_rank(n: int) -> np.ndarray:
-    """``cc[r]``: the number of cycles of the permutation of lex rank r,
-    read off its length row (one nonzero entry per cycle)."""
-    sig, rows = oracle._signatures(n)
-    return (rows > 0).sum(axis=1)[sig]
-
-
-# arrays (word x vertical columns) per call of the plane checks, in at most
-# 16 words: 8 words at n = 7, 16 at n = 5 and 6, every word below.  A call
-# keeps a few (words, n!) int64 terms and, over the 25,200 transpositions of
-# each word at n = 7, about 25 bytes a transposition: 5 MB at 8 words.  16
-# words at n = 7 were no faster, nor 56 words at n = 6, which held 2 MiB more
-# than 16
-_PLANE_ARRAYS = 8 * math.factorial(7)
-
-
 def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityReport]:
     """Exhaustive structural checks on two-row arrays.
 
@@ -476,45 +460,21 @@ def plane_structure_reports(max_n: int = 6, workers: int = 1) -> list[IdentityRe
     Ne(p) + Ne(p') = n + 1 − C(pi) − C(diagonal).  Over every pair of long
     cycles (s, D) and every legal block transposition: the diagonal is
     preserved, and the vertical's cycle count moves by −2, 0, or +2 (so its
-    parity is preserved).  A batch of words (_PLANE_ARRAYS) is checked
-    against all verticals, and against all diagonals times all
-    transpositions, by the kernels of _plane_checks, as arrays with a
-    leading word axis.  The failure counts are summed over one chunk of
-    words per worker (oracle._chunk_sum); the batches lie inside a chunk.
-    The tables of n come from oracle._shared, which a run shares.
+    parity is preserved).  The failures at each n are counted by
+    _plane_checks._suite_counts, over batches of words split among the
+    workers.
     """
     oracle._require_scale("the plane suite", max_n, _SUITE_LIMITS["plane"])
-    from . import _plane_checks as checks
+    from . import _plane_checks
+
     reports: list[IdentityReport] = []
     for n in range(2, max_n + 1):
-        # every table that does not depend on the words, built before the fork
-        words, cycles = oracle._shared(oracle._cycle_words, n), oracle._shared(oracle._long_cycles, n)
-        rows = oracle._shared(oracle._all_perm_rows, n)
-        batch = min(16, max(1, _PLANE_ARRAYS // len(rows)))  # words per call of the checks
-        cc = _cycle_counts_by_rank(n)  # the verticals are in lex order, so cc holds their counts
-        cycle_table = checks._cycle_table(rows.T)
-        arrays = checks._array_tables(rows.T, np.argsort(rows, axis=1).T, cycle_table, cc, cycle_table, cc)
-        # block transpositions over pairs of long cycles (s, D), vertical D⁻¹∘s
-        moves = plane._moves(n)
-        diags, diags_inv = cycles.T.copy(), np.argsort(cycles, axis=1).T.copy()
-        transpositions = checks._transposition_tables(diags, moves, cc)
-
-        def bad_counts(lo: int, hi: int) -> np.ndarray:
-            # the failures of the three per-array checks, then of the transpositions
-            bad = np.zeros(4, dtype=np.int64)
-            for start in range(lo, hi, batch):
-                part, s_img = words[start : min(start + batch, hi)], cycles[start : min(start + batch, hi)]
-                bad[:3] += checks._array_bad_counts(part, s_img, arrays)
-                if moves.src.size:
-                    bad[3] += checks._transposition_bad_count(part, diags_inv.take(s_img, axis=0), transpositions)
-            return bad
-
-        bad = oracle._chunk_sum(bad_counts, oracle._chunks(len(words), workers), workers).tolist()
-        inst = f"n={n} over {len(words) * len(rows)} arrays"
+        arrays, transpositions, bad = _plane_checks._suite_counts(n, workers)
+        inst = f"n={n} over {arrays} arrays"
         for name, count in zip(("diagonal_agreement", "ntae_count_formula", "reflection_identity"), bad):
             reports.append(IdentityReport(f"plane:{name}", inst, count, 0))
-        if moves.src.size:
-            inst = f"n={n} over {len(words) * len(cycles) * moves.src.shape[1]} transpositions"
+        if transpositions:
+            inst = f"n={n} over {transpositions} transpositions"
             reports.append(IdentityReport("plane:transposition_action", inst, bad[3], 0))
     return reports
 

@@ -48,7 +48,6 @@ from longcycles import (
 )
 from longcycles import oracle, verify
 from longcycles.partitions import _partition_list, format_type_key
-from longcycles.plane import _cycle_minima
 from longcycles.oracle import (
     CountTable,
     OracleResult,
@@ -76,11 +75,16 @@ C = Composition
 def _min_lengths(perms):
     """``lens[x, r]`` = the length of the cycle of x under perms[:, r] when x
     is the least element of that cycle, else 0, for an (n, m) batch stored
-    element first as in plane.py: the length rows whose codes
-    oracle._length_codes computes, by a bincount, as the reference."""
+    element first: the length rows whose codes oracle._length_codes
+    computes, by a plain orbit walk and a bincount, as the reference."""
     n, m = perms.shape
+    # low[y, r]: the least of y, pi(y), ..., pi^(n-1)(y), one step of pi at a time
+    orbit, columns = np.arange(n)[:, None].repeat(m, axis=1), np.arange(m)
+    low = orbit.copy()
+    for _ in range(n - 1):
+        orbit = perms[orbit, columns]
+        np.minimum(low, orbit, out=low)
     # lens[x, r] counts the y with low[y, r] == x: one bincount of x * m + r
-    low = _cycle_minima(perms, np.arange(n))
     low *= m
     low += np.arange(m)
     return np.bincount(low.ravel(), minlength=n * m).reshape(n, m)
@@ -673,6 +677,14 @@ class TestMinLengths:
     def test_empty_batch(self):
         assert _min_lengths(_all_perm_rows(5).T[:, :0]).shape == (5, 0)
 
+    def test_length_codes_take_the_least_element_on_each_cycle(self):
+        # the vertical (1 3)(2 4 5), 0-based (0 2)(1 3 4): its cycles of least
+        # elements 0 and 1 have lengths 2 and 3, so its length row is 2 3 0 0 0
+        perm = np.array([[2], [3], [0], [4], [1]])
+        codes = np.empty(1, dtype=np.int64)
+        oracle._length_codes(perm, codes, oracle._pass_buffers(5, 1))
+        assert codes.tolist() == [oracle._code(6, [2, 3, 0, 0, 0])]
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(6, 10).flatmap(lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=8)))
     def test_length_codes_and_unique_rows_against_cycles(self, columns):
@@ -726,8 +738,6 @@ class TestMinLengths:
         perms = strided()
         assert not perms.flags.c_contiguous
         copy = np.ascontiguousarray(perms)
-        key = np.arange(len(perms))[::-1].copy()
-        assert np.array_equal(_cycle_minima(perms, key), _cycle_minima(copy, key))
         assert np.array_equal(_min_lengths(perms), _min_lengths(copy))
         ids, rows = oracle._distinct_rows(copy)
         monkeypatch.setattr(oracle, "_PASS", 500)  # windows of a strided view, the last one short

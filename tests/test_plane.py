@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import longcycles
-from longcycles import Permutation, PlanePermutation, _plane_checks, compose, oracle, plane, verify
+from longcycles import Permutation, PlanePermutation, _plane_checks, compose, oracle, verify
 
 
 def all_perms(n):
@@ -230,11 +230,22 @@ def verticals(n):
 
 def array_tables(perms, perms_inv, c_pi, cc):
     """The plane suite's array tables of the verticals ``perms``, with the
-    cycle tables of ``perms`` and of all n! permutations in lex order."""
-    lex = oracle._all_perm_rows(len(perms)).T
+    cycle tables of ``perms`` and of all n! permutations in lex order, and
+    the cycle counts by code from ``cc``, by lex rank."""
+    n = len(perms)
+    lex = oracle._all_perm_rows(n).T
+    counts = _plane_checks._counts_by_code(n, cc)
     return _plane_checks._array_tables(
-        perms, perms_inv, _plane_checks._cycle_table(perms), c_pi, _plane_checks._cycle_table(lex), cc
+        perms, perms_inv, _plane_checks._cycle_table(perms), c_pi, _plane_checks._cycle_table(lex), counts
     )
+
+
+def transposition_tables(diags, cc, checks=_plane_checks):
+    """The plane suite's transposition tables of the diagonals ``diags``,
+    with the cycle counts by code from ``cc``, by lex rank, built by the
+    module ``checks``."""
+    n = len(diags)
+    return checks._TranspositionTables(diags, checks._moves(n), checks._counts_by_code(n, cc))
 
 
 def legal_hs(n):
@@ -256,7 +267,7 @@ class TestBatchedKernels:
         perms = verticals(n)
         words = np.array(all_words(n)).reshape(-1, n) - 1
         s_img = np.array([Permutation.from_cycle_word(w).image for w in all_words(n)]).reshape(-1, n) - 1
-        cc = verify._cycle_counts_by_rank(n)
+        cc = _plane_checks._cycle_counts_by_rank(n)
         by_rank = cc[oracle._lex_rank(n, perms)]
         assert by_rank.tolist() == [to_plane(range(n), col).pi.cycle_count for col in perms.T]
         tables = array_tables(perms, np.argsort(perms, axis=0), by_rank, cc)
@@ -280,12 +291,12 @@ class TestBatchedKernels:
         # in its own column order, so a word read at another word's rows shows
         perms = verticals(n)
         hs = legal_hs(n)
-        moves = plane._moves(n)
+        moves = _plane_checks._moves(n)
         words = np.array(all_words(n)) - 1
         batch = np.stack([np.roll(perms, i, axis=1) for i in range(len(words))])
         # the codes read no diagonal: perms stands in for one
-        cc = verify._cycle_counts_by_rank(n)
-        tables = _plane_checks._transposition_tables(perms, moves, cc)
+        cc = _plane_checks._cycle_counts_by_rank(n)
+        tables = transposition_tables(perms, cc)
         codes, source_codes = _plane_checks._transposed_codes(words, batch, tables)
         for i, w in enumerate(words):
             new_words, bottoms = w[moves.src], batch[i][w[moves.image_src]]
@@ -315,15 +326,6 @@ class TestBatchedKernels:
         counts = [list(map(len, cycles))] * len(words)
         assert sums.tolist() == expected and (sums < counts).any()
         assert _plane_checks._cycle_sums(keys, table, table.before).tolist() == counts
-
-    def test_cycle_minima_takes_the_least_key_on_each_cycle(self):
-        # the vertical (1 3)(2 4 5), 0-based, keyed by the word order of 1 5 4 2 3
-        perm = np.array([[2], [3], [0], [4], [1]])
-        word = np.array([0, 4, 3, 1, 2])
-        pos = np.argsort(word)
-        assert plane._cycle_minima(perm, pos).ravel().tolist() == [0, 1, 0, 1, 1]
-        steps = list(plane._squarings(plane._flat(perm)))
-        assert plane._cycle_minima(perm, pos, steps).ravel().tolist() == [0, 1, 0, 1, 1]
 
 
 @st.composite
@@ -391,7 +393,7 @@ class TestKernelsAgainstScalarRoutines:
         planes = [to_plane(word, col) for col in perms.T]
         s_img = np.array(planes[0].s_perm().image) - 1
         c_pi = np.array([p.pi.cycle_count for p in planes])
-        tables = array_tables(perms, np.argsort(perms, axis=0), c_pi, verify._cycle_counts_by_rank(n))
+        tables = array_tables(perms, np.argsort(perms, axis=0), c_pi, _plane_checks._cycle_counts_by_rank(n))
         t = _plane_checks._array_terms(word[None], s_img[None], tables)
         trivial_refl = np.take_along_axis(t.trivial_refl, t.rank, axis=1)
         for r, p in enumerate(planes):
@@ -414,8 +416,8 @@ class TestKernelsAgainstScalarRoutines:
         others = st.permutations(range(1, n + 1)).map(Permutation)
         diags = [p.diagonal() if data.draw(st.booleans()) else data.draw(others) for p in planes]
         diag_cols = np.array([d.image for d in diags]).T - 1
-        cc = verify._cycle_counts_by_rank(n)
-        tables = _plane_checks._transposition_tables(diag_cols, plane._moves(n), cc)
+        cc = _plane_checks._cycle_counts_by_rank(n)
+        tables = transposition_tables(diag_cols, cc)
         codes, source_codes = _plane_checks._transposed_codes(word[None], perms[None], tables)
         expected = 0
         for r, (p, d) in enumerate(zip(planes, diags)):
@@ -439,7 +441,7 @@ class TestPlaneSuiteSeesFaults:
         word = oracle._cycle_words(n)[7]
         s_img = np.array(Permutation.from_cycle_word(tuple((word + 1).tolist())).image) - 1
         perms = verticals(n)
-        cc = verify._cycle_counts_by_rank(n)
+        cc = _plane_checks._cycle_counts_by_rank(n)
         return word, s_img, perms, np.argsort(perms, axis=0), cc[oracle._lex_rank(n, perms)], cc
 
     def test_sound_inputs_pass(self):
@@ -466,10 +468,10 @@ class TestPlaneSuiteSeesFaults:
         diags = np.array([Permutation.from_cycle_word(tuple((w + 1).tolist())).image for w in words]).T - 1
         s_img = diags[:, 3]
         pi = np.argsort(diags, axis=0)[s_img]  # D⁻¹∘s for every D
-        return words[3], pi, diags, verify._cycle_counts_by_rank(n)
+        return words[3], pi, diags, _plane_checks._cycle_counts_by_rank(n)
 
     def transposition_bad_count(self, word, pi, diags, cc):
-        tables = _plane_checks._transposition_tables(diags, plane._moves(self.n), cc)
+        tables = transposition_tables(diags, cc)
         return _plane_checks._transposition_bad_count(word[None], pi[None], tables)
 
     def test_corrupted_diagonal(self):
@@ -489,7 +491,7 @@ class TestPlaneSuiteSeesFaults:
     def test_wrong_rotation_of_the_moved_images(self, monkeypatch):
         # s_{i-1}, s_j, s_k take the images of s_k, s_{i-1}, s_j: every transposed
         # array breaks its diagonal, in the kernel and in the suite's report
-        monkeypatch.setattr(plane, "_TURN", (2, 0, 1))
+        monkeypatch.setattr(_plane_checks, "_TURN", (2, 0, 1))
         word, pi, diags, cc = self.transposition_inputs()
         assert self.transposition_bad_count(word, pi, diags, cc) == len(legal_hs(self.n)) * pi.shape[1]
         reports = [r for r in verify.plane_structure_reports(self.n) if r.identity == "plane:transposition_action"]
@@ -506,12 +508,29 @@ class TestPlaneSuiteSeesFaults:
         damaged.__package__ = _plane_checks.__package__
         exec(compile(source.replace(sound, sound + "; places[-1] = 2"), _plane_checks.__file__, "exec"), vars(damaged))
         word, pi, diags, cc = self.transposition_inputs()
-        tables = damaged._transposition_tables(diags, plane._moves(self.n), cc)
+        tables = transposition_tables(diags, cc, damaged)
         assert damaged._transposition_bad_count(word[None], pi[None], tables) > 0
         assert self.transposition_bad_count(word, pi, diags, cc) == 0
         monkeypatch.setattr(longcycles, "_plane_checks", damaged)
         reports = [r for r in verify.plane_structure_reports(self.n) if r.identity == "plane:transposition_action"]
         assert all(r.lhs > 0 for r in reports)
+
+    def test_rank_without_its_tail_term(self, monkeypatch):
+        # the lex rank of s∘pi⁻¹ without the suffix of its tail, in a copy of the
+        # module built from its source: the reflection identity reads the trivial
+        # anti-exceedances of the reflected vertical at that rank and the cycle
+        # count of s∘pi⁻¹ at its code, so the suite's report fails at every n >= 2
+        source = inspect.getsource(_plane_checks)
+        sound = " + oracle._take(split.suffix[tail[0]], tl, None, axis=1)"
+        assert source.count(sound) == 1
+        damaged = types.ModuleType(_plane_checks.__name__)
+        damaged.__package__ = _plane_checks.__package__
+        exec(compile(source.replace(sound, ""), _plane_checks.__file__, "exec"), vars(damaged))
+        monkeypatch.setattr(longcycles, "_plane_checks", damaged)
+        reports = verify.plane_structure_reports(6)
+        failed = {r.instance.split()[0]: r.lhs for r in reports if not r.passed}
+        assert {r.identity for r in reports if not r.passed} == {"plane:reflection_identity"}
+        assert failed == {"n=2": 1, "n=3": 10, "n=4": 138, "n=5": 2280, "n=6": 63600}
 
 
 class TestPlaneSuiteBatches:
@@ -525,7 +544,7 @@ class TestPlaneSuiteBatches:
         n = self.n
         cycles, rows = oracle._cycle_rows(oracle._cycle_words(n)), oracle._all_perm_rows(n)
         arrays = array_tables(rows.T.copy(), np.argsort(rows, axis=1).T.copy(), cc, cc)
-        transpositions = _plane_checks._transposition_tables(cycles.T.copy(), plane._moves(n), cc)
+        transpositions = transposition_tables(cycles.T.copy(), cc)
         return arrays, transpositions
 
     def per_word_counts(self, cc):
@@ -545,13 +564,13 @@ class TestPlaneSuiteBatches:
     @pytest.mark.parametrize("batch", [None, 7])  # the suite's own batches, or 7 words: 120 = 17 * 7 + 1
     def test_failure_counts_equal_the_per_word_loop(self, monkeypatch, workers, batch):
         if batch:
-            monkeypatch.setattr(verify, "_PLANE_ARRAYS", batch * math.factorial(self.n))
+            monkeypatch.setattr(_plane_checks, "_PLANE_ARRAYS", batch * math.factorial(self.n))
         # a cycle count one too large at a few ranks: every check but the
         # diagonal's fails on some arrays, a different number for each word
-        true_counts = verify._cycle_counts_by_rank
+        true_counts = _plane_checks._cycle_counts_by_rank
         damaged = true_counts(self.n).copy()
         damaged[[5, 100, 333, 719]] += 1
-        monkeypatch.setattr(verify, "_cycle_counts_by_rank", lambda n: damaged if n == self.n else true_counts(n))
+        monkeypatch.setattr(_plane_checks, "_cycle_counts_by_rank", lambda n: damaged if n == self.n else true_counts(n))
         monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         reports = verify.plane_structure_reports(self.n, workers)
         got = [r.lhs for r in reports if r.instance.startswith(f"n={self.n} ")]
@@ -568,7 +587,7 @@ class TestPlaneSuiteBatches:
         cycles = oracle._cycle_rows(words)
         diags_inv = np.argsort(cycles, axis=1).T
         words, cycles = words[:7], cycles[:7].copy()
-        cc = verify._cycle_counts_by_rank(n)
+        cc = _plane_checks._cycle_counts_by_rank(n)
         verticals = diags_inv[cycles]
         batch = alone = self.tables(cc)
         assert _plane_checks._array_bad_counts(words, cycles, batch[0]) == (0, 0, 0)
@@ -582,7 +601,7 @@ class TestPlaneSuiteBatches:
 
 
 class TestClippedGathers:
-    """plane._take gathers with mode="clip", which clamps an index out of
+    """oracle._take gathers with mode="clip", which clamps an index out of
     range instead of raising, and every clipped gather goes through it.  With
     a _take that asserts each index lies inside the gathered axis, the
     kernels give what they give without it."""
@@ -591,7 +610,7 @@ class TestClippedGathers:
 
     @staticmethod
     def check_indices(monkeypatch):
-        true_take, calls = plane._take, []
+        true_take, calls = oracle._take, []
 
         def take(a, indices, out, axis=None):
             size = a.size if axis is None else a.shape[axis]
@@ -599,7 +618,6 @@ class TestClippedGathers:
             calls.append(indices.size)
             return true_take(a, indices, out, axis)
 
-        monkeypatch.setattr(plane, "_take", take)
         monkeypatch.setattr(oracle, "_take", take)
         return calls
 

@@ -1,11 +1,14 @@
-"""Every name a module of the package lists in ``__all__`` must exist, and
-the names whose modules load numpy are imported on first use."""
+"""Every name a module of the package lists in ``__all__`` must exist, the
+oracle and plane names are imported on first use, and every private
+module-level name is read somewhere in the package."""
 
+import ast
 import importlib
 import json
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,7 @@ import pins
 
 MODULES = ["longcycles"] + [f"longcycles.{m.name}" for m in pkgutil.iter_modules(longcycles.__path__)]
 
-# the names the package serves from its numpy-backed modules
+# the names the package serves from the modules it imports on first use
 LAZY = {
     "CountTable": "oracle",
     "OracleResult": "oracle",
@@ -66,8 +69,10 @@ class TestLazyNames:
 
 # Runs in a fresh interpreter in which every import of numpy raises: imports
 # the package, evaluates one query of each closed-form kind, and runs the
-# command lines read from standard input.  Prints the values, what each
-# command printed and exited with, and the package's loaded modules.
+# command lines read from standard input; then imports longcycles.plane and
+# builds a PlanePermutation.  Prints the values, what each command printed
+# and exited with, the package's loaded modules before the plane import, and
+# the plane permutation's diagonal.
 _WITHOUT_NUMPY = r"""
 import contextlib, io, json, sys
 
@@ -98,11 +103,17 @@ def run(line):
     return [code, out.getvalue()]
 
 
-print(json.dumps({
+doc = {
     "values": {q.kind: _value_str(evaluate(q)) for q in QUERIES},
     "runs": {line: run(line) for line in json.load(sys.stdin)},
     "modules": sorted(m for m in sys.modules if m.startswith("longcycles.")),
-}))
+}
+from longcycles.plane import PlanePermutation
+from longcycles.permutations import Permutation
+
+# the array with top row 1 5 4 6 2 3 and bottom row 5 4 1 3 6 2
+doc["diagonal"] = str(PlanePermutation((1, 5, 4, 6, 2, 3), Permutation((5, 6, 2, 1, 4, 3))).diagonal())
+print(json.dumps(doc))
 """
 
 # the same queries, with the values that pins.json pins for them
@@ -136,3 +147,49 @@ def test_closed_forms_and_their_commands_run_without_numpy():
         code, text = doc["runs"][line]
         assert code == 0 and text.startswith("usage: longcycles"), line
     assert not {"longcycles.oracle", "longcycles.plane", "longcycles.verify"} & set(doc["modules"])
+    assert doc["diagonal"] == "(1 6 3 2)(4)(5)"
+
+
+def _private_names(tree):
+    """The private names that the module ``tree`` defines at its top level
+    (def, class or assignment; no dunder), each with its statement."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _loads(node, skip):
+    """The names read as variables in ``node``, outside the subtree ``skip``."""
+    if node is skip:
+        return set()
+    names = {node.id} if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) else set()
+    return names.union(*(_loads(child, skip) for child in ast.iter_child_nodes(node)))
+
+
+def test_every_private_module_level_name_is_read():
+    # read as an attribute anywhere (oracle._take), imported by name from
+    # its module, or read as a variable in its own module outside its own
+    # def or class: code that nothing reads is deleted, not kept
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(longcycles.__file__).parent.glob("*.py")}
+    attributes, imported = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                imported.update((node.module, alias.name) for alias in node.names)
+    defined, unread = 0, []
+    for module, tree in trees.items():
+        for name, node in _private_names(tree):
+            defined += 1
+            own = node if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            if name not in attributes and (module, name) not in imported and name not in _loads(tree, own):
+                unread.append(f"{module}.{name}")
+    assert defined > 100 and unread == []
