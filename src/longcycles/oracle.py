@@ -19,26 +19,24 @@ cycles are its arrays with s = c1 whose vertical, c2⁻¹, is a long cycle.
 
 Every kernel splits a permutation after its first h images, its head, in
 one way per n, _split(n), the only place that h is worked out: each lex
-rank, head, tail and place value is read from it.  The word-walk tables of
-one n, the cycle words, _cycle_words(n), the long cycles, _long_cycles(n),
-and the permutation rows, _all_perm_rows(n, tail), are read through
-_shared, and so are the pattern tables of the tails, _pattern_sources(k),
-and the key assignment of the signatures under each composition,
-_signature_keys(n, alpha).  None of them is cached for the process: inside
-_run_tables, which verify.run_suites holds for one run, every sweep, suite
-and tally at n <= 7 shares one of each, dropped when the run returns;
-elsewhere each caller builds its own and drops it with its locals.  The
-pair kernel's tables, _pair_tables(n), are a local of the sweep.
+rank, head, tail and place value is read from it.
+
+A per-n table is memoized only where another call re-reads it at a measured
+cost, and the memo's docstring names that call and the cost of a rebuild
+(warm, two shared cores; re-reads over verify --max-n 7 --plane-max-n 6).
+Tables with n! or (n-1)! rows, _cycle_words, _long_cycles and
+_all_perm_rows, are held for the run (_shared), with two small tables the
+run re-reads, _pattern_sources and _signature_keys.  Other tables are held
+for the process; the n! index of _signatures says why it is one of them.
 
 Sweeps with a worker count cut their index range into contiguous chunks,
 one per worker, and _chunk_sum adds up the chunks' counts: the pair sweep
 over second factors, and the full plane sweep and the plane suite of verify
-over cycle words.  The
-shared tables are built first.  Then the process forks a child for every
-worker beyond the first, up to one process per CPU; each child counts its
-share of the chunks and sends the raw int64 sum back through a pipe, while
-the process counts the first share itself.  Counts are sums, so results are
-identical for any worker count.
+over cycle words.  The shared tables are built first.  Then the process
+forks a child for every worker beyond the first, up to one process per CPU;
+each child counts its share of the chunks and sends the raw int64 sum back
+through a pipe, while the process counts the first share itself.  Counts
+are sums, so results are identical for any worker count.
 
 The tables over all permutations or cycle words of one n are built in
 passes of _PASS rows, so that no temporary is as large as a table: a pass
@@ -46,21 +44,9 @@ of _signatures or of the fixed-diagonal sweep keeps only the codes of its
 length rows (_length_codes, into buffers every pass reuses), and
 the distinct rows are decoded from the distinct codes at the end.
 
-The aggregations read per-n tables, each built once and shared by every
-call at that n: _signatures(n), the distinct length rows of all n!
-permutations with the row of each lex rank; _signature_sums(n), their
-prefix sums, from which _keys reads block separation; the pair counts by
-row, product_pair_counts(n); and from those the rows of the cycle_type
-table, _pairs_type_rows(n), and the separated-prefix table,
-_pairs_sep_prefix(n).  A tally by block types is the key assignment of a
-row set under alpha (_keys: the alpha-separated rows and the index of each
-one's block types) and a sum of counts over it (_key_sums): the pair counts
-by block types, _pairs_alpha_tables(n, alpha), and the plane tallies,
-_plane_array(n, alpha), which read the (count, exceedances) totals of the
-full plane sweep, _plane_totals(n), sum over one assignment of the
-signatures, _signature_keys(n, alpha).  The plane tallies and the pair
-counts by block types, _pair_array(n, alpha), are dense int64 arrays with
-one entry per block-type key of alpha, for the verify suites.
+The tallies by block types, _pairs_alpha_tables and verify's dense arrays
+_pair_array and _plane_array, sum the pair counts or the plane sweep's
+totals over one key assignment of the signatures, _signature_keys.
 
 The full plane sweep, _plane_codes(n), walks the verticals by their
 inverses q in lex order: per word, a term per head of q plus a term per
@@ -233,7 +219,8 @@ class _Split(NamedTuple):
 @cache
 def _split(n: int) -> _Split:
     """The _Split of n, after the first h = n - min(_TAIL, n) images: 1.3 MB
-    at n = 9, and no table of n! or (n-1)! rows."""
+    at n = 9, and no table of n! or (n-1)! rows.  Memo: every kernel's
+    chunks re-read it, 43 times; 1.1 ms a build at n = 7, 12 ms at 9."""
     h = n - min(_TAIL, n)
     k = n - h
     places = n ** np.r_[np.arange(h - 1, -1, -1), np.arange(k - 1, -1, -1)]
@@ -272,8 +259,8 @@ def _lex_rank(n: int, columns):
 
 # the tables of the open run (_run_tables) by builder and arguments, else
 # None.  Module state, not an object passed down, since the readers sit
-# under cached calls (_signatures, _diag_rows, _pairs_alpha_tables,
-# _plane_array) that take only n and alpha
+# under calls that take only n and alpha, some memoized (_signatures,
+# _diag_tallies, _pairs_alpha_tables)
 _held: dict[tuple, object] | None = None
 
 
@@ -293,10 +280,9 @@ def _run_tables() -> Iterator[None]:
 def _shared(build: Callable[..., _T], n: int, *args: object) -> _T:
     """``build(n, *args)``: the run's table (_run_tables), or a new one, which
     lives as long as its caller holds it.  A run holds only n <=
-    PLANE_SWEEP_LIMIT: at max_n = 7 its tables take 473 KB together (the
-    word-walk tables 431 KB, the key assignments of the 127 compositions
-    38 KB, the pattern tables 5 KB), while the n! rows of n = 9 alone take
-    26 MB."""
+    PLANE_SWEEP_LIMIT, 473 KB at max_n = 7, while the n! rows of n = 9 alone
+    take 26 MB.  Every suite and tally re-reads them: without them verify
+    --max-n 7 --plane-max-n 6 took about 12% longer."""
     if _held is None or n > PLANE_SWEEP_LIMIT:
         return build(n, *args)
     key = (build, n, *args)
@@ -388,14 +374,16 @@ def _sep_prefixes(rows: np.ndarray) -> np.ndarray:
 @cache
 def _signatures(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(sig, rows): ``rows`` holds the distinct length rows over all
-    n! permutations, one per line, and ``sig[r]`` indexes the row of lex rank r."""
+    n! permutations, one per line, and ``sig[r]`` indexes the row of lex rank r.
+    Memo, with n! entries (2.9 MB at n = 9): sweep chunks and key assignments
+    re-read it, 131 times in sweep_pairs(8, alpha) for every alpha; 5.4 ms."""
     return _distinct_rows(_shared(_all_perm_rows, n).T)
 
 
 @cache
 def _signature_sums(n: int) -> np.ndarray:
-    """The prefix sums of the rows of _signatures(n), along each row: the
-    table _keys reads the alpha-separated rows from, built once per n."""
+    """The prefix sums of the rows of _signatures(n), which _keys reads.
+    Memo: each key assignment re-reads it, 44 µs x 128 alphas at n = 8."""
     return np.cumsum(_signatures(n)[1], axis=1)
 
 
@@ -654,7 +642,8 @@ _pair_counts_cache: dict[int, np.ndarray] = {}
 def product_pair_counts(n: int, workers: int = 1) -> np.ndarray:
     """Entry i counts the ordered pairs of long cycles whose product has row
     i of _signatures(n): _fact_chunk over the second factors, cut into one
-    chunk per worker and summed by _chunk_sum."""
+    chunk per worker and summed by _chunk_sum.  Memo per n: every
+    aggregation re-reads it; 37 ms a sweep at n = 8, 2.5 s at 9."""
     if n not in _pair_counts_cache:
         _require_scale("pair sweep", n, HARD_LIMIT)
         # built before any fork, so that the children inherit the tables
@@ -675,7 +664,9 @@ def product_pair_counts(n: int, workers: int = 1) -> np.ndarray:
 def _pairs_alpha_tables(
     n: int, alpha_parts: tuple[int, ...]
 ) -> tuple[dict[tuple[int, ...], int], dict[_SeqKey, int], int]:
-    """(d-vector table, block-type table, separated total) over all pairs, without zero keys."""
+    """(d-vector table, block-type table, separated total) over all pairs, without zero keys.
+    Memo: the formulas suite and _pair_array re-read it, 1,649 calls for
+    127 alphas; 0.1 ms a build at n = 8."""
     counts = product_pair_counts(n)
     d_table: dict[tuple[int, ...], int] = {}
     lam_table: dict[_SeqKey, int] = {}
@@ -691,7 +682,8 @@ def _pairs_alpha_tables(
 @cache
 def _pairs_type_rows(n: int) -> dict[str, int]:
     """The rows of sweep_pairs' cycle_type table: every cycle type of n, zero
-    counts included, keyed by its text form."""
+    counts included, keyed by its text form.  Memo: each sweep_pairs
+    re-reads it, 6 µs x 129 calls over the alphas of 8."""
     types = _pairs_alpha_tables(n, (n,))[1]
     return {format_type_key(t): types.get((t,), 0) for t in _partition_list(n)}
 
@@ -702,10 +694,11 @@ def _pairs_sep_prefix(n: int) -> dict[tuple[int, int], int]:
 
     A row of _signatures(n) with k nonzero entries has 1..m separated for
     every m up to its _sep_prefixes entry p: by_k[k, p] sums the counts of
-    the rows with that k and p, and the table sums by_k[k, p] over p >= m."""
-    rows = _signatures(n)[1]
+    the rows with that k and p, and the table sums by_k[k, p] over p >= m.
+    Memo: pairs_separating_prefix re-reads it, 0.13 ms x n^2 at n = 8."""
+    counts, rows = product_pair_counts(n), _signatures(n)[1]  # the counts first: the sweep's guard
     by_k = np.zeros((n + 1, n + 1), dtype=np.int64)
-    np.add.at(by_k, (np.count_nonzero(rows, axis=1), _sep_prefixes(rows)), product_pair_counts(n))
+    np.add.at(by_k, (np.count_nonzero(rows, axis=1), _sep_prefixes(rows)), counts)
     at_least = np.cumsum(by_k[:, ::-1], axis=1)[:, ::-1].tolist()  # at_least[k][m]: the sum over p >= m
     return {(m, k): at_least[k][m] for m in range(1, n + 1) for k in range(1, n + 1)}
 
@@ -715,12 +708,13 @@ def pairs_separating_prefix(n: int, m: int, k: int) -> int:
     1..m in pairwise distinct cycles — by enumeration."""
     if not 1 <= m <= n or not 1 <= k <= n:
         raise DomainError("need 1 <= m <= n and 1 <= k <= n")
-    product_pair_counts(n)  # the guard, before _pairs_sep_prefix reads _signatures(n)
     return _pairs_sep_prefix(n)[(m, k)]
 
 
 def expected_k_cycles(n: int, k: int) -> Fraction:
     """Average number of k-cycles in the product over all ordered pairs."""
+    if k < 1:
+        raise DomainError("need k >= 1")
     by_type = _pairs_alpha_tables(n, (n,))[1]
     hits = sum(cnt * lam.count(k) for (lam,), cnt in by_type.items())
     return Fraction(hits, math.factorial(n - 1) ** 2)
@@ -730,7 +724,6 @@ def expected_k_cycles(n: int, k: int) -> Fraction:
 # fixed-diagonal sweep
 
 
-@cache
 def _diag_rows(n: int, d_image: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(rows, counts) over the (n-1)! plane permutations with fixed diagonal,
     one per long cycle s, with vertical D⁻¹∘s: ``rows`` holds the distinct
@@ -754,13 +747,18 @@ def _diag_rows(n: int, d_image: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray
 
 
 @cache
-def _diag_tallies(n: int, d_image: tuple[int, ...], alpha_parts: tuple[int, ...]) -> dict[_SeqKey, list[int]]:
-    """Block types -> [count for a = 0..n]: plane permutations with fixed
-    diagonal whose vertical is alpha-separated with those block types and has
-    a exceedances.  With alpha = (n) the keys are the cycle type, (lam,)."""
+def _diag_tallies(n: int, d_image: tuple[int, ...], *alphas: tuple[int, ...]) -> tuple[dict[_SeqKey, list[int]], ...]:
+    """Per alpha of ``alphas``, block types -> [count for a = 0..n]: plane
+    permutations with fixed diagonal whose vertical is alpha-separated with
+    those block types and has a exceedances, from one walk, _diag_rows.
+    Memo of the tallies alone: the formulas suite re-reads a target's, 43
+    times; 0.8 ms a build at n = 7, 180 ms at 10."""
     rows, counts = _diag_rows(n, d_image)
-    keys = _keys(rows, np.cumsum(rows, axis=1), alpha_parts)
-    return dict(zip(keys.keys, _key_sums(keys, counts).tolist()))
+    tallies = []
+    for alpha_parts in alphas:
+        keys = _keys(rows, np.cumsum(rows, axis=1), alpha_parts)
+        tallies.append(dict(zip(keys.keys, _key_sums(keys, counts).tolist())))
+    return tuple(tallies)
 
 
 def count_factorizations(target: Permutation) -> int:
@@ -769,7 +767,7 @@ def count_factorizations(target: Permutation) -> int:
     target⁻¹∘c1 = c2⁻¹, is a long cycle — one per pair, none by conjugacy."""
     n = target.n
     _require_scale("fixed-diagonal sweep", n, DIAG_SWEEP_HARD_LIMIT)
-    return sum(_diag_tallies(n, target.image, (n,)).get(((n,),), ()))
+    return sum(_diag_tallies(n, target.image, (n,))[0].get(((n,),), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -867,8 +865,10 @@ def _plane_totals(n: int, workers: int = 1) -> np.ndarray:
     """``totals[i, t]`` = (count, exceedances): the plane permutations whose
     vertical has signature id i and whose diagonal has type index t, and the
     sum of their exceedance counts; the same for every composition.  Only
-    these totals are kept, not the sweep's (n + 1) times larger codes.  Kept
-    per n: the sweep gives the same totals at any worker count."""
+    these totals are kept, not the sweep's (n + 1) times larger codes.  Memo
+    per n, for the process: classic_reports and section3_reports re-read it
+    outside a run too (the benchmark's traced verify job, the scalar-reference
+    tests, where run-scoped totals took 12.4 s instead of 0.3 s)."""
     if n not in _plane_totals_cache:
         acc = _plane_codes(n, workers).swapaxes(0, 1)  # indexed by (signature id, type index, a)
         _plane_totals_cache[n] = np.stack((acc.sum(axis=2), acc @ np.arange(n + 1)), axis=2)
@@ -888,7 +888,6 @@ def _pair_array(n: int, alpha_parts: tuple[int, ...]) -> np.ndarray:
     return _dense(_pairs_alpha_tables(n, alpha_parts)[1], alpha_parts, 0)
 
 
-@cache
 def _plane_array(n: int, alpha_parts: tuple[int, ...]) -> np.ndarray:
     """``planes[k, t]`` = (count, exceedances): the plane permutations whose
     vertical is alpha-separated with block-type key k (_dense order) and
@@ -1115,9 +1114,8 @@ def sweep_fixed_diagonal(
     cached = _load_cached(cache_dir, query, total)
     if cached is not None:
         return cached
-    tallies = {"cycle_type": _diag_tallies(n, D.image, (n,))}
-    if alpha is not None:
-        tallies["alpha_type"] = _diag_tallies(n, D.image, alpha.parts)
+    alphas = [(n,)] if alpha is None else [(n,), alpha.parts]
+    tallies = dict(zip(("cycle_type", "alpha_type"), _diag_tallies(n, D.image, *alphas)))
     counts: dict[str, Counter[str]] = {"ne": Counter()}
     for (lam,), by_a in tallies["cycle_type"].items():
         for a, cnt in enumerate(by_a):

@@ -32,6 +32,9 @@ Why some ``ci`` rows are there, and what they cost on a two-core CI runner:
 - ``verify --suite formulas --suite parity --max-n 9``: 5,215 reports and
   2,196 audit records over the ``n = 9`` pair sweep, about 5 s and 113 MB,
   bounded at 130 MB;
+- ``verify --suite parity --max-n 9``, threads 1, 2: the parity audit
+  alone at the pair sweep's limit, whose output a later split of its work
+  over the workers must keep; about 3 s and 111 MB, bounded at 127 MB;
 - ``oracle diagonal --n 9 --alpha 4,5``: about 44 MB, bounded at 51;
 - ``oracle diagonal --n 10``: the sweep's limit, the 362,880 long cycles,
   about 0.5 s and 112 MB, bounded at 133 MB; with ``--eta 5+5 --alpha 5,5``

@@ -341,7 +341,7 @@ def _plane_codes_by_diagonals(n):
     acc = np.zeros((len(etas), len(sig_ids), n + 1), dtype=np.int64)
     for d in _all_perm_rows(n).tolist():
         image = tuple(x + 1 for x in d)
-        rows, counts = _diag_rows.__wrapped__(n, image)
+        rows, counts = _diag_rows(n, image)
         ids = [sig_ids[row] for row in map(tuple, rows.tolist())]
         acc[etas.index(Permutation(image).cycle_type().parts), ids] += counts
     return acc
@@ -366,8 +366,7 @@ class TestPlaneCodesByDiagonals:
             return split
 
         def clear():
-            for table in (real, _plane_array):
-                table.cache_clear()
+            real.cache_clear()
             oracle._plane_totals_cache.clear()
             clear_pair_caches()
 
@@ -663,7 +662,7 @@ class TestMinLengths:
                 _signatures.__wrapped__(n),
                 oracle._distinct_rows(_all_perm_rows(n)[::-1].T),  # the columns in reverse lex order
                 (_cycle_rows(_cycle_words(n)),),
-                *(_diag_rows.__wrapped__(n, d) for d in diagonals),
+                *(_diag_rows(n, d) for d in diagonals),
             ]
 
         assert oracle._PASS == math.factorial(7)
@@ -950,10 +949,20 @@ def test_pair_aggregations_refuse_above_the_limit_before_the_signatures(monkeypa
         query(oracle.HARD_LIMIT + 1)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_expected_k_cycles_refuses_k_below_one_before_the_sweep(k):
+    # as its closed form does; above the sweep's limit the sweep would raise
+    # ResourceLimitError, so the check on k comes first
+    for n in (5, oracle.HARD_LIMIT + 1):
+        with pytest.raises(DomainError, match="k >= 1"):
+            expected_k_cycles(n, k)
+
+
 class TestExpectedCycles:
     def test_worked_values(self):
         assert expected_k_cycles(3, 1) == Fraction(3, 2)
         assert expected_k_cycles(4, 2) == Fraction(1, 3)
+        assert expected_k_cycles(5, 6) == 0  # k > n is valid: a true 0
 
     def test_k_equal_n(self):
         # only the single-long-cycle product contributes
@@ -1089,6 +1098,20 @@ class TestCodeTables:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 0.1 * 2**20
+
+    def test_count_factorizations_keeps_only_its_tallies(self):
+        # in a fresh process, a target of type 3+3+3 at n = 9 keeps its
+        # tallies and not the distinct length rows of its verticals (about
+        # 190 KiB), which the identity above cannot show: its verticals are
+        # long cycles with one length row
+        script = (
+            "import tracemalloc; from longcycles import IntegerPartition, canonical_of_type, oracle; "
+            "tracemalloc.start(); oracle.count_factorizations(canonical_of_type(IntegerPartition((3, 3, 3)))); "
+            "print(tracemalloc.get_traced_memory()[0])"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 64 * 2**10
 
 
 def _assert_no_child_left():

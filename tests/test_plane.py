@@ -284,6 +284,12 @@ class TestBatchedKernels:
                 assert n - t.exc[i, r] - t.trivial[i, r] == len(st.ntaes) == p.ntae_count()
                 assert t.exc_refl[i, r] == len(refl.exceedances) and ne_refl[i, r] == len(refl.ntaes)
 
+    def test_transposed_codes_are_exact_in_float32_up_to_the_suite_limit(self):
+        # _transposed_codes multiplies in float32, exact for codes below
+        # n^n <= 2^24: a plane suite limit of 9 would round codes silently
+        limit = verify._SUITE_LIMITS["plane"]
+        assert limit**limit <= 2**24
+
     @pytest.mark.parametrize("n", range(3, 6))
     def test_transposed(self, n):
         # the moved bottoms, the transposed codes and the cycle counts by code

@@ -1169,12 +1169,14 @@ def test_one_run_builds_each_table_once():
     tables += [[("_signature_keys", n, alpha) for alpha in _compositions(n)] for n in range(1, 8)]
     assert out["builds"] == {repr(table): 1 for by_n in tables for table in by_n}
     # the pair counts of every composition of n <= 7 and the plane tallies of
-    # n = 2..7 each read the one assignment of their composition, and the
-    # fixed-diagonal tallies of the formulas suite their own
+    # n = 2..7 each read the one assignment of their composition, those of
+    # alpha = (n) twice, once for classic and once for section3, which keep
+    # no plane tally; and the fixed-diagonal tallies of the formulas suite their own
     reads = [("_pairs_alpha_tables", n, alpha) for n in range(1, 8) for alpha in _compositions(n)]
     reads += [("_plane_array", n, alpha) for n in range(2, 8) for alpha in _compositions(n)]
     diag = repr(("_diag_tallies", None))
-    assert out["reads"] == {**{repr(read): 1 for read in reads}, diag: out["reads"][diag]}
+    counts = {repr(read): 1 for read in reads} | {repr(("_plane_array", n, (n,))): 2 for n in range(2, 8)}
+    assert out["reads"] == {**counts, diag: out["reads"][diag]}
     assert 2**16 < out["during"] < 2 * 2**20  # the tables of n <= 7 while the plane suite runs
     assert not out["held"]
 
