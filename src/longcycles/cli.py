@@ -326,6 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # before numpy is first imported: OpenBLAS would start a thread per core,
+    # which --threads did not ask for, and each forked worker its own pool
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     if hasattr(sys, "set_int_max_str_digits"):  # values are exact, so print every digit
         sys.set_int_max_str_digits(0)
     args, unread = build_parser().parse_known_args(argv)

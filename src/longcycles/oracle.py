@@ -30,9 +30,11 @@ run re-reads, _pattern_sources and _signature_keys.  Other tables are held
 for the process; the n! index of _signatures says why it is one of them.
 
 Sweeps with a worker count cut their index range into contiguous chunks,
-one per worker, and _chunk_sum adds up the chunks' counts: the pair sweep
-over second factors, and the full plane sweep and the plane suite of verify
-over cycle words.  The shared tables are built first.  Then the process
+one per worker, and _chunk_sum adds up the chunks' counts: the full plane
+sweep and the plane suite of verify over cycle words, and the pair sweep
+over the head groups of the second factors in pattern-class order
+(_pair_tables), so that no group is counted twice and a chunk boundary cuts
+at most one class.  The shared tables are built first.  Then the process
 forks a child for every worker beyond the first, up to one process per CPU;
 each child counts its share of the chunks and sends the raw int64 sum back
 through a pipe, while the process counts the first share itself.  Counts
@@ -436,12 +438,13 @@ def _signature_keys(n: int, alpha_parts: tuple[int, ...]) -> _Keys:
 
 
 def _pair_tables(n: int) -> tuple[np.ndarray, ...]:
-    """(cyc_t, pairs, high, head_of, pattern_of, sources, least): every table
-    _fact_chunk reads besides _signatures(n), built anew by each sweep.  Over
-    every long cycle c1, in _cycle_rows order, row x of ``cyc_t`` holds c1(x),
-    and row x*n + y of ``pairs`` holds c1(x)*n + c1(y): two base-n digits of
-    the code of every product at once.  ``high`` is pairs times n^2, so that
-    the code of images a, b, c, d is one add, high[ab] + pairs[cd].
+    """(cyc_t, pairs, high, head_of, pattern_of, sources, least, head,
+    masks): every table _fact_chunk reads besides _signatures(n), built anew
+    by each sweep.  Over every long cycle c1, in _cycle_rows order, row x of
+    ``cyc_t`` holds c1(x), and row x*n + y of ``pairs`` holds c1(x)*n +
+    c1(y): two base-n digits of the code of every product at once.  ``high``
+    is pairs times n^2, so that the code of images a, b, c, d is one add,
+    high[ab] + pairs[cd].
 
     With the head and the tail of _split(n), of h and k = n - h images,
     ``head_of`` and ``pattern_of`` are its prefix over k! and its suffix
@@ -449,16 +452,28 @@ def _pair_tables(n: int) -> tuple[np.ndarray, ...]:
     rank of the tail's pattern times n!/k!.  Their sum is the pattern-major
     index, pattern * n!/k! + head, of the permutation of lex rank head * k!
     + pattern; ``sources`` is _pattern_sources(k), and row i of ``least``
-    the lex-least permutation with head index i."""
+    the lex-least permutation with head index i.
+
+    The long cycles fall into head groups by their head: group g holds the
+    long cycles with head index head[g], one for each pattern tau set in the
+    bit mask masks[g].  The groups are in pattern-class order: by mask, and
+    by head index within a class, so that a range of groups cuts at most
+    the classes at its two ends."""
     cyc_t = _shared(_long_cycles, n).T.copy()
     pairs = (cyc_t[:, None, :] * n + cyc_t[None, :, :]).reshape(n * n, -1)
     split = _split(n)
     k = n - split.h
     block = math.factorial(k)
     heads = math.factorial(n) // block
+    head_of, pattern_of = split.prefix // block, split.suffix * heads
+    index = head_of[_code(n, cyc_t[: split.h])] + pattern_of[_code(n, cyc_t[split.h :])]
+    masks = np.zeros(heads, dtype=np.int64)
+    np.bitwise_or.at(masks, index % heads, 1 << index // heads)
+    head = np.flatnonzero(masks)
+    head = head[np.argsort(masks[head], kind="stable")]
     least = _shared(_all_perm_rows, n, k)
     sources = _shared(_pattern_sources, k)
-    return cyc_t, pairs, pairs * (n * n), split.prefix // block, split.suffix * heads, sources, least
+    return cyc_t, pairs, pairs * (n * n), head_of, pattern_of, sources, least, head, masks[head]
 
 
 def _pattern_sources(k: int) -> np.ndarray:
@@ -477,24 +492,23 @@ def _pattern_sources(k: int) -> np.ndarray:
 
 def _fact_chunk(n: int, tables: tuple[np.ndarray, ...], lo: int, hi: int) -> np.ndarray:
     """Entry i counts the pairs (c1, c2) whose product c1∘c2 has row i of
-    _signatures(n), c1 any long cycle and c2 one of the long cycles
-    lo..hi-1 in _cycle_rows order, read from ``tables``, _pair_tables(n).
-    Every product is composed and counted once, as (c1∘q)∘tau, with no
-    symmetry of the counts.
+    _signatures(n), c1 any long cycle and c2 a long cycle of the head groups
+    lo..hi-1 of ``tables``, _pair_tables(n).  Every product is composed and
+    counted once, as (c1∘q)∘tau, with no symmetry of the counts.
 
-    The second factors fall into head groups by their head, their first h
+    A head group holds the second factors with one head, their first h
     images in _split(n): c2 = q∘tau, q the lex-least permutation with that
     head (the head, then the other values in order) and tau the pattern of
     c2's last k = n - h images, acting on those positions.  Lex rank obeys
     rank(pi∘tau) = rank(pi) - rank(pi) mod k! + rank(sigma∘tau), sigma the
     pattern of pi's tail.  So the products c1∘q are ranked once per group, and
-    the groups whose sets of patterns agree form a class: one accumulator
-    counts the products of all its groups by (pattern, head), and each
-    pattern tau of the class adds it onto the counts with its pattern rows
-    permuted by tau.  Those counts are added onto the signature rows once,
-    at the end."""
+    the groups whose sets of patterns agree form a class, a run of the
+    groups' order: one accumulator counts the products of all its groups by
+    (pattern, head), and each pattern tau of the class adds it onto the
+    counts with its pattern rows permuted by tau.  Those counts are added
+    onto the signature rows once, at the end."""
     sig, rows = _signatures(n)
-    cyc_t, pairs, high, head_of, pattern_of, sources, least = tables
+    cyc_t, pairs, high, head_of, pattern_of, sources, least, head, masks = tables
     h = _split(n).h
     block = math.factorial(n - h)
     heads = len(sig) // block
@@ -515,18 +529,10 @@ def _fact_chunk(n: int, tables: tuple[np.ndarray, ...], lo: int, hi: int) -> np.
             out = out * n**4 + low if j else low
         return out
 
-    # group g holds the second factors with head index head[g], one for each
-    # pattern tau set in the bit mask masks[g]
-    second = cyc_t[:, lo:hi]
-    index = head_of[_code(n, second[:h])] + pattern_of[_code(n, second[h:])]
-    head, group = np.unique(index % heads, return_inverse=True)
-    masks = np.zeros(len(head), dtype=np.int64)
-    np.bitwise_or.at(masks, group, 1 << index // heads)
-    qs = least[head]
     acc = np.empty(len(sig), dtype=np.int64)  # counts by pattern-major index, one class at a time
     by_pattern = np.zeros((block, heads), dtype=np.int64)
-    classes = itertools.groupby(np.argsort(masks, kind="stable").tolist(), key=masks.tolist().__getitem__)
-    for mask, members in classes:
+    qs = least[head[lo:hi]]
+    for mask, members in itertools.groupby(range(hi - lo), key=masks[lo:hi].tolist().__getitem__):
         acc[:] = 0
         for g in members:
             q = qs[g].tolist()
@@ -547,10 +553,10 @@ def _cpus() -> int:
 
 
 def _chunks(m: int, parts: int) -> list[tuple[int, int]]:
-    """range(m) cut into at most ``parts`` contiguous (lo, hi) ranges, all
-    of one length but the last."""
-    step = -(-m // max(1, min(parts, m)))
-    return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
+    """range(m) cut into min(parts, m) contiguous (lo, hi) ranges, at least
+    one, whose lengths differ by at most one, the longer first."""
+    p = max(1, min(parts, m))
+    return [(-(-m * i // p), -(-m * (i + 1) // p)) for i in range(p)]
 
 
 # the exit status of a child that ran out of memory
@@ -641,9 +647,9 @@ _pair_counts_cache: dict[int, np.ndarray] = {}
 
 def product_pair_counts(n: int, workers: int = 1) -> np.ndarray:
     """Entry i counts the ordered pairs of long cycles whose product has row
-    i of _signatures(n): _fact_chunk over the second factors, cut into one
-    chunk per worker and summed by _chunk_sum.  Memo per n: every
-    aggregation re-reads it; 37 ms a sweep at n = 8, 2.5 s at 9."""
+    i of _signatures(n): _fact_chunk over the head groups of the second
+    factors, cut into one chunk per worker and summed by _chunk_sum.  Memo
+    per n: every aggregation re-reads it; 37 ms a sweep at n = 8, 2.5 s at 9."""
     if n not in _pair_counts_cache:
         _require_scale("pair sweep", n, HARD_LIMIT)
         # built before any fork, so that the children inherit the tables
@@ -651,7 +657,7 @@ def product_pair_counts(n: int, workers: int = 1) -> np.ndarray:
         # build has the sweep's largest transients, so it holds nothing else
         _signatures(n)
         tables = _pair_tables(n)  # 55 MB at n = 9, freed when this returns
-        chunks = _chunks(math.factorial(n - 1), workers)
+        chunks = _chunks(len(tables[-1]), workers)
         _pair_counts_cache[n] = _chunk_sum(partial(_fact_chunk, n, tables), chunks, workers)
     return _pair_counts_cache[n]
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from longcycles import verify
@@ -8,6 +10,21 @@ def _clear_pair_caches():
     _pair_counts_cache.clear()
     for derived in (_pairs_alpha_tables, _pairs_sep_prefix, _pairs_type_rows):
         derived.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_unchanged():
+    """cli.main sets the BLAS thread variables where they are unset; a test
+    that calls it in-process leaves them as they were, so that no later
+    subprocess inherits them."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    saved = {name: os.environ.get(name) for name in names}
+    yield
+    for name, value in saved.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
 
 
 @pytest.fixture

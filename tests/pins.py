@@ -22,8 +22,8 @@ start standard error with ``usage: longcycles <leaf> ``: the usage of the
 row's command, its leading words before the first flag.
 
 Why some ``ci`` rows are there, and what they cost on a two-core CI runner:
-- ``oracle pairs --n 8``, threads 1, 2, 3: three chunks of 1,680 second
-  factors cut head groups at other places than two chunks of 2,520; about
+- ``oracle pairs --n 8``, threads 1, 2, 3: three chunks of 280 head
+  groups cut pattern classes at other places than two chunks of 420; about
   42 MB with or without ``--alpha 3,5``, bounded at 49;
 - ``oracle pairs --n 7 --alpha 3,4``, threads 1, 3: an odd ``n``, so an odd
   half of digits; about 36 MB, bounded at 41;

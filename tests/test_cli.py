@@ -238,11 +238,12 @@ class TestOracle:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_a_failed_sweep_is_an_internal_error(self, capfd, monkeypatch, clear_pair_caches, threads):
         # exit 1 would claim that a check failed; at two threads the chunk
-        # that ends the range is the forked child's, and it prints its traceback
+        # that ends the range of 20 head groups is the forked child's, and it
+        # prints its traceback
         chunk = oracle._fact_chunk
 
         def broken(n, tables, lo, hi):
-            if hi == 120:
+            if hi == 20:
                 raise IndexError("broken chunk")
             return chunk(n, tables, lo, hi)
 
@@ -255,7 +256,7 @@ class TestOracle:
         assert "IndexError: broken chunk" in err
         assert "internal error: " in err.splitlines()[-1]
         if threads == "2":
-            assert "internal error: RuntimeError: the process counting chunks 60..119 failed" in err
+            assert "internal error: RuntimeError: the process counting chunks 10..19 failed" in err
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize(
@@ -566,6 +567,31 @@ def test_python_dash_m_longcycles_runs_the_command_line():
     argv = ["formula", "zagier-stanley", "--n", "7", "--k", "3"]
     proc = subprocess.run([sys.executable, "-m", "longcycles", *argv], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "469\n", "")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads the threads of a Linux process")
+def test_the_cli_starts_no_blas_threads():
+    # the float32 product of _transposed_codes is the one call that reaches
+    # BLAS; at n = 8 OpenBLAS would run it on a thread per core.  The CLI's
+    # own setup runs first, before the process imports numpy
+    script = """
+import os, sys
+from longcycles import cli
+assert "numpy" not in sys.modules
+cli.main(["formula", "zagier-stanley", "--n", "7", "--k", "3"])
+import numpy as np
+from longcycles import _plane_checks, oracle
+words, cycles = oracle._cycle_words(8)[:4], oracle._long_cycles(8)
+verticals = np.argsort(cycles, axis=1).T.take(cycles[:4], axis=0)
+tables = _plane_checks._TranspositionTables(cycles.T.copy(), _plane_checks._moves(8), None)
+codes, _ = _plane_checks._transposed_codes(words, verticals, tables)
+print(codes.shape, len(os.listdir("/proc/self/task")))
+"""
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["469", "(4, 56, 5040) 1"]
 
 
 class TestClosedPipe:

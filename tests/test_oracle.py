@@ -91,7 +91,7 @@ def _min_lengths(perms):
 
 
 def _chunk(n, lo, hi):
-    """_fact_chunk over the second factors lo..hi-1, with tables of its own."""
+    """_fact_chunk over the head groups lo..hi-1, with tables of its own."""
     return _fact_chunk(n, _pair_tables(n), lo, hi)
 
 
@@ -214,9 +214,9 @@ class TestLexRank:
             assert _lex_rank(n, list(image)) == i
 
     def test_fact_chunks_sum_to_whole_range(self):
-        tables = _pair_tables(6)
-        whole = _fact_chunk(6, tables, 0, 120)
-        parts = sum(_fact_chunk(6, tables, lo, hi) for lo, hi in ((0, 7), (7, 64), (64, 120)))
+        tables = _pair_tables(6)  # 20 head groups
+        whole = _fact_chunk(6, tables, 0, 20)
+        parts = sum(_fact_chunk(6, tables, lo, hi) for lo, hi in ((0, 3), (3, 11), (11, 20)))
         assert np.array_equal(parts, whole)
         assert whole.sum() == 120**2
 
@@ -477,10 +477,10 @@ def _head_cuts(n):
 
 
 def _group_cuts(n):
-    """Indices i of the long cycles (_cycle_rows) inside a tail-pattern group of _fact_chunk:
+    """Indices i of the long cycles (_cycle_rows) inside a head group of _pair_tables:
     rows with the first n - k images of row i lie both before i and from i
     on.  A window starting or ending at i holds only some of that group's
-    patterns, so it also cuts the group's class of the whole range."""
+    patterns."""
     k = min(oracle._TAIL, n)
     codes = oracle._code(n, _cycle_rows(_cycle_words(n)).T[: n - k])
     _, first, group = np.unique(codes, return_index=True, return_inverse=True)
@@ -489,13 +489,13 @@ def _group_cuts(n):
     return at[(first[group] < at) & (at <= last[group])]
 
 
-def _pair_windows():
-    """(n, lo, hi) windows of second factors: the whole range up to n = 6, an
-    empty window, windows of 4n + 3 second factors (cut short at n <= 4),
-    windows at n = 5..8 that start and end inside a run of rows with the
-    same first n // 2 images, windows at n = 5..8 that start and end inside a
-    tail-pattern group and span more than min(8n, (n-1)!/4) second factors,
-    and three second factors at n = 9."""
+def _factor_windows():
+    """(n, lo, hi) windows of second factors in _cycle_rows order: the whole
+    range up to n = 6, an empty window, windows of 4n + 3 second factors
+    (cut short at n <= 4), windows at n = 5..8 that start and end inside a
+    run of rows with the same first n // 2 images, windows at n = 5..8 that
+    start and end inside a head group and span more than min(8n, (n-1)!/4)
+    second factors, and three second factors at n = 9."""
     for n in range(1, 10):
         m = math.factorial(n - 1)
         if n <= 6:
@@ -513,43 +513,191 @@ def _pair_windows():
     yield 9, 100, 103
 
 
-def _composed_counts(n, lo, hi):
-    """The pair counts of second factors lo..hi-1 by signature, from every
-    product composed as an array and walked by _min_lengths."""
+def _window_tables(n, lo, hi):
+    """_pair_tables(n) with the head groups of the long cycles lo..hi-1
+    (_cycle_rows) alone: each mask holds the patterns of the group's long
+    cycles in the window, any subset of them, and the groups are in
+    pattern-class order."""
+    tables = _pair_tables(n)
+    cyc_t, head_of, pattern_of = tables[0][:, lo:hi], tables[3], tables[4]
+    h = oracle._split(n).h
+    heads = math.factorial(n) // math.factorial(n - h)
+    index = head_of[oracle._code(n, cyc_t[:h])] + pattern_of[oracle._code(n, cyc_t[h:])]
+    masks = np.zeros(heads, dtype=np.int64)
+    np.bitwise_or.at(masks, index % heads, 1 << index // heads)
+    head = np.flatnonzero(masks)
+    head = head[np.argsort(masks[head], kind="stable")]
+    return (*tables[:7], head, masks[head])
+
+
+def _class_window(n):
+    """(lo, hi): the last two head groups of a pattern class of at least three
+    groups of _pair_tables(n), in the middle of their order, through the first
+    two of the next such class: a window that starts and ends inside a class."""
+    runs, start = [], 0
+    for _, members in itertools.groupby(_pair_tables(n)[-1].tolist()):
+        size = len(list(members))
+        if size >= 3:
+            runs.append((start, start + size))
+        start += size
+    (_, end), (begin, _) = runs[len(runs) // 2 - 1 : len(runs) // 2 + 1]
+    return end - 2, begin + 2
+
+
+def _pair_windows():
+    """(n, lo, hi) windows of head groups: the whole range up to n = 6, an
+    empty window and one group up to n = 8, a window that starts and ends
+    inside a pattern class at n = 6..8 (the four groups of n = 5 are four
+    classes), and three groups at n = 9."""
+    for n in range(1, 9):
+        m = len(_pair_tables(n)[-1])
+        if n <= 6:
+            yield n, 0, m
+        yield n, m // 2, m // 2
+        yield n, m // 2, m // 2 + 1
+        if 6 <= n:
+            yield n, *_class_window(n)
+    yield 9, 100, 103
+
+
+def _group_members(n, lo, hi):
+    """The long cycles (_cycle_rows) in head groups lo..hi-1 of
+    _pair_tables(n): those whose first h images are the head of one of those
+    groups' lex-least permutations."""
+    tables = _pair_tables(n)
+    least, head = tables[6], tables[7]
+    h = oracle._split(n).h
+    heads = {tuple(q[:h]) for q in least[head[lo:hi]].tolist()}
+    return [c for c in _cycle_rows(_cycle_words(n)).tolist() if tuple(c[:h]) in heads]
+
+
+def _composed(n, second):
+    """The pair counts of the second factors ``second`` (one-line images) by
+    signature, from every product composed as an array and walked by
+    _min_lengths, one second factor at a time."""
     cyc = _cycle_rows(_cycle_words(n))
-    # row c1 of cyc[:, c2] is the product c1∘c2; _min_lengths reads element first
-    products = np.concatenate([cyc[:, c2] for c2 in cyc[lo:hi].tolist()] or [np.empty((0, n), np.int64)])
-    sig_rows = {row: i for i, row in enumerate(map(tuple, _signatures(n)[1].tolist()))}
+    sig_rows = _signatures(n)[1]
+    places = (n + 1) ** np.arange(n)
+    sig_codes = sig_rows @ places
+    order = np.argsort(sig_codes)
     expected = np.zeros(len(sig_rows), dtype=np.int64)
-    for lens in _min_lengths(products.T).T.tolist():
-        expected[sig_rows[tuple(lens)]] += 1
+    for c2 in second:
+        # row c1 of cyc[:, c2] is the product c1∘c2; _min_lengths reads element first
+        codes = _min_lengths(cyc[:, c2].T).T @ places
+        at = order[np.searchsorted(sig_codes, codes, sorter=order)]
+        assert np.array_equal(sig_codes[at], codes)
+        expected += np.bincount(at, minlength=len(sig_rows))
     return expected
+
+
+def _composed_counts(n, lo, hi):
+    """The scalar reference for the head groups lo..hi-1 of _pair_tables(n)."""
+    return _composed(n, _group_members(n, lo, hi))
+
+
+def _window_counts(n, lo, hi):
+    """_fact_chunk over _window_tables(n, lo, hi), every group of it."""
+    tables = _window_tables(n, lo, hi)
+    return _fact_chunk(n, tables, 0, len(tables[-1]))
 
 
 class TestPairKernel:
     @pytest.mark.parametrize("n, lo, hi", list(_pair_windows()))
-    def test_fact_chunk_against_composed_products(self, n, lo, hi):
+    def test_fact_chunk_over_group_windows(self, n, lo, hi):
         got = _chunk(n, lo, hi)
         assert got.dtype == np.int64
         assert got.tolist() == _composed_counts(n, lo, hi).tolist()
+        assert got.sum() == len(_group_members(n, lo, hi)) * math.factorial(n - 1)
+
+    @pytest.mark.parametrize("n, lo, hi", list(_factor_windows()))
+    def test_fact_chunk_against_composed_products(self, n, lo, hi):
+        # the kernel over any set of second factors, the long cycles
+        # lo..hi-1: its groups' masks hold any subset of the patterns, where
+        # those of the whole range all hold the same number
+        got = _window_counts(n, lo, hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == _composed(n, _cycle_rows(_cycle_words(n))[lo:hi].tolist()).tolist()
         assert got.sum() == (hi - lo) * math.factorial(n - 1)
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_fact_chunk_against_composed_products_at_scale(self, n):
+        # the first and the last groups, and two windows that each cut two
+        # classes: across the end of the first class, and _class_window
+        tables = _pair_tables(n)
+        masks = tables[-1].tolist()
+        m, first = len(masks), masks.count(masks[0])
+        for window in ((0, 3), (m - 3, m), (first - 2, first + 2), _class_window(n)):
+            assert _fact_chunk(n, tables, *window).tolist() == _composed_counts(n, *window).tolist()
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_every_window_when_the_head_is_empty(self, n):
         # k = n: one head group, whose q is the identity, and every second
-        # factor one of its patterns
+        # factor one of its patterns; every window of them is one group
         m = math.factorial(n - 1)
-        tables = _pair_tables(n)
+        assert len(_pair_tables(n)[-1]) == 1
+        cyc = _cycle_rows(_cycle_words(n)).tolist()
         for lo in range(m + 1):
             for hi in range(lo, m + 1):
-                assert _fact_chunk(n, tables, lo, hi).tolist() == _composed_counts(n, lo, hi).tolist()
+                assert _window_counts(n, lo, hi).tolist() == _composed(n, cyc[lo:hi]).tolist()
 
     def test_chunks_cut_inside_head_groups_sum_to_whole_range(self):
-        tables = _pair_tables(7)
-        whole = _fact_chunk(7, tables, 0, 720)
+        # the second factors of one head group, split over two table sets
+        whole = _window_counts(7, 0, 720)
         cuts = _head_cuts(7)
         for cut in cuts[:: len(cuts) // 4].tolist():
-            assert np.array_equal(_fact_chunk(7, tables, 0, cut) + _fact_chunk(7, tables, cut, 720), whole)
+            assert np.array_equal(_window_counts(7, 0, cut) + _window_counts(7, cut, 720), whole)
+
+    def test_chunks_cut_inside_classes_sum_to_whole_range(self):
+        tables = _pair_tables(7)
+        masks = tables[-1]
+        whole = _fact_chunk(7, tables, 0, len(masks))
+        cuts = np.flatnonzero(masks[1:] == masks[:-1]) + 1  # a chunk starting there cuts a class
+        for cut in cuts[:: len(cuts) // 4].tolist():
+            assert np.array_equal(_fact_chunk(7, tables, 0, cut) + _fact_chunk(7, tables, cut, len(masks)), whole)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_head_groups_partition_the_long_cycles(self, n):
+        # every long cycle is one (group, pattern bit) of the masks, the
+        # masks' bits count the long cycles, and the masks never decrease
+        tables = _pair_tables(n)
+        least, head, masks = tables[6], tables[7], tables[8].tolist()
+        h = oracle._split(n).h
+        group_of = {tuple(q[:h]): g for g, q in enumerate(least[head].tolist())}
+        assert len(group_of) == len(masks)
+        pattern_of = {p: i for i, p in enumerate(itertools.permutations(range(n - h)))}
+        seen = set()
+        for c in _cycle_rows(_cycle_words(n)).tolist():
+            tail = c[h:]
+            key = group_of[tuple(c[:h])], pattern_of[tuple(sorted(tail).index(x) for x in tail)]
+            assert masks[key[0]] >> key[1] & 1
+            seen.add(key)
+        assert len(seen) == math.factorial(n - 1)
+        assert sum(bin(mask).count("1") for mask in masks) == math.factorial(n - 1)
+        assert masks == sorted(masks)
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_chunks_redo_at_most_one_class_per_boundary(self, monkeypatch, parts):
+        # the class passes of _fact_chunk, counted as its groupby yields
+        # them: over the chunks of a sweep they are at most those of the
+        # whole range plus one for each boundary between chunks
+        passes, groupby = [], itertools.groupby
+
+        def counted(*args, **kwargs):
+            for key, members in groupby(*args, **kwargs):
+                passes.append(key)
+                yield key, members
+
+        monkeypatch.setattr(oracle.itertools, "groupby", counted)
+        tables = _pair_tables(8)
+        m = len(tables[-1])
+        whole = _fact_chunk(8, tables, 0, m)
+        one = len(passes)
+        chunks = oracle._chunks(m, parts)
+        assert len(chunks) == parts
+        assert np.array_equal(sum(_fact_chunk(8, tables, lo, hi) for lo, hi in chunks), whole)
+        assert one == 24
+        assert len(passes) - one <= one + parts - 1
 
 
 def _pattern_products(k):
@@ -1053,8 +1201,10 @@ class TestCodeTables:
             product_pair_counts(5, workers)
         finally:
             gc.enable()
-        assert len(table_refs) == 7  # cyc_t, the pair and high codes, the head, pattern, source and least tables
-        assert [table() for table in table_refs] == [None] * 7
+        # cyc_t, the pair and high codes, the head, pattern, source and least
+        # tables, and the groups' heads and masks
+        assert len(table_refs) == 9
+        assert [table() for table in table_refs] == [None] * 9
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_freed_once_a_failed_sweeps_exception_is_dropped(self, monkeypatch, table_refs, workers):
@@ -1068,8 +1218,8 @@ class TestCodeTables:
                 product_pair_counts(5, workers)
         finally:
             gc.enable()
-        assert len(table_refs) == 7
-        assert [table() for table in table_refs] == [None] * 7
+        assert len(table_refs) == 9
+        assert [table() for table in table_refs] == [None] * 9
         assert 5 not in oracle._pair_counts_cache
 
     def test_no_whole_permutation_table_stays_behind(self, clear_pair_caches):
@@ -1126,8 +1276,8 @@ class TestChunkSum:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])  # 3 chunks over 2 processes
     def test_sums_equal_one_chunk(self, workers):
-        m = math.factorial(4)
         tables = _pair_tables(5)
+        m = len(tables[-1])  # 4 head groups
         counts = oracle._chunk_sum(functools.partial(_fact_chunk, 5, tables), oracle._chunks(m, workers), workers)
         assert counts.tolist() == _fact_chunk(5, tables, 0, m).tolist()
         _assert_no_child_left()
@@ -1180,6 +1330,7 @@ class TestChunkSum:
         assert oracle._chunks(24, 5000) == [(i, i + 1) for i in range(24)]
         assert oracle._chunks(720, 3) == [(0, 240), (240, 480), (480, 720)]
         assert oracle._chunks(5, 2) == [(0, 3), (3, 5)]
+        assert oracle._chunks(4, 3) == [(0, 2), (2, 3), (3, 4)]  # one per worker: 3 of the 4 head groups of n = 5
 
 
 class TestPoolSize:
@@ -1216,8 +1367,10 @@ class TestPoolSize:
         assert len(forks) + 1 == processes
         assert builds == [(5, os.getpid(), 1)]  # once, here, with the signatures already built
         assert prebuilt == 1  # before the fork: the children inherit the tables
-        assert len(chunks) == min(workers, math.factorial(4))
-        assert counts.tolist() == _chunk(5, 0, math.factorial(4)).tolist()
+        groups = len(build(5)[-1])  # 4
+        assert len(chunks) == min(workers, groups)
+        assert chunks[-1][1] == groups
+        assert counts.tolist() == _chunk(5, 0, groups).tolist()
         _assert_no_child_left()
 
     def test_one_worker_forks_nothing(self, monkeypatch, clear_pair_caches):
@@ -1226,7 +1379,7 @@ class TestPoolSize:
 
         monkeypatch.setattr(oracle.os, "fork", no_fork)
         clear_pair_caches()
-        assert product_pair_counts(6, 1).tolist() == _chunk(6, 0, 120).tolist()
+        assert product_pair_counts(6, 1).tolist() == _chunk(6, 0, 20).tolist()  # 20 head groups
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_worker_loads_no_process_pool(self, workers):  # two fork without one
