@@ -4,7 +4,11 @@ baserecur identity suites of :mod:`longcycles.verify`.
 The block types (keys) of every composition of a total are laid out one
 composition after another, and their z, odd-split sum, weight and length,
 their odd splits and their down-arrow steps are folded block by block into
-index arrays (_key_columns, _key_moves).  The oracle's plane tallies and pair
+index arrays (_key_columns, _key_moves).  Each block's own tables come from
+one int64 pass per block size over the multiplicity vectors of its
+partitions (_block_tables); the scalar routines of
+:mod:`longcycles.partitions` are the public API and the tests' reference,
+and verify never calls them.  The oracle's plane tallies and pair
 counts are dense arrays in the same key order (oracle._plane_array,
 oracle._pair_array), so each side of an identity is a sum over split or step
 rows, with no Python loop per instance, taken exactly once a bound in Python
@@ -27,15 +31,7 @@ import numpy as np
 
 from . import formulas, oracle
 from .errors import ResourceLimitError
-from .partitions import (
-    _block_pieces,
-    _compositions,
-    _odd_refinements,
-    _partition_list,
-    _shrink_steps,
-    format_d_key,
-    format_type_key,
-)
+from .partitions import _compositions, _partition_list, format_d_key, format_type_key
 
 
 # ---------------------------------------------------------------------------
@@ -54,26 +50,83 @@ def _grouped(copies: int, sizes: np.ndarray) -> np.ndarray:
     return np.arange(copies)[:, None] * size + ((copies - 1) * start + np.arange(ends[-1]))
 
 
-def _pieces(max_n: int) -> list[np.ndarray]:
-    """Per block size p = 0..max_n, the columns (z, S, weight, length) of the
-    partitions of p, the pieces of a block of size p (_block_pieces), as a
-    (4, P) array."""
-    return [np.array([piece[1:] for piece in _block_pieces(p).values()], dtype=np.int64).T for p in range(max_n + 1)]
+def _rows(groups: list[tuple]) -> np.ndarray:
+    """The groups, each a tuple of k columns that broadcast to one shape, as
+    the rows of one (k, total) int64 array, one group after another, each
+    column written once, straight into its place."""
+    shapes = [np.broadcast(*group).shape for group in groups]
+    out, lo = np.empty((len(groups[0]), sum(map(math.prod, shapes))), dtype=np.int64), 0
+    for group, shape in zip(groups, shapes):
+        for row, column in zip(out[:, lo : lo + math.prod(shape)], group):
+            row.reshape(shape)[...] = column
+        lo += math.prod(shape)
+    return out
+
+
+@cache
+def _block_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of the partitions c of a block size p, by index in
+    _partition_list order, in one int64 pass over their multiplicity matrix
+    (row c, column i: the parts of c equal to i): the columns (z, S, weight,
+    length), (4, P); the odd splits (3, R), rows (c, mu, kappa); and the
+    down-arrow steps of a block of size p (5, T), rows (c, its shrunk
+    partition of p - 1, twice the coefficient, the part times its
+    multiplicity, part), each c's largest part first.
+
+    An odd split cuts a part v of c into sigma, a partition of v into an odd
+    number >= 3 of parts: mu = c - e_v + sigma, kappa = prod_i C(mu_i,
+    sigma_i), and S = sum kappa z(mu).  v exceeds every part of sigma, so
+    each (c, mu) comes from one (v, sigma).  A step shrinks a part j >= 2,
+    and twice its coefficient is p (j - 1) times the (j - 1)-parts after it.
+    Exact to p = 20, as 20! < 2**63.  Memo: the key columns and moves,
+    baserecur's columns, the classic blocks, _split_sides and _require_int64
+    re-read it, 168 of 181 reads in verify --max-n 7, whose 13 builds (p <=
+    12) take about 3 ms."""
+    parts = _partition_list(p)
+    length = np.fromiter(map(len, parts), np.int64, len(parts))
+    mults = np.zeros((len(parts), p + 2), dtype=np.int64)  # columns 0..p + 1: column 1 exists at p = 0
+    np.add.at(mults, (np.repeat(np.arange(len(parts)), length), np.fromiter(itertools.chain(*parts), np.int64)), 1)
+    # m_i <= p // i: these place values code each partition, m_p the top digit, so codes fall along _partition_list
+    radix = np.cumprod([1, 1, *(p // i + 1 for i in range(1, p + 1))])
+    codes = mults @ radix
+    # sigma, a partition of v = p - t, as the partition of p with t more ones
+    t = np.arange(p + 1)
+    odd = length[:, None] - t
+    s, t = np.nonzero((t <= mults[:, 1:2]) & (odd % 2 == 1) & (odd >= 3))
+    sigma = mults[s]
+    sigma[:, 1] -= t
+    c, q = np.nonzero(mults[:, p - t] > 0)
+    sigma = sigma[q]
+    mu = mults[c] + sigma - (np.arange(p + 2) == p - t[q, None])  # less e_v, v = p - t
+    fact = np.array([math.factorial(k) for k in range(p + 1)], dtype=np.int64)
+    kap = (fact[mu] // (fact[sigma] * fact[mu - sigma])).prod(axis=1)
+    mu = np.searchsorted(-codes, -(mu @ radix))
+    z = math.factorial(p) // (np.arange(p + 2) ** mults * fact[mults]).prod(axis=1)
+    columns = np.stack([z, _sums_by(c, kap * z[mu], len(parts)), p - mults[:, 1], length])
+    splits = np.stack([c, mu, kap])
+    c, j = np.nonzero(mults[:, p:1:-1] > 0)
+    j = p - j
+    # the partitions of p - 1 are those of p with a 1, less one 1
+    shrunk = np.searchsorted(1 - codes[mults[:, 1] > 0], radix[j] - radix[j - 1] - codes[c])
+    steps = np.stack([c, shrunk, p * (j - 1) * (mults[c, j - 1] + 1), j * mults[c, j], j])
+    for table in (columns, splits, steps):
+        table.flags.writeable = False
+    return columns, splits, steps
 
 
 def _first_blocks(total: int, folded: list[np.ndarray]) -> list[tuple[int, int]]:
     """(first, width) per first block of the keys of ``total``, from total
     down to 1, with ``folded`` the columns of every smaller total: the keys
     with that first block are the next ``width`` in key order."""
-    return [(first, len(_block_pieces(first)) * folded[total - first].shape[1]) for first in range(total, 0, -1)]
+    return [(first, len(_partition_list(first)) * folded[total - first].shape[1]) for first in range(total, 0, -1)]
 
 
 def _fold_first(piece: np.ndarray, rest: np.ndarray, rest_sizes: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write into ``out``, (4, P * R), the columns (z, S, weight, length) of
-    the keys whose first block is one of the P pieces ``piece`` (_pieces)
-    and whose other blocks are one of the R keys ``rest`` (4, R) of a
-    smaller total, whose compositions have ``rest_sizes`` keys each; return
-    the key count of each composition of the segment.
+    the keys whose first block is one of the P pieces ``piece`` (the columns
+    of _block_tables) and whose other blocks are one of the R keys ``rest``
+    (4, R) of a smaller total, whose compositions have ``rest_sizes`` keys
+    each; return the key count of each composition of the segment.
 
     z multiplies, S = sum_i S_i z / z_i, the odd splits' z, folds as S' z +
     z' S, and the weight and the length add.  The outer product is laid out
@@ -96,7 +149,6 @@ def _key_columns(max_n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     The keys of the compositions of m with first block ``first`` = m..1 are
     the outer products of the pieces of ``first`` with the keys of m -
     first, one segment each (_fold_first)."""
-    pieces = _pieces(max_n)
     folded = [np.array([[1], [0], [0], [0]], dtype=np.int64)]
     sizes = [np.ones(1, dtype=np.int64)]
     for total in range(1, max_n + 1):
@@ -104,30 +156,11 @@ def _key_columns(max_n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         out, lo, segments = np.empty((4, sum(width for _first, width in blocks)), dtype=np.int64), 0, []
         for first, width in blocks:
             rest, rest_sizes = folded[total - first], sizes[total - first]
-            segments.append(_fold_first(pieces[first], rest, rest_sizes, out[:, lo : lo + width]))
+            segments.append(_fold_first(_block_tables(first)[0], rest, rest_sizes, out[:, lo : lo + width]))
             lo += width
         folded.append(out)
         sizes.append(np.concatenate(segments))
     return folded, sizes
-
-
-@cache
-def _block_moves(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The odd splits and the down-arrow steps of the partitions of p, by
-    index in _partition_list order: splits (3, R), rows (partition, split,
-    kappa), from _odd_refinements; steps (5, T), rows (partition, its shrunk
-    partition of p - 1, twice the coefficient, the part times its
-    multiplicity, part), from _shrink_steps of a block of size p.  Memo:
-    _key_moves and the classic blocks re-read it, 46 calls, 0.9 ms in all."""
-    index = {c: i for i, c in enumerate(_partition_list(p))}
-    down = {c: i for i, c in enumerate(_partition_list(p - 1))}
-    splits = [(index[c], index[mu], kap) for c in index for mu, kap in _odd_refinements(c)]
-    steps = [
-        (index[c], down[shrunk], twice, part * c.count(part), part)
-        for c in index
-        for _i0, part, twice, _a2, (shrunk,) in _shrink_steps((p,), (c,))
-    ]
-    return np.array(splits, dtype=np.int64).reshape(-1, 3).T, np.array(steps, dtype=np.int64).reshape(-1, 5).T
 
 
 def _key_moves(max_m: int, sizes: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -147,22 +180,21 @@ def _key_moves(max_m: int, sizes: list[np.ndarray]) -> list[tuple[np.ndarray, np
         splits, steps, places, lo = [], [], {}, 0
         for first in range(m, 0, -1):
             # at[d, j]: the key with piece d of ``first`` and key j of m - first
-            at = places[first] = lo + _grouped(len(_block_pieces(first)), sizes[m - first])
+            at = places[first] = lo + _grouped(len(_partition_list(first)), sizes[m - first])
             lo += at.size
-            (c, mu, kap), own_steps = _block_moves(first)
-            splits.append(np.broadcast_arrays(at[c], at[mu], kap[:, None]))
+            _pieces, (c, mu, kap), own_steps = _block_tables(first)
+            splits.append((at[c], at[mu], kap[:, None]))
             key, split, kap = moves[m - first][0]
-            splits.append(np.broadcast_arrays(at[:, key], at[:, split], kap))
+            splits.append((at[:, key], at[:, split], kap))
             c, shrunk, *columns = own_steps
             if c.size:  # a step of the first block leaves m - 1 with first block ``first - 1``
                 twice, mult, part = (column[:, None] for column in columns)
-                steps.append(np.broadcast_arrays(at[c], below[first - 1][shrunk], twice, mult, 0, part))
+                steps.append((at[c], below[first - 1][shrunk], twice, mult, 0, part))
             key, shrunk, twice, mult, block, part = moves[m - first][1]
             if key.size:
-                steps.append(np.broadcast_arrays(at[:, key], below[first][:, shrunk], twice, mult, block + 1, part))
-        splits, steps = ([np.stack(move).reshape(len(move), -1) for move in group] for group in (splits, steps))
-        steps = np.concatenate(steps, axis=1) if steps else moves[0][1]
-        moves.append((np.concatenate(splits, axis=1), steps[:, np.lexsort((-steps[5], steps[4], steps[0]))]))
+                steps.append((at[:, key], below[first][:, shrunk], twice, mult, block + 1, part))
+        steps = _rows(steps) if steps else moves[0][1]
+        moves.append((_rows(splits), steps[:, np.lexsort((-steps[5], steps[4], steps[0]))]))
         below = places
     return moves
 
@@ -172,7 +204,7 @@ def _seq_texts(total: int, prefix: str) -> Iterator[str]:
     composition and its blocks' texts, "N=3 alpha=(2,1) Lam=1+1 | 1" for
     the prefix "N=3 ".  Each leading text is built once per composition and
     shared by every partition of the last block."""
-    texts = [[piece[0] for piece in _block_pieces(p).values()] for p in range(total + 1)]
+    texts = [list(map(format_type_key, _partition_list(p))) for p in range(total + 1)]
     leads = [[text + " | " for text in by_p] for by_p in texts]
     for alpha in _compositions(total):
         mids = [f"{prefix}alpha={format_d_key(alpha)} Lam="]
@@ -284,8 +316,7 @@ def _ordered_block(names: tuple[str, ...], segments: list[tuple], build: Callabl
     twice lhs, twice rhs), whose arrays broadcast to one shape, put in the
     suite's order by a stable sort on ``order``, so that reports of equal
     order keep the order of their segments."""
-    flat = ([column.ravel() for column in np.broadcast_arrays(*segment)] for segment in segments)
-    code, order, head, part, lhs, rhs = map(np.concatenate, zip(*flat))
+    code, order, head, part, lhs, rhs = _rows(segments)
     at = np.argsort(order, kind="stable")
     return names, code[at].astype(np.int8), lhs[at], rhs[at], _KeyTexts(build, head[at], part[at])
 
@@ -306,7 +337,7 @@ def _split_sides(
     count, exceedances = 2 * planes[..., 0], 2 * planes[..., 1]
     etas = count.shape[1]
     split_rhs = _odd_split_sums(splits, count)
-    joint_rhs = split_rhs + _odd_split_sums(_block_moves(n)[0], count.T).T
+    joint_rhs = split_rhs + _odd_split_sums(_block_tables(n)[1], count.T).T
     split_lhs = (n - length)[:, None] * count - exceedances
     joint_lhs = (n + 1 - length[:etas] - length[:, None]) * count
     return split_lhs, split_rhs, joint_lhs, joint_rhs
@@ -340,7 +371,7 @@ def _classic_block(n: int, columns: list[np.ndarray]) -> tuple:
     split per lam."""
     etas = len(_partition_list(n))
     z, _s, _w, length = columns[n][:, :etas]  # the keys of alpha = (n), (lam,), lead
-    splits = _block_moves(n)[0]
+    splits = _block_tables(n)[1]
     split_lhs, split_rhs, joint_lhs, joint_rhs = _split_sides(n, oracle._plane_array(n, (n,)), length, splits)
     pairs = oracle._pair_array(n, (n,))
     keep, long_lhs, long_rhs = _long_sides(n, pairs, _odd_split_sums(splits, pairs), z, length)
@@ -503,7 +534,7 @@ def _require_int64(max_n: int) -> None:
     exact in int64: a bound on z, S, the weight and twice either side, in
     Python ints, from each block size's largest pieces, folded over the
     compositions as the columns fold them."""
-    largest = [[max(column) for column in list(zip(*_block_pieces(p).values()))[1:4]] for p in range(max_n + 1)]
+    largest = [_block_tables(p)[0][:3].max(axis=1).tolist() for p in range(max_n + 1)]
     tops = [(1, 0, 0)]  # per total: bounds on z, S and the weight over its block types
     for total in range(1, max_n + 1):
         z = s = w = 0
@@ -534,7 +565,7 @@ def _baserecur_columns(max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     one first block at a time (_fold_first) into one buffer, and each
     segment's sides are written straight into the output."""
     folded, sizes = _key_columns(max_n - 1)
-    pieces, blocks = _pieces(max_n), _first_blocks(max_n, folded)
+    blocks = _first_blocks(max_n, folded)
     count = sum(columns.shape[1] for columns in folded[1:]) + sum(width for _first, width in blocks)
     twice_lhs, twice_rhs = np.empty((2, count), dtype=np.int64)
     done = 0
@@ -546,7 +577,7 @@ def _baserecur_columns(max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for first, width in blocks:
         rows, rest = slice(done, done + width), folded[max_n - first]
         folded[max_n - first] = None  # no later segment reads it
-        sizes.append(_fold_first(pieces[first], rest, sizes[max_n - first], buffer[:, :width]))
+        sizes.append(_fold_first(_block_tables(first)[0], rest, sizes[max_n - first], buffer[:, :width]))
         _sides(max_n, buffer[:, :width], twice_lhs[rows], twice_rhs[rows])
         done = rows.stop
     return twice_lhs, twice_rhs, np.concatenate(sizes[1:])
@@ -582,6 +613,6 @@ class _BlockTypeTexts(Sequence):
         alpha = tuple(b - a for a, b in zip(bounds, bounds[1:]))
         texts = []
         for p in reversed(alpha):  # the last block's partition changes fastest
-            k, d = divmod(k, len(_block_pieces(p)))
-            texts.append(list(_block_pieces(p).values())[d][0])
+            k, d = divmod(k, len(_partition_list(p)))
+            texts.append(format_type_key(_partition_list(p)[d]))
         return f"N={total} alpha={format_d_key(alpha)} Lam=" + " | ".join(reversed(texts))

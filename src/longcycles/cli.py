@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
             table_leaf.set_defaults(run=_run_table, parser=table_leaf)
             table_leaf.add_argument("--n", type=_range_arg, required=True, help="single n or a range like 3..7")
             if arg_names[-1] == "alpha":
-                table_leaf.add_argument("--parts", type=int, help="restrict to k-part compositions")
+                table_leaf.add_argument("--parts", type=_at_least(1), help="restrict to k-part compositions")
             table_leaf.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")
 
     return parser

@@ -50,8 +50,12 @@ Why some ``ci`` rows are there, and what they cost on a two-core CI runner:
   and, at the suite's limit, 713,709 reports, held as int64 columns and
   written 1,024 at a time: about 1 s and 46 MB, bounded at 53 MB, and
   2-3 s and 64 MB, bounded at 74 MB;
-- the ``exit`` 2 rows other than ``--force``: each command declares only the
-  flags it reads, so argparse rejects the rest itself.
+- the ``exit`` 2 rows other than ``--force`` and ``--parts 0``: each
+  command declares only the flags it reads, so argparse rejects the rest
+  itself;
+- ``table separating-total --n 3 --parts 0``: a composition has at least
+  one part, so ``--parts`` below 1 is a usage error, while a ``--parts``
+  above ``n`` is valid and prints an empty table.
 
 Run every ``ci`` row through the installed console script, one line per row,
 and exit 1 naming every row that failed:

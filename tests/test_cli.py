@@ -449,6 +449,8 @@ class TestVerify:
         ["oracle", "diagonal", "--n", "3", "--eta", "0"],
         ["verify", "--max-n", "1"],
         ["table", "zagier-stanley", "--n", "3..4", "--parts", "2"],
+        ["table", "separating-total", "--n", "3", "--parts", "0"],
+        ["table", "separating-total", "--n", "3", "--parts", "-2"],
     ],
 )
 def test_a_usage_error_a_subcommand_finds_shows_its_own_usage(capsys, argv):
@@ -637,6 +639,10 @@ class TestTable:
         lines = out.strip().splitlines()
         assert lines[0] == "alpha,value"
         assert set(lines[1:]) == {'"(1,3)",12', '"(2,2)",8', '"(3,1)",12'}
+
+    def test_separating_total_with_more_parts_than_n_is_empty(self, capsys):
+        code, out = run(capsys, "table", "separating-total", "--n", "3", "--parts", "4", "--format", "csv")
+        assert (code, out) == (0, "alpha,value\n")
 
     def test_a_value_error_from_a_bug_is_not_a_blank_cell(self, capsys, monkeypatch):
         def broken(n, k):

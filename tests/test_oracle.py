@@ -291,6 +291,16 @@ class TestSplit:
         assert readers == [("oracle.py", "_split")]
 
 
+def scalar_planes(n, cycles):
+    """(pi, the diagonal's type, the exceedances) of every plane permutation
+    (s, pi) with s among the long cycles ``cycles``, through the scalar API."""
+    for s in cycles:
+        for image in itertools.permutations(range(1, n + 1)):
+            pi = Permutation(image)
+            plane_perm = PlanePermutation(s.cycle_word(), pi)
+            yield pi, plane_perm.diagonal().cycle_type().parts, plane_perm.exceedance_count()
+
+
 class TestPlaneTallies:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_against_scalar_plane_permutations(self, n):
@@ -299,17 +309,12 @@ class TestPlaneTallies:
         # block types of the vertical
         alphas = list(compositions(n))
         direct = {alpha.parts: {} for alpha in alphas}
-        for s in long_cycle_iter(n):
-            for image in itertools.permutations(range(1, n + 1)):
-                pi = Permutation(image)
-                plane_perm = PlanePermutation(s.cycle_word(), pi)
-                eta = plane_perm.diagonal().cycle_type().parts
-                a = plane_perm.exceedance_count()
-                for alpha in alphas:
-                    if is_alpha_separated(pi, alpha):
-                        by_key = direct[alpha.parts].setdefault(eta, {})
-                        count, exceedances = by_key.get(alpha_type(pi, alpha).key(), (0, 0))
-                        by_key[alpha_type(pi, alpha).key()] = (count + 1, exceedances + a)
+        for pi, eta, a in scalar_planes(n, long_cycle_iter(n)):
+            for alpha in alphas:
+                if is_alpha_separated(pi, alpha):
+                    by_key = direct[alpha.parts].setdefault(eta, {})
+                    count, exceedances = by_key.get(alpha_type(pi, alpha).key(), (0, 0))
+                    by_key[alpha_type(pi, alpha).key()] = (count + 1, exceedances + a)
         etas = [eta.parts for eta in partitions(n)]
         for alpha in alphas:
             planes = _plane_array(n, alpha.parts)
@@ -318,6 +323,27 @@ class TestPlaneTallies:
             for t, eta in enumerate(etas):
                 by_key = direct[alpha.parts].get(eta, {})
                 assert {key: tuple(cell) for key, cell in zip(keys, planes[:, t].tolist()) if cell != [0, 0]} == by_key
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize("lo, hi", [(0, 2), (15, 18)])
+    def test_plane_chunk_at_n8_against_scalar_plane_permutations(self, lo, hi):
+        # the counts of cycle words lo..hi-1 by diagonal type, the vertical's
+        # signature id, from its length row, and exceedances; from word 0,
+        # word 16 starts the second batch of _plane_batch(8) = 16 words
+        n = 8
+        assert oracle._plane_batch(n) == 16
+        sig_ids = {row: i for i, row in enumerate(map(tuple, _signatures(n)[1].tolist()))}
+        etas = _partition_list(n)
+        expected = np.zeros((len(etas), len(sig_ids), n + 1), dtype=np.int64)
+        for pi, eta, a in scalar_planes(n, itertools.islice(long_cycle_iter(n), lo, hi)):
+            row = [0] * n
+            for cycle in pi.cycles():  # each starts at its least element
+                row[cycle[0] - 1] = len(cycle)
+            expected[etas.index(eta), sig_ids[tuple(row)], a] += 1
+        tables = oracle._plane_tables(n)
+        assert np.array_equal(oracle._plane_chunk(n, tables, lo, hi), expected.ravel())
+        from_zero = oracle._plane_chunk(n, tables, 0, hi) - oracle._plane_chunk(n, tables, 0, lo)
+        assert np.array_equal(from_zero, expected.ravel())
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_long_verticals_tally_the_pair_sweep_by_type(self, n):

@@ -29,12 +29,12 @@ from longcycles import _columns, _plane_checks
 from longcycles.errors import DomainError, ResourceLimitError
 from longcycles.partitions import (
     Composition,
-    _block_pieces,
     _compositions,
     _odd_refinements,
     _partition_list,
     _partition_sequence_keys,
     _shrink_steps,
+    _z,
     _z_seq,
     format_d_key,
     format_seq_key,
@@ -755,11 +755,9 @@ class TestBaserecurSecondRoute:
 
     @pytest.mark.parametrize("p", range(13))
     def test_block_pieces_from_the_public_api(self, p):
-        pieces = _block_pieces(p)
-        assert list(pieces) == [lam.parts for lam in partitions(p)]
-        for parts, (text, z, s, weight, length) in pieces.items():
-            lam = IntegerPartition(parts)
-            assert text == str(lam)
+        columns = _columns._block_tables(p)[0]
+        assert columns.dtype == np.int64 and columns.shape == (4, len(list(partitions(p))))
+        for lam, (z, s, weight, length) in zip(partitions(p), columns.T.tolist()):
             assert z == z_of(lam)
             assert s == sum(kap * z_of(mu) for mu, kap in odd_refinements(lam))
             assert weight == sum(i * lam.multiplicity(i) for i in range(2, p + 1))
@@ -768,16 +766,67 @@ class TestBaserecurSecondRoute:
     def test_a_broken_identity_reports_its_exact_right_side(self, monkeypatch):
         # one more unit of weight on the single block of N = 1: the right
         # side becomes z * 1 / 2 = 1/2, against a left side of 0
-        def heavier(p):
-            return {c: (text, z, s, w + 1, n) for c, (text, z, s, w, n) in _block_pieces(p).items()}
+        tables = _columns._block_tables
 
-        monkeypatch.setattr(_columns, "_block_pieces", heavier)
+        def heavier(p):
+            columns, *moves = tables(p)
+            return (columns + [[0], [0], [1], [0]], *moves)
+
+        monkeypatch.setattr(_columns, "_block_tables", heavier)
         (report,) = verify.baserecur_reports(1)
         assert (report.lhs, report.rhs, report.passed) == (0, Fraction(1, 2), False)
         assert str(report) == "[FAIL] length_weight_base @ N=1 alpha=(1) Lam=1: 0 vs 1/2"
 
 
-def _leading_folds(rest, parts, folded, folds, keep):
+@functools.cache
+def scalar_pieces(p):
+    """Per partition c of p, in _partition_list order: (its key text, z(c),
+    S(c) = sum of kappa * z(mu) over its odd splits mu, the size of its parts
+    >= 2, len(c)), one partition at a time from the scalar routines."""
+    return {
+        c: (format_type_key(c), _z(c), sum(kap * _z(mu) for mu, kap in _odd_refinements(c)), sum(c) - c.count(1), len(c))
+        for c in _partition_list(p)
+    }
+
+
+class TestBlockTables:
+    """_columns._block_tables, the array pass per block size, against the
+    scalar routines of partitions, which it replaced in verify."""
+
+    @pytest.mark.parametrize("p", range(15))
+    def test_against_the_scalar_routines(self, p):
+        columns, splits, steps = _columns._block_tables(p)
+        parts = _partition_list(p)
+        assert [piece[1:] for piece in scalar_pieces(p).values()] == list(map(tuple, columns.T.tolist()))
+        index = {c: i for i, c in enumerate(parts)}
+        expected = [(index[c], index[mu], kap) for c in parts for mu, kap in _odd_refinements(c)]
+        got = list(map(tuple, splits.T.tolist()))
+        assert len(got) == len(expected) and set(got) == set(expected)
+        down = {c: i for i, c in enumerate(_partition_list(p - 1))} if p else {}
+        expected = [
+            (index[c], down[shrunk], twice, part * c.count(part), part)
+            for c in parts
+            for _i0, part, twice, _a2, (shrunk,) in _shrink_steps((p,), (c,))
+        ]
+        assert list(map(tuple, steps.T.tolist())) == expected
+        assert all(table.dtype == np.int64 and not table.flags.writeable for table in (columns, splits, steps))
+
+    def test_verify_never_enters_the_scalar_refinement_loop(self, monkeypatch):
+        expected = [_fields(verify.baserecur_reports(12)), _fields(verify.run_suites(("classic", "section3"), 6).reports)]
+
+        def never(*args):
+            raise AssertionError("verify entered a scalar refinement loop")
+
+        for name in ("_refinements", "_odd_refinements", "_shrink_steps"):
+            monkeypatch.setattr(sys.modules["longcycles.partitions"], name, never)
+        _columns._block_tables.cache_clear()
+        _columns._key_spaces.cache_clear()
+        run = verify.run_suites(("classic", "section3"), 6)
+        assert run.ok
+        assert [_fields(verify.baserecur_reports(12)), _fields(run.reports)] == expected
+
+
+def _leading_folds(rest, parts, folded, folds, keep, pieces):
     """Each composition of sum(parts) + rest that begins with parts, in
     _compositions order, with its leading blocks folded, in itertools.product
     order, into (key text, z, sum_i S_i z / z_i, weight, length), from
@@ -791,22 +840,22 @@ def _leading_folds(rest, parts, folded, folds, keep):
             lead_folded = [
                 (text + piece + " | ", z * zp, s * zp + sp * z, w + wp, length + lp)
                 for text, z, s, w, length in folded
-                for piece, zp, sp, wp, lp in _columns._block_pieces(b).values()
+                for piece, zp, sp, wp, lp in pieces(b).values()
             ]
             if sum(lead) < keep:
                 folds[lead] = lead_folded
-        yield from _leading_folds(rest - b, lead, lead_folded, folds, keep)
+        yield from _leading_folds(rest - b, lead, lead_folded, folds, keep, pieces)
 
 
-def scalar_baserecur_reports(max_n):
-    """baserecur one instance at a time in Python ints, from the pieces of
-    _columns._block_pieces: the reference for its int64 columns."""
+def scalar_baserecur_reports(max_n, pieces=scalar_pieces):
+    """baserecur one instance at a time in Python ints, from the ``pieces``
+    of each block size (scalar_pieces): the reference for its int64 columns."""
     reports = []
     folds = {}  # the leading compositions' folds, shared by every total
     for total in range(1, max_n + 1):
-        for alpha_parts, folded in _leading_folds(total, (), [("", 1, 0, 0, 0)], folds, max_n - 1):
+        for alpha_parts, folded in _leading_folds(total, (), [("", 1, 0, 0, 0)], folds, max_n - 1, pieces):
             head = f"N={total} alpha={format_d_key(alpha_parts)} Lam="
-            last = tuple(_columns._block_pieces(alpha_parts[-1]).values())
+            last = tuple(pieces(alpha_parts[-1]).values())
             for text, z, s, w, length in folded:
                 lead = head + text
                 for piece, zp, sp, wp, lp in last:
@@ -844,11 +893,18 @@ class TestBaserecurColumns:
         # one more unit of weight on the partition 2+1 of a block of 3: every
         # key with that block fails, by z / 2, a half where z is odd
         def heavier(p):
-            return {c: (text, z, s, w + (c == (2, 1)), n) for c, (text, z, s, w, n) in _block_pieces(p).items()}
+            return {c: (text, z, s, w + (c == (2, 1)), n) for c, (text, z, s, w, n) in scalar_pieces(p).items()}
 
-        monkeypatch.setattr(_columns, "_block_pieces", heavier)
+        tables = _columns._block_tables
+
+        def heavier_tables(p):
+            columns, *moves = tables(p)
+            weight = [c == (2, 1) for c in _partition_list(p)]
+            return (columns + np.array([[0], [0], [1], [0]]) * weight, *moves)
+
+        monkeypatch.setattr(_columns, "_block_tables", heavier_tables)
         run = verify.run_suites(("baserecur",), 3, baserecur_max_n=7)
-        expected = [str(r) for r in scalar_baserecur_reports(7) if not r.passed]
+        expected = [str(r) for r in scalar_baserecur_reports(7, heavier) if not r.passed]
         assert expected and any("/2" in line for line in expected)
         assert run.failures() == expected  # read from the columns, built one index at a time
         assert [str(r) for r in run.reports if not r.passed] == expected  # built in order
