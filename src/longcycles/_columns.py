@@ -67,7 +67,8 @@ def _rows(groups: list[tuple]) -> np.ndarray:
 def _block_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tables of the partitions c of a block size p, by index in
     _partition_list order, in one int64 pass over their multiplicity matrix
-    (row c, column i: the parts of c equal to i): the columns (z, S, weight,
+    (row c, column i: the parts of c equal to i), each partition found by
+    its code, oracle._partition_codes: the columns (z, S, weight,
     length), (4, P); the odd splits (3, R), rows (c, mu, kappa); and the
     down-arrow steps of a block of size p (5, T), rows (c, its shrunk
     partition of p - 1, twice the coefficient, the part times its
@@ -86,9 +87,7 @@ def _block_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     length = np.fromiter(map(len, parts), np.int64, len(parts))
     mults = np.zeros((len(parts), p + 2), dtype=np.int64)  # columns 0..p + 1: column 1 exists at p = 0
     np.add.at(mults, (np.repeat(np.arange(len(parts)), length), np.fromiter(itertools.chain(*parts), np.int64)), 1)
-    # m_i <= p // i: these place values code each partition, m_p the top digit, so codes fall along _partition_list
-    radix = np.cumprod([1, 1, *(p // i + 1 for i in range(1, p + 1))])
-    codes = mults @ radix
+    place, codes = oracle._partition_codes(p)  # codes negated: they rise along _partition_list
     # sigma, a partition of v = p - t, as the partition of p with t more ones
     t = np.arange(p + 1)
     odd = length[:, None] - t
@@ -100,14 +99,14 @@ def _block_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mu = mults[c] + sigma - (np.arange(p + 2) == p - t[q, None])  # less e_v, v = p - t
     fact = np.array([math.factorial(k) for k in range(p + 1)], dtype=np.int64)
     kap = (fact[mu] // (fact[sigma] * fact[mu - sigma])).prod(axis=1)
-    mu = np.searchsorted(-codes, -(mu @ radix))
+    mu = np.searchsorted(codes, -(mu @ place))
     z = math.factorial(p) // (np.arange(p + 2) ** mults * fact[mults]).prod(axis=1)
     columns = np.stack([z, _sums_by(c, kap * z[mu], len(parts)), p - mults[:, 1], length])
     splits = np.stack([c, mu, kap])
     c, j = np.nonzero(mults[:, p:1:-1] > 0)
     j = p - j
     # the partitions of p - 1 are those of p with a 1, less one 1
-    shrunk = np.searchsorted(1 - codes[mults[:, 1] > 0], radix[j] - radix[j - 1] - codes[c])
+    shrunk = np.searchsorted(codes[mults[:, 1] > 0] + 1, place[j] - place[j - 1] + codes[c])
     steps = np.stack([c, shrunk, p * (j - 1) * (mults[c, j - 1] + 1), j * mults[c, j], j])
     for table in (columns, splits, steps):
         table.flags.writeable = False

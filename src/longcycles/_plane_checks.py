@@ -96,35 +96,28 @@ def _cycle_sums(keys: np.ndarray, table: _CycleTable, neighbour: np.ndarray) -> 
 
 class _ArrayTables(NamedTuple):
     """What the per-array checks at one n read besides the words and the
-    split, oracle._split(n), for the verticals pi (n, M), stored element
-    first:
-    - ``pi_parts``, ``inv_parts``: (2, M), the lex index of the head and the
-      index of the tail of each pi, and of each pi⁻¹;
-    - ``pi_cycles``: the _CycleTable of the verticals; ``lex_cycles``: that
-      of the n! permutations in lex order, which the diagonals read by rank;
+    split, oracle._split(n), for the verticals pi (n, n!), the n!
+    permutations in lex order, stored element first:
+    - ``pi_parts``, ``inv_parts``: (2, n!), the lex index of the head and
+      the index of the tail of each pi, and of each pi⁻¹;
+    - ``cycles``: the _CycleTable of the verticals, which the diagonals
+      read by rank as well;
     - ``c_pi``: the cycle counts of the verticals; ``counts``: the table of
       _counts_by_code."""
 
     pi_parts: np.ndarray
     inv_parts: np.ndarray
-    pi_cycles: _CycleTable
-    lex_cycles: _CycleTable
+    cycles: _CycleTable
     c_pi: np.ndarray
     counts: np.ndarray
 
 
 def _array_tables(
-    perms: np.ndarray,
-    perms_inv: np.ndarray,
-    pi_cycles: _CycleTable,
-    c_pi: np.ndarray,
-    lex_cycles: _CycleTable,
-    counts: np.ndarray,
+    perms: np.ndarray, perms_inv: np.ndarray, cycles: _CycleTable, c_pi: np.ndarray, counts: np.ndarray
 ) -> _ArrayTables:
-    """The _ArrayTables of the verticals ``perms`` (n, M) and their inverses
-    ``perms_inv``, stored element first, with the verticals' _CycleTable
-    and cycle counts, the _CycleTable of the n! permutations in lex order,
-    and the cycle counts by code."""
+    """The _ArrayTables of the verticals ``perms`` (n, n!), in lex order, and
+    their inverses ``perms_inv``, stored element first, with the verticals'
+    _CycleTable and cycle counts, and the cycle counts by code."""
     n = len(perms)
     split = oracle._split(n)
     block = math.factorial(n - split.h)
@@ -133,7 +126,7 @@ def _array_tables(
         head = split.prefix[oracle._code(n, columns[: split.h])] // block
         return np.stack(np.broadcast_arrays(head, split.tail_of[oracle._code(n, columns[split.h :])]))
 
-    return _ArrayTables(parts(perms), parts(perms_inv), pi_cycles, lex_cycles, c_pi, counts)
+    return _ArrayTables(parts(perms), parts(perms_inv), cycles, c_pi, counts)
 
 
 class _ArrayTerms(NamedTuple):
@@ -191,8 +184,8 @@ def _array_terms(words: np.ndarray, s_img: np.ndarray, tables: _ArrayTables) -> 
     diag = oracle._take(head[0] * n ** (n - h), hd, None, axis=1) + oracle._take(tail[0], tl, None, axis=1)
     rank = oracle._take(split.prefix[head[0]], hd, None, axis=1) + oracle._take(split.suffix[tail[0]], tl, None, axis=1)
     exc_refl = oracle._take(head[1], hd, None, axis=1) + oracle._take(tail[1], tl, None, axis=1)
-    trivial = _cycle_sums(pos, t.pi_cycles, t.pi_cycles.before)
-    trivial_refl = _cycle_sums(refl, t.lex_cycles, t.lex_cycles.after)
+    trivial = _cycle_sums(pos, t.cycles, t.cycles.before)
+    trivial_refl = _cycle_sums(refl, t.cycles, t.cycles.after)
     return _ArrayTerms(exc, trivial, read, diag, rank, exc_refl, trivial_refl)
 
 
@@ -254,14 +247,12 @@ def _moves(n: int) -> _Moves:
 
 
 class _TranspositionTables(NamedTuple):
-    """What the transposition checks at one n read besides the words and
-    the verticals: the diagonals D (n, (n-1)!), stored element first; the
-    block transpositions (_moves); and ``counts``, the table of
-    _counts_by_code."""
+    """What the transposition checks at one n read besides the words, the
+    verticals and the cycle counts by code: the diagonals D (n, (n-1)!),
+    stored element first, and the block transpositions (_moves)."""
 
     diags: np.ndarray
     moves: _Moves
-    counts: np.ndarray
 
 
 def _transposed_codes(
@@ -285,10 +276,13 @@ def _transposed_codes(
     return codes.astype(np.int64), places @ verticals
 
 
-def _transposition_bad_count(words: np.ndarray, verticals: np.ndarray, tables: _TranspositionTables) -> int:
+def _transposition_bad_count(
+    words: np.ndarray, verticals: np.ndarray, tables: _TranspositionTables, counts: np.ndarray
+) -> int:
     """Failures over every block transposition of every array (words[w],
     verticals[w, :, r]) whose diagonal is diags[:, r], in ``tables``, for
-    the batch ``words`` (b, n).  The transposed array (w', pi') must keep
+    the batch ``words`` (b, n), with ``counts`` the table of
+    _counts_by_code.  The transposed array (w', pi') must keep
     that diagonal: D(pi'(w'[t])) = w'[t + 1] at every t.  As pi'(w'[t]) is
     pi(w[image_src[t]]), that says f = D∘pi, one function per array, sends
     each w[image_src[t]] to w[next_src[t]], one function per h, as
@@ -303,7 +297,7 @@ def _transposition_bad_count(words: np.ndarray, verticals: np.ndarray, tables: _
     tops = words[:, t.moves.next_src] * full[words[:, t.moves.image_src]]
     moved = tops.sum(axis=1)  # the code of each h's function, (b, H)
     codes, source_codes = _transposed_codes(words, verticals, tables)
-    delta = oracle._take(t.counts, codes, None) - oracle._take(t.counts, source_codes, None)[:, None]
+    delta = oracle._take(counts, codes, None) - oracle._take(counts, source_codes, None)[:, None]
     bad = (sends[:, None] != moved[:, :, None]) | (delta & 1 != 0) | (np.abs(delta) > 2)
     return int(np.count_nonzero(bad))
 
@@ -345,12 +339,10 @@ def _suite_counts(n: int, workers: int) -> tuple[int, int, list[int]]:
     rows = oracle._shared(oracle._all_perm_rows, n)
     batch = min(16, max(1, _PLANE_ARRAYS // len(rows)))  # words per call of the checks
     cc = _cycle_counts_by_rank(n)  # the verticals are in lex order, so cc holds their counts
-    counts = _counts_by_code(n, cc)
-    cycle_table = _cycle_table(rows.T)
-    arrays = _array_tables(rows.T, np.argsort(rows, axis=1).T, cycle_table, cc, cycle_table, counts)
+    arrays = _array_tables(rows.T, np.argsort(rows, axis=1).T, _cycle_table(rows.T), cc, _counts_by_code(n, cc))
     moves = _moves(n)
     diags_inv = np.argsort(cycles, axis=1).T.copy()
-    transpositions = _TranspositionTables(cycles.T.copy(), moves, counts)
+    transpositions = _TranspositionTables(cycles.T.copy(), moves)
 
     def bad_counts(lo: int, hi: int) -> np.ndarray:
         bad = np.zeros(4, dtype=np.int64)
@@ -358,7 +350,7 @@ def _suite_counts(n: int, workers: int) -> tuple[int, int, list[int]]:
             part, s_img = words[start : min(start + batch, hi)], cycles[start : min(start + batch, hi)]
             bad[:3] += _array_bad_counts(part, s_img, arrays)
             if moves.src.size:
-                bad[3] += _transposition_bad_count(part, diags_inv.take(s_img, axis=0), transpositions)
+                bad[3] += _transposition_bad_count(part, diags_inv.take(s_img, axis=0), transpositions, arrays.counts)
         return bad
 
     bad = oracle._chunk_sum(bad_counts, oracle._chunks(len(words), workers), workers).tolist()

@@ -46,9 +46,11 @@ of _signatures or of the fixed-diagonal sweep keeps only the codes of its
 length rows (_length_codes, into buffers every pass reuses), and
 the distinct rows are decoded from the distinct codes at the end.
 
-The tallies by block types, _pairs_alpha_tables and verify's dense arrays
-_pair_array and _plane_array, sum the pair counts or the plane sweep's
-totals over one key assignment of the signatures, _signature_keys.
+The tallies by block types sum the pair counts (_pair_array), the plane
+sweep's totals (_plane_array) or a fixed diagonal's counts (_diag_tallies)
+into dense arrays by key (_keys): the index of a separated row's block types
+in _partition_sequence_keys order, each block's partition found by its code,
+_partition_codes, which verify's block tables read too.
 
 The full plane sweep, _plane_codes(n), walks the verticals by their
 inverses q in lex order: per word, a term per head of q plus a term per
@@ -356,16 +358,6 @@ def _distinct_rows(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _unique_rows(codes, n)
 
 
-def _cycle_type(lens: Sequence[int]) -> tuple[int, ...]:
-    """The cycle type of a length row: its nonzero entries, largest first."""
-    return tuple(sorted(filter(None, lens), reverse=True))
-
-
-# _cycle_type of one block of a row, memoized by the block's entries as a
-# tuple: _keys passes each block sorted, so few distinct blocks reach it
-_block_type = cache(_cycle_type)
-
-
 def _sep_prefixes(rows: np.ndarray) -> np.ndarray:
     """For each length row, one per line, the largest m with 1..m in
     pairwise distinct cycles: the number of its nonzero entries before its
@@ -389,40 +381,59 @@ def _signature_sums(n: int) -> np.ndarray:
     return np.cumsum(_signatures(n)[1], axis=1)
 
 
+@cache
+def _partition_codes(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(place, codes): a partition with m_i parts i has the code sum_i m_i
+    place[i], mixed radix with m_i <= p // i; place[0] = 0, so that the empty
+    entries of a length row add nothing, and ``codes`` holds the codes of
+    _partition_list(p), negated so that they rise.  Memo: every key
+    assignment re-reads it per block; about 50 µs a build at p = 8."""
+    place = np.cumprod([1, 1, *(p // i + 1 for i in range(1, p + 1))])
+    place[0] = 0
+    parts = _partition_list(p)
+    rows = np.array([c + (0,) * (p - len(c)) for c in parts], dtype=np.int64).reshape(len(parts), p)
+    codes = -place[rows].sum(axis=1)
+    place.flags.writeable = codes.flags.writeable = False
+    return place, codes
+
+
+def _partition_index(p: int, lengths: np.ndarray) -> np.ndarray:
+    """The index in _partition_list(p) of each row of ``lengths`` (R, p), read
+    as the partition of its nonzero entries: the block type of a block of p
+    entries of length rows, and with p = n the cycle type."""
+    place, codes = _partition_codes(p)
+    return np.searchsorted(codes, -place[lengths].sum(axis=1))
+
+
 class _Keys(NamedTuple):
     """The key assignment of a row set under a composition alpha: ``ids``,
-    the alpha-separated rows; ``key_of[j]``, the index of the block types
-    of row ids[j] in ``keys``; and ``keys``, the block types, in the order
-    of their first row.  With alpha = (n) the keys are the cycle types,
-    (lam,)."""
+    the alpha-separated rows; ``key_of[j]``, the key of row ids[j], the
+    index of its block types in _partition_sequence_keys order (mixed
+    radix, the last block fastest); and ``size``, the number of keys.  With
+    alpha = (n) the keys are the cycle types, (lam,)."""
 
     ids: np.ndarray
     key_of: np.ndarray
-    keys: list[_SeqKey]
+    size: int
 
 
 def _keys(rows: np.ndarray, sums: np.ndarray, alpha_parts: Sequence[int]) -> _Keys:
-    """The _Keys of ``rows`` under alpha; ``sums`` holds the prefix sums of
-    the rows, np.cumsum(rows, axis=1)."""
+    """The _Keys of ``rows`` under alpha, folded block by block; ``sums``
+    holds the prefix sums of the rows, np.cumsum(rows, axis=1)."""
     cuts = np.cumsum(alpha_parts)
     ids = np.flatnonzero((sums[:, cuts - 1] == cuts).all(axis=1))
-    # each block's entries in order, so that rows with equal block types have
-    # equal codes: the block offsets keep every entry inside its block
-    offsets = np.repeat(np.arange(len(cuts)) * (rows.shape[1] + 1), alpha_parts)
-    blocks = np.sort(rows[ids] + offsets, axis=1) - offsets
-    _, first, key_of = np.unique(_code(rows.shape[1] + 1, blocks.T), return_index=True, return_inverse=True)
-    order = np.argsort(first)  # the keys by first row; np.argsort(order) ranks them
-    key_rows = blocks[first[order]]
-    # the block types of every key row, one block (a column range) at a time
-    blocks_of = (key_rows[:, cut - part : cut].tolist() for part, cut in zip(alpha_parts, cuts))
-    types = [map(_block_type, map(tuple, block)) for block in blocks_of]
-    return _Keys(ids, np.argsort(order)[key_of], list(zip(*types)))
+    key_of, size = np.zeros(len(ids), dtype=np.int64), 1
+    for part, cut in zip(alpha_parts, cuts):
+        radix = len(_partition_list(part))
+        key_of = key_of * radix + _partition_index(part, rows[ids, cut - part : cut])
+        size *= radix
+    return _Keys(ids, key_of, size)
 
 
 def _key_sums(keys: _Keys, counts: np.ndarray) -> np.ndarray:
     """Entry k: the sum of ``counts[i]`` over the rows i of the assignment
-    with key k."""
-    totals = np.zeros((len(keys.keys), *counts.shape[1:]), dtype=counts.dtype)
+    with key k, zero at a key that no row has."""
+    totals = np.zeros((keys.size, *counts.shape[1:]), dtype=counts.dtype)
     np.add.at(totals, keys.key_of, counts[keys.ids])
     return totals
 
@@ -667,17 +678,27 @@ def product_pair_counts(n: int, workers: int = 1) -> np.ndarray:
 
 
 @cache
+def _pair_array(n: int, alpha_parts: tuple[int, ...]) -> np.ndarray:
+    """The ordered pairs whose product is alpha-separated, by block-type key
+    (_Keys): the pair counts summed over the signatures' key assignment.
+    Memo: _pairs_alpha_tables and the classic suite both read it; 0.07 ms a
+    build at n = 8."""
+    counts = product_pair_counts(n)  # first: the sweep's guard, before any signature is built
+    table = _key_sums(_shared(_signature_keys, n, alpha_parts), counts)
+    table.flags.writeable = False
+    return table
+
+
+@cache
 def _pairs_alpha_tables(
     n: int, alpha_parts: tuple[int, ...]
 ) -> tuple[dict[tuple[int, ...], int], dict[_SeqKey, int], int]:
     """(d-vector table, block-type table, separated total) over all pairs, without zero keys.
-    Memo: the formulas suite and _pair_array re-read it, 1,649 calls for
-    127 alphas; 0.1 ms a build at n = 8."""
-    counts = product_pair_counts(n)
+    Memo: the formulas suite re-reads it, 1,649 calls for 127 alphas; 0.1
+    ms a build at n = 8."""
     d_table: dict[tuple[int, ...], int] = {}
     lam_table: dict[_SeqKey, int] = {}
-    keys = _shared(_signature_keys, n, alpha_parts)
-    for key, cnt in zip(keys.keys, _key_sums(keys, counts).tolist()):
+    for key, cnt in zip(_partition_sequence_keys(alpha_parts), _pair_array(n, alpha_parts).tolist()):
         if cnt:
             d = tuple(len(c) for c in key)
             d_table[d] = d_table.get(d, 0) + cnt
@@ -690,8 +711,7 @@ def _pairs_type_rows(n: int) -> dict[str, int]:
     """The rows of sweep_pairs' cycle_type table: every cycle type of n, zero
     counts included, keyed by its text form.  Memo: each sweep_pairs
     re-reads it, 6 µs x 129 calls over the alphas of 8."""
-    types = _pairs_alpha_tables(n, (n,))[1]
-    return {format_type_key(t): types.get((t,), 0) for t in _partition_list(n)}
+    return dict(zip(map(format_type_key, _partition_list(n)), _pair_array(n, (n,)).tolist()))
 
 
 @cache
@@ -762,8 +782,8 @@ def _diag_tallies(n: int, d_image: tuple[int, ...], *alphas: tuple[int, ...]) ->
     rows, counts = _diag_rows(n, d_image)
     tallies = []
     for alpha_parts in alphas:
-        keys = _keys(rows, np.cumsum(rows, axis=1), alpha_parts)
-        tallies.append(dict(zip(keys.keys, _key_sums(keys, counts).tolist())))
+        sums = _key_sums(_keys(rows, np.cumsum(rows, axis=1), alpha_parts), counts).tolist()
+        tallies.append({key: by_a for key, by_a in zip(_partition_sequence_keys(alpha_parts), sums) if any(by_a)})
     return tuple(tallies)
 
 
@@ -812,8 +832,7 @@ def _plane_tables(n: int) -> tuple:
     h, k = split.h, n - split.h
     qs = _shared(_all_perm_rows, n)
     sig, rows = _signatures(n)
-    types = _partition_list(n)
-    type_of = np.array([types.index(_cycle_type(row)) for row in rows.tolist()])  # signature id -> type index
+    type_of = _partition_index(n, rows)  # signature id -> type index
     tbx = ((type_of * (len(rows) * (n + 1)))[sig][:, None] + np.arange(n + 1)).ravel()
     sig_off = sig[_lex_rank(n, np.argsort(qs, axis=1).T)] * (n + 1)
     tail_of = split.tail_of[_code(n, qs[:, h:].T)]
@@ -881,28 +900,13 @@ def _plane_totals(n: int, workers: int = 1) -> np.ndarray:
     return _plane_totals_cache[n]
 
 
-def _dense(table: dict, alpha_parts: tuple[int, ...], zero) -> np.ndarray:
-    """A tally by block types as an int64 array with one entry per block-type
-    key of alpha_parts, in _partition_sequence_keys order (mixed radix, the
-    last block fastest), and ``zero`` for the keys that it leaves out."""
-    return np.array([table.get(key, zero) for key in _partition_sequence_keys(alpha_parts)], dtype=np.int64)
-
-
-def _pair_array(n: int, alpha_parts: tuple[int, ...]) -> np.ndarray:
-    """The ordered pairs whose product is alpha-separated, by its block
-    types: the block-type table of _pairs_alpha_tables, dense (_dense)."""
-    return _dense(_pairs_alpha_tables(n, alpha_parts)[1], alpha_parts, 0)
-
-
 def _plane_array(n: int, alpha_parts: tuple[int, ...]) -> np.ndarray:
     """``planes[k, t]`` = (count, exceedances): the plane permutations whose
-    vertical is alpha-separated with block-type key k (_dense order) and
-    whose diagonal has type index t, and the sum of their exceedance counts.
+    vertical is alpha-separated with block-type key k (_Keys) and whose
+    diagonal has type index t, and the sum of their exceedance counts.
     With alpha = (n) the keys are the vertical's cycle types, (lam,)."""
     totals = _plane_totals(n)  # first: _plane_codes checks the sweep limit before any signature is built
-    keys = _shared(_signature_keys, n, alpha_parts)
-    tally = dict(zip(keys.keys, _key_sums(keys, totals)))
-    return _dense(tally, alpha_parts, np.zeros(totals.shape[1:], dtype=np.int64))
+    return _key_sums(_shared(_signature_keys, n, alpha_parts), totals)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,9 @@ Why some ``ci`` rows are there, and what they cost on a two-core CI runner:
   42 MB with or without ``--alpha 3,5``, bounded at 49;
 - ``oracle pairs --n 7 --alpha 3,4``, threads 1, 3: an odd ``n``, so an odd
   half of digits; about 36 MB, bounded at 41;
+- ``oracle pairs --n 8 --alpha 2,3,3``, threads 1, 2: the order of block-type
+  keys over three blocks past the ``n <= 7`` of verify; about 42 MB, bounded
+  at 49;
 - ``oracle pairs --n 9``: the 1.63G pairs at the sweep's limit, about 4 s
   and 109 MB at either thread count, bounded at 126 MB;
 - ``verify --suite formulas --suite parity --max-n 9``: 5,215 reports and
@@ -35,7 +38,9 @@ Why some ``ci`` rows are there, and what they cost on a two-core CI runner:
 - ``verify --suite parity --max-n 9``, threads 1, 2: the parity audit
   alone at the pair sweep's limit, whose output a later split of its work
   over the workers must keep; about 3 s and 111 MB, bounded at 127 MB;
-- ``oracle diagonal --n 9 --alpha 4,5``: about 44 MB, bounded at 51;
+- ``oracle diagonal --n 9 --alpha 4,5``: about 44 MB, bounded at 51; with
+  ``--eta 4+3+2 --alpha 2,3,4``, the three-block keys of the fixed-diagonal
+  sweep, also about 44 MB, bounded at 51;
 - ``oracle diagonal --n 10``: the sweep's limit, the 362,880 long cycles,
   about 0.5 s and 112 MB, bounded at 133 MB; with ``--eta 5+5 --alpha 5,5``
   also about 112 MB, bounded at 129;

@@ -585,7 +585,7 @@ import numpy as np
 from longcycles import _plane_checks, oracle
 words, cycles = oracle._cycle_words(8)[:4], oracle._long_cycles(8)
 verticals = np.argsort(cycles, axis=1).T.take(cycles[:4], axis=0)
-tables = _plane_checks._TranspositionTables(cycles.T.copy(), _plane_checks._moves(8), None)
+tables = _plane_checks._TranspositionTables(cycles.T.copy(), _plane_checks._moves(8))
 codes, _ = _plane_checks._transposed_codes(words, verticals, tables)
 print(codes.shape, len(os.listdir("/proc/self/task")))
 """

@@ -46,14 +46,13 @@ from longcycles import (
     sweep_pairs,
     z_of,
 )
-from longcycles import oracle, verify
-from longcycles.partitions import _partition_list, format_type_key
+from longcycles import _columns, oracle, verify
+from longcycles.partitions import _partition_list, _partition_sequence_keys, format_type_key
 from longcycles.oracle import (
     CountTable,
     OracleResult,
     _all_perm_rows,
     _cycle_rows,
-    _cycle_type,
     _cycle_words,
     _diag_rows,
     _fact_chunk,
@@ -70,6 +69,11 @@ from longcycles.oracle import (
 
 P = IntegerPartition
 C = Composition
+
+
+def cycle_type_of(lens):
+    """The cycle type of a length row: its nonzero entries, largest first."""
+    return tuple(sorted(filter(None, lens), reverse=True))
 
 
 def _min_lengths(perms):
@@ -428,7 +432,7 @@ def reference_plane_codes(n):
     pinv_t = np.argsort(perms, axis=0)  # row j: perm⁻¹(j) for every perm
     sig, rows = _signatures(n)
     types = _partition_list(n)
-    type_of = np.array([types.index(_cycle_type(row)) for row in rows.tolist()])
+    type_of = np.array([types.index(cycle_type_of(row)) for row in rows.tolist()])
     stride = len(rows) * (n + 1)
     type_base = type_of[sig] * stride  # lex rank of a diagonal -> the first index of its type
     sig_base = sig * (n + 1)  # lex rank of a vertical -> the first index of its signature within a type
@@ -796,7 +800,7 @@ class TestMinLengths:
         rows = _all_perm_rows(n)
         alphas = list(compositions(n))
         lens_rows = _min_lengths(rows.T).T
-        by_alpha = {alpha.parts: {} for alpha in alphas}  # block types -> count, in the order of their first row
+        by_alpha = {alpha.parts: {} for alpha in alphas}  # block types -> count
         for image, lens, prefix in zip(rows.tolist(), lens_rows.tolist(), _sep_prefixes(lens_rows).tolist()):
             p = Permutation(tuple(x + 1 for x in image))
             cycles = p.cycles()  # each starts at its least element
@@ -804,7 +808,7 @@ class TestMinLengths:
             for cyc in cycles:
                 expected[cyc[0] - 1] = len(cyc)
             assert lens == expected
-            assert _cycle_type(lens) == cycle_type(p).parts
+            assert cycle_type_of(lens) == cycle_type(p).parts
             for alpha in alphas:
                 if is_alpha_separated(p, alpha):
                     key = alpha_type(p, alpha).key()
@@ -818,7 +822,7 @@ class TestMinLengths:
         for parts, expected in by_alpha.items():
             keys = _keys(lens_rows, sums, parts)
             tally = _key_sums(keys, np.ones(len(lens_rows), dtype=np.int64))
-            assert list(zip(keys.keys, tally.tolist())) == list(expected.items())
+            assert tally.tolist() == [expected.get(key, 0) for key in _partition_sequence_keys(parts)]
 
     @pytest.mark.parametrize("size", [7, 500])
     @pytest.mark.parametrize("n", range(5, 8))
@@ -928,6 +932,38 @@ class TestMinLengths:
     def test_cycle_rows_are_the_long_cycles_in_order(self, n):
         expected = [[x - 1 for x in c.image] for c in long_cycle_iter(n)]
         assert _cycle_rows(_cycle_words(n)).tolist() == expected
+
+
+# sha256 of _columns._block_tables(p) for p = 0..14, each table's shape and
+# little-endian int64 bytes, measured before the tables read their partition
+# code from oracle._partition_codes
+BLOCK_TABLES_SHA256 = "42ce9b302f3b24b5cf40faa19e17fbab195c8bfa27ec93a2ad95be40b8483bab"
+
+
+class TestPartitionCode:
+    """oracle._partition_codes, the one code by which every tally by block
+    type and verify's block tables find a partition's index."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_signature_rows_map_to_their_cycle_type(self, n):
+        rows = _signatures(n)[1]
+        types = _partition_list(n)
+        expected = [types.index(cycle_type_of(row)) for row in rows.tolist()]
+        assert oracle._partition_index(n, rows).tolist() == expected
+
+    @pytest.mark.parametrize("p", range(15))
+    def test_codes_are_distinct_and_rise(self, p):
+        codes = oracle._partition_codes(p)[1]
+        assert len(codes) == len(_partition_list(p))
+        assert (np.diff(codes) > 0).all()
+
+    def test_block_tables_are_unchanged(self):
+        digest = hashlib.sha256()
+        for p in range(15):
+            for table in _columns._block_tables(p):
+                digest.update(repr(table.shape).encode())
+                digest.update(np.ascontiguousarray(table, dtype="<i8").tobytes())
+        assert digest.hexdigest() == BLOCK_TABLES_SHA256
 
 
 class TestCountFactorizations:

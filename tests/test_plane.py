@@ -229,23 +229,18 @@ def verticals(n):
 
 
 def array_tables(perms, perms_inv, c_pi, cc):
-    """The plane suite's array tables of the verticals ``perms``, with the
-    cycle tables of ``perms`` and of all n! permutations in lex order, and
-    the cycle counts by code from ``cc``, by lex rank."""
+    """The plane suite's array tables of the verticals ``perms``, the n!
+    permutations in lex order, with their cycle table, and the cycle counts
+    by code from ``cc``, by lex rank."""
     n = len(perms)
-    lex = oracle._all_perm_rows(n).T
     counts = _plane_checks._counts_by_code(n, cc)
-    return _plane_checks._array_tables(
-        perms, perms_inv, _plane_checks._cycle_table(perms), c_pi, _plane_checks._cycle_table(lex), counts
-    )
+    return _plane_checks._array_tables(perms, perms_inv, _plane_checks._cycle_table(perms), c_pi, counts)
 
 
-def transposition_tables(diags, cc, checks=_plane_checks):
+def transposition_tables(diags, checks=_plane_checks):
     """The plane suite's transposition tables of the diagonals ``diags``,
-    with the cycle counts by code from ``cc``, by lex rank, built by the
-    module ``checks``."""
-    n = len(diags)
-    return checks._TranspositionTables(diags, checks._moves(n), checks._counts_by_code(n, cc))
+    built by the module ``checks``."""
+    return checks._TranspositionTables(diags, checks._moves(len(diags)))
 
 
 def legal_hs(n):
@@ -301,8 +296,8 @@ class TestBatchedKernels:
         words = np.array(all_words(n)) - 1
         batch = np.stack([np.roll(perms, i, axis=1) for i in range(len(words))])
         # the codes read no diagonal: perms stands in for one
-        cc = _plane_checks._cycle_counts_by_rank(n)
-        tables = transposition_tables(perms, cc)
+        counts = _plane_checks._counts_by_code(n, _plane_checks._cycle_counts_by_rank(n))
+        tables = transposition_tables(perms)
         codes, source_codes = _plane_checks._transposed_codes(words, batch, tables)
         for i, w in enumerate(words):
             new_words, bottoms = w[moves.src], batch[i][w[moves.image_src]]
@@ -315,7 +310,7 @@ class TestBatchedKernels:
                     assert tuple(new_words[:, t] + 1) == q.s
                     assert tuple(bottoms[:, t, r] + 1) == tuple(map(q.pi, q.s))
                     assert codes[i, t, r] == oracle._code(n, np.array(q.pi.image) - 1)
-                    assert tables.counts[codes[i, t, r]] == q.pi.cycle_count
+                    assert counts[codes[i, t, r]] == q.pi.cycle_count
 
     def test_cycle_sums_count_the_cycles_whose_flag_holds(self):
         # with element 0 as every element's neighbour, a cycle's flag holds iff
@@ -394,15 +389,17 @@ class TestKernelsAgainstScalarRoutines:
     @settings(max_examples=12, deadline=None)
     @given(word_and_verticals())
     def test_array_terms(self, case):
+        # the terms of every vertical in lex order, read at the drawn ones
         word, perms = case
         n = len(word)
         planes = [to_plane(word, col) for col in perms.T]
         s_img = np.array(planes[0].s_perm().image) - 1
-        c_pi = np.array([p.pi.cycle_count for p in planes])
-        tables = array_tables(perms, np.argsort(perms, axis=0), c_pi, _plane_checks._cycle_counts_by_rank(n))
+        lex = oracle._all_perm_rows(n).T
+        cc = _plane_checks._cycle_counts_by_rank(n)
+        tables = array_tables(lex, np.argsort(lex, axis=0), cc, cc)
         t = _plane_checks._array_terms(word[None], s_img[None], tables)
         trivial_refl = np.take_along_axis(t.trivial_refl, t.rank, axis=1)
-        for r, p in enumerate(planes):
+        for r, p in zip(oracle._lex_rank(n, perms).tolist(), planes):
             stats, refl = p.exceedance_stats(), p.reflect().exceedance_stats()
             diagonal = np.array(p.diagonal().image) - 1
             assert t.read[0, r] == oracle._code(n, np.array(p.diagonal_from_pairs().image) - 1)
@@ -422,8 +419,8 @@ class TestKernelsAgainstScalarRoutines:
         others = st.permutations(range(1, n + 1)).map(Permutation)
         diags = [p.diagonal() if data.draw(st.booleans()) else data.draw(others) for p in planes]
         diag_cols = np.array([d.image for d in diags]).T - 1
-        cc = _plane_checks._cycle_counts_by_rank(n)
-        tables = transposition_tables(diag_cols, cc)
+        counts = _plane_checks._counts_by_code(n, _plane_checks._cycle_counts_by_rank(n))
+        tables = transposition_tables(diag_cols)
         codes, source_codes = _plane_checks._transposed_codes(word[None], perms[None], tables)
         expected = 0
         for r, (p, d) in enumerate(zip(planes, diags)):
@@ -431,9 +428,9 @@ class TestKernelsAgainstScalarRoutines:
             for t, h in enumerate(legal_hs(n).tolist()):
                 q = p.transpose_blocks(tuple(h))
                 assert codes[0, t, r] == oracle._code(n, np.array(q.pi.image) - 1)
-                assert tables.counts[codes[0, t, r]] == q.pi.cycle_count
+                assert counts[codes[0, t, r]] == q.pi.cycle_count
                 expected += q.diagonal_from_pairs() != d or abs(q.pi.cycle_count - p.pi.cycle_count) not in (0, 2)
-        assert _plane_checks._transposition_bad_count(word[None], perms[None], tables) == expected
+        assert _plane_checks._transposition_bad_count(word[None], perms[None], tables, counts) == expected
 
 
 class TestPlaneSuiteSeesFaults:
@@ -477,8 +474,8 @@ class TestPlaneSuiteSeesFaults:
         return words[3], pi, diags, _plane_checks._cycle_counts_by_rank(n)
 
     def transposition_bad_count(self, word, pi, diags, cc):
-        tables = transposition_tables(diags, cc)
-        return _plane_checks._transposition_bad_count(word[None], pi[None], tables)
+        counts = _plane_checks._counts_by_code(self.n, cc)
+        return _plane_checks._transposition_bad_count(word[None], pi[None], transposition_tables(diags), counts)
 
     def test_corrupted_diagonal(self):
         word, pi, diags, cc = self.transposition_inputs()
@@ -514,8 +511,8 @@ class TestPlaneSuiteSeesFaults:
         damaged.__package__ = _plane_checks.__package__
         exec(compile(source.replace(sound, sound + "; places[-1] = 2"), _plane_checks.__file__, "exec"), vars(damaged))
         word, pi, diags, cc = self.transposition_inputs()
-        tables = transposition_tables(diags, cc, damaged)
-        assert damaged._transposition_bad_count(word[None], pi[None], tables) > 0
+        tables, counts = transposition_tables(diags, damaged), damaged._counts_by_code(self.n, cc)
+        assert damaged._transposition_bad_count(word[None], pi[None], tables, counts) > 0
         assert self.transposition_bad_count(word, pi, diags, cc) == 0
         monkeypatch.setattr(longcycles, "_plane_checks", damaged)
         reports = [r for r in verify.plane_structure_reports(self.n) if r.identity == "plane:transposition_action"]
@@ -550,8 +547,7 @@ class TestPlaneSuiteBatches:
         n = self.n
         cycles, rows = oracle._cycle_rows(oracle._cycle_words(n)), oracle._all_perm_rows(n)
         arrays = array_tables(rows.T.copy(), np.argsort(rows, axis=1).T.copy(), cc, cc)
-        transpositions = transposition_tables(cycles.T.copy(), cc)
-        return arrays, transpositions
+        return arrays, transposition_tables(cycles.T.copy())
 
     def per_word_counts(self, cc):
         """The failure counts at n of the suite's checks, one word per call."""
@@ -562,7 +558,8 @@ class TestPlaneSuiteBatches:
         bad = [0, 0, 0, 0]
         for word, s_img in zip(words, cycles):
             counts = _plane_checks._array_bad_counts(word[None], s_img[None], arrays)
-            counts += (_plane_checks._transposition_bad_count(word[None], diags_inv[s_img][None], transpositions),)
+            verticals = diags_inv[s_img][None]
+            counts += (_plane_checks._transposition_bad_count(word[None], verticals, transpositions, arrays.counts),)
             bad = [a + b for a, b in zip(bad, counts)]
         return bad
 
@@ -597,13 +594,14 @@ class TestPlaneSuiteBatches:
         verticals = diags_inv[cycles]
         batch = alone = self.tables(cc)
         assert _plane_checks._array_bad_counts(words, cycles, batch[0]) == (0, 0, 0)
-        assert _plane_checks._transposition_bad_count(words, verticals, batch[1]) == 0
+        assert _plane_checks._transposition_bad_count(words, verticals, batch[1], batch[0].counts) == 0
         cycles[3, [1, 2]] = cycles[3, [2, 1]]
         verticals[3, [0, 4]] = verticals[3, [4, 0]]
         counts = _plane_checks._array_bad_counts(words, cycles, batch[0])
         assert counts == _plane_checks._array_bad_counts(words[3:4], cycles[3:4], alone[0]) and any(counts)
-        count = _plane_checks._transposition_bad_count(words, verticals, batch[1])
-        assert count == _plane_checks._transposition_bad_count(words[3:4], verticals[3:4], alone[1]) > 0
+        count = _plane_checks._transposition_bad_count(words, verticals, batch[1], batch[0].counts)
+        one = _plane_checks._transposition_bad_count(words[3:4], verticals[3:4], alone[1], alone[0].counts)
+        assert count == one > 0
 
 
 class TestClippedGathers:

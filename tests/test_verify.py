@@ -170,12 +170,19 @@ _NO_PLANES = (0, 0)  # the (count, exceedances) of a key that no vertical has
 def plane_tallies(n, alpha_parts):
     """by_eta[eta][key] = (count, exceedances): the plane permutations with
     diagonal cycle type eta whose vertical is alpha-separated with block
-    types key, and the sum of their exceedance counts, from the key assignment
-    of the signatures (_keys) over the plane sweep's totals, in the order of
-    each key's first row.  Keys that no vertical has are left out."""
-    keys = oracle._keys(oracle._signatures(n)[1], oracle._signature_sums(n), alpha_parts)
-    assert (np.diff(np.unique(keys.key_of, return_index=True)[1]) > 0).all()  # keys in first-row order
-    sums = dict(zip(keys.keys, oracle._key_sums(keys, oracle._plane_totals(n)).tolist()))
+    types key, and the sum of their exceedance counts: the plane sweep's
+    totals by signature, keyed by the block types of each signature row,
+    read in plain Python.  Keys that no vertical has are left out."""
+    cuts = list(itertools.accumulate(alpha_parts))
+    sums = {}
+    for row, by_t in zip(oracle._signatures(n)[1].tolist(), oracle._plane_totals(n).tolist()):
+        blocks = [row[cut - part : cut] for part, cut in zip(alpha_parts, cuts)]
+        if all(sum(block) == part for block, part in zip(blocks, alpha_parts)):
+            key = tuple(tuple(sorted(filter(None, block), reverse=True)) for block in blocks)
+            cells = sums.setdefault(key, [[0, 0] for _ in by_t])
+            for cell, (count, exc) in zip(cells, by_t):
+                cell[0] += count
+                cell[1] += exc
     return {eta: {key: tuple(by_t[t]) for key, by_t in sums.items()} for t, eta in enumerate(_partition_list(n))}
 
 
@@ -1228,7 +1235,7 @@ def test_one_run_builds_each_table_once():
     # n = 2..7 each read the one assignment of their composition, those of
     # alpha = (n) twice, once for classic and once for section3, which keep
     # no plane tally; and the fixed-diagonal tallies of the formulas suite their own
-    reads = [("_pairs_alpha_tables", n, alpha) for n in range(1, 8) for alpha in _compositions(n)]
+    reads = [("_pair_array", n, alpha) for n in range(1, 8) for alpha in _compositions(n)]
     reads += [("_plane_array", n, alpha) for n in range(2, 8) for alpha in _compositions(n)]
     diag = repr(("_diag_tallies", None))
     counts = {repr(read): 1 for read in reads} | {repr(("_plane_array", n, (n,))): 2 for n in range(2, 8)}
